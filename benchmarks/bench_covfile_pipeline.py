@@ -12,7 +12,7 @@ replacements on the AOSN-II-scale hot path:
   :class:`~repro.core.subspace.IncrementalSubspaceEstimator` folds only
   the columns that arrived since the previous checkpoint;
 - the process-backend feed: forecast columns written by workers into a
-  :class:`~repro.workflow.parallel.SharedEnsembleBuffer` flow through the
+  :class:`~repro.workflow.ensemble.SharedEnsembleBuffer` flow through the
   anomaly accumulator into the memmap store *zero-copy* -- the
   accumulator reads the shared-memory column views directly and the
   store appends from the accumulator's views, with no member-file or
@@ -39,7 +39,7 @@ from repro.core.subspace import IncrementalSubspaceEstimator
 from repro.telemetry.clock import MONOTONIC
 from repro.util.linalg import truncated_svd
 from repro.workflow.covfile import CovarianceFileSet, MemmapCovarianceStore
-from repro.workflow.parallel import SharedEnsembleBuffer
+from repro.workflow.ensemble import SharedEnsembleBuffer
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 STATE_DIM = 4_000 if SMOKE else 20_000

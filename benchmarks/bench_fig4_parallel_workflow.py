@@ -30,7 +30,7 @@ from repro.workflow import (
 )
 
 #: Engine backends measured by the backend axis, in reporting order.
-ENGINE_BACKENDS = ("serial", "threads", "batched", "processes")
+ENGINE_BACKENDS = ("serial", "batched", "processes")
 
 
 def test_fig4_parallel_workflow(benchmark, small_esse_setup, tmp_path):

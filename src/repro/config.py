@@ -99,9 +99,9 @@ class EngineSection:
     Parameters
     ----------
     backend:
-        One of ``serial`` / ``threads`` / ``batched`` / ``processes``.
+        One of ``serial`` / ``batched`` / ``processes``.
     n_workers:
-        Pool width for the ``threads`` and ``processes`` backends.
+        Pool width for the ``processes`` backend.
     batch_size:
         Members per vectorized batch for the ``batched`` backend.
     """
@@ -111,10 +111,10 @@ class EngineSection:
     batch_size: int = 8
 
     def __post_init__(self):
-        if self.backend not in ("serial", "threads", "batched", "processes"):
+        if self.backend not in ("serial", "batched", "processes"):
             raise ConfigError(
                 f"engine: unknown backend {self.backend!r} "
-                "(have: serial, threads, batched, processes)"
+                "(have: serial, batched, processes)"
             )
         if self.n_workers < 1:
             raise ConfigError("engine: n_workers must be >= 1")
@@ -331,7 +331,7 @@ class ExperimentConfig:
         With ``assimilation.backend == "tiled"`` this builds a
         :class:`~repro.core.assimilation.TiledESSEAnalysis` whose tile
         tasks run through a fault-tolerant
-        :class:`~repro.workflow.tilepool.TileTaskPool` (retry seed =
+        :class:`~repro.workflow.pool.TileTaskPool` (retry seed =
         ``esse.root_seed``); with ``"global"`` it returns None so
         :class:`ESSEDriver` keeps its default global analysis.
         """
@@ -341,7 +341,7 @@ class ExperimentConfig:
         from repro.core.assimilation import TiledESSEAnalysis
         from repro.core.localization import make_inflation, make_taper
         from repro.workflow.policies import RetryPolicy
-        from repro.workflow.tilepool import TileTaskPool
+        from repro.workflow.pool import TileTaskPool
 
         pool = TileTaskPool(
             n_workers=asm.n_workers,

@@ -311,7 +311,7 @@ def run_tiles_serial(tasks: Sequence[Callable[[], TileUpdate]]) -> list:
     """Default in-process tile runner: run every task in order, fail fast.
 
     The fault-tolerant alternative is
-    :class:`repro.workflow.tilepool.TileTaskPool`, whose ``run`` method
+    :class:`repro.workflow.pool.TileTaskPool`, whose ``run`` method
     has the same signature but retries/replaces failing tile tasks and
     returns None for tiles whose retries were exhausted.
     """
@@ -346,7 +346,7 @@ class TiledESSEAnalysis:
 
     Tile tasks are independent closures executed by ``task_runner``; the
     default runs them serially in-process, and
-    :class:`repro.workflow.tilepool.TileTaskPool` runs them with the
+    :class:`repro.workflow.pool.TileTaskPool` runs them with the
     fault-tolerant member-pool semantics (retry with backoff, straggler
     cancel-and-replace, fault injection).  A tile whose retries are
     exhausted keeps its prior state (mean and anomalies) and raises

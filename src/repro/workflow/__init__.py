@@ -12,21 +12,23 @@ serial ESSE job shepherd (Fig 3) into a decoupled many-task pipeline
   append-only memmap column store (``docs/COVFILE_PROTOCOL.md``),
 - :mod:`~repro.workflow.serial` -- the serial implementation with its four
   bottlenecks, instrumented so the benches can show them,
-- :mod:`~repro.workflow.parallel` -- the MTC implementation: a task pool of
-  size M >= N, a continuously running differ, a decoupled SVD/convergence
-  worker, cancellation of superfluous members and staged pool enlargement,
-- :mod:`~repro.workflow.policies` -- cancellation, deadline and retry
-  policies,
+- :mod:`~repro.workflow.pool` -- the one fault-tolerant task pool
+  (retry/backoff, straggler cancel-and-replace, fault injection, loss)
+  that members, shared-memory member columns and analysis tiles all run
+  on, and :class:`TileTaskPool`, its tile client
+  (``docs/FAILURE_MODEL.md``, ``docs/ASSIMILATION.md``),
+- :mod:`~repro.workflow.parallel` -- the MTC implementation: the Fig 4
+  choreography (staged pool growth ahead of the next checkpoint, a
+  continuously running differ, a decoupled SVD/convergence worker,
+  cancellation of superfluous members) as a client of that pool,
+- :mod:`~repro.workflow.policies` -- cancellation and retry policies,
 - :mod:`~repro.workflow.faults` -- deterministic fault injection (crash /
   corrupt output / straggler stall / transient submit failure) for
   exercising the retry machinery; the failure model is documented in
   ``docs/FAILURE_MODEL.md``,
 - :mod:`~repro.workflow.ensemble` -- the backend-selectable ensemble
-  engine: serial / threads / vectorized-batched / shared-memory process
-  propagation behind one interface (``docs/ENSEMBLE_ENGINE.md``),
-- :mod:`~repro.workflow.tilepool` -- the same retry/straggler/fault
-  semantics applied to the tiled analysis's tile tasks
-  (``docs/ASSIMILATION.md``).
+  engine: serial / vectorized-batched / shared-memory process
+  propagation behind one interface (``docs/ENSEMBLE_ENGINE.md``).
 """
 
 from repro.workflow.statefiles import StatusDirectory, TaskStatus
@@ -37,18 +39,17 @@ from repro.workflow.covfile import (
     CovarianceSnapshot,
     MemmapCovarianceStore,
 )
-from repro.workflow.policies import CancellationPolicy, DeadlinePolicy, RetryPolicy
+from repro.core.taskmodel import DegradedEnsembleWarning
+from repro.workflow.policies import CancellationPolicy, RetryPolicy
 from repro.workflow.faults import FaultEvent, FaultInjector, FaultKind
 from repro.workflow.serial import SerialESSEWorkflow, SerialTimings
+from repro.workflow.pool import TaskOutcome, TaskPool, TileTaskPool
 from repro.workflow.parallel import (
-    DegradedEnsembleWarning,
     ParallelESSEWorkflow,
     WorkflowEvent,
     WorkflowResult,
 )
 from repro.workflow.monitor import ProgressMonitor, ProgressReport
-from repro.workflow.parallel import SharedEnsembleBuffer
-from repro.workflow.tilepool import TileTaskPool
 from repro.workflow.ensemble import (
     BatchedBackend,
     EngineResult,
@@ -56,7 +57,7 @@ from repro.workflow.ensemble import (
     EnsembleEngine,
     ProcessesBackend,
     SerialBackend,
-    ThreadsBackend,
+    SharedEnsembleBuffer,
     make_backend,
 )
 
@@ -69,7 +70,6 @@ __all__ = [
     "CovarianceSnapshot",
     "MemmapCovarianceStore",
     "CancellationPolicy",
-    "DeadlinePolicy",
     "RetryPolicy",
     "FaultEvent",
     "FaultInjector",
@@ -82,7 +82,8 @@ __all__ = [
     "WorkflowResult",
     "ProgressMonitor",
     "ProgressReport",
-    "SharedEnsembleBuffer",
+    "TaskOutcome",
+    "TaskPool",
     "TileTaskPool",
     "BatchedBackend",
     "EngineResult",
@@ -90,6 +91,6 @@ __all__ = [
     "EnsembleEngine",
     "ProcessesBackend",
     "SerialBackend",
-    "ThreadsBackend",
+    "SharedEnsembleBuffer",
     "make_backend",
 ]

@@ -7,17 +7,13 @@ and step every member with one pass of vectorized numpy.  This module
 provides both, behind one interface:
 
 - :class:`SerialBackend` -- one member at a time, in process (the Fig 3
-  loop's propagation, useful as the equivalence baseline);
-- :class:`ThreadsBackend` -- the task-pool idiom with a thread pool
-  (GIL-bound for numpy-light models, matching the regression that
-  motivated the batched backend);
+  loop's propagation, kept as the bit-identity reference for batched);
 - :class:`BatchedBackend` -- vectorized propagation via
   :meth:`~repro.core.ensemble.EnsembleRunner.run_members_batched`,
   *bit-identical* to the serial backend under a fixed seed;
-- :class:`ProcessesBackend` -- a true :class:`ProcessPoolExecutor` pool
-  whose workers write forecast columns straight into a
-  :class:`~repro.workflow.parallel.SharedEnsembleBuffer`, preserving the
-  fault-injection/retry semantics of the Fig 4 workflow and feeding the
+- :class:`ProcessesBackend` -- a process-executor client of the one
+  :class:`~repro.workflow.pool.TaskPool` whose workers write forecast
+  columns straight into a :class:`SharedEnsembleBuffer`, feeding the
   covariance store without serializing member state.
 
 :class:`EnsembleEngine` drives any backend through the staged ESSE loop
@@ -31,11 +27,9 @@ for the backend matrix and N-vs-workers guidance.
 
 from __future__ import annotations
 
-import pickle
-import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
+from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -45,22 +39,18 @@ from repro.core.covariance import AnomalyAccumulator
 from repro.core.driver import ESSEConfig
 from repro.core.ensemble import EnsembleRunner, MemberResult
 from repro.core.subspace import ErrorSubspace
+from repro.core.taskmodel import DegradedEnsembleWarning
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import NULL_RECORDER
 from repro.workflow.covfile import MemmapCovarianceStore
-from repro.workflow.faults import FaultInjector, FaultKind
+from repro.workflow.faults import FaultInjector
 from repro.workflow.monitor import ProgressMonitor
-from repro.workflow.parallel import (
-    DegradedEnsembleWarning,
-    SharedEnsembleBuffer,
-    _shm_member_task,
-    _shm_worker_init,
-)
 from repro.workflow.policies import RetryPolicy
+from repro.workflow.pool import TaskPool
 from repro.workflow.statefiles import StatusDirectory, TaskStatus
 
 #: Backend names accepted by :func:`make_backend` and the config section.
-BACKEND_NAMES = ("serial", "threads", "batched", "processes")
+BACKEND_NAMES = ("serial", "batched", "processes")
 
 
 class EnsembleBackend:
@@ -111,44 +101,6 @@ class SerialBackend(EnsembleBackend):
                 TaskStatus.SUCCESS if result.ok else TaskStatus.MODEL_FAILURE,
             )
             deliver(result)
-
-
-class ThreadsBackend(EnsembleBackend):
-    """The task-pool idiom with an in-process thread pool.
-
-    Parameters
-    ----------
-    n_workers:
-        Thread-pool width.  Threads interleave rather than parallelize
-        the numpy-light member model (the GIL regression the batched
-        backend exists to fix), but they exercise the out-of-order
-        completion path cheaply.
-    """
-
-    name = "threads"
-
-    def __init__(self, n_workers: int = 4):
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.n_workers = n_workers
-
-    def propagate(self, engine, mean_state, indices, deliver) -> None:
-        """Run members on the pool; deliver in completion order."""
-
-        def task(idx: int) -> MemberResult:
-            with engine.telemetry.span("pemodel", index=idx, backend=self.name):
-                return engine.runner.run_member(mean_state, idx)
-
-        with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-            futures = {pool.submit(task, idx): idx for idx in indices}
-            for future in as_completed(futures):
-                result = future.result()
-                engine.status.write(
-                    "pemodel",
-                    result.member_index,
-                    TaskStatus.SUCCESS if result.ok else TaskStatus.MODEL_FAILURE,
-                )
-                deliver(result)
 
 
 class BatchedBackend(EnsembleBackend):
@@ -203,26 +155,152 @@ class BatchedBackend(EnsembleBackend):
                 deliver(result)
 
 
+# -- shared-memory ensemble plumbing ------------------------------------------
+#
+# The process backend replaces the Fig 4 workflow's npz member files with a
+# single POSIX shared-memory column buffer: workers write their forecast
+# vector straight into their attempt's column and the parent hands the very
+# same bytes to the anomaly accumulator and the memmap covariance store --
+# no member-file serialization, no pickled forecast riding back through the
+# Future.  Layout, lifecycle and the torn-write failure mode are documented
+# in docs/ENSEMBLE_ENGINE.md.
+
+
+class SharedEnsembleBuffer:
+    """An ``(state_dim, capacity)`` float64 column buffer in shared memory.
+
+    One column per member *attempt*: every (member, attempt) pair owns a
+    slot, so a column is written at most once and is immutable from
+    the moment its worker's SUCCESS status lands (the same append-only
+    discipline as the covariance column store).  Columns are NaN-filled
+    at creation; a torn write -- a worker that died or a
+    :class:`~repro.workflow.faults.FaultKind.CORRUPT` injection that
+    stops half-way -- leaves NaNs in the tail, which is exactly what the
+    parent-side validator checks before accepting a column.
+
+    Lifecycle: the parent creates (and NaN-fills) the segment, workers
+    attach by name on their first attempt and keep the mapping for the
+    pool's lifetime, and the parent ``close()`` + ``unlink()`` in a
+    ``finally`` once the batch is accumulated.  The engine's pools fork
+    from the parent, so all processes share one resource tracker and the
+    parent's unlink is the single point of truth.
+
+    Parameters
+    ----------
+    state_dim:
+        Rows (packed ESSE state dimension).
+    capacity:
+        Columns (member attempts the buffer can hold).
+    name:
+        Existing segment to attach to; None creates a new one.
+    """
+
+    def __init__(self, state_dim: int, capacity: int, name: str | None = None):
+        if state_dim < 1 or capacity < 1:
+            raise ValueError("state_dim and capacity must be >= 1")
+        self.state_dim = int(state_dim)
+        self.capacity = int(capacity)
+        nbytes = self.state_dim * self.capacity * 8
+        if name is None:
+            self._shm = shared_memory.SharedMemory(create=True, size=nbytes)
+            self._owner = True
+        else:
+            self._shm = shared_memory.SharedMemory(name=name)
+            self._owner = False
+        # Column-major so each member's column is contiguous, matching
+        # the covariance store's on-disk layout.
+        self.array = np.ndarray(
+            (self.state_dim, self.capacity),
+            dtype=np.float64,
+            order="F",
+            buffer=self._shm.buf,
+        )
+        if self._owner:
+            self.array.fill(np.nan)
+
+    @property
+    def name(self) -> str:
+        """The segment name workers attach to."""
+        return self._shm.name
+
+    def column(self, slot: int) -> np.ndarray:
+        """The (contiguous, zero-copy) column view for one attempt slot."""
+        if not 0 <= slot < self.capacity:
+            raise IndexError(f"slot {slot} outside capacity {self.capacity}")
+        return self.array[:, slot]
+
+    def close(self) -> None:
+        """Drop this process's mapping (the segment itself survives)."""
+        # The ndarray view must die before the mmap can close.
+        self.array = None
+        self._shm.close()
+
+    def unlink(self) -> None:
+        """Remove the segment (owner-side, after all workers are done)."""
+        if self._owner:
+            self._shm.unlink()
+
+    @classmethod
+    def attach(cls, name: str, state_dim: int, capacity: int) -> "SharedEnsembleBuffer":
+        """Attach to an existing segment created by the parent."""
+        return cls(state_dim, capacity, name=name)
+
+
+class _ShmMemberTask:
+    """One member attempt writing its forecast column into shared memory.
+
+    Shipped once to every worker process by the pool; each worker maps
+    the segment on its first attempt and keeps the mapping for the
+    pool's lifetime.  Every (member, attempt) owns one slot, so a column
+    is written at most once.  The SUCCESS record lands only after the
+    column bytes are in place, so it always refers to fully written (or
+    deliberately torn) bytes, never a column still in flight.
+    """
+
+    def __init__(self, runner, mean_state, status, buffer, first_slot):
+        self.runner = runner
+        self.mean_state = mean_state
+        self.status = status
+        self.shm = (buffer.name, buffer.state_dim, buffer.capacity)
+        self.first_slot = first_slot  # member index -> slot of attempt 1
+        self._buffer = None
+
+    def __call__(self, index, attempt, corrupt, cancel):
+        if self._buffer is None:
+            self._buffer = SharedEnsembleBuffer.attach(*self.shm)
+        result = self.runner.run_member(self.mean_state, index)
+        if not result.ok:
+            return False, None, result.error
+        slot = self.first_slot[index] + attempt - 1
+        column = self._buffer.column(slot)
+        if corrupt:
+            # Torn write: half a column plus a success status -- the
+            # shared-memory analogue of the differ's torn npz read, left
+            # for the parent's finiteness validator to catch.
+            half = result.forecast.size // 2
+            column[:half] = result.forecast[:half]
+        else:
+            column[:] = result.forecast
+        self.status.write("pemodel", index, TaskStatus.SUCCESS, attempt=attempt)
+        return True, slot, None
+
+
 class ProcessesBackend(EnsembleBackend):
     """A true process pool writing member state into shared memory.
 
     Workers run one member each and write the forecast vector straight
-    into their assigned column of a
-    :class:`~repro.workflow.parallel.SharedEnsembleBuffer`; the parent
-    validates the column (a NaN tail means a torn write) and hands the
-    *same bytes* to the anomaly accumulator feeding the memmap
+    into their attempt's column of a :class:`SharedEnsembleBuffer`; the
+    parent validates the column (a NaN tail means a torn write) and
+    hands the *same bytes* to the anomaly accumulator feeding the memmap
     covariance store -- member state never rides through a pickled
     Future or an npz member file.
 
-    Fault/retry semantics match the Fig 4 workflow
-    (``docs/FAILURE_MODEL.md``): injected CRASH fails the attempt before
-    any column lands, CORRUPT produces a half-written column caught by
-    the parent's finiteness validator (IO_FAILURE), STALL sleeps in the
-    worker, and SUBMIT_FAILURE is retried at submit time up to
-    :attr:`MAX_SUBMIT_TRIES`.  With a
-    :class:`~repro.workflow.policies.RetryPolicy`, failed attempts are
-    resubmitted into *fresh* slots after the policy's deterministic
-    backoff; terminal failures degrade the ensemble gracefully.
+    Retry, backoff, submit-failure and fault-injection semantics are the
+    :class:`~repro.workflow.pool.TaskPool`'s (``docs/FAILURE_MODEL.md``);
+    the backend's own part is the torn-column check: an attempt that
+    reported success over a half-written column is failed back to the
+    pool (IO_FAILURE) and reruns into a *fresh* slot.  Lost members
+    degrade the ensemble gracefully.
 
     Parameters
     ----------
@@ -231,10 +309,6 @@ class ProcessesBackend(EnsembleBackend):
     """
 
     name = "processes"
-
-    #: Bound on transient-submit retries per member (same guard as
-    #: :attr:`ParallelESSEWorkflow.MAX_SUBMIT_TRIES`).
-    MAX_SUBMIT_TRIES = 50
 
     def __init__(self, n_workers: int = 2):
         if n_workers < 1:
@@ -246,100 +320,54 @@ class ProcessesBackend(EnsembleBackend):
         indices = list(indices)
         if not indices:
             return
-        runner = engine.runner
         retry = engine.retry
-        faults = engine.faults
-        state_dim = runner.model.layout.size
         max_attempts = retry.max_attempts if retry is not None else 1
-        capacity = len(indices) * max_attempts
-        buffer = SharedEnsembleBuffer(state_dim, capacity)
+        buffer = SharedEnsembleBuffer(
+            engine.runner.model.layout.size, len(indices) * max_attempts
+        )
         try:
-            payload = pickle.dumps(
-                {
-                    "runner": runner,
-                    "mean_state": mean_state,
-                    "status_dir": str(engine.workdir / "status"),
-                    "faults": faults,
-                    "shm_name": buffer.name,
-                    "state_dim": state_dim,
-                    "capacity": capacity,
-                }
+            pool = TaskPool(
+                "pemodel",
+                _ShmMemberTask(
+                    engine.runner,
+                    mean_state,
+                    engine.status,
+                    buffer,
+                    {idx: k * max_attempts for k, idx in enumerate(indices)},
+                ),
+                self.n_workers,
+                processes=True,
+                retry=retry,
+                faults=engine.faults,
+                telemetry=engine.telemetry,
+                metrics=engine.metrics,
             )
-            with ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                initializer=_shm_worker_init,
-                initargs=(payload,),
-            ) as pool:
-                next_slot = 0
-                attempts = {idx: 1 for idx in indices}
-                slot_of: dict[int, int] = {}
-
-                def submit(idx: int):
-                    """Submit the member's current attempt into a fresh slot."""
-                    nonlocal next_slot
-                    if faults is not None:
-                        tries = 1
-                        while faults.submit_fails(idx, tries):
-                            faults.fire(FaultKind.SUBMIT_FAILURE, idx, tries)
-                            tries += 1
-                            if tries > self.MAX_SUBMIT_TRIES:
-                                engine.status.write(
-                                    "pemodel",
-                                    idx,
-                                    TaskStatus.IO_FAILURE,
-                                    attempt=attempts[idx],
-                                )
-                                deliver(
-                                    MemberResult(
-                                        idx, None, "submit failures exhausted"
-                                    )
-                                )
-                                return None
-                    slot = next_slot
-                    next_slot += 1
-                    slot_of[idx] = slot
-                    return pool.submit(_shm_member_task, idx, slot, attempts[idx])
-
-                futures = {}
-                for idx in indices:
-                    future = submit(idx)
-                    if future is not None:
-                        futures[future] = idx
-                while futures:
-                    for future in as_completed(list(futures)):
-                        idx = futures.pop(future)
-                        try:
-                            r_idx, slot, att, ok, err = future.result()
-                        except Exception as exc:  # worker infrastructure died
-                            r_idx, slot = idx, slot_of[idx]
-                            att, ok = attempts[idx], False
-                            err = f"worker error: {exc!r}"
-                        if ok:
-                            column = buffer.column(slot)
-                            if np.all(np.isfinite(column)):
-                                # Zero-copy: the result aliases the shared
-                                # segment; the engine's deliver copies it
-                                # into the accumulator before the buffer
-                                # is unlinked below.
-                                deliver(MemberResult(r_idx, column))
-                                continue
-                            # Torn write: the worker reported success but
-                            # the column carries the NaN fill in its tail.
-                            engine.status.write(
-                                "pemodel", r_idx, TaskStatus.IO_FAILURE, attempt=att
-                            )
-                            ok, err = False, "torn shared-memory column"
-                        if retry is not None and retry.retries_left(att):
-                            attempts[r_idx] = att + 1
-                            delay = retry.backoff_seconds(r_idx, att)
-                            if delay > 0:
-                                time.sleep(delay)
-                            engine.note_retry(r_idx, att + 1, err or "failure")
-                            resubmitted = submit(r_idx)
-                            if resubmitted is not None:
-                                futures[resubmitted] = r_idx
-                        else:
-                            deliver(MemberResult(r_idx, None, err or "failure"))
+            for out in pool.run(indices):
+                if out.ok:
+                    column = buffer.column(out.value)
+                    if np.all(np.isfinite(column)):
+                        # Zero-copy: the result aliases the shared segment;
+                        # the engine's deliver copies it into the
+                        # accumulator before the buffer is unlinked below.
+                        deliver(MemberResult(out.index, column))
+                        continue
+                    # Torn write: the worker reported success but the
+                    # column carries the NaN fill in its tail.
+                    out = pool.fail(
+                        out.index, out.attempt, "torn shared-memory column"
+                    )
+                    status = TaskStatus.IO_FAILURE
+                elif not out.submit_try:
+                    status = TaskStatus.MODEL_FAILURE
+                elif out.lost:
+                    status = TaskStatus.IO_FAILURE  # submission path dead
+                else:
+                    continue  # transient submit failure, re-queued
+                engine.status.write("pemodel", out.index, status, attempt=out.attempt)
+                if out.lost:
+                    deliver(MemberResult(out.index, None, out.error))
+                else:
+                    engine.note_retry(out.index, out.attempt + 1, out.error)
         finally:
             buffer.close()
             buffer.unlink()
@@ -357,14 +385,12 @@ def make_backend(
     name:
         One of :data:`BACKEND_NAMES`.
     n_workers:
-        Pool width for the ``threads`` / ``processes`` backends.
+        Pool width for the ``processes`` backend.
     batch_size:
         Batch width for the ``batched`` backend.
     """
     if name == "serial":
         return SerialBackend()
-    if name == "threads":
-        return ThreadsBackend(n_workers=n_workers)
     if name == "batched":
         return BatchedBackend(batch_size=batch_size)
     if name == "processes":
@@ -471,8 +497,6 @@ class EnsembleEngine:
     def note_retry(self, index: int, attempt: int, why: str) -> None:
         """Count one resubmission (processes backend bookkeeping)."""
         self._n_retried += 1
-        if self.metrics is not None:
-            self.metrics.counter("task_retries", kind="pemodel").inc()
         self.telemetry.event("retry", index=index, attempt=attempt, why=why)
 
     # -- monitoring --------------------------------------------------------
@@ -521,6 +545,13 @@ class EnsembleEngine:
         """Grow the ensemble until convergence, Nmax or Tmax."""
         cfg = self.config
         started = self._clock()
+        # A reused engine starts from an empty column store and fresh
+        # batch bookkeeping, not from the previous run's tail.
+        self.store.cleanup()
+        self.store = MemmapCovarianceStore(self.workdir)
+        self._batch_counter = 0
+        self._batch_sizes = {}
+        self._n_retried = 0
         failed: list[int] = []
         subspace: ErrorSubspace | None = None
         criterion = ConvergenceCriterion(tolerance=cfg.convergence_tolerance)

@@ -192,6 +192,7 @@ class FaultInjector:
                 )
             )
 
-    def corrupt_bytes(self, payload: bytes) -> bytes:
+    @staticmethod
+    def corrupt_bytes(payload: bytes) -> bytes:
         """Truncate an output payload the way a torn shared-FS write does."""
         return payload[: max(len(payload) // 2, 1)]

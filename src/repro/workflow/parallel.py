@@ -17,14 +17,13 @@ components:
   policy, and on failure near the pool size the pool is enlarged in stages
   "to make sure that there is no point during this process where the
   pipeline of results drains";
-- *fault tolerance*: with a :class:`~repro.workflow.policies.RetryPolicy`,
-  members that fail, time out past a straggler deadline, or produce a
-  corrupt output file are resubmitted with deterministic exponential
-  backoff, and the run degrades gracefully to whatever converged subspace
-  the surviving members support when retries are exhausted (see
-  ``docs/FAILURE_MODEL.md``).  A seedable
-  :class:`~repro.workflow.faults.FaultInjector` exercises all of this on
-  demand.
+- *fault tolerance*: the members run as a client of the one
+  :class:`~repro.workflow.pool.TaskPool`, which owns retry/backoff,
+  straggler cancel-and-replace and fault injection; this module keeps
+  what is the workflow's own -- the differ flags torn member files back
+  to the pool, every attempt leaves a numbered status record, and the
+  run degrades gracefully to whatever converged subspace the surviving
+  members support when retries are exhausted (``docs/FAILURE_MODEL.md``).
 
 Every component appends to a shared event log, from which the Fig 4 bench
 derives phase overlap and speedup versus the serial implementation.
@@ -32,14 +31,10 @@ derives phase overlap and speedup versus the serial implementation.
 
 from __future__ import annotations
 
-import heapq
-import pickle
 import threading
 import time
 import warnings
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from multiprocessing import shared_memory
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,20 +44,16 @@ from repro.core.covariance import AnomalyAccumulator, AnomalyView
 from repro.core.driver import ESSEConfig
 from repro.core.ensemble import EnsembleRunner
 from repro.core.subspace import ErrorSubspace
+from repro.core.taskmodel import DegradedEnsembleWarning
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import NULL_RECORDER
 from repro.util.fsio import durable_replace
 from repro.util.sanitizer import new_lock, track
 from repro.workflow.covfile import CovarianceFileSet, MemmapCovarianceStore
-from repro.workflow.faults import FaultInjector, FaultKind
+from repro.workflow.faults import FaultInjector
 from repro.workflow.policies import CancellationPolicy, RetryPolicy
+from repro.workflow.pool import TaskOutcome, TaskPool
 from repro.workflow.statefiles import StatusDirectory, TaskStatus
-
-
-# Re-exported for backward compatibility: the warning moved to
-# repro.core.taskmodel so the core tiled analysis can raise it too
-# without a core -> workflow import (REP005).
-from repro.core.taskmodel import DegradedEnsembleWarning
 
 
 @dataclass(frozen=True)
@@ -111,217 +102,42 @@ class WorkflowResult:
         return overlapping / len(diffs)
 
 
-# -- process-pool plumbing ----------------------------------------------------
-#
-# Remote execution hosts in the paper write their outputs and status files
-# to a shared filesystem; the differ on the master consumes them.  With a
-# process pool we mirror that: workers receive the runner/state once via
-# the initializer, write member files + status records themselves, and
-# return only (index, ok).
+@dataclass(frozen=True)
+class _MemberTask:
+    """One member attempt, as the pool runs it in a thread or a worker process.
 
-_WORKER_CTX: dict = {}
-
-
-def _process_worker_init(payload: bytes) -> None:
-    _WORKER_CTX.update(pickle.loads(payload))
-
-
-def _execute_member(
-    runner: EnsembleRunner,
-    mean_state,
-    index: int,
-    attempt: int,
-    members_dir: Path,
-    status: StatusDirectory,
-    faults: FaultInjector | None,
-    cancel: threading.Event | None,
-) -> tuple[int, int, bool, str | None]:
-    """One member attempt: inject faults, write output + attempt status.
-
-    Returns ``(index, attempt, ok, error)``.  A cancelled attempt writes
-    nothing (the main loop already recorded TIMED_OUT for it); an injected
-    CORRUPT attempt deliberately writes a truncated file *and* a success
-    status -- the torn-shared-FS-write case the differ must catch.
+    Remote execution hosts in the paper write their outputs and status
+    files to a shared filesystem and the differ on the master consumes
+    them; members mirror that in both executors: the attempt writes the
+    member file, then its SUCCESS record, and returns no payload.
+    Failures are reported back and recorded by the main loop.
     """
-    fault = faults.draw(index, attempt) if faults is not None else None
-    if fault is FaultKind.STALL:
-        faults.fire(fault, index, attempt)
-        if faults.stall(cancel):
-            return index, attempt, False, "stall cancelled"
-    result = runner.run_member(mean_state, index)
-    if cancel is not None and cancel.is_set():
-        return index, attempt, False, "cancelled"
-    if fault is FaultKind.CRASH:
-        faults.fire(fault, index, attempt)
-        status.write("pemodel", index, TaskStatus.MODEL_FAILURE, attempt=attempt)
-        return index, attempt, False, "injected crash before output"
-    if result.ok:
-        path = members_dir / f"forecast_{index:05d}.npz"
+
+    runner: EnsembleRunner
+    mean_state: object
+    members_dir: Path
+    status: StatusDirectory
+
+    def __call__(
+        self, index: int, attempt: int, corrupt: bool, cancel: threading.Event | None
+    ) -> tuple[bool, None, str | None]:
+        result = self.runner.run_member(self.mean_state, index)
+        if cancel is not None and cancel.is_set():
+            # Straggler-cancelled mid-run: the main loop already recorded
+            # TIMED_OUT and queued the replacement; write nothing.
+            return False, None, "cancelled"
+        if not result.ok:
+            return False, None, result.error
+        path = self.members_dir / f"forecast_{index:05d}.npz"
         tmp = path.with_suffix(".tmp.npz")
         np.savez(tmp, forecast=result.forecast)
-        if fault is FaultKind.CORRUPT:
-            faults.fire(fault, index, attempt)
-            tmp.write_bytes(faults.corrupt_bytes(tmp.read_bytes()))
+        if corrupt:
+            # A torn shared-FS write: truncated file *and* a success
+            # status -- the case the differ must catch.
+            tmp.write_bytes(FaultInjector.corrupt_bytes(tmp.read_bytes()))
         durable_replace(tmp, path)
-        status.write("pemodel", index, TaskStatus.SUCCESS, attempt=attempt)
-        return index, attempt, True, None
-    status.write("pemodel", index, TaskStatus.MODEL_FAILURE, attempt=attempt)
-    return index, attempt, False, result.error
-
-
-def _process_member_task(index: int, attempt: int = 1) -> tuple[int, int, bool, str | None]:
-    return _execute_member(
-        _WORKER_CTX["runner"],
-        _WORKER_CTX["mean_state"],
-        index,
-        attempt,
-        Path(_WORKER_CTX["members_dir"]),
-        StatusDirectory(_WORKER_CTX["status_dir"]),
-        _WORKER_CTX.get("faults"),
-        None,  # process attempts cannot be cancelled cooperatively
-    )
-
-
-# -- shared-memory ensemble plumbing ------------------------------------------
-#
-# The engine's process backend (workflow/ensemble.py) replaces the npz
-# member files above with a single POSIX shared-memory column buffer:
-# workers write their forecast vector straight into their assigned column
-# and the parent hands the very same bytes to the anomaly accumulator and
-# the memmap covariance store -- no member-file serialization, no pickled
-# forecast riding back through the Future.  Layout, lifecycle and the
-# torn-write failure mode are documented in docs/ENSEMBLE_ENGINE.md.
-
-
-class SharedEnsembleBuffer:
-    """An ``(state_dim, capacity)`` float64 column buffer in shared memory.
-
-    One column per member *attempt*: the parent assigns each submission a
-    fresh slot, so a column is written at most once and is immutable from
-    the moment its worker's SUCCESS status lands (the same append-only
-    discipline as the covariance column store).  Columns are NaN-filled
-    at creation; a torn write -- a worker that died or a
-    :class:`~repro.workflow.faults.FaultKind.CORRUPT` injection that
-    stops half-way -- leaves NaNs in the tail, which is exactly what the
-    parent-side validator checks before accepting a column.
-
-    Lifecycle: the parent creates (and NaN-fills) the segment, workers
-    attach by name in their initializer and keep the mapping for the
-    pool's lifetime, and the parent ``close()`` + ``unlink()`` in a
-    ``finally`` once the batch is accumulated.  The engine's pools fork
-    from the parent, so all processes share one resource tracker and the
-    parent's unlink is the single point of truth.
-
-    Parameters
-    ----------
-    state_dim:
-        Rows (packed ESSE state dimension).
-    capacity:
-        Columns (member attempts the buffer can hold).
-    name:
-        Existing segment to attach to; None creates a new one.
-    """
-
-    def __init__(self, state_dim: int, capacity: int, name: str | None = None):
-        if state_dim < 1 or capacity < 1:
-            raise ValueError("state_dim and capacity must be >= 1")
-        self.state_dim = int(state_dim)
-        self.capacity = int(capacity)
-        nbytes = self.state_dim * self.capacity * 8
-        if name is None:
-            self._shm = shared_memory.SharedMemory(create=True, size=nbytes)
-            self._owner = True
-        else:
-            self._shm = shared_memory.SharedMemory(name=name)
-            self._owner = False
-        # Column-major so each member's column is contiguous, matching
-        # the covariance store's on-disk layout.
-        self.array = np.ndarray(
-            (self.state_dim, self.capacity),
-            dtype=np.float64,
-            order="F",
-            buffer=self._shm.buf,
-        )
-        if self._owner:
-            self.array.fill(np.nan)
-
-    @property
-    def name(self) -> str:
-        """The segment name workers attach to."""
-        return self._shm.name
-
-    def column(self, slot: int) -> np.ndarray:
-        """The (contiguous, zero-copy) column view for one attempt slot."""
-        if not 0 <= slot < self.capacity:
-            raise IndexError(f"slot {slot} outside capacity {self.capacity}")
-        return self.array[:, slot]
-
-    def close(self) -> None:
-        """Drop this process's mapping (the segment itself survives)."""
-        # The ndarray view must die before the mmap can close.
-        self.array = None
-        self._shm.close()
-
-    def unlink(self) -> None:
-        """Remove the segment (owner-side, after all workers are done)."""
-        if self._owner:
-            self._shm.unlink()
-
-    @classmethod
-    def attach(cls, name: str, state_dim: int, capacity: int) -> "SharedEnsembleBuffer":
-        """Attach to an existing segment created by the parent."""
-        return cls(state_dim, capacity, name=name)
-
-
-def _shm_worker_init(payload: bytes) -> None:
-    """Pool initializer: unpack the context and map the shared buffer once."""
-    _WORKER_CTX.update(pickle.loads(payload))
-    _WORKER_CTX["buffer"] = SharedEnsembleBuffer.attach(
-        _WORKER_CTX["shm_name"],
-        _WORKER_CTX["state_dim"],
-        _WORKER_CTX["capacity"],
-    )
-
-
-def _shm_member_task(index: int, slot: int, attempt: int = 1) -> tuple[int, int, int, bool, str | None]:
-    """One member attempt writing its forecast column into shared memory.
-
-    Returns ``(index, slot, attempt, ok, error)``.  The fault semantics
-    mirror :func:`_execute_member`: CRASH writes a failure status and no
-    column; CORRUPT writes *half* the column plus a success status (the
-    torn-write case the parent's finiteness validator must catch, the
-    shared-memory analogue of the differ's torn npz read); STALL sleeps
-    before running.  The status record lands only after the column bytes
-    are in place, so a SUCCESS status always refers to fully written (or
-    deliberately torn) bytes, never a column still in flight.
-    """
-    runner: EnsembleRunner = _WORKER_CTX["runner"]
-    mean_state = _WORKER_CTX["mean_state"]
-    status = StatusDirectory(_WORKER_CTX["status_dir"])
-    faults: FaultInjector | None = _WORKER_CTX.get("faults")
-    buffer: SharedEnsembleBuffer = _WORKER_CTX["buffer"]
-
-    fault = faults.draw(index, attempt) if faults is not None else None
-    if fault is FaultKind.STALL:
-        faults.fire(fault, index, attempt)
-        faults.stall(None)
-    result = runner.run_member(mean_state, index)
-    if fault is FaultKind.CRASH:
-        faults.fire(fault, index, attempt)
-        status.write("pemodel", index, TaskStatus.MODEL_FAILURE, attempt=attempt)
-        return index, slot, attempt, False, "injected crash before output"
-    if result.ok:
-        column = buffer.column(slot)
-        if fault is FaultKind.CORRUPT:
-            faults.fire(fault, index, attempt)
-            half = result.forecast.size // 2
-            column[:half] = result.forecast[:half]
-        else:
-            column[:] = result.forecast
-        status.write("pemodel", index, TaskStatus.SUCCESS, attempt=attempt)
-        return index, slot, attempt, True, None
-    status.write("pemodel", index, TaskStatus.MODEL_FAILURE, attempt=attempt)
-    return index, slot, attempt, False, result.error
+        self.status.write("pemodel", index, TaskStatus.SUCCESS, attempt=attempt)
+        return True, None, None
 
 
 class ParallelESSEWorkflow:
@@ -379,10 +195,6 @@ class ParallelESSEWorkflow:
         publish/read-safe semantics (``docs/COVFILE_PROTOCOL.md``).
     """
 
-    #: Bound on transient-submit retries per member before the submission
-    #: is declared terminally failed (guards a pathological injector).
-    MAX_SUBMIT_TRIES = 50
-
     def __init__(
         self,
         runner: EnsembleRunner,
@@ -412,10 +224,7 @@ class ParallelESSEWorkflow:
         self.members_dir.mkdir(parents=True, exist_ok=True)
         self.status = StatusDirectory(self.workdir / "status")
         self.covfile_backend = covfile_backend
-        if covfile_backend == "memmap":
-            self.covset = MemmapCovarianceStore(self.workdir)
-        else:
-            self.covset = CovarianceFileSet(self.workdir)
+        self.covset = self._open_covset()
         self.n_workers = n_workers
         self.cancellation = cancellation
         self.use_processes = use_processes
@@ -435,14 +244,13 @@ class ParallelESSEWorkflow:
         self._events_lock = new_lock("ParallelESSEWorkflow._events_lock")
         self._t0 = 0.0
         self._root_span = None
-        # worker -> main-loop signals (guarded by _fault_lock)
+        # differ -> main-loop signals (guarded by _fault_lock)
         self._fault_lock = new_lock("ParallelESSEWorkflow._fault_lock")
-        self._corrupt_found: list[int] = []
-        self._started_at: dict[tuple[int, int], float] = {}  # (index, attempt)
+        self._corrupt_found: list[tuple[int, int]] = []  # (index, attempt)
         self._missing_sweeps: dict[int, int] = {}
         # Under REPRO_SANITIZE=1 the lockset detector watches the shared
-        # worker <-> main-loop state; a no-op otherwise.
-        track(self, "_events", "_corrupt_found", "_started_at", "_missing_sweeps")
+        # differ <-> main-loop state; a no-op otherwise.
+        track(self, "_events", "_corrupt_found", "_missing_sweeps")
 
     # -- event log ---------------------------------------------------------
 
@@ -452,7 +260,7 @@ class ParallelESSEWorkflow:
                 WorkflowEvent(self._clock() - self._t0, kind=kind, detail=detail)
             )
 
-    # -- worker -> main-loop fault signals -----------------------------------
+    # -- differ -> main-loop fault signals -----------------------------------
 
     def _note_missing(self, index: int) -> None:
         """Log a structured io_retry event for a status-before-file sweep.
@@ -489,7 +297,66 @@ class ParallelESSEWorkflow:
             found, self._corrupt_found = self._corrupt_found, []
         return found
 
+    # -- pool outcomes -> status records + event log -----------------------------
+
+    def _record(self, out: TaskOutcome) -> None:
+        """Write the status record and log the events of one pool outcome.
+
+        Attempts write their own SUCCESS record (the differ keys on it);
+        every failure record is written here, by the main loop.
+        """
+        member = f"member={out.index}"
+        if out.ok:
+            self._log("member_done", member)
+            return
+        if out.submit_try and not out.lost:
+            self._log("submit_retry", f"{member} try={out.submit_try}")
+            return
+        if out.timed_out:
+            status = TaskStatus.TIMED_OUT
+            event = (
+                "straggler_cancel",
+                f"{member} attempt={out.attempt} after={out.elapsed:.3f}",
+            )
+        elif out.submit_try:
+            status, event = TaskStatus.IO_FAILURE, None  # submission path dead
+        else:
+            status = TaskStatus.MODEL_FAILURE
+            event = ("member_done", member) if out.lost else None
+        self.status.write("pemodel", out.index, status, attempt=out.attempt)
+        if event is not None:
+            self._log(*event)
+        self._record_followup(out)
+
+    def _record_followup(self, out: TaskOutcome) -> None:
+        """Log what the pool did about a failed attempt: retry, or loss."""
+        if out.lost:
+            self._log(
+                "member_terminal_failure", f"member={out.index} why={out.error}"
+            )
+        else:
+            self._log(
+                "retry",
+                f"member={out.index} attempt={out.attempt + 1} "
+                f"delay={out.retry_delay:.3f} why={out.error}",
+            )
+
+    def _fail_corrupt(self, pool: TaskPool) -> None:
+        """Fail the members whose output file the differ found unreadable."""
+        for idx, att in self._drain_corrupt():
+            out = pool.fail(idx, att, "corrupt output")
+            if out is None:
+                continue  # stale re-flag of a superseded or already-failed attempt
+            self.status.write("pemodel", idx, TaskStatus.IO_FAILURE, attempt=att)
+            self._log("member_corrupt", f"member={idx} attempt={att}")
+            self._record_followup(out)
+
     # -- covariance protocol plumbing ------------------------------------------
+
+    def _open_covset(self):
+        if self.covfile_backend == "memmap":
+            return MemmapCovarianceStore(self.workdir)
+        return CovarianceFileSet(self.workdir)
 
     def _publish_snapshot(self, view: AnomalyView) -> int:
         """Ship the view through the configured backend; returns bytes written.
@@ -700,65 +567,6 @@ class ParallelESSEWorkflow:
 
     # -- main -------------------------------------------------------------------
 
-    def _make_executor(self, mean_state):
-        if self.use_processes:
-            payload = pickle.dumps(
-                {
-                    "runner": self.runner,
-                    "mean_state": mean_state,
-                    "members_dir": str(self.members_dir),
-                    "status_dir": str(self.workdir / "status"),
-                    "faults": self.faults,
-                }
-            )
-            return ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                initializer=_process_worker_init,
-                initargs=(payload,),
-            )
-        return ThreadPoolExecutor(max_workers=self.n_workers)
-
-    def _submit(
-        self,
-        executor,
-        mean_state,
-        index: int,
-        attempt: int = 1,
-        cancel: threading.Event | None = None,
-    ) -> Future:
-        if self.use_processes:
-            return executor.submit(_process_member_task, index, attempt)
-
-        def task(idx=index, att=attempt, cancel_event=cancel):
-            started = self._clock()
-            with self._fault_lock:
-                self._started_at[(idx, att)] = started
-            try:
-                with self.telemetry.span(
-                    "pemodel", parent=self._root_span, index=idx, attempt=att
-                ) as span:
-                    result = _execute_member(
-                        self.runner,
-                        mean_state,
-                        idx,
-                        att,
-                        self.members_dir,
-                        self.status,
-                        self.faults,
-                        cancel_event,
-                    )
-                    span.set(ok=result[2])
-                if self.metrics is not None:
-                    self.metrics.histogram("task_seconds", kind="pemodel").observe(
-                        self._clock() - started
-                    )
-                return result
-            finally:
-                with self._fault_lock:
-                    self._started_at.pop((idx, att), None)
-
-        return executor.submit(task)
-
     def run(self, mean_state) -> WorkflowResult:
         """Execute the many-task pipeline until convergence/Nmax/Tmax."""
         with self.telemetry.span("workflow.run") as root:
@@ -776,8 +584,11 @@ class ParallelESSEWorkflow:
             self._t0 = self._clock()
         with self._fault_lock:
             self._corrupt_found = []
-            self._started_at = {}
             self._missing_sweeps = {}
+        # A reused workflow starts from an empty covariance store, not
+        # from the previous run's tail (or its still-published header).
+        self.covset.cleanup()
+        self.covset = self._open_covset()
         started = self._t0
 
         with self.telemetry.span("central_forecast"):
@@ -820,198 +631,46 @@ class ParallelESSEWorkflow:
         differ.start()
         svd_worker.start()
 
-        futures: dict[int, Future] = {}
+        pool = TaskPool(
+            "pemodel",
+            _MemberTask(self.runner, mean_state, self.members_dir, self.status),
+            self.n_workers,
+            processes=self.use_processes,
+            retry=self.retry,
+            faults=self.faults,
+            telemetry=self.telemetry,
+            metrics=self.metrics,
+            poll_interval=self.poll_interval,
+            parent_span=self._root_span,
+        )
         n_cancelled = 0
-        n_retried = 0
-        n_timed_out = 0
-        retry = self.retry
-        attempts: dict[int, int] = {}  # current (latest) attempt per index
-        submit_tries: dict[int, int] = {}
-        cancel_events: dict[int, threading.Event] = {}
-        pending: list[tuple[float, int]] = []  # (ready_at, index) retry heap
-        processed: set[tuple[int, int]] = set()  # (index, attempt) results seen
-        abandoned: set[tuple[int, int]] = set()  # straggler-cancelled attempts
-        corrupt_handled: set[tuple[int, int]] = set()
-        terminal_failed: set[int] = set()
-        seen_done: set[int] = set()
         try:
-            with self._make_executor(mean_state) as executor:
-                pool_target = min(
-                    int(np.ceil(checkpoints[0] * self.pool_margin)),
-                    cfg.max_ensemble_size,
-                )
+            with pool:
                 next_index = 0
 
-                def schedule_resubmit(idx: int, why: str) -> bool:
-                    """Queue the next attempt; False when retries exhausted."""
-                    nonlocal n_retried
-                    att = attempts[idx]
-                    if retry is None or not retry.retries_left(att):
-                        return False
-                    attempts[idx] = att + 1
-                    delay = retry.backoff_seconds(idx, att)
-                    heapq.heappush(pending, (self._clock() + delay, idx))
-                    n_retried += 1
-                    if self.metrics is not None:
-                        self.metrics.counter("task_retries", kind="pemodel").inc()
-                    self._log(
-                        "retry",
-                        f"member={idx} attempt={att + 1} delay={delay:.3f} why={why}",
-                    )
-                    return True
-
-                def terminal_failure(idx: int, why: str) -> None:
-                    terminal_failed.add(idx)
-                    seen_done.add(idx)  # reported, like the seed semantics
-                    self._log("member_terminal_failure", f"member={idx} why={why}")
-
-                def try_submit(idx: int) -> None:
-                    """Submit the current attempt (may transiently fail)."""
-                    tries = submit_tries.get(idx, 0) + 1
-                    submit_tries[idx] = tries
-                    if self.faults is not None and self.faults.submit_fails(
-                        idx, tries
-                    ):
-                        self.faults.fire(FaultKind.SUBMIT_FAILURE, idx, tries)
-                        if tries >= self.MAX_SUBMIT_TRIES:
-                            self.status.write(
-                                "pemodel",
-                                idx,
-                                TaskStatus.IO_FAILURE,
-                                attempt=attempts[idx],
-                            )
-                            terminal_failure(idx, "submit failures exhausted")
-                            return
-                        delay = (
-                            retry.backoff_seconds(idx, min(tries, 8))
-                            if retry is not None
-                            else self.poll_interval
-                        )
-                        heapq.heappush(pending, (self._clock() + delay, idx))
-                        self._log("submit_retry", f"member={idx} try={tries}")
-                        return
-                    cancel = threading.Event()
-                    cancel_events[idx] = cancel
-                    futures[idx] = self._submit(
-                        executor, mean_state, idx, attempts[idx], cancel
-                    )
-
-                def extend_pool(target: int):
+                def extend_pool(target: int) -> None:
                     nonlocal next_index
                     while next_index < target:
-                        attempts[next_index] = 1
-                        try_submit(next_index)
+                        pool.submit(next_index)
                         next_index += 1
+                    if self.metrics is not None:
+                        self.metrics.gauge("pool_size").set(next_index)
 
-                def observe_done() -> int:
-                    for idx, f in list(futures.items()):
-                        if not f.done() or f.cancelled():
-                            continue
-                        try:
-                            r_idx, r_att, ok, err = f.result()
-                        except Exception as exc:  # worker infrastructure died
-                            r_idx, r_att = idx, attempts[idx]
-                            ok, err = False, f"worker error: {exc!r}"
-                        key = (r_idx, r_att)
-                        if key in processed:
-                            continue
-                        processed.add(key)
-                        if key in abandoned:
-                            continue  # straggler-cancelled; retry path owns it
-                        if key in corrupt_handled:
-                            # The differ beat us to this attempt's (torn)
-                            # output: it is already failed and resubmitted.
-                            # Re-adding it to seen_done here would make
-                            # process_pending drop the queued retry.
-                            continue
-                        if ok:
-                            seen_done.add(r_idx)
-                            self._log("member_done", f"member={r_idx}")
-                        elif not schedule_resubmit(r_idx, err or "failure"):
-                            self._log("member_done", f"member={r_idx}")
-                            terminal_failure(r_idx, err or "failure")
-                    return len(seen_done)
-
-                def check_stragglers(now: float) -> None:
-                    """Cancel-and-replace attempts past the per-task deadline."""
-                    nonlocal n_timed_out
-                    if (
-                        retry is None
-                        or retry.timeout_seconds is None
-                        or self.use_processes
-                    ):
-                        return
-                    for idx, f in list(futures.items()):
-                        if f.done() or f.cancelled():
-                            continue
-                        att = attempts[idx]
-                        if (idx, att) in abandoned:
-                            continue
-                        with self._fault_lock:
-                            t_start = self._started_at.get((idx, att))
-                        if t_start is None or now - t_start <= retry.timeout_seconds:
-                            continue
-                        abandoned.add((idx, att))
-                        event = cancel_events.get(idx)
-                        if event is not None:
-                            event.set()  # frees the pool slot mid-stall
-                        self.status.write(
-                            "pemodel", idx, TaskStatus.TIMED_OUT, attempt=att
-                        )
-                        n_timed_out += 1
-                        if self.metrics is not None:
-                            self.metrics.counter("task_timeouts", kind="pemodel").inc()
-                        self._log(
-                            "straggler_cancel",
-                            f"member={idx} attempt={att} after={now - t_start:.3f}",
-                        )
-                        if not schedule_resubmit(idx, "straggler timeout"):
-                            terminal_failure(idx, "straggler timeout")
-
-                def process_corrupt() -> None:
-                    """Fail/resubmit members whose output file is unreadable."""
-                    for idx, att in self._drain_corrupt():
-                        if (idx, att) in corrupt_handled:
-                            continue  # stale re-flag of an already-failed file
-                        if att != attempts.get(idx, 1):
-                            # The flagged attempt is no longer current (a
-                            # newer attempt is already in flight); its own
-                            # result will be judged when it lands.
-                            continue
-                        corrupt_handled.add((idx, att))
-                        seen_done.discard(idx)
-                        self.status.write(
-                            "pemodel", idx, TaskStatus.IO_FAILURE, attempt=att
-                        )
-                        self._log("member_corrupt", f"member={idx} attempt={att}")
-                        if not schedule_resubmit(idx, "corrupt output"):
-                            terminal_failure(idx, "corrupt output")
-
-                def process_pending(now: float) -> None:
-                    """Launch resubmissions whose backoff delay has elapsed."""
-                    while pending and pending[0][0] <= now:
-                        _, idx = heapq.heappop(pending)
-                        if (
-                            idx in seen_done
-                            or idx in terminal_failed
-                            or converged.is_set()
-                        ):
-                            continue
-                        try_submit(idx)
-
-                extend_pool(pool_target)
-                self._log("pool", f"size={pool_target}")
-                if self.metrics is not None:
-                    self.metrics.gauge("pool_size").set(pool_target)
+                extend_pool(
+                    min(
+                        int(np.ceil(checkpoints[0] * self.pool_margin)),
+                        cfg.max_ensemble_size,
+                    )
+                )
+                self._log("pool", f"size={next_index}")
 
                 while not converged.is_set():
                     now = self._clock()
-                    process_corrupt()
-                    check_stragglers(now)
-                    process_pending(now)
-                    reached = observe_done()
+                    self._fail_corrupt(pool)
+                    for out in pool.poll(now):
+                        self._record(out)
                     # keep the pool ahead of the next unreached checkpoint
-                    pending_cp = [c for c in checkpoints if c > reached]
+                    pending_cp = [c for c in checkpoints if c > pool.n_resolved]
                     if pending_cp and next_index < cfg.max_ensemble_size:
                         want = min(
                             int(np.ceil(pending_cp[0] * self.pool_margin)),
@@ -1020,13 +679,7 @@ class ParallelESSEWorkflow:
                         if want > next_index:
                             extend_pool(want)
                             self._log("enlarge", f"size={next_index}")
-                            if self.metrics is not None:
-                                self.metrics.gauge("pool_size").set(next_index)
-                    if (
-                        all(f.done() for f in futures.values())
-                        and next_index >= cfg.max_ensemble_size
-                        and not pending
-                    ):
+                    if pool.all_resolved and next_index >= cfg.max_ensemble_size:
                         break  # Nmax exhausted without convergence
                     if cfg.deadline_seconds is not None and (
                         self._clock() - started > cfg.deadline_seconds
@@ -1035,36 +688,16 @@ class ParallelESSEWorkflow:
                         break
                     time.sleep(self.poll_interval)
 
-                # Cancellation of superfluous members (queued and/or running)
-                pending.clear()  # superfluous resubmissions never launch
-                for idx, f in futures.items():
-                    if f.cancel():
-                        n_cancelled += 1
-                        self.status.write("pemodel", idx, TaskStatus.CANCELLED)
-                        self._log("cancel", f"member={idx}")
-                if self.faults is not None:
-                    # Release in-flight *stalled* attempts: a straggler that
-                    # outlived convergence is exactly the superfluous member
-                    # the paper cancels; draws are pure so we can tell which
-                    # running attempts are stalls without asking the worker.
-                    for idx, f in futures.items():
-                        if f.done() or f.cancelled():
-                            continue
-                        att = attempts[idx]
-                        if self.faults.draw(idx, att) is FaultKind.STALL:
-                            abandoned.add((idx, att))
-                            event = cancel_events.get(idx)
-                            if event is not None:
-                                event.set()
-                if self.cancellation is not CancellationPolicy.IMMEDIATE:
-                    # drain: let running members finish and be diffed
-                    for f in futures.values():
-                        if not f.cancelled():
-                            try:
-                                f.result()
-                            except Exception:
-                                pass  # counted from the status directory
-                    observe_done()
+                # Cancellation of superfluous members (queued; running
+                # ones finish while the pool closes)
+                for idx in pool.cancel_pending():
+                    n_cancelled += 1
+                    self.status.write("pemodel", idx, TaskStatus.CANCELLED)
+                    self._log("cancel", f"member={idx}")
+            if self.cancellation is not CancellationPolicy.IMMEDIATE:
+                # drain: the members that were still running are diffed
+                for out in pool.poll(self._clock()):
+                    self._record(out)
         finally:
             # let the differ fold in any drained results, then stop workers
             stop.set()
@@ -1094,23 +727,20 @@ class ParallelESSEWorkflow:
             svd_out["count"] = final_count
             self._log("final_svd", f"count={final_count}")
 
-        # Corruption discovered during the final drain is terminal: record
-        # it so restart/monitoring see an IO_FAILURE, not a phantom success.
-        for idx, att in self._drain_corrupt():
-            if (idx, att) in corrupt_handled:
-                continue  # stale re-flag; the retry path already owns it
-            self.status.write("pemodel", idx, TaskStatus.IO_FAILURE, attempt=att)
-            terminal_failed.add(idx)
-            self._log("member_corrupt", f"member={idx} attempt={att} terminal=1")
+        # Corruption discovered during the final drain is terminal (nothing
+        # launches any more): record it so restart/monitoring see an
+        # IO_FAILURE, not a phantom success.
+        self._fail_corrupt(pool)
 
         if "subspace" not in svd_out:
             raise RuntimeError("parallel workflow finished without a subspace")
 
-        degraded = bool(terminal_failed)
+        lost = pool.lost
+        degraded = bool(lost)
         if degraded:
-            self._log("degraded", f"n_lost={len(terminal_failed)}")
+            self._log("degraded", f"n_lost={len(lost)}")
             warnings.warn(
-                f"ensemble degraded: {len(terminal_failed)} member(s) lost "
+                f"ensemble degraded: {len(lost)} member(s) lost "
                 "terminally (retries exhausted or disabled); the error "
                 "subspace is estimated from the surviving members only "
                 "(see docs/FAILURE_MODEL.md)",
@@ -1145,7 +775,7 @@ class ParallelESSEWorkflow:
             n_cancelled=n_cancelled,
             wall_seconds=self._clock() - started,
             member_ids=member_ids,
-            n_retried=n_retried,
-            n_timed_out=n_timed_out,
+            n_retried=pool.n_retried,
+            n_timed_out=pool.n_timed_out,
             degraded=degraded,
         )

@@ -1,4 +1,4 @@
-"""Cancellation, deadline and retry policies for the parallel ESSE workflow.
+"""Cancellation and retry policies for the parallel ESSE workflow.
 
 Paper Sec 4.1: "If the convergence test succeeds, the remaining ensemble
 members (queued for execution or running) are canceled, and depending on
@@ -29,34 +29,6 @@ class CancellationPolicy(Enum):
 
     IMMEDIATE = "immediate"  # cancel queued AND ignore still-running results
     DRAIN_RUNNING = "drain_running"  # cancel queued, keep results of running
-    SPARE_ALMOST_DONE = "spare_almost_done"  # also let nearly-done tasks finish
-
-
-@dataclass(frozen=True)
-class DeadlinePolicy:
-    """Tmax handling: the forecast must be timely (paper Sec 4 point 1).
-
-    Parameters
-    ----------
-    tmax_seconds:
-        Wall-clock budget for the ensemble stage; None = unlimited.
-    grace_fraction:
-        With SPARE_ALMOST_DONE, tasks whose estimated remaining time is
-        below this fraction of their typical duration are allowed to finish.
-    """
-
-    tmax_seconds: float | None = None
-    grace_fraction: float = 0.2
-
-    def __post_init__(self):
-        if self.tmax_seconds is not None and self.tmax_seconds < 0:
-            raise ValueError("tmax_seconds must be >= 0")
-        if not 0.0 <= self.grace_fraction <= 1.0:
-            raise ValueError("grace_fraction must be in [0, 1]")
-
-    def expired(self, elapsed_seconds: float) -> bool:
-        """Whether the ensemble-stage budget is spent."""
-        return self.tmax_seconds is not None and elapsed_seconds >= self.tmax_seconds
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,9 @@ class TestEngineSection:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError, match="unknown backend"):
             ExperimentConfig.from_dict({"engine": {"backend": "gpu"}})
+        # the deleted thread backend is rejected by name, with the valid ones
+        with pytest.raises(ConfigError, match="serial, batched, processes"):
+            ExperimentConfig.from_dict({"engine": {"backend": "threads"}})
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError, match="n_workers"):
@@ -150,7 +153,7 @@ class TestEngineSection:
 
     def test_round_trips(self):
         cfg = ExperimentConfig.from_dict(
-            {"engine": {"backend": "threads", "n_workers": 3}}
+            {"engine": {"backend": "processes", "n_workers": 3}}
         )
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 

@@ -9,6 +9,7 @@ from repro.core import (
     synthetic_initial_subspace,
 )
 from repro.core.ensemble import EnsembleRunner
+from repro.core.taskmodel import DegradedEnsembleWarning
 from repro.ocean import PEModel
 from repro.ocean.bathymetry import monterey_grid
 from repro.workflow import (
@@ -19,11 +20,9 @@ from repro.workflow import (
     RetryPolicy,
     SerialBackend,
     SharedEnsembleBuffer,
-    ThreadsBackend,
     make_backend,
 )
 from repro.workflow.covfile import MemmapCovarianceStore
-from repro.workflow.parallel import DegradedEnsembleWarning
 from repro.workflow.statefiles import TaskStatus
 
 
@@ -63,7 +62,6 @@ def anomaly_columns_by_member(engine):
 class TestMakeBackend:
     def test_names_resolve(self):
         assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("threads"), ThreadsBackend)
         assert isinstance(make_backend("batched"), BatchedBackend)
         assert isinstance(make_backend("processes"), ProcessesBackend)
 
@@ -72,8 +70,6 @@ class TestMakeBackend:
             make_backend("gpu")
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ThreadsBackend(n_workers=0)
         with pytest.raises(ValueError):
             ProcessesBackend(n_workers=0)
         with pytest.raises(ValueError):
@@ -133,7 +129,7 @@ class TestBackendEquivalence:
                 root / name,
                 backend=make_backend(name, n_workers=2, batch_size=3),
             )
-            for name in ("serial", "threads", "batched", "processes")
+            for name in ("serial", "batched", "processes")
         }
         outcomes = {name: eng.run(background) for name, eng in engines.items()}
         columns = {
@@ -155,7 +151,7 @@ class TestBackendEquivalence:
     def test_member_anomalies_bit_identical(self, results):
         _, columns = results
         reference = columns["serial"]
-        for name in ("threads", "batched", "processes"):
+        for name in ("batched", "processes"):
             assert set(columns[name]) == set(reference), name
             for member, column in reference.items():
                 assert np.array_equal(columns[name][member], column), (
@@ -313,6 +309,24 @@ class TestProgressMonitor:
         assert report.pending == 0
         assert report.complete
         assert report.eta_seconds is not None  # exact sizes: not stale
+
+    def test_reused_engine_restarts_store_and_batch_bookkeeping(
+        self, setup, tmp_path
+    ):
+        """A second run() neither dies on the store tail nor over-counts."""
+        _, background, runner = setup
+        engine = EnsembleEngine(
+            runner, config(), tmp_path / "wf", backend=BatchedBackend(batch_size=3)
+        )
+        first = engine.run(background)
+        second = engine.run(background)
+        assert second.member_ids == first.member_ids
+        assert np.array_equal(second.subspace.modes, first.subspace.modes)
+        report = engine.progress_monitor(
+            expected_members=second.ensemble_size
+        ).report("pemodel_batch")
+        assert report.succeeded == second.ensemble_size
+        assert report.complete
 
     def test_serial_progress_per_member(self, setup, tmp_path):
         _, background, runner = setup

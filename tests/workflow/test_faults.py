@@ -14,6 +14,7 @@ import pytest
 from repro.core import (
     ESSEConfig,
     PerturbationGenerator,
+    similarity_coefficient,
     synthetic_initial_subspace,
 )
 from repro.core.ensemble import EnsembleRunner
@@ -280,6 +281,59 @@ class TestFaultInjectedWorkflow:
         assert result.n_retried == 0
         assert result.n_timed_out == 0
         assert not result.degraded
+
+
+class TestReplay:
+    """A faulted run whose retries all succeed is the clean run (ROADMAP 4)."""
+
+    RATES = dict(
+        crash_rate=0.15, corrupt_rate=0.15, stall_rate=0.1, submit_failure_rate=0.2
+    )
+    MAX_ATTEMPTS = 5
+
+    def recoverable_seed(self):
+        """A seed that injects every fault class and loses no member."""
+        for seed in range(200):
+            draws = [
+                [
+                    FaultInjector(seed=seed, **self.RATES).draw(i, a)
+                    for a in range(1, self.MAX_ATTEMPTS + 1)
+                ]
+                for i in range(16)
+            ]
+            first = {row[0] for row in draws}
+            if first >= {FaultKind.CRASH, FaultKind.CORRUPT, FaultKind.STALL} and all(
+                None in row for row in draws
+            ):
+                return seed
+        raise AssertionError("no recoverable seed in range")
+
+    def test_healed_faulted_run_equals_clean_run(self, setup, tmp_path):
+        _, background, runner = setup
+        clean = ParallelESSEWorkflow(
+            runner, config(), tmp_path / "clean", n_workers=4
+        ).run(background)
+        seed = self.recoverable_seed()
+        faulted = ParallelESSEWorkflow(
+            runner,
+            config(),
+            tmp_path / "faulted",
+            n_workers=4,
+            retry=RetryPolicy(
+                max_attempts=self.MAX_ATTEMPTS,
+                backoff_base_s=0.005,
+                timeout_seconds=1.0,
+                seed=seed,
+            ),
+            faults=FaultInjector(seed=seed, stall_seconds=30.0, **self.RATES),
+        ).run(background)
+        assert faulted.n_retried > 0 and faulted.n_timed_out > 0
+        assert faulted.events_of("member_corrupt") and faulted.events_of("submit_retry")
+        assert not faulted.degraded and faulted.n_failed == 0
+        # A member's forecast depends on (root seed, index) only, never on
+        # which attempt produced it: same members, same subspace.
+        assert set(faulted.member_ids) == set(clean.member_ids) == set(range(16))
+        assert similarity_coefficient(clean.subspace, faulted.subspace) >= 1 - 1e-9
 
 
 class TestAttemptRecords:

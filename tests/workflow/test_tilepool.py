@@ -1,4 +1,9 @@
-"""Tests for the fault-tolerant tile task pool."""
+"""The tile client of the task pool: results, validation, telemetry.
+
+The pool mechanics themselves (determinism, stragglers, submit failures,
+loss) are stated once in ``test_pool.py`` for every task kind; the
+fault-injected runs here check them end to end through the tile client.
+"""
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import TraceRecorder
 from repro.workflow.faults import FaultInjector, FaultKind
 from repro.workflow.policies import RetryPolicy
-from repro.workflow.tilepool import TileTaskPool, _CorruptResult
+from repro.workflow.pool import TileTaskPool, _CorruptResult
 
 
 def make_tasks(n):

@@ -17,7 +17,6 @@ from repro.workflow import (
     ParallelESSEWorkflow,
     SerialESSEWorkflow,
 )
-from repro.workflow.policies import DeadlinePolicy
 from repro.workflow.statefiles import TaskStatus
 
 
@@ -167,6 +166,16 @@ class TestParallelWorkflow:
         assert result.ensemble_size >= 4
         assert result.n_failed == 0
 
+    def test_workflow_object_is_reusable(self, setup, tmp_path):
+        """A second run() starts from an empty covariance store."""
+        _, background, runner = setup
+        wf = ParallelESSEWorkflow(runner, config(), tmp_path, n_workers=2)
+        first = wf.run(background)
+        second = wf.run(background)  # used to die on the first run's store tail
+        assert second.ensemble_size == first.ensemble_size
+        assert sorted(second.member_ids) == sorted(first.member_ids)
+        assert similarity_coefficient(first.subspace, second.subspace) > 0.999
+
     def test_validation(self, setup, tmp_path):
         _, _, runner = setup
         with pytest.raises(ValueError, match="n_workers"):
@@ -257,16 +266,3 @@ class TestFaultTolerance:
             if s == TaskStatus.MODEL_FAILURE
         }
         assert all(i % 5 == 1 for i in failed_ids)
-
-
-class TestDeadlinePolicy:
-    def test_expiry(self):
-        assert DeadlinePolicy(tmax_seconds=10.0).expired(11.0)
-        assert not DeadlinePolicy(tmax_seconds=10.0).expired(9.0)
-        assert not DeadlinePolicy(tmax_seconds=None).expired(1e9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DeadlinePolicy(tmax_seconds=-1.0)
-        with pytest.raises(ValueError):
-            DeadlinePolicy(grace_fraction=2.0)

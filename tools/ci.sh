@@ -81,7 +81,7 @@ python tools/check_docs.py \
     repro.telemetry.events repro.telemetry.export
 python tools/check_docs.py repro.util.sanitizer repro.core.taskmodel
 python tools/check_docs.py \
-    repro.core.localization repro.core.tiling repro.workflow.tilepool
+    repro.core.localization repro.core.tiling repro.workflow.pool
 python tools/check_docs.py \
     repro.products.store repro.products.tiles repro.products.cache \
     repro.products.service repro.products.server
@@ -124,6 +124,15 @@ BENCH_SMOKE=1 BENCH_OUTPUT_DIR="$lint_tmp" \
     --rootdir=benchmarks -p no:cacheprovider
 rm -rf "$lint_tmp"
 echo "lint bench smoke: ok"
+
+# Gate: the repo benchmark (BENCHMARK.json) at smoke size -- every
+# workload's body runs and its output checks (full ensembles, no member
+# lost, faulted run retried, subspaces match the serial reference, ...)
+# must hold -- plus the suite's own tests.  Smoke numbers are never
+# recorded; the timed comparison is the benchmark driver's job.
+python3 benchmarks/suite/run.py --all --trace 1 --smoke --seconds 0.5
+python -m pytest benchmarks/suite/tests -q -p no:cacheprovider
+echo "benchmark suite smoke: ok"
 
 # Smoke: a tiny traced task-pool run must export a valid Chrome trace.
 python - <<'EOF'
