@@ -1,16 +1,16 @@
-"""The differ->SVD hot path: npz full-rewrite vs memmap + incremental SVD.
+"""The differ->SVD hot path: column-store appends + incremental SVD.
 
-Paper Sec 4.1's three-file protocol decouples the differ from the SVD,
-but the seed implementation paid O(n N) bytes per member arrival (the
-full scaled matrix rewritten into a live npz) and O(n N^2) per SVD
-checkpoint (a from-scratch factorization).  This bench measures both
-replacements on the AOSN-II-scale hot path:
+Paper Sec 4.1 decouples the differ from the SVD through three files; the
+repo's form of it pays O(n) bytes per member arrival and folds only the
+new columns into the SVD.  This bench measures that hot path at
+AOSN-II scale:
 
 - the append-only :class:`~repro.workflow.covfile.MemmapCovarianceStore`
   writes O(n) bytes per member (new columns + a ~60-byte header);
 - the warm-started
   :class:`~repro.core.subspace.IncrementalSubspaceEstimator` folds only
-  the columns that arrived since the previous checkpoint;
+  the columns that arrived since the previous checkpoint, against a
+  from-scratch factorization per checkpoint;
 - the process-backend feed: forecast columns written by workers into a
   :class:`~repro.workflow.ensemble.SharedEnsembleBuffer` flow through the
   anomaly accumulator into the memmap store *zero-copy* -- the
@@ -22,9 +22,13 @@ Checkpoints follow the paper's cadence -- an SVD "whenever a multiple of
 a set number of realizations has finished" -- so the sequence has
 N / stride entries, the regime where from-scratch recomputation hurts.
 
-``BENCH_SMOKE=1`` shrinks the problem for CI; the committed
-``BENCH_covfile_pipeline.json`` comes from a full-size run
-(n=20000, N=256).
+``BENCH_SMOKE=1`` shrinks the problem for CI and asserts only what a
+small problem can show (sigma error, shm-feed bytes): tiny matrices
+spend their time in fixed overheads, so timing floors belong to the
+full-size run (n=20000, N=256) behind the committed
+``BENCH_covfile_pipeline.json``.  The full-matrix npz differ this bench
+used to compare against was deleted with its file set; its measured
+128x byte cost is kept in EXPERIMENTS.md.
 """
 
 import os
@@ -38,7 +42,7 @@ from repro.core.state import FieldLayout, FieldSpec
 from repro.core.subspace import IncrementalSubspaceEstimator
 from repro.telemetry.clock import MONOTONIC
 from repro.util.linalg import truncated_svd
-from repro.workflow.covfile import CovarianceFileSet, MemmapCovarianceStore
+from repro.workflow.covfile import MemmapCovarianceStore
 from repro.workflow.ensemble import SharedEnsembleBuffer
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
@@ -56,21 +60,6 @@ def esse_like_columns(rng, n, count):
     sig = np.geomspace(5.0, 0.3, signal_rank)
     coeffs = rng.standard_normal((signal_rank, count))
     return (u * sig) @ coeffs + 0.1 * rng.standard_normal((n, count))
-
-
-def measure_npz_differ(workdir, columns, clock):
-    """The seed differ: full scaled matrix rewritten per member arrival."""
-    covset = CovarianceFileSet(workdir)
-    total = 0
-    t0 = clock()
-    for k in range(2, N_MEMBERS + 1):
-        scale = 1.0 / np.sqrt(k - 1)
-        target = covset.write_live(columns[:, :k] * scale, list(range(k)))
-        covset.publish()
-        total += target.stat().st_size
-    elapsed = clock() - t0
-    covset.cleanup()
-    return total, elapsed
 
 
 def measure_memmap_differ(workdir, columns, clock):
@@ -150,7 +139,6 @@ def measure_svd_sequences(columns, clock):
 def run_pipeline(workdir, clock=MONOTONIC):
     rng = np.random.default_rng(0)
     columns = esse_like_columns(rng, STATE_DIM, N_MEMBERS)
-    npz_bytes, npz_s = measure_npz_differ(workdir / "npz", columns, clock)
     mm_bytes, mm_s = measure_memmap_differ(workdir / "memmap", columns, clock)
     shm_bytes, shm_s = measure_shm_feed(workdir / "shm", columns, clock)
     t_exact, t_incremental, sigma_err, n_checkpoints = measure_svd_sequences(
@@ -161,10 +149,7 @@ def run_pipeline(workdir, clock=MONOTONIC):
         "n_members": N_MEMBERS,
         "checkpoint_stride": CHECK_STRIDE,
         "n_checkpoints": n_checkpoints,
-        "npz_bytes_per_member": npz_bytes / N_MEMBERS,
         "memmap_bytes_per_member": mm_bytes / N_MEMBERS,
-        "bytes_reduction": npz_bytes / mm_bytes,
-        "npz_differ_s": npz_s,
         "memmap_differ_s": mm_s,
         "shm_feed_s": shm_s,
         "shm_feed_bytes_per_member": shm_bytes / N_MEMBERS,
@@ -182,19 +167,14 @@ def test_covfile_pipeline(benchmark, tmp_path):
     print_table(
         f"Differ->SVD hot path (n={values['state_dim']}, "
         f"N={values['n_members']}, SVD every {values['checkpoint_stride']})",
-        ["metric", "npz / exact", "memmap / incremental", "gain"],
+        ["metric", "exact", "memmap / incremental", "gain"],
         [
             [
-                "differ bytes/member",
-                f"{values['npz_bytes_per_member'] / 1e6:.1f} MB",
-                f"{values['memmap_bytes_per_member'] / 1e3:.1f} kB",
-                f"{values['bytes_reduction']:.0f}x",
-            ],
-            [
-                "differ wall",
-                f"{values['npz_differ_s']:.2f} s",
+                "differ",
+                "",
+                f"{values['memmap_bytes_per_member'] / 1e3:.1f} kB/member, "
                 f"{values['memmap_differ_s']:.2f} s",
-                f"{values['npz_differ_s'] / values['memmap_differ_s']:.1f}x",
+                "",
             ],
             [
                 f"SVD sequence ({values['n_checkpoints']} checkpoints)",
@@ -210,7 +190,7 @@ def test_covfile_pipeline(benchmark, tmp_path):
             ],
             [
                 "shm feed (process backend)",
-                "n/a (npz member files)",
+                "",
                 f"{values['shm_feed_s']:.2f} s, "
                 f"{values['shm_feed_bytes_per_member'] / 1e3:.1f} kB/member",
                 "",
@@ -225,11 +205,10 @@ def test_covfile_pipeline(benchmark, tmp_path):
         "memmap_bytes_per_member"
     ]
 
-    # The PR's acceptance floors (smoke mode only sanity-checks direction:
-    # tiny matrices spend their time in fixed overheads, not in the O(n N)
-    # work the full-size run measures).
-    assert values["bytes_reduction"] >= 5.0
-    assert values["svd_speedup"] >= (1.0 if SMOKE else 2.0)
+    # The differ writes O(n) per member: a column, its id and a header.
+    assert values["memmap_bytes_per_member"] <= 8 * STATE_DIM + 8 + 128
+    if not SMOKE:
+        assert values["svd_speedup"] >= 2.0
     # The documented noise-floor tolerance (docs/COVFILE_PROTOCOL.md):
     # retained sigmas within 1e-2 of the exact recompute, relative to
     # the leading sigma (typically ~2e-3 at rank_buffer=16; decaying

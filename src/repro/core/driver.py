@@ -28,7 +28,11 @@ from repro.core.ensemble import EnsembleRunner, MemberResult
 from typing import TYPE_CHECKING
 
 from repro.core.perturbation import PerturbationGenerator
-from repro.core.subspace import ErrorSubspace
+from repro.core.subspace import (
+    ColdSubspaceEstimator,
+    ErrorSubspace,
+    IncrementalSubspaceEstimator,
+)
 from repro.telemetry.spans import NULL_RECORDER
 
 if TYPE_CHECKING:  # avoid core <-> obs/ocean import cycles; hints only
@@ -108,18 +112,22 @@ class ESSEConfig:
             raise ValueError("svd_guard_tol must be >= 0")
 
     def subspace_estimator(self, rng: np.random.Generator | None = None):
-        """Build the warm-started estimator this config describes.
+        """Build the subspace estimator this config describes.
 
-        Returns None when ``svd_warm_start`` is off, or when
+        Always an object with ``update(columns, count, scale)`` and
+        ``last_path``: the warm-started incremental estimator, or its
+        from-scratch form when ``svd_warm_start`` is off or
         ``svd_method="randomized"`` was explicitly requested (a cold
         sketch per checkpoint is its own documented trade-off; warm
-        starting accelerates the exact path).  Callers fall back to the
-        from-scratch :meth:`ErrorSubspace.from_anomalies` path.
+        starting accelerates the exact path).
         """
         if not self.svd_warm_start or self.svd_method == "randomized":
-            return None
-        from repro.core.subspace import IncrementalSubspaceEstimator
-
+            return ColdSubspaceEstimator(
+                rank=self.max_subspace_rank,
+                energy=self.svd_energy,
+                method=self.svd_method,
+                rng=rng,
+            )
         return IncrementalSubspaceEstimator(
             rank=self.max_subspace_rank,
             energy=self.svd_energy,
@@ -269,20 +277,9 @@ class ESSEDriver:
                 with self.telemetry.span(
                     "driver.svd", count=accumulator.count
                 ) as svd_span:
-                    if estimator is not None:
-                        view = accumulator.view()
-                        current = estimator.update(
-                            view.columns, view.count, view.scale
-                        )
-                        svd_span.set(path=estimator.last_path)
-                    else:
-                        current = ErrorSubspace.from_anomalies(
-                            accumulator.matrix(),
-                            rank=cfg.max_subspace_rank,
-                            energy=cfg.svd_energy,
-                            method=cfg.svd_method,
-                            rng=np.random.default_rng(self.root_seed),
-                        )
+                    view = accumulator.view()
+                    current = estimator.update(view.columns, view.count, view.scale)
+                    svd_span.set(path=estimator.last_path)
                     rho = criterion.update(current)
                     svd_span.set(rank=current.rank)
                 self.telemetry.event(

@@ -205,6 +205,54 @@ class ErrorSubspace:
         return cls(modes=u, sigmas=s, n_samples=n_cols)
 
 
+class ColdSubspaceEstimator:
+    """The from-scratch form of :class:`IncrementalSubspaceEstimator`.
+
+    Same one operation, nothing carried between calls: every
+    :meth:`update` is a full :meth:`ErrorSubspace.from_anomalies` of the
+    columns it is handed.  It is what
+    :meth:`repro.core.driver.ESSEConfig.subspace_estimator` builds when
+    warm starting is off or the randomized method was asked for (a cold
+    sketch per checkpoint is its own documented trade-off), so callers
+    never branch on which kind they hold.
+
+    Parameters
+    ----------
+    rank / energy / method / rng:
+        As in :meth:`ErrorSubspace.from_anomalies`.
+    """
+
+    #: Every update recomputes from scratch.
+    last_path = "cold"
+
+    def __init__(
+        self,
+        rank: int | None = None,
+        energy: float | None = None,
+        method: str = "lapack",
+        rng: np.random.Generator | None = None,
+    ):
+        self.rank = rank
+        self.energy = energy
+        self.method = method
+        self.rng = rng
+
+    def update(
+        self, columns: np.ndarray, count: int | None = None, scale: float = 1.0
+    ) -> ErrorSubspace:
+        """Factor the first ``count`` raw columns, scaled by ``scale``."""
+        columns = np.asarray(columns)
+        if count is None:
+            count = columns.shape[1]
+        return ErrorSubspace.from_anomalies(
+            columns[:, :count] * scale,
+            rank=self.rank,
+            energy=self.energy,
+            method=self.method,
+            rng=self.rng,
+        )
+
+
 class IncrementalSubspaceEstimator:
     """Warm-started subspace estimation over a growing column stream.
 

@@ -2,31 +2,27 @@
 
 The web-distribution tail of the forecaster's timeline (paper Fig 1)
 must serve many concurrent readers while a single writer publishes the
-next cycle's products.  This store transplants the covfile
-commit-after-replace publish protocol (``docs/COVFILE_PROTOCOL.md``) to
-whole product snapshots:
+next cycle's products.  The store is a client of the durable-publish
+primitive in :mod:`repro.util.fsio` -- ``HEAD.json`` is a versioned
+pointer, so commit ordering, restart recovery and the bounded
+"unreadable reads as still-publishing" contract (past the bound:
+:class:`ProductReadError`) are the pointer's.  Written here, the payload:
 
 - Each published version lives in its own **immutable directory**
   ``v<k>`` (payload arrays, product bulletin, manifest with checksums).
   The directory is staged under a dot-prefixed temp name and atomically
   renamed into place, so a version directory either exists completely
-  or not at all.
-- Visibility changes flow through a single ``os.replace`` of
-  ``HEAD.json``, which names the current version, its directory and its
-  manifest checksum.  A reader sees either version ``k`` or ``k+1``,
-  never a mixture, and never blocks on the writer.
-- **Commit-after-replace**: the writer's in-memory version counter
-  advances only after the HEAD replace succeeds, so a failed publish
-  (disk full, crash) leaves the store serving the previous complete
-  version and the retry reuses the same slot.
-- Readers treat an unreadable HEAD or manifest -- torn copy, NFS lag,
-  checksum mismatch -- as "still publishing", bounded by
-  ``max_unreadable_reads`` consecutive failures before
-  :class:`ProductReadError` (same contract as the covariance stores).
+  or not at all; only then is HEAD, which names the version, its
+  directory and its manifest checksum, committed.  A reader sees either
+  version ``k`` or ``k+1``, never a mixture, and never blocks on the
+  writer.
+- Readers verify every payload file against the manifest and the
+  manifest against HEAD; a mismatch -- torn copy, NFS lag -- is one more
+  unreadable read.
+- A retain window drops version directories HEAD has moved past.
 
-Single-writer, many-reader: like the covfile protocol, nothing
-serializes concurrent writers -- the realtime cycle is the one
-publisher.  See ``docs/PRODUCT_SERVICE.md`` for the full layout.
+Single-writer, many-reader: nothing serializes concurrent writers -- the
+realtime cycle is the one publisher (``docs/PRODUCT_SERVICE.md``).
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ import numpy as np
 
 from repro.products.tiles import TiledField
 from repro.realtime.products import ForecastProduct
-from repro.util.fsio import durable_replace
+from repro.util import fsio
 
 #: Payload files every version directory carries next to its manifest.
 PAYLOAD_FILES = ("fields.npz", "product.json")
@@ -142,20 +138,12 @@ class ProductStore:
         self.tile_size = int(tile_size)
         self.levels = int(levels)
         self.retain = retain
-        self._version = self._recover_version()
-
-    def _recover_version(self) -> int:
-        """Resume the version counter from an existing HEAD (restart)."""
-        try:
-            head = json.loads(self.head_path.read_text())
-            return int(head["version"])
-        except (FileNotFoundError, ValueError, KeyError, json.JSONDecodeError):
-            return 0
+        self._head = fsio.PointerWriter(self.head_path)
 
     @property
     def version(self) -> int:
         """Version of the last successful publish (0 before the first)."""
-        return self._version
+        return self._head.version
 
     def publish(
         self,
@@ -167,12 +155,11 @@ class ProductStore:
         ``fields`` maps field names to full-resolution 2-D arrays with
         NaN over masked cells; each is tiled and downsampled here, once,
         at publish time.  The staged directory is fully written, fsynced
-        and renamed into place before HEAD is replaced; the in-memory
-        counter commits only after the HEAD replace succeeds.
+        and renamed into place before HEAD is committed.
         """
         if not fields:
             raise ProductStoreError("a product snapshot needs at least one field")
-        version = self._version + 1
+        version = self.version + 1
         final_dir = self.workdir / _dirname(version)
         stage_dir = self.workdir / f".stage-{_dirname(version)}"
         if stage_dir.exists():
@@ -217,27 +204,20 @@ class ProductStore:
         )
         self._fsync_dir_tree(stage_dir)
         os.replace(stage_dir, final_dir)
-
-        head = {"version": version, "dir": _dirname(version), "checksum": checksum}
-        tmp = self.head_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(head))
-        durable_replace(tmp, self.head_path)
-        # Commit point: readers can now see the new version.
-        self._version = version
+        self._head.commit(dir=_dirname(version), checksum=checksum)
         self._retire_old_versions()
         return version
 
     def _fsync_dir_tree(self, directory: Path) -> None:
         """Flush a staged version directory's files to stable storage."""
         for path in directory.iterdir():
-            with path.open("rb") as fh:
-                os.fsync(fh.fileno())
+            fsio.fsync_path(path)
 
     def _retire_old_versions(self) -> None:
         """Drop version directories older than the retain window."""
         if self.retain is None:
             return
-        floor = self._version - self.retain
+        floor = self.version - self.retain
         for path in self.workdir.glob("v*"):
             try:
                 old = int(path.name[1:])
@@ -251,11 +231,20 @@ class ProductStore:
         shutil.rmtree(self.workdir, ignore_errors=True)
 
 
-class ProductReader:
+def _check_head(head: dict) -> dict:
+    """A HEAD record must name its directory and manifest checksum."""
+    if "dir" not in head or "checksum" not in head:
+        raise ValueError(f"implausible HEAD {head!r}")
+    return head
+
+
+class ProductReader(fsio.PointerReader):
     """Reader side: fetch published snapshots without ever blocking.
 
-    Each concurrent reader owns its own instance (the unreadable-read
-    counter is per-reader state, exactly like the covfile readers).
+    A :class:`~repro.util.fsio.PointerReader` over ``HEAD.json`` that
+    knows how to load and verify the payload HEAD leads to.  Each
+    concurrent reader owns its own instance (the unreadable-read counter
+    is per-reader state).
 
     Parameters
     ----------
@@ -267,40 +256,19 @@ class ProductReader:
     """
 
     def __init__(self, workdir: str | Path, max_unreadable_reads: int = 64):
-        if max_unreadable_reads < 1:
-            raise ValueError("max_unreadable_reads must be >= 1")
         self.workdir = Path(workdir)
-        self.head_path = self.workdir / "HEAD.json"
-        self.max_unreadable_reads = max_unreadable_reads
-        self.consecutive_unreadable = 0
-        self.last_read_error: Exception | None = None
+        super().__init__(
+            self.workdir / "HEAD.json", ProductReadError, max_unreadable_reads
+        )
 
     def read_head(self) -> dict | None:
-        """The current HEAD record (None before the first publish).
-
-        An unreadable-but-present HEAD -- torn NFS copy, hand-corrupted
-        file -- reads as "no snapshot yet" with the bounded retry
-        contract shared with the covariance stores.
-        """
-        try:
-            raw = self.head_path.read_text()
-        except FileNotFoundError:
-            return None
-        try:
-            head = json.loads(raw)
-            version = int(head["version"])
-            if version < 1 or "dir" not in head or "checksum" not in head:
-                raise ValueError(f"implausible HEAD {head!r}")
-        except Exception as exc:
-            self._note_unreadable(exc)
-            return None
-        self._note_readable()
-        return head
+        """The current HEAD record (None before the first publish, or unreadable)."""
+        return self.read(_check_head)
 
     def latest_version(self) -> int | None:
         """Version number of the current HEAD (None before first publish)."""
         head = self.read_head()
-        return None if head is None else int(head["version"])
+        return None if head is None else head["version"]
 
     def fetch(self, version: int | None = None) -> ProductSnapshot | None:
         """Load one published snapshot, verifying its checksums.
@@ -314,17 +282,26 @@ class ProductReader:
         partially-published snapshot can never be returned -- it reads
         as unreadable and the caller retries against the old HEAD.
         """
-        head = self.read_head()
-        if head is None:
-            if version is not None:
-                raise ProductPending(f"version {version} not published yet")
-            return None
-        head_version = int(head["version"])
+        found = self.read(lambda head: self._resolve(head, version))
+        if found is None and version is not None:
+            raise ProductPending(f"version {version} not published yet")
+        if isinstance(found, LookupError):
+            raise found
+        return found
+
+    def _resolve(self, head: dict, version: int | None):
+        """The verified snapshot HEAD leads to for ``version``.
+
+        Raises what makes the store unreadable; *returns* the
+        :class:`ProductPending` / :class:`ProductNotFound` answers, which
+        are facts about a readable store, for :meth:`fetch` to raise.
+        """
+        head_version = _check_head(head)["version"]
         if version is None or version == head_version:
             version = head_version
             expected_checksum = head["checksum"]
         elif version > head_version:
-            raise ProductPending(
+            return ProductPending(
                 f"version {version} still publishing (latest is {head_version})"
             )
         else:
@@ -334,22 +311,13 @@ class ProductReader:
             manifest = json.loads((vdir / "manifest.json").read_text())
         except FileNotFoundError:
             if version < head_version:
-                raise ProductNotFound(
+                return ProductNotFound(
                     f"version {version} retired (oldest retained is newer)"
-                ) from None
+                )
             # HEAD says this version exists but the rename has not become
-            # visible to us yet (lagged filesystem): retry as unreadable.
-            self._note_unreadable(
-                FileNotFoundError(f"{vdir} missing while HEAD points at it")
-            )
-            return None
-        try:
-            snapshot = self._load_verified(version, vdir, manifest, expected_checksum)
-        except Exception as exc:
-            self._note_unreadable(exc)
-            return None
-        self._note_readable()
-        return snapshot
+            # visible to us yet (lagged filesystem): unreadable, retry.
+            raise
+        return self._load_verified(version, vdir, manifest, expected_checksum)
 
     def _load_verified(
         self,
@@ -387,19 +355,6 @@ class ProductReader:
         return ProductSnapshot(
             version=version, product=product, fields=fields, manifest=manifest
         )
-
-    def _note_readable(self) -> None:
-        self.consecutive_unreadable = 0
-        self.last_read_error = None
-
-    def _note_unreadable(self, exc: Exception) -> None:
-        self.consecutive_unreadable += 1
-        self.last_read_error = exc
-        if self.consecutive_unreadable >= self.max_unreadable_reads:
-            raise ProductReadError(
-                f"product store unreadable {self.consecutive_unreadable} "
-                f"consecutive times (last error: {exc!r})"
-            ) from exc
 
 
 class CycleProductPublisher:

@@ -6,10 +6,10 @@ serial ESSE job shepherd (Fig 3) into a decoupled many-task pipeline
 
 - :mod:`~repro.workflow.statefiles` -- per-perturbation-index status files
   carrying singleton exit codes (Sec 4.2 dependency tracking),
-- :mod:`~repro.workflow.covfile` -- the three-file covariance protocol
-  that decouples the differ from the SVD without a race, in two
-  implementations: the paper-faithful npz safe/live pair and the
-  append-only memmap column store (``docs/COVFILE_PROTOCOL.md``),
+- :mod:`~repro.workflow.covfile` -- the three-file covariance handoff
+  that decouples the differ from the SVD without a race: an append-only
+  memmap column store published through a versioned header
+  (``docs/COVFILE_PROTOCOL.md``),
 - :mod:`~repro.workflow.serial` -- the serial implementation with its four
   bottlenecks, instrumented so the benches can show them,
 - :mod:`~repro.workflow.pool` -- the one fault-tolerant task pool
@@ -34,9 +34,7 @@ serial ESSE job shepherd (Fig 3) into a decoupled many-task pipeline
 from repro.workflow.statefiles import StatusDirectory, TaskStatus
 from repro.workflow.covfile import (
     ColumnSnapshot,
-    CovarianceFileSet,
     CovarianceReadError,
-    CovarianceSnapshot,
     MemmapCovarianceStore,
 )
 from repro.core.taskmodel import DegradedEnsembleWarning
@@ -65,9 +63,7 @@ __all__ = [
     "StatusDirectory",
     "TaskStatus",
     "ColumnSnapshot",
-    "CovarianceFileSet",
     "CovarianceReadError",
-    "CovarianceSnapshot",
     "MemmapCovarianceStore",
     "CancellationPolicy",
     "RetryPolicy",

@@ -1,4 +1,4 @@
-"""The three-file covariance protocol (npz legacy and memmap column store).
+"""The differ -> SVD covariance handoff: an append-only column store.
 
 Paper Sec 4.1: "To fully decouple the loops without introducing a race
 condition on the covariance matrix file between its reading for the SVD and
@@ -6,70 +6,35 @@ its writing by diff, we employ three files, a safe one for SVD to use and a
 live alternating pair for diff to write to, with the safe one being updated
 by the appropriate member of the pair."
 
-Two implementations share the publish/read-safe semantics:
+:class:`MemmapCovarianceStore` keeps that guarantee -- the SVD never
+reads a torn matrix, the differ never blocks -- with three files of a
+different shape: two append-only data files (raw normalized anomaly
+columns, column-major, and their member ids) play the live pair, growing
+beyond what any reader maps, and a tiny versioned header is the safe
+file, the *only* thing rewritten per publish.  Appending member ``N``
+costs ``O(n)`` bytes; readers memmap the published prefix zero-copy.
 
-- :class:`CovarianceFileSet` is the paper-faithful npz protocol: the
-  differ alternates between ``live_a`` and ``live_b`` so one complete
-  file always exists even while the other is mid-write; ``publish``
-  points the safe file at the most recent complete live file (atomic
-  rename of a copy).  Every write materializes the full ``(n, N)``
-  matrix -- ``O(n N)`` bytes per member arrival.
-- :class:`MemmapCovarianceStore` is the scalable replacement: an
-  append-only column store (raw normalized anomalies, column-major on
-  disk) plus a tiny header file carrying ``(version, count)`` that is
-  the *only* thing rewritten per publish.  Appending member ``N`` costs
-  ``O(n)`` bytes; readers memmap the published prefix zero-copy.  The
-  commit ordering (data flushed before the header is atomically
-  replaced; in-memory state updated only after a successful replace)
-  preserves the npz protocol's crash-consistency guarantees -- see
-  ``docs/COVFILE_PROTOCOL.md``.
-
-Both readers treat *any* unreadable safe file -- torn copy, truncated
-zip, NFS-lagged header -- as "no snapshot yet", bounded by
-``max_unreadable_reads`` consecutive failures before
-:class:`CovarianceReadError` is raised (a permanently corrupt file must
-not be an infinite silent spin; see ``docs/FAILURE_MODEL.md``).
+The header is a versioned pointer (:mod:`repro.util.fsio`) whose payload
+is the two data files, so commit ordering, restart recovery and the
+bounded "unreadable reads as not-yet" contract (past the bound:
+:class:`CovarianceReadError`) are the pointer's; what is written here
+is the column layout and the zero-copy mapping
+(``docs/COVFILE_PROTOCOL.md``).
 """
 
 from __future__ import annotations
 
-import json
-import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.covariance import AnomalyView
-from repro.util.fsio import durable_replace
+from repro.util.fsio import PointerReader, PointerWriter
 
 
 class CovarianceReadError(RuntimeError):
     """The safe snapshot stayed unreadable past the retry bound."""
-
-
-@dataclass(frozen=True)
-class CovarianceSnapshot:
-    """One consistent snapshot of the anomaly matrix.
-
-    Attributes
-    ----------
-    anomalies:
-        Scaled anomaly matrix ``(n, N)`` (already /sqrt(N-1)).
-    member_ids:
-        Perturbation index of each column (the paper's bookkeeping).
-    version:
-        Monotone snapshot counter.
-    """
-
-    anomalies: np.ndarray
-    member_ids: np.ndarray
-    version: int
-
-    @property
-    def count(self) -> int:
-        """Number of member columns in the snapshot."""
-        return int(self.member_ids.size)
 
 
 @dataclass(frozen=True)
@@ -104,130 +69,8 @@ class ColumnSnapshot:
             raise RuntimeError(f"need >= 2 members for a scale, have {self.count}")
         return 1.0 / np.sqrt(self.count - 1)
 
-    @property
-    def anomalies(self) -> np.ndarray:
-        """Scaled anomaly matrix (materializes a copy; prefer ``columns``)."""
-        return self.columns * self.scale
 
-
-class CovarianceFileSet:
-    """Safe/live-pair covariance files in a working directory.
-
-    Parameters
-    ----------
-    workdir:
-        Directory receiving the protocol files.
-    max_unreadable_reads:
-        Consecutive unreadable (present but unparsable) safe-file reads
-        tolerated before :meth:`read_safe` raises
-        :class:`CovarianceReadError`.
-    """
-
-    def __init__(self, workdir: str | Path, max_unreadable_reads: int = 64):
-        if max_unreadable_reads < 1:
-            raise ValueError("max_unreadable_reads must be >= 1")
-        self.workdir = Path(workdir)
-        self.workdir.mkdir(parents=True, exist_ok=True)
-        self.live_paths = (
-            self.workdir / "cov_live_a.npz",
-            self.workdir / "cov_live_b.npz",
-        )
-        self.safe_path = self.workdir / "cov_safe.npz"
-        self.max_unreadable_reads = max_unreadable_reads
-        self._next_live = 0
-        self._version = 0
-        self._last_complete: Path | None = None
-        self.consecutive_unreadable = 0
-        self.last_read_error: Exception | None = None
-
-    # -- differ side ---------------------------------------------------------
-
-    def write_live(self, anomalies: np.ndarray, member_ids: list[int]) -> Path:
-        """Write the current matrix to the next live file (alternating).
-
-        The in-memory protocol state (live alternation, version counter,
-        last-complete pointer) commits only after the atomic replace
-        succeeds: a failed write -- disk full, injected fault -- leaves
-        the state pointing at the previous complete generation, so
-        ``publish`` keeps serving a consistent snapshot and the next
-        ``write_live`` retries the same slot with the same version.
-
-        Returns the live path written (its ``stat().st_size`` is the
-        differ-side byte cost of this arrival).
-        """
-        anomalies = np.asarray(anomalies)
-        ids = np.asarray(member_ids, dtype=np.int64)
-        if anomalies.ndim != 2 or anomalies.shape[1] != ids.size:
-            raise ValueError(
-                f"anomalies {anomalies.shape} inconsistent with {ids.size} member ids"
-            )
-        target = self.live_paths[self._next_live]
-        tmp = target.with_suffix(".tmp.npz")
-        np.savez(tmp, anomalies=anomalies, member_ids=ids, version=self._version + 1)
-        durable_replace(tmp, target)
-        # Commit point: the replace succeeded, the new generation is on disk.
-        self._version += 1
-        self._next_live = 1 - self._next_live
-        self._last_complete = target
-        return target
-
-    def publish(self) -> bool:
-        """Update the safe file from the latest complete live file.
-
-        Returns False when there is nothing to publish yet.
-        """
-        if self._last_complete is None:
-            return False
-        tmp = self.safe_path.with_suffix(".tmp.npz")
-        shutil.copyfile(self._last_complete, tmp)
-        durable_replace(tmp, self.safe_path)
-        return True
-
-    # -- SVD side ----------------------------------------------------------------
-
-    def read_safe(self) -> CovarianceSnapshot | None:
-        """Read the safe snapshot (None before the first publish).
-
-        Any unreadable-but-present safe file -- torn copy racing the
-        differ's replace, truncated zip, missing keys -- is treated as
-        "no snapshot yet" so a concurrent reader survives it and retries
-        on its next poll.  The retry is bounded: after
-        ``max_unreadable_reads`` *consecutive* unreadable reads a
-        :class:`CovarianceReadError` is raised (the file is corrupt for
-        good, not mid-replace).
-        """
-        try:
-            with np.load(self.safe_path) as data:
-                snap = CovarianceSnapshot(
-                    anomalies=data["anomalies"],
-                    member_ids=data["member_ids"],
-                    version=int(data["version"]),
-                )
-        except FileNotFoundError:
-            return None
-        except Exception as exc:
-            self._note_unreadable(exc)
-            return None
-        self.consecutive_unreadable = 0
-        self.last_read_error = None
-        return snap
-
-    def _note_unreadable(self, exc: Exception) -> None:
-        self.consecutive_unreadable += 1
-        self.last_read_error = exc
-        if self.consecutive_unreadable >= self.max_unreadable_reads:
-            raise CovarianceReadError(
-                f"safe covariance file unreadable {self.consecutive_unreadable} "
-                f"consecutive times (last error: {exc!r})"
-            ) from exc
-
-    def cleanup(self) -> None:
-        """Remove all protocol files (end-of-run cleanup, Sec 4.2)."""
-        for path in (*self.live_paths, self.safe_path):
-            path.unlink(missing_ok=True)
-
-
-class MemmapCovarianceStore:
+class MemmapCovarianceStore(PointerReader):
     """Append-only memmap-backed covariance column store.
 
     On-disk layout (``docs/COVFILE_PROTOCOL.md``):
@@ -235,42 +78,43 @@ class MemmapCovarianceStore:
     - ``cov_columns.bin`` -- raw float64 anomaly columns, column-major
       (column ``j`` occupies bytes ``[j n 8, (j+1) n 8)``), append-only;
     - ``cov_members.bin`` -- int64 member ids, append-only, same order;
-    - ``cov_header.json`` -- ``{"version", "count", "state_dim"}``,
-      rewritten atomically (tmp + ``os.replace``) by :meth:`publish`.
+    - ``cov_header.json`` -- the versioned pointer
+      ``{"version", "count", "state_dim"}``, republished by :meth:`publish`.
 
-    Write protocol: :meth:`append` seeks to the committed end of the data
-    files and writes the new columns (a crashed or failed append leaves
-    garbage *beyond* the published count, which no reader ever maps);
-    :meth:`publish` flushes the data files and then atomically replaces
-    the header.  In-memory counters commit only after each step's
-    replace/flush succeeds, mirroring the npz protocol's
-    commit-after-success fix.
+    Write side: :meth:`append` writes new columns at the committed end
+    of the data files (a failed append leaves nothing a reader ever maps
+    and is retried in place); :meth:`publish` makes the data durable,
+    then publishes the header that vouches for it.  A writer opened on a
+    published directory resumes version, count and state dimension from
+    the header and cuts the data files back to that committed end.
 
-    Read protocol: parse the header (atomic, hence never torn on a
-    POSIX-local filesystem -- but an NFS-lagged or hand-corrupted header
-    is still tolerated as "no snapshot yet" with the same bounded retry
-    as :meth:`CovarianceFileSet.read_safe`), then memmap exactly
-    ``count`` columns.  Data for those columns was flushed before the
-    header landed, so the mapped prefix is immutable and consistent.
+    Read side: the store is a :class:`~repro.util.fsio.PointerReader`
+    over its header; :meth:`read_safe` memmaps exactly the header's
+    ``count`` columns, which were durable before the header landed, so
+    the mapped prefix is immutable and consistent.
+
+    Parameters
+    ----------
+    workdir:
+        Directory receiving the three files.
+    max_unreadable_reads:
+        Consecutive unreadable reads :meth:`read_safe` tolerates before
+        raising :class:`CovarianceReadError`.
     """
 
     def __init__(self, workdir: str | Path, max_unreadable_reads: int = 64):
-        if max_unreadable_reads < 1:
-            raise ValueError("max_unreadable_reads must be >= 1")
         self.workdir = Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.columns_path = self.workdir / "cov_columns.bin"
         self.members_path = self.workdir / "cov_members.bin"
         self.header_path = self.workdir / "cov_header.json"
-        self.max_unreadable_reads = max_unreadable_reads
-        self._state_dim: int | None = None
-        self._appended = 0  # columns durably appended (>= published count)
-        self._published = 0  # columns visible through the current header
-        self._version = 0
+        super().__init__(self.header_path, CovarianceReadError, max_unreadable_reads)
+        self._header = PointerWriter(self.header_path)
+        self._state_dim: int | None = self._header.record.get("state_dim")
+        # columns written end to end (>= the header's published count)
+        self._appended: int = self._header.record.get("count", 0)
         self._columns_file = None
         self._members_file = None
-        self.consecutive_unreadable = 0
-        self.last_read_error: Exception | None = None
 
     # -- differ side ---------------------------------------------------------
 
@@ -282,21 +126,29 @@ class MemmapCovarianceStore:
     @property
     def version(self) -> int:
         """Publish counter of the current header."""
-        return self._version
+        return self._header.version
 
-    def _open_files(self) -> None:
+    def _truncate_to_committed(self) -> None:
+        """Open the data files if need be and cut them at the committed end.
+
+        Opened read-write *without* append mode, so the seek in
+        :meth:`append` is honoured and a retry overwrites in place.
+        """
         if self._columns_file is None:
-            self._columns_file = open(self.columns_path, "a+b")
-            self._members_file = open(self.members_path, "a+b")
+            self.columns_path.touch()
+            self.members_path.touch()
+            self._columns_file = open(self.columns_path, "r+b")
+            self._members_file = open(self.members_path, "r+b")
+        self._columns_file.truncate(self._appended * (self._state_dim or 0) * 8)
+        self._members_file.truncate(self._appended * 8)
 
     def append(self, columns: np.ndarray, member_ids) -> int:
         """Append new raw anomaly columns; returns bytes written.
 
-        The write lands at the committed end of the files regardless of
-        any earlier partial failure (explicit seek, not append mode
-        semantics), so a failed append is retried in place and garbage
-        from the failure is overwritten.  Nothing becomes visible to
-        readers until :meth:`publish`.
+        The write lands at the committed end of the files; if it fails
+        part-way the files are cut back to that end, so the retry starts
+        from a clean tail.  Nothing becomes visible to readers until
+        :meth:`publish`.
         """
         columns = np.asarray(columns, dtype=np.float64)  # shape: (state_dim, count) # dtype: float64
         if columns.ndim == 1:
@@ -314,12 +166,17 @@ class MemmapCovarianceStore:
             )
         if ids.size == 0:
             return 0
-        self._open_files()
+        if self._columns_file is None:
+            self._truncate_to_committed()
         col_bytes = columns.tobytes(order="F")
-        self._columns_file.seek(self._appended * self._state_dim * 8)
-        self._columns_file.write(col_bytes)
-        self._members_file.seek(self._appended * 8)
-        self._members_file.write(ids.tobytes())
+        try:
+            self._columns_file.seek(self._appended * self._state_dim * 8)
+            self._columns_file.write(col_bytes)
+            self._members_file.seek(self._appended * 8)
+            self._members_file.write(ids.tobytes())
+        except BaseException:
+            self._truncate_to_committed()
+            raise
         # Commit point: both writes succeeded end to end.
         self._appended += ids.size
         return len(col_bytes) + ids.size * 8
@@ -340,28 +197,21 @@ class MemmapCovarianceStore:
         return self.append(new, ids)
 
     def publish(self) -> bool:
-        """Flush appended data, then atomically expose it via the header.
+        """Make appended data durable, then expose it via the header.
 
         Returns False when nothing has been appended yet.  The version
-        counter and published count commit only after the header replace
-        succeeds.
+        commits only after the header replace succeeds.
         """
         if self._appended == 0:
             return False
-        self._open_files()
-        self._columns_file.flush()
-        self._members_file.flush()
-        header = {
-            "version": self._version + 1,
-            "count": self._appended,
-            "state_dim": self._state_dim,
-        }
-        tmp = self.header_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(header))
-        durable_replace(tmp, self.header_path)
-        # Commit point: readers can now see the new generation.
-        self._version += 1
-        self._published = self._appended
+        if self._columns_file is not None:
+            self._columns_file.flush()
+            self._members_file.flush()
+        self._header.commit(
+            (self.columns_path, self.members_path),
+            count=self._appended,
+            state_dim=self._state_dim,
+        )
         return True
 
     # -- SVD side ----------------------------------------------------------------
@@ -369,55 +219,33 @@ class MemmapCovarianceStore:
     def read_safe(self) -> ColumnSnapshot | None:
         """Zero-copy snapshot of the published prefix (None before first publish).
 
-        The same resilience contract as :meth:`CovarianceFileSet.read_safe`:
-        a torn/lagged/corrupt header or a data file shorter than the
-        header claims (an NFS reader seeing the header before the data)
-        reads as "no snapshot yet", bounded by ``max_unreadable_reads``
-        consecutive failures.
+        A torn/lagged/corrupt header, or a data file shorter than the
+        header claims (an NFS reader seeing the header before the data),
+        reads as "no snapshot yet", boundedly (see
+        :class:`~repro.util.fsio.PointerReader`).
         """
-        try:
-            raw = self.header_path.read_text()
-        except FileNotFoundError:
-            return None
-        try:
-            header = json.loads(raw)
-            version = int(header["version"])
-            count = int(header["count"])
-            n = int(header["state_dim"])
-            if count < 1 or n < 1:
-                raise ValueError(f"implausible header {header!r}")
-            if self.columns_path.stat().st_size < count * n * 8:
-                raise ValueError("columns file shorter than header claims")
-            if self.members_path.stat().st_size < count * 8:
-                raise ValueError("members file shorter than header claims")
-            member_ids = np.fromfile(
-                self.members_path, dtype=np.int64, count=count
-            )
-            # Map the columns last: nothing after this can raise, so the
-            # mapping cannot leak on the unreadable-generation path -- the
-            # snapshot returned below owns it (REP009).
-            columns = np.memmap(
-                self.columns_path,
-                dtype=np.float64,
-                mode="r",
-                shape=(n, count),
-                order="F",
-            )
-        except Exception as exc:
-            self._note_unreadable(exc)
-            return None
-        self.consecutive_unreadable = 0
-        self.last_read_error = None
-        return ColumnSnapshot(columns=columns, member_ids=member_ids, version=version)
+        return self.read(self._map_snapshot)
 
-    def _note_unreadable(self, exc: Exception) -> None:
-        self.consecutive_unreadable += 1
-        self.last_read_error = exc
-        if self.consecutive_unreadable >= self.max_unreadable_reads:
-            raise CovarianceReadError(
-                f"covariance column store unreadable {self.consecutive_unreadable} "
-                f"consecutive times (last error: {exc!r})"
-            ) from exc
+    def _map_snapshot(self, header: dict) -> ColumnSnapshot:
+        """Map the columns one header record vouches for; raises if it cannot."""
+        count = int(header["count"])
+        n = int(header["state_dim"])
+        if count < 1 or n < 1:
+            raise ValueError(f"implausible header {header!r}")
+        if self.columns_path.stat().st_size < count * n * 8:
+            raise ValueError("columns file shorter than header claims")
+        if self.members_path.stat().st_size < count * 8:
+            raise ValueError("members file shorter than header claims")
+        member_ids = np.fromfile(self.members_path, dtype=np.int64, count=count)
+        # Map the columns last: nothing after this can raise, so the
+        # mapping cannot leak on the unreadable-generation path -- the
+        # snapshot returned below owns it (REP009).
+        columns = np.memmap(
+            self.columns_path, dtype=np.float64, mode="r", shape=(n, count), order="F"
+        )
+        return ColumnSnapshot(
+            columns=columns, member_ids=member_ids, version=header["version"]
+        )
 
     def close(self) -> None:
         """Close the writer's file handles (reader needs none)."""

@@ -598,17 +598,10 @@ class EnsembleEngine:
                                     nbytes
                                 )
                             snap = self.store.read_safe()
-                            if estimator is not None:
-                                subspace = estimator.update(
-                                    snap.columns, snap.count, snap.scale
-                                )
-                                span.set(path=estimator.last_path)
-                            else:
-                                subspace = ErrorSubspace.from_anomalies(
-                                    snap.anomalies,
-                                    rank=cfg.max_subspace_rank,
-                                    energy=cfg.svd_energy,
-                                )
+                            subspace = estimator.update(
+                                snap.columns, snap.count, snap.scale
+                            )
+                            span.set(path=estimator.last_path)
                             criterion.update(subspace, count=snap.count)
                             span.set(rank=subspace.rank)
                     if criterion.converged:

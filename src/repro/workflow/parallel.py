@@ -31,6 +31,7 @@ derives phase overlap and speedup versus the serial implementation.
 
 from __future__ import annotations
 
+import io
 import threading
 import time
 import warnings
@@ -40,16 +41,16 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.convergence import ConvergenceCriterion
-from repro.core.covariance import AnomalyAccumulator, AnomalyView
+from repro.core.covariance import AnomalyAccumulator
 from repro.core.driver import ESSEConfig
 from repro.core.ensemble import EnsembleRunner
 from repro.core.subspace import ErrorSubspace
 from repro.core.taskmodel import DegradedEnsembleWarning
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import NULL_RECORDER
-from repro.util.fsio import durable_replace
+from repro.util.fsio import durable_write
 from repro.util.sanitizer import new_lock, track
-from repro.workflow.covfile import CovarianceFileSet, MemmapCovarianceStore
+from repro.workflow.covfile import MemmapCovarianceStore
 from repro.workflow.faults import FaultInjector
 from repro.workflow.policies import CancellationPolicy, RetryPolicy
 from repro.workflow.pool import TaskOutcome, TaskPool
@@ -128,14 +129,15 @@ class _MemberTask:
             return False, None, "cancelled"
         if not result.ok:
             return False, None, result.error
-        path = self.members_dir / f"forecast_{index:05d}.npz"
-        tmp = path.with_suffix(".tmp.npz")
-        np.savez(tmp, forecast=result.forecast)
+        whole = io.BytesIO()
+        np.savez(whole, forecast=result.forecast)
+        data = whole.getvalue()
         if corrupt:
             # A torn shared-FS write: truncated file *and* a success
             # status -- the case the differ must catch.
-            tmp.write_bytes(FaultInjector.corrupt_bytes(tmp.read_bytes()))
-        durable_replace(tmp, path)
+            data = FaultInjector.corrupt_bytes(data)
+        path = self.members_dir / f"forecast_{index:05d}.npz"
+        durable_write(path, lambda fh: fh.write(data))
         self.status.write("pemodel", index, TaskStatus.SUCCESS, attempt=attempt)
         return True, None, None
 
@@ -186,13 +188,6 @@ class ParallelESSEWorkflow:
         I/O-retry counts, covariance bytes written (``cov.bytes_written``)
         and warm-start SVD path counters (``svd.warm_start``,
         ``svd.exact_fallback``); None disables metric recording.
-    covfile_backend:
-        ``"memmap"`` (default) publishes snapshots through the
-        append-only :class:`~repro.workflow.covfile.MemmapCovarianceStore`
-        -- ``O(n)`` bytes per member and zero-copy reads; ``"npz"`` keeps
-        the paper-faithful safe/live npz pair, rewriting the full
-        ``(n, N)`` matrix per arrival.  Both present identical
-        publish/read-safe semantics (``docs/COVFILE_PROTOCOL.md``).
     """
 
     def __init__(
@@ -209,22 +204,18 @@ class ParallelESSEWorkflow:
         faults: FaultInjector | None = None,
         telemetry=None,
         metrics: MetricsRegistry | None = None,
-        covfile_backend: str = "memmap",
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if pool_margin < 1.0:
             raise ValueError("pool_margin must be >= 1")
-        if covfile_backend not in ("memmap", "npz"):
-            raise ValueError(f"unknown covfile_backend {covfile_backend!r}")
         self.runner = runner
         self.config = config
         self.workdir = Path(workdir)
         self.members_dir = self.workdir / "members"
         self.members_dir.mkdir(parents=True, exist_ok=True)
         self.status = StatusDirectory(self.workdir / "status")
-        self.covfile_backend = covfile_backend
-        self.covset = self._open_covset()
+        self.covset = MemmapCovarianceStore(self.workdir)
         self.n_workers = n_workers
         self.cancellation = cancellation
         self.use_processes = use_processes
@@ -353,34 +344,14 @@ class ParallelESSEWorkflow:
 
     # -- covariance protocol plumbing ------------------------------------------
 
-    def _open_covset(self):
-        if self.covfile_backend == "memmap":
-            return MemmapCovarianceStore(self.workdir)
-        return CovarianceFileSet(self.workdir)
-
-    def _publish_snapshot(self, view: AnomalyView) -> int:
-        """Ship the view through the configured backend; returns bytes written.
-
-        The memmap store appends only the columns that arrived since the
-        last publish (``O(n)`` per member); the npz backend rewrites the
-        full scaled matrix (the paper-faithful ``O(n N)`` cost).
-        """
-        if self.covfile_backend == "memmap":
-            nbytes = self.covset.sync_from(view)
-            self.covset.publish()
-            return nbytes + self.covset.header_path.stat().st_size
-        target = self.covset.write_live(view.matrix(), list(view.member_ids))
-        self.covset.publish()
-        return target.stat().st_size
-
     def _read_snapshot(self):
         """``read_safe`` with the structured-retry accounting of PR 1.
 
-        An unreadable safe snapshot (torn copy, truncated zip, lagged
-        header) reads as None; each consecutive failure is a structured
+        An unreadable safe snapshot (torn or lagged header, data files
+        behind it) reads as None; each consecutive failure is a structured
         ``io_retry`` event (geometrically thinned, same shape as the
         differ's status-before-file sweeps) plus a metrics counter, and
-        the backend raises
+        the store raises
         :class:`~repro.workflow.covfile.CovarianceReadError` past its
         bound -- surfaced through the guarded-thread machinery instead
         of silently spinning forever.
@@ -459,11 +430,12 @@ class ParallelESSEWorkflow:
                             view = accumulator.view() if count >= 2 else None
                         self._log("diff_added", f"member={index} count={count}")
                         if view is not None:
-                            nbytes = self._publish_snapshot(view)
+                            nbytes = self.covset.sync_from(view)
+                            self.covset.publish()
                             self._log("publish", f"count={count}")
                             if self.metrics is not None:
                                 self.metrics.counter("cov.bytes_written").inc(
-                                    nbytes
+                                    nbytes + self.covset.header_path.stat().st_size
                                 )
                     new_any = True
                 if stop.is_set() and not new_any:
@@ -500,25 +472,14 @@ class ParallelESSEWorkflow:
 
         def compute(snap, final: bool) -> None:
             self._log("svd_start", f"count={snap.count}")
-            warm = estimator is not None and hasattr(snap, "columns")
-            span_name = "svd.warm_start" if warm else "svd.compute"
-            with self.telemetry.span(span_name, count=snap.count) as sp:
-                if warm:
-                    subspace = estimator.update(
-                        snap.columns, snap.count, snap.scale
-                    )
-                    sp.set(path=estimator.last_path)
-                    if self.metrics is not None:
-                        if estimator.last_path in ("update", "warm"):
-                            self.metrics.counter("svd.warm_start").inc()
-                        else:
-                            self.metrics.counter("svd.exact_fallback").inc()
-                else:
-                    subspace = ErrorSubspace.from_anomalies(
-                        snap.anomalies,
-                        rank=self.config.max_subspace_rank,
-                        energy=self.config.svd_energy,
-                    )
+            with self.telemetry.span("svd.compute", count=snap.count) as sp:
+                subspace = estimator.update(snap.columns, snap.count, snap.scale)
+                sp.set(path=estimator.last_path)
+                if self.metrics is not None:
+                    warm = estimator.last_path in ("update", "warm")
+                    self.metrics.counter(
+                        "svd.warm_start" if warm else "svd.exact_fallback"
+                    ).inc()
                 rho = criterion.update(subspace, count=snap.count)
                 sp.set(rank=subspace.rank)
             if self.metrics is not None:
@@ -585,10 +546,14 @@ class ParallelESSEWorkflow:
         with self._fault_lock:
             self._corrupt_found = []
             self._missing_sweeps = {}
-        # A reused workflow starts from an empty covariance store, not
-        # from the previous run's tail (or its still-published header).
+        # A reused workflow starts from nothing -- empty covariance store,
+        # no member records -- or the differ's first sweep would fold the
+        # previous run's forecasts (and published header) into this one.
         self.covset.cleanup()
-        self.covset = self._open_covset()
+        self.covset = MemmapCovarianceStore(self.workdir)
+        self.status.clear("pemodel")
+        for path in self.members_dir.glob("forecast_*.npz"):
+            path.unlink()
         started = self._t0
 
         with self.telemetry.span("central_forecast"):

@@ -32,7 +32,7 @@ from repro.core.driver import ESSEConfig
 from repro.core.ensemble import EnsembleRunner
 from repro.core.subspace import ErrorSubspace
 from repro.telemetry.spans import TraceRecorder
-from repro.util.fsio import durable_replace
+from repro.util.fsio import durable_write
 from repro.workflow.statefiles import StatusDirectory, TaskStatus
 
 #: Span-name prefix shared by the serial shepherd's phase spans.
@@ -187,12 +187,14 @@ class SerialESSEWorkflow:
                         # member -- the serial implementation's "large
                         # file" write bottleneck
                         if accumulator.count >= 2:
-                            m = accumulator.matrix()
-                            tmp = self.cov_path.with_suffix(".tmp.npz")
-                            np.savez(
-                                tmp, anomalies=m, member_ids=accumulator.member_ids
+                            durable_write(
+                                self.cov_path,
+                                lambda fh: np.savez(
+                                    fh,
+                                    anomalies=accumulator.matrix(),
+                                    member_ids=accumulator.member_ids,
+                                ),
                             )
-                            durable_replace(tmp, self.cov_path)
 
                 # --- SVD + convergence (bottlenecks 3 and 4) ---------------
                 with recorder.span(

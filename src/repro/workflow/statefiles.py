@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
-from repro.util.fsio import durable_replace
+from repro.util.fsio import durable_write
 
 
 class TaskStatus(IntEnum):
@@ -58,8 +58,8 @@ class StatusDirectory:
 
     Notes
     -----
-    Writes are atomic (tmp + rename) so concurrent readers on "all
-    execution hosts" never observe a torn file.
+    Writes go through :func:`repro.util.fsio.durable_write`, so concurrent
+    readers on "all execution hosts" never observe a torn file.
     """
 
     def __init__(self, root: str | Path):
@@ -93,16 +93,12 @@ class StatusDirectory:
         history (consumed by :meth:`attempt_history` and the progress
         monitor's retry counters).
         """
-        status = TaskStatus(status)
-        path = self._path(kind, index)
-        tmp = path.with_suffix(".status.tmp")
-        tmp.write_text(f"{int(status)}\n")
-        durable_replace(tmp, path)
+        code = b"%d\n" % TaskStatus(status)
+        durable_write(self._path(kind, index), lambda fh: fh.write(code))
         if attempt is not None:
-            apath = self._path(kind, index, attempt)
-            atmp = apath.with_suffix(".status.tmp")
-            atmp.write_text(f"{int(status)}\n")
-            durable_replace(atmp, apath)
+            durable_write(
+                self._path(kind, index, attempt), lambda fh: fh.write(code)
+            )
 
     def read(self, kind: str, index: int) -> TaskStatus | None:
         """The recorded status, or None if the task has not reported."""

@@ -244,10 +244,35 @@ class TestConfigWiring:
         assert est.rank == ESSEConfig().max_subspace_rank
 
     def test_warm_start_off_disables_estimator(self):
-        assert ESSEConfig(svd_warm_start=False).subspace_estimator() is None
+        """Cold configs still hand out an estimator: a from-scratch one."""
+        rng = np.random.default_rng(0)
+        columns = rng.standard_normal((30, 12))
+        cfg = ESSEConfig(svd_warm_start=False, max_subspace_rank=5)
+        est = cfg.subspace_estimator()
+        for count in (6, 12):  # nothing carried: each call stands alone
+            scale = 1.0 / np.sqrt(count - 1)
+            sub = est.update(columns, count, scale)
+            ref = ErrorSubspace.from_anomalies(
+                columns[:, :count] * scale, rank=5, energy=cfg.svd_energy
+            )
+            assert est.last_path == "cold"
+            assert sub.n_samples == count
+            np.testing.assert_array_equal(sub.sigmas, ref.sigmas)
 
     def test_randomized_method_keeps_cold_sketch_path(self):
-        assert ESSEConfig(svd_method="randomized").subspace_estimator() is None
+        columns = np.random.default_rng(1).standard_normal((40, 16))
+        cfg = ESSEConfig(svd_method="randomized", max_subspace_rank=4)
+        est = cfg.subspace_estimator(rng=np.random.default_rng(3))
+        sub = est.update(columns, 16, 0.5)
+        ref = ErrorSubspace.from_anomalies(
+            columns * 0.5,
+            rank=4,
+            energy=cfg.svd_energy,
+            method="randomized",
+            rng=np.random.default_rng(3),
+        )
+        assert est.last_path == "cold"
+        np.testing.assert_array_equal(sub.sigmas, ref.sigmas)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="svd_rank_buffer"):

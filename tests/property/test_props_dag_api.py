@@ -80,7 +80,7 @@ class TestPublicAPISurface:
 
         for name in (
             "SerialESSEWorkflow", "ParallelESSEWorkflow", "StatusDirectory",
-            "CovarianceFileSet", "CancellationPolicy", "ProgressMonitor",
+            "MemmapCovarianceStore", "CancellationPolicy", "ProgressMonitor",
         ):
             assert name in workflow.__all__, name
 

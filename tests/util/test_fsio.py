@@ -1,0 +1,186 @@
+"""The durable-publish primitive's contract, stated once for every client.
+
+``durable_write`` (stage -> fsync -> replace -> fsync dir) and the
+versioned pointer on top of it (commit ordering and recovery on the
+writer, bounded "unreadable reads as not-yet" on the reader).  What each
+client adds is tested next to the client; what happens when the writer
+dies at each step is ``test_fsio_killpoints.py``.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import repro.util.fsio as fsio
+from repro.util.fsio import PointerReader, PointerWriter, durable_write, staging_path
+
+
+class StoreGone(RuntimeError):
+    """Stands in for a client's read-error class."""
+
+
+class TestDurableWrite:
+    def test_publishes_what_fill_writes(self, tmp_path):
+        target = tmp_path / "value.json"
+        durable_write(target, lambda fh: fh.write(b'{"k": 1}'))
+        assert json.loads(target.read_text()) == {"k": 1}
+        assert not staging_path(target).exists()
+
+    def test_fill_gets_a_handle_savez_accepts(self, tmp_path):
+        target = tmp_path / "member.npz"
+        durable_write(target, lambda fh: np.savez(fh, forecast=np.arange(3.0)))
+        with np.load(target) as data:
+            assert list(data["forecast"]) == [0.0, 1.0, 2.0]
+
+    def test_failed_fill_leaves_the_published_file_alone(self, tmp_path):
+        target = tmp_path / "value.json"
+        durable_write(target, lambda fh: fh.write(b"old"))
+
+        def torn(fh):
+            fh.write(b"ne")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            durable_write(target, torn)
+        assert target.read_bytes() == b"old"
+        durable_write(target, lambda fh: fh.write(b"new"))  # stale stage overwritten
+        assert target.read_bytes() == b"new"
+
+    def test_staged_beside_the_target_outside_its_glob(self, tmp_path):
+        staged = staging_path(tmp_path / "pemodel.3.status")
+        assert staged.parent == tmp_path
+        assert not staged.match("*.status")
+
+    def test_staged_bytes_are_fsynced_before_the_replace(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fsio, "fsync_path", lambda p: calls.append(("fsync", p)))
+        real_replace = fsio.os.replace
+
+        def replace(src, dst):
+            calls.append(("replace", src))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(fsio.os, "replace", replace)
+        monkeypatch.setattr(fsio, "fsync_dir", lambda p: calls.append(("dir", p)))
+        target = tmp_path / "x"
+        durable_write(target, lambda fh: fh.write(b"1"))
+        staged = staging_path(target)
+        assert calls == [("fsync", staged), ("replace", staged), ("dir", tmp_path)]
+
+
+class TestPointerWriter:
+    def test_versions_count_up_from_one(self, tmp_path):
+        writer = PointerWriter(tmp_path / "HEAD.json")
+        assert (writer.version, writer.record) == (0, {})
+        assert writer.commit(count=4) == 1
+        assert writer.commit(count=5) == 2
+        assert json.loads(writer.path.read_text()) == {"version": 2, "count": 5}
+        assert writer.record == {"version": 2, "count": 5}
+
+    def test_reopened_writer_resumes_version_and_record(self, tmp_path):
+        PointerWriter(tmp_path / "p").commit(count=4, state_dim=9)
+        resumed = PointerWriter(tmp_path / "p")
+        assert resumed.version == 1
+        assert resumed.record["count"] == 4
+        assert resumed.commit(count=5, state_dim=9) == 2
+
+    @pytest.mark.parametrize("junk", ["", "{ torn", "[1]", '{"version": "x"}'])
+    def test_unparsable_pointer_starts_over(self, tmp_path, junk):
+        (tmp_path / "p").write_text(junk)
+        assert PointerWriter(tmp_path / "p").version == 0
+
+    def test_payload_is_durable_before_the_pointer_names_it(
+        self, tmp_path, monkeypatch
+    ):
+        order = []
+        monkeypatch.setattr(fsio, "fsync_path", lambda p: order.append(p.name))
+        payload = tmp_path / "columns.bin"
+        payload.write_bytes(b"data")
+        PointerWriter(tmp_path / "p").commit([payload], count=1)
+        assert order[:2] == ["columns.bin", "p.tmp"]
+
+    def test_failed_commit_burns_no_version(self, tmp_path, monkeypatch):
+        writer = PointerWriter(tmp_path / "p")
+        writer.commit(count=1)
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fsio.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            writer.commit(count=2)
+        monkeypatch.undo()
+        assert (writer.version, writer.record["count"]) == (1, 1)
+        assert PointerReader(writer.path, StoreGone).read()["count"] == 1
+        assert writer.commit(count=2) == 2  # the retry reuses the number
+
+
+class TestPointerReader:
+    """The bounded-retry contract every reader shares."""
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        return tmp_path / "HEAD.json"
+
+    def test_none_before_the_first_publish_is_not_a_failure(self, path):
+        reader = PointerReader(path, StoreGone, max_unreadable_reads=1)
+        assert reader.read() is None
+        assert reader.read() is None
+        assert reader.consecutive_unreadable == 0
+
+    def test_returns_what_load_makes_of_the_record(self, path):
+        PointerWriter(path).commit(count=3)
+        reader = PointerReader(path, StoreGone)
+        assert reader.read() == {"version": 1, "count": 3}
+        assert reader.read(lambda record: record["count"] * 2) == 6
+
+    def test_none_until_the_bound_then_the_clients_error(self, path):
+        path.write_text("{ torn copy")
+        reader = PointerReader(path, StoreGone, max_unreadable_reads=3)
+        assert reader.read() is None
+        assert reader.read() is None
+        assert reader.consecutive_unreadable == 2
+        with pytest.raises(StoreGone, match="HEAD.json unreadable 3 consecutive"):
+            reader.read()
+        assert isinstance(reader.last_read_error, ValueError)
+
+    @pytest.mark.parametrize(
+        "junk", ["[1, 2]", '{"count": 3}', '{"version": 0}', '{"version": "x"}']
+    )
+    def test_a_record_without_a_plausible_version_is_unreadable(self, path, junk):
+        path.write_text(junk)
+        reader = PointerReader(path, StoreGone)
+        assert reader.read() is None
+        assert reader.consecutive_unreadable == 1
+
+    def test_what_load_raises_counts_toward_the_same_bound(self, path):
+        """A good pointer over a bad payload is still an unreadable store."""
+        PointerWriter(path).commit(count=3)
+        reader = PointerReader(path, StoreGone, max_unreadable_reads=2)
+
+        def short_payload(record):
+            raise ValueError("columns file shorter than header claims")
+
+        assert reader.read(short_payload) is None
+        with pytest.raises(StoreGone, match="shorter than header") as err:
+            reader.read(short_payload)
+        assert isinstance(err.value.__cause__, ValueError)
+
+    def test_one_good_read_resets_the_count(self, path):
+        writer = PointerWriter(path)
+        writer.commit(count=1)
+        good = path.read_text()
+        reader = PointerReader(path, StoreGone, max_unreadable_reads=2)
+        path.write_text("torn")
+        assert reader.read() is None
+        path.write_text(good)
+        assert reader.read()["version"] == 1
+        assert reader.consecutive_unreadable == 0
+        assert reader.last_read_error is None
+        path.write_text("torn")
+        assert reader.read() is None  # one, not two: no error yet
+
+    def test_bound_validation(self, path):
+        with pytest.raises(ValueError, match="max_unreadable_reads"):
+            PointerReader(path, StoreGone, max_unreadable_reads=0)

@@ -27,12 +27,14 @@ from repro.core import ESSEConfig
 from repro.telemetry.clock import MONOTONIC
 from repro.telemetry.metrics import MetricsRegistry
 from repro.workflow import ParallelESSEWorkflow
-from repro.workflow.covfile import CovarianceFileSet, CovarianceReadError
+from repro.workflow.covfile import CovarianceReadError, MemmapCovarianceStore
 
-BACKENDS = ("memmap", "npz")
+# One store since the npz file set was deleted; the parameter survives only
+# so these tests keep the ids the tier-1 floor lists them under.
+BACKENDS = ("memmap",)
 
 
-def make_workflow(tmp_path, backend, **cfg_kw):
+def make_workflow(tmp_path, **cfg_kw):
     defaults = dict(
         initial_ensemble_size=4,
         max_ensemble_size=16,
@@ -45,13 +47,12 @@ def make_workflow(tmp_path, backend, **cfg_kw):
         config=ESSEConfig(**defaults),
         workdir=tmp_path,
         poll_interval=0.002,
-        covfile_backend=backend,
         metrics=MetricsRegistry(),
     )
 
 
 def publish(wf, count, n=24, seed=0):
-    """Publish a count-member snapshot through the workflow's backend.
+    """Publish a count-member snapshot through the workflow's store.
 
     Republishing the same count bumps the version without changing the
     data -- exactly what a differ publish with no new members since the
@@ -59,16 +60,11 @@ def publish(wf, count, n=24, seed=0):
     """
     rng = np.random.default_rng(seed)
     columns = rng.standard_normal((n, count))
-    if wf.covfile_backend == "memmap":
-        new = count - wf.covset.count
-        if new > 0:
-            ids = np.arange(count - new, count)
-            wf.covset.append(columns[:, count - new :], ids)
-        wf.covset.publish()
-    else:
-        scale = 1.0 / np.sqrt(count - 1)
-        wf.covset.write_live(columns * scale, list(range(count)))
-        wf.covset.publish()
+    new = count - wf.covset.count
+    if new > 0:
+        ids = np.arange(count - new, count)
+        wf.covset.append(columns[:, count - new :], ids)
+    wf.covset.publish()
 
 
 class LoopHarness:
@@ -130,7 +126,7 @@ class LoopHarness:
 class TestCheckpointAccounting:
     def test_snapshot_jumping_checkpoints_gets_one_svd(self, tmp_path, backend):
         """count=16 satisfies checkpoints [4, 8, 16]: one SVD, not three."""
-        wf = make_workflow(tmp_path, backend)
+        wf = make_workflow(tmp_path)
         with LoopHarness(wf) as h:
             publish(wf, 16)
             h.wait_for("svd_done", 1)
@@ -144,7 +140,7 @@ class TestCheckpointAccounting:
         assert h.out["count"] == 16
 
     def test_republished_count_fires_no_spurious_svd(self, tmp_path, backend):
-        wf = make_workflow(tmp_path, backend)
+        wf = make_workflow(tmp_path)
         with LoopHarness(wf) as h:
             publish(wf, 4)
             h.wait_for("svd_done", 1)
@@ -157,7 +153,7 @@ class TestCheckpointAccounting:
         self, tmp_path, backend
     ):
         """The completed ensemble is factored even below the next checkpoint."""
-        wf = make_workflow(tmp_path, backend)
+        wf = make_workflow(tmp_path)
         with LoopHarness(wf) as h:
             publish(wf, 4)
             h.wait_for("svd_done", 1)
@@ -171,7 +167,7 @@ class TestCheckpointAccounting:
 
     def test_final_drain_without_any_checkpoint_svd(self, tmp_path, backend):
         """A run that ends before the first checkpoint still gets its SVD."""
-        wf = make_workflow(tmp_path, backend)
+        wf = make_workflow(tmp_path)
         with LoopHarness(wf) as h:
             publish(wf, 3)  # below the first checkpoint (4)
             h.settle()
@@ -191,13 +187,8 @@ class TestTornSafeFile:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_loop_survives_garbage_safe_file(self, tmp_path, backend):
         """A torn safe snapshot reads as None; the loop retries and recovers."""
-        wf = make_workflow(tmp_path, backend)
-        garbage_path = (
-            wf.covset.header_path
-            if backend == "memmap"
-            else wf.covset.safe_path
-        )
-        garbage_path.write_bytes(b"torn mid-replace, not a valid file")
+        wf = make_workflow(tmp_path)
+        wf.covset.header_path.write_bytes(b"torn mid-replace, not a valid file")
         with LoopHarness(wf) as h:
             h.wait_for("io_retry", 1)
             # recovery: a good publish lands and the loop factors it
@@ -213,9 +204,9 @@ class TestTornSafeFile:
 
     def test_unreadable_past_bound_surfaces_as_error(self, tmp_path):
         """Permanent corruption must not be an infinite silent spin."""
-        wf = make_workflow(tmp_path, "npz")
-        wf.covset = CovarianceFileSet(tmp_path, max_unreadable_reads=4)
-        wf.covset.safe_path.write_bytes(b"permanently corrupt")
+        wf = make_workflow(tmp_path)
+        wf.covset = MemmapCovarianceStore(tmp_path, max_unreadable_reads=4)
+        wf.covset.header_path.write_bytes(b"permanently corrupt")
         with LoopHarness(wf) as h:
             deadline = MONOTONIC() + 5.0
             while not h.errors and MONOTONIC() < deadline:

@@ -167,14 +167,19 @@ class TestParallelWorkflow:
         assert result.n_failed == 0
 
     def test_workflow_object_is_reusable(self, setup, tmp_path):
-        """A second run() starts from an empty covariance store."""
-        _, background, runner = setup
-        wf = ParallelESSEWorkflow(runner, config(), tmp_path, n_workers=2)
-        first = wf.run(background)
-        second = wf.run(background)  # used to die on the first run's store tail
-        assert second.ensemble_size == first.ensemble_size
-        assert sorted(second.member_ids) == sorted(first.member_ids)
-        assert similarity_coefficient(first.subspace, second.subspace) > 0.999
+        """A second run() starts from nothing: no store tail, no old members."""
+        model, background, runner = setup
+        other = model.run(background, 86400.0)  # a different mean state
+        cfg = config(convergence_tolerance=1.0)  # both to Nmax: deterministic
+        wf = ParallelESSEWorkflow(runner, cfg, tmp_path / "reused", n_workers=2)
+        wf.run(background)
+        second = wf.run(other)
+        fresh = ParallelESSEWorkflow(
+            runner, cfg, tmp_path / "fresh", n_workers=2
+        ).run(other)
+        assert second.ensemble_size == fresh.ensemble_size == 16
+        assert sorted(second.member_ids) == sorted(fresh.member_ids)
+        assert similarity_coefficient(second.subspace, fresh.subspace) > 0.9999
 
     def test_validation(self, setup, tmp_path):
         _, _, runner = setup
@@ -185,56 +190,26 @@ class TestParallelWorkflow:
 
 
 class TestCovfileBackends:
-    """The memmap column store and the npz pair are interchangeable."""
-
-    def test_npz_backend_end_to_end(self, setup, tmp_path):
-        _, background, runner = setup
-        wf = ParallelESSEWorkflow(
-            runner, config(), tmp_path, n_workers=2, covfile_backend="npz"
-        )
-        result = wf.run(background)
-        assert result.subspace.rank >= 1
-        assert result.n_failed == 0
-        assert wf.covset.safe_path.exists()
-
-    def test_backends_produce_equivalent_subspaces(self, setup, tmp_path):
-        _, background, runner = setup
-        cfg = config(convergence_tolerance=1.0)  # force both to Nmax
-        results = {}
-        for backend in ("memmap", "npz"):
-            results[backend] = ParallelESSEWorkflow(
-                runner,
-                cfg,
-                tmp_path / backend,
-                n_workers=2,
-                covfile_backend=backend,
-            ).run(background)
-        a, b = results["memmap"], results["npz"]
-        assert a.ensemble_size == b.ensemble_size
-        assert sorted(a.member_ids) == sorted(b.member_ids)
-        rho = similarity_coefficient(a.subspace, b.subspace)
-        assert rho > 0.95
+    """What the workflow's covariance store costs the differ."""
 
     def test_memmap_slashes_differ_bytes(self, setup, tmp_path):
         """The append-only store writes O(n) per member, not O(n N)."""
         from repro.telemetry.metrics import MetricsRegistry
 
-        _, background, runner = setup
-        cfg = config(convergence_tolerance=1.0)
-        written = {}
-        for backend in ("memmap", "npz"):
-            registry = MetricsRegistry()
-            ParallelESSEWorkflow(
-                runner,
-                cfg,
-                tmp_path / backend,
-                n_workers=2,
-                covfile_backend=backend,
-                metrics=registry,
-            ).run(background)
-            written[backend] = registry.counter("cov.bytes_written").value
-        assert written["memmap"] > 0
-        assert written["npz"] > 2 * written["memmap"]
+        model, background, runner = setup
+        registry = MetricsRegistry()
+        result = ParallelESSEWorkflow(
+            runner,
+            config(convergence_tolerance=1.0),
+            tmp_path,
+            n_workers=2,
+            metrics=registry,
+        ).run(background)
+        n_members = len(result.member_ids)
+        written = registry.counter("cov.bytes_written").value
+        # each member once (column + id), plus one ~60-byte header per publish
+        column_bytes = n_members * (8 * model.layout.size + 8)
+        assert column_bytes <= written <= column_bytes + n_members * 128
 
 
 class TestFaultTolerance:

@@ -80,6 +80,7 @@ python tools/check_docs.py \
     repro.telemetry.clock repro.telemetry.spans repro.telemetry.metrics \
     repro.telemetry.events repro.telemetry.export
 python tools/check_docs.py repro.util.sanitizer repro.core.taskmodel
+python tools/check_docs.py repro.util.fsio repro.workflow.covfile
 python tools/check_docs.py \
     repro.core.localization repro.core.tiling repro.workflow.pool
 python tools/check_docs.py \
@@ -87,7 +88,8 @@ python tools/check_docs.py \
     repro.products.service repro.products.server
 
 # Smoke: the differ->SVD hot-path bench at CI scale (BENCH_SMOKE shrinks
-# the matrices; the committed full-size numbers live in
+# the matrices and asserts only sigma error and byte counts -- timing
+# floors need the full size; the committed full-size numbers live in
 # benchmarks/results/BENCH_covfile_pipeline.json).  BENCH_OUTPUT_DIR
 # keeps the smoke run from overwriting them.
 covfile_tmp="$(mktemp -d)"

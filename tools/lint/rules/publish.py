@@ -1,7 +1,7 @@
 """REP011: publish protocol -- fsync staged artifacts before the rename.
 
-The covfile/product-store protocol (docs/COVFILE_PROTOCOL.md,
-docs/PRODUCT_SERVICE.md) publishes artifacts by staging them next to the
+The durable-publish protocol (``repro.util.fsio``; docs/COVFILE_PROTOCOL.md
+section 1) publishes artifacts by staging them next to the
 final path, flushing them to disk, then atomically renaming.  Skipping
 the flush step re-introduces the torn-file window the protocol exists to
 close: after a crash the *published* path can hold a zero-length or
@@ -14,8 +14,8 @@ Two checks:
   an ``open()`` handle is *dirty* until an ``fsync``-family call (or a
   ``flush``) touches it.  ``os.replace``/``os.rename`` (and the
   ``Path.replace`` method) on a dirty token is flagged.  The
-  ``repro.util.fsio.durable_replace`` helper is the blessed one-call
-  spelling and never flagged.
+  ``repro.util.fsio`` helpers (``durable_write``, and ``durable_replace``
+  under it) are the blessed one-call spelling and never flagged.
 - **Direct write to a published path** (lexical): any path that appears
   as a replace *destination* somewhere in the file is store-visible; a
   direct ``write_text``/``write_bytes``/numpy save onto it bypasses the
@@ -221,8 +221,8 @@ Good:
     fsync_path(tmp)                         # repro.util.fsio
     os.replace(tmp, self.head_path)
 
-    # or the one-call spelling:
-    durable_replace(tmp, self.head_path)
+    # or the one-call spelling (stages, fsyncs, replaces):
+    durable_write(self.head_path, lambda fh: fh.write(data))
 """
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
