@@ -81,15 +81,19 @@ class ESSESection:
 
     def __post_init__(self):
         try:
-            ESSEConfig(
-                initial_ensemble_size=self.initial_ensemble_size,
-                max_ensemble_size=self.max_ensemble_size,
-                growth_factor=self.growth_factor,
-                convergence_tolerance=self.convergence_tolerance,
-                max_subspace_rank=self.max_subspace_rank,
-            )
+            self.build()
         except ValueError as exc:
             raise ConfigError(f"esse: {exc}") from exc
+
+    def build(self) -> ESSEConfig:
+        """The :class:`ESSEConfig` this section describes (validates)."""
+        return ESSEConfig(
+            initial_ensemble_size=self.initial_ensemble_size,
+            max_ensemble_size=self.max_ensemble_size,
+            growth_factor=self.growth_factor,
+            convergence_tolerance=self.convergence_tolerance,
+            max_subspace_rank=self.max_subspace_rank,
+        )
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,9 @@ class EngineSection:
     n_workers:
         Pool width for the ``processes`` backend.
     batch_size:
-        Members per vectorized batch for the ``batched`` backend.
+        Members per vectorized batch: for the engine's ``batched``
+        backend and for :class:`~repro.core.driver.ESSEDriver`, which
+        always steps its ensemble in such batches.
     """
 
     backend: str = "batched"
@@ -372,16 +378,11 @@ class ExperimentConfig:
         """The configured :class:`ESSEDriver` (analysis backend included)."""
         return ESSEDriver(
             model,
-            ESSEConfig(
-                initial_ensemble_size=self.esse.initial_ensemble_size,
-                max_ensemble_size=self.esse.max_ensemble_size,
-                growth_factor=self.esse.growth_factor,
-                convergence_tolerance=self.esse.convergence_tolerance,
-                max_subspace_rank=self.esse.max_subspace_rank,
-            ),
+            self.esse.build(),
             root_seed=self.esse.root_seed,
             telemetry=telemetry,
             analysis=self.build_analysis(model, telemetry=telemetry),
+            batch_size=self.engine.batch_size,
         )
 
     def build_network(self, model: PEModel) -> ObservationNetwork:
@@ -415,13 +416,7 @@ class ExperimentConfig:
         )
         return EnsembleEngine(
             runner,
-            ESSEConfig(
-                initial_ensemble_size=self.esse.initial_ensemble_size,
-                max_ensemble_size=self.esse.max_ensemble_size,
-                growth_factor=self.esse.growth_factor,
-                convergence_tolerance=self.esse.convergence_tolerance,
-                max_subspace_rank=self.esse.max_subspace_rank,
-            ),
+            self.esse.build(),
             workdir,
             backend=backend,
             **kwargs,

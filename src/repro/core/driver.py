@@ -9,24 +9,25 @@ One forecast-and-assimilation cycle is:
    ensemble N -> N2 -> ... up to Nmax or until the forecast deadline (iv),
 5. assimilate the observation batch with the converged subspace (v).
 
-This module is the *algorithmic* implementation with a pluggable parallel
-mapper; :mod:`repro.workflow` re-expresses the same steps as the paper's
-serial (Fig 3) and many-task (Fig 4) file-based workflows.
+This module is the *algorithmic*, in-memory implementation.  Steps
+(ii)-(iv) are :func:`repro.core.ensemble.grow_ensemble`, the one stage
+loop shared with :class:`repro.workflow.ensemble.EnsembleEngine`; the
+driver supplies vectorized member batches (optionally through a parallel
+``mapper`` over the batches) and an in-memory column sink.
+:mod:`repro.workflow` re-expresses the same steps as the paper's serial
+(Fig 3) and many-task (Fig 4) file-based workflows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.core.assimilation import AnalysisResult, ESSEAnalysis
-from repro.core.convergence import ConvergenceCriterion
 from repro.core.covariance import AnomalyAccumulator
-from repro.core.ensemble import EnsembleRunner, MemberResult
-from typing import TYPE_CHECKING
-
+from repro.core.ensemble import EnsembleGrowth, EnsembleRunner, grow_ensemble
 from repro.core.perturbation import PerturbationGenerator
 from repro.core.subspace import (
     ColdSubspaceEstimator,
@@ -149,17 +150,11 @@ class ESSEConfig:
 
 
 @dataclass
-class ForecastResult:
+class ForecastResult(EnsembleGrowth):
     """Outcome of the ensemble/convergence stage."""
 
     central: ModelState
-    subspace: ErrorSubspace
-    ensemble_size: int
-    failed_members: tuple[int, ...]
-    convergence_history: tuple[tuple[int, float], ...]
-    converged: bool
-    member_forecasts: np.ndarray  # (N_ok, n) physical units
-    member_ids: tuple[int, ...]
+    member_forecasts: np.ndarray  # (N_ok, n) physical units, member_ids order
     wall_seconds: float = 0.0
 
     @property
@@ -191,6 +186,9 @@ class ESSEDriver:
         default is the global :class:`ESSEAnalysis` with the config's
         inflation (see ``config.py``'s ``assimilation`` section for
         declarative backend selection).
+    batch_size:
+        Members per vectorized integration (``engine.batch_size`` of the
+        experiment config); results are bit-identical at every value.
     """
 
     def __init__(
@@ -200,8 +198,12 @@ class ESSEDriver:
         root_seed: int = 0,
         telemetry=None,
         analysis=None,
+        batch_size: int = 8,
     ):
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         self.model = model
+        self.batch_size = int(batch_size)
         self.config = config if config is not None else ESSEConfig()
         self.root_seed = int(root_seed)
         self.telemetry = telemetry if telemetry is not None else NULL_RECORDER
@@ -232,85 +234,53 @@ class ESSEDriver:
         duration:
             Forecast horizon (s).
         mapper:
-            Optional parallel ``map(fn, iterable)`` used for member runs.
+            Optional parallel ``map(fn, iterable)`` applied over member
+            *batches*: each call it makes steps up to ``batch_size``
+            members in one vectorized integration.
         stochastic:
             Disable to run a deterministic (no model-error) ensemble.
         """
         clock = self.telemetry.clock
         started = clock()
-        cfg = self.config
         perturber = PerturbationGenerator(
             self.model.layout, subspace, root_seed=self.root_seed
         )
         runner = EnsembleRunner(
             self.model, perturber, duration, self.root_seed, stochastic=stochastic
         )
-        failed: list[int] = []
         forecasts: list[np.ndarray] = []
-        ids: list[int] = []
-        next_index = 0
-        current = None
+        run_map = mapper if mapper is not None else map
+
+        def propagate(indices, deliver) -> None:
+            """Step the stage's members in vectorized batches."""
+            size = self.batch_size
+            chunks = [indices[lo : lo + size] for lo in range(0, len(indices), size)]
+            for results in run_map(
+                lambda chunk: runner.run_members_batched(mean_state, chunk), chunks
+            ):
+                for res in results:
+                    if res.ok:
+                        forecasts.append(res.forecast)
+                    deliver(res)
+
         with self.telemetry.span("driver.forecast") as forecast_span:
             with self.telemetry.span("central_forecast"):
                 central = runner.central_forecast(mean_state)
-            accumulator = AnomalyAccumulator(
-                self.model.layout, self.model.to_vector(central)
+            growth = grow_ensemble(
+                self.config,
+                propagate,
+                AnomalyAccumulator(self.model.layout, self.model.to_vector(central)),
+                telemetry=self.telemetry,
+                started=started,
+                rng=np.random.default_rng(self.root_seed),
             )
-            criterion = ConvergenceCriterion(tolerance=cfg.convergence_tolerance)
-            estimator = cfg.subspace_estimator(
-                rng=np.random.default_rng(self.root_seed)
-            )
-            for stage_target in cfg.stage_sizes():
-                batch = range(next_index, stage_target)
-                next_index = stage_target
-                with self.telemetry.span("driver.stage", size=len(batch)):
-                    results = runner.run_members(mean_state, batch, mapper=mapper)
-                for res in results:
-                    if res.ok:
-                        accumulator.add_member(res.member_index, res.forecast)
-                        forecasts.append(res.forecast)
-                        ids.append(res.member_index)
-                    else:
-                        failed.append(res.member_index)
-                if accumulator.count < 2:
-                    continue
-                with self.telemetry.span(
-                    "driver.svd", count=accumulator.count
-                ) as svd_span:
-                    view = accumulator.view()
-                    current = estimator.update(view.columns, view.count, view.scale)
-                    svd_span.set(path=estimator.last_path)
-                    rho = criterion.update(current)
-                    svd_span.set(rank=current.rank)
-                self.telemetry.event(
-                    "convergence_check",
-                    count=accumulator.count,
-                    rho=rho,
-                    converged=criterion.converged,
-                )
-                if criterion.converged:
-                    break
-                if (
-                    cfg.deadline_seconds is not None
-                    and clock() - started > cfg.deadline_seconds
-                ):
-                    break
             forecast_span.set(
-                ensemble_size=accumulator.count, converged=criterion.converged
-            )
-        if current is None:
-            raise RuntimeError(
-                f"too few surviving members ({accumulator.count}) for a subspace"
+                ensemble_size=growth.ensemble_size, converged=growth.converged
             )
         return ForecastResult(
+            **vars(growth),
             central=central,
-            subspace=current,
-            ensemble_size=accumulator.count,
-            failed_members=tuple(failed),
-            convergence_history=tuple(criterion.history),
-            converged=criterion.converged,
             member_forecasts=np.array(forecasts),
-            member_ids=tuple(ids),
             wall_seconds=clock() - started,
         )
 

@@ -6,22 +6,26 @@ heterogeneous hosts, may fail (tolerated), and the ensemble grows in stages
 until the subspace converges.  :class:`EnsembleRunner` encapsulates one
 member execution -- perturb, integrate, return the forecast vector -- as a
 pure function of (mean state, member index), which both the in-process
-driver and the many-task workflow reuse.
+driver and the many-task workflow reuse.  :func:`grow_ensemble` is the
+staged growth itself (Fig 2 ii-iv), written once for
+:meth:`repro.core.driver.ESSEDriver.forecast` and
+:meth:`repro.workflow.ensemble.EnsembleEngine.run`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
+from repro.core.convergence import ConvergenceCriterion
 from repro.core.perturbation import PerturbationGenerator
+from repro.core.subspace import ErrorSubspace
 from repro.util.rng import member_rng
 
-if TYPE_CHECKING:  # avoid a core <-> ocean import cycle; hints only
+if TYPE_CHECKING:  # avoid core <-> ocean/driver import cycles; hints only
+    from repro.core.driver import ESSEConfig
     from repro.ocean.model import ModelState, PEModel
 
 
@@ -102,17 +106,6 @@ class EnsembleRunner:
         except Exception as exc:
             return MemberResult(member_index, None, f"{type(exc).__name__}: {exc}")
 
-    def run_members(
-        self,
-        mean_state: ModelState,
-        member_indices: Iterable[int],
-        mapper: Callable | None = None,
-    ) -> list[MemberResult]:
-        """Run a batch of members through an optional parallel mapper."""
-        indices = list(member_indices)
-        run_map = mapper if mapper is not None else map
-        return list(run_map(lambda idx: self.run_member(mean_state, idx), indices))
-
     def run_members_batched(
         self,
         mean_state: ModelState,
@@ -161,3 +154,95 @@ class EnsembleRunner:
             else:
                 results.append(MemberResult(idx, matrix[:, pos].copy()))
         return results
+
+
+@dataclass
+class EnsembleGrowth:
+    """Outcome of :func:`grow_ensemble`; what every staged run reports."""
+
+    subspace: ErrorSubspace
+    ensemble_size: int  # members actually in the final covariance
+    converged: bool
+    convergence_history: tuple[tuple[int, float], ...]
+    member_ids: tuple[int, ...]  # arrival order
+    failed_members: tuple[int, ...]
+
+
+def grow_ensemble(
+    config: ESSEConfig,
+    propagate: Callable,
+    sink,
+    telemetry,
+    started: float,
+    rng: np.random.Generator | None = None,
+) -> EnsembleGrowth:
+    """The Fig 2 stage loop: grow, propagate, fold, SVD, test, stop.
+
+    Parameters
+    ----------
+    config:
+        Stage sizes, convergence tolerance, SVD settings, Tmax.
+    propagate:
+        ``propagate(indices, deliver)`` runs one stage's member indices
+        and calls ``deliver(result)`` once per :class:`MemberResult`,
+        from the calling thread.
+    sink:
+        Where columns go: ``add_member(index, forecast)``, ``count``,
+        ``member_ids``, and ``view()`` returning ``columns`` / ``count`` /
+        ``scale`` of what the SVD should factor -- an
+        :class:`~repro.core.covariance.AnomalyAccumulator`, or a wrapper
+        that publishes to a column store and reads the snapshot back.
+    telemetry:
+        Span recorder; its clock times the Tmax check against ``started``.
+    rng:
+        Sketch generator of the subspace estimator.  The driver keys it
+        on its root seed; the engine passes none (the estimators' fixed
+        keyed-stream fallback) -- the one difference between the two.
+    """
+    criterion = ConvergenceCriterion(tolerance=config.convergence_tolerance)
+    estimator = config.subspace_estimator(rng=rng)
+    failed: list[int] = []
+    subspace = None
+
+    def deliver(result: MemberResult) -> None:
+        """Fold one member result into the sink."""
+        if result.ok:
+            sink.add_member(result.member_index, result.forecast)
+        else:
+            failed.append(result.member_index)
+
+    next_index = 0
+    for round_no, stage_target in enumerate(config.stage_sizes()):
+        indices = range(next_index, stage_target)
+        next_index = stage_target
+        with telemetry.span("stage.propagate", round=round_no, size=len(indices)):
+            propagate(indices, deliver)
+        if sink.count >= 2:
+            with telemetry.span("stage.svd", count=sink.count) as span:
+                view = sink.view()
+                subspace = estimator.update(view.columns, view.count, view.scale)
+                rho = criterion.update(subspace, count=view.count)
+                span.set(path=estimator.last_path, rank=subspace.rank)
+            telemetry.event(
+                "convergence_check",
+                count=view.count,
+                rho=rho,
+                converged=criterion.converged,
+            )
+        if criterion.converged:
+            break
+        if (
+            config.deadline_seconds is not None
+            and telemetry.clock() - started > config.deadline_seconds
+        ):
+            break
+    if subspace is None:
+        raise RuntimeError(f"too few surviving members ({sink.count}) for a subspace")
+    return EnsembleGrowth(
+        subspace=subspace,
+        ensemble_size=sink.count,
+        converged=criterion.converged,
+        convergence_history=tuple(criterion.history),
+        member_ids=sink.member_ids,
+        failed_members=tuple(failed),
+    )

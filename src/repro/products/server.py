@@ -100,7 +100,12 @@ class ProductHTTPServer:
         """Serve requests on one connection until close or error."""
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except ValueError:
+                    # A line beyond StreamReader's own 64 KiB limit:
+                    # readline raises before MAX_LINE_BYTES is compared.
+                    request = "malformed"
                 if request is None:
                     break  # clean EOF between requests
                 if request == "malformed":

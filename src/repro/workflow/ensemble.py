@@ -16,11 +16,11 @@ provides both, behind one interface:
   columns straight into a :class:`SharedEnsembleBuffer`, feeding the
   covariance store without serializing member state.
 
-:class:`EnsembleEngine` drives any backend through the staged ESSE loop
-(propagate -> accumulate anomalies -> publish to the memmap column store
--> warm-started SVD -> convergence test -> grow), i.e. the Fig 3 control
-flow with the Fig 5-era storage/SVD pipeline.  Backend choice is
-config-driven via the ``engine`` section of
+:class:`EnsembleEngine` drives any backend through the one staged ESSE
+loop, :func:`repro.core.ensemble.grow_ensemble` (propagate -> accumulate
+-> SVD -> convergence test -> grow), with a column sink that publishes
+to the memmap column store and factors the published snapshot.  Backend
+choice is config-driven via the ``engine`` section of
 :class:`repro.config.ExperimentConfig`.  See ``docs/ENSEMBLE_ENGINE.md``
 for the backend matrix and N-vs-workers guidance.
 """
@@ -34,11 +34,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion
 from repro.core.covariance import AnomalyAccumulator
 from repro.core.driver import ESSEConfig
-from repro.core.ensemble import EnsembleRunner, MemberResult
-from repro.core.subspace import ErrorSubspace
+from repro.core.ensemble import (
+    EnsembleGrowth,
+    EnsembleRunner,
+    MemberResult,
+    grow_ensemble,
+)
 from repro.core.taskmodel import DegradedEnsembleWarning
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import NULL_RECORDER
@@ -153,17 +156,6 @@ class BatchedBackend(EnsembleBackend):
             )
             for result in results:
                 deliver(result)
-
-
-# -- shared-memory ensemble plumbing ------------------------------------------
-#
-# The process backend replaces the Fig 4 workflow's npz member files with a
-# single POSIX shared-memory column buffer: workers write their forecast
-# vector straight into their attempt's column and the parent hands the very
-# same bytes to the anomaly accumulator and the memmap covariance store --
-# no member-file serialization, no pickled forecast riding back through the
-# Future.  Layout, lifecycle and the torn-write failure mode are documented
-# in docs/ENSEMBLE_ENGINE.md.
 
 
 class SharedEnsembleBuffer:
@@ -374,20 +366,12 @@ class ProcessesBackend(EnsembleBackend):
 
 
 def make_backend(
-    name: str,
-    n_workers: int = 4,
-    batch_size: int = 8,
+    name: str, n_workers: int = 4, batch_size: int = 8
 ) -> EnsembleBackend:
     """Construct an :class:`EnsembleBackend` from its config name.
 
-    Parameters
-    ----------
-    name:
-        One of :data:`BACKEND_NAMES`.
-    n_workers:
-        Pool width for the ``processes`` backend.
-    batch_size:
-        Batch width for the ``batched`` backend.
+    ``name`` is one of :data:`BACKEND_NAMES`; ``n_workers`` is the pool
+    width of ``processes``, ``batch_size`` the batch width of ``batched``.
     """
     if name == "serial":
         return SerialBackend()
@@ -398,16 +382,33 @@ def make_backend(
     raise ValueError(f"unknown backend {name!r}; valid: {BACKEND_NAMES}")
 
 
+class _PublishedColumns(AnomalyAccumulator):
+    """The engine's column sink: accumulate, publish, read back.
+
+    Every :meth:`view` ships the new columns to the
+    :class:`~repro.workflow.covfile.MemmapCovarianceStore`, publishes,
+    and returns the *published* snapshot -- the same zero-copy read path
+    the Fig 4 SVD worker uses.
+    """
+
+    def __init__(self, layout, central, store, metrics):
+        super().__init__(layout, central)
+        self.store = store
+        self.metrics = metrics
+
+    def view(self):
+        """Publish what has accumulated; the published snapshot."""
+        nbytes = self.store.sync_from(super().view())
+        self.store.publish()
+        if self.metrics is not None:
+            self.metrics.counter("cov.bytes_written").inc(nbytes)
+        return self.store.read_safe()
+
+
 @dataclass
-class EngineResult:
+class EngineResult(EnsembleGrowth):
     """Outcome of one :class:`EnsembleEngine` run."""
 
-    subspace: ErrorSubspace
-    ensemble_size: int  # members actually in the final covariance
-    converged: bool
-    convergence_history: tuple[tuple[int, float], ...]
-    member_ids: tuple[int, ...]
-    failed_members: tuple[int, ...]
     n_retried: int
     wall_seconds: float
     backend: str
@@ -417,14 +418,12 @@ class EngineResult:
 class EnsembleEngine:
     """Staged ESSE ensemble growth over a selectable propagation backend.
 
-    The control flow is the serial shepherd's (perturb/forecast a stage,
-    fold anomalies, SVD, convergence test, grow), but propagation is
-    delegated to an :class:`EnsembleBackend` and the covariance path is
-    the scalable PR-5 pipeline: anomalies accumulate append-only, ship
-    to the :class:`~repro.workflow.covfile.MemmapCovarianceStore`
-    (``O(n)`` bytes per member), and the SVD reads the published prefix
-    zero-copy, warm-starting from the previous stage's factorization
-    when the config allows.
+    The control flow is :func:`~repro.core.ensemble.grow_ensemble`, the
+    loop :class:`~repro.core.driver.ESSEDriver` also runs; the engine
+    delegates propagation to an :class:`EnsembleBackend` and sinks
+    columns append-only into the
+    :class:`~repro.workflow.covfile.MemmapCovarianceStore` (``O(n)``
+    bytes per member), whose published prefix the SVD reads zero-copy.
 
     Parameters
     ----------
@@ -482,13 +481,8 @@ class EnsembleEngine:
     # -- backend services --------------------------------------------------
 
     def next_batch_no(self, size: int = 1) -> int:
-        """Allocate the next batch-task index (batched backend bookkeeping).
-
-        ``size`` is the number of members riding in the batch; the exact
-        per-batch sizes feed :meth:`progress_monitor`, since staged growth
-        can produce several partial batches that a uniform weight would
-        over-count.
-        """
+        """Allocate the next batch-task index, recording its member count
+        (the exact per-batch sizes feed :meth:`progress_monitor`)."""
         n = self._batch_counter
         self._batch_counter += 1
         self._batch_sizes[n] = size
@@ -543,7 +537,6 @@ class EnsembleEngine:
 
     def run(self, mean_state) -> EngineResult:
         """Grow the ensemble until convergence, Nmax or Tmax."""
-        cfg = self.config
         started = self._clock()
         # A reused engine starts from an empty column store and fresh
         # batch bookkeeping, not from the previous run's tail.
@@ -552,76 +545,32 @@ class EnsembleEngine:
         self._batch_counter = 0
         self._batch_sizes = {}
         self._n_retried = 0
-        failed: list[int] = []
-        subspace: ErrorSubspace | None = None
-        criterion = ConvergenceCriterion(tolerance=cfg.convergence_tolerance)
-        estimator = cfg.subspace_estimator()
-
         with self.telemetry.span("engine.run", backend=self.backend.name):
             with self.telemetry.span("central_forecast"):
                 central = self.runner.central_forecast(mean_state)
-            accumulator = AnomalyAccumulator(
-                self.runner.model.layout, self.runner.model.to_vector(central)
-            )
-
-            def deliver(result: MemberResult) -> None:
-                """Fold one member result into the anomaly matrix."""
-                if result.ok:
-                    accumulator.add_member(result.member_index, result.forecast)
-                else:
-                    failed.append(result.member_index)
-
-            next_index = 0
+            model = self.runner.model
             try:
-                for round_no, stage_target in enumerate(cfg.stage_sizes()):
-                    indices = list(range(next_index, stage_target))
-                    next_index = stage_target
-                    with self.telemetry.span(
-                        "engine.propagate",
-                        round=round_no,
-                        size=len(indices),
-                        backend=self.backend.name,
-                    ):
-                        self.backend.propagate(self, mean_state, indices, deliver)
-                    if accumulator.count >= 2:
-                        with self.telemetry.span(
-                            "engine.svd", count=accumulator.count
-                        ) as span:
-                            # Publish through the memmap column store and
-                            # factor the *published* snapshot -- the same
-                            # zero-copy read path the Fig 4 SVD worker uses.
-                            view = accumulator.view()
-                            nbytes = self.store.sync_from(view)
-                            self.store.publish()
-                            if self.metrics is not None:
-                                self.metrics.counter("cov.bytes_written").inc(
-                                    nbytes
-                                )
-                            snap = self.store.read_safe()
-                            subspace = estimator.update(
-                                snap.columns, snap.count, snap.scale
-                            )
-                            span.set(path=estimator.last_path)
-                            criterion.update(subspace, count=snap.count)
-                            span.set(rank=subspace.rank)
-                    if criterion.converged:
-                        break
-                    if cfg.deadline_seconds is not None and (
-                        self._clock() - started > cfg.deadline_seconds
-                    ):
-                        break
+                growth = grow_ensemble(
+                    self.config,
+                    lambda indices, deliver: self.backend.propagate(
+                        self, mean_state, indices, deliver
+                    ),
+                    _PublishedColumns(
+                        model.layout, model.to_vector(central), self.store, self.metrics
+                    ),
+                    telemetry=self.telemetry,
+                    started=started,
+                )
             finally:
                 self.backend.close()
                 # The column store's write handles are only needed while the
                 # run appends; the published files stay readable after close.
                 self.store.close()
 
-        if subspace is None:
-            raise RuntimeError("no ensemble members survived the engine run")
-        degraded = bool(failed)
-        if degraded:
+        n_lost = len(growth.failed_members)
+        if n_lost:
             warnings.warn(
-                f"ensemble degraded: {len(failed)} member(s) lost terminally "
+                f"ensemble degraded: {n_lost} member(s) lost terminally "
                 "(retries exhausted or disabled); the error subspace is "
                 "estimated from the surviving members only (see "
                 "docs/FAILURE_MODEL.md)",
@@ -629,14 +578,9 @@ class EnsembleEngine:
                 stacklevel=2,
             )
         return EngineResult(
-            subspace=subspace,
-            ensemble_size=accumulator.count,
-            converged=criterion.converged,
-            convergence_history=tuple(criterion.history),
-            member_ids=accumulator.member_ids,
-            failed_members=tuple(failed),
+            **vars(growth),
             n_retried=self._n_retried,
             wall_seconds=self._clock() - started,
             backend=self.backend.name,
-            degraded=degraded,
+            degraded=n_lost > 0,
         )

@@ -68,9 +68,11 @@ class TestEnsembleRunner:
     def test_run_members_batch(self, tiny_setup):
         model, background, subspace = tiny_setup
         runner = self._runner(model, subspace)
-        results = runner.run_members(background, [0, 1, 2])
+        results = runner.run_members_batched(background, [0, 1, 2])
         assert [r.member_index for r in results] == [0, 1, 2]
-        assert all(r.ok for r in results)
+        for res in results:
+            single = runner.run_member(background, res.member_index)
+            assert np.array_equal(res.forecast, single.forecast)
 
     def test_duration_validation(self, tiny_setup):
         model, _, subspace = tiny_setup
@@ -164,3 +166,33 @@ class TestDriver:
         fc = driver.forecast(background, subspace, duration=2 * 400.0)
         assert len(fc.convergence_history) == 2  # (8 vs 4), (16 vs 8)
         assert fc.ensemble_size == 16
+
+    def test_mapper_maps_over_member_batches(self, tiny_setup):
+        """``mapper`` sees one item per vectorized batch, ragged tail included."""
+        model, background, subspace = tiny_setup
+        seen = []
+
+        def mapper(fn, batches):
+            batches = list(batches)
+            seen.extend(list(b) for b in batches)
+            return [fn(b) for b in batches]
+
+        driver = ESSEDriver(
+            model,
+            ESSEConfig(
+                initial_ensemble_size=5,
+                max_ensemble_size=10,
+                convergence_tolerance=1.0,
+            ),
+            root_seed=1,
+            batch_size=3,
+        )
+        mapped = driver.forecast(background, subspace, 2 * 400.0, mapper=mapper)
+        assert seen == [[0, 1, 2], [3, 4], [5, 6, 7], [8, 9]]
+        plain = driver.forecast(background, subspace, 2 * 400.0)
+        assert mapped.member_ids == plain.member_ids == tuple(range(10))
+        assert np.array_equal(mapped.member_forecasts, plain.member_forecasts)
+
+    def test_batch_size_validation(self, tiny_setup):
+        with pytest.raises(ValueError, match="batch_size"):
+            ESSEDriver(tiny_setup[0], batch_size=0)

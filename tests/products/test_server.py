@@ -119,6 +119,34 @@ class TestServer:
         payload = serve(workdir, scenario)
         assert payload.startswith(b"HTTP/1.1 400")
 
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"GET /" + b"a" * (65 * 1024) + b" HTTP/1.1\r\nHost: t\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Junk: " + b"a" * (65 * 1024) + b"\r\n\r\n",
+        ],
+        ids=["request-line", "header-line"],
+    )
+    def test_line_beyond_stream_limit_gets_400(self, workdir, head):
+        """A line past asyncio's own 64 KiB ``StreamReader`` limit makes
+        ``readline`` raise before ``MAX_LINE_BYTES`` is compared; it is
+        answered like any other malformed head, and the server lives on."""
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(head)
+            await writer.drain()
+            payload = await reader.read()  # to EOF: the server closed
+            writer.close()
+            await writer.wait_closed()
+            status, _, _ = await fetch(server.host, server.port, "/healthz")
+            return payload, status
+
+        payload, next_status = serve(workdir, scenario)
+        assert payload.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in payload
+        assert next_status == 200
+
     def test_concurrent_clients(self, workdir):
         async def scenario(server):
             async def one(i):

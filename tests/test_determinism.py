@@ -1,15 +1,32 @@
-"""Bit-identical repeat runs through the deterministic RNG fallbacks.
+"""Bit-identical repeat runs: RNG fallbacks, and the whole realtime cycle.
 
 Every former ``np.random.default_rng()`` fallback now derives from a keyed
 :class:`repro.util.rng.SeedSequenceStream`, so default-constructed objects
 must reproduce exactly across independent constructions -- the property the
 REP001 lint rule guards statically, asserted here dynamically.
+
+The replay classes compare whole runs: one fixed-seed realtime cycle must
+publish the same bytes whatever ``engine.batch_size`` the driver steps its
+ensemble with, and the driver and the engine -- two clients of the one
+stage loop, :func:`repro.core.ensemble.grow_ensemble` -- must agree.
 """
 
-import numpy as np
+import hashlib
 
+import numpy as np
+import pytest
+
+from repro.config import ExperimentConfig
+from repro.core import (
+    EnsembleRunner,
+    PerturbationGenerator,
+    similarity_coefficient,
+    synthetic_initial_subspace,
+)
 from repro.obs.network import aosn2_network
 from repro.ocean.stochastic import StochasticForcing
+from repro.products.store import CycleProductPublisher, ProductStore
+from repro.realtime import RealTimeForecastCycle
 from repro.sched.engine import Simulator
 from repro.sched.gridsites import TERAGRID_SITES, run_reserved_campaign
 from repro.sched.schedulers import ClusterScheduler, SGEPolicy
@@ -69,3 +86,152 @@ class TestDefaultStreamRepeatability:
         du2, dv2 = StochasticForcing(small_grid).momentum_increment(400.0)
         assert np.array_equal(du1, du2)
         assert np.array_equal(dv1, dv2)
+
+
+# -- whole-run replay ---------------------------------------------------------
+
+BOMB = 13  # the member index whose initial state is made to blow up
+
+
+def replay_config(batch_size=None) -> ExperimentConfig:
+    """A 2-period, N = 10 -> 20 experiment; None keeps the default batch size."""
+    document = {
+        "domain": {"nx": 16, "ny": 14, "nz": 3},
+        "esse": {
+            "initial_ensemble_size": 10,
+            "max_ensemble_size": 20,
+            "convergence_tolerance": 0.99999,  # out of reach: all 20 run
+            "max_subspace_rank": 8,
+            "root_seed": 3,
+        },
+        "observations": {"seed": 3},
+        "timeline": {"period_hours": 3.0, "n_periods": 2},
+    }
+    if batch_size is not None:
+        document["engine"] = {"batch_size": batch_size}
+    return ExperimentConfig.from_dict(document)
+
+
+@pytest.fixture(scope="module")
+def replay_case():
+    """Model, spun-up background, initial subspace and twin truth."""
+    model = replay_config().build_model()
+    background = model.run(model.rest_state(), 86400.0)
+    subspace = synthetic_initial_subspace(
+        model.layout, model.grid.shape2d, model.grid.nz, rank=8, seed=3
+    )
+    truth = model.from_vector(
+        PerturbationGenerator(model.layout, subspace, root_seed=99).member_state(
+            model.to_vector(background), 0
+        ),
+        time=background.time,
+    )
+    return model, background, subspace, truth
+
+
+def run_cycle(case, workdir, batch_size, bomb=None):
+    """One fixed-seed published cycle; everything a replay must reproduce."""
+    model, background, subspace, truth = case
+    config = replay_config(batch_size)
+    store = ProductStore(workdir, tile_size=4, levels=2)
+    publisher = CycleProductPublisher(store, model)
+    forecasts = []
+
+    def hook(product, forecast):
+        forecasts.append(forecast)
+        return publisher(product, forecast)
+
+    member_state = PerturbationGenerator.member_state
+
+    def planted(self, mean, member_index):
+        state = member_state(self, mean, member_index)
+        return state * 1e9 if member_index == bomb else state
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PerturbationGenerator, "member_state", planted)
+        records, _, final_subspace = RealTimeForecastCycle(
+            config.build_driver(model),
+            model.with_noise(
+                StochasticForcing(model.grid, rng=np.random.default_rng(55))
+            ),
+            config.build_network(model),
+            config.build_timeline(t0=background.time),
+            product_hook=hook,
+        ).run(background, truth, subspace)
+    payloads = [
+        hashlib.sha256((path / name).read_bytes()).hexdigest()
+        for path in sorted(workdir.glob("v*"))
+        for name in ("fields.npz", "product.json", "manifest.json")
+    ]
+    return records, forecasts, final_subspace, payloads
+
+
+class TestCycleReplayAcrossBatchSizes:
+    """Stepping members 1, 3 or 8 at a time is invisible in every output."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, replay_case, tmp_path_factory):
+        return {
+            size: run_cycle(
+                replay_case, tmp_path_factory.mktemp(f"batch{size}"), size, bomb=BOMB
+            )
+            for size in (1, 3, None)
+        }
+
+    def test_default_batch_size_is_the_engine_section_default(self, replay_case):
+        assert replay_config().build_driver(replay_case[0]).batch_size == 8
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_outputs_bit_identical(self, runs, size):
+        records, forecasts, subspace, payloads = runs[size]
+        ref_records, ref_forecasts, ref_subspace, ref_payloads = runs[None]
+        assert records == ref_records  # dataclass equality: exact floats
+        assert len(records) == 2
+        for fc, ref in zip(forecasts, ref_forecasts, strict=True):
+            assert fc.member_ids == ref.member_ids
+            assert fc.failed_members == ref.failed_members
+            assert fc.convergence_history == ref.convergence_history
+            assert np.array_equal(fc.member_forecasts, ref.member_forecasts)
+            assert np.array_equal(fc.subspace.modes, ref.subspace.modes)
+        assert np.array_equal(subspace.modes, ref_subspace.modes)
+        assert np.array_equal(subspace.sigmas, ref_subspace.sigmas)
+        assert payloads == ref_payloads and len(payloads) == 6
+
+    @pytest.mark.parametrize("size", [1, 3, None])
+    def test_blown_up_member_is_isolated(self, runs, size):
+        for fc in runs[size][1]:
+            assert fc.failed_members == (BOMB,)
+            assert fc.member_ids == tuple(i for i in range(20) if i != BOMB)
+            assert fc.ensemble_size == 19
+
+    def test_survivors_equal_the_clean_run(self, runs, replay_case, tmp_path):
+        """The bomb's batch siblings are bitwise what a run without it steps."""
+        _, clean, _, _ = run_cycle(replay_case, tmp_path, None)
+        first, bombed = clean[0], runs[None][1][0]
+        assert first.failed_members == () and first.ensemble_size == 20
+        keep = [i for i in first.member_ids if i != BOMB]
+        assert np.array_equal(first.member_forecasts[keep], bombed.member_forecasts)
+
+
+class TestOneLoopTwoSinks:
+    """Driver (in-memory sink) and engine (memmap sink) run the same loop."""
+
+    def test_driver_and_batched_engine_agree(self, replay_case, tmp_path):
+        model, background, subspace, _ = replay_case
+        config = replay_config()
+        duration = 3 * 3600.0
+        fc = config.build_driver(model).forecast(background, subspace, duration)
+        runner = EnsembleRunner(
+            model,
+            PerturbationGenerator(model.layout, subspace, root_seed=3),
+            duration,
+            root_seed=3,
+        )
+        result = config.build_engine(runner, tmp_path / "engine").run(background)
+        assert result.backend == "batched"
+        # Same members, same loop; the engine factors the column-major
+        # memmap snapshot, so BLAS sums in another order: equal to round-off.
+        (count, rho), = result.convergence_history
+        assert [(count, pytest.approx(rho, abs=1e-12))] == list(fc.convergence_history)
+        assert result.member_ids == fc.member_ids
+        assert similarity_coefficient(result.subspace, fc.subspace) >= 1 - 1e-12

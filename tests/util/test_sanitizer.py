@@ -11,11 +11,13 @@ this file:
 # repro-lint: disable-file=REP003,REP006,REP007 -- deliberate bad-pattern fixtures
 """
 
+import importlib.util
 import threading
 
 import pytest
 
 from repro.telemetry.events import from_sanitizer_reports
+from repro.util import sanitizer
 from repro.util.sanitizer import (
     LockOrderReport,
     RaceReport,
@@ -35,11 +37,28 @@ def run_in_thread(fn, name):
     t.join()
 
 
-class TestActivation:
-    def test_inactive_by_default(self):
-        assert not is_active()
+@pytest.fixture()
+def inactive(monkeypatch):
+    """The sanitizer switched off, whatever ``REPRO_SANITIZE`` says.
 
-    def test_factories_return_raw_locks_when_inactive(self):
+    Under ``REPRO_SANITIZE=1`` the module starts active and the suite-wide
+    fixture wraps every test in ``sanitized()``; the tests about the
+    *inactive* state establish it instead of assuming it.
+    """
+    monkeypatch.setattr(sanitizer, "_active", False)
+
+
+class TestActivation:
+    def test_inactive_by_default(self, monkeypatch):
+        """Only ``REPRO_SANITIZE=1`` at import switches the module on."""
+        for value, expected in (("1", True), ("0", False), ("", False)):
+            monkeypatch.setenv("REPRO_SANITIZE", value)
+            spec = importlib.util.find_spec("repro.util.sanitizer")
+            fresh = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(fresh)
+            assert fresh.is_active() is expected
+
+    def test_factories_return_raw_locks_when_inactive(self, inactive):
         assert type(new_lock()) is type(threading.Lock())
         assert type(new_rlock()) is type(threading.RLock())
 
@@ -48,7 +67,7 @@ class TestActivation:
             assert isinstance(new_lock(), SanitizedLock)
             assert isinstance(new_rlock(), SanitizedRLock)
 
-    def test_track_is_a_noop_when_inactive(self):
+    def test_track_is_a_noop_when_inactive(self, inactive):
         class Obj:
             pass
 
@@ -57,8 +76,11 @@ class TestActivation:
         assert track(obj, "_items") is obj
         assert type(obj) is Obj
 
-    def test_sanitized_restores_previous_state(self):
+    def test_sanitized_restores_previous_state(self, inactive):
         with sanitized():
+            assert is_active()
+            with sanitized():
+                assert is_active()
             assert is_active()
         assert not is_active()
 
@@ -133,6 +155,7 @@ class TestLockOrderWitness:
             assert isinstance(report, LockOrderReport)
             assert {report.first, report.second} == {"A", "B"}
             assert "inversion" in report.describe()
+            monitor.clear()  # planted: keep the suite-wide sanitizer quiet
 
     def test_consistent_order_is_clean(self):
         with sanitized() as monitor:
@@ -252,6 +275,7 @@ class TestLocksetRaces:
                 "Obj._items",
                 "Obj._seen",
             }
+            monitor.clear()  # planted: keep the suite-wide sanitizer quiet
 
     def test_reads_are_never_reported(self):
         class Obj:

@@ -49,8 +49,10 @@ else
 fi
 
 # Sanitized pass: the threaded suites again, with the lockset race
-# detector and lock-order witness live on every lock in the system.
-REPRO_SANITIZE=1 python -m pytest tests/workflow tests/telemetry tests/products -q
+# detector and lock-order witness live on every lock in the system
+# (tests/util holds the sanitizer's own self-tests and the fsio suites).
+REPRO_SANITIZE=1 python -m pytest tests/workflow tests/telemetry tests/products \
+    tests/util -q
 echo "sanitizer: clean"
 
 python -m tools.lint src/repro tests benchmarks tools --strict-baseline \
@@ -89,9 +91,8 @@ python tools/check_docs.py \
 
 # Smoke: the differ->SVD hot-path bench at CI scale (BENCH_SMOKE shrinks
 # the matrices and asserts only sigma error and byte counts -- timing
-# floors need the full size; the committed full-size numbers live in
-# benchmarks/results/BENCH_covfile_pipeline.json).  BENCH_OUTPUT_DIR
-# keeps the smoke run from overwriting them.
+# floors need the full size).  BENCH_OUTPUT_DIR keeps the smoke run's
+# record out of benchmarks/results/.
 covfile_tmp="$(mktemp -d)"
 BENCH_SMOKE=1 BENCH_OUTPUT_DIR="$covfile_tmp" \
     python -m pytest benchmarks/bench_covfile_pipeline.py -q \
@@ -109,8 +110,7 @@ BENCH_SMOKE=1 BENCH_OUTPUT_DIR="$products_tmp" \
 rm -rf "$products_tmp"
 echo "product service smoke: ok"
 
-# Smoke: the global-vs-tiled analysis bench at CI scale (the committed
-# full-size numbers live in benchmarks/results/BENCH_localized_update.json).
+# Smoke: the global-vs-tiled analysis bench at CI scale.
 localized_tmp="$(mktemp -d)"
 BENCH_SMOKE=1 BENCH_OUTPUT_DIR="$localized_tmp" \
     python -m pytest benchmarks/bench_localized_update.py -q \
