@@ -120,20 +120,16 @@ class EnsembleRunner:
         for that index -- including which members fail and with what
         error (blow-ups are isolated per member, paper Sec 4 point 3).
         """
-        from repro.ocean.model import EnsembleState
         from repro.ocean.stochastic import BatchedStochasticForcing
 
         indices = list(member_indices)
         if not indices:
             return []
         mean_vec = self.model.to_vector(mean_state)
-        states = [
-            self.model.from_vector(
-                self.perturber.member_state(mean_vec, idx), time=mean_state.time
-            )
-            for idx in indices
-        ]
-        ensemble = EnsembleState.from_states(states)
+        perturbed = np.stack(
+            [self.perturber.member_state(mean_vec, idx) for idx in indices], axis=1
+        )  # shape: (state_dim, n_members)
+        ensemble = self.model.ensemble_from_matrix(perturbed, time=mean_state.time)
         noise = None
         if self.stochastic:
             noise = BatchedStochasticForcing(

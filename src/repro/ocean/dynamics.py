@@ -8,14 +8,19 @@ interface displacement ``eta`` (m) on a collocated grid; the active upper
 layer has rest thickness ``h0`` and reduced gravity ``g'``.
 
 Spatial discretization is second-order centred differences with Laplacian
-eddy viscosity; time stepping is Heun (RK2).  All operators are fully
-vectorized NumPy; a single step on the default 42x36 AOSN-II grid costs a
-few tens of microseconds, which is what makes O(1000)-member ensembles
-tractable on one machine.
+eddy viscosity; time stepping is forward-backward for the gravity waves
+with an exact rotation for the Coriolis terms (see
+:meth:`ShallowWaterDynamics.step_dynamics`).  Every stencil reads one
+edge-replicated halo copy of its field, so a step is a short sequence of
+whole-array NumPy passes: a few tenths of a millisecond for one state on
+the default 42x36 AOSN-II grid (about a millisecond with the ten-level
+tracer stack of :mod:`repro.ocean.tracers`), which is what makes
+O(1000)-member ensembles tractable on one machine.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,31 +31,83 @@ from repro.ocean.masking import LandFiller
 RHO0 = 1025.0  # reference sea-water density, kg/m^3
 
 
+# -- halo stencils -------------------------------------------------------------
+# A halo array is a field with one extra cell all round that repeats the
+# outermost row / column (a ghost-cell layout).  Centred differences over it
+# are the one-sided edge differences, given rim_weights, and the Laplacian
+# sees zero flux, so no stencil needs an edge case.
+
+
+def halo_buffer(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialised halo array for fields of ``shape``, and its interior view."""
+    halo = np.empty((*shape[:-2], shape[-2] + 2, shape[-1] + 2))
+    return halo, halo[..., 1:-1, 1:-1]
+
+
+def replicate_rim(halo: np.ndarray) -> None:
+    """Copy the outermost interior rows, then columns, of ``halo`` into its rim."""
+    halo[..., 0, 1:-1] = halo[..., 1, 1:-1]
+    halo[..., -1, 1:-1] = halo[..., -2, 1:-1]
+    halo[..., :, 0] = halo[..., :, 1]
+    halo[..., :, -1] = halo[..., :, -2]
+
+
+def with_halo(fld: np.ndarray, fill: LandFiller | None = None) -> np.ndarray:
+    """Halo copy of ``fld`` (any leading axes), land-filled first if asked."""
+    halo, interior = halo_buffer(np.shape(fld))
+    interior[...] = fld
+    if fill is not None:
+        fill.fill(interior)
+    replicate_rim(halo)
+    return halo
+
+
+def rim_weights(n: int, spacing: float) -> np.ndarray:
+    """Difference weights along one axis: ``1/2d`` inside, ``1/d`` on the rim."""
+    weights = np.full(n, 0.5 / spacing)
+    weights[[0, -1]] = 1.0 / spacing
+    return weights
+
+
+def halo_ddx(halo: np.ndarray, wx: np.ndarray, out=None) -> np.ndarray:
+    """x-derivative of a halo array; ``wx`` is ``rim_weights(nx, dx)``."""
+    out = np.subtract(halo[..., 1:-1, 2:], halo[..., 1:-1, :-2], out=out)
+    out *= wx
+    return out
+
+
+def halo_ddy(halo: np.ndarray, wy: np.ndarray, out=None) -> np.ndarray:
+    """y-derivative of a halo array; ``wy`` is ``rim_weights(ny, dy)[:, None]``."""
+    out = np.subtract(halo[..., 2:, 1:-1], halo[..., :-2, 1:-1], out=out)
+    out *= wy
+    return out
+
+
+def halo_laplacian(halo: np.ndarray, cx: float, cy: float) -> np.ndarray:
+    """``cx * d2/dx2 + cy * d2/dy2`` in grid units (``cx = k / dx**2``)."""
+    lap = halo[..., 1:-1, 2:] + halo[..., 1:-1, :-2]
+    lap *= cx
+    term = halo[..., 2:, 1:-1] + halo[..., :-2, 1:-1]
+    term *= cy
+    lap += term
+    np.multiply(halo[..., 1:-1, 1:-1], 2.0 * (cx + cy), out=term)
+    lap -= term
+    return lap
+
+
 def ddx(fld: np.ndarray, dx: float) -> np.ndarray:
     """Centred x-derivative with one-sided differences at the edges."""
-    out = np.empty_like(fld)
-    out[..., :, 1:-1] = (fld[..., :, 2:] - fld[..., :, :-2]) / (2.0 * dx)
-    out[..., :, 0] = (fld[..., :, 1] - fld[..., :, 0]) / dx
-    out[..., :, -1] = (fld[..., :, -1] - fld[..., :, -2]) / dx
-    return out
+    return halo_ddx(with_halo(fld), rim_weights(np.shape(fld)[-1], dx))
 
 
 def ddy(fld: np.ndarray, dy: float) -> np.ndarray:
     """Centred y-derivative with one-sided differences at the edges."""
-    out = np.empty_like(fld)
-    out[..., 1:-1, :] = (fld[..., 2:, :] - fld[..., :-2, :]) / (2.0 * dy)
-    out[..., 0, :] = (fld[..., 1, :] - fld[..., 0, :]) / dy
-    out[..., -1, :] = (fld[..., -1, :] - fld[..., -2, :]) / dy
-    return out
+    return halo_ddy(with_halo(fld), rim_weights(np.shape(fld)[-2], dy)[:, None])
 
 
 def laplacian(fld: np.ndarray, dx: float, dy: float) -> np.ndarray:
     """Five-point Laplacian; zero-flux (Neumann) at the array edges."""
-    padded = np.pad(fld, [(0, 0)] * (fld.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
-    core = padded[..., 1:-1, 1:-1]
-    d2x = (padded[..., 1:-1, 2:] - 2.0 * core + padded[..., 1:-1, :-2]) / dx**2
-    d2y = (padded[..., 2:, 1:-1] - 2.0 * core + padded[..., :-2, 1:-1]) / dy**2
-    return d2x + d2y
+    return halo_laplacian(with_halo(fld), 1.0 / dx**2, 1.0 / dy**2)
 
 
 @dataclass(frozen=True)
@@ -74,6 +131,9 @@ class ShallowWaterDynamics:
         supports a 2-grid-point checkerboard mode in ``eta`` that the
         pressure gradient cannot see; this scale-selective smoothing damps
         it (the standard A-grid remedy) without affecting the mesoscale.
+
+    Everything precomputed below is an immutable constant: one instance is
+    shared by pool threads, so no step may keep scratch arrays on it.
     """
 
     grid: OceanGrid
@@ -90,16 +150,26 @@ class ShallowWaterDynamics:
             raise ValueError("reduced gravity must be positive")
         if self.viscosity < 0 or self.bottom_drag < 0:
             raise ValueError("viscosity and drag must be non-negative")
+        grid, mask = self.grid, self.grid.mask
         # Coastal land-fill: eta gets a zero-gradient (free-slip wall)
         # condition before gradient/diffusion stencils (see masking.py).
-        object.__setattr__(self, "fill_land", LandFiller(self.grid.mask))
+        object.__setattr__(self, "fill_land", LandFiller(mask))
+        object.__setattr__(self, "_wet", mask.astype(float))
+        object.__setattr__(self, "_wx", rim_weights(grid.nx, grid.dx))
+        object.__setattr__(self, "_wy", rim_weights(grid.ny, grid.dy)[:, None])
+        object.__setattr__(self, "_coriolis", grid.coriolis)
         # Open (wet-wet) cell faces, used by the finite-volume continuity
         # fluxes: a face is open only when both adjacent cells are ocean,
         # which makes the coastline an exact no-flux wall and the scheme
-        # exactly volume-conserving.
-        mask = self.grid.mask
-        object.__setattr__(self, "_face_x", mask[:, :-1] & mask[:, 1:])
-        object.__setattr__(self, "_face_y", mask[:-1, :] & mask[1:, :])
+        # exactly volume-conserving.  The factors carry the 1/2 of the
+        # face mean (or the diffusivity) and the 1/dx of the divergence.
+        face_x = mask[:, :-1] & mask[:, 1:]
+        face_y = mask[:-1, :] & mask[1:, :]
+        kappa = self.eta_diffusivity
+        object.__setattr__(self, "_face_x", face_x * (0.5 / grid.dx))
+        object.__setattr__(self, "_face_y", face_y * (0.5 / grid.dy))
+        object.__setattr__(self, "_diff_x", face_x * (kappa / grid.dx**2))
+        object.__setattr__(self, "_diff_y", face_y * (kappa / grid.dy**2))
 
     def _continuity_tendency(
         self, h: np.ndarray, u: np.ndarray, v: np.ndarray, eta_filled: np.ndarray
@@ -110,37 +180,30 @@ class ShallowWaterDynamics:
         coast faces, so the sum of ``deta/dt`` over wet cells is exactly
         zero: total layer volume is conserved to round-off (the paper's PE
         model shares this property; it matters for multi-week ESSE runs).
+        Land cells have no open face, so they come out exactly zero.
         """
-        dx, dy = self.grid.dx, self.grid.dy
-        flux_x = 0.5 * (
-            h[..., :, :-1] * u[..., :, :-1] + h[..., :, 1:] * u[..., :, 1:]
-        )
-        flux_x = np.where(self._face_x, flux_x, 0.0)
-        flux_y = 0.5 * (
-            h[..., :-1, :] * v[..., :-1, :] + h[..., 1:, :] * v[..., 1:, :]
-        )
-        flux_y = np.where(self._face_y, flux_y, 0.0)
+        hu, hv = h * u, h * v
+        ny, nx = h.shape[-2:]
+        # Face transports over the cell width, the two closed array ends
+        # included as explicit zeros, so that deta = inflow - outflow.
+        flux_x = np.zeros((*h.shape[:-2], ny, nx + 1))
+        inner = flux_x[..., :, 1:-1]
+        np.add(hu[..., :, :-1], hu[..., :, 1:], out=inner)
+        inner *= self._face_x
         # Conservative interface-height diffusion on the same faces.
-        if self.eta_diffusivity > 0.0:
-            flux_x = flux_x - np.where(
-                self._face_x,
-                self.eta_diffusivity
-                * (eta_filled[..., :, 1:] - eta_filled[..., :, :-1])
-                / dx,
-                0.0,
-            )
-            flux_y = flux_y - np.where(
-                self._face_y,
-                self.eta_diffusivity
-                * (eta_filled[..., 1:, :] - eta_filled[..., :-1, :])
-                / dy,
-                0.0,
-            )
-        deta = np.zeros_like(h)
-        deta[..., :, :-1] -= flux_x / dx
-        deta[..., :, 1:] += flux_x / dx
-        deta[..., :-1, :] -= flux_y / dy
-        deta[..., 1:, :] += flux_y / dy
+        slope = eta_filled[..., :, 1:] - eta_filled[..., :, :-1]
+        slope *= self._diff_x
+        inner -= slope
+        flux_y = np.zeros((*h.shape[:-2], ny + 1, nx))
+        inner = flux_y[..., 1:-1, :]
+        np.add(hv[..., :-1, :], hv[..., 1:, :], out=inner)
+        inner *= self._face_y
+        slope = eta_filled[..., 1:, :] - eta_filled[..., :-1, :]
+        slope *= self._diff_y
+        inner -= slope
+        deta = flux_x[..., :, :-1] - flux_x[..., :, 1:]
+        deta -= flux_y[..., 1:, :]
+        deta += flux_y[..., :-1, :]
         return deta
 
     @property
@@ -187,46 +250,48 @@ class ShallowWaterDynamics:
             Updated fields plus the interface tendency actually applied
             (m/s), which drives thermocline heave in the tracers.
         """
-        grid = self.grid
-        dx, dy = grid.dx, grid.dy
-        mask = grid.mask
-        eta_filled = self.fill_land(eta)
         h = np.maximum(self.h0 + eta, 0.1 * self.h0)  # guard against outcrop
+        halo, uv = halo_buffer((*u.shape[:-2], 2, *u.shape[-2:]))
+        uv[..., 0, :, :] = u
+        uv[..., 1, :, :] = v
+        replicate_rim(halo)
 
         # 1. continuity, forward step: exact finite-volume fluxes
-        deta_dt = self._continuity_tendency(h, u, v, eta_filled)
-        deta_dt = np.where(mask, deta_dt, 0.0)
-        eta_new = eta + dt * deta_dt
+        deta_dt = self._continuity_tendency(h, u, v, self.fill_land(eta))
+        eta_new = deta_dt * dt
+        eta_new += eta
 
         # 2. momentum: explicit advection/viscosity/drag/wind, backward
         #    pressure gradient from the (land-filled) new interface height
-        eta_new_filled = self.fill_land(eta_new)
-        du = (
-            -u * ddx(u, dx)
-            - v * ddy(u, dy)
-            - self.g_reduced * ddx(eta_new_filled, dx)
-            - self.bottom_drag * u
-            + self.viscosity * laplacian(u, dx, dy)
-            + tau_x / (RHO0 * h)
-        )
-        dv = (
-            -u * ddx(v, dx)
-            - v * ddy(v, dy)
-            - self.g_reduced * ddy(eta_new_filled, dy)
-            - self.bottom_drag * v
-            + self.viscosity * laplacian(v, dx, dy)
-            + tau_y / (RHO0 * h)
-        )
-        u_star = u + dt * np.where(mask, du, 0.0)
-        v_star = v + dt * np.where(mask, dv, 0.0)
+        eta_halo = with_halo(eta_new, fill=self.fill_land)
+        loss = halo_ddx(halo, self._wx)  # advection + pressure + drag
+        loss *= u[..., None, :, :]
+        term = halo_ddy(halo, self._wy)
+        term *= v[..., None, :, :]
+        loss += term
+        halo_ddx(eta_halo, self._wx, out=term[..., 0, :, :])
+        halo_ddy(eta_halo, self._wy, out=term[..., 1, :, :])
+        term *= self.g_reduced
+        loss += term
+        np.multiply(uv, self.bottom_drag, out=term)
+        loss += term
+        cx, cy = self.viscosity / self.grid.dx**2, self.viscosity / self.grid.dy**2
+        duv = halo_laplacian(halo, cx, cy)
+        duv -= loss
+        rho_h = RHO0 * h
+        np.divide(tau_x, rho_h, out=term[..., 0, :, :])
+        np.divide(tau_y, rho_h, out=term[..., 1, :, :])
+        duv += term
+        duv *= self._wet * dt
+        duv += uv  # (u*, v*)
 
         # 3. Coriolis: exact inertial rotation of (u*, v*)
-        angle = grid.coriolis * dt
-        cos_a, sin_a = np.cos(angle), np.sin(angle)
-        u_new = cos_a * u_star + sin_a * v_star
-        v_new = -sin_a * u_star + cos_a * v_star
-
-        return u_new, v_new, eta_new, deta_dt
+        angle = self._coriolis * dt
+        uv_new = duv * math.cos(angle)
+        np.multiply(duv, math.sin(angle), out=term)
+        uv_new[..., 0, :, :] += term[..., 1, :, :]
+        uv_new[..., 1, :, :] -= term[..., 0, :, :]
+        return uv_new[..., 0, :, :], uv_new[..., 1, :, :], eta_new, deta_dt
 
     def sponge_factors(self, dt: float, width: int = 5, tau_edge: float = 10800.0) -> np.ndarray:
         """Per-step damping factors of a smooth open-boundary sponge.
@@ -261,12 +326,5 @@ class ShallowWaterDynamics:
         :meth:`sponge_factors`; passing None skips the sponge (used by
         process-level tests).
         """
-        mask = self.grid.mask
-        u = np.where(mask, u, 0.0)
-        v = np.where(mask, v, 0.0)
-        eta = np.where(mask, eta, 0.0)
-        if sponge is not None:
-            u = u * sponge
-            v = v * sponge
-            eta = eta * sponge
-        return u, v, eta
+        damp = self._wet if sponge is None else self._wet * sponge
+        return u * damp, v * damp, eta * damp

@@ -129,13 +129,12 @@ class OceanGrid:
 
         Works for 2-D ``(ny, nx)`` and 3-D ``(nz, ny, nx)`` fields.
         """
-        fld = np.array(fld, dtype=float, copy=True)
+        fld = np.asarray(fld, dtype=float)
         if fld.shape[-2:] != self.shape2d:
             raise ValueError(
                 f"field shape {fld.shape} incompatible with grid {self.shape2d}"
             )
-        fld[..., ~self.mask] = fill
-        return fld
+        return np.where(self.mask, fld, fill)
 
 
 def demo_grid(nx: int = 24, ny: int = 20, nz: int = 4) -> OceanGrid:

@@ -8,7 +8,8 @@ singleton; the ESSE layer never looks inside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -262,13 +263,8 @@ class PEModel:
     def from_vector(self, vector: np.ndarray, time: float = 0.0) -> ModelState:
         """Unpack an ESSE vector into a (masked) model state."""
         fields = self.layout.unpack(vector)
-        state = ModelState(time=time, **fields)
-        state.u = self.grid.apply_mask(state.u)
-        state.v = self.grid.apply_mask(state.v)
-        state.eta = self.grid.apply_mask(state.eta)
-        state.temp = self.grid.apply_mask(state.temp)
-        state.salt = self.grid.apply_mask(state.salt)
-        return state
+        masked = {name: self.grid.apply_mask(fld) for name, fld in fields.items()}
+        return ModelState(time=time, **masked)
 
     def ensemble_to_matrix(self, ensemble: EnsembleState) -> np.ndarray:
         """Pack a batch into an ``(state_dim, N)`` ESSE column matrix.
@@ -291,15 +287,47 @@ class PEModel:
         """Unpack an ``(state_dim, N)`` column matrix into a (masked) batch."""
         matrix = np.asarray(matrix)  # shape: (state_dim, n_members)
         fields = self.layout.unpack_many(matrix)
-        ens = EnsembleState(time=time, **fields)
-        ens.u = self.grid.apply_mask(ens.u)
-        ens.v = self.grid.apply_mask(ens.v)
-        ens.eta = self.grid.apply_mask(ens.eta)
-        ens.temp = self.grid.apply_mask(ens.temp)
-        ens.salt = self.grid.apply_mask(ens.salt)
-        return ens
+        masked = {name: self.grid.apply_mask(fld) for name, fld in fields.items()}
+        return EnsembleState(time=time, **masked)
 
     # -- time stepping -----------------------------------------------------
+
+    def _advance(self, state, noise):
+        """The one step body: a :class:`ModelState` or a whole batch.
+
+        Every operator works on the trailing grid axes and broadcasts over
+        whatever leads them, so member ``i`` of a batch is bit-identical
+        to stepping it alone.  ``noise`` supplies one increment block per
+        step with rows ``u, v, eta, T[0..nz), S[0..nz)``.
+        """
+        dt = self.config.dt
+        tau_x, tau_y = self.forcing.wind_stress(state.time)
+        heat = self.forcing.heat_flux(state.time)
+
+        u, v, eta, deta_dt = self.dynamics.step_dynamics(
+            state.u, state.v, state.eta, tau_x, tau_y, dt
+        )
+        temp, salt = self.tracers.tendencies(
+            state.temp, state.salt, state.u, state.v, deta_dt, heat
+        )
+        temp *= dt
+        temp += state.temp
+        salt *= dt
+        salt += state.salt
+
+        if noise is not None and noise.is_active():
+            block = noise.increments(dt)
+            nz = self.grid.nz
+            u += block[..., 0, :, :]
+            v += block[..., 1, :, :]
+            eta += block[..., 2, :, :]
+            temp += block[..., 3 : 3 + nz, :, :]
+            salt += block[..., 3 + nz :, :, :]
+
+        u, v, eta = self.dynamics.enforce_boundaries(u, v, eta, sponge=self._sponge)
+        return replace(
+            state, u=u, v=v, eta=eta, temp=temp, salt=salt, time=state.time + dt
+        )
 
     def step(self, state: ModelState) -> ModelState:
         """One forward-backward step of length ``config.dt`` + Wiener forcing.
@@ -309,30 +337,7 @@ class PEModel:
         Euler, whose explicit advection is stabilized by the lateral
         diffusivity at the advective Courant numbers this model runs at.
         """
-        dt = self.config.dt
-        tau_x, tau_y = self.forcing.wind_stress(state.time)
-        heat = self.forcing.heat_flux(state.time)
-
-        u, v, eta, deta_dt = self.dynamics.step_dynamics(
-            state.u, state.v, state.eta, tau_x, tau_y, dt
-        )
-        dT, dS = self.tracers.tendencies(
-            state.temp, state.salt, state.u, state.v, deta_dt, heat
-        )
-        temp = state.temp + dt * dT
-        salt = state.salt + dt * dS
-
-        if self.noise.is_active():
-            du_n, dv_n = self.noise.momentum_increment(dt)
-            u += du_n
-            v += dv_n
-            eta += self.noise.eta_increment(dt)
-            dT_n, dS_n = self.noise.tracer_increments(dt)
-            temp += dT_n
-            salt += dS_n
-
-        u, v, eta = self.dynamics.enforce_boundaries(u, v, eta, sponge=self._sponge)
-        return ModelState(u=u, v=v, eta=eta, temp=temp, salt=salt, time=state.time + dt)
+        return self._advance(state, self.noise)
 
     def run(
         self,
@@ -389,55 +394,26 @@ class PEModel:
     def step_ensemble(self, ensemble: EnsembleState, noise=None) -> EnsembleState:
         """One forward-backward step of a whole ensemble batch.
 
-        The same operator sequence as :meth:`step` applied to batched
-        ``(N, ...)`` fields: every stencil, mask and sponge broadcasts
-        over the member axis, so member ``i`` of the result is
-        bit-identical to stepping ``ensemble.member(i)`` serially with
-        the matching per-member forcing.
+        The body of :meth:`step` on batched ``(N, ...)`` fields; member
+        ``i`` of the result is bit-identical to stepping
+        ``ensemble.member(i)`` serially with the matching forcing.
 
         Parameters
         ----------
         ensemble:
             The batch to advance (not modified).
         noise:
-            Optional
-            :class:`~repro.ocean.stochastic.BatchedStochasticForcing`
+            Optional :class:`~repro.ocean.stochastic.BatchedStochasticForcing`
             whose member count matches the batch; None steps the
             deterministic dynamics only (the model's own per-member
             ``self.noise`` is *not* used here -- batched runs always pass
             their forcing explicitly).
         """
-        dt = self.config.dt
-        tau_x, tau_y = self.forcing.wind_stress(ensemble.time)
-        heat = self.forcing.heat_flux(ensemble.time)
-
-        u, v, eta, deta_dt = self.dynamics.step_dynamics(
-            ensemble.u, ensemble.v, ensemble.eta, tau_x, tau_y, dt
-        )
-        dT, dS = self.tracers.tendencies(
-            ensemble.temp, ensemble.salt, ensemble.u, ensemble.v, deta_dt, heat
-        )
-        temp = ensemble.temp + dt * dT  # shape: (n_members, ny, nx)
-        salt = ensemble.salt + dt * dS  # shape: (n_members, ny, nx)
-
-        if noise is not None and noise.is_active():
-            if noise.count != ensemble.count:
-                raise ValueError(
-                    f"forcing batch size {noise.count} != ensemble "
-                    f"{ensemble.count}"
-                )
-            du_n, dv_n = noise.momentum_increment(dt)
-            u += du_n
-            v += dv_n
-            eta += noise.eta_increment(dt)
-            dT_n, dS_n = noise.tracer_increments(dt)
-            temp += dT_n
-            salt += dS_n
-
-        u, v, eta = self.dynamics.enforce_boundaries(u, v, eta, sponge=self._sponge)
-        return EnsembleState(
-            u=u, v=v, eta=eta, temp=temp, salt=salt, time=ensemble.time + dt
-        )
+        if noise is not None and noise.is_active() and noise.count != ensemble.count:
+            raise ValueError(
+                f"forcing batch size {noise.count} != ensemble {ensemble.count}"
+            )
+        return self._advance(ensemble, noise)
 
     def run_ensemble(
         self,
@@ -499,17 +475,14 @@ class PEModel:
                         # Zero the lost member so its garbage cannot slow
                         # the remaining arithmetic; survivors are
                         # untouched (no cross-member operator exists).
-                        current.u[pos] = 0.0
-                        current.v[pos] = 0.0
-                        current.eta[pos] = 0.0
-                        current.temp[pos] = 0.0
-                        current.salt[pos] = 0.0
+                        for name in self.layout.names:
+                            getattr(current, name)[pos] = 0.0
                 if callback is not None:
                     callback(k, current)
         return current, failed
 
     def with_noise(self, noise: StochasticForcing) -> "PEModel":
-        """A clone of this model using the given stochastic forcing."""
-        return PEModel(
-            grid=self.grid, config=self.config, forcing=self.forcing, noise=noise
-        )
+        """A clone with the given forcing, sharing the (constant-only) operators."""
+        clone = copy.copy(self)
+        clone.noise = noise
+        return clone

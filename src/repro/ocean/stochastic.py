@@ -28,103 +28,18 @@ def _default_forcing_rng() -> np.random.Generator:
 
 
 @dataclass
-class StochasticForcing:
-    """Per-member stochastic forcing amplitudes.
-
-    Parameters
-    ----------
-    grid:
-        Ocean grid.
-    momentum_amplitude:
-        Std-dev of the momentum noise in (m/s^2) * sqrt(s); forces u and v.
-    eta_amplitude:
-        Std-dev of interface-height noise in m * sqrt(s)^-1... scaled by
-        sqrt(dt) at each step.
-    tracer_amplitude:
-        Std-dev of temperature noise (deg C / sqrt(s)); salinity noise is
-        scaled to 0.1x in psu.
-    length_scale_cells:
-        Spatial correlation length of the noise in grid cells.
-    rng:
-        Member-specific generator (key it by perturbation index via
-        :mod:`repro.util.rng`); defaults to a deterministic stream.
-    """
-
-    grid: OceanGrid
-    momentum_amplitude: float = 2.0e-7
-    eta_amplitude: float = 2.0e-5
-    tracer_amplitude: float = 2.0e-6
-    length_scale_cells: float = 4.0
-    rng: np.random.Generator = field(default_factory=_default_forcing_rng)
-
-    def __post_init__(self):
-        for name in ("momentum_amplitude", "eta_amplitude", "tracer_amplitude"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        self._field = GaussianRandomField2D(
-            self.grid.shape2d, self.length_scale_cells, rng=self.rng
-        )
-
-    def is_active(self) -> bool:
-        """True when any noise amplitude is non-zero."""
-        return (
-            self.momentum_amplitude > 0
-            or self.eta_amplitude > 0
-            or self.tracer_amplitude > 0
-        )
-
-    def momentum_increment(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Wiener increments for (u, v) over a step of ``dt`` seconds."""
-        scale = self.momentum_amplitude * np.sqrt(dt) * dt
-        du = scale * self._field.sample()
-        dv = scale * self._field.sample()
-        return self.grid.apply_mask(du), self.grid.apply_mask(dv)
-
-    def eta_increment(self, dt: float) -> np.ndarray:
-        """Wiener increment for the interface height over ``dt`` seconds."""
-        incr = self.eta_amplitude * np.sqrt(dt) * self._field.sample()
-        return self.grid.apply_mask(incr)
-
-    def tracer_increments(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Wiener increments for (T, S), shape ``(nz, ny, nx)``.
-
-        Noise decays with depth (mixed-layer/thermocline errors dominate)
-        and salinity errors are taken as one tenth of temperature errors in
-        their respective units, a typical hydrographic error ratio.
-        """
-        nz = self.grid.nz
-        z = np.asarray(self.grid.z_levels)
-        depth_decay = np.exp(-z / max(z[-1] * 0.5, 1.0))[:, None, None]
-        scale = self.tracer_amplitude * np.sqrt(dt)
-        d_temp = scale * self._field.sample_many(nz) * depth_decay
-        d_salt = 0.1 * scale * self._field.sample_many(nz) * depth_decay
-        return self.grid.apply_mask(d_temp), self.grid.apply_mask(d_salt)
-
-    @classmethod
-    def quiet(cls, grid: OceanGrid) -> "StochasticForcing":
-        """A zero-amplitude forcing (deterministic central forecast)."""
-        return cls(
-            grid,
-            momentum_amplitude=0.0,
-            eta_amplitude=0.0,
-            tracer_amplitude=0.0,
-        )
-
-
-@dataclass
 class BatchedStochasticForcing:
     """Vectorized Wiener forcing for a whole ensemble batch.
 
-    The increments it produces for member ``i`` are *bit-identical* to a
-    :class:`StochasticForcing` built with ``rngs[i]``: white noise is
-    drawn per member, in the same per-member order as the serial path
-    (u, v for momentum; one field for eta; nz temperature then nz
-    salinity fields for tracers), then the Gaussian spectral filter runs
-    once over the stacked batch
-    (:meth:`~repro.util.randomfields.GaussianRandomField2D.filter_white`
-    is bit-identical with or without leading batch axes).  Only the FFT
-    and the elementwise scaling are batched, so the batched ensemble
-    engine reproduces the serial trajectories exactly.
+    One step's increments are one block per member with rows
+    ``u, v, eta, T[0..nz), S[0..nz)``, which is also the order the member's
+    generator is consumed in.  Each generator fills its member's white
+    block with one draw; one filter pass
+    (:meth:`~repro.util.randomfields.GaussianRandomField2D.filter_white`,
+    bit-identical with or without leading batch axes) and one multiply by
+    a precomputed amplitude x depth-decay x wet-mask array run over the
+    whole batch, so member ``i`` gets bit-for-bit what it would get alone.
+    The white buffer is kept between steps: one batch owns its forcing.
 
     Parameters
     ----------
@@ -133,8 +48,17 @@ class BatchedStochasticForcing:
     rngs:
         One generator per ensemble member, in batch order (key them by
         perturbation index via :func:`repro.util.rng.member_rng`).
-    momentum_amplitude, eta_amplitude, tracer_amplitude, length_scale_cells:
-        As for :class:`StochasticForcing` (same defaults).
+    momentum_amplitude:
+        Std-dev of the momentum noise in (m/s^2) * sqrt(s); forces u and v.
+    eta_amplitude:
+        Std-dev of interface-height noise in m * sqrt(s)^-1... scaled by
+        sqrt(dt) at each step.
+    tracer_amplitude:
+        Std-dev of temperature noise (deg C / sqrt(s)).  Tracer noise
+        decays with depth (mixed-layer/thermocline errors dominate) and
+        salinity noise is 0.1x in psu, a typical hydrographic error ratio.
+    length_scale_cells:
+        Spatial correlation length of the noise in grid cells.
     """
 
     grid: OceanGrid
@@ -155,6 +79,13 @@ class BatchedStochasticForcing:
         self._field = GaussianRandomField2D(
             self.grid.shape2d, self.length_scale_cells
         )
+        z = np.asarray(self.grid.z_levels)
+        tracer = self.tracer_amplitude * np.exp(-z / max(z[-1] * 0.5, 1.0))
+        rows = np.concatenate(
+            [[self.momentum_amplitude] * 2, [self.eta_amplitude], tracer, 0.1 * tracer]
+        )
+        self._weights = rows[:, None, None] * self.grid.mask
+        self._white = np.empty((self.count, *self._weights.shape))
 
     @property
     def count(self) -> int:
@@ -169,44 +100,63 @@ class BatchedStochasticForcing:
             or self.tracer_amplitude > 0
         )
 
-    def momentum_increment(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Wiener increments for (u, v), each of shape ``(N, ny, nx)``."""
-        shape = self.grid.shape2d
-        du_white = np.empty((self.count, *shape))
-        dv_white = np.empty((self.count, *shape))
-        # Per-member draw order matches StochasticForcing: u then v.
-        for i, rng in enumerate(self.rngs):
-            du_white[i] = rng.standard_normal(shape)
-            dv_white[i] = rng.standard_normal(shape)
-        scale = self.momentum_amplitude * np.sqrt(dt) * dt
-        du = scale * self._field.filter_white(du_white)
-        dv = scale * self._field.filter_white(dv_white)
-        return self.grid.apply_mask(du), self.grid.apply_mask(dv)
+    def increments(self, dt: float) -> np.ndarray:
+        """Wiener increments over ``dt`` seconds, shape ``(N, 3 + 2 nz, ny, nx)``."""
+        for white, rng in zip(self._white, self.rngs):
+            rng.standard_normal(out=white)
+        # Every row grows like sqrt(dt); the momentum rows are an
+        # acceleration noise and carry another factor dt.
+        weights = self._weights * np.sqrt(dt)
+        weights[:2] *= dt
+        block = self._field.filter_white(self._white)
+        block *= weights
+        return block
 
-    def eta_increment(self, dt: float) -> np.ndarray:
-        """Wiener increment for the interface height, shape ``(N, ny, nx)``."""
-        shape = self.grid.shape2d
-        white = np.empty((self.count, *shape))
-        for i, rng in enumerate(self.rngs):
-            white[i] = rng.standard_normal(shape)
-        incr = self.eta_amplitude * np.sqrt(dt) * self._field.filter_white(white)
-        return self.grid.apply_mask(incr)
 
-    def tracer_increments(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Wiener increments for (T, S), shape ``(N, nz, ny, nx)``."""
-        nz = self.grid.nz
-        shape = self.grid.shape2d
-        z = np.asarray(self.grid.z_levels)
-        depth_decay = np.exp(-z / max(z[-1] * 0.5, 1.0))[:, None, None]
-        temp_white = np.empty((self.count, nz, *shape))
-        salt_white = np.empty((self.count, nz, *shape))
-        # Per member: the nz temperature fields, then the nz salinity
-        # fields -- the same generator consumption as two sample_many
-        # calls on the serial path.
-        for i, rng in enumerate(self.rngs):
-            temp_white[i] = rng.standard_normal((nz, *shape))
-            salt_white[i] = rng.standard_normal((nz, *shape))
-        scale = self.tracer_amplitude * np.sqrt(dt)
-        d_temp = scale * self._field.filter_white(temp_white) * depth_decay
-        d_salt = 0.1 * scale * self._field.filter_white(salt_white) * depth_decay
-        return self.grid.apply_mask(d_temp), self.grid.apply_mask(d_salt)
+@dataclass
+class StochasticForcing:
+    """Per-member stochastic forcing: a :class:`BatchedStochasticForcing` of one.
+
+    Parameters
+    ----------
+    grid, momentum_amplitude, eta_amplitude, tracer_amplitude, length_scale_cells:
+        As for :class:`BatchedStochasticForcing` (same defaults).
+    rng:
+        Member-specific generator (key it by perturbation index via
+        :mod:`repro.util.rng`); defaults to a deterministic stream.
+    """
+
+    grid: OceanGrid
+    momentum_amplitude: float = 2.0e-7
+    eta_amplitude: float = 2.0e-5
+    tracer_amplitude: float = 2.0e-6
+    length_scale_cells: float = 4.0
+    rng: np.random.Generator = field(default_factory=_default_forcing_rng)
+
+    def __post_init__(self):
+        self._batch = BatchedStochasticForcing(
+            self.grid,
+            [self.rng],
+            self.momentum_amplitude,
+            self.eta_amplitude,
+            self.tracer_amplitude,
+            self.length_scale_cells,
+        )
+
+    def is_active(self) -> bool:
+        """True when any noise amplitude is non-zero."""
+        return self._batch.is_active()
+
+    def increments(self, dt: float) -> np.ndarray:
+        """Wiener increments over ``dt`` seconds, shape ``(3 + 2 nz, ny, nx)``."""
+        return self._batch.increments(dt)[0]
+
+    @classmethod
+    def quiet(cls, grid: OceanGrid) -> "StochasticForcing":
+        """A zero-amplitude forcing (deterministic central forecast)."""
+        return cls(
+            grid,
+            momentum_amplitude=0.0,
+            eta_amplitude=0.0,
+            tracer_amplitude=0.0,
+        )

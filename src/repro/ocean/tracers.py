@@ -11,11 +11,18 @@ Figs 5-6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ocean.dynamics import ddx, ddy, laplacian
+from repro.ocean.dynamics import (
+    halo_buffer,
+    halo_ddx,
+    halo_ddy,
+    halo_laplacian,
+    replicate_rim,
+    rim_weights,
+)
 from repro.ocean.grid import OceanGrid
 from repro.ocean.masking import LandFiller
 
@@ -71,9 +78,6 @@ class TracerDynamics:
     heave_gain: float = 0.02
     heat_capacity_depth: float = 25.0
 
-    clim_temp: np.ndarray = field(init=False, repr=False)
-    clim_salt: np.ndarray = field(init=False, repr=False)
-
     def __post_init__(self):
         if self.diffusivity < 0:
             raise ValueError("diffusivity must be non-negative")
@@ -81,20 +85,23 @@ class TracerDynamics:
             raise ValueError("relaxation_time must be positive")
         z = np.asarray(self.grid.z_levels)
         t_prof, s_prof = climatological_profile(z)
-        self.clim_temp = np.broadcast_to(
-            t_prof[:, None, None], self.grid.shape3d
-        ).copy()
-        self.clim_salt = np.broadcast_to(
-            s_prof[:, None, None], self.grid.shape3d
-        ).copy()
         self._vel_structure = np.exp(-z / self.velocity_decay_depth)[:, None, None]
-        # Thermocline heave is strongest where dT/dz is largest.
+        # Thermocline heave is strongest where dT/dz is largest.  Uplift
+        # (deta/dt < 0) cools, depression warms: 3.5 deg C per unit of
+        # gain x structure x displacement rate; upwelled water is saltier.
         dtdz = np.gradient(t_prof, z)
         norm = np.max(np.abs(dtdz))
-        self._heave_structure = (
-            (np.abs(dtdz) / norm) if norm > 0 else np.zeros_like(z)
-        )[:, None, None]
+        structure = (np.abs(dtdz) / norm) if norm > 0 else np.zeros_like(z)
+        self._heave = (
+            np.array([3.5, -0.3])[:, None] * (self.heave_gain * structure)
+        )[:, :, None, None]
+        # T and S step as one (2, nz, ny, nx) stack: every stencil pass is
+        # issued once.  All of these are constants (shared across threads).
+        self._clim = np.stack([t_prof, s_prof])[:, :, None, None]
         self._fill_land = LandFiller(self.grid.mask)
+        self._wet = self.grid.mask.astype(float)
+        self._wx = rim_weights(self.grid.nx, self.grid.dx)
+        self._wy = rim_weights(self.grid.ny, self.grid.dy)[:, None]
 
     def tendencies(
         self,
@@ -121,33 +128,31 @@ class TracerDynamics:
         heat_flux:
             Net surface heat flux (W/m^2), applied to the top level.
         """
-        grid = self.grid
-        dx, dy = grid.dx, grid.dy
-        u3 = u[..., None, :, :] * self._vel_structure
-        v3 = v[..., None, :, :] * self._vel_structure
-
-        def advect_diffuse(c: np.ndarray, clim: np.ndarray) -> np.ndarray:
-            # Land-filled tracer: zero-gradient at the coast, so diffusion
-            # and advection see a no-flux wall, not a 0-valued one.
-            c_filled = self._fill_land(c)
-            adv = -u3 * ddx(c_filled, dx) - v3 * ddy(c_filled, dy)
-            diff = self.diffusivity * laplacian(c_filled, dx, dy)
-            relax = (clim - c) / self.relaxation_time
-            return adv + diff + relax
-
-        d_temp = advect_diffuse(temp, self.clim_temp)
-        d_salt = advect_diffuse(salt, self.clim_salt)
-
-        # Thermocline heave: uplift (deta/dt < 0) cools, depression warms.
-        heave = self.heave_gain * deta_dt[..., None, :, :] * self._heave_structure
-        d_temp = d_temp + heave * 3.5  # deg C per m of displacement rate
-        d_salt = d_salt - heave * 0.3  # upwelled water is saltier
+        halo, both = halo_buffer((*temp.shape[:-3], 2, *temp.shape[-3:]))
+        both[..., 0, :, :, :] = temp
+        both[..., 1, :, :, :] = salt
+        # Land-filled tracer: zero-gradient at the coast, so diffusion
+        # and advection see a no-flux wall, not a 0-valued one.
+        self._fill_land.fill(both)
+        replicate_rim(halo)
+        adv = halo_ddx(halo, self._wx)
+        adv *= u[..., None, None, :, :] * self._vel_structure
+        term = halo_ddy(halo, self._wy)
+        term *= v[..., None, None, :, :] * self._vel_structure
+        adv += term
+        cx = self.diffusivity / self.grid.dx**2
+        cy = self.diffusivity / self.grid.dy**2
+        tend = halo_laplacian(halo, cx, cy)
+        tend -= adv
+        np.subtract(self._clim, both, out=term)  # relaxation (the fill is land only)
+        term /= self.relaxation_time
+        tend += term
+        np.multiply(deta_dt[..., None, None, :, :], self._heave, out=term)
+        tend += term
 
         # Surface heating on the top level.
         rho_cp = 1025.0 * 3990.0
-        d_temp[..., 0, :, :] += heat_flux / (rho_cp * self.heat_capacity_depth)
+        tend[..., 0, 0, :, :] += heat_flux / (rho_cp * self.heat_capacity_depth)
 
-        mask = grid.mask
-        d_temp = np.where(mask, d_temp, 0.0)
-        d_salt = np.where(mask, d_salt, 0.0)
-        return d_temp, d_salt
+        tend *= self._wet
+        return tend[..., 0, :, :, :], tend[..., 1, :, :, :]

@@ -70,30 +70,33 @@ class GaussianRandomField2D:
         self._filter = self._build_filter()
 
     def _build_filter(self) -> np.ndarray:
+        """Normalized filter on the half spectrum ``rfft2`` returns."""
         ny, nx = self.shape
         ky = np.fft.fftfreq(ny)[:, None] * 2.0 * np.pi
         kx = np.fft.fftfreq(nx)[None, :] * 2.0 * np.pi
         k2 = ky**2 + kx**2
         filt = np.exp(-0.5 * k2 * self.length_scale**2)
         # Normalize so the synthesized field has unit pointwise variance:
-        # var = mean(|filter|^2) over wavenumbers.
+        # var = mean(|filter|^2) over all wavenumbers.
         norm = np.sqrt(np.mean(filt**2))
         if norm == 0.0:
             raise RuntimeError("degenerate spectral filter")
-        return filt / norm
+        return filt[:, : nx // 2 + 1] / norm
 
     def filter_white(self, white: np.ndarray) -> np.ndarray:
         """Spectrally filter externally drawn white noise into smooth fields.
 
         ``white`` is standard-normal noise whose trailing two axes match
-        the grid; any leading batch axes are filtered independently (one
-        batched FFT).  This is the shared kernel behind :meth:`sample` and
+        the grid; any leading batch axes are filtered independently by one
+        batched ``rfft2`` / ``irfft2`` pair (real noise, symmetric filter:
+        half the spectrum is all there is; ``s=`` keeps odd widths exact).
+        This is the shared kernel behind :meth:`sample` and
         :meth:`sample_many`, split out so callers that must control the
-        *draw order* of the white noise (e.g. the batched ensemble
-        forcing, which draws per-member then filters per-batch) produce
-        bit-identical fields to the single-draw path: ``numpy``'s
-        pocketfft transforms over ``axes=(-2, -1)`` are bit-identical
-        whether or not leading batch axes are present.
+        *draw order* of the white noise (e.g. the batched ensemble forcing,
+        which draws per-member then filters per-batch) produce bit-identical
+        fields to the single-draw path: ``numpy``'s pocketfft transforms
+        over ``axes=(-2, -1)`` are bit-identical whether or not leading
+        batch axes are present.
         """
         white = np.asarray(white)
         if white.shape[-2:] != self.shape:
@@ -101,8 +104,9 @@ class GaussianRandomField2D:
                 f"white noise shape {white.shape} incompatible with grid "
                 f"{self.shape}"
             )
-        spectrum = np.fft.fft2(white, axes=(-2, -1)) * self._filter
-        return np.real(np.fft.ifft2(spectrum, axes=(-2, -1)))
+        spectrum = np.fft.rfft2(white, axes=(-2, -1))
+        spectrum *= self._filter
+        return np.fft.irfft2(spectrum, s=self.shape, axes=(-2, -1))
 
     def sample(self, rng: np.random.Generator | None = None) -> np.ndarray:
         """Draw one field of shape ``(ny, nx)`` with ~unit variance."""

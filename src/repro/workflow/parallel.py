@@ -190,6 +190,10 @@ class ParallelESSEWorkflow:
         ``svd.exact_fallback``); None disables metric recording.
     """
 
+    #: Differ sweeps (one per ``poll_interval``) a SUCCESS record may stay
+    #: ahead of its member file before the Nmax exit stops waiting for it.
+    MISSING_SWEEP_LIMIT = 200
+
     def __init__(
         self,
         runner: EnsembleRunner,
@@ -332,8 +336,9 @@ class ParallelESSEWorkflow:
                 f"delay={out.retry_delay:.3f} why={out.error}",
             )
 
-    def _fail_corrupt(self, pool: TaskPool) -> None:
+    def _fail_corrupt(self, pool: TaskPool) -> list[int]:
         """Fail the members whose output file the differ found unreadable."""
+        failed = []
         for idx, att in self._drain_corrupt():
             out = pool.fail(idx, att, "corrupt output")
             if out is None:
@@ -341,6 +346,27 @@ class ParallelESSEWorkflow:
             self.status.write("pemodel", idx, TaskStatus.IO_FAILURE, attempt=att)
             self._log("member_corrupt", f"member={idx} attempt={att}")
             self._record_followup(out)
+            failed.append(idx)
+        return failed
+
+    def _differ_caught_up(
+        self, unread: set[int], accumulator: AnomalyAccumulator, acc_lock
+    ) -> bool:
+        """Whether the differ has dealt with every member in ``unread``.
+
+        ``unread`` holds the members that reported success and that the
+        differ has neither folded nor flagged corrupt yet; folded ones are
+        dropped here.  Leaving the main loop while it is non-empty would
+        stop retries before a torn output among them is found.  A member
+        whose file has stayed invisible for :attr:`MISSING_SWEEP_LIMIT`
+        differ sweeps is no longer waited for.
+        """
+        with acc_lock:
+            unread -= {i for i in unread if accumulator.has_member(i)}
+        with self._fault_lock:
+            sweeps = dict(self._missing_sweeps)
+        unread -= {i for i in unread if sweeps.get(i, 0) >= self.MISSING_SWEEP_LIMIT}
+        return not unread
 
     # -- covariance protocol plumbing ------------------------------------------
 
@@ -629,11 +655,14 @@ class ParallelESSEWorkflow:
                 )
                 self._log("pool", f"size={next_index}")
 
+                unread: set[int] = set()  # succeeded, not yet read by the differ
                 while not converged.is_set():
                     now = self._clock()
-                    self._fail_corrupt(pool)
+                    unread.difference_update(self._fail_corrupt(pool))
                     for out in pool.poll(now):
                         self._record(out)
+                        if out.ok:
+                            unread.add(out.index)
                     # keep the pool ahead of the next unreached checkpoint
                     pending_cp = [c for c in checkpoints if c > pool.n_resolved]
                     if pending_cp and next_index < cfg.max_ensemble_size:
@@ -644,7 +673,11 @@ class ParallelESSEWorkflow:
                         if want > next_index:
                             extend_pool(want)
                             self._log("enlarge", f"size={next_index}")
-                    if pool.all_resolved and next_index >= cfg.max_ensemble_size:
+                    if (
+                        pool.all_resolved
+                        and next_index >= cfg.max_ensemble_size
+                        and self._differ_caught_up(unread, accumulator, acc_lock)
+                    ):
                         break  # Nmax exhausted without convergence
                     if cfg.deadline_seconds is not None and (
                         self._clock() - started > cfg.deadline_seconds

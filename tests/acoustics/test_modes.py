@@ -126,3 +126,56 @@ class TestValidation:
         c = np.full_like(z, 1500.0)
         ms = solve_modes(c, z, 5.0)  # cutoff ~ c/4H = 18 Hz
         assert ms.n_modes == 0
+
+
+class TestAgainstBandSelectDriver:
+    """``stemr`` on the whole spectrum + a band filter gives the modes the
+    old bisection / inverse-iteration driver (``select="v"``) returned."""
+
+    @staticmethod
+    def band_select_reference(c, z, frequency):
+        """The old solve: per-mode loops, LAPACK asked for (0, max k^2]."""
+        import scipy.linalg
+
+        dz = float(z[1] - z[0])
+        k2 = (2.0 * np.pi * frequency / c) ** 2
+        diag = -2.0 / dz**2 + k2[1:]
+        diag[-1] += 1.0 / dz**2
+        off = np.full(c.size - 2, 1.0 / dz**2)
+        vals, vecs = scipy.linalg.eigh_tridiagonal(
+            diag, off, select="v", select_range=(0.0, float(np.max(k2)))
+        )
+        order = np.argsort(vals)[::-1]
+        psi = np.zeros((c.size, vals.size))
+        psi[1:, :] = vecs[:, order]
+        psi /= np.sqrt(np.trapezoid(psi**2, dx=dz, axis=0))[None, :]
+        return np.sqrt(vals[order]), psi
+
+    @pytest.mark.parametrize(
+        "z, c, frequency",
+        [
+            pytest.param(
+                np.arange(0.0, 300.1, 4.0),
+                1500.0 + 0.05 * np.abs(np.arange(0.0, 300.1, 4.0) - 60.0),
+                100.0,
+                id="ducted-76-points",
+            ),
+            pytest.param(
+                np.arange(0.0, 30.1, 10.0), np.full(4, 1480.0), 60.0, id="shallow-4-points"
+            ),
+            pytest.param(
+                np.arange(0.0, 20.1, 1.0), np.full(21, 1500.0), 5.0, id="below-cut-off"
+            ),
+        ],
+    )
+    def test_same_modes(self, z, c, frequency):
+        kr, psi = self.band_select_reference(c, z, frequency)
+        ms = solve_modes(c, z, frequency)
+        assert ms.n_modes == kr.size
+        assert ms.psi.shape == psi.shape
+        assert np.allclose(ms.kr, kr, rtol=0, atol=1e-10)
+        assert np.allclose(np.abs(ms.psi), np.abs(psi), rtol=0, atol=1e-10)
+        assert (ms.n_modes == 0) == (frequency == 5.0)  # only that one is empty
+        # at_depth is np.interp of every mode column at once
+        by_column = [np.interp(7.3, z, ms.psi[:, m]) for m in range(ms.n_modes)]
+        assert np.allclose(ms.at_depth(7.3), by_column, rtol=0, atol=1e-12)

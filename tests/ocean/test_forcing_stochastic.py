@@ -68,16 +68,16 @@ class TestStochasticForcing:
 
     def test_increments_masked(self, grid):
         n = StochasticForcing(grid, rng=np.random.default_rng(0))
-        du, dv = n.momentum_increment(400.0)
-        assert np.all(du[~grid.mask] == 0)
-        d_eta = n.eta_increment(400.0)
-        assert np.all(d_eta[~grid.mask] == 0)
+        block = n.increments(400.0)  # rows: u, v, eta, nz T, nz S
+        assert block.shape == (3 + 2 * grid.nz, *grid.shape2d)
+        assert np.all(block[:, ~grid.mask] == 0)
+        assert np.all(block[:, grid.mask].std(axis=1) > 0)
 
     def test_tracer_noise_decays_with_depth(self, grid):
         n = StochasticForcing(grid, rng=np.random.default_rng(0))
         stds = []
         for _ in range(60):
-            dT, _ = n.tracer_increments(400.0)
+            dT = n.increments(400.0)[3 : 3 + grid.nz]
             stds.append([dT[k][grid.mask].std() for k in range(grid.nz)])
         mean_std = np.mean(stds, axis=0)
         assert mean_std[0] > mean_std[-1]
@@ -87,8 +87,8 @@ class TestStochasticForcing:
         draws = 200
         n1 = StochasticForcing(grid, rng=np.random.default_rng(1))
         n2 = StochasticForcing(grid, rng=np.random.default_rng(1))
-        s1 = np.std([n1.eta_increment(100.0)[grid.mask] for _ in range(draws)])
-        s2 = np.std([n2.eta_increment(400.0)[grid.mask] for _ in range(draws)])
+        s1 = np.std([n1.increments(100.0)[2][grid.mask] for _ in range(draws)])
+        s2 = np.std([n2.increments(400.0)[2][grid.mask] for _ in range(draws)])
         assert s2 / s1 == pytest.approx(2.0, rel=0.15)
 
     def test_negative_amplitude_rejected(self, grid):
@@ -99,7 +99,8 @@ class TestStochasticForcing:
         n = StochasticForcing(grid, rng=np.random.default_rng(3))
         t_stds, s_stds = [], []
         for _ in range(50):
-            dT, dS = n.tracer_increments(400.0)
+            block = n.increments(400.0)
+            dT, dS = block[3 : 3 + grid.nz], block[3 + grid.nz :]
             t_stds.append(dT[0][grid.mask].std())
             s_stds.append(dS[0][grid.mask].std())
         assert np.mean(s_stds) < 0.5 * np.mean(t_stds)

@@ -82,10 +82,9 @@ class TestDefaultStreamRepeatability:
         assert np.array_equal(first, second)
 
     def test_stochastic_forcing_fallback_repeats(self, small_grid):
-        du1, dv1 = StochasticForcing(small_grid).momentum_increment(400.0)
-        du2, dv2 = StochasticForcing(small_grid).momentum_increment(400.0)
-        assert np.array_equal(du1, du2)
-        assert np.array_equal(dv1, dv2)
+        first = StochasticForcing(small_grid).increments(400.0)
+        second = StochasticForcing(small_grid).increments(400.0)
+        assert np.array_equal(first, second)
 
 
 # -- whole-run replay ---------------------------------------------------------

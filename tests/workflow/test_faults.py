@@ -218,6 +218,41 @@ class TestFaultInjectedWorkflow:
         counts = wf.status.attempt_counts("pemodel")
         assert any(per.get(TaskStatus.IO_FAILURE, 0) > 0 for per in counts.values())
 
+    def test_torn_last_output_is_retried_not_lost(self, setup, tmp_path):
+        """ROADMAP defect (a): the main loop must not leave on all-resolved
+        before the differ has read the last successful member's file."""
+        _, background, runner = setup
+        last = config().max_ensemble_size - 1
+
+        class TearLastMember(FaultInjector):
+            def draw(self, index, attempt, kind="pemodel"):
+                torn = (index, attempt) == (last, 1)
+                return FaultKind.CORRUPT if torn else None
+
+        def run(workdir, **kw):
+            # One worker: members finish in index order, so ``last`` is the
+            # final output the differ gets to see.
+            wf = ParallelESSEWorkflow(runner, config(), workdir, n_workers=1, **kw)
+            listing = wf.status.successful_indices
+
+            def slow_listing(kind):  # a shared FS slower than the main loop
+                time.sleep(0.05)
+                return listing(kind)
+
+            wf.status.successful_indices = slow_listing
+            return wf.run(background)
+
+        clean = run(tmp_path / "clean")
+        faulted = run(
+            tmp_path / "faulted",
+            retry=RetryPolicy(max_attempts=3, backoff_base_s=0.005),
+            faults=TearLastMember(),
+        )
+        assert faulted.events_of("member_corrupt")
+        assert faulted.n_retried == 1
+        assert not faulted.degraded and faulted.n_failed == 0
+        assert set(faulted.member_ids) == set(clean.member_ids) == set(range(last + 1))
+
     def test_straggler_cancellation_frees_pool_slots(self, setup, tmp_path):
         _, background, runner = setup
         stall = 30.0  # far longer than the whole test should take

@@ -7,13 +7,21 @@ the change -- on the same box and writes one JSON file holding
   ``run.py --all --trace 1`` prints as tables), for both checkouts;
 - ``pairs``: N alternating parent/change runs of one workload per seed,
   whichever side ran first swapping every pair, with medians, quartiles
-  and the number of pairs the change won on each end-to-end metric.
+  and the number of pairs the change won on each end-to-end metric;
+- ``traced``: ``--traced-repeats`` alternating *traced* runs of the same
+  workload per side (seed 0), every per-layer metric of every run plus
+  its median -- where the saving sits.
 
 Usage::
 
     python tools/bench_pairs.py --parent /root/scratch/parent --change . \\
-        --out benchmarks/results/BENCH_suite_pr16.json \\
-        --workload cycle_ref --pairs 10 --seeds 0 7
+        --out benchmarks/results/BENCH_suite_pr18.json \\
+        --workload cycle_ref --pairs 10 --seeds 0 7 --traced-repeats 3
+    python tools/bench_pairs.py --table benchmarks/results/BENCH_suite_pr18.json \\
+        --metrics trace. ocean. acoustics.
+
+The second form prints the record's before/after tables as Markdown (the
+ones EXPERIMENTS.md quotes).
 
 The suite itself is not imported: each run is the driver's own command
 line in a fresh subprocess with ``--json-record``.
@@ -80,17 +88,85 @@ def paired(
     return out
 
 
+def traced(
+    parent: Path, change: Path, workload: str, repeats: int, seconds: float
+) -> dict:
+    """``repeats`` alternating traced runs per side; every metric and its median."""
+    runs = {"parent": [], "change": []}
+    sides = [("parent", parent), ("change", change)]
+    for k in range(repeats):
+        for side, checkout in sides if k % 2 == 0 else reversed(sides):
+            metrics = run_record(checkout, workload, 0, seconds, 1)["metrics"]
+            runs[side].append({name: m["value"] for name, m in metrics.items()})
+            print(f"  traced {k} {side}", flush=True)
+    median = {
+        side: {name: statistics.median(r[name] for r in rs) for name in rs[0]}
+        for side, rs in runs.items()
+    }
+    return {"runs": runs, "median": median}
+
+
+def markdown_tables(record: dict, prefixes: tuple[str, ...] = ("",)) -> str:
+    """The record's end-to-end pairs and per-layer medians as Markdown.
+
+    ``prefixes`` keeps the per-layer rows whose metric name starts with one
+    of them (default: all).
+    """
+    lines = [
+        "| seed | metric | parent median (q1 - q3) | change median (q1 - q3) "
+        "| pairs won by change | change / parent |",
+        "|---|---|---|---|---|---|",
+    ]
+    for seed, block in record["pairs"].items():
+        for metric in END_TO_END:
+            m = block[metric]
+            cells = [
+                "{median:.3f} ({q1:.3f} - {q3:.3f})".format(**m[side])
+                for side in ("parent", "change")
+            ]
+            lines.append(
+                f"| {seed.removeprefix('seed_')} | `{metric}` | {cells[0]} | {cells[1]} "
+                f"| {m['pairs_won_by_change']} / {len(m['parent']['values'])} "
+                f"| {m['median_change_over_parent']:.2f} |"
+            )
+    if "traced" in record:
+        before, after = (record["traced"]["median"][s] for s in ("parent", "change"))
+        n = len(record["traced"]["runs"]["parent"])
+        lines += [
+            "",
+            f"| per-layer metric (median of {n} traced runs) | parent | change "
+            "| change / parent |",
+            "|---|---|---|---|",
+        ]
+        for name in sorted(before):
+            if name in END_TO_END or not name.startswith(prefixes):
+                continue
+            ratio = f"{after[name] / before[name]:.2f}" if before[name] else "-"
+            lines.append(f"| `{name}` | {before[name]:.4g} | {after[name]:.4g} | {ratio} |")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     """Parse the command line, run, write the record."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--table", type=Path, help="print a record's tables and exit")
+    parser.add_argument(
+        "--metrics", nargs="+", default=[""], help="with --table: per-layer name prefixes"
+    )
+    parser.add_argument("--parent", type=Path)
+    parser.add_argument("--change", type=Path)
+    parser.add_argument("--out", type=Path)
     parser.add_argument("--workload", default="cycle_ref", choices=WORKLOADS)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
     parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--traced-repeats", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.table is not None:
+        print(markdown_tables(json.loads(args.table.read_text()), tuple(args.metrics)))
+        return 0
+    if None in (args.parent, args.change, args.out):
+        parser.error("--parent, --change and --out are required to run")
     record = {"schema": 1, "workload": args.workload, "suite": {}, "pairs": {}}
     for side, checkout in (("parent", args.parent), ("change", args.change)):
         record["suite"][side] = {}
@@ -104,6 +180,11 @@ def main(argv=None) -> int:
         print(f"pairs seed {seed}", flush=True)
         record["pairs"][f"seed_{seed}"] = paired(
             args.parent, args.change, args.workload, seed, args.pairs, args.seconds
+        )
+    if args.traced_repeats:
+        print("traced repeats", flush=True)
+        record["traced"] = traced(
+            args.parent, args.change, args.workload, args.traced_repeats, args.seconds
         )
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(record, indent=1) + "\n")

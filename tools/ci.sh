@@ -1,8 +1,9 @@
 #!/bin/sh
-# CI check: workflow + telemetry test suites, static analysis, trace smoke.
+# CI check: workflow + telemetry + ocean/acoustics kernel test suites,
+# static analysis, trace smoke.
 #
 # Run from the repository root:
-#     sh tools/ci.sh          # workflow/telemetry tests + lint + smoke
+#     sh tools/ci.sh          # workflow/telemetry/kernel tests + lint + smoke
 #     CI_FULL=1 sh tools/ci.sh  # the full tier-1 suite instead
 #     sh tools/ci.sh --quick  # pre-commit: changed-only lint + tier-1 tests
 #
@@ -45,7 +46,8 @@ if [ -n "${CI_FULL:-}" ]; then
 else
     python -m pytest tests/workflow tests/telemetry tests/lint tests/products \
         tests/core/test_localization.py tests/core/test_tiling.py \
-        tests/core/test_tiled_analysis.py tests/core/test_assimilation.py -q
+        tests/core/test_tiled_analysis.py tests/core/test_assimilation.py \
+        tests/ocean tests/acoustics tests/test_determinism.py -q
 fi
 
 # Sanitized pass: the threaded suites again, with the lockset race
@@ -88,6 +90,9 @@ python tools/check_docs.py \
 python tools/check_docs.py \
     repro.products.store repro.products.tiles repro.products.cache \
     repro.products.service repro.products.server
+python tools/check_docs.py \
+    repro.ocean.dynamics repro.ocean.stochastic repro.ocean.masking \
+    repro.util.randomfields repro.acoustics.modes
 
 # Smoke: the differ->SVD hot-path bench at CI scale (BENCH_SMOKE shrinks
 # the matrices and asserts only sigma error and byte counts -- timing
