@@ -114,7 +114,7 @@ def test_kernel_acoustic_singleton(benchmark, full_domain, kernel_results):
 
 
 def test_kernel_analysis_update(benchmark, full_domain, kernel_results):
-    """The Woodbury analysis with a realistic observation batch."""
+    """The (global) analysis update with a realistic observation batch."""
     model, background, subspace = full_domain
     network = aosn2_network(
         model.grid, model.layout, rng=np.random.default_rng(1)
@@ -130,7 +130,7 @@ def test_kernel_analysis_update(benchmark, full_domain, kernel_results):
     )
     kernel_results["analysis_update_s"] = benchmark.stats.stats.mean
     print_table(
-        "Kernel: ESSE analysis (Woodbury, m obs x p modes)",
+        "Kernel: ESSE analysis (information form, m obs x p modes)",
         ["m", "p", "time"],
         [[batch.size, subspace.rank, f"{1e3 * benchmark.stats.stats.mean:.1f} ms"]],
     )

@@ -12,7 +12,6 @@ budget on a fixed uniform grid.
 import numpy as np
 
 from repro.core import (
-    ESSEAnalysis,
     ESSEConfig,
     ESSEDriver,
     PerturbationGenerator,
@@ -70,7 +69,7 @@ def main() -> None:
         for k in range(0, budget * step, step)
     ][:budget]
 
-    analysis = ESSEAnalysis(layout)
+    analysis = driver.analysis  # the one analysis engine, global configuration
     x_fc = model.to_vector(forecast.central)
     x_truth = model.to_vector(truth)
     results = {}

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.acoustics.tl import TLField
+from repro.core.assimilation import subspace_gain
 from repro.util.linalg import truncated_svd
 
 
@@ -143,13 +144,13 @@ class CoupledCovariance:
             prior_at_obs = t_flat[idx]
 
         # Kalman update in mode space (normalized joint coordinates)
-        hu = self.modes[joint_rows, :]  # (m, p)
-        s_diag = self.variances
         innov = (values - prior_at_obs) / scale  # normalized innovation
-        r_norm = (noise_std / scale) ** 2
-        gram = (hu * s_diag[None, :]) @ hu.T + r_norm * np.eye(idx.size)
-        solved = np.linalg.solve(gram, innov)
-        coeffs = s_diag * (hu.T @ solved)  # (p,)
+        coeffs, _ = subspace_gain(
+            self.modes[joint_rows, :],  # H U, (m, p)
+            self.variances,
+            np.full(idx.size, (noise_std / scale) ** 2),
+            innov,
+        )
         increment = self.modes @ coeffs  # normalized joint increment
         t_new = t_flat + increment[:n_t] * self.temp_scale
         a_new = a_flat + increment[n_t:] * self.tl_scale

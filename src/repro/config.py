@@ -130,15 +130,21 @@ class EngineSection:
 
 @dataclass(frozen=True)
 class AssimilationSection:
-    """Analysis-backend selection (``docs/ASSIMILATION.md``).
+    """Analysis configuration (``docs/ASSIMILATION.md``).
+
+    There is one analysis engine; ``backend`` picks how it is localized.
+    The inflation keys apply to both backends, every other key to
+    ``tiled`` only.
 
     Parameters
     ----------
     backend:
-        ``global`` (the paper's full-domain update) or ``tiled``
-        (localized analysis over independent grid tiles).
+        ``global`` -- the paper's full-domain update: no tile
+        decomposition, no taper, every mode kept, run in-process -- or
+        ``tiled`` (the same update localized over independent grid
+        tiles).
     tile_ny, tile_nx:
-        Nominal tile shape for the ``tiled`` backend, in grid cells.
+        Nominal tile shape, in grid cells.
     taper:
         Localization taper: ``gaspari_cohn``, ``cutoff`` or ``none``.
     radius:
@@ -157,7 +163,7 @@ class AssimilationSection:
     local_energy_floor:
         Per-tile relative mode-energy truncation floor in [0, 1).
     n_workers:
-        Tile-pool width for the ``tiled`` backend.
+        Tile-pool width.
     max_attempts:
         Retry budget per tile task (1 disables retries).
     """
@@ -332,20 +338,34 @@ class ExperimentConfig:
         )
 
     def build_analysis(self, model: PEModel, telemetry=None, metrics=None):
-        """The configured analysis backend, or None for the driver default.
+        """The analysis the ``assimilation`` section describes.
 
-        With ``assimilation.backend == "tiled"`` this builds a
-        :class:`~repro.core.assimilation.TiledESSEAnalysis` whose tile
+        Both backends are the one engine of
+        :mod:`repro.core.assimilation` and both honour the inflation
+        keys.  ``backend: global`` is the preset with no tile
+        decomposition and no taper (one locale that assimilates every
+        observation, run in-process; of ``model`` it reads the layout
+        only); ``backend: tiled`` localizes it over grid tiles whose
         tasks run through a fault-tolerant
         :class:`~repro.workflow.pool.TileTaskPool` (retry seed =
-        ``esse.root_seed``); with ``"global"`` it returns None so
-        :class:`ESSEDriver` keeps its default global analysis.
+        ``esse.root_seed``).
         """
-        asm = self.assimilation
-        if asm.backend == "global":
-            return None
-        from repro.core.assimilation import TiledESSEAnalysis
+        from repro.core.assimilation import ESSEAnalysis, TiledESSEAnalysis
         from repro.core.localization import make_inflation, make_taper
+
+        asm = self.assimilation
+        inflation = make_inflation(
+            asm.inflation,
+            factor=asm.inflation_factor,
+            min_factor=asm.inflation_factor,
+            max_factor=asm.adaptive_inflation_max,
+        )
+        if asm.backend == "global":
+            analysis = ESSEAnalysis(model.layout, inflation=inflation)
+            if telemetry is not None:
+                analysis.telemetry = telemetry
+            analysis.metrics = metrics
+            return analysis
         from repro.workflow.policies import RetryPolicy
         from repro.workflow.pool import TileTaskPool
 
@@ -363,11 +383,7 @@ class ExperimentConfig:
             (asm.tile_ny, asm.tile_nx),
             taper=make_taper(asm.taper, asm.radius),
             halo=asm.halo if asm.halo > 0 else None,
-            inflation=make_inflation(
-                asm.inflation,
-                factor=asm.inflation_factor,
-                max_factor=asm.adaptive_inflation_max,
-            ),
+            inflation=inflation,
             local_energy_floor=asm.local_energy_floor,
             task_runner=pool.run,
             telemetry=telemetry,

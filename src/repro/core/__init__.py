@@ -14,6 +14,7 @@ from repro.core.assimilation import (
     TiledESSEAnalysis,
     TileUpdate,
     run_tiles_serial,
+    subspace_gain,
 )
 from repro.core.localization import (
     AdaptiveInflation,
@@ -55,6 +56,7 @@ __all__ = [
     "TiledESSEAnalysis",
     "TileUpdate",
     "run_tiles_serial",
+    "subspace_gain",
     "AdaptiveInflation",
     "CutoffTaper",
     "GaspariCohnTaper",

@@ -2,25 +2,34 @@
 
 With forecast mean ``x_f``, error subspace ``(E, sigma)`` (normalized
 coordinates) and observations ``(H, R, y)``, the update is the classic
-minimum-variance analysis restricted to the subspace:
+minimum-variance analysis restricted to the subspace.  Writing
+``G = H D E`` for the observed, de-normalized modes (``D`` the
+de-normalization diagonal) and ``S = diag(sigma^2)``:
 
-    K   = D E S (H D E)^T [ (H D E) S (H D E)^T + R ]^{-1}
-    x_a = x_f + K (y - H x_f)
+    x_a = x_f + D E S G^T (G S G^T + R)^{-1} (y - H x_f)
+    S_a = S - S G^T (G S G^T + R)^{-1} G S
 
-where ``D`` is the de-normalization diagonal and ``S = diag(sigma^2)``.
-The inverse is applied through the Sherman-Morrison-Woodbury identity, so
-the cost is O(m p^2 + p^3) for m observations and subspace rank p -- never
-an O(m^3) dense solve, which matters at the paper's m = O(10^4 - 10^5)
-observation counts.
+:func:`subspace_gain` evaluates both in *information form*,
 
-The posterior subspace comes from the eigendecomposition of the updated
-p x p mode covariance -- rank never grows, and posterior variance is never
-larger than the prior in any direction (a property the tests assert).
+    S_a = (S^{-1} + G^T R^{-1} G)^{-1},    coeffs = S_a G^T R^{-1} d,
 
-Two engines share that machinery: :class:`ESSEAnalysis` is the paper's
-global update, and :class:`TiledESSEAnalysis` decomposes the same update
-into independent grid tiles with distance-tapered observation selection
-and per-tile inflation (:mod:`repro.core.localization`,
+from one Cholesky factorization of a ``p x p`` matrix, so the cost is
+O(m p^2 + p^3) for m observations and subspace rank p -- never an O(m^3)
+dense solve, which matters at the paper's m = O(10^4 - 10^5) observation
+counts.  It is the only linear solve of the analysis, of the smoother
+(:mod:`repro.core.smoother`, ``S = I`` in member space) and of the
+coupled physical-acoustical update (:mod:`repro.acoustics.coupled`).
+
+There is one update path (:meth:`ESSEAnalysis.update`): the state is
+split into *locales* that each own a disjoint set of state entries,
+every locale solves its own low-dimensional problem against the
+observations it selects, and the results are stitched and refactorized
+through a ``p x p`` Gram eigensolve -- rank never grows, and posterior
+variance is never larger than the (inflated) prior anywhere.  The
+paper's global analysis is the configuration with a single locale that
+owns everything and selects every observation at unit weight;
+:class:`TiledESSEAnalysis` configures the locales as grid tiles with
+distance-tapered observation selection (:mod:`repro.core.localization`,
 :mod:`repro.core.tiling`) -- the LETKF-style local analysis that makes
 high-dimensional state vectors tractable (see ``docs/ASSIMILATION.md``).
 """
@@ -51,12 +60,72 @@ if TYPE_CHECKING:  # avoid a core <-> obs import cycle; used as hints only
     from repro.obs.operators import ObservationOperator
 
 
+def subspace_gain(
+    g: np.ndarray,
+    variances: np.ndarray,
+    noise_var: np.ndarray,
+    rhs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The subspace Kalman gain applied to ``rhs``, in information form.
+
+    Parameters
+    ----------
+    g:
+        Observed modes ``G``, shape ``(m, p)``.
+    variances:
+        Prior mode variances (the diagonal of ``S``), shape ``(p,)``,
+        non-negative.
+    noise_var:
+        Diagonal of ``R``, shape ``(m,)``, all positive.
+    rhs:
+        Innovation(s), shape ``(m,)`` or ``(m, N)``.
+
+    Returns
+    -------
+    ``(coeffs, s_post)``: the mode-space coefficients
+    ``S G^T (G S G^T + R)^{-1} rhs`` with shape ``(p,)`` or ``(p, N)``,
+    and the posterior mode covariance
+    ``S_a = S - S G^T (G S G^T + R)^{-1} G S``, shape ``(p, p)``.
+
+    Both come from one Cholesky factorization of the posterior precision
+    ``S^{-1} + G^T R^{-1} G``, taken in the prior's own units
+    (``Sigma = S^{1/2}``):
+
+        T = I + Sigma G^T R^{-1} G Sigma,
+        S_a = Sigma T^{-1} Sigma,    coeffs = Sigma T^{-1} Sigma G^T R^{-1} rhs
+
+    -- the same numbers as the Woodbury form of the innovation-covariance
+    inverse, without its ``(m, p)`` intermediates or a second
+    factorization for ``S_a``.  ``T`` has eigenvalues >= 1 whatever the
+    spread of the variances, and a zero-variance mode gets a zero
+    coefficient instead of a division by zero.
+    """
+    whiten = 1.0 / np.sqrt(noise_var)
+    gw = g * whiten[:, None]  # R^-1/2 G
+    sigmas = np.sqrt(variances)
+    # A matrix times its own transpose is a symmetric rank-k update:
+    # half the flops of the general product G^T (R^-1 G).
+    t = np.outer(sigmas, sigmas) * (gw.T @ gw)
+    t[np.diag_indices_from(t)] += 1.0
+    factor = scipy.linalg.cho_factor(t, lower=True)
+    s_post = np.outer(sigmas, sigmas) * scipy.linalg.cho_solve(
+        factor, np.eye(sigmas.size)
+    )
+    columns = rhs.reshape(rhs.shape[0], -1)  # (m, N); N = 1 for a vector
+    projected = gw.T @ (columns * whiten[:, None])  # G^T R^-1 rhs
+    coeffs = sigmas[:, None] * scipy.linalg.cho_solve(
+        factor, sigmas[:, None] * projected
+    )
+    s_post = 0.5 * (s_post + s_post.T)  # symmetrize round-off
+    return coeffs.reshape(sigmas.shape + rhs.shape[1:]), s_post
+
+
 def _positive_variance_subspace(subspace: ErrorSubspace) -> ErrorSubspace:
     """Validated mode dropping shared by every update path.
 
-    Zero-variance modes carry no uncertainty and would make ``S^-1``
-    singular in the Woodbury core, so they are dropped up front.  An
-    empty subspace, or one where *every* mode is below the variance
+    Zero-variance modes carry no uncertainty, and a posterior-to-prior
+    ratio is undefined for them, so they are dropped up front.
+    An empty subspace, or one where *every* mode is below the variance
     floor, cannot support an analysis at all and raises instead of
     silently producing a rank-0 update.
 
@@ -79,25 +148,24 @@ def _positive_variance_subspace(subspace: ErrorSubspace) -> ErrorSubspace:
     )
 
 
-def _solve_innovation_cov_impl(
-    hde: np.ndarray,
-    variances: np.ndarray,
-    noise_var: np.ndarray,
-    rhs: np.ndarray,
-) -> np.ndarray:
-    """Apply ``[(HDE) S (HDE)^T + R]^{-1}`` to columns of ``rhs``.
+def _refactorize(anomalies: np.ndarray, n_samples: int) -> ErrorSubspace:
+    """Orthonormal modes and descending sigmas of ``M = anomalies``.
 
-    Woodbury with diagonal R:
-    ``S_inv_rhs = R^-1 rhs - R^-1 (HDE) [S^-1 + (HDE)^T R^-1 (HDE)]^-1
-    (HDE)^T R^-1 rhs``.
+    One ``p x p`` Gram eigensolve of ``M^T M`` (rank never grows).  An
+    eigenvector's sign is the eigensolver's whim and flips with the last
+    bit of its input, while :class:`PerturbationGenerator` multiplies
+    fixed coefficients into the modes; so each mode is oriented to make
+    its largest-magnitude entry positive, and the posterior is a function
+    of the covariance alone.
     """
-    rhs_2d = rhs if rhs.ndim == 2 else rhs[:, None]
-    r_inv = 1.0 / noise_var
-    a = hde * r_inv[:, None]  # R^-1 (HDE), (m, p)
-    core = np.diag(1.0 / variances) + hde.T @ a  # (p, p)
-    rhs_r = rhs_2d * r_inv[:, None]
-    out = rhs_r - a @ scipy.linalg.solve(core, hde.T @ rhs_r, assume_a="pos")
-    return out if rhs.ndim == 2 else out[:, 0]
+    eigvals, eigvecs = scipy.linalg.eigh(anomalies.T @ anomalies)
+    keep = np.argsort(eigvals)[::-1]
+    keep = keep[eigvals[keep] > eigvals[keep[0]] * 1e-28]
+    sigmas = np.sqrt(eigvals[keep])
+    modes = anomalies @ eigvecs[:, keep]
+    sign = np.where(modes.max(axis=0) >= -modes.min(axis=0), 1.0, -1.0)
+    modes *= sign / sigmas
+    return ErrorSubspace(modes=modes, sigmas=sigmas, n_samples=n_samples)
 
 
 @dataclass(frozen=True)
@@ -132,43 +200,197 @@ class AnalysisResult:
         return float(np.sqrt(np.mean(self.analysis_residual**2)))
 
 
+@dataclass(frozen=True)
+class TileUpdate:
+    """The result of one locale's (tile's) analysis.
+
+    Attributes
+    ----------
+    tile_index:
+        Index of the tile in the decomposition (0 for the single locale
+        of the global configuration).
+    kept_modes:
+        Indices (into the prior mode axis) of the modes the local update
+        retained after the local-energy truncation, shape ``(k,)``.
+    mean_increment:
+        Analysis-minus-forecast increment on the owned state entries,
+        *normalized* coordinates, shape ``(n_t,)``.
+    anomaly_block:
+        Posterior anomaly rows ``(n_t, p)`` of the owned entries: the
+        kept modes' prior anomalies contracted by the local update,
+        dropped modes at their prior values.
+    n_observations:
+        Observations the locale assimilated (after selection).
+    inflation_factor:
+        Sigma inflation factor the local update applied.
+    """
+
+    tile_index: int
+    kept_modes: np.ndarray
+    mean_increment: np.ndarray
+    anomaly_block: np.ndarray
+    n_observations: int
+    inflation_factor: float
+
+
+def run_tiles_serial(tasks: Sequence[Callable[[], TileUpdate]]) -> list:
+    """Default in-process tile runner: run every task in order, fail fast.
+
+    The fault-tolerant alternative is
+    :class:`repro.workflow.pool.TileTaskPool`, whose ``run`` method
+    has the same signature but retries/replaces failing tile tasks and
+    returns None for tiles whose retries were exhausted.
+    """
+    return [task() for task in tasks]
+
+
 class ESSEAnalysis:
     """Assimilates observation batches into (mean, subspace) estimates.
+
+    Constructed directly this is the paper's global analysis: one locale
+    that owns every state entry, selects every observation with unit
+    weight and keeps every mode, so any layout (gridded or not) works.
+    :class:`TiledESSEAnalysis` configures the same engine with many
+    locales.  Either way one update is
+
+    - per locale (an independent closure handed to ``task_runner``): the
+      inflation factor, the local-energy mode truncation,
+      :func:`subspace_gain` on the selected observations with
+      R-localized noise, the mean increment on the owned entries, and the
+      owned rows of the anomaly matrix ``M = E diag(sigma)`` multiplied by
+      ``W``, the symmetric square root of the local posterior-to-prior
+      mode-covariance ratio with eigenvalues clipped to ``[0, 1]`` -- a
+      contraction, so the posterior pointwise variance never exceeds the
+      (inflated) prior anywhere;
+    - a disjoint scatter of the increments and anomaly rows (each locale
+      owns its state entries exclusively; locales without data, or whose
+      task failed terminally, keep their prior);
+    - one ``p x p`` Gram eigensolve that refactorizes ``M`` into
+      orthonormal, sign-oriented modes and descending sigmas.
 
     Parameters
     ----------
     layout:
         State layout (normalization scales).
     inflation:
-        Multiplicative sigma inflation applied to the *prior* subspace
-        before the update; compensates sampling error in small ensembles
-        (1.0 = none).
+        Sigma inflation applied to the *prior* subspace before the
+        update; compensates sampling error in small ensembles.  A number
+        is a constant factor (1.0 = none); an inflation model from
+        :func:`~repro.core.localization.make_inflation` is used as is.
+
+    Attributes
+    ----------
+    task_runner:
+        ``runner(tasks) -> results`` executing the locale closures
+        (default :func:`run_tiles_serial`); None entries in the result
+        degrade those locales to their prior.
+    telemetry, metrics:
+        Span/event recorder (default records nothing) and optional
+        :class:`~repro.telemetry.metrics.MetricsRegistry` fed tile
+        counters per analysis.
     """
 
-    def __init__(self, layout: FieldLayout, inflation: float = 1.0):
-        if inflation < 1.0:
-            raise ValueError("inflation must be >= 1")
+    def __init__(self, layout: FieldLayout, inflation=1.0):
         self.layout = layout
-        self.inflation = inflation
+        self.inflation = (
+            MultiplicativeInflation(inflation) if np.isscalar(inflation) else inflation
+        )
+        self.decomposition: TileDecomposition | None = None
+        self.taper = None
+        self.halo: float | None = None
+        self.local_energy_floor = 0.0
+        self.task_runner: Callable[[Sequence[Callable]], list] = run_tiles_serial
+        self.telemetry = NULL_RECORDER
+        self.metrics = None
 
     # -- internals ---------------------------------------------------------
 
-    def _observed_modes(
-        self, subspace: ErrorSubspace, operator: ObservationOperator
-    ) -> np.ndarray:
-        """H D E: observe the de-normalized modes, shape ``(m, p)``."""
-        scales = self.layout.scales[operator.state_indices]
-        return operator.observe_modes(subspace.modes) * scales[:, None]
+    def _prepare(self, subspace: ErrorSubspace, operator: ObservationOperator):
+        """Validated subspace and ``G = H D E``, its observed modes ``(m, p)``."""
+        subspace = _positive_variance_subspace(subspace)
+        g = operator.observe_modes(subspace.modes)  # a gather: a fresh array
+        g *= self.layout.scales[operator.state_indices][:, None]
+        return subspace, g
 
-    def _solve_innovation_cov(
+    def _locales(self, operator: ObservationOperator) -> list[tuple]:
+        """``(index, owned, selected, weights)`` of every locale with data.
+
+        ``owned`` indexes the packed state, ``selected`` the observation
+        batch, and ``weights`` are the R-localization weights of the
+        selected observations.
+        """
+        if self.decomposition is None:
+            # The global analysis: no coordinates are consulted, so the
+            # layout need not be gridded, and "everything" is a slice --
+            # the locale works on views instead of gathered copies.
+            return [(0, slice(None), slice(None), 1.0)]
+        coords = observation_coords(operator)
+        distances = self.decomposition.distances_to(coords[:, 0], coords[:, 1])
+        locales = []
+        for index, owned in enumerate(self._tile_indices):
+            sel, weights = select_observations(
+                distances[index], taper=self.taper, cutoff=self.halo
+            )
+            if sel.size:  # no local data: the prior is the analysis
+                locales.append((index, owned, sel, weights))
+        return locales
+
+    def _locale_task(
         self,
-        hde: np.ndarray,
-        variances: np.ndarray,
+        locale: tuple,
+        modes: np.ndarray,
+        sigmas: np.ndarray,
+        g: np.ndarray,
         noise_var: np.ndarray,
-        rhs: np.ndarray,
-    ) -> np.ndarray:
-        """Apply ``[(HDE) S (HDE)^T + R]^{-1}`` to columns of ``rhs``."""
-        return _solve_innovation_cov_impl(hde, variances, noise_var, rhs)
+        innovation: np.ndarray,
+    ) -> Callable[[], TileUpdate]:
+        """One locale's analysis as an independent, retryable closure."""
+        index, owned, sel, weights = locale
+
+        def task() -> TileUpdate:
+            g_local = g[sel]  # (m_t, p)
+            r_local = noise_var[sel] / weights  # R-localization
+            innov_local = innovation[sel]
+            factor = self.inflation.factor(innov_local, g_local, sigmas**2, r_local)
+            sig_l = sigmas * factor
+            e_owned = modes[owned]  # (n_t, p)
+            kept = np.arange(sigmas.size)
+            g_k, e_k, sig_k = g_local, e_owned, sig_l
+            if self.local_energy_floor > 0.0:
+                # Local mode truncation: a mode matters to this locale
+                # only through its energy in the owned state block or in
+                # the observation footprint; the rest is what
+                # localization discards, and what makes each tile's
+                # solve O(m_t p_t^2).  The dominant mode always stays.
+                score = sig_l**2 * (
+                    np.einsum("ij,ij->j", e_owned, e_owned)
+                    + np.einsum("ij,ij->j", g_local, g_local)
+                )
+                kept = np.flatnonzero(score >= self.local_energy_floor * score.max())
+                g_k, e_k, sig_k = g_local[:, kept], e_owned[:, kept], sig_l[kept]
+            coeffs, s_post = subspace_gain(g_k, sig_k**2, r_local, innov_local)
+
+            # The prior-relative contraction W = ratio^{1/2}, ratio =
+            # Sigma^-1 S_post Sigma^-1 with eigenvalues clipped to
+            # [0, 1]: applying W to the prior anomaly rows can only
+            # shrink them, which is what makes the stitched posterior
+            # variance <= prior pointwise.
+            eigvals, eigvecs = scipy.linalg.eigh(s_post / np.outer(sig_k, sig_k))
+            contraction = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, 1.0))) @ eigvecs.T
+            anomaly = e_k @ (sig_k[:, None] * contraction)
+            if kept.size < sigmas.size:  # dropped modes keep their prior rows
+                contracted, anomaly = anomaly, e_owned * sigmas
+                anomaly[:, kept] = contracted
+            return TileUpdate(
+                tile_index=index,
+                kept_modes=kept,
+                mean_increment=e_k @ coeffs,  # normalized coords
+                anomaly_block=anomaly,
+                n_observations=innov_local.size,
+                inflation_factor=float(factor),
+            )
+
+        return task
 
     # -- public API -----------------------------------------------------------
 
@@ -184,43 +406,75 @@ class ESSEAnalysis:
         ------
         ValueError
             On dimension mismatches or an empty subspace.
+
+        Warns
+        -----
+        DegradedEnsembleWarning
+            When locale tasks failed terminally; those locales keep their
+            prior mean and anomalies.
         """
         forecast_mean = np.asarray(forecast_mean, dtype=np.float64)
         if forecast_mean.shape != (self.layout.size,):
             raise ValueError(
                 f"forecast mean shape {forecast_mean.shape} != ({self.layout.size},)"
             )
-        subspace = _positive_variance_subspace(subspace)
-
-        sigmas = subspace.sigmas * self.inflation
-        variances = sigmas**2
-        hde = self._observed_modes(subspace, operator)
-
+        subspace, g = self._prepare(subspace, operator)
+        modes, sigmas = subspace.modes, subspace.sigmas
         innovation = operator.innovation(forecast_mean)
-        solved = self._solve_innovation_cov(
-            hde, variances, operator.noise_var, innovation
-        )
-        # K d = D E S (HDE)^T solved
-        coeffs = variances * (hde.T @ solved)  # (p,)
-        mean_increment = self.layout.denormalize(subspace.modes @ coeffs)
-        analysis_mean = forecast_mean + mean_increment
+        n_locales = 1 if self.decomposition is None else self.decomposition.n_tiles
+        with self.telemetry.span(
+            "analysis.update", tiles=n_locales, rank=subspace.rank, obs=operator.size
+        ) as span:
+            locales = self._locales(operator)
+            results = self.task_runner(
+                [
+                    self._locale_task(
+                        locale, modes, sigmas, g, operator.noise_var, innovation
+                    )
+                    for locale in locales
+                ]
+            )
+            if len(results) != len(locales):
+                raise RuntimeError(
+                    f"task runner returned {len(results)} results "
+                    f"for {len(locales)} tile tasks"
+                )
 
-        # Posterior mode covariance: S_a = S - S (HDE)^T Sinv (HDE) S
-        shd = hde * variances[None, :]  # (HDE) S, (m, p)
-        middle = self._solve_innovation_cov(
-            hde, variances, operator.noise_var, shd
-        )  # Sinv (HDE) S
-        s_post = np.diag(variances) - shd.T @ middle
-        s_post = 0.5 * (s_post + s_post.T)  # symmetrize round-off
-        eigvals, eigvecs = scipy.linalg.eigh(s_post)
-        order = np.argsort(eigvals)[::-1]
-        eigvals = np.clip(eigvals[order], 0.0, None)
-        eigvecs = eigvecs[:, order]
-        posterior = ErrorSubspace(
-            modes=subspace.modes @ eigvecs,
-            sigmas=np.sqrt(eigvals),
-            n_samples=subspace.n_samples,
-        )
+            # Stitch: disjoint scatter of mean increments and posterior
+            # anomaly rows; entries no locale updated keep their rows of
+            # the prior anomaly matrix M = E diag(sigma).
+            anomalies = np.empty_like(modes)
+            increment_norm = np.zeros(self.layout.size)
+            at_prior = np.ones(self.layout.size, dtype=bool)
+            n_failed = 0
+            for (_, owned, _, _), result in zip(locales, results):
+                if result is None:
+                    n_failed += 1  # degraded: this locale keeps its prior
+                    continue
+                increment_norm[owned] = result.mean_increment
+                anomalies[owned] = result.anomaly_block
+                at_prior[owned] = False
+            anomalies[at_prior] = modes[at_prior] * sigmas
+            analysis_mean = forecast_mean + self.layout.denormalize(increment_norm)
+            posterior = _refactorize(anomalies, subspace.n_samples)
+
+            counts = {
+                "updated": len(locales) - n_failed,
+                "skipped": n_locales - len(locales),
+                "degraded": n_failed,
+            }
+            span.set(posterior_rank=posterior.rank, **counts)
+            if self.metrics is not None:
+                for name, count in counts.items():
+                    self.metrics.counter(f"analysis.tiles_{name}", kind="tile").inc(count)
+        if n_failed:
+            warnings.warn(
+                f"analysis degraded: {n_failed} tile(s) kept their prior "
+                "after tile-task retries were exhausted "
+                "(see docs/ASSIMILATION.md)",
+                DegradedEnsembleWarning,
+                stacklevel=2,
+            )
         return AnalysisResult(
             mean=analysis_mean,
             subspace=posterior,
@@ -251,98 +505,50 @@ class ESSEAnalysis:
         Returns
         -------
         Updated members, shape ``(N, n)``.
+
+        Raises
+        ------
+        ValueError
+            On a shape mismatch, a degenerate subspace, or a localized
+            configuration: members are updated with the global gain only.
         """
+        if self.decomposition is not None:
+            raise ValueError(
+                "update_ensemble applies the global gain; "
+                "it is not defined for a tiled (localized) analysis"
+            )
         members = np.asarray(members, dtype=np.float64)
         if members.ndim != 2 or members.shape[1] != self.layout.size:
             raise ValueError(f"members must be (N, {self.layout.size})")
-        subspace = _positive_variance_subspace(subspace)
-        sigmas = subspace.sigmas * self.inflation
-        variances = sigmas**2
-        hde = self._observed_modes(subspace, operator)
+        subspace, g = self._prepare(subspace, operator)
         # Draw the perturbed observations member-by-member so the noise
         # stream order matches the historical per-member loop exactly,
-        # then push all N innovations through a single Woodbury solve
-        # instead of N solves of the same system.
+        # then push all N innovations through a single gain instead of N
+        # solves of the same system.
         perturbed = np.stack(
             [operator.perturbed_values(rng) for _ in range(members.shape[0])],
             axis=1,
         )  # (m, N)
         innovations = perturbed - operator.observe_modes(members.T)  # (m, N)
-        solved = self._solve_innovation_cov(
-            hde, variances, operator.noise_var, innovations
+        factor = self.inflation.factor(
+            innovations.mean(axis=1), g, subspace.variances, operator.noise_var
         )
-        coeffs = variances[:, None] * (hde.T @ solved)  # (p, N)
+        coeffs, _ = subspace_gain(
+            g, (subspace.sigmas * factor) ** 2, operator.noise_var, innovations
+        )  # (p, N)
         return members + self.layout.denormalize(subspace.modes @ coeffs).T
 
 
-@dataclass(frozen=True)
-class TileUpdate:
-    """The result of one tile's local analysis.
+class TiledESSEAnalysis(ESSEAnalysis):
+    """The analysis localized over grid tiles: many small updates, not one big one.
 
-    Attributes
-    ----------
-    tile_index:
-        Index of the tile in the decomposition.
-    kept_modes:
-        Indices (into the prior mode axis) of the modes the tile's local
-        update retained after the local-energy truncation, shape ``(k,)``.
-    mean_increment:
-        Analysis-minus-forecast increment on the tile's owned state
-        entries, *normalized* coordinates, shape ``(n_t,)``.
-    anomaly_block:
-        Posterior anomaly rows ``(n_t, k)`` for the kept modes (prior
-        anomalies contracted by the local update); rows for dropped
-        modes keep their prior values.
-    n_observations:
-        Observations the tile assimilated (after selection).
-    inflation_factor:
-        Sigma inflation factor the tile's update applied.
-    """
-
-    tile_index: int
-    kept_modes: np.ndarray
-    mean_increment: np.ndarray
-    anomaly_block: np.ndarray
-    n_observations: int
-    inflation_factor: float
-
-
-def run_tiles_serial(tasks: Sequence[Callable[[], TileUpdate]]) -> list:
-    """Default in-process tile runner: run every task in order, fail fast.
-
-    The fault-tolerant alternative is
-    :class:`repro.workflow.pool.TileTaskPool`, whose ``run`` method
-    has the same signature but retries/replaces failing tile tasks and
-    returns None for tiles whose retries were exhausted.
-    """
-    return [task() for task in tasks]
-
-
-class TiledESSEAnalysis:
-    """Localized, tiled ESSE analysis: many small updates instead of one big one.
-
-    The horizontal grid is covered by rectangular tiles
-    (:class:`~repro.core.tiling.TileDecomposition`); each tile selects
-    the observations within its halo (weighted by a distance taper,
-    :mod:`repro.core.localization`), runs the same Woodbury subspace
-    update as :class:`ESSEAnalysis` on its *local* dominant modes, and
-    the per-tile results are recombined into one seam-consistent
-    posterior ``(mean, subspace)``:
-
-    - the mean increments are disjoint scatter-writes (each tile owns its
-      state entries exclusively);
-    - the posterior covariance is carried as the anomaly matrix
-      ``M = E diag(sigma)``; each tile replaces its owned rows by
-      ``M_t W_t`` where ``W_t`` is the symmetric square root of the
-      local posterior-to-prior mode-covariance ratio with eigenvalues
-      clipped to ``[0, 1]`` -- a contraction, so the posterior pointwise
-      variance never exceeds the prior anywhere (with unit inflation);
-    - one final ``p x p`` eigensolve of ``M^T M`` refactorizes ``M`` into
-      orthonormal modes and descending sigmas.
-
-    With a single tile, no taper and default inflation this reproduces
-    :meth:`ESSEAnalysis.update` (identical mean; same sigmas and
-    covariance, modes up to rotation) -- the equivalence is test-enforced.
+    The locales are the rectangular tiles of a
+    :class:`~repro.core.tiling.TileDecomposition` of the horizontal grid;
+    each tile selects the observations within its halo, weighted by a
+    distance taper (:mod:`repro.core.localization`), and runs the update
+    of :class:`ESSEAnalysis` on its *local* dominant modes.  With a
+    single tile, no taper and unit inflation the configuration *is* the
+    global one.
 
     Tile tasks are independent closures executed by ``task_runner``; the
     default runs them serially in-process, and
@@ -355,7 +561,8 @@ class TiledESSEAnalysis:
     Parameters
     ----------
     layout:
-        State layout (normalization scales).
+        State layout (normalization scales); every field must be gridded
+        on ``grid_shape``.
     grid_shape:
         Horizontal grid shape ``(ny, nx)`` shared by every field.
     tile_shape:
@@ -376,8 +583,7 @@ class TiledESSEAnalysis:
         modes whose local energy (state block + observation footprint)
         is at least this fraction of the locally dominant mode's.  0
         keeps every mode; small values (0.01-0.05) are what make the
-        tiled analysis cheaper than the global one on spatially
-        localized subspaces.
+        tiled analysis cheap on spatially localized subspaces.
     task_runner:
         ``runner(tasks) -> results`` executing the tile closures; None
         entries in the result degrade those tiles to their prior.
@@ -408,226 +614,16 @@ class TiledESSEAnalysis:
             )
         if halo is not None and halo < 0:
             raise ValueError(f"halo must be >= 0, got {halo}")
-        self.layout = layout
+        super().__init__(layout, 1.0 if inflation is None else inflation)
         self.decomposition = TileDecomposition(grid_shape, tile_shape)
-        self.taper = taper
-        self.halo = halo
-        self.inflation = (
-            inflation if inflation is not None else MultiplicativeInflation(1.0)
-        )
-        self.local_energy_floor = float(local_energy_floor)
-        self.task_runner = task_runner if task_runner is not None else run_tiles_serial
-        self.telemetry = telemetry if telemetry is not None else NULL_RECORDER
-        self.metrics = metrics
         # Owned-index partition of the packed state, precomputed once
         # (also validates that every field is gridded on grid_shape).
         self._tile_indices = self.decomposition.state_indices(layout)
-
-    # -- internals ---------------------------------------------------------
-
-    def _make_tile_task(
-        self,
-        owned: np.ndarray,
-        sel: np.ndarray,
-        weights: np.ndarray,
-        tile_index: int,
-        modes: np.ndarray,
-        sigmas: np.ndarray,
-        hde: np.ndarray,
-        noise_var: np.ndarray,
-        innovation: np.ndarray,
-    ) -> Callable[[], TileUpdate]:
-        """One tile's local analysis as an independent, retryable closure."""
-
-        def task() -> TileUpdate:
-            hde_local = hde[sel]  # (m_t, p)
-            r_local = noise_var[sel] / weights  # R-localization
-            innov_local = innovation[sel]
-            factor = self.inflation.factor(
-                innov_local, hde_local, sigmas**2, r_local
-            )
-            sig_l = sigmas * factor
-            var_l = sig_l**2
-            e_owned = modes[owned, :]  # (n_t, p)
-            # Local mode truncation: a mode matters to this tile only
-            # through its energy in the owned state block or in the
-            # observation footprint; the rest is what localization
-            # discards, and what makes each tile's solve O(m_t p_t^2).
-            score = var_l * (
-                np.einsum("ij,ij->j", e_owned, e_owned)
-                + np.einsum("ij,ij->j", hde_local, hde_local)
-            )
-            if self.local_energy_floor > 0.0:
-                keep = score >= self.local_energy_floor * float(score.max())
-                if not np.any(keep):
-                    keep[int(np.argmax(score))] = True
-                kept = np.flatnonzero(keep)
-            else:
-                kept = np.arange(sigmas.size)
-            hde_k = hde_local[:, kept]
-            var_k = var_l[kept]
-            sig_k = sig_l[kept]
-
-            # One factorization serves both the mean update and the
-            # posterior covariance: solve against [d | (HDE)S] jointly
-            # instead of building the Woodbury core twice.
-            shd = hde_k * var_k[None, :]
-            joint = _solve_innovation_cov_impl(
-                hde_k, var_k, r_local,
-                np.concatenate([innov_local[:, None], shd], axis=1),
-            )
-            solved, middle = joint[:, 0], joint[:, 1:]
-            coeffs = var_k * (hde_k.T @ solved)
-            increment = e_owned[:, kept] @ coeffs  # normalized coords
-
-            # Local posterior mode covariance, then its prior-relative
-            # contraction W = G^{1/2}, G = Sigma^-1 S_post Sigma^-1 with
-            # eigenvalues clipped to [0, 1]: applying W to the prior
-            # anomaly rows can only shrink them, which is what makes the
-            # stitched posterior variance <= prior pointwise.
-            s_post = np.diag(var_k) - shd.T @ middle
-            s_post = 0.5 * (s_post + s_post.T)
-            ratio = s_post / np.outer(sig_k, sig_k)
-            eigvals, eigvecs = scipy.linalg.eigh(ratio)
-            eigvals = np.clip(eigvals, 0.0, 1.0)
-            contraction = (eigvecs * np.sqrt(eigvals)[None, :]) @ eigvecs.T
-            anomaly = (e_owned[:, kept] * sig_k[None, :]) @ contraction
-            return TileUpdate(
-                tile_index=tile_index,
-                kept_modes=kept,
-                mean_increment=increment,
-                anomaly_block=anomaly,
-                n_observations=int(sel.size),
-                inflation_factor=float(factor),
-            )
-
-        return task
-
-    # -- public API --------------------------------------------------------
-
-    def update(
-        self,
-        forecast_mean: np.ndarray,
-        subspace: ErrorSubspace,
-        operator: ObservationOperator,
-    ) -> AnalysisResult:
-        """One tiled ESSE analysis: local updates + seam-consistent stitch.
-
-        Raises
-        ------
-        ValueError
-            On dimension mismatches or an empty subspace.
-
-        Warns
-        -----
-        DegradedEnsembleWarning
-            When tile tasks failed terminally; those tiles keep their
-            prior mean and anomalies.
-        """
-        forecast_mean = np.asarray(forecast_mean, dtype=np.float64)
-        if forecast_mean.shape != (self.layout.size,):
-            raise ValueError(
-                f"forecast mean shape {forecast_mean.shape} != ({self.layout.size},)"
-            )
-        subspace = _positive_variance_subspace(subspace)
-        modes = subspace.modes
-        sigmas = subspace.sigmas
-        innovation = operator.innovation(forecast_mean)
-        with self.telemetry.span(
-            "analysis.tiled",
-            tiles=self.decomposition.n_tiles,
-            rank=subspace.rank,
-            obs=operator.size,
-        ) as span:
-            scales = self.layout.scales[operator.state_indices]
-            hde = operator.observe_modes(modes) * scales[:, None]
-            coords = observation_coords(operator)
-
-            tasks: list[Callable[[], TileUpdate]] = []
-            task_owned: list[np.ndarray] = []
-            n_skipped = 0
-            all_distances = self.decomposition.distances_to(
-                coords[:, 0], coords[:, 1]
-            )
-            for tile, owned in zip(self.decomposition.tiles, self._tile_indices):
-                sel, weights = select_observations(
-                    all_distances[tile.index], taper=self.taper, cutoff=self.halo
-                )
-                if sel.size == 0:
-                    n_skipped += 1  # no local data: the prior is the analysis
-                    continue
-                tasks.append(
-                    self._make_tile_task(
-                        owned, sel, weights, tile.index,
-                        modes, sigmas, hde, operator.noise_var, innovation,
-                    )
-                )
-                task_owned.append(owned)
-
-            results = self.task_runner(tasks)
-            if len(results) != len(tasks):
-                raise RuntimeError(
-                    f"task runner returned {len(results)} results "
-                    f"for {len(tasks)} tile tasks"
-                )
-
-            # Stitch: disjoint scatter of mean increments and posterior
-            # anomaly rows into the prior anomaly matrix M = E diag(sigma).
-            anomalies = modes * sigmas[None, :]
-            increment_norm = np.zeros(self.layout.size)
-            n_failed = 0
-            for owned, result in zip(task_owned, results):
-                if result is None:
-                    n_failed += 1  # degraded: this tile keeps its prior
-                    continue
-                increment_norm[owned] = result.mean_increment
-                anomalies[np.ix_(owned, result.kept_modes)] = result.anomaly_block
-            analysis_mean = forecast_mean + self.layout.denormalize(increment_norm)
-
-            # Refactorize M into orthonormal modes / descending sigmas via
-            # the p x p Gram eigensolve (rank never grows).
-            gram = anomalies.T @ anomalies
-            gram = 0.5 * (gram + gram.T)
-            eigvals, eigvecs = scipy.linalg.eigh(gram)
-            order = np.argsort(eigvals)[::-1]
-            eigvals = np.clip(eigvals[order], 0.0, None)
-            eigvecs = eigvecs[:, order]
-            positive = eigvals > eigvals[0] * 1e-28 if eigvals.size else eigvals > 0
-            eigvals = eigvals[positive]
-            eigvecs = eigvecs[:, positive]
-            sig_post = np.sqrt(eigvals)
-            post_modes = (anomalies @ eigvecs) / sig_post[None, :]
-            posterior = ErrorSubspace(
-                modes=post_modes, sigmas=sig_post, n_samples=subspace.n_samples
-            )
-
-            span.set(
-                updated=len(tasks) - n_failed,
-                skipped=n_skipped,
-                degraded=n_failed,
-                posterior_rank=posterior.rank,
-            )
-            if self.metrics is not None:
-                self.metrics.counter("analysis.tiles_updated", kind="tile").inc(
-                    len(tasks) - n_failed
-                )
-                self.metrics.counter("analysis.tiles_skipped", kind="tile").inc(
-                    n_skipped
-                )
-                self.metrics.counter("analysis.tiles_degraded", kind="tile").inc(
-                    n_failed
-                )
-        if n_failed:
-            warnings.warn(
-                f"tiled analysis degraded: {n_failed} tile(s) kept their prior "
-                "after tile-task retries were exhausted "
-                "(see docs/ASSIMILATION.md)",
-                DegradedEnsembleWarning,
-                stacklevel=2,
-            )
-        return AnalysisResult(
-            mean=analysis_mean,
-            subspace=posterior,
-            innovation=innovation,
-            analysis_residual=operator.innovation(analysis_mean),
-        )
+        self.taper = taper
+        self.halo = halo
+        self.local_energy_floor = float(local_energy_floor)
+        if task_runner is not None:
+            self.task_runner = task_runner
+        if telemetry is not None:
+            self.telemetry = telemetry
+        self.metrics = metrics

@@ -64,7 +64,9 @@ class ESSEConfig:
         Tmax: wall-clock budget for the ensemble stage (None = unlimited);
         "until the time Tmax available for the forecast expires" (Sec 4).
     inflation:
-        Covariance inflation handed to the analysis.
+        Sigma inflation of the default analysis of a directly constructed
+        :class:`ESSEDriver` (a configured one takes its inflation from
+        the ``assimilation`` section of ``config.py``).
     svd_method:
         ``"lapack"`` (exact) or ``"randomized"`` (sketching; scales to the
         paper's 1000-10000-member ensembles).
@@ -180,12 +182,12 @@ class ESSEDriver:
         stage/SVD/assimilation spans and supplies the clock for the Tmax
         deadline check.  The default records nothing.
     analysis:
-        The analysis backend :meth:`assimilate` uses: any object with the
-        ``update(mean, subspace, operator) -> AnalysisResult`` contract,
-        e.g. a :class:`~repro.core.assimilation.TiledESSEAnalysis`.  The
-        default is the global :class:`ESSEAnalysis` with the config's
-        inflation (see ``config.py``'s ``assimilation`` section for
-        declarative backend selection).
+        The analysis :meth:`assimilate` uses: any object with the
+        ``update(mean, subspace, operator) -> AnalysisResult`` contract.
+        :meth:`repro.config.ExperimentConfig.build_driver` always passes
+        the one its ``assimilation`` section describes; the default, for
+        direct construction only, is the global :class:`ESSEAnalysis`
+        with ``config.inflation``.
     batch_size:
         Members per vectorized integration (``engine.batch_size`` of the
         experiment config); results are bit-identical at every value.

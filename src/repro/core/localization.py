@@ -159,7 +159,7 @@ def select_observations(
         if radius is not None:
             # Compactly supported taper: evaluate the polynomial only
             # inside the support instead of over the whole batch (the
-            # dense-observation hot path; see bench_localized_update).
+            # dense-observation hot path; the suite's ``analysis_dense``).
             inside = d < radius
             weights = np.zeros_like(d)
             weights[inside] = taper(d[inside])

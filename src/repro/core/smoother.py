@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.linalg
 
+from repro.core.assimilation import subspace_gain
 from repro.core.driver import ForecastResult
 from repro.core.perturbation import PerturbationGenerator
 from repro.core.state import FieldLayout
@@ -140,25 +141,14 @@ class ESSESmoother:
         g = operator.observe_modes(z1) * scales[:, None]
         innovation = operator.innovation(central_vec)
 
-        # Woodbury solve of (G G^T + R) s = d in member space
-        r_inv = 1.0 / operator.noise_var
-        a = g * r_inv[:, None]
-        core = np.eye(n_members) + g.T @ a
-        s = innovation * r_inv - a @ scipy.linalg.solve(
-            core, g.T @ (innovation * r_inv), assume_a="pos"
+        # Member-space gain (prior member covariance S = I): the cross-time
+        # increment is D Z0 G^T (G G^T + R)^-1 d = D Z0 coeffs, and the
+        # posterior t0 covariance Z0 (I - G^T (G G^T + R)^-1 G) Z0^T =
+        # Z0 post Z0^T, re-SVD'd below.
+        coeffs, post = subspace_gain(
+            g, np.ones(n_members), operator.noise_var, innovation
         )
-
-        # cross-time gain: increment0 = D Z0 G^T s
-        coeffs = g.T @ s  # (N,)
         smoothed = initial_mean + self.layout.denormalize(z0 @ coeffs)
-
-        # posterior t0 covariance: Z0 (I - G^T Sinv G) Z0^T, re-SVD'd
-        middle = g.T @ (
-            (g * r_inv[:, None])
-            - a @ scipy.linalg.solve(core, g.T @ a, assume_a="pos")
-        )
-        post = np.eye(n_members) - middle
-        post = 0.5 * (post + post.T)
         eigvals, eigvecs = scipy.linalg.eigh(post)
         eigvals = np.clip(eigvals, 0.0, None)
         factor = z0 @ (eigvecs * np.sqrt(eigvals)[None, :])

@@ -43,6 +43,38 @@ class TestCoupledAssimilation:
         aT, aA = cov.assimilate(pT, pA, idx, obs, noise_std=0.05, block="temp")
         assert np.abs(aA - tA).mean() < np.abs(pA - tA).mean()
 
+    @pytest.mark.parametrize("block", ["tl", "temp"])
+    def test_matches_dense_kalman_update(self, block):
+        """Both fields equal the textbook dense gain on the joint vector.
+
+        The reference forms ``P = U S U^T`` and solves the m x m
+        innovation covariance, which ``assimilate`` never does.
+        """
+        cov, pT, pA, tT, tA = coupled_twin(seed=3)
+        idx = np.array([1, 4, 8, 13, 19])
+        truth, scale, offset = (
+            (tA, cov.tl_scale, cov.n_physical) if block == "tl" else (tT, cov.temp_scale, 0)
+        )
+        obs = truth.ravel()[idx] + 0.01 * np.arange(idx.size)
+        noise_std = 0.3
+        aT, aA = cov.assimilate(pT, pA, idx, obs, noise_std=noise_std, block=block)
+
+        p_dense = (cov.modes * cov.variances) @ cov.modes.T  # normalized joint
+        h = np.zeros((idx.size, cov.modes.shape[0]))
+        h[np.arange(idx.size), offset + idx] = 1.0
+        prior = np.concatenate([pT.ravel(), pA.ravel()])
+        innovation = (obs - prior[offset + idx]) / scale
+        r = (noise_std / scale) ** 2 * np.eye(idx.size)
+        increment = p_dense @ h.T @ np.linalg.inv(h @ p_dense @ h.T + r) @ innovation
+        scales = np.concatenate(
+            [np.full(pT.size, cov.temp_scale), np.full(pA.size, cov.tl_scale)]
+        )
+        expected = increment * scales
+        got = np.concatenate([aT.ravel(), aA.ravel()]) - prior
+        np.testing.assert_allclose(
+            got, expected, rtol=0, atol=1e-10 * np.abs(expected).max()
+        )
+
     def test_noisy_obs_update_weaker(self):
         cov, pT, pA, tT, tA = coupled_twin()
         idx = np.array([0, 9])

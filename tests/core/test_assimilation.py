@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.assimilation import ESSEAnalysis
+from repro.core import assimilation
+from repro.core.assimilation import ESSEAnalysis, TiledESSEAnalysis, subspace_gain
+from repro.core.localization import AdaptiveInflation, MultiplicativeInflation
 from repro.core.state import FieldLayout, FieldSpec
 from repro.core.subspace import ErrorSubspace
 from repro.obs.operators import Observation, ObservationOperator
@@ -34,6 +36,90 @@ def obs_at(layout, entries, noise_std=0.1):
             )
         )
     return ObservationOperator(layout, observations)
+
+
+def dense_kalman_update(layout, mean, subspace, operator, inflation=1.0):
+    """The textbook update with every matrix formed densely: the reference.
+
+    ``P = DE S E^T D``, ``K = P H^T (H P H^T + R)^-1``,
+    ``x_a = x + K (y - H x)``, ``P_a = P - K H P``, in physical units.
+    Shares no code with the program: no subspace algebra, no
+    factorization reuse, an explicit m x m inverse.
+
+    Returns ``(analysis_mean, posterior_covariance)``.
+    """
+    de = subspace.modes * layout.scales[:, None]
+    p_dense = (de * (inflation * subspace.sigmas) ** 2) @ de.T
+    h = np.zeros((operator.size, layout.size))
+    h[np.arange(operator.size), operator.state_indices] = 1.0
+    innovation_cov = h @ p_dense @ h.T + np.diag(operator.noise_var)
+    gain = p_dense @ h.T @ np.linalg.inv(innovation_cov)
+    return mean + gain @ (operator.values - h @ mean), p_dense - gain @ h @ p_dense
+
+
+def physical_covariance(layout, subspace):
+    """``D E S E^T D`` of a subspace, formed densely."""
+    de = subspace.modes * layout.scales[:, None]
+    return (de * subspace.variances) @ de.T
+
+
+def assert_matches_dense(layout, result, mean, subspace, operator, inflation=1.0):
+    """Mean and covariance of ``result`` equal the dense reference to 1e-10."""
+    expected_mean, expected_cov = dense_kalman_update(
+        layout, mean, subspace, operator, inflation
+    )
+    np.testing.assert_allclose(
+        result.mean,
+        expected_mean,
+        rtol=0,
+        atol=1e-10 * np.abs(expected_mean - mean).max(),
+    )
+    np.testing.assert_allclose(
+        physical_covariance(layout, result.subspace),
+        expected_cov,
+        rtol=0,
+        atol=1e-10 * np.abs(expected_cov).max(),
+    )
+
+
+class TestSubspaceGain:
+    """The one kernel against the formulas it replaces, formed densely."""
+
+    @pytest.mark.parametrize("m,p", [(9, 4), (3, 6)], ids=["m>p", "m<p"])
+    @pytest.mark.parametrize("n_rhs", [None, 5], ids=["vector", "matrix"])
+    def test_matches_dense_formulas(self, m, p, n_rhs):
+        rng = np.random.default_rng(m + p)
+        g = rng.standard_normal((m, p))
+        variances = np.geomspace(1.0, 1e-12, p)  # sigmas spanning 1e-6 ... 1
+        noise_var = rng.uniform(0.05, 2.0, m)
+        rhs = rng.standard_normal(m if n_rhs is None else (m, n_rhs))
+        coeffs, s_post = subspace_gain(g, variances, noise_var, rhs)
+
+        s = np.diag(variances)
+        innovation_cov_inv = np.linalg.inv(g @ s @ g.T + np.diag(noise_var))
+        expected_coeffs = s @ g.T @ innovation_cov_inv @ rhs
+        expected_post = s - s @ g.T @ innovation_cov_inv @ g @ s
+        assert coeffs.shape == expected_coeffs.shape
+        np.testing.assert_allclose(
+            coeffs, expected_coeffs, rtol=0, atol=1e-12 * np.abs(expected_coeffs).max()
+        )
+        np.testing.assert_allclose(s_post, expected_post, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(s_post, s_post.T)
+
+    def test_zero_variance_mode_gets_no_weight(self):
+        """A mode without prior variance stays out instead of dividing by 0."""
+        rng = np.random.default_rng(4)
+        g = rng.standard_normal((5, 3))
+        noise_var, rhs = np.full(5, 0.1), rng.standard_normal(5)
+        coeffs, s_post = subspace_gain(g, np.array([1.0, 0.0, 0.25]), noise_var, rhs)
+        assert coeffs[1] == 0.0
+        assert np.all(s_post[1] == 0.0) and np.all(s_post[:, 1] == 0.0)
+        live = [0, 2]
+        live_coeffs, live_post = subspace_gain(
+            g[:, live], np.array([1.0, 0.25]), noise_var, rhs
+        )
+        np.testing.assert_allclose(coeffs[live], live_coeffs, atol=1e-14)
+        np.testing.assert_allclose(s_post[np.ix_(live, live)], live_post, atol=1e-15)
 
 
 class TestMeanUpdate:
@@ -81,23 +167,12 @@ class TestMeanUpdate:
         assert np.linalg.norm(residual) < 1e-10 * max(np.linalg.norm(incr_norm), 1)
 
     def test_matches_dense_kalman_formula(self, layout):
-        """Woodbury path equals the textbook dense gain."""
+        """Mean and posterior covariance equal the textbook dense update."""
         sub = make_subspace(layout, p=3, seed=7)
-        analysis = ESSEAnalysis(layout)
         op = obs_at(layout, [("a", 1, 1.0), ("a", 4, -2.0), ("b", 0, 0.5)])
-        x = np.zeros(layout.size)
-        result = analysis.update(x, sub, op)
-
-        d = np.asarray(layout.scales)
-        de = sub.modes * d[:, None]
-        p_dense = de @ np.diag(sub.variances) @ de.T
-        h_rows = np.zeros((op.size, layout.size))
-        for k, idx in enumerate(op.state_indices):
-            h_rows[k, idx] = 1.0
-        s = h_rows @ p_dense @ h_rows.T + np.diag(op.noise_var)
-        gain = p_dense @ h_rows.T @ np.linalg.inv(s)
-        expected = x + gain @ (op.values - h_rows @ x)
-        assert np.allclose(result.mean, expected, atol=1e-8)
+        x = np.random.default_rng(7).standard_normal(layout.size)
+        result = ESSEAnalysis(layout).update(x, sub, op)
+        assert_matches_dense(layout, result, x, sub, op)
 
     def test_validation(self, layout):
         analysis = ESSEAnalysis(layout)
@@ -255,23 +330,23 @@ class TestEnsembleUpdateRegressions:
             assert str(from_update.value) == str(from_ensemble.value)
 
     def test_single_woodbury_solve_for_all_members(self, layout, monkeypatch):
-        """All N member innovations go through ONE innovation-cov solve.
+        """All N member innovations go through ONE gain solve.
 
-        The old implementation called ``_solve_innovation_cov`` once per
-        member; this fails against it (N calls) and passes now (1 call).
+        The old implementation solved the innovation-covariance system
+        once per member; this fails against it (N calls) and passes now
+        (1 call of the kernel, :func:`subspace_gain`).
         """
         analysis = ESSEAnalysis(layout)
         sub = make_subspace(layout)
         op = obs_at(layout, [("a", 1, 1.0), ("b", 2, 0.5)])
         members = np.random.default_rng(3).standard_normal((6, layout.size))
         calls = []
-        original = analysis._solve_innovation_cov
 
-        def counted(hde, variances, noise_var, rhs):
+        def counted(g, variances, noise_var, rhs):
             calls.append(np.shape(rhs))
-            return original(hde, variances, noise_var, rhs)
+            return subspace_gain(g, variances, noise_var, rhs)
 
-        monkeypatch.setattr(analysis, "_solve_innovation_cov", counted)
+        monkeypatch.setattr(assimilation, "subspace_gain", counted)
         analysis.update_ensemble(members, sub, op, np.random.default_rng(0))
         assert len(calls) == 1
         assert calls[0] == (op.size, 6)  # the stacked (m, N) rhs
@@ -311,16 +386,55 @@ class TestEnsembleUpdateRegressions:
         out = analysis.update_ensemble(members, sub, op, np.random.default_rng(11))
 
         rng = np.random.default_rng(11)
-        kept = sub  # all sigmas positive in this fixture
-        sigmas = kept.sigmas * analysis.inflation
-        variances = sigmas**2
-        hde = analysis._observed_modes(kept, op)
+        variances = (sub.sigmas * 1.05) ** 2  # all sigmas positive in this fixture
+        g = op.observe_modes(sub.modes) * layout.scales[op.state_indices][:, None]
         expected = np.empty_like(members)
         for j in range(members.shape[0]):
             d_j = op.perturbed_values(rng) - op.observe(members[j])
-            solved = analysis._solve_innovation_cov(
-                hde, variances, op.noise_var, d_j
-            )
-            coeffs = variances * (hde.T @ solved)
-            expected[j] = members[j] + layout.denormalize(kept.modes @ coeffs)
+            coeffs, _ = subspace_gain(g, variances, op.noise_var, d_j)
+            expected[j] = members[j] + layout.denormalize(sub.modes @ coeffs)
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-13)
+
+    def test_localized_configuration_rejected(self):
+        """Members are updated with the global gain only."""
+        layout = FieldLayout([FieldSpec("ssh", (4, 3))])
+        tiled = TiledESSEAnalysis(layout, (4, 3), tile_shape=(2, 3))
+        sub = make_subspace(layout)
+        op = ObservationOperator(
+            layout,
+            [Observation(field="ssh", level=0, j=1, i=1, value=1.0, noise_std=0.1)],
+        )
+        with pytest.raises(ValueError, match="tiled"):
+            tiled.update_ensemble(
+                np.zeros((2, layout.size)), sub, op, np.random.default_rng(0)
+            )
+
+
+class TestInflation:
+    """A number and an inflation model are the same knob on the one class."""
+
+    def test_scalar_is_multiplicative_model(self, layout):
+        sub = make_subspace(layout, sigma0=0.3)
+        op = obs_at(layout, [("a", 1, 1.0), ("b", 2, 0.5)])
+        x = np.zeros(layout.size)
+        by_number = ESSEAnalysis(layout, inflation=1.3).update(x, sub, op)
+        by_model = ESSEAnalysis(layout, inflation=MultiplicativeInflation(1.3)).update(
+            x, sub, op
+        )
+        np.testing.assert_array_equal(by_number.mean, by_model.mean)
+        np.testing.assert_array_equal(
+            by_number.subspace.sigmas, by_model.subspace.sigmas
+        )
+        assert_matches_dense(layout, by_number, x, sub, op, inflation=1.3)
+
+    def test_adaptive_inflation_on_the_global_analysis(self, layout):
+        """An overconfident prior is inflated by the innovation statistics."""
+        sub = make_subspace(layout, sigma0=0.01)
+        op = obs_at(layout, [("a", 1, 3.0), ("a", 6, -2.0), ("b", 2, 2.5)])
+        x = np.zeros(layout.size)
+        model = AdaptiveInflation(min_factor=1.0, max_factor=2.0)
+        g = op.observe_modes(sub.modes) * layout.scales[op.state_indices][:, None]
+        factor = model.factor(op.innovation(x), g, sub.variances, op.noise_var)
+        assert factor == 2.0  # clipped at the maximum
+        result = ESSEAnalysis(layout, inflation=model).update(x, sub, op)
+        assert_matches_dense(layout, result, x, sub, op, inflation=factor)

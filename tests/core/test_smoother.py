@@ -101,6 +101,43 @@ class TestSmoother:
             smoothing_setup["result"].initial_subspace.modes, atol=1e-7
         )
 
+    def test_matches_dense_cross_time_update(self, smoothing_setup):
+        """Mean and posterior covariance equal the textbook dense update.
+
+        The reference solves the m x m innovation covariance directly
+        (``Z0 G^T (G G^T + R)^-1``), which the smoother never forms.
+        """
+        s = smoothing_setup
+        layout, forecast, op = s["layout"], s["forecast"], s["batch"].operator
+        prior = s["model"].to_vector(s["background"])
+        z0 = ESSESmoother(layout, root_seed=s["root_seed"])._initial_anomalies(
+            prior, s["subspace"], forecast.member_ids
+        )
+        central = s["model"].to_vector(forecast.central)
+        n_members = forecast.member_forecasts.shape[0]
+        z1 = layout.normalize((forecast.member_forecasts - central).T)
+        z1 /= np.sqrt(n_members - 1)
+        g = layout.denormalize(z1)[op.state_indices]  # H D Z1
+        innovation_cov = g @ g.T + np.diag(op.noise_var)
+        gain = z0 @ g.T @ np.linalg.inv(innovation_cov)
+        increment = layout.denormalize(gain @ (op.values - central[op.state_indices]))
+        expected_cov = z0 @ z0.T - gain @ g @ z0.T
+
+        result = s["result"]
+        np.testing.assert_allclose(
+            result.smoothed_initial_mean - prior,
+            increment,
+            rtol=0,
+            atol=1e-10 * np.abs(increment).max(),
+        )
+        post = result.initial_subspace
+        np.testing.assert_allclose(
+            (post.modes * post.variances) @ post.modes.T,
+            expected_cov,
+            rtol=0,
+            atol=1e-10 * np.abs(expected_cov).max(),
+        )
+
     def test_validation(self, smoothing_setup):
         s = smoothing_setup
         smoother = ESSESmoother(s["layout"], root_seed=s["root_seed"])

@@ -1,9 +1,14 @@
-"""Tests for the localized, tiled ESSE analysis engine.
+"""Tests for the localized, tiled configuration of the ESSE analysis.
 
-Covers the three core contracts of ``TiledESSEAnalysis``:
+Covers the core contracts of ``TiledESSEAnalysis``:
 
-- equivalence: one tile, no taper, unit inflation reproduces the global
-  :class:`ESSEAnalysis` update (mean, sigmas, variance field),
+- reference: with one locale (no decomposition, or one tile with no
+  taper) the update equals the dense textbook formula written in
+  ``test_assimilation.dense_kalman_update`` -- mean and covariance; the
+  two configurations run the same code, so comparing them with each
+  other would prove nothing,
+- orientation: the posterior modes are a function of the covariance, not
+  of the prior's mode signs or the order tiles ran in,
 - contraction: with unit inflation the stitched posterior pointwise
   variance never exceeds the prior, for any tiling/taper combination,
 - degradation: tiles whose tasks fail terminally keep their prior and
@@ -31,6 +36,7 @@ from repro.core.taskmodel import DegradedEnsembleWarning
 from repro.obs.operators import Observation, ObservationOperator
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import TraceRecorder
+from tests.core.test_assimilation import assert_matches_dense, dense_kalman_update
 
 GRID = (8, 6)
 
@@ -110,8 +116,31 @@ class TestValidation:
             )
 
 
+def make_engine(layout, one_tile):
+    """The one-locale analysis, configured either way."""
+    if one_tile:
+        return TiledESSEAnalysis(layout, GRID, tile_shape=(64, 64))
+    return ESSEAnalysis(layout)
+
+
 class TestGlobalEquivalence:
+    @pytest.mark.parametrize("one_tile", [False, True], ids=["no-decomposition", "one-tile"])
+    @pytest.mark.parametrize(
+        "sigmas",
+        [np.linspace(1.0, 0.3, 6), np.geomspace(1.0, 1e-6, 6)],
+        ids=["flat-spectrum", "sigmas-1e-6-to-1"],
+    )
+    @pytest.mark.parametrize("n_obs", [12, 3], ids=["m>p", "m<p"])
+    def test_one_locale_matches_dense_reference(self, layout, one_tile, sigmas, n_obs):
+        prior = make_subspace(layout)
+        subspace = ErrorSubspace(modes=prior.modes, sigmas=sigmas, n_samples=40)
+        operator = make_operator(layout, n_obs=n_obs)
+        mean = np.random.default_rng(3).normal(0.0, 1.0, layout.size)
+        result = make_engine(layout, one_tile).update(mean, subspace, operator)
+        assert_matches_dense(layout, result, mean, subspace, operator)
+
     def test_single_tile_no_taper_matches_global(self, layout):
+        """One tile, no taper *is* the global configuration: same bits."""
         subspace = make_subspace(layout)
         operator = make_operator(layout)
         mean = np.random.default_rng(3).normal(0.0, 1.0, layout.size)
@@ -127,13 +156,9 @@ class TestGlobalEquivalence:
             global_result.subspace.sigmas,
             rtol=1e-8,
         )
-        # Modes may differ by rotation/sign; the covariance diagonal is
-        # the rotation-invariant comparison.
+        # The orientation convention makes even the modes comparable.
         assert_allclose(
-            variance_field(layout, tiled_result.subspace),
-            variance_field(layout, global_result.subspace),
-            rtol=1e-8,
-            atol=1e-12,
+            tiled_result.subspace.modes, global_result.subspace.modes, atol=1e-10
         )
 
     def test_many_tiles_no_taper_same_mean_space(self, layout):
@@ -143,11 +168,64 @@ class TestGlobalEquivalence:
         subspace = make_subspace(layout, seed=5)
         operator = make_operator(layout, seed=5)
         mean = np.zeros(layout.size)
-        global_result = ESSEAnalysis(layout).update(mean, subspace, operator)
+        expected_mean, _ = dense_kalman_update(layout, mean, subspace, operator)
         tiled_result = TiledESSEAnalysis(
             layout, GRID, tile_shape=(3, 2)
         ).update(mean, subspace, operator)
-        assert_allclose(tiled_result.mean, global_result.mean, rtol=1e-10)
+        assert_allclose(tiled_result.mean, expected_mean, rtol=1e-10, atol=1e-13)
+
+
+class TestOrientation:
+    """Posterior modes are oriented: largest-magnitude entry positive."""
+
+    ENGINES = {
+        "global": lambda layout, **kw: ESSEAnalysis(layout),
+        "tiled": lambda layout, **kw: TiledESSEAnalysis(
+            layout, GRID, tile_shape=(4, 3), taper=GaspariCohnTaper(6.0), **kw
+        ),
+    }
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_largest_entry_positive(self, layout, engine):
+        result = self.ENGINES[engine](layout).update(
+            np.zeros(layout.size), make_subspace(layout), make_operator(layout)
+        )
+        modes = result.subspace.modes
+        peak = modes[np.argmax(np.abs(modes), axis=0), np.arange(modes.shape[1])]
+        assert np.all(peak > 0)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_prior_mode_signs_do_not_reach_the_posterior(self, layout, engine):
+        """The same covariance written with flipped mode signs: same modes."""
+        subspace = make_subspace(layout, seed=12)
+        flips = np.random.default_rng(12).choice([-1.0, 1.0], subspace.rank)
+        assert np.any(flips < 0)
+        flipped = ErrorSubspace(
+            modes=subspace.modes * flips, sigmas=subspace.sigmas, n_samples=40
+        )
+        operator = make_operator(layout, seed=12)
+        mean = np.zeros(layout.size)
+        one = self.ENGINES[engine](layout).update(mean, subspace, operator)
+        other = self.ENGINES[engine](layout).update(mean, flipped, operator)
+        assert_allclose(other.subspace.modes, one.subspace.modes, atol=1e-10)
+        assert_allclose(other.subspace.sigmas, one.subspace.sigmas, rtol=1e-10)
+        assert_allclose(other.mean, one.mean, atol=1e-12)
+
+    def test_tile_order_does_not_reach_the_posterior(self, layout):
+        """Tiles run last-to-first give the same modes, sign included."""
+
+        def last_first(tasks):
+            return run_tiles_serial(tasks[::-1])[::-1]
+
+        subspace = make_subspace(layout, seed=13)
+        operator = make_operator(layout, seed=13)
+        mean = np.zeros(layout.size)
+        forward = self.ENGINES["tiled"](layout).update(mean, subspace, operator)
+        backward = self.ENGINES["tiled"](layout, task_runner=last_first).update(
+            mean, subspace, operator
+        )
+        assert_allclose(backward.subspace.modes, forward.subspace.modes, atol=1e-10)
+        assert_allclose(backward.mean, forward.mean, atol=1e-12)
 
 
 class TestVarianceContraction:
@@ -253,12 +331,23 @@ class TestLocalization:
         engine.update(
             np.zeros(layout.size), make_subspace(layout), make_operator(layout)
         )
-        spans = [s for s in recorder.spans() if s.name == "analysis.tiled"]
+        spans = [s for s in recorder.spans() if s.name == "analysis.update"]
         assert len(spans) == 1
         attrs = dict(spans[0].attrs)
         assert attrs["tiles"] == engine.decomposition.n_tiles
         assert attrs["updated"] + attrs["skipped"] == engine.decomposition.n_tiles
         assert attrs["degraded"] == 0
+
+    def test_global_configuration_records_one_locale(self, layout):
+        recorder = TraceRecorder()
+        engine = ESSEAnalysis(layout)
+        engine.telemetry = recorder
+        operator = make_operator(layout)
+        engine.update(np.zeros(layout.size), make_subspace(layout), operator)
+        (span,) = [s for s in recorder.spans() if s.name == "analysis.update"]
+        attrs = dict(span.attrs)
+        assert (attrs["tiles"], attrs["updated"], attrs["skipped"]) == (1, 1, 0)
+        assert (attrs["rank"], attrs["obs"], attrs["degraded"]) == (6, operator.size, 0)
 
 
 class TestDegradation:
@@ -282,6 +371,17 @@ class TestDegradation:
             rtol=1e-9,
             atol=1e-13,
         )
+
+    def test_failed_global_locale_keeps_prior(self, layout):
+        """The global analysis is one locale; losing it loses the update."""
+        subspace = make_subspace(layout, seed=6)
+        mean = np.random.default_rng(6).normal(0.0, 1.0, layout.size)
+        engine = ESSEAnalysis(layout)
+        engine.task_runner = lambda tasks: [None] * len(tasks)
+        with pytest.warns(DegradedEnsembleWarning, match="1 tile"):
+            result = engine.update(mean, subspace, make_operator(layout, seed=6))
+        assert_allclose(result.mean, mean)
+        assert_allclose(result.subspace.sigmas, subspace.sigmas, rtol=1e-10)
 
     def test_partial_failure_updates_surviving_tiles_only(self, layout):
         subspace = make_subspace(layout, seed=8)
@@ -317,6 +417,32 @@ class TestDegradation:
 
 
 class TestPropertyInvariants:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        one_tile=st.booleans(),
+        n_obs=st.integers(1, 14),
+        rank=st.integers(1, 8),
+        decades=st.floats(0.0, 6.0),
+    )
+    def test_one_locale_matches_dense_reference(
+        self, seed, one_tile, n_obs, rank, decades
+    ):
+        layout = FieldLayout(
+            [
+                FieldSpec("ssh", (*GRID,), scale=0.5),
+                FieldSpec("temp", (2, *GRID), scale=2.0),
+            ]
+        )
+        modes = make_subspace(layout, p=rank, seed=seed).modes
+        subspace = ErrorSubspace(
+            modes=modes, sigmas=np.geomspace(1.0, 10.0**-decades, rank), n_samples=40
+        )
+        operator = make_operator(layout, seed=seed, n_obs=n_obs)
+        mean = np.random.default_rng(seed).normal(0.0, 1.0, layout.size)
+        result = make_engine(layout, one_tile).update(mean, subspace, operator)
+        assert_matches_dense(layout, result, mean, subspace, operator)
+
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 10_000),

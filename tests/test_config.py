@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.config import ConfigError, ExperimentConfig
@@ -239,9 +240,64 @@ class TestAssimilationSection:
             {"domain": {"nx": 12, "ny": 10, "nz": 2}}
         )
         model = cfg.build_model()
-        assert cfg.build_analysis(model) is None
         driver = cfg.build_driver(model)
         assert type(driver.analysis) is ESSEAnalysis
+        assert type(cfg.build_analysis(model)) is ESSEAnalysis
+        assert driver.analysis.decomposition is None
+        assert driver.analysis.taper is None
+
+    @pytest.mark.parametrize("backend", ["global", "tiled"])
+    def test_inflation_keys_reach_the_analysis(self, backend):
+        """Regression: ``backend: global`` used to drop all three keys.
+
+        ``build_analysis`` returned None for it and the driver fell back
+        to ``ESSEConfig.inflation``, which no section sets -- so
+        ``inflation_factor: 1.3`` ran at 1.0.
+        """
+        from repro.core import synthetic_initial_subspace
+        from repro.core.localization import AdaptiveInflation
+        from repro.obs.operators import Observation, ObservationOperator
+
+        def posterior_sigmas(**assimilation):
+            cfg = ExperimentConfig.from_dict(
+                {
+                    "domain": {"nx": 12, "ny": 10, "nz": 2},
+                    "assimilation": {
+                        "backend": backend, "tile_ny": 5, "tile_nx": 6,
+                        "taper": "none", **assimilation,
+                    },
+                }
+            )
+            model = cfg.build_model()
+            analysis = cfg.build_driver(model).analysis
+            subspace = synthetic_initial_subspace(
+                model.layout, model.grid.shape2d, model.grid.nz, rank=4, seed=0
+            )
+            operator = ObservationOperator(
+                model.layout,
+                [
+                    Observation(field="temp", level=0, j=2, i=3, value=9.0,
+                                noise_std=0.5),
+                    Observation(field="temp", level=1, j=7, i=9, value=-4.0,
+                                noise_std=0.5),
+                ],
+            )
+            result = analysis.update(
+                np.zeros(model.layout.size), subspace, operator
+            )
+            return analysis, result.subspace.sigmas
+
+        _, plain = posterior_sigmas()
+        analysis, inflated = posterior_sigmas(inflation_factor=1.3)
+        assert analysis.inflation.factor(None, None, None, None) == 1.3
+        assert np.all(inflated > plain * 1.01)
+
+        analysis, adaptive = posterior_sigmas(
+            inflation="adaptive", inflation_factor=1.1, adaptive_inflation_max=1.7
+        )
+        assert isinstance(analysis.inflation, AdaptiveInflation)
+        assert (analysis.inflation.min_factor, analysis.inflation.max_factor) == (1.1, 1.7)
+        assert np.all(adaptive > plain * 1.01)
 
     def test_tiled_backend_builds_tiled_analysis(self):
         from repro.core.assimilation import TiledESSEAnalysis

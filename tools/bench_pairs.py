@@ -12,6 +12,15 @@ the change -- on the same box and writes one JSON file holding
   workload per side (seed 0), every per-layer metric of every run plus
   its median -- where the saving sits.
 
+- ``other_workload_pairs`` (``--other-pairs N``): N alternating pairs at
+  seed 0 of each workload that is *not* ``--workload`` -- side effects and
+  must-not-move checks, not claims;
+- ``analysis_skill`` (``--digest-seeds K ...``): the accuracy facts of
+  ``analysis_dense``'s digest (analysis error against the twin truth, tiled
+  against global, variance excess) at the full size for each seed and side,
+  with median and range -- they do not depend on timing, and a single seed
+  of a skill number proves nothing.
+
 Usage::
 
     python tools/bench_pairs.py --parent /root/scratch/parent --change . \\
@@ -24,7 +33,8 @@ The second form prints the record's before/after tables as Markdown (the
 ones EXPERIMENTS.md quotes).
 
 The suite itself is not imported: each run is the driver's own command
-line in a fresh subprocess with ``--json-record``.
+line in a fresh subprocess with ``--json-record`` (the digest facts come
+from a subprocess in the checkout that calls the workload's own functions).
 """
 
 from __future__ import annotations
@@ -54,6 +64,56 @@ def run_record(checkout: Path, workload: str, seed: int, seconds: float, trace: 
     if done.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"{checkout}: {workload} failed\n{done.stdout}\n{done.stderr}")
     return json.loads(lines[-2])
+
+
+#: Run inside a checkout: the full-size ``analysis_dense`` case of one seed,
+#: both updates, and the workload's own accuracy facts as one JSON line.
+_DIGEST_SNIPPET = """
+import json, sys
+sys.path[:0] = ["benchmarks/suite", "src"]
+from repro.util.rng import SeedSequenceStream
+from sizes import FULL
+from workloads.analysis_dense import (
+    analysis_facts, build_dense_case, default_analysis, tiled_analysis,
+)
+size = FULL["analysis_dense"]
+shape = tuple(size["field_shape"])
+case = build_dense_case(
+    shape, size["rank"], size["bump_radius"], size["noise_std"],
+    SeedSequenceStream(int(sys.argv[1])),
+)
+args = (case["forecast"], case["subspace"], case["operator"])
+tiled = tiled_analysis(
+    case["layout"], shape, tuple(size["tile_shape"]), size["taper_radius"],
+    size["energy_floor"],
+)
+facts = analysis_facts(
+    case, default_analysis(case["layout"]).update(*args), tiled.update(*args)
+)
+print(json.dumps(facts))
+"""
+
+
+def analysis_skill(checkout: Path, seeds: list[int]) -> dict:
+    """``analysis_dense``'s accuracy facts per seed, with median and range."""
+    by_seed = {}
+    for seed in seeds:
+        done = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SNIPPET, str(seed)],
+            cwd=checkout, capture_output=True, text=True, timeout=1200,
+        )
+        if done.returncode != 0:
+            raise SystemExit(f"{checkout}: digest seed {seed} failed\n{done.stderr}")
+        by_seed[f"seed_{seed}"] = json.loads(done.stdout.splitlines()[-1])
+        print(f"  digest seed {seed}: {by_seed[f'seed_{seed}']}", flush=True)
+    numeric = [k for k, v in next(iter(by_seed.values())).items() if not isinstance(v, bool)]
+    spread = {}
+    for name in numeric:
+        values = [facts[name] for facts in by_seed.values()]
+        spread[name] = {
+            "median": statistics.median(values), "min": min(values), "max": max(values)
+        }
+    return {"by_seed": by_seed, "summary": spread}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -143,6 +203,20 @@ def markdown_tables(record: dict, prefixes: tuple[str, ...] = ("",)) -> str:
                 continue
             ratio = f"{after[name] / before[name]:.2f}" if before[name] else "-"
             lines.append(f"| `{name}` | {before[name]:.4g} | {after[name]:.4g} | {ratio} |")
+    if "analysis_skill" in record:
+        sides = record["analysis_skill"]
+        n = len(sides["change"]["by_seed"])
+        lines += [
+            "",
+            f"| `analysis_dense` fact, median (min - max) over {n} seeds | parent | change |",
+            "|---|---|---|",
+        ]
+        for name in sides["change"]["summary"]:
+            cells = [
+                "{median:.4g} ({min:.4g} - {max:.4g})".format(**sides[side]["summary"][name])
+                for side in ("parent", "change")
+            ]
+            lines.append(f"| `{name}` | {cells[0]} | {cells[1]} |")
     return "\n".join(lines)
 
 
@@ -161,6 +235,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--traced-repeats", type=int, default=0)
+    parser.add_argument(
+        "--other-pairs", type=int, default=0, help="pairs of every other workload, seed 0"
+    )
+    parser.add_argument(
+        "--digest-seeds", type=int, nargs="+", default=[],
+        help="seeds of the analysis_dense accuracy table",
+    )
     args = parser.parse_args(argv)
     if args.table is not None:
         print(markdown_tables(json.loads(args.table.read_text()), tuple(args.metrics)))
@@ -186,6 +267,24 @@ def main(argv=None) -> int:
         record["traced"] = traced(
             args.parent, args.change, args.workload, args.traced_repeats, args.seconds
         )
+    if args.other_pairs:
+        others = {}
+        for name in WORKLOADS:
+            if name != args.workload:
+                print(f"other workload {name}", flush=True)
+                others[name] = paired(
+                    args.parent, args.change, name, 0, args.other_pairs, args.seconds
+                )
+        record["other_workload_pairs"] = {
+            "why": "side effects and must-not-move workloads, alternating pairs "
+            "at seed 0; not claims",
+            "pairs": others,
+        }
+    if args.digest_seeds:
+        record["analysis_skill"] = {}
+        for side, checkout in (("parent", args.parent), ("change", args.change)):
+            print(f"analysis skill {side}", flush=True)
+            record["analysis_skill"][side] = analysis_skill(checkout, args.digest_seeds)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out}")

@@ -86,7 +86,8 @@ python tools/check_docs.py \
 python tools/check_docs.py repro.util.sanitizer repro.core.taskmodel
 python tools/check_docs.py repro.util.fsio repro.workflow.covfile
 python tools/check_docs.py \
-    repro.core.localization repro.core.tiling repro.workflow.pool
+    repro.core.assimilation repro.core.localization repro.core.tiling \
+    repro.workflow.pool
 python tools/check_docs.py \
     repro.products.store repro.products.tiles repro.products.cache \
     repro.products.service repro.products.server
@@ -114,14 +115,6 @@ BENCH_SMOKE=1 BENCH_OUTPUT_DIR="$products_tmp" \
     --rootdir=benchmarks -p no:cacheprovider
 rm -rf "$products_tmp"
 echo "product service smoke: ok"
-
-# Smoke: the global-vs-tiled analysis bench at CI scale.
-localized_tmp="$(mktemp -d)"
-BENCH_SMOKE=1 BENCH_OUTPUT_DIR="$localized_tmp" \
-    python -m pytest benchmarks/bench_localized_update.py -q \
-    --rootdir=benchmarks -p no:cacheprovider
-rm -rf "$localized_tmp"
-echo "localized update smoke: ok"
 
 # Smoke: the lint-engine bench at CI scale (lints tools/lint only; the
 # committed full-repo numbers live in benchmarks/results/BENCH_lint.json).
