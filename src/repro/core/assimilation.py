@@ -51,10 +51,11 @@ from repro.core.localization import (
     select_observations,
 )
 from repro.core.state import FieldLayout
-from repro.core.subspace import ErrorSubspace
+from repro.core.subspace import ANOMALY_RTOL, ErrorSubspace
 from repro.core.taskmodel import DegradedEnsembleWarning
 from repro.core.tiling import TileDecomposition
 from repro.telemetry.spans import NULL_RECORDER
+from repro.util.linalg import truncated_svd
 
 if TYPE_CHECKING:  # avoid a core <-> obs import cycle; used as hints only
     from repro.obs.operators import ObservationOperator
@@ -149,22 +150,15 @@ def _positive_variance_subspace(subspace: ErrorSubspace) -> ErrorSubspace:
 
 
 def _refactorize(anomalies: np.ndarray, n_samples: int) -> ErrorSubspace:
-    """Orthonormal modes and descending sigmas of ``M = anomalies``.
+    """Orthonormal, sign-oriented modes and descending sigmas of ``M = anomalies``.
 
-    One ``p x p`` Gram eigensolve of ``M^T M`` (rank never grows).  An
-    eigenvector's sign is the eigensolver's whim and flips with the last
-    bit of its input, while :class:`PerturbationGenerator` multiplies
-    fixed coefficients into the modes; so each mode is oriented to make
-    its largest-magnitude entry positive, and the posterior is a function
-    of the covariance alone.
+    The shared factorization of :func:`repro.util.linalg.truncated_svd`:
+    a ``p x p`` Gram eigensolve when ``M`` is tall and every kept sigma
+    is above that route's trust floor, the LAPACK driver otherwise -- so
+    a direction the eigensolve cannot tell from round-off is resolved and
+    dropped, never normalized into a mode.  Rank never grows.
     """
-    eigvals, eigvecs = scipy.linalg.eigh(anomalies.T @ anomalies)
-    keep = np.argsort(eigvals)[::-1]
-    keep = keep[eigvals[keep] > eigvals[keep[0]] * 1e-28]
-    sigmas = np.sqrt(eigvals[keep])
-    modes = anomalies @ eigvecs[:, keep]
-    sign = np.where(modes.max(axis=0) >= -modes.min(axis=0), 1.0, -1.0)
-    modes *= sign / sigmas
+    modes, sigmas, _ = truncated_svd(anomalies, rtol=ANOMALY_RTOL)
     return ErrorSubspace(modes=modes, sigmas=sigmas, n_samples=n_samples)
 
 

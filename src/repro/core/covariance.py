@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.state import FieldLayout
-from repro.core.subspace import ErrorSubspace
+from repro.core.subspace import ColdSubspaceEstimator, ErrorSubspace
 
 
 @dataclass(frozen=True)
@@ -187,13 +187,20 @@ class AnomalyAccumulator:
         rank: int | None = None,
         energy: float | None = None,
     ) -> ErrorSubspace:
-        """SVD snapshot of the current matrix -> an :class:`ErrorSubspace`."""
-        return ErrorSubspace.from_anomalies(self.matrix(), rank=rank, energy=energy)
+        """SVD snapshot of the current matrix -> an :class:`ErrorSubspace`.
+
+        Factors the raw columns in place and scales the singular values;
+        no scaled copy of the matrix is made.
+        """
+        view = self.view()
+        return ColdSubspaceEstimator(rank=rank, energy=energy).update(
+            view.columns, view.count, view.scale
+        )
 
     def sample_variance_field(self) -> np.ndarray:
         """Pointwise sample variance (normalized units) without the SVD."""
-        m = self.matrix()
-        return np.einsum("ij,ij->i", m, m)
+        view = self.view()
+        return np.einsum("ij,ij->i", view.columns, view.columns) * view.scale**2
 
 
 class MemmapAnomalyAccumulator(AnomalyAccumulator):

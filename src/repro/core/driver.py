@@ -68,21 +68,13 @@ class ESSEConfig:
         :class:`ESSEDriver` (a configured one takes its inflation from
         the ``assimilation`` section of ``config.py``).
     svd_method:
-        ``"lapack"`` (exact) or ``"randomized"`` (sketching; scales to the
-        paper's 1000-10000-member ensembles).
-    svd_warm_start:
-        Reuse the previous checkpoint's factorization for each new SVD
-        (:class:`~repro.core.subspace.IncrementalSubspaceEstimator`):
-        each checkpoint costs ``O(n N k_new)`` instead of a full
-        recompute.  Drift is backstopped by ``svd_guard_tol``.
-    svd_rank_buffer:
-        Extra modes the incremental estimator carries beyond
-        ``max_subspace_rank`` to keep truncation error small between
-        exact refreshes.
-    svd_guard_tol:
-        Discarded-to-retained energy ratio that triggers the estimator's
-        exact recompute fallback (a drift backstop; see
-        ``docs/COVFILE_PROTOCOL.md`` for the accuracy contract).
+        ``"lapack"`` -- the exact factorization, carried between
+        checkpoints by
+        :class:`~repro.core.subspace.IncrementalSubspaceEstimator` (the
+        raw columns' Gram matrix is extended by the new members only, so
+        a checkpoint costs ``O(n N k_new)`` for that step and equals the
+        from-scratch SVD to round-off) -- or ``"randomized"`` (a cold
+        sketch per checkpoint; the paper's Sec 4.1 ablation).
     """
 
     initial_ensemble_size: int = 16
@@ -94,9 +86,6 @@ class ESSEConfig:
     deadline_seconds: float | None = None
     inflation: float = 1.0
     svd_method: str = "lapack"
-    svd_warm_start: bool = True
-    svd_rank_buffer: int = 16
-    svd_guard_tol: float = 1.0
 
     def __post_init__(self):
         if self.initial_ensemble_size < 2:
@@ -109,22 +98,17 @@ class ESSEConfig:
             raise ValueError("max_subspace_rank must be >= 1")
         if self.svd_method not in ("lapack", "randomized"):
             raise ValueError(f"unknown svd_method {self.svd_method!r}")
-        if self.svd_rank_buffer < 0:
-            raise ValueError("svd_rank_buffer must be >= 0")
-        if self.svd_guard_tol < 0.0:
-            raise ValueError("svd_guard_tol must be >= 0")
 
     def subspace_estimator(self, rng: np.random.Generator | None = None):
         """Build the subspace estimator this config describes.
 
         Always an object with ``update(columns, count, scale)`` and
-        ``last_path``: the warm-started incremental estimator, or its
-        from-scratch form when ``svd_warm_start`` is off or
-        ``svd_method="randomized"`` was explicitly requested (a cold
-        sketch per checkpoint is its own documented trade-off; warm
-        starting accelerates the exact path).
+        ``last_path``: the exact estimator that carries the Gram matrix
+        between checkpoints, or the from-scratch one when
+        ``svd_method="randomized"`` was asked for (``rng`` seeds its
+        sketches).
         """
-        if not self.svd_warm_start or self.svd_method == "randomized":
+        if self.svd_method == "randomized":
             return ColdSubspaceEstimator(
                 rank=self.max_subspace_rank,
                 energy=self.svd_energy,
@@ -132,11 +116,7 @@ class ESSEConfig:
                 rng=rng,
             )
         return IncrementalSubspaceEstimator(
-            rank=self.max_subspace_rank,
-            energy=self.svd_energy,
-            rank_buffer=self.svd_rank_buffer,
-            guard_tol=self.svd_guard_tol,
-            rng=rng,
+            rank=self.max_subspace_rank, energy=self.svd_energy
         )
 
     def stage_sizes(self) -> list[int]:

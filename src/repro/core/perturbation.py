@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.state import FieldLayout
 from repro.core.subspace import ErrorSubspace
-from repro.util.linalg import thin_svd
+from repro.util.linalg import truncated_svd
 from repro.util.randomfields import GaussianRandomField2D
 from repro.util.rng import member_rng
 
@@ -150,6 +150,7 @@ def synthetic_initial_subspace(
                 fields[spec.name] = amp * stack * z_decay[: spec.shape[0], None, None]
         columns[:, s] = layout.normalize(layout.pack(fields))
 
-    u, sig, _ = thin_svd(columns / np.sqrt(n_samples - 1))
-    keep = min(rank, sig.size)
-    return ErrorSubspace(modes=u[:, :keep], sigmas=sig[:keep], n_samples=n_samples)
+    u, sig, _ = truncated_svd(columns, rank=rank)
+    return ErrorSubspace(
+        modes=u, sigmas=sig / np.sqrt(n_samples - 1), n_samples=n_samples
+    )

@@ -27,6 +27,7 @@ from repro.core.driver import ForecastResult
 from repro.core.perturbation import PerturbationGenerator
 from repro.core.state import FieldLayout
 from repro.core.subspace import ErrorSubspace
+from repro.util.linalg import truncated_svd
 
 if TYPE_CHECKING:
     from repro.obs.operators import ObservationOperator
@@ -152,11 +153,8 @@ class ESSESmoother:
         eigvals, eigvecs = scipy.linalg.eigh(post)
         eigvals = np.clip(eigvals, 0.0, None)
         factor = z0 @ (eigvecs * np.sqrt(eigvals)[None, :])
-        u, sig, _ = scipy.linalg.svd(factor, full_matrices=False)
-        keep = sig > 1e-12 * (sig[0] if sig.size else 1.0)
-        subspace = ErrorSubspace(
-            modes=u[:, keep], sigmas=sig[keep], n_samples=n_members
-        )
+        u, sig, _ = truncated_svd(factor, rtol=1e-12)
+        subspace = ErrorSubspace(modes=u, sigmas=sig, n_samples=n_members)
         return SmootherResult(
             smoothed_initial_mean=smoothed,
             initial_subspace=subspace,

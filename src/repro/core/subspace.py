@@ -23,12 +23,40 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.util.linalg import (
-    svd_rank_update,
-    thin_svd,
-    truncated_svd,
-    warm_randomized_svd,
-)
+from repro.util.linalg import gram_svd, lapack_svd, randomized_svd, truncated_svd
+
+#: Relative singular-value floor of every anomaly factorization: modes
+#: below it are numerical rank deficiency, not uncertainty.
+ANOMALY_RTOL = 1e-10
+
+
+def _factor(
+    anomalies: np.ndarray,
+    rank: int | None,
+    energy: float | None,
+    rtol: float,
+    method: str,
+    rng: np.random.Generator | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dominant modes and singular values of an ``(n, N)`` anomaly matrix."""
+    anomalies = np.asarray(anomalies)
+    if anomalies.ndim != 2:
+        raise ValueError("anomalies must be (n, N)")
+    if anomalies.shape[1] < 2:
+        raise ValueError("need at least 2 anomaly columns")
+    if method == "lapack":
+        u, s, _ = truncated_svd(anomalies, rank=rank, energy=energy, rtol=rtol)
+    elif method == "randomized":
+        if rank is None:
+            raise ValueError("randomized SVD requires an explicit rank")
+        u, s, _ = randomized_svd(anomalies, rank=rank, rng=rng)
+        if energy is not None:
+            power = np.cumsum(s**2)
+            keep = int(np.searchsorted(power, energy * power[-1]) + 1)
+            u, s = u[:, :keep], s[:keep]
+    else:
+        raise ValueError(f"unknown SVD method {method!r}")
+    return u, s
 
 
 @dataclass(frozen=True)
@@ -163,7 +191,7 @@ class ErrorSubspace:
         anomalies: np.ndarray,
         rank: int | None = None,
         energy: float | None = None,
-        rtol: float = 1e-10,
+        rtol: float = ANOMALY_RTOL,
         method: str = "lapack",
         rng: np.random.Generator | None = None,
     ) -> "ErrorSubspace":
@@ -171,49 +199,35 @@ class ErrorSubspace:
 
         The columns must already include the ``1/sqrt(N-1)`` factor (see
         :class:`repro.core.covariance.AnomalyAccumulator`), so the singular
-        values are directly the error standard deviations.
+        values are directly the error standard deviations.  Callers that
+        hold *raw* columns and a scale use an estimator's ``update``
+        instead, which scales the singular values and copies nothing.
 
         Parameters
         ----------
         method:
-            ``"lapack"`` (exact thin SVD) or ``"randomized"`` (sketching;
-            the scalable answer to the paper's large-N SVD concern --
+            ``"lapack"`` (the exact factorization of
+            :func:`repro.util.linalg.truncated_svd`: in ensemble space
+            when the matrix is tall, by the LAPACK driver otherwise) or
+            ``"randomized"`` (sketching; the paper's Sec 4.1 ablation --
             requires ``rank``).
         rng:
             Sketch generator for the randomized method.
         """
-        anomalies = np.asarray(anomalies)
-        if anomalies.ndim != 2:
-            raise ValueError("anomalies must be (n, N)")
-        n_cols = anomalies.shape[1]
-        if n_cols < 2:
-            raise ValueError("need at least 2 anomaly columns")
-        if method == "lapack":
-            u, s, _ = truncated_svd(anomalies, rank=rank, energy=energy, rtol=rtol)
-        elif method == "randomized":
-            if rank is None:
-                raise ValueError("randomized SVD requires an explicit rank")
-            from repro.util.linalg import randomized_svd
-
-            u, s, _ = randomized_svd(anomalies, rank=rank, rng=rng)
-            if energy is not None:
-                power = np.cumsum(s**2)
-                keep = int(np.searchsorted(power, energy * power[-1]) + 1)
-                u, s = u[:, :keep], s[:keep]
-        else:
-            raise ValueError(f"unknown SVD method {method!r}")
-        return cls(modes=u, sigmas=s, n_samples=n_cols)
+        u, s = _factor(anomalies, rank, energy, rtol, method, rng)
+        return cls(modes=u, sigmas=s, n_samples=np.shape(anomalies)[1])
 
 
 class ColdSubspaceEstimator:
     """The from-scratch form of :class:`IncrementalSubspaceEstimator`.
 
     Same one operation, nothing carried between calls: every
-    :meth:`update` is a full :meth:`ErrorSubspace.from_anomalies` of the
-    columns it is handed.  It is what
+    :meth:`update` factors the columns it is handed.  It is what
     :meth:`repro.core.driver.ESSEConfig.subspace_estimator` builds when
-    warm starting is off or the randomized method was asked for (a cold
-    sketch per checkpoint is its own documented trade-off), so callers
+    the randomized method was asked for (a cold sketch per checkpoint is
+    its own documented trade-off), and the one-shot way to factor raw
+    columns with a scale (:meth:`AnomalyAccumulator.subspace
+    <repro.core.covariance.AnomalyAccumulator.subspace>`), so callers
     never branch on which kind they hold.
 
     Parameters
@@ -240,77 +254,57 @@ class ColdSubspaceEstimator:
     def update(
         self, columns: np.ndarray, count: int | None = None, scale: float = 1.0
     ) -> ErrorSubspace:
-        """Factor the first ``count`` raw columns, scaled by ``scale``."""
+        """Factor the first ``count`` raw columns; ``scale`` the singular values."""
         columns = np.asarray(columns)
         if count is None:
             count = columns.shape[1]
-        return ErrorSubspace.from_anomalies(
-            columns[:, :count] * scale,
-            rank=self.rank,
-            energy=self.energy,
-            method=self.method,
-            rng=self.rng,
+        u, s = _factor(
+            columns[:, :count], self.rank, self.energy, ANOMALY_RTOL, self.method, self.rng
         )
+        return ErrorSubspace(modes=u, sigmas=s * scale, n_samples=count)
 
 
 class IncrementalSubspaceEstimator:
-    """Warm-started subspace estimation over a growing column stream.
+    """Exact subspace estimation over a growing column stream.
 
-    The differ->SVD hot path re-estimated the error subspace from
-    scratch at every checkpoint -- ``O(n N^2)`` each time, "a lot of
-    memory and time, especially for large N" (paper Sec 4.1).  This
-    estimator instead carries the previous checkpoint's factorization
-    and folds in only the columns that arrived since:
+    The differ->SVD hot path re-estimates the error subspace at every
+    checkpoint -- "a lot of memory and time, especially for large N"
+    (paper Sec 4.1).  The factorization runs in ensemble space
+    (:func:`repro.util.linalg.gram_svd`), where the only ``O(n N^2)``
+    step is the ``N x N`` Gram matrix of the raw columns; this estimator
+    *carries* that matrix between checkpoints and extends it by the
+    ``N x k_new`` block of the columns that arrived since
+    (``O(n N k_new)``).  Nothing is truncated in the carry, so every
+    checkpoint equals the cold factorization of the same columns to
+    round-off (``docs/COVFILE_PROTOCOL.md``, test-enforced at 1e-12), and
+    there is no drift to guard against.
 
-    - **rank update** (:func:`repro.util.linalg.svd_rank_update`) when
-      the batch of new columns is small: ``O(n (p + k)^2)``, exact up to
-      the energy already discarded by truncation;
-    - **warm-started sketch**
-      (:func:`repro.util.linalg.warm_randomized_svd`) when the batch is
-      large: the previous basis seeds the range finder, so one power
-      iteration replaces a full dense SVD;
-    - **exact fallback** (:func:`repro.util.linalg.truncated_svd`)
-      whenever the *accuracy guard* trips: the estimator tracks the
-      energy its carried factorization has discarded since the last
-      exact factorization; when that exceeds ``guard_tol`` times the
-      energy the carry retains, the next update recomputes from scratch
-      instead of compounding drift.
+    :attr:`last_path` says what the last :meth:`update` did:
 
-    The guard is a *drift backstop*, not a per-checkpoint error bound:
-    a stationary noise floor (which truncation discards by design, and
-    which any rigorous cheap bound would flag) does not trip it at the
-    default setting.  The accuracy contract is empirical and
-    test-enforced (``docs/COVFILE_PROTOCOL.md``): on decaying spectra
-    the retained singular values match :func:`~repro.util.linalg.thin_svd`
-    to a relative 1e-6; with a heavy noise floor the documented
-    tolerance is 1e-2 of the leading singular value (typically ~1e-3),
-    tightened by carrying a larger ``rank_buffer``.
+    - ``"exact"`` -- first call, or a restart: the Gram matrix was
+      computed from all columns;
+    - ``"update"`` -- the carried Gram matrix was extended by the new
+      columns only;
+    - ``"guard"`` -- the kept set reached below the Gram route's trust
+      floor (or the matrix is not tall), so the columns were factored by
+      the LAPACK driver; the Gram matrix is carried on regardless.
 
     Columns are *raw* (unscaled) anomalies; pass the snapshot's
     ``1/sqrt(N-1)`` factor as ``scale`` and it is applied to the singular
-    values only -- this is why the incremental path works at all: the
-    scaled matrix changes in every column as N grows, the raw matrix
-    only ever grows on the right.
+    values only -- this is why a carry works at all: the scaled matrix
+    changes in every column as N grows, the raw matrix only ever grows on
+    the right.
 
     Parameters
     ----------
     rank:
-        Final subspace rank cap (as in :meth:`ErrorSubspace.from_anomalies`).
+        Subspace rank cap (as in :meth:`ErrorSubspace.from_anomalies`).
     energy:
-        Retained-variance fraction cut applied to the final subspace.
-    rank_buffer:
-        Extra modes carried internally beyond ``rank`` so truncation
-        error stays below the guard (working rank = rank + rank_buffer).
-    guard_tol:
-        Maximum tolerated ratio of energy discarded (since the last
-        exact factorization) to energy retained before an exact
-        recompute; ``inf`` disables the backstop (see
-        ``docs/COVFILE_PROTOCOL.md``).
-    warm_batch_factor:
-        Batches larger than ``warm_batch_factor * working_rank`` use the
-        warm-started sketch instead of the rank update.
-    rng:
-        Sketch generator for the warm-started randomized path.
+        Retained-variance fraction cut.
+    rank_buffer, guard_tol, rng:
+        Validated and ignored: an exact carry has no working rank, drift
+        guard or sketch (``benchmarks/suite`` still passes them; a later
+        benchmark change drops them).
     """
 
     def __init__(
@@ -319,7 +313,6 @@ class IncrementalSubspaceEstimator:
         energy: float | None = None,
         rank_buffer: int = 16,
         guard_tol: float = 1.0,
-        warm_batch_factor: float = 4.0,
         rng: np.random.Generator | None = None,
     ):
         if rank is not None and rank < 1:
@@ -328,43 +321,11 @@ class IncrementalSubspaceEstimator:
             raise ValueError("rank_buffer must be >= 0")
         if guard_tol < 0.0:
             raise ValueError(f"guard_tol must be >= 0, got {guard_tol}")
-        if warm_batch_factor <= 0:
-            raise ValueError("warm_batch_factor must be > 0")
         self.rank = rank
         self.energy = energy
-        self.rank_buffer = int(rank_buffer)
-        self.guard_tol = float(guard_tol)
-        self.warm_batch_factor = float(warm_batch_factor)
-        self.rng = rng
-        self._u: np.ndarray | None = None
-        self._s: np.ndarray | None = None
-        self._count = 0
-        self._frob2 = 0.0  # exact running ||A_raw||_F^2 over all columns seen
-        self._discarded = 0.0  # energy shed since the last exact factorization
-        self.last_path: str | None = None  # "exact" | "update" | "warm" | "guard"
-
-    # -- internals ---------------------------------------------------------
-
-    def _working_rank(self, count: int) -> int:
-        cap = count if self.rank is None else self.rank + self.rank_buffer
-        return max(1, min(cap, count))
-
-    def _guard_tripped(self) -> bool:
-        if self._s is None:
-            return False
-        retained = float(np.sum(self._s**2))
-        if retained <= 0.0:
-            return self._discarded > 0.0
-        return self._discarded > self.guard_tol * retained
-
-    def _exact(self, columns: np.ndarray, keep: int) -> None:
-        u, s, _ = thin_svd(columns)
-        self._u, self._s = u[:, :keep], s[:keep]
-        # The tail cut here is the unavoidable working-rank truncation,
-        # not drift: the guard meters what accumulates on top of it.
-        self._discarded = 0.0
-
-    # -- the one public operation ------------------------------------------
+        self._gram: np.ndarray | None = None  # raw columns' Gram matrix
+        self._state_dim = 0
+        self.last_path: str | None = None  # "exact" | "update" | "guard"
 
     def update(
         self, columns: np.ndarray, count: int | None = None, scale: float = 1.0
@@ -385,7 +346,7 @@ class IncrementalSubspaceEstimator:
             Factor applied to the singular values (``1/sqrt(count-1)``
             for covariance normalization).
         """
-        columns = np.asarray(columns)
+        columns = np.asarray(columns, dtype=np.float64)
         if columns.ndim != 2:
             raise ValueError(f"columns must be 2-D, got shape {columns.shape}")
         if count is None:
@@ -394,60 +355,30 @@ class IncrementalSubspaceEstimator:
             raise ValueError(
                 f"count {count} invalid for columns of shape {columns.shape}"
             )
-        keep = self._working_rank(count)
-        restart = (
-            self._u is None
-            or count < self._count
-            or self._u.shape[0] != columns.shape[0]
-        )
-        if restart:
-            self._frob2 = float(np.einsum("ij,ij->", columns[:, :count],
-                                          columns[:, :count]))
-            self._exact(columns[:, :count], keep)
+        raw = columns[:, :count]
+        folded = 0 if self._gram is None else self._gram.shape[0]
+        if folded == 0 or count < folded or self._state_dim != raw.shape[0]:
+            self._gram = raw.T @ raw
+            self._state_dim = raw.shape[0]
             self.last_path = "exact"
         else:
-            new = columns[:, self._count : count]
-            if new.shape[1]:
-                self._frob2 += float(np.einsum("ij,ij->", new, new))
-            if self._guard_tripped():
-                self._exact(columns[:, :count], keep)
-                self.last_path = "guard"
-            elif new.shape[1] == 0:
-                self.last_path = "update"
-            elif new.shape[1] > self.warm_batch_factor * keep:
-                u, s, _ = warm_randomized_svd(
-                    columns[:, :count], keep, basis=self._u, rng=self.rng
-                )
-                self._u, self._s = u, s
-                # A warm sketch refactorizes the full matrix, so carried
-                # drift does not compound through it; its own error is
-                # bounded by oversampling + power iteration and checked
-                # against thin_svd in the tests.
-                self._discarded = 0.0
-                self.last_path = "warm"
-            else:
-                u, s = svd_rank_update(self._u, self._s, new)
-                self._discarded += float(np.sum(s[keep:] ** 2))
-                self._u, self._s = u[:, :keep], s[:keep]
-                self.last_path = "update"
-        self._count = count
-        u, s = self._u, self._s * scale
-        # Final rank/energy cut, mirroring truncated_svd's composition.
-        final = s.size
-        if self.energy is not None:
-            power = np.cumsum(s**2)
-            total = power[-1] if power.size else 0.0
-            final = 1 if total == 0 else int(np.searchsorted(power, self.energy * total) + 1)
-        if self.rank is not None:
-            final = min(final, self.rank)
-        final = max(1, min(final, s.size))
-        return ErrorSubspace(modes=u[:, :final], sigmas=s[:final], n_samples=count)
+            if count > folded:
+                block = raw.T @ raw[:, folded:]  # (count, k_new)
+                gram = np.empty((count, count))
+                gram[:folded, :folded] = self._gram
+                gram[:, folded:] = block
+                gram[folded:, :folded] = block[:folded].T
+                self._gram = gram
+            self.last_path = "update"
+        cut = (self.rank, self.energy, ANOMALY_RTOL)
+        factors = gram_svd(raw, *cut, gram=self._gram)
+        if factors is None:
+            factors = lapack_svd(raw, *cut)
+            self.last_path = "guard"
+        u, s, _ = factors
+        return ErrorSubspace(modes=u, sigmas=s * scale, n_samples=count)
 
     def reset(self) -> None:
-        """Forget the carried factorization (new forecast cycle)."""
-        self._u = None
-        self._s = None
-        self._count = 0
-        self._frob2 = 0.0
-        self._discarded = 0.0
+        """Forget the carried Gram matrix (new forecast cycle)."""
+        self._gram = None
         self.last_path = None

@@ -1,10 +1,52 @@
-"""Thin linear-algebra helpers used throughout the ESSE core.
+"""The subspace SVD, in ensemble space.
 
-The ESSE procedure is dominated by SVDs of tall-skinny difference matrices
-(state dimension ``n`` is O(1e4-1e7), ensemble size ``N`` is O(1e2-1e3)).
-Following the optimisation guidance for scientific Python, we always request
-economy-size factorizations (``full_matrices=False``): the full ``n x n``
-left factor would be both useless and unaffordable.
+ESSE factors tall-skinny difference matrices: state dimension ``n`` is
+O(1e4-1e7), ensemble size ``N`` is O(1e2-1e3), and only the ``k <= N``
+dominant modes are kept.  The paper names this SVD as the step that
+"require[s] a lot of memory and time, especially for large N" (Sec 4.1).
+:func:`truncated_svd` has two routes to the same factorization
+``a = u @ diag(s) @ vt`` and picks one from the input alone:
+
+**Gram route** (:func:`gram_svd`; input with at least
+:data:`TALL_ASPECT` rows per column).  All the linear algebra happens in
+the ``N``-dimensional ensemble space: the ``N x N`` Gram matrix ``a^T a``
+(one symmetric rank-k update, ``n N^2`` flops), its eigendecomposition
+(``~9 N^3``), the rank / energy / rtol cut taken on that spectrum *before*
+any mode exists, and then only the kept modes ``a V_k / s_k``
+(``2 n N k``).  Nothing of size ``n x N`` is allocated.
+
+**LAPACK route** (``gesdd``; everything else).  ``~6 n N^2`` flops -- a
+QR of ``a``, the SVD of its triangle, the product of the two left factors
+-- and a full ``n x N`` left factor of which ``k`` columns are kept.
+
+Squaring ``a`` squares its condition number, so the Gram route cannot
+serve every call.  The eigensolver returns eigenvalues ``lambda_i =
+s_i^2`` with absolute error ``N eps lambda_0``; relative to ``lambda_i``
+that is ``N eps kappa_i^2`` with ``kappa_i = s_0 / s_i``, and the same
+quantity bounds how far mode ``i`` is rotated and how far the raw modes
+``a V_k / s_k`` are from orthonormal.  The bound is read off the spectrum
+the eigensolve just returned, at the deepest kept mode:
+
+- above :data:`GRAM_TRUST` the Gram route declines and the call takes the
+  LAPACK route (a kept set reaching below the *trust floor*
+  ``s_keep / s_0 = sqrt(N eps / GRAM_TRUST)``, about 2e-4 at N = 256;
+  eigenvalues under ``N eps lambda_0`` are noise, not modes);
+- above :data:`GRAM_POLISH` the kept modes get one re-orthonormalization
+  pass -- Cholesky QR of the raw modes, then the ``k x k`` SVD of the
+  triangle times ``diag(s)`` (``3 n k^2`` flops) -- after which modes and
+  singular values are as good as LAPACK's *within* the kept subspace
+  (measured: sigmas to 1e-14 relative, ``u^T u - I`` to 4e-15, at
+  ``kappa`` = 1e4), and the subspace itself is off by ``~0.3 eps
+  kappa^2``;
+- below it the raw modes are returned: they are orthonormal, and their
+  singular values right, to the bound itself (<= 1e-10).
+
+Both routes orient every mode so that its largest-magnitude entry is
+positive (and flip the matching row of ``vt``).  A singular vector's sign
+is the solver's whim and flips with the last bit of the input, while
+:class:`~repro.core.perturbation.PerturbationGenerator` multiplies fixed
+coefficients into the modes; with the convention a subspace is a function
+of the covariance and not of the route that factored it.
 """
 
 from __future__ import annotations
@@ -14,30 +56,142 @@ import scipy.linalg
 
 from repro.util.rng import SeedSequenceStream
 
+#: Rows per column from which input counts as tall and takes the Gram
+#: route.  Every factorization the program issues has 100 or more; the
+#: constant only keeps small near-square matrices on the exact driver.
+#: Measured (EXPERIMENTS.md, SVD-path census, last table): from 64 columns
+#: on the Gram route is ahead at any aspect when a quarter of the modes is
+#: kept or the spectrum is shallow, and catches up between 4 and 32 rows
+#: per column when every mode is kept and polished.
+TALL_ASPECT = 4.0
 
-def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Economy-size SVD ``a = u @ diag(s) @ vt``.
+#: Largest ``N eps kappa^2`` (``kappa = s_0 / s_keep``) the Gram route
+#: serves; a deeper kept set takes the LAPACK route.
+GRAM_TRUST = 1e-6
+
+#: Largest ``N eps kappa^2`` at which the raw modes ``a V_k / s_k`` are
+#: returned without the re-orthonormalization pass.
+GRAM_POLISH = 1e-10
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _as_matrix(a: np.ndarray, who: str) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"{who} expects a 2-D array, got shape {a.shape}")
+    return a
+
+
+def _kept(
+    s: np.ndarray, rank: int | None, energy: float | None, rtol: float
+) -> int:
+    """How many leading modes of the descending spectrum ``s`` to keep.
+
+    The criteria compose: the tightest of the ``rtol`` floor, the
+    ``energy`` cut and the ``rank`` cap, and never fewer than one.
+    """
+    if energy is not None and not 0.0 < energy <= 1.0:
+        raise ValueError(f"energy must be in (0, 1], got {energy}")
+    if rank is not None and rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+    keep = s.size
+    if rtol > 0.0:
+        keep = max(int(np.count_nonzero(s > rtol * s[0])), 1)
+    if energy is not None:
+        power = np.cumsum(s**2)
+        total = power[-1]
+        if total == 0.0:
+            keep = 1
+        else:
+            keep = min(keep, int(np.searchsorted(power, energy * total) + 1))
+    if rank is not None:
+        keep = min(keep, rank)
+    return keep
+
+
+def _orient(u: np.ndarray, vt: np.ndarray) -> None:
+    """Make each mode's largest-magnitude entry positive, in place."""
+    sign = np.where(u.max(axis=0) >= -u.min(axis=0), 1.0, -1.0)
+    u *= sign
+    vt *= sign[:, None]
+
+
+def gram_svd(
+    a: np.ndarray,
+    rank: int | None = None,
+    energy: float | None = None,
+    rtol: float = 0.0,
+    gram: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Truncated SVD of a tall matrix through its Gram matrix, or None.
 
     Parameters
     ----------
     a:
-        Matrix of shape ``(n, m)``; typically ``n >> m`` (state-by-ensemble).
+        Matrix ``(n, m)``, any memory layout (read-only maps included).
+    rank, energy, rtol:
+        The cut, as in :func:`truncated_svd`.
+    gram:
+        ``a^T a`` when the caller already holds it (lower triangle read);
+        :class:`~repro.core.subspace.IncrementalSubspaceEstimator`
+        carries it between checkpoints.
 
     Returns
     -------
-    u, s, vt:
-        ``u`` is ``(n, k)``, ``s`` is ``(k,)`` descending, ``vt`` is
-        ``(k, m)`` with ``k = min(n, m)``.
+    ``(u, s, vt)`` with ``k`` kept triplets, or None when this route
+    declines: ``a`` has fewer than :data:`TALL_ASPECT` rows per column, or
+    the kept set reaches below the trust floor (module docstring).
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"thin_svd expects a 2-D array, got shape {a.shape}")
-    # gesdd is faster for the tall-skinny matrices ESSE produces; fall back
-    # to the slower but more robust gesvd driver on non-convergence.
+    a = _as_matrix(a, "gram_svd")
+    n, m = a.shape
+    if m == 0 or n < TALL_ASPECT * m:
+        return None
+    if gram is None:
+        gram = a.T @ a  # numpy issues a symmetric rank-k update for a^T a
+    eigvals, eigvecs = scipy.linalg.eigh(gram)
+    s = np.sqrt(np.clip(eigvals[::-1], 0.0, None))
+    keep = _kept(s, rank, energy, rtol)
+    deepest = s[keep - 1]
+    bound = m * _EPS * (s[0] / deepest) ** 2 if deepest > 0.0 else np.inf
+    if bound > GRAM_TRUST:
+        return None
+    s = s[:keep]
+    v = eigvecs[:, ::-1][:, :keep]
+    u = a @ (v / s)
+    vt = v.T.copy()
+    if bound > GRAM_POLISH:
+        r = scipy.linalg.cholesky(u.T @ u)  # u = q r
+        p, s, qt = scipy.linalg.svd(r * s)  # a v = q (r diag(s))
+        u = u @ scipy.linalg.solve_triangular(r, p)
+        vt = qt @ vt
+    _orient(u, vt)
+    return u, s, vt
+
+
+def lapack_svd(
+    a: np.ndarray,
+    rank: int | None = None,
+    energy: float | None = None,
+    rtol: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Truncated SVD through the dense LAPACK driver: any shape, any depth.
+
+    Arguments and result as in :func:`truncated_svd`.
+    """
+    a = _as_matrix(a, "lapack_svd")
+    # gesdd is the faster driver; fall back to the slower but more robust
+    # gesvd on non-convergence.
     try:
-        return scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesdd")
+        u, s, vt = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesdd")
     except np.linalg.LinAlgError:
-        return scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
+        u, s, vt = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
+    if s.size == 0:
+        return u, s, vt
+    keep = _kept(s, rank, energy, rtol)
+    u, s, vt = u[:, :keep], s[:keep], vt[:keep]
+    _orient(u, vt)
+    return u, s, vt
 
 
 def truncated_svd(
@@ -46,10 +200,13 @@ def truncated_svd(
     energy: float | None = None,
     rtol: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD truncated to a dominant subspace.
+    """SVD truncated to a dominant subspace, ``a ~ u @ diag(s) @ vt``.
 
     The criteria compose: the retained rank is the tightest of the
-    ``energy`` cut, the ``rank`` cap and the ``rtol`` floor.
+    ``energy`` cut, the ``rank`` cap and the ``rtol`` floor.  Tall input
+    whose kept set the Gram route resolves is factored in ensemble space,
+    everything else by LAPACK (module docstring); modes are
+    sign-oriented either way.
 
     Parameters
     ----------
@@ -64,27 +221,28 @@ def truncated_svd(
         Relative singular-value floor; modes with ``s_i <= rtol * s_0`` are
         always discarded.
     """
-    u, s, vt = thin_svd(a)
-    if s.size == 0:
-        return u, s, vt
-    keep = s.size
-    if rtol > 0.0:
-        keep = int(np.count_nonzero(s > rtol * s[0]))
-        keep = max(keep, 1)
-    if energy is not None:
-        if not 0.0 < energy <= 1.0:
-            raise ValueError(f"energy must be in (0, 1], got {energy}")
-        power = np.cumsum(s**2)
-        total = power[-1]
-        if total == 0.0:
-            keep = 1
-        else:
-            keep = min(keep, int(np.searchsorted(power, energy * total) + 1))
-    if rank is not None:
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
-        keep = min(keep, rank)
-    return u[:, :keep], s[:keep], vt[:keep, :]
+    a = _as_matrix(a, "truncated_svd")
+    factors = gram_svd(a, rank, energy, rtol)
+    if factors is None:
+        factors = lapack_svd(a, rank, energy, rtol)
+    return factors
+
+
+def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Economy-size SVD ``a = u @ diag(s) @ vt``: :func:`truncated_svd`, uncut.
+
+    Parameters
+    ----------
+    a:
+        Matrix of shape ``(n, m)``; typically ``n >> m`` (state-by-ensemble).
+
+    Returns
+    -------
+    u, s, vt:
+        ``u`` is ``(n, k)``, ``s`` is ``(k,)`` descending, ``vt`` is
+        ``(k, m)`` with ``k = min(n, m)``.
+    """
+    return truncated_svd(a)
 
 
 def randomized_svd(
@@ -98,11 +256,12 @@ def randomized_svd(
 
     The paper worries that the dense LAPACK SVD "require[s] a lot of
     memory and time, especially for large N" and anticipates needing
-    ScaLAPACK (Sec 4.1).  For the dominant-subspace extraction ESSE
-    actually needs, sketching is the modern answer: project onto a random
+    ScaLAPACK (Sec 4.1).  Sketching is one answer: project onto a random
     ``rank + oversample``-dimensional range, QR it, and SVD the small
     projected matrix -- O(n N k) instead of O(n N min(n, N)), with a few
-    power iterations sharpening the spectrum.
+    power iterations sharpening the spectrum.  It is kept for the Sec 4.1
+    ablation; at the sizes this repository runs, the exact Gram route of
+    :func:`truncated_svd` is faster (EXPERIMENTS.md, SVD-path census).
 
     Parameters
     ----------
@@ -122,11 +281,10 @@ def randomized_svd(
 
     Returns
     -------
-    (u, s, vt) with ``u`` of shape ``(n, rank)``.
+    (u, s, vt) with ``u`` of shape ``(n, rank)``, sign-oriented like the
+    exact routes.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"randomized_svd expects a 2-D array, got {a.shape}")
+    a = _as_matrix(a, "randomized_svd")
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if oversample < 0 or n_iter < 0:
@@ -143,147 +301,10 @@ def randomized_svd(
     q, _ = np.linalg.qr(y)
     b = q.T @ a  # (sketch, m)
     ub, s, vt = scipy.linalg.svd(b, full_matrices=False)
-    u = q @ ub
     keep = min(rank, s.size)
-    return u[:, :keep], s[:keep], vt[:keep, :]
-
-
-def svd_rank_update(
-    u: np.ndarray,
-    s: np.ndarray,
-    new_columns: np.ndarray,
-    rank: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Incremental SVD update: append columns to a known factorization.
-
-    Given a (possibly truncated) left factorization ``A approx
-    U diag(s)`` and ``k`` newly arrived columns ``C``, returns the left
-    singular vectors and values of the augmented matrix
-    ``[U diag(s), C]`` -- the Brand (2002) update specialized to the
-    left factor, which is all ESSE needs (error modes and std-devs; the
-    right factor is bookkeeping we never use).
-
-    Cost is ``O(n (p + k)^2)`` for state dimension ``n``, carried rank
-    ``p`` and batch size ``k`` -- independent of how many columns were
-    already folded in, which is the whole point: each differ->SVD
-    checkpoint pays for its *new* members only, not for the full
-    ensemble from scratch.
-
-    The update is exact (to roundoff) when ``U diag(s)`` is an exact
-    factorization of the previous columns; with a truncated ``U`` the
-    error is bounded by the discarded singular values (the caller's
-    accuracy guard -- see
-    :class:`repro.core.subspace.IncrementalSubspaceEstimator`).
-
-    Parameters
-    ----------
-    u:
-        Orthonormal columns ``(n, p)``.
-    s:
-        Singular values ``(p,)``, descending.
-    new_columns:
-        New columns ``(n, k)`` (a 1-D vector is treated as ``k = 1``).
-    rank:
-        Truncate the result to at most this many modes.
-
-    Returns
-    -------
-    (u2, s2) with ``u2`` of shape ``(n, min(p + k, rank))``.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    c = np.asarray(new_columns, dtype=np.float64)
-    if c.ndim == 1:
-        c = c[:, None]
-    if u.ndim != 2 or c.ndim != 2 or u.shape[0] != c.shape[0]:
-        raise ValueError(
-            f"incompatible shapes: u {u.shape}, new_columns {c.shape}"
-        )
-    if s.shape != (u.shape[1],):
-        raise ValueError(f"s shape {s.shape} does not match {u.shape[1]} modes")
-    p, k = u.shape[1], c.shape[1]
-    # Project the new columns onto the carried subspace and orthogonalize
-    # the residual (one re-orthogonalization pass guards against the
-    # classical Gram-Schmidt cancellation when C nearly lies in span(U)).
-    m = u.T @ c
-    resid = c - u @ m
-    m2 = u.T @ resid
-    resid -= u @ m2
-    m += m2
-    q, r = np.linalg.qr(resid)
-    # SVD of the small core [[diag(s), M], [0, R]] of size (p+k, p+k).
-    core = np.zeros((p + k, p + k))
-    core[:p, :p] = np.diag(s)
-    core[:p, p:] = m
-    core[p:, p:] = r
-    uc, s2, _ = scipy.linalg.svd(core, full_matrices=False)
-    u2 = np.hstack([u, q]) @ uc
-    if rank is not None:
-        keep = min(max(int(rank), 1), s2.size)
-        u2, s2 = u2[:, :keep], s2[:keep]
-    return u2, s2
-
-
-def warm_randomized_svd(
-    a: np.ndarray,
-    rank: int,
-    basis: np.ndarray | None = None,
-    oversample: int = 10,
-    n_iter: int = 1,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Randomized SVD warm-started from a previous dominant subspace.
-
-    Identical to :func:`randomized_svd` except the range sketch is
-    seeded with ``basis`` -- the previous checkpoint's error modes.
-    Because consecutive ESSE checkpoints share most of their dominant
-    subspace, the seeded sketch already spans nearly the whole range and
-    a single power iteration suffices where a cold sketch needs several;
-    the random oversample columns catch whatever directions the new
-    members introduced.
-
-    Parameters
-    ----------
-    a:
-        Matrix ``(n, m)``.
-    rank:
-        Number of singular triplets wanted.
-    basis:
-        Orthonormal warm-start columns ``(n, p)`` (``None`` falls back
-        to the cold sketch of :func:`randomized_svd`).
-    oversample, n_iter, rng:
-        As for :func:`randomized_svd`.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"warm_randomized_svd expects a 2-D array, got {a.shape}")
-    if basis is None:
-        return randomized_svd(a, rank, oversample=oversample, n_iter=n_iter, rng=rng)
-    basis = np.asarray(basis, dtype=np.float64)
-    if basis.ndim != 2 or basis.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"basis {basis.shape} incompatible with matrix {a.shape}"
-        )
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    if oversample < 0 or n_iter < 0:
-        raise ValueError("oversample and n_iter must be >= 0")
-    if rng is None:
-        rng = SeedSequenceStream(0).rng("linalg", "warm-randomized-svd")
-    n, m = a.shape
-    sketch = min(rank + oversample, m)
-    fresh = max(sketch - basis.shape[1], 1)
-    omega = rng.standard_normal((m, fresh))
-    y = np.hstack([basis, a @ omega])
-    for _ in range(n_iter):
-        y, _ = np.linalg.qr(y)
-        y = a @ (a.T @ y)
-    q, _ = np.linalg.qr(y)
-    b = q.T @ a
-    ub, s, vt = scipy.linalg.svd(b, full_matrices=False)
-    u = q @ ub
-    keep = min(rank, s.size)
-    return u[:, :keep], s[:keep], vt[:keep, :]
+    u, vt = q @ ub[:, :keep], vt[:keep]
+    _orient(u, vt)
+    return u, s[:keep], vt
 
 
 def orthonormal_columns(a: np.ndarray, atol: float = 1e-8) -> bool:

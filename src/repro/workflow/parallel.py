@@ -186,8 +186,8 @@ class ParallelESSEWorkflow:
         A :class:`~repro.telemetry.metrics.MetricsRegistry` fed task
         latencies, retry/timeout counters, pool-size gauges, differ
         I/O-retry counts, covariance bytes written (``cov.bytes_written``)
-        and warm-start SVD path counters (``svd.warm_start``,
-        ``svd.exact_fallback``); None disables metric recording.
+        and the SVD path counter (``svd.path`` labelled with the
+        estimator's ``last_path``); None disables metric recording.
     """
 
     #: Differ sweeps (one per ``poll_interval``) a SUCCESS record may stay
@@ -502,10 +502,7 @@ class ParallelESSEWorkflow:
                 subspace = estimator.update(snap.columns, snap.count, snap.scale)
                 sp.set(path=estimator.last_path)
                 if self.metrics is not None:
-                    warm = estimator.last_path in ("update", "warm")
-                    self.metrics.counter(
-                        "svd.warm_start" if warm else "svd.exact_fallback"
-                    ).inc()
+                    self.metrics.counter("svd.path", path=estimator.last_path).inc()
                 rho = criterion.update(subspace, count=snap.count)
                 sp.set(rank=subspace.rank)
             if self.metrics is not None:
@@ -715,10 +712,10 @@ class ParallelESSEWorkflow:
             and final_count > svd_out.get("count", 0)
         ):
             with acc_lock:
-                matrix = accumulator.matrix()
+                view = accumulator.view()
             with self.telemetry.span("svd.final", count=final_count):
-                subspace = ErrorSubspace.from_anomalies(
-                    matrix, rank=cfg.max_subspace_rank, energy=cfg.svd_energy
+                subspace = cfg.subspace_estimator().update(
+                    view.columns, view.count, view.scale
                 )
                 criterion.update(subspace)
             svd_out["subspace"] = subspace

@@ -438,3 +438,26 @@ class TestInflation:
         assert factor == 2.0  # clipped at the maximum
         result = ESSEAnalysis(layout, inflation=model).update(x, sub, op)
         assert_matches_dense(layout, result, x, sub, op, inflation=factor)
+
+
+def test_refactorize_drops_unresolved_modes():
+    """Round-off directions are dropped, never normalized into modes.
+
+    A rank-3 anomaly matrix in 6 columns has three Gram eigenvalues of pure
+    round-off (~1e-16 lambda_0, sigma ~ 1e-8 .. 1e-7 of sigma_0): dividing
+    the matching columns by those sigmas used to return six "modes", three
+    of them noise that is not even orthogonal to the real ones.
+    """
+    rng = np.random.default_rng(0)
+    anomalies = rng.standard_normal((200, 3)) @ rng.standard_normal((3, 6))
+    posterior = assimilation._refactorize(anomalies, n_samples=10)
+    assert posterior.rank == 3
+    assert posterior.n_samples == 10
+    gram = posterior.modes.T @ posterior.modes
+    assert np.abs(gram - np.eye(3)).max() <= 1e-12
+    np.testing.assert_allclose(
+        (posterior.modes * posterior.variances) @ posterior.modes.T,
+        anomalies @ anomalies.T,
+        rtol=0,
+        atol=1e-12 * posterior.variances[0],
+    )

@@ -1,32 +1,30 @@
-"""Tests for the warm-started incremental SVD path.
+"""Tests for the Gram-carrying incremental subspace estimator.
 
-The documented accuracy contract (``docs/COVFILE_PROTOCOL.md``): on
-decaying spectra the incremental estimator's retained singular values
-agree with an exact ``thin_svd`` recompute to a relative 1e-6, and the
-retained subspaces align to principal angles below 1e-4 -- across a full
-staged enlargement N -> N2 -> ... -> Nmax.  The guard (``guard_tol``,
-ratio of discarded to retained energy since the last exact
-factorization) is a drift backstop, tested separately with a flat
-spectrum where truncation sheds real energy fast.
+The documented accuracy contract (``docs/COVFILE_PROTOCOL.md``): every
+checkpoint of :class:`IncrementalSubspaceEstimator` equals the cold
+factorization of the same columns to round-off -- sigmas, modes *and
+their signs* -- whatever the schedule the columns arrived on, because the
+carry is the raw columns' Gram matrix and nothing in it is truncated.  A
+kept set that reaches below the Gram route's trust floor is factored by
+the LAPACK driver instead (``last_path == "guard"``).
 """
+
+import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ESSEConfig
-from repro.core.subspace import ErrorSubspace, IncrementalSubspaceEstimator
-from repro.util.linalg import (
-    orthonormal_columns,
-    randomized_svd,
-    subspace_principal_angles,
-    svd_rank_update,
-    thin_svd,
-    truncated_svd,
-    warm_randomized_svd,
+from repro.core.subspace import (
+    ColdSubspaceEstimator,
+    ErrorSubspace,
+    IncrementalSubspaceEstimator,
 )
+from repro.util import linalg
+from repro.util.linalg import orthonormal_columns, truncated_svd
 
-SIGMA_RTOL = 1e-6  # documented singular-value agreement
-ANGLE_TOL = 1e-4  # documented subspace alignment (radians)
+TOL = 1e-12  # documented carry-vs-cold agreement (sigmas relative, modes absolute)
 
 
 def esse_like_columns(n, count, signal_rank=6, noise=1e-9, seed=0):
@@ -39,121 +37,139 @@ def esse_like_columns(n, count, signal_rank=6, noise=1e-9, seed=0):
     return basis @ coeffs + noise * rng.standard_normal((n, count))
 
 
+def assert_equals_cold(sub, columns, count, scale, rank):
+    """``sub`` is the cold factorization of the first ``count`` columns."""
+    u_ref, s_ref, _ = truncated_svd(columns[:, :count], rank=rank, rtol=1e-10)
+    assert sub.n_samples == count
+    assert sub.rank == s_ref.size
+    np.testing.assert_allclose(sub.sigmas, s_ref * scale, rtol=TOL)
+    np.testing.assert_allclose(sub.modes, u_ref, rtol=0, atol=TOL)  # sign included
+
+
 class TestSvdRankUpdate:
+    """The ``"update"`` path: the carried Gram matrix grows by the new columns."""
+
     def test_exact_on_full_rank_factorization(self):
         a = esse_like_columns(40, 6, seed=1)
         c = esse_like_columns(40, 3, seed=2)
-        u, s, _ = thin_svd(a)
-        u2, s2 = svd_rank_update(u, s, c)
-        u_ref, s_ref, _ = thin_svd(np.hstack([a, c]))
-        assert np.allclose(s2, s_ref, rtol=1e-10, atol=1e-12)
-        assert orthonormal_columns(u2)
-        k = 6  # compare the well-conditioned dominant block
-        # arccos resolves angles only to ~sqrt(eps) near zero
-        angles = subspace_principal_angles(u2[:, :k], u_ref[:, :k])
-        assert np.max(angles) < 1e-6
+        both = np.hstack([a, c])
+        est = IncrementalSubspaceEstimator(rank=6)
+        est.update(a)
+        sub = est.update(both)
+        assert est.last_path == "update"
+        assert_equals_cold(sub, both, 9, 1.0, rank=6)
+        assert orthonormal_columns(sub.modes, atol=1e-12)
 
     def test_single_vector_update(self):
-        a = esse_like_columns(30, 4, seed=3)
-        u, s, _ = thin_svd(a)
-        u2, s2 = svd_rank_update(u, s, np.ones(30))
-        u_ref, s_ref, _ = thin_svd(np.hstack([a, np.ones((30, 1))]))
-        assert np.allclose(s2, s_ref, rtol=1e-10, atol=1e-12)
+        a = esse_like_columns(40, 4, seed=3)
+        both = np.hstack([a, np.ones((40, 1))])
+        est = IncrementalSubspaceEstimator(rank=3)
+        est.update(a)
+        sub = est.update(both)
+        assert est.last_path == "update"
+        assert_equals_cold(sub, both, 5, 1.0, rank=3)
 
     def test_rank_truncation(self):
-        a = esse_like_columns(30, 8, seed=4)
-        u, s, _ = thin_svd(a)
-        u2, s2 = svd_rank_update(u, s, esse_like_columns(30, 2, seed=5), rank=5)
-        assert u2.shape == (30, 5)
-        assert s2.shape == (5,)
+        a = esse_like_columns(60, 10, seed=4)
+        est = IncrementalSubspaceEstimator(rank=5)
+        est.update(a[:, :8])
+        sub = est.update(a)
+        assert sub.modes.shape == (60, 5)
+        assert sub.sigmas.shape == (5,)
 
     def test_truncated_carry_error_bounded_by_discard(self):
-        """With a truncated U, the update error stays at the discarded level."""
-        a = esse_like_columns(50, 12, noise=1e-8, seed=6)
-        u, s, _ = thin_svd(a)
-        keep = 8
-        u2, s2 = svd_rank_update(
-            u[:, :keep], s[:keep], esse_like_columns(50, 3, noise=1e-8, seed=7)
-        )
-        s_ref = thin_svd(np.hstack([a, esse_like_columns(50, 3, noise=1e-8, seed=7)]))[1]
-        discarded = np.sqrt(np.sum(s[keep:] ** 2))
-        assert np.all(np.abs(s2[:keep] - s_ref[:keep]) <= 10 * discarded + 1e-12)
+        """What the rank cap discards never feeds back into the carry.
+
+        A flat spectrum under a rank-2 cap sheds most of its energy at
+        every checkpoint; a carried truncated factorization drifted by
+        that much, the carried Gram matrix by nothing.
+        """
+        full = np.random.default_rng(6).standard_normal((80, 16))
+        est = IncrementalSubspaceEstimator(rank=2)
+        for count in range(2, 17):
+            sub = est.update(full, count=count)
+            assert_equals_cold(sub, full, count, 1.0, rank=2)
+        assert est.last_path == "update"
 
     def test_shape_validation(self):
-        u, s, _ = thin_svd(np.ones((4, 2)))
-        with pytest.raises(ValueError, match="incompatible"):
-            svd_rank_update(u, s, np.ones((5, 1)))
-        with pytest.raises(ValueError, match="does not match"):
-            svd_rank_update(u, np.ones(3), np.ones((4, 1)))
-
-
-class TestWarmRandomizedSvd:
-    def test_recovers_low_rank_matrix(self):
-        a = esse_like_columns(80, 30, noise=0.0, seed=8)
-        basis = thin_svd(a[:, :10])[0][:, :6]  # previous checkpoint's modes
-        u, s, _ = warm_randomized_svd(a, rank=6, basis=basis)
-        s_ref = thin_svd(a)[1]
-        assert np.allclose(s, s_ref[:6], rtol=1e-8)
-        assert orthonormal_columns(u)
-
-    def test_none_basis_falls_back_to_cold_sketch(self):
-        a = esse_like_columns(40, 12, seed=9)
-        u_cold, s_cold, _ = randomized_svd(a, rank=4)
-        u_warm, s_warm, _ = warm_randomized_svd(a, rank=4, basis=None)
-        # different default keyed streams, but both deterministic and accurate
-        assert np.allclose(s_warm, thin_svd(a)[1][:4], rtol=1e-6)
-        assert np.allclose(s_cold, thin_svd(a)[1][:4], rtol=1e-6)
-
-    def test_validation(self):
-        a = np.ones((6, 3))
-        with pytest.raises(ValueError, match="incompatible"):
-            warm_randomized_svd(a, rank=2, basis=np.ones((5, 2)))
-        with pytest.raises(ValueError, match="rank"):
-            warm_randomized_svd(a, rank=0, basis=np.ones((6, 2)))
+        """A stream of another state dimension restarts; it is never mixed in."""
+        est = IncrementalSubspaceEstimator(rank=3)
+        est.update(esse_like_columns(40, 6, seed=7))
+        other = esse_like_columns(48, 8, seed=8)
+        sub = est.update(other)
+        assert est.last_path == "exact"
+        assert_equals_cold(sub, other, 8, 1.0, rank=3)
+        with pytest.raises(ValueError, match="count"):
+            est.update(other, count=9)
 
 
 class TestIncrementalSubspaceEstimator:
-    def test_staged_enlargement_matches_thin_svd(self):
-        """The documented equivalence: every checkpoint of a staged
-        enlargement agrees with an exact recompute to SIGMA_RTOL/ANGLE_TOL."""
-        n, stages = 200, [8, 16, 32, 64]
-        columns = esse_like_columns(n, stages[-1], seed=10)
+    @pytest.mark.parametrize(
+        "checkpoints",
+        [[8, 16, 32, 64], list(range(2, 41)), [4, 64]],
+        ids=["staged-doubling", "stride-1", "one-large-batch"],
+    )
+    def test_staged_enlargement_matches_thin_svd(self, checkpoints):
+        """The documented equivalence: every checkpoint of an enlargement
+        equals the cold factorization -- sigmas, modes and signs -- to TOL."""
+        columns = esse_like_columns(400, checkpoints[-1], seed=10)
         est = IncrementalSubspaceEstimator(rank=6, rank_buffer=16)
-        for count in stages:
+        paths = []
+        for count in checkpoints:
             scale = 1.0 / np.sqrt(count - 1)
             sub = est.update(columns[:, :count], scale=scale)
-            u_ref, s_ref, _ = truncated_svd(columns[:, :count] * scale, rank=6)
-            assert sub.n_samples == count
-            assert np.allclose(sub.sigmas, s_ref, rtol=SIGMA_RTOL)
-            angles = subspace_principal_angles(sub.modes, u_ref)
-            assert np.max(angles) < ANGLE_TOL
-        assert est.last_path in ("update", "warm")  # warm path actually used
+            assert_equals_cold(sub, columns, count, scale, rank=6)
+            paths.append(est.last_path)
+        assert paths[0] == "exact"
+        assert set(paths[1:]) == {"update"}  # never recomputed, never LAPACK
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        steps=st.lists(st.integers(0, 9), min_size=1, max_size=6),
+        decades=st.floats(0.0, 2.5),
+        rank=st.integers(1, 6),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_property_any_schedule_equals_cold(self, steps, decades, rank, seed):
+        """Whatever the arrival schedule and spectrum, carry == cold.
+
+        To round-off where the kernel polishes, to its ``N eps kappa^2``
+        bound (<= 1e-10) where the kept set is shallow enough to skip that.
+        (Sigmas only: how far round-off turns a mode depends on its gap,
+        which random columns do not control; the schedules above pin modes.)
+        """
+        rng = np.random.default_rng(seed)
+        total = 2 + sum(steps)
+        weights = np.geomspace(1.0, 10.0**-decades, total)
+        columns = rng.standard_normal((8 * total, total)) * weights
+        est = IncrementalSubspaceEstimator(rank=rank)
+        count = 2
+        for step in [0] + steps:
+            count += step
+            sub = est.update(columns, count=count, scale=0.5)
+            assert est.last_path in ("exact", "update")
+            _, s_ref, _ = truncated_svd(columns[:, :count], rank=rank)
+            bound = count * np.finfo(float).eps * (s_ref[0] / s_ref[-1]) ** 2
+            np.testing.assert_allclose(sub.sigmas, 0.5 * s_ref, rtol=max(TOL, bound))
+            assert orthonormal_columns(sub.modes, atol=max(TOL, bound))
 
     def test_first_update_is_exact(self):
         est = IncrementalSubspaceEstimator(rank=4)
-        est.update(esse_like_columns(30, 8, seed=11))
+        est.update(esse_like_columns(60, 8, seed=11))
         assert est.last_path == "exact"
 
-    def test_large_batch_takes_warm_sketch_path(self):
-        est = IncrementalSubspaceEstimator(
-            rank=4, rank_buffer=2, warm_batch_factor=0.5
-        )
-        columns = esse_like_columns(60, 40, seed=12)
-        est.update(columns[:, :8])
-        sub = est.update(columns)
-        assert est.last_path == "warm"
-        s_ref = truncated_svd(columns, rank=4)[1]
-        assert np.allclose(sub.sigmas, s_ref, rtol=1e-5)
+    def test_same_count_again_reuses_the_carry(self):
+        columns = esse_like_columns(60, 8, seed=11)
+        est = IncrementalSubspaceEstimator(rank=4)
+        first = est.update(columns)
+        again = est.update(columns)
+        assert est.last_path == "update"
+        np.testing.assert_array_equal(again.modes, first.modes)
+        np.testing.assert_array_equal(again.sigmas, first.sigmas)
 
     def test_noise_floor_does_not_trip_default_guard(self):
-        """A stationary noise floor is unavoidable truncation, not drift.
-
-        The guard meters energy shed *since the last exact
-        factorization* against the energy retained; an earlier draft
-        compared cumulative discard against total stream energy with a
-        1e-9 tolerance, which tripped on any realistic spectrum and
-        silently degenerated every checkpoint into an exact recompute.
-        """
+        """A stationary noise floor is truncated away, not a reason to leave
+        the Gram route: the kept modes sit far above the trust floor."""
         rng = np.random.default_rng(7)
         n, count = 400, 96
         basis, _ = np.linalg.qr(rng.standard_normal((n, 12)))
@@ -166,27 +182,54 @@ class TestIncrementalSubspaceEstimator:
             est.update(cols, count=k)
             paths.append(est.last_path)
         assert paths[0] == "exact"
-        assert all(p in ("update", "warm") for p in paths[1:])
+        assert all(p == "update" for p in paths[1:])
 
     def test_guard_trips_to_exact_recompute(self):
-        """Once truncation has discarded more than guard_tol times the
-        retained energy, the next update recomputes from scratch."""
-        est = IncrementalSubspaceEstimator(rank=2, rank_buffer=0, guard_tol=1e-12)
+        """A kept set reaching below the trust floor goes down the LAPACK
+        route -- and comes back once the stream fills those directions."""
         rng = np.random.default_rng(13)
-        full = rng.standard_normal((20, 12))  # flat spectrum: heavy discard
-        est.update(full[:, :4])
-        est.update(full[:, :8])  # rank update discards real energy
-        sub = est.update(full)
+        low_rank = rng.standard_normal((200, 3)) @ rng.standard_normal((3, 8))
+        full = np.hstack([low_rank, rng.standard_normal((200, 8))])
+        est = IncrementalSubspaceEstimator(rank=5)
+        sub = est.update(full, count=8)  # modes 4 and 5 are pure round-off
         assert est.last_path == "guard"
-        s_ref = truncated_svd(full, rank=2)[1]
-        assert np.allclose(sub.sigmas, s_ref, rtol=1e-10)
+        assert sub.rank == 3  # LAPACK resolves them as zero; the rtol floor drops them
+        s_ref = np.linalg.svd(low_rank, compute_uv=False)
+        np.testing.assert_allclose(sub.sigmas, s_ref[:3], rtol=1e-10)
+        assert orthonormal_columns(sub.modes, atol=1e-12)
+        sub = est.update(full)  # the Gram matrix was carried on regardless
+        assert est.last_path == "update"
+        assert_equals_cold(sub, full, 16, 1.0, rank=5)
+
+    def test_not_tall_input_is_factored_by_lapack(self):
+        columns = esse_like_columns(30, 10, seed=20)  # 3 rows per column
+        est = IncrementalSubspaceEstimator(rank=4)
+        sub = est.update(columns)
+        assert est.last_path == "guard"
+        assert_equals_cold(sub, columns, 10, 1.0, rank=4)
 
     def test_shrinking_stream_restarts(self):
         est = IncrementalSubspaceEstimator(rank=4)
-        columns = esse_like_columns(30, 10, seed=14)
+        columns = esse_like_columns(60, 10, seed=14)
         est.update(columns)
-        est.update(columns[:, :4])
+        sub = est.update(columns[:, :6])
         assert est.last_path == "exact"
+        assert_equals_cold(sub, columns, 6, 1.0, rank=4)
+
+    def test_deepcopy_continues_identically(self):
+        """A copied estimator is the same stream position (the suite copies
+        a primed one per repetition)."""
+        columns = esse_like_columns(200, 24, seed=21)
+        est = IncrementalSubspaceEstimator(
+            rank=6, energy=0.999, rng=np.random.default_rng(0)
+        )
+        est.update(columns, count=16)
+        twin = copy.deepcopy(est)
+        a = est.update(columns, count=24, scale=0.2)
+        b = twin.update(columns, count=24, scale=0.2)
+        assert twin.last_path == est.last_path == "update"
+        np.testing.assert_array_equal(a.modes, b.modes)
+        np.testing.assert_array_equal(a.sigmas, b.sigmas)
 
     def test_count_limits_valid_columns(self):
         columns = esse_like_columns(30, 10, seed=15)
@@ -200,21 +243,21 @@ class TestIncrementalSubspaceEstimator:
         a = IncrementalSubspaceEstimator(rank=4).update(columns, scale=1.0)
         b = IncrementalSubspaceEstimator(rank=4).update(columns, scale=0.5)
         assert np.allclose(b.sigmas, 0.5 * a.sigmas)
-        assert np.allclose(np.abs(np.sum(a.modes * b.modes, axis=0)), 1.0)
+        np.testing.assert_array_equal(a.modes, b.modes)
 
     def test_energy_cut_matches_truncated_svd(self):
-        columns = esse_like_columns(40, 12, seed=17)
+        columns = esse_like_columns(60, 12, seed=17)
         sub = IncrementalSubspaceEstimator(energy=0.9).update(columns)
         u_ref, s_ref, _ = truncated_svd(columns, energy=0.9)
         assert sub.rank == s_ref.size
-        assert np.allclose(sub.sigmas, s_ref, rtol=SIGMA_RTOL)
+        assert np.allclose(sub.sigmas, s_ref, rtol=TOL)
 
     def test_reset_forgets_carry(self):
         est = IncrementalSubspaceEstimator(rank=4)
-        est.update(esse_like_columns(30, 8, seed=18))
+        est.update(esse_like_columns(60, 8, seed=18))
         est.reset()
         assert est.last_path is None
-        est.update(esse_like_columns(30, 8, seed=18))
+        est.update(esse_like_columns(60, 8, seed=18))
         assert est.last_path == "exact"
 
     def test_returns_error_subspace(self):
@@ -230,6 +273,8 @@ class TestIncrementalSubspaceEstimator:
             IncrementalSubspaceEstimator(rank=0)
         with pytest.raises(ValueError, match="guard_tol"):
             IncrementalSubspaceEstimator(guard_tol=-0.1)
+        with pytest.raises(ValueError, match="rank_buffer"):
+            IncrementalSubspaceEstimator(rank_buffer=-1)
         est = IncrementalSubspaceEstimator()
         with pytest.raises(ValueError, match="2-D"):
             est.update(np.ones(5))
@@ -243,21 +288,23 @@ class TestConfigWiring:
         assert isinstance(est, IncrementalSubspaceEstimator)
         assert est.rank == ESSEConfig().max_subspace_rank
 
-    def test_warm_start_off_disables_estimator(self):
-        """Cold configs still hand out an estimator: a from-scratch one."""
+    def test_cold_estimator_factors_raw_columns_and_scales(self):
+        """Nothing carried, and no scaled copy: the raw columns are factored
+        and the scale lands on the singular values."""
         rng = np.random.default_rng(0)
-        columns = rng.standard_normal((30, 12))
-        cfg = ESSEConfig(svd_warm_start=False, max_subspace_rank=5)
-        est = cfg.subspace_estimator()
-        for count in (6, 12):  # nothing carried: each call stands alone
+        columns = rng.standard_normal((60, 12))
+        columns.flags.writeable = False
+        est = ColdSubspaceEstimator(rank=5, energy=0.999)
+        for count in (6, 12):  # each call stands alone
             scale = 1.0 / np.sqrt(count - 1)
             sub = est.update(columns, count, scale)
             ref = ErrorSubspace.from_anomalies(
-                columns[:, :count] * scale, rank=5, energy=cfg.svd_energy
+                columns[:, :count] * scale, rank=5, energy=0.999
             )
             assert est.last_path == "cold"
             assert sub.n_samples == count
-            np.testing.assert_array_equal(sub.sigmas, ref.sigmas)
+            np.testing.assert_allclose(sub.sigmas, ref.sigmas, rtol=TOL)
+            np.testing.assert_allclose(sub.modes, ref.modes, rtol=0, atol=TOL)
 
     def test_randomized_method_keeps_cold_sketch_path(self):
         columns = np.random.default_rng(1).standard_normal((40, 16))
@@ -272,10 +319,21 @@ class TestConfigWiring:
             rng=np.random.default_rng(3),
         )
         assert est.last_path == "cold"
-        np.testing.assert_array_equal(sub.sigmas, ref.sigmas)
+        np.testing.assert_allclose(sub.sigmas, ref.sigmas, rtol=TOL)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="svd_rank_buffer"):
-            ESSEConfig(svd_rank_buffer=-1)
-        with pytest.raises(ValueError, match="svd_guard_tol"):
-            ESSEConfig(svd_guard_tol=-1.0)
+        with pytest.raises(ValueError, match="svd_method"):
+            ESSEConfig(svd_method="brand")
+        # the warm-start knobs went with the truncated carry they tuned
+        for gone in ("svd_warm_start", "svd_rank_buffer", "svd_guard_tol"):
+            with pytest.raises(TypeError, match=gone):
+                ESSEConfig(**{gone: 1})
+
+    def test_estimator_routes_follow_the_kernel_constants(self, monkeypatch):
+        """No switch of its own: with the kernel's aspect constant out of
+        reach every checkpoint is a LAPACK factorization."""
+        columns = esse_like_columns(200, 12, seed=22)
+        monkeypatch.setattr(linalg, "TALL_ASPECT", np.inf)
+        est = IncrementalSubspaceEstimator(rank=4)
+        est.update(columns, count=6)
+        assert est.last_path == "guard"

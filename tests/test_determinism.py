@@ -111,8 +111,7 @@ def replay_config(batch_size=None) -> ExperimentConfig:
     return ExperimentConfig.from_dict(document)
 
 
-@pytest.fixture(scope="module")
-def replay_case():
+def build_replay_case():
     """Model, spun-up background, initial subspace and twin truth."""
     model = replay_config().build_model()
     background = model.run(model.rest_state(), 86400.0)
@@ -126,6 +125,12 @@ def replay_case():
         time=background.time,
     )
     return model, background, subspace, truth
+
+
+@pytest.fixture(scope="module")
+def replay_case():
+    """One :func:`build_replay_case` shared by the module's replay classes."""
+    return build_replay_case()
 
 
 def run_cycle(case, workdir, batch_size, bomb=None):
@@ -234,3 +239,90 @@ class TestOneLoopTwoSinks:
         assert [(count, pytest.approx(rho, abs=1e-12))] == list(fc.convergence_history)
         assert result.member_ids == fc.member_ids
         assert similarity_coefficient(result.subspace, fc.subspace) >= 1 - 1e-12
+
+
+class TestCycleReplayAcrossSvdRoutes:
+    """A cycle is a function of its covariances, not of the solver.
+
+    Every SVD of the run -- the synthetic initial subspace, each
+    forecast-stage checkpoint, each posterior refactorization -- goes through
+    :func:`repro.util.linalg.truncated_svd`, which factors tall input in
+    ensemble space.  There is no runtime switch; with the kernel's aspect
+    constant patched out of reach the same run takes the LAPACK driver
+    everywhere.  Both routes sign-orient their modes, so the two runs agree
+    period by period *including mode signs* -- which the fixed coefficients
+    :class:`PerturbationGenerator` multiplies into the modes require.
+    """
+
+    #: Stated tolerance, relative to each quantity's largest magnitude.
+    TOLERANCE = 1e-10  # measured 3e-13 on the modes after two periods
+
+    @staticmethod
+    def build_and_run(workdir):
+        """The case is built per route: its initial subspace is an SVD too."""
+        case = build_replay_case()
+        return case[2], run_cycle(case, workdir, None)
+
+    @pytest.fixture(scope="class")
+    def routes(self, tmp_path_factory):
+        from repro.core import subspace as estimators
+        from repro.util import linalg
+
+        calls = {"gram": 0, "lapack": 0}
+        gram_svd, lapack_svd = linalg.gram_svd, linalg.lapack_svd
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                calls[name] += out is not None
+                return out
+
+            return wrapper
+
+        runs = {}
+        for route, aspect in (("gram", linalg.TALL_ASPECT), ("lapack", np.inf)):
+            calls.update(gram=0, lapack=0)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(linalg, "TALL_ASPECT", aspect)
+                for module in (linalg, estimators):  # the kernel's two callers
+                    patch.setattr(module, "gram_svd", counted("gram", gram_svd))
+                    patch.setattr(module, "lapack_svd", counted("lapack", lapack_svd))
+                runs[route] = self.build_and_run(tmp_path_factory.mktemp(route))
+            runs[route] += (dict(calls),)
+        return runs
+
+    def test_each_run_took_its_route(self, routes):
+        # initial subspace + 2 periods x (2 stage checkpoints + 1 posterior)
+        assert routes["gram"][-1] == {"gram": 7, "lapack": 0}
+        assert routes["lapack"][-1] == {"gram": 0, "lapack": 7}
+
+    def close(self, got, expected):
+        np.testing.assert_allclose(
+            got, expected, rtol=0, atol=self.TOLERANCE * np.abs(expected).max()
+        )
+
+    def test_initial_subspace_agrees_including_sign(self, routes):
+        gram, lapack = routes["gram"][0], routes["lapack"][0]
+        self.close(gram.sigmas, lapack.sigmas)
+        self.close(gram.modes, lapack.modes)
+
+    def test_cycles_agree_period_by_period(self, routes):
+        _, (records, forecasts, final, _), _ = routes["gram"]
+        _, (ref_records, ref_forecasts, ref_final, _), _ = routes["lapack"]
+        assert len(records) == len(ref_records) == 2
+        for record, ref in zip(records, ref_records):
+            assert record.ensemble_size == ref.ensemble_size
+            for name in ("innovation_rms", "analysis_rms", "forecast_error", "analysis_error"):
+                assert getattr(record, name) == pytest.approx(
+                    getattr(ref, name), rel=self.TOLERANCE
+                )
+        for fc, ref in zip(forecasts, ref_forecasts, strict=True):
+            assert fc.member_ids == ref.member_ids
+            self.close(fc.member_forecasts.mean(axis=0), ref.member_forecasts.mean(axis=0))
+            self.close(fc.member_forecasts, ref.member_forecasts)
+            assert fc.subspace.rank == ref.subspace.rank
+            self.close(fc.subspace.sigmas, ref.subspace.sigmas)
+            self.close(fc.subspace.modes, ref.subspace.modes)  # signs included
+        assert final.rank == ref_final.rank
+        self.close(final.sigmas, ref_final.sigmas)
+        self.close(final.modes, ref_final.modes)

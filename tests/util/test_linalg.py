@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+from repro.util import linalg
 from repro.util.linalg import (
+    gram_svd,
+    lapack_svd,
     orthonormal_columns,
     subspace_principal_angles,
     thin_svd,
@@ -90,3 +95,164 @@ class TestPrincipalAngles:
     def test_requires_orthonormal_input(self):
         with pytest.raises(ValueError, match="orthonormal"):
             subspace_principal_angles(2.0 * np.eye(4)[:, :2], np.eye(4)[:, :2])
+
+
+def matrix_with_spectrum(n, sigmas, seed=0):
+    """An ``(n, len(sigmas))`` matrix with exactly the given singular values."""
+    rng = np.random.default_rng(seed)
+    m = len(sigmas)
+    left, _ = np.linalg.qr(rng.standard_normal((n, m)))
+    right, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return (left * np.asarray(sigmas)) @ right.T
+
+
+def subspace_sine(u, reference):
+    """Largest principal-angle sine between two orthonormal column sets.
+
+    (``arccos`` of the cosines resolves angles only to ~1e-8.)
+    """
+    return np.linalg.norm(u - reference @ (reference.T @ u), 2)
+
+
+def assert_factors_match_scipy(a, factors, keep):
+    """The documented accuracy of a kept set against ``scipy.linalg.svd``."""
+    u, s, vt = factors
+    u_ref, s_ref, _ = scipy.linalg.svd(a, full_matrices=False)
+    assert s.shape == (keep,) and u.shape == (a.shape[0], keep)
+    np.testing.assert_allclose(s, s_ref[:keep], rtol=1e-9)
+    # Polished modes are orthonormal to round-off; a kept set shallow
+    # enough to skip the pass is orthonormal to the bound that let it.
+    bound = a.shape[1] * np.finfo(float).eps * (s_ref[0] / s_ref[keep - 1]) ** 2
+    polished = bound > linalg.GRAM_POLISH
+    assert np.abs(u.T @ u - np.eye(keep)).max() <= (1e-12 if polished else max(1e-12, bound))
+    assert subspace_sine(u, u_ref[:, :keep]) < 1e-7
+    # largest-magnitude entry of every mode positive, vt flipped with it
+    assert np.all(u.max(axis=0) >= -u.min(axis=0))
+    projected = (u_ref[:, :keep] * s_ref[:keep]) @ (u_ref[:, :keep].T @ u) @ vt
+    truncated = (u * s) @ vt
+    assert np.abs(truncated - projected).max() <= 1e-12 * s_ref[0]
+    if keep == min(a.shape):
+        assert np.abs(truncated - a).max() <= 1e-12 * s_ref[0]
+
+
+class TestGramRoute:
+    """Tall input is factored in ensemble space, to the documented accuracy."""
+
+    @pytest.mark.parametrize("depth", [0.5, 1e-1, 1e-2, 1e-3])
+    @pytest.mark.parametrize("keep", [None, 5])
+    def test_matches_scipy_on_tall_matrices(self, depth, keep):
+        a = matrix_with_spectrum(400, np.geomspace(1.0, depth, 12), seed=3)
+        factors = gram_svd(a, rank=keep)
+        assert factors is not None  # this is the route truncated_svd takes
+        assert_factors_match_scipy(a, factors, 12 if keep is None else keep)
+        for got, same in zip(truncated_svd(a, rank=keep), factors):
+            np.testing.assert_array_equal(got, same)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_cols=st.integers(2, 20),
+        aspect=st.integers(4, 30),
+        decades=st.floats(0.3, 3.0),  # distinct sigmas: the modes are defined
+        keep=st.integers(1, 20),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_property_any_tall_matrix_down_to_1e_minus_3(
+        self, n_cols, aspect, decades, keep, seed
+    ):
+        a = matrix_with_spectrum(
+            aspect * n_cols, np.geomspace(1.0, 10.0**-decades, n_cols), seed
+        )
+        keep = min(keep, n_cols)
+        factors = gram_svd(a, rank=keep)
+        assert factors is not None
+        assert_factors_match_scipy(a, factors, keep)
+
+    def test_cut_is_taken_before_modes_are_formed(self):
+        """Only the kept modes are multiplied out: nothing n x N is allocated."""
+        import tracemalloc
+
+        n, m, keep = 20000, 64, 4
+        a = matrix_with_spectrum(n, np.geomspace(1.0, 0.1, m), seed=4)
+        tracemalloc.start()
+        try:
+            u, _, _ = gram_svd(a, rank=keep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert u.shape == (n, keep)
+        assert peak < 0.25 * a.nbytes  # LAPACK's left factor alone is a.nbytes
+
+    def test_deep_spectrum_takes_the_lapack_route(self, monkeypatch):
+        """Kept sigmas down to 1e-9: the Gram route declines; LAPACK serves.
+
+        The Gram eigensolve resolves nothing under ``sqrt(N eps) ~ 1e-7``;
+        forced past its trust floor it returns noise for the deep modes.
+        """
+        a = matrix_with_spectrum(400, np.geomspace(1.0, 1e-9, 10), seed=5)
+        assert gram_svd(a) is None
+        assert_factors_match_scipy(a, truncated_svd(a), 10)
+        # a cut that stays above the floor is still served in ensemble space
+        assert gram_svd(a, rank=3) is not None
+        assert_factors_match_scipy(a, truncated_svd(a, rank=3), 3)
+
+        monkeypatch.setattr(linalg, "GRAM_TRUST", np.inf)
+        with pytest.raises((AssertionError, np.linalg.LinAlgError)):
+            assert_factors_match_scipy(a, gram_svd(a), 10)
+
+    def test_not_tall_input_takes_the_lapack_route(self):
+        a = matrix_with_spectrum(30, np.linspace(1.0, 0.5, 10), seed=6)
+        assert gram_svd(a) is None
+        assert_factors_match_scipy(a, truncated_svd(a), 10)
+        assert_factors_match_scipy(a.T, truncated_svd(a.T), 10)  # wide
+
+    def test_both_routes_agree_including_sign(self):
+        a = matrix_with_spectrum(500, np.geomspace(1.0, 1e-2, 16), seed=7)
+        for cut in ({}, {"rank": 4}, {"energy": 0.99}, {"rtol": 0.05}):
+            u, s, vt = gram_svd(a, **cut)
+            u_l, s_l, vt_l = lapack_svd(a, **cut)
+            np.testing.assert_allclose(s, s_l, rtol=1e-12)
+            np.testing.assert_allclose(u, u_l, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(vt, vt_l, rtol=0, atol=1e-10)
+
+    def test_rank_deficient_input(self):
+        """Exact rank 3 in 8 columns: a rank cut is served, the null space is not."""
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((200, 3)) @ rng.standard_normal((3, 8))
+        assert gram_svd(a, rank=3) is not None
+        assert_factors_match_scipy(a, truncated_svd(a, rank=3), 3)
+        assert gram_svd(a) is None  # five directions of pure round-off
+        u, s, _ = truncated_svd(a, rtol=1e-10)
+        assert s.size == 3
+        assert np.abs(u.T @ u - np.eye(3)).max() <= 1e-12
+        u, s, _ = thin_svd(a)
+        assert s.size == 8 and np.all(s[3:] <= 1e-12 * s[0])
+        assert np.abs(u.T @ u - np.eye(8)).max() <= 1e-12
+
+    def test_all_zero_input(self):
+        a = np.zeros((100, 5))
+        u, s, vt = thin_svd(a)
+        assert u.shape == (100, 5) and vt.shape == (5, 5)
+        np.testing.assert_array_equal(s, 0.0)
+        u, s, _ = truncated_svd(a, energy=0.99, rtol=1e-10)
+        assert s.size == 1 and np.all(np.isfinite(u))
+
+    def test_memory_layout_does_not_matter(self, tmp_path):
+        """C order, Fortran order, a read-only map, strided columns: one answer."""
+        wide = matrix_with_spectrum(300, np.geomspace(1.0, 1e-2, 16), seed=9)
+        a = np.ascontiguousarray(wide[:, ::2])
+        path = tmp_path / "columns.npy"
+        np.save(path, np.asfortranarray(a))
+        mapped = np.load(path, mmap_mode="r")
+        assert not mapped.flags.writeable
+        reference = truncated_svd(a, rank=5)
+        for variant in (np.asfortranarray(a), mapped, wide[:, ::2]):
+            for got, expected in zip(truncated_svd(variant, rank=5), reference):
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_carried_gram_matrix_is_used(self):
+        a = matrix_with_spectrum(200, np.geomspace(1.0, 0.1, 6), seed=10)
+        expected = gram_svd(a, rank=3)
+        for got, same in zip(gram_svd(a, rank=3, gram=a.T @ a), expected):
+            np.testing.assert_array_equal(got, same)
+        scaled = gram_svd(a, rank=3, gram=4.0 * (a.T @ a))  # it is trusted
+        np.testing.assert_allclose(scaled[1], 2.0 * expected[1], rtol=1e-12)

@@ -108,6 +108,36 @@ class TestSharedEnsembleBuffer:
             buffer.close()
             buffer.unlink()
 
+    def test_feed_into_column_store_ships_each_column_once(self, tmp_path):
+        """The process-backend handoff serializes nothing: the accumulator
+        reads the shared-memory views, the store appends from the
+        accumulator's view, and each member costs its column and its id."""
+        from repro.core.covariance import AnomalyAccumulator
+        from repro.core.state import FieldLayout, FieldSpec
+
+        state_dim, members = 50, 6
+        forecasts = np.random.default_rng(0).standard_normal((state_dim, members))
+        layout = FieldLayout([FieldSpec("x", (state_dim,))])
+        buffer = SharedEnsembleBuffer(state_dim, members)
+        store = MemmapCovarianceStore(tmp_path)
+        try:
+            for k in range(members):  # worker side: each attempt writes once
+                buffer.column(k)[:] = forecasts[:, k]
+            accumulator = AnomalyAccumulator(layout, np.zeros(state_dim))
+            shipped = 0
+            for k in range(members):
+                accumulator.add_member(k, buffer.column(k))
+                if accumulator.count >= 2:
+                    shipped += store.sync_from(accumulator.view())
+                    store.publish()
+            assert shipped == members * (8 * state_dim + 8)
+            snapshot = store.read_safe()
+            assert np.array_equal(np.asarray(snapshot.columns), forecasts)
+        finally:
+            store.close()
+            buffer.close()
+            buffer.unlink()
+
     def test_validation(self):
         with pytest.raises(ValueError, match=">= 1"):
             SharedEnsembleBuffer(0, 4)

@@ -19,7 +19,10 @@ the change -- on the same box and writes one JSON file holding
   ``analysis_dense``'s digest (analysis error against the twin truth, tiled
   against global, variance excess) at the full size for each seed and side,
   with median and range -- they do not depend on timing, and a single seed
-  of a skill number proves nothing.
+  of a skill number proves nothing;
+- ``cycle_skill`` (``--cycle-seeds K ...``): ``cycle_ref``'s error
+  reduction per period (what its ``skill`` averages) at the full size for
+  each seed and side, with median and range, for the same reason.
 
 Usage::
 
@@ -94,12 +97,32 @@ print(json.dumps(facts))
 """
 
 
-def analysis_skill(checkout: Path, seeds: list[int]) -> dict:
-    """``analysis_dense``'s accuracy facts per seed, with median and range."""
+#: Run inside a checkout: one full-size ``cycle_ref`` body of one seed; its
+#: error reduction per period (and their mean, which ``skill`` clips) as one JSON line.
+_CYCLE_SNIPPET = """
+import json, sys
+sys.path[:0] = ["benchmarks/suite", "src"]
+from harness import Scratch
+from sizes import FULL
+from tracing import NULL_TRACER
+from workloads import WORKLOADS
+with Scratch("cycle-skill") as scratch:
+    workload = WORKLOADS["cycle_ref"](FULL["cycle_ref"], int(sys.argv[1]), scratch)
+    workload.setup()
+    workload.prepare()
+    reduction = workload.digest(workload.body(NULL_TRACER))["error_reduction"]
+facts = {f"error_reduction_period_{k + 1}": x for k, x in enumerate(reduction)}
+facts["mean_error_reduction"] = sum(reduction) / len(reduction)
+print(json.dumps(facts))
+"""
+
+
+def digest_by_seed(checkout: Path, snippet: str, seeds: list[int]) -> dict:
+    """A digest snippet's facts per seed, with median and range."""
     by_seed = {}
     for seed in seeds:
         done = subprocess.run(
-            [sys.executable, "-c", _DIGEST_SNIPPET, str(seed)],
+            [sys.executable, "-c", snippet, str(seed)],
             cwd=checkout, capture_output=True, text=True, timeout=1200,
         )
         if done.returncode != 0:
@@ -203,12 +226,14 @@ def markdown_tables(record: dict, prefixes: tuple[str, ...] = ("",)) -> str:
                 continue
             ratio = f"{after[name] / before[name]:.2f}" if before[name] else "-"
             lines.append(f"| `{name}` | {before[name]:.4g} | {after[name]:.4g} | {ratio} |")
-    if "analysis_skill" in record:
-        sides = record["analysis_skill"]
+    for block, workload in (("analysis_skill", "analysis_dense"), ("cycle_skill", "cycle_ref")):
+        if block not in record:
+            continue
+        sides = record[block]
         n = len(sides["change"]["by_seed"])
         lines += [
             "",
-            f"| `analysis_dense` fact, median (min - max) over {n} seeds | parent | change |",
+            f"| `{workload}` fact, median (min - max) over {n} seeds | parent | change |",
             "|---|---|---|",
         ]
         for name in sides["change"]["summary"]:
@@ -241,6 +266,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--digest-seeds", type=int, nargs="+", default=[],
         help="seeds of the analysis_dense accuracy table",
+    )
+    parser.add_argument(
+        "--cycle-seeds", type=int, nargs="+", default=[],
+        help="seeds of the cycle_ref error-reduction table",
     )
     args = parser.parse_args(argv)
     if args.table is not None:
@@ -280,11 +309,15 @@ def main(argv=None) -> int:
             "at seed 0; not claims",
             "pairs": others,
         }
-    if args.digest_seeds:
-        record["analysis_skill"] = {}
-        for side, checkout in (("parent", args.parent), ("change", args.change)):
-            print(f"analysis skill {side}", flush=True)
-            record["analysis_skill"][side] = analysis_skill(checkout, args.digest_seeds)
+    for block, snippet, seeds in (
+        ("analysis_skill", _DIGEST_SNIPPET, args.digest_seeds),
+        ("cycle_skill", _CYCLE_SNIPPET, args.cycle_seeds),
+    ):
+        if seeds:
+            record[block] = {}
+            for side, checkout in (("parent", args.parent), ("change", args.change)):
+                print(f"{block} {side}", flush=True)
+                record[block][side] = digest_by_seed(checkout, snippet, seeds)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out}")

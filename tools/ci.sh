@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI check: workflow + telemetry + ocean/acoustics kernel test suites,
+# CI check: workflow + telemetry + SVD/ocean/acoustics kernel test suites,
 # static analysis, trace smoke.
 #
 # Run from the repository root:
@@ -47,6 +47,8 @@ else
     python -m pytest tests/workflow tests/telemetry tests/lint tests/products \
         tests/core/test_localization.py tests/core/test_tiling.py \
         tests/core/test_tiled_analysis.py tests/core/test_assimilation.py \
+        tests/core/test_subspace.py tests/core/test_incremental_svd.py \
+        tests/util/test_linalg.py tests/util/test_randomized_svd.py \
         tests/ocean tests/acoustics tests/test_determinism.py -q
 fi
 
@@ -94,17 +96,7 @@ python tools/check_docs.py \
 python tools/check_docs.py \
     repro.ocean.dynamics repro.ocean.stochastic repro.ocean.masking \
     repro.util.randomfields repro.acoustics.modes
-
-# Smoke: the differ->SVD hot-path bench at CI scale (BENCH_SMOKE shrinks
-# the matrices and asserts only sigma error and byte counts -- timing
-# floors need the full size).  BENCH_OUTPUT_DIR keeps the smoke run's
-# record out of benchmarks/results/.
-covfile_tmp="$(mktemp -d)"
-BENCH_SMOKE=1 BENCH_OUTPUT_DIR="$covfile_tmp" \
-    python -m pytest benchmarks/bench_covfile_pipeline.py -q \
-    --rootdir=benchmarks -p no:cacheprovider
-rm -rf "$covfile_tmp"
-echo "covfile pipeline smoke: ok"
+python tools/check_docs.py repro.util.linalg repro.core.subspace
 
 # Smoke: the product-service load bench at CI scale (tiny fleet; the
 # committed full-size numbers live in
