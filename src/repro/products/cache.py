@@ -51,19 +51,29 @@ class LRUCache:
 
     def get(self, key):
         """The cached value for ``key`` (None on miss; counts either way)."""
+        value = self.peek(key)
+        if value is not None:
+            self.touch(key)
+        elif self._misses is not None:
+            self._misses.inc()
+        return value
+
+    def peek(self, key):
+        """The cached value or None; counts nothing, leaves recency alone."""
         with self._lock:
-            try:
-                value = self._entries[key]
+            return self._entries.get(key)
+
+    def touch(self, key) -> None:
+        """Count as a hit, and mark as used, a value :meth:`peek` returned.
+
+        ``peek`` then ``touch`` is ``get`` for a caller that must leave no
+        trace unless it goes on to answer from the value.
+        """
+        with self._lock:
+            if key in self._entries:
                 self._entries.move_to_end(key)
-            except KeyError:
-                value = None
-        if value is None:
-            if self._misses is not None:
-                self._misses.inc()
-            return None
         if self._hits is not None:
             self._hits.inc()
-        return value
 
     def put(self, key, value) -> None:
         """Insert/refresh an entry, evicting the oldest beyond capacity.

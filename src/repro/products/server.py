@@ -8,18 +8,31 @@ persistent connections (keep-alive by default, honoured until the
 client sends ``Connection: close``), ``Content-Length`` framing and the
 service's ETag/503 semantics passed straight through.
 
-The request handler never runs the service on the event loop: a
-cache-missing request costs a small-file read plus an npz decode, which
-would stall every other connection for its duration (REP010).  Requests
-are offloaded to a single-worker thread pool instead -- one worker
-because the service serializes on its cache lock anyway, so extra
-threads would only add contention.  Heavy deployments shard by running
-several server processes against the same immutable store -- readers
-never lock, so processes scale horizontally.
+**What runs where.**  Every request is first put to
+``ProductService.cached`` *on the event loop*: it answers from memory
+(cached responses, ``304``, routing errors) and returns ``None`` for
+anything that would open a file.  Only those go to a single-worker
+thread pool running ``ProductService.handle``: a miss is a small-file
+read plus an npz decode, which would stall every other connection
+(REP010); one worker because misses serialize on the store anyway.  The
+hit path's one system call is an ``os.stat`` of ``HEAD.json`` per
+``latest`` request -- a metadata lookup on a local pointer file,
+microseconds and bounded, where a ``read_text`` is an open + read +
+close of a size and latency the server does not control.  Heavy
+deployments run several server processes on the same immutable store.
 
-Malformed requests are answered with ``400`` and the connection is
-closed; oversized request lines or header blocks (> 16 KiB) are
-rejected the same way rather than buffered without bound.
+**Hostile input** (table in ``docs/PRODUCT_SERVICE.md``).  A head is
+CRLF-framed and taken with one ``readuntil(b"\\r\\n\\r\\n")`` under
+:data:`MAX_LINE_BYTES` per line, :data:`MAX_HEADERS` lines and the
+64 KiB ``StreamReader`` limit.  A lone CR or LF inside it is malformed;
+a head that never reaches CRLF CRLF (a bare-LF client's) cannot be told
+from a slow one and meets the deadline.  ``400``: malformed head,
+``Transfer-Encoding``, ``Content-Length`` not digits or repeated with
+different values.  ``413``: a body over :data:`MAX_BODY_BYTES` (no route
+takes one; smaller ones are drained).  ``408``: head or body incomplete
+:data:`HEAD_TIMEOUT_S` after its first byte.  All three close the
+connection.  One silent for :data:`IDLE_TIMEOUT_S` between requests is
+closed unanswered; one not draining a response for as long is aborted.
 """
 
 from __future__ import annotations
@@ -34,6 +47,35 @@ from repro.products.service import ProductService, ServiceResponse
 MAX_LINE_BYTES = 16 * 1024
 #: Upper bound on the number of request headers read per request.
 MAX_HEADERS = 100
+#: Largest request body drained to keep the connection's framing intact.
+MAX_BODY_BYTES = 4 * 1024
+#: Seconds from a request's first byte to the end of its head and body.
+HEAD_TIMEOUT_S = 10.0
+#: Seconds a connection may neither send a request nor drain a response.
+IDLE_TIMEOUT_S = 60.0
+
+_HEAD_END = b"\r\n\r\n"
+_VERSION = {True: b"HTTP/1.1", False: b"HTTP/1.0"}
+_CONNECTION = {True: b"Connection: keep-alive\r\n\r\n", False: b"Connection: close\r\n\r\n"}
+
+
+def _parse_head(head: bytes) -> tuple[str, dict[str, str]] | None:
+    """Start line and lower-cased headers of one head; None if malformed."""
+    text = head[:-4].decode("latin-1")
+    start, *lines = text.split("\r\n")
+    n = len(lines)  # so many CRLFs: any other CR or LF is a stray one
+    if n > MAX_HEADERS or text.count("\n") != n or text.count("\r") != n:
+        return None
+    if len(text) > MAX_LINE_BYTES and len(max(start, *lines, key=len)) > MAX_LINE_BYTES:
+        return None
+    headers: dict[str, str] = {}
+    for line in lines:
+        name, sep, value = line.partition(":")
+        name, value = name.strip().lower(), value.strip()
+        if not sep or (name == "content-length" and headers.get(name, value) != value):
+            return None
+        headers[name] = value
+    return start, headers
 
 
 class ProductHTTPServer:
@@ -52,6 +94,7 @@ class ProductHTTPServer:
         self.service = service
         self.host = host
         self.port = port
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
         self._executor: ThreadPoolExecutor | None = None
 
@@ -59,9 +102,8 @@ class ProductHTTPServer:
         """Bind and start accepting connections."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="product-service"
-        )
+        self._executor = ThreadPoolExecutor(1, thread_name_prefix="product-service")
+        self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -94,100 +136,75 @@ class ProductHTTPServer:
 
     # -- connection handling -------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _handle_connection(self, reader, writer) -> None:
         """Serve requests on one connection until close or error."""
         try:
             while True:
-                try:
-                    request = await self._read_request(reader)
-                except ValueError:
-                    # A line beyond StreamReader's own 64 KiB limit:
-                    # readline raises before MAX_LINE_BYTES is compared.
-                    request = "malformed"
+                request = await self._read_request(reader)
                 if request is None:
-                    break  # clean EOF between requests
-                if request == "malformed":
-                    await self._write_response(
-                        writer,
-                        ServiceResponse(status=400, body=b'{"error": "malformed request"}'),
-                        keep_alive=False,
-                        http11=True,
-                    )
+                    break  # clean EOF, or idle past the deadline
+                if isinstance(request, int):
+                    refusal = ServiceResponse(request, b'{"error": "request refused"}')
+                    await self._write_response(writer, refusal, False, True)
                     break
                 method, target, http11, headers = request
-                response = await asyncio.get_running_loop().run_in_executor(
-                    self._executor, self.service.handle, method, target, headers
-                )
-                keep_alive = (
-                    http11
-                    and headers.get("connection", "keep-alive").lower() != "close"
-                )
-                await self._write_response(
-                    writer, response, keep_alive=keep_alive, http11=http11
-                )
+                response = self.service.cached(method, target, headers)
+                if response is None:
+                    response = await self._loop.run_in_executor(
+                        self._executor, self.service.handle, method, target, headers
+                    )
+                keep_alive = http11 and headers.get("connection", "").lower() != "close"
+                await self._write_response(writer, response, keep_alive, http11)
                 if not keep_alive:
                     break
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
+        except OSError:
             pass  # client went away; nothing to answer
         finally:
             writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+            if writer.transport.get_write_buffer_size():  # a peer that stopped reading
+                self._loop.call_later(IDLE_TIMEOUT_S, writer.transport.abort)
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        """Parse one request head; None on EOF, ``"malformed"`` on junk."""
-        line = await reader.readline()
-        if not line:
-            return None
-        if len(line) > MAX_LINE_BYTES:
-            return "malformed"
-        parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            return "malformed"
-        method, target, version = parts
-        http11 = version == "HTTP/1.1"
-        headers: dict[str, str] = {}
-        for _ in range(MAX_HEADERS + 1):
-            raw = await reader.readline()
-            if not raw or len(raw) > MAX_LINE_BYTES:
-                return "malformed"
-            text = raw.decode("latin-1").rstrip("\r\n")
-            if not text:
-                break
-            name, sep, value = text.partition(":")
-            if not sep:
-                return "malformed"
-            headers[name.strip().lower()] = value.strip()
-        else:
-            return "malformed"
-        length = headers.get("content-length", "0")
-        if length.isdigit() and int(length) > 0:
-            # GETs should not carry bodies, but drain one to keep the
-            # connection framing intact for the next request.
-            await reader.readexactly(int(length))
-        return method, target, http11, headers
+        """One request: ``(method, target, http11, headers)``, None to close
+        without an answer, or the status to refuse it with."""
+        expire, first = reader.set_exception, b""
+        timer = self._loop.call_later(IDLE_TIMEOUT_S, expire, TimeoutError())
+        try:
+            first = await reader.read(1)
+            if not first:
+                return None  # the client closed between requests
+            timer.cancel()
+            timer = self._loop.call_later(HEAD_TIMEOUT_S, expire, TimeoutError())
+            parsed = _parse_head(first + await reader.readuntil(_HEAD_END))
+            parts = parsed[0].split() if parsed else ()
+            if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+                return 400
+            headers = parsed[1]
+            length = headers.get("content-length", "0")
+            if not length.isdigit() or "transfer-encoding" in headers:
+                return 400
+            if int(length) > MAX_BODY_BYTES:
+                return 413
+            if length != "0":
+                await reader.readexactly(int(length))
+            return parts[0], parts[1], parts[2] == "HTTP/1.1", headers
+        except TimeoutError:
+            return 408 if first else None  # mid-request, or merely idle
+        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError, ValueError):
+            return 400  # EOF mid-request; head past the stream limit; int() refused
+        finally:
+            timer.cancel()
 
-    async def _write_response(
-        self,
-        writer: asyncio.StreamWriter,
-        response: ServiceResponse,
-        keep_alive: bool,
-        http11: bool,
-    ) -> None:
-        """Serialize one response with explicit length framing."""
-        version = "HTTP/1.1" if http11 else "HTTP/1.0"
-        lines = [f"{version} {response.status} {response.reason}"]
-        for name, value in response.headers:
-            lines.append(f"{name}: {value}")
-        lines.append(f"Content-Length: {len(response.body)}")
-        lines.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        writer.write(head + response.body)
-        await writer.drain()
+    async def _write_response(self, writer, response, keep_alive, http11) -> None:
+        """Send one response with explicit length framing."""
+        head = _VERSION[http11] + response.head + _CONNECTION[keep_alive]
+        writer.writelines((head, response.body))  # no copy of the body on 3.12+
+        if writer.transport.get_write_buffer_size():
+            timer = self._loop.call_later(IDLE_TIMEOUT_S, writer.transport.abort)
+            try:
+                await writer.drain()
+            finally:
+                timer.cancel()
 
 
 async def fetch(
@@ -215,20 +232,10 @@ async def fetch(
             request.append("Connection: close")
         writer.write(("\r\n".join(request) + "\r\n\r\n").encode("latin-1"))
         await writer.drain()
-        status_line = await reader.readline()
-        parts = status_line.decode("latin-1").split(maxsplit=2)
-        status = int(parts[1])
-        response_headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            text = raw.decode("latin-1").rstrip("\r\n")
-            if not text:
-                break
-            name, _, value = text.partition(":")
-            response_headers[name.strip().lower()] = value.strip()
+        status_line, response_headers = _parse_head(await reader.readuntil(_HEAD_END))
         length = int(response_headers.get("content-length", "0"))
         body = await reader.readexactly(length) if length else b""
-        return status, response_headers, body
+        return int(status_line.split(maxsplit=2)[1]), response_headers, body
     finally:
         if own_connection:
             writer.close()

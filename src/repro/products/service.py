@@ -5,10 +5,13 @@ This is the transport-agnostic core the asyncio front end
 ``GET`` requests for product resources into :class:`ServiceResponse`
 records, with
 
-- a per-version **snapshot cache** (verified snapshots are immutable, so
-  one npz decode + checksum pass serves every later request of that
-  version) and a **response cache** of rendered JSON bodies keyed by
-  ``(version, resource)``;
+- a per-version **snapshot cache** (verified snapshots are immutable: one
+  npz decode + checksum pass serves every later request of a version) and
+  a **response cache** of finished ``200``s keyed by ``(version, resource)``;
+- **two entries, one code path**: :meth:`ProductService.cached` answers
+  from memory alone and returns ``None`` for whatever would open a file
+  (the server calls it on its event loop); :meth:`ProductService.handle`
+  is that lookup, then the miss work;
 - **ETag / version validation**: every resource response carries
   ``ETag: "v<version>-<checksum16>"``; a request presenting it back via
   ``If-None-Match`` gets ``304 Not Modified`` with an empty body;
@@ -25,7 +28,12 @@ records, with
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
+import re
+from collections import namedtuple
+from dataclasses import dataclass
+from functools import cached_property
+from http import HTTPStatus
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
@@ -42,6 +50,10 @@ from repro.telemetry.spans import NULL_RECORDER
 
 #: Seconds readers are asked to back off when a cycle is still publishing.
 RETRY_AFTER_SECONDS = 1
+_JSON = ("Content-Type", "application/json")
+#: A target that is only an origin-form path: nothing for ``urlsplit`` to do.
+_BARE_PATH = re.compile(r"/(?!/)[^?#\s]*").fullmatch
+_MANIFEST_KEYS = ("shape", "tile_size", "tile_grid", "n_levels", "domain")
 
 
 @dataclass(frozen=True)
@@ -56,22 +68,21 @@ class ServiceResponse:
     @property
     def reason(self) -> str:
         """The HTTP reason phrase for :attr:`status`."""
-        return {
-            200: "OK",
-            304: "Not Modified",
-            404: "Not Found",
-            405: "Method Not Allowed",
-            500: "Internal Server Error",
-            503: "Service Unavailable",
-        }.get(self.status, "Unknown")
+        return HTTPStatus(self.status).phrase
+
+    @cached_property
+    def head(self) -> bytes:
+        """Status line (after the HTTP version) and headers through
+        ``Content-Length``, encoded once: a cached response is sent often."""
+        lines = [f" {self.status} {self.reason}"]
+        lines += [f"{name}: {value}" for name, value in self.headers]
+        lines.append(f"Content-Length: {len(self.body)}\r\n")
+        return "\r\n".join(lines).encode("latin-1")
 
     def header(self, name: str, default: str | None = None) -> str | None:
         """Case-insensitive header lookup."""
-        lowered = name.lower()
-        for key, value in self.headers:
-            if key.lower() == lowered:
-                return value
-        return default
+        found = (v for k, v in self.headers if k.lower() == name.lower())
+        return next(found, default)
 
 
 def _json_body(payload: dict) -> bytes:
@@ -81,19 +92,71 @@ def _json_body(payload: dict) -> bytes:
 
 def _array_json(array: np.ndarray) -> list:
     """A 2-D array as nested lists with NaN encoded as None."""
-    out = []
-    for row in np.asarray(array, dtype=np.float64):
-        out.append([None if np.isnan(v) else float(v) for v in row])
-    return out
+    rows = np.asarray(array, dtype=np.float64)
+    return [[None if np.isnan(v) else float(v) for v in row] for row in rows]
 
 
-@dataclass
-class _Route:
-    """A parsed request target."""
+def _plain(status: int, payload: dict, route: str = "unknown") -> ServiceResponse:
+    """A small uncached JSON response."""
+    return ServiceResponse(status, _json_body(payload), (_JSON,), route)
 
-    name: str
-    version: int | None = None  # None = latest
-    params: dict = field(default_factory=dict)
+
+def _unavailable(why: str, route: str) -> ServiceResponse:
+    """The graceful-degradation answer while a publish is in flight."""
+    body = _json_body({"error": why, "retry_after": RETRY_AFTER_SECONDS})
+    retry = ("Retry-After", str(RETRY_AFTER_SECONDS))
+    return ServiceResponse(503, body, (_JSON, retry), route)
+
+
+def _not_modified(snapshot: ProductSnapshot, headers, route: str):
+    """The ``304`` for a request presenting the snapshot's own ETag, else None."""
+    if headers and headers.get("if-none-match") == snapshot.etag:
+        return ServiceResponse(304, headers=(("ETag", snapshot.etag),), route=route)
+    return None
+
+
+def _signature(path) -> tuple | None:
+    """What ``os.replace`` cannot leave unchanged about a file (None if absent)."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_ino, st.st_mtime_ns, st.st_ctime_ns, st.st_size
+
+
+#: A parsed target (version None = latest); ``[2:]`` names the resource in it.
+_Route = namedtuple("_Route", "name version field level tj ti", defaults=(None, "", 0, 0, 0))
+
+
+def _parse_target(target: str) -> _Route | None:
+    """Parse a request target into a route (None = unknown path)."""
+    path, query = target, {}
+    if not _BARE_PATH(target):
+        split = urlsplit(target)
+        path = split.path
+        query = {k: v[-1] for k, v in parse_qs(split.query).items()}
+    parts = [p for p in path.split("/") if p]
+    if parts == ["healthz"]:
+        return _Route("healthz")
+    if len(parts) < 3 or parts[0] != "v1" or parts[1] != "products":
+        return None
+    if parts[2] == "latest":
+        version = None
+    elif parts[2].isdigit():
+        version = int(parts[2])
+    else:
+        return None
+    rest = parts[3:]
+    if not rest:
+        return _Route("product", version)
+    if rest[0] == "fields" and len(rest) == 2:
+        level = query.get("level", "0")
+        if level.lstrip("-").isdigit():
+            return _Route("field", version, rest[1], int(level))
+    if rest[0] == "tiles" and len(rest) == 4:
+        if rest[2].isdigit() and rest[3].isdigit():
+            return _Route("tile", version, rest[1], 0, int(rest[2]), int(rest[3]))
+    return None
 
 
 class ProductService:
@@ -104,7 +167,7 @@ class ProductService:
     workdir:
         The :class:`~repro.products.store.ProductStore` root to read.
     cache_size:
-        Response-cache capacity (rendered bodies); 0 disables response
+        Response-cache capacity (finished responses); 0 disables response
         and snapshot caching (the benchmark's cache-off mode).
     snapshot_cache_size:
         How many verified snapshots stay decoded in memory.
@@ -127,144 +190,125 @@ class ProductService:
         telemetry=None,
         max_unreadable_reads: int = 64,
     ):
-        self.reader = ProductReader(
-            workdir, max_unreadable_reads=max_unreadable_reads
-        )
+        self.reader = ProductReader(workdir, max_unreadable_reads=max_unreadable_reads)
         self.telemetry = telemetry if telemetry is not None else NULL_RECORDER
         self.registry = registry
         self._responses = LRUCache(cache_size, registry=registry, name="responses")
         self._snapshots = LRUCache(
-            snapshot_cache_size if cache_size else 0,
-            registry=registry,
-            name="snapshots",
+            snapshot_cache_size if cache_size else 0, registry=registry, name="snapshots"
         )
+        #: (signature of HEAD.json taken before reading it, the version read).
+        self._head: tuple = (None, None)
 
-    # -- request entry point -------------------------------------------------
+    # -- request entry points ------------------------------------------------
+
+    def cached(
+        self, method: str, target: str, headers: dict[str, str] | None = None
+    ) -> ServiceResponse | None:
+        """Answer from memory, or None -- nothing counted -- if that takes a file.
+
+        Dictionary lookups plus, for ``latest``, one ``os.stat`` of
+        ``HEAD.json``: the remembered HEAD version stands only while the
+        file's signature is the one taken before it was read.  ``headers``
+        keys must be lower-case, as the server's parser delivers them.
+        """
+        started = self.telemetry.clock()
+        if method.upper() != "GET":
+            return self._account(started, _plain(405, {"error": "only GET is supported"}))
+        route = _parse_target(target)
+        if route is None:
+            error = {"error": f"no such resource {target}"}
+            return self._account(started, _plain(404, error))
+        if route.name == "healthz":
+            return None  # it reports what HEAD says now
+        version = route.version
+        if version is None:
+            signature, version = self._head
+            if signature is None or signature != _signature(self.reader.path):
+                return None
+        snapshot = self._snapshots.peek(version)
+        if snapshot is None:
+            return None
+        response = _not_modified(snapshot, headers, route.name)
+        if response is None:
+            key = (version, route.name) + route[2:]
+            response = self._responses.peek(key)
+            if response is None:
+                return None
+            self._responses.touch(key)
+        self._snapshots.touch(version)
+        return self._account(started, response)
 
     def handle(
         self, method: str, target: str, headers: dict[str, str] | None = None
     ) -> ServiceResponse:
         """Answer one request; never raises for client-visible conditions.
 
-        ``headers`` keys are treated case-insensitively; only
-        ``If-None-Match`` is consulted.
+        :meth:`cached`, then the miss work.  ``headers`` keys are treated
+        case-insensitively; only ``If-None-Match`` is consulted.
         """
-        headers = {k.lower(): v for k, v in (headers or {}).items()}
-        clock = self.telemetry.clock
-        started = clock()
-        route_name = "unknown"
+        if headers:
+            headers = {k.lower(): v for k, v in headers.items()}
+        response = self.cached(method, target, headers)
+        if response is not None:
+            return response
+        started = self.telemetry.clock()
+        route = _parse_target(target)
         try:
-            if method.upper() != "GET":
-                response = self._plain(405, {"error": "only GET is supported"})
-            else:
-                route = self._parse_target(target)
-                if route is None:
-                    response = self._plain(404, {"error": f"no such resource {target}"})
-                else:
-                    route_name = route.name
-                    with self.telemetry.span("product_request", route=route.name):
-                        response = self._dispatch(route, headers)
+            response = self._load(route, headers)
         except ProductReadError as exc:
             # The bounded-retry contract tripped: the store is corrupt for
             # good, not mid-publish.  Surface it, do not crash the server.
-            response = self._plain(
-                500, {"error": f"product store unreadable past retry bound: {exc}"}
-            )
-        finally:
-            elapsed = clock() - started
-            if self.registry is not None:
-                self.registry.histogram(
-                    "product_request_seconds", route=route_name
-                ).observe(elapsed)
+            error = {"error": f"product store unreadable past retry bound: {exc}"}
+            response = _plain(500, error, route.name)
+        return self._account(started, response)
+
+    def _account(self, started: float, response: ServiceResponse) -> ServiceResponse:
+        """The one span, latency sample and count of an answered request."""
+        ended, route = self.telemetry.clock(), response.route
+        if route != "unknown":
+            self.telemetry.record_span("product_request", started, ended, route=route)
         if self.registry is not None:
+            latency = self.registry.histogram("product_request_seconds", route=route)
+            latency.observe(ended - started)
             self.registry.counter(
-                "product_requests", route=route_name, status=str(response.status)
+                "product_requests", route=route, status=str(response.status)
             ).inc()
-        return ServiceResponse(
-            status=response.status,
-            body=response.body,
-            headers=response.headers,
-            route=route_name,
-        )
+        return response
 
-    # -- routing -------------------------------------------------------------
+    # -- the miss work: file reads -------------------------------------------
 
-    def _parse_target(self, target: str) -> _Route | None:
-        """Parse a request target into a route (None = unknown path)."""
-        split = urlsplit(target)
-        parts = [p for p in split.path.split("/") if p]
-        query = {k: v[-1] for k, v in parse_qs(split.query).items()}
-        if parts == ["healthz"]:
-            return _Route("healthz")
-        if len(parts) < 3 or parts[0] != "v1" or parts[1] != "products":
-            return None
-        if parts[2] == "latest":
-            version = None
-        elif parts[2].isdigit():
-            version = int(parts[2])
-        else:
-            return None
-        rest = parts[3:]
-        if not rest:
-            return _Route("product", version)
-        if rest[0] == "fields" and len(rest) == 2:
-            level = query.get("level", "0")
-            if not level.lstrip("-").isdigit():
-                return None
-            return _Route(
-                "field", version, {"field": rest[1], "level": int(level)}
-            )
-        if rest[0] == "tiles" and len(rest) == 4:
-            if not (rest[2].isdigit() and rest[3].isdigit()):
-                return None
-            return _Route(
-                "tile",
-                version,
-                {"field": rest[1], "tj": int(rest[2]), "ti": int(rest[3])},
-            )
-        return None
-
-    def _dispatch(self, route: _Route, headers: dict[str, str]) -> ServiceResponse:
+    def _load(self, route: _Route, headers) -> ServiceResponse:
         """Resolve the snapshot and render (or revalidate) the resource."""
-        if route.name == "healthz":
+        name = route.name
+        if name == "healthz":
             return self._healthz()
         try:
             snapshot = self._snapshot(route.version)
         except ProductPending as exc:
-            return self._unavailable(str(exc))
+            return _unavailable(str(exc), name)
         except ProductNotFound as exc:
-            return self._plain(404, {"error": str(exc)})
+            return _plain(404, {"error": str(exc)}, name)
         if snapshot is None:
-            return self._unavailable("no product published yet (store warming up)")
-        etag = f'"v{snapshot.version}-{snapshot.checksum[:16]}"'
-        if headers.get("if-none-match") == etag:
-            return ServiceResponse(
-                status=304, headers=(("ETag", etag),), route=route.name
-            )
-        cache_key = (snapshot.version, route.name, tuple(sorted(route.params.items())))
-        body = self._responses.get(cache_key)
-        if body is None:
-            body = self._render(route, snapshot)
-            if isinstance(body, ServiceResponse):
-                return body  # a 404 for a bad field/tile is not cached
-            self._responses.put(cache_key, body)
-        return ServiceResponse(
-            status=200,
-            body=body,
-            headers=(
-                ("Content-Type", "application/json"),
-                ("ETag", etag),
-                ("X-Product-Version", str(snapshot.version)),
-            ),
-            route=route.name,
-        )
+            return _unavailable("no product published yet (store warming up)", name)
+        response = _not_modified(snapshot, headers, name)
+        if response is None:
+            key = (snapshot.version, name) + route[2:]
+            response = self._responses.get(key)
+            if response is None:
+                response = self._render(route, snapshot)
+                if response.status == 200:  # a 404 for a bad field/tile is not cached
+                    self._responses.put(key, response)
+        return response
 
     def _snapshot(self, version: int | None) -> ProductSnapshot | None:
         """Fetch a verified snapshot through the per-version cache."""
         if version is None:
+            signature = _signature(self.reader.path)  # before the read it certifies
             version = self.reader.latest_version()
             if version is None:
                 return None
+            self._head = (signature, version)
         cached = self._snapshots.get(version)
         if cached is not None:
             return cached
@@ -273,99 +317,48 @@ class ProductService:
             self._snapshots.put(snapshot.version, snapshot)
         return snapshot
 
-    # -- renderers -----------------------------------------------------------
-
     def _healthz(self) -> ServiceResponse:
         """Liveness plus the currently-served version (null before one)."""
         try:
             version = self.reader.latest_version()
         except Exception:
             version = None
-        return self._plain(200, {"status": "ok", "version": version})
+        return _plain(200, {"status": "ok", "version": version}, "healthz")
 
-    def _render(self, route: _Route, snapshot: ProductSnapshot):
-        """Render one resource body (or a ServiceResponse for client errors)."""
-        if route.name == "product":
-            manifest = snapshot.manifest
-            return _json_body(
-                {
-                    "version": snapshot.version,
-                    "cycle_index": snapshot.cycle_index,
-                    "checksum": snapshot.checksum,
-                    "fields": {
-                        name: {
-                            "shape": meta["shape"],
-                            "tile_size": meta["tile_size"],
-                            "tile_grid": meta["tile_grid"],
-                            "n_levels": meta["n_levels"],
-                            "domain": meta["domain"],
-                        }
-                        for name, meta in manifest["fields"].items()
-                    },
-                    "product": snapshot.product.to_dict(),
-                    "bulletin": snapshot.product.render(),
-                }
-            )
-        tiled = snapshot.fields.get(route.params["field"])
-        if tiled is None:
-            return self._plain(
-                404,
-                {
-                    "error": f"no field {route.params['field']!r} in version "
-                    f"{snapshot.version}",
-                    "fields": sorted(snapshot.fields),
-                },
-            )
-        if route.name == "field":
-            level = route.params["level"]
-            try:
-                array = tiled.level(level)
-            except KeyError as exc:
-                return self._plain(404, {"error": str(exc)})
-            return _json_body(
-                {
-                    "version": snapshot.version,
-                    "field": tiled.name,
-                    "level": level,
-                    "shape": list(array.shape),
-                    "domain": tiled.domain_summary(),
-                    "values": _array_json(array),
-                }
-            )
-        # tile
-        try:
-            tile = tiled.tile(route.params["tj"], route.params["ti"])
-            summary = tiled.summary(route.params["tj"], route.params["ti"])
-        except KeyError as exc:
-            return self._plain(404, {"error": str(exc)})
-        return _json_body(
-            {
-                "version": snapshot.version,
-                "field": tiled.name,
-                "tj": route.params["tj"],
-                "ti": route.params["ti"],
-                "summary": summary.to_dict(),
-                "values": _array_json(tile),
+    def _render(self, route: _Route, snapshot: ProductSnapshot) -> ServiceResponse:
+        """Render one resource (a 404 for a field, level or tile it lacks)."""
+        name = route.name
+        if name == "product":
+            fields = snapshot.manifest["fields"].items()
+            payload = {
+                "cycle_index": snapshot.cycle_index,
+                "checksum": snapshot.checksum,
+                "fields": {f: {k: meta[k] for k in _MANIFEST_KEYS} for f, meta in fields},
+                "product": snapshot.product.to_dict(),
+                "bulletin": snapshot.product.render(),
             }
-        )
-
-    # -- response helpers ----------------------------------------------------
-
-    def _plain(self, status: int, payload: dict) -> ServiceResponse:
-        """A small uncached JSON response."""
-        return ServiceResponse(
-            status=status,
-            body=_json_body(payload),
-            headers=(("Content-Type", "application/json"),),
-        )
-
-    def _unavailable(self, why: str) -> ServiceResponse:
-        """The graceful-degradation answer while a publish is in flight."""
-        return ServiceResponse(
-            status=503,
-            body=_json_body({"error": why, "retry_after": RETRY_AFTER_SECONDS}),
-            headers=(
-                ("Content-Type", "application/json"),
-                ("Retry-After", str(RETRY_AFTER_SECONDS)),
-            ),
-        )
+        else:
+            tiled = snapshot.fields.get(route.field)
+            if tiled is None:
+                error = f"no field {route.field!r} in version {snapshot.version}"
+                listing = {"error": error, "fields": sorted(snapshot.fields)}
+                return _plain(404, listing, name)
+            try:
+                if name == "field":
+                    array = tiled.level(route.level)
+                    payload = {
+                        "level": route.level,
+                        "shape": list(array.shape),
+                        "domain": tiled.domain_summary(),
+                    }
+                else:
+                    array = tiled.tile(route.tj, route.ti)
+                    summary = tiled.summary(route.tj, route.ti).to_dict()
+                    payload = {"tj": route.tj, "ti": route.ti, "summary": summary}
+            except KeyError as exc:
+                return _plain(404, {"error": str(exc)}, name)
+            payload.update(field=tiled.name, values=_array_json(array))
+        payload["version"] = snapshot.version
+        version = ("X-Product-Version", str(snapshot.version))
+        headers = (_JSON, ("ETag", snapshot.etag), version)
+        return ServiceResponse(200, _json_body(payload), headers, name)

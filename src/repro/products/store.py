@@ -33,6 +33,7 @@ import json
 import os
 import shutil
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,11 @@ class ProductSnapshot:
     def cycle_index(self) -> int:
         """The forecast cycle this snapshot was produced by."""
         return int(self.manifest["cycle_index"])
+
+    @cached_property
+    def etag(self) -> str:
+        """The validator every response rendered from this snapshot carries."""
+        return f'"v{self.version}-{self.checksum[:16]}"'
 
 
 class ProductStore:

@@ -325,3 +325,43 @@ class TestDependencySignature:
         assert before.dependency_signature(
             "src/repro/app.py"
         ) == after.dependency_signature("src/repro/app.py")
+
+
+class TestShippedHitPath:
+    """REP010's worked example: what the product server runs on its loop.
+
+    ``ProductService.cached`` is called from an ``async def`` without an
+    executor; that is sound only while its effect summary blocks on
+    nothing, with no annotation or suppression helping it.  ``handle``,
+    the same lookup plus the miss work, must keep being convicted -- it is
+    what the inference would say about ``cached`` if a file read crept in.
+    """
+
+    def summaries(self):
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[2]
+        irs = {}
+        for path in sorted((root / "src" / "repro").rglob("*.py")):
+            relpath = path.relative_to(root).as_posix()
+            source = path.read_text()
+            irs[relpath] = extract_ir(ast.parse(source), source, relpath)
+        return build_project(irs).summaries
+
+    def test_cached_blocks_on_nothing_and_handle_is_convicted(self):
+        summaries = self.summaries()
+        service = "repro.products.service:ProductService."
+        assert summaries[service + "cached"].blocking is None
+        assert not summaries[service + "cached"].annotated_blocking
+        for helper in ("LRUCache.peek", "LRUCache.touch"):
+            assert summaries["repro.products.cache:" + helper].blocking is None
+        assert summaries["repro.products.service:_signature"].blocking is None
+        assert summaries[service + "handle"].blocking.endswith(".read_text()")
+        assert "_snapshot" in summaries[service + "handle"].blocking
+
+    def test_no_suppression_in_the_products_package(self):
+        from pathlib import Path
+
+        package = Path(__file__).resolve().parents[2] / "src" / "repro" / "products"
+        for path in package.glob("*.py"):
+            assert "repro-lint:" not in path.read_text(), path.name

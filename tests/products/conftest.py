@@ -1,5 +1,7 @@
 """Shared fixtures for the product-service tests: tiny products/fields."""
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,29 @@ def product():
 def field():
     """One masked 2-D field."""
     return make_field()
+
+
+async def exchange(server, *chunks, eof=False, abort=False, patience=2.0):
+    """Send raw bytes to ``server`` on a fresh connection (a pause after each
+    chunk lets it see them apart); everything it answers until it closes.
+
+    ``patience`` bounds the wait: a server that neither answers nor closes
+    fails the test instead of hanging it.  None if the connection was reset
+    (the server closed while bytes were still arriving); ``abort`` drops the
+    connection right after sending, reading nothing.
+    """
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    try:
+        for chunk in chunks:
+            writer.write(chunk)
+            await asyncio.sleep(0.003)
+        if abort:
+            writer.transport.abort()
+            return b""
+        if eof:
+            writer.write_eof()
+        return await asyncio.wait_for(reader.read(), patience)
+    except ConnectionError:
+        return None
+    finally:
+        writer.close()

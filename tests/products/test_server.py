@@ -1,14 +1,20 @@
 """The asyncio HTTP front end over real sockets."""
 
 import asyncio
+import builtins
 import json
+import os
+import threading
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro.products.server as server_module
 from repro.products.server import ProductHTTPServer, fetch
 from repro.products.service import ProductService
 from repro.products.store import ProductStore
-from tests.products.conftest import make_field, make_product
+from tests.products.conftest import exchange, make_field, make_product
 
 
 @pytest.fixture()
@@ -27,6 +33,11 @@ def serve(workdir, scenario):
             return await scenario(server)
 
     return asyncio.run(runner())
+
+
+def status_of(payload: bytes) -> int:
+    """Status code of the first response in ``payload``."""
+    return int(payload.split(b" ", 2)[1])
 
 
 class TestServer:
@@ -129,7 +140,7 @@ class TestServer:
     )
     def test_line_beyond_stream_limit_gets_400(self, workdir, head):
         """A line past asyncio's own 64 KiB ``StreamReader`` limit makes
-        ``readline`` raise before ``MAX_LINE_BYTES`` is compared; it is
+        ``readuntil`` raise before ``MAX_LINE_BYTES`` is compared; it is
         answered like any other malformed head, and the server lives on."""
 
         async def scenario(server):
@@ -169,3 +180,309 @@ class TestServer:
             return True
 
         assert serve(workdir, scenario)
+
+
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+
+
+class TestHostileClients:
+    """The two holes of the one-path server: no deadline, no body cap."""
+
+    @pytest.fixture(autouse=True)
+    def short_deadlines(self, monkeypatch):
+        # raising=False: at a commit without deadlines these tests must fail
+        # on the server's behaviour, not on a missing constant.
+        monkeypatch.setattr(server_module, "HEAD_TIMEOUT_S", 0.05, raising=False)
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.15, raising=False)
+
+    def test_partial_head_gets_408_and_is_closed(self, workdir):
+        async def scenario(server):
+            return await exchange(server, b"GET /healthz HTT")
+
+        payload = serve(workdir, scenario)
+        assert payload.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+        assert b"Connection: close" in payload
+
+    def test_a_trickle_does_not_extend_the_head_deadline(self, workdir):
+        """One byte every 10 ms is steady progress and still meets the deadline.
+        (Bytes sent after the server closed reset the connection, which may
+        cost this client the 408 itself: there is no lingering close.)"""
+
+        async def scenario(server):
+            loop = asyncio.get_running_loop()
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            started = loop.time()
+            answer = asyncio.ensure_future(asyncio.wait_for(reader.read(), 2.0))
+            for byte in HEALTHZ:  # 0.35 s of it, if let
+                if answer.done():
+                    break
+                writer.write(bytes([byte]))
+                await asyncio.sleep(0.01)
+            try:
+                payload = await answer
+            except ConnectionResetError:
+                payload = b""
+            writer.close()
+            return payload, loop.time() - started
+
+        payload, elapsed = serve(workdir, scenario)
+        assert payload == b"" or status_of(payload) == 408
+        assert elapsed < 0.3
+
+    def test_idle_connection_is_closed_without_an_answer(self, workdir):
+        async def scenario(server):
+            silent = await exchange(server)
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            served = await fetch(
+                server.host, server.port, "/healthz", reader=reader, writer=writer
+            )
+            after = await asyncio.wait_for(reader.read(), 2.0)  # idle past the gap
+            writer.close()
+            return silent, served[0], after
+
+        assert serve(workdir, scenario) == (b"", 200, b"")
+
+    def test_stalled_body_gets_408(self, workdir):
+        async def scenario(server):
+            return await exchange(server, HEALTHZ + b"Content-Length: 10\r\n\r\nabc")
+
+        assert status_of(serve(workdir, scenario)) == 408
+
+    def test_oversized_content_length_gets_413_before_any_body(self, workdir):
+        async def scenario(server):
+            head = HEALTHZ + b"Content-Length: 10000000000\r\n\r\n"
+            return await exchange(server, head, b"x" * 65536)
+
+        payload = serve(workdir, scenario)
+        assert payload.startswith(b"HTTP/1.1 413")
+        assert b"Connection: close" in payload
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            b"Content-Length: twelve\r\n",
+            b"Content-Length: -1\r\n",
+            b"Content-Length: +5\r\n",
+            b"Content-Length: 1e3\r\n",
+            b"Content-Length: 0x10\r\n",
+            b"Content-Length: \xb2\r\n",
+            b"Content-Length: " + b"9" * 5000 + b"\r\n",
+            b"Content-Length: 5\r\nContent-Length: 6\r\n",
+            b"Content-Length:\r\n",
+            b"Transfer-Encoding: chunked\r\n",
+        ],
+        ids=[
+            "word",
+            "negative",
+            "plus",
+            "exponent",
+            "hex",
+            "superscript",
+            "5000-digits",
+            "conflicting",
+            "empty",
+            "chunked",
+        ],
+    )
+    def test_unusable_framing_gets_400_and_is_not_read_as_a_request(
+        self, workdir, lines
+    ):
+        async def scenario(server):
+            smuggled = b"GET /v1/products/latest HTTP/1.1\r\nHost: t\r\n\r\n"
+            return await exchange(server, HEALTHZ + lines + b"\r\n" + smuggled)
+
+        payload = serve(workdir, scenario)
+        assert payload.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert payload.count(b"HTTP/1.") == 1  # the body was not answered
+
+    def test_small_body_is_drained_and_framing_survives(self, workdir):
+        async def scenario(server):
+            framed = b"Content-Length: 5\r\nContent-Length: 5\r\n\r\nhello"
+            return await exchange(
+                server, HEALTHZ + framed + HEALTHZ + b"Connection: close\r\n\r\n"
+            )
+
+        payload = serve(workdir, scenario)
+        assert payload.count(b"HTTP/1.1 200 OK") == 2
+
+    @pytest.mark.parametrize(
+        "head, eof, status",
+        [
+            (b"GET /healthz HTTP/1.1\nHost: t\n\n", True, 400),
+            (b"GET /healthz HTTP/1.1\nHost: t\n\n", False, 408),
+            (b"GET /healthz HTTP/1.1\r\nHost: t\nX: y\r\n\r\n", False, 400),
+            (b"GET /healthz HTTP/1.1\r\nHost: t\rX: y\r\n\r\n", False, 400),
+            (b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", False, 400),
+        ],
+        ids=["bare-lf-then-eof", "bare-lf-open", "lone-lf", "lone-cr", "no-colon"],
+    )
+    def test_heads_are_crlf_framed(self, workdir, head, eof, status):
+        """The decision of the module docstring: bare LF is not a line end."""
+
+        async def scenario(server):
+            return await exchange(server, head, eof=eof)
+
+        payload = serve(workdir, scenario)
+        assert status_of(payload) == status
+        assert b"Connection: close" in payload
+
+    def test_header_count_cap(self, workdir):
+        def head(n):
+            lines = b"".join(b"X-%d: v\r\n" % k for k in range(n))
+            return b"GET /healthz HTTP/1.1\r\n" + lines + b"Connection: close\r\n\r\n"
+
+        async def scenario(server):
+            return (
+                await exchange(server, head(server_module.MAX_HEADERS - 1)),
+                await exchange(server, head(server_module.MAX_HEADERS)),
+            )
+
+        allowed, refused = serve(workdir, scenario)
+        assert status_of(allowed) == 200
+        assert status_of(refused) == 400
+
+
+    def test_a_client_that_stops_reading_is_aborted(self, tmp_path):
+        """Ten pipelined requests for a ~1.5 MB body and not one byte read: the
+        responses back up in the server until the idle deadline cuts it off."""
+        store = ProductStore(tmp_path / "big", tile_size=64, levels=1)
+        store.publish(make_product(0), {"sst_nowcast": make_field(0, (256, 256))})
+        request = b"GET /v1/products/latest/fields/sst_nowcast HTTP/1.1\r\nHost: t\r\n\r\n"
+
+        async def scenario(server):
+            _, _, body = await fetch(
+                server.host, server.port, "/v1/products/latest/fields/sst_nowcast"
+            )
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(request * 10)
+            await writer.drain()
+            await asyncio.sleep(0.4)  # two and a half idle deadlines
+            received = 0
+            try:
+                while chunk := await asyncio.wait_for(reader.read(1 << 20), 2.0):
+                    received += len(chunk)
+            except ConnectionResetError:
+                pass
+            writer.close()
+            return len(body), received
+
+        body_bytes, received = serve(store.workdir, scenario)
+        assert body_bytes > 1_000_000
+        assert received < 10 * body_bytes  # cut off, not served at leisure
+
+
+class TestHitPathOverHTTP:
+    TARGETS = [
+        "/v1/products/latest",
+        "/v1/products/latest/fields/sst_nowcast?level=1",
+        "/v1/products/latest/tiles/sst_nowcast/0/0",
+        "/v1/products/1/tiles/sst_nowcast/1/1",
+    ]
+
+    def test_hot_requests_do_no_file_io_on_the_loop(self, workdir, monkeypatch):
+        """Warm up (misses, on the executor), then 200 hits with every way of
+        opening a file made to raise on the loop's thread."""
+        violations = []
+
+        def loop_only_guard(real, name):
+            def guarded(*args, **kwargs):
+                if threading.get_ident() == loop_thread:
+                    violations.append(name)
+                    raise AssertionError(f"{name} called on the event loop")
+                return real(*args, **kwargs)
+
+            return guarded
+
+        monkeypatch.setattr(Path, "read_text", loop_only_guard(Path.read_text, "read_text"))
+        monkeypatch.setattr(builtins, "open", loop_only_guard(builtins.open, "open"))
+        monkeypatch.setattr(os, "open", loop_only_guard(os.open, "os.open"))
+        monkeypatch.setattr(np, "load", loop_only_guard(np.load, "numpy.load"))
+        loop_thread = None
+
+        async def scenario(server):
+            nonlocal loop_thread
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            etag, statuses = None, []
+            for k in range(len(self.TARGETS) + 200):
+                if k == len(self.TARGETS):
+                    loop_thread = threading.get_ident()  # warm from here on
+                headers = {"If-None-Match": etag} if k % 5 == 4 else None
+                status, response_headers, _ = await fetch(
+                    server.host, server.port, self.TARGETS[k % len(self.TARGETS)],
+                    headers=headers, reader=reader, writer=writer,
+                )
+                etag = response_headers["etag"]
+                statuses.append(status)
+            writer.close()
+            return statuses
+
+        statuses = serve(workdir, scenario)
+        assert violations == []
+        assert set(statuses) == {200, 304} and statuses.count(304) >= 40
+
+    def test_cache_off_sends_every_request_to_the_executor(self, workdir):
+        calls = {"cached": 0, "handle": []}
+
+        class Spy(ProductService):
+            def handle(self, *args):
+                calls["handle"].append(threading.current_thread().name)
+                return super().handle(*args)
+
+        async def scenario(server):
+            for _ in range(3):
+                for target in self.TARGETS:
+                    status, _, _ = await fetch(server.host, server.port, target)
+                    assert status == 200
+            return threading.current_thread().name
+
+        async def runner():
+            server = ProductHTTPServer(Spy(workdir, cache_size=0))
+            async with server.serving():
+                return await scenario(server)
+
+        loop_thread = asyncio.run(runner())
+        assert len(calls["handle"]) == 3 * len(self.TARGETS)
+        assert loop_thread not in calls["handle"]
+
+    def test_latest_is_never_older_than_a_publish_that_returned(self, tmp_path):
+        store = ProductStore(tmp_path / "store", retain=4)
+        store.publish(make_product(0), {"sst_nowcast": make_field(0)})
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+
+            async def latest():
+                status, headers, body = await fetch(
+                    server.host, server.port, "/v1/products/latest",
+                    reader=reader, writer=writer,
+                )
+                return status, headers, body
+
+            assert (await latest())[0] == 200
+            for round_ in range(100):
+                for _ in range(1 + (round_ % 3 == 2)):  # sometimes two publishes
+                    version = await asyncio.to_thread(
+                        store.publish,
+                        make_product(round_),
+                        {"sst_nowcast": make_field(round_)},
+                    )
+                status, headers, body = await latest()
+                assert status == 200
+                assert int(headers["x-product-version"]) == version
+                assert json.loads(body)["version"] == version
+                status, headers, _ = await latest()  # and the hit agrees
+                assert int(headers["x-product-version"]) == version
+            # HEAD torn, then gone: 503 exactly as a cold read answers, and the
+            # version comes back with the file.
+            good = await asyncio.to_thread(store.head_path.read_text)
+            await asyncio.to_thread(store.head_path.write_text, good[:20])
+            assert (await latest())[0] == 503
+            await asyncio.to_thread(store.head_path.unlink)
+            assert (await latest())[0] == 503
+            await asyncio.to_thread(store.head_path.write_text, good)
+            status, headers, _ = await latest()
+            assert (status, int(headers["x-product-version"])) == (200, version)
+            writer.close()
+            return version
+
+        assert serve(store.workdir, scenario) >= 100

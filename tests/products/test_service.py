@@ -183,3 +183,280 @@ class TestCachingAndTelemetry:
         assert response.reason == "Service Unavailable"
         assert response.header("retry-after") == "1"
         assert response.header("X-Missing", "d") == "d"
+
+
+LATEST = "/v1/products/latest"
+TILE = LATEST + "/tiles/sst_nowcast/1/1"
+FIELD = LATEST + "/fields/sst_sigma?level=1"
+
+
+def file_reads(monkeypatch, call):
+    """``(result, how many files call() read)``: read_text, open, numpy.load."""
+    import builtins
+    from pathlib import Path
+
+    reads = []
+
+    def spy(real):
+        def wrapper(*args, **kwargs):
+            reads.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "read_text", spy(Path.read_text))
+        patch.setattr(Path, "open", spy(Path.open))
+        patch.setattr(builtins, "open", spy(builtins.open))
+        patch.setattr(np, "load", spy(np.load))
+        return call(), len(reads)
+
+
+class TestHitPath:
+    """``cached`` is ``handle`` minus everything that opens a file."""
+
+    def warm(self, published, **kwargs):
+        service = ProductService(published.workdir, **kwargs)
+        for target in (LATEST, TILE, FIELD, "/v1/products/1"):
+            assert service.handle("GET", target).status == 200
+        return service
+
+    def test_cached_equals_handle_for_every_answer_from_memory(
+        self, published, monkeypatch
+    ):
+        service = self.warm(published)
+        etag = {"if-none-match": service.handle("GET", LATEST).header("ETag")}
+        requests = [
+            ("GET", LATEST, None, 200),
+            ("GET", TILE, None, 200),
+            ("GET", FIELD, None, 200),
+            ("GET", "/v1/products/1", None, 200),
+            ("get", "/v1/products/1/tiles/sst_nowcast/1/1", None, 200),
+            ("GET", LATEST, etag, 304),
+            ("GET", TILE, etag, 304),
+            ("GET", "/v1/products/1/fields/sst_sigma?level=1", etag, 304),
+            ("GET", LATEST, {"if-none-match": '"v0-stale"'}, 200),
+            ("GET", "/nope", None, 404),
+            ("GET", "/v1/products/latest/tiles/sst_nowcast/x/y", etag, 404),
+            ("POST", LATEST, None, 405),
+            ("DELETE", "/nope", etag, 405),
+        ]
+        for method, target, headers, status in requests:
+            fast = service.cached(method, target, headers)
+            slow, reads = file_reads(
+                monkeypatch, lambda: service.handle(method, target, headers)
+            )
+            assert fast is not None, (method, target)
+            assert (fast, fast.head) == (slow, slow.head), (method, target)
+            assert fast.status == status and fast.route == slow.route
+            assert reads == 0, (method, target)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "cold-snapshot",
+            "cold-body",
+            "changed-head",
+            "cache-off",
+            "healthz",
+            "bad-field",
+            "future-version",
+            "head-gone",
+        ],
+    )
+    def test_cached_is_none_when_the_answer_is_not_in_memory(
+        self, published, monkeypatch, case
+    ):
+        target, status = TILE, 200
+        if case == "cold-snapshot":
+            service = ProductService(published.workdir)
+        elif case == "cache-off":
+            service = self.warm(published, cache_size=0)
+        else:
+            service = self.warm(published)
+        if case == "cold-body":
+            target = LATEST + "/tiles/sst_nowcast/0/0"
+        elif case == "changed-head":
+            published.publish(make_product(1), {"sst_nowcast": make_field(2)})
+        elif case == "healthz":
+            target = "/healthz"
+        elif case == "bad-field":
+            target, status = LATEST + "/fields/salinity", 404
+        elif case == "future-version":
+            target, status = "/v1/products/99", 503
+        elif case == "head-gone":
+            published.head_path.unlink()
+            status = 503
+        assert service.cached("GET", target) is None
+        response, reads = file_reads(monkeypatch, lambda: service.handle("GET", target))
+        assert response.status == status
+        # Everything but a render from a warm pinned snapshot opened a file.
+        assert reads > 0 or case == "cold-body"
+
+    def test_a_none_leaves_no_trace(self, published):
+        """A miss is counted once -- by the ``handle`` that does its work."""
+        reg = MetricsRegistry()
+        recorder = TraceRecorder(clock=FakeClock())
+        service = ProductService(published.workdir, registry=reg, telemetry=recorder)
+        for _ in range(3):
+            assert service.cached("GET", TILE) is None
+            assert service.cached("GET", "/healthz") is None
+        assert not any(reg.snapshot()["counters"].values())
+        assert recorder.spans() == ()
+        # Warm snapshot, cold body: the snapshot hit is not counted either.
+        service.handle("GET", LATEST)
+        before = reg.snapshot()["counters"]["product_cache_hits{cache=snapshots}"]
+        assert service.cached("GET", TILE) is None
+        after = reg.snapshot()["counters"]["product_cache_hits{cache=snapshots}"]
+        assert after == before
+
+    def test_accounting_matches_the_one_path_service(self, published):
+        """The counts ``handle`` recorded for this sequence before it had a
+        hit path (commit 7016467): one span and one count per request."""
+        reg = MetricsRegistry()
+        recorder = TraceRecorder()
+        service = ProductService(published.workdir, registry=reg, telemetry=recorder)
+        etag = {"if-none-match": service.handle("GET", LATEST).header("ETag")}
+        field = make_field(1)
+        sequence = [
+            ("GET", LATEST, None),
+            ("GET", LATEST, etag),
+            ("GET", TILE, None),
+            ("GET", TILE, None),
+            ("GET", "/v1/products/1/tiles/sst_nowcast/1/1", None),
+            ("GET", FIELD, None),
+            ("GET", LATEST + "/fields/salinity", None),
+            ("GET", "/healthz", None),
+            ("GET", "/nope", None),
+            ("POST", LATEST, None),
+            ("GET", "/v1/products/9", None),
+            "publish",
+            ("GET", LATEST, etag),
+            ("GET", TILE, None),
+            ("GET", "/v1/products/1", None),
+        ]
+        for k, step in enumerate(sequence):
+            if step == "publish":
+                published.publish(
+                    make_product(1), {"sst_nowcast": field + 1, "sst_sigma": np.abs(field)}
+                )
+            elif k % 2:  # alternate the entry the way the server's two sides do
+                service.handle(*step)
+            elif service.cached(*step) is None:
+                service.handle(*step)
+        snap = reg.snapshot()
+        counters = {k: v for k, v in snap["counters"].items() if v}
+        assert counters == {
+            "product_cache_hits{cache=responses}": 4.0,
+            "product_cache_hits{cache=snapshots}": 9.0,
+            "product_cache_misses{cache=responses}": 6.0,
+            "product_cache_misses{cache=snapshots}": 3.0,
+            "product_requests{route=field,status=200}": 1.0,
+            "product_requests{route=field,status=404}": 1.0,
+            "product_requests{route=healthz,status=200}": 1.0,
+            "product_requests{route=product,status=200}": 4.0,
+            "product_requests{route=product,status=304}": 1.0,
+            "product_requests{route=product,status=503}": 1.0,
+            "product_requests{route=tile,status=200}": 4.0,
+            "product_requests{route=unknown,status=404}": 1.0,
+            "product_requests{route=unknown,status=405}": 1.0,
+        }
+        assert {k: v["count"] for k, v in snap["histograms"].items()} == {
+            "product_request_seconds{route=field}": 2,
+            "product_request_seconds{route=healthz}": 1,
+            "product_request_seconds{route=product}": 6,
+            "product_request_seconds{route=tile}": 4,
+            "product_request_seconds{route=unknown}": 2,
+        }
+        spans = [s for s in recorder.spans() if s.name == "product_request"]
+        assert len(spans) == 13  # every request but the 404 / 405 of no route
+
+    def test_a_hit_refreshes_lru_recency(self, published):
+        service = ProductService(published.workdir, cache_size=2)
+        tiles = [LATEST + f"/tiles/sst_nowcast/{tj}/0" for tj in range(3)]
+        service.handle("GET", tiles[0])
+        service.handle("GET", tiles[1])
+        assert service.cached("GET", tiles[0]) is not None  # now the newest
+        service.handle("GET", tiles[2])  # evicts tiles[1], not tiles[0]
+        assert service.cached("GET", tiles[0]) is not None
+        assert service.cached("GET", tiles[1]) is None
+
+    def test_latest_follows_head_on_the_very_next_request(self, published):
+        """The remembered HEAD version never outlives the file it was read from."""
+        service = self.warm(published)
+        field = make_field(3)
+        last = 1
+        for round_ in range(100):
+            for _ in range(1 + round_ % 2):  # every other round: two publishes
+                last = published.publish(make_product(last), {"sst_nowcast": field})
+            assert service.cached("GET", LATEST) is None
+            response = service.handle("GET", LATEST)
+            assert response.header("X-Product-Version") == str(last)
+            assert service.cached("GET", LATEST) == response
+
+    def test_torn_or_missing_head_answers_as_before(self, published):
+        service = self.warm(published)
+        good = published.head_path.read_text()
+        for damage in ("unlink", "torn"):
+            if damage == "unlink":
+                published.head_path.unlink()
+            else:
+                published.head_path.write_text(good[: len(good) // 2])
+            assert service.cached("GET", LATEST) is None
+            assert service.handle("GET", LATEST).status == 503
+            assert service.cached("GET", LATEST) is None  # a 503 certifies nothing
+            assert service.cached("GET", "/v1/products/1").status == 200  # pinned, warm
+            published.head_path.write_text(good)
+            assert service.handle("GET", LATEST).status == 200
+            assert service.cached("GET", LATEST).status == 200
+
+    def test_loop_and_executor_sides_share_the_caches_cleanly(self, published):
+        """``cached`` on one thread, ``handle`` on two more, sanitizer live,
+        caches small enough to evict constantly: every answer is right and
+        every answered request is counted exactly once."""
+        import sys
+        import threading
+
+        from repro.util.sanitizer import sanitized
+
+        targets = [
+            LATEST + f"/tiles/sst_nowcast/{tj}/{ti}" for tj in range(3) for ti in range(3)
+        ]
+        reference = ProductService(published.workdir)
+        bodies = {t: reference.handle("GET", t).body for t in targets}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with sanitized() as monitor:
+                reg = MetricsRegistry()
+                service = ProductService(published.workdir, cache_size=4, registry=reg)
+                errors = []
+
+                def misses(offset):
+                    try:
+                        for k in range(300):
+                            target = targets[(k + offset) % 9]
+                            assert service.handle("GET", target).body == bodies[target]
+                    except Exception as exc:  # surfaced below, not lost in the thread
+                        errors.append(exc)
+
+                workers = [threading.Thread(target=misses, args=(k,)) for k in (0, 4)]
+                for worker in workers:
+                    worker.start()
+                answered = 0
+                while any(worker.is_alive() for worker in workers):
+                    for target in targets:
+                        response = service.cached("GET", target)
+                        if response is not None:
+                            answered += 1
+                            assert response.body == bodies[target]
+                for worker in workers:
+                    worker.join(timeout=30)
+                    assert not worker.is_alive()
+                reports = monitor.reports
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors and not reports
+        assert answered > 0
+        counted = reg.snapshot()["counters"]["product_requests{route=tile,status=200}"]
+        assert counted == 600 + answered

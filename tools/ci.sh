@@ -41,6 +41,9 @@ if [ "${1:-}" = "--quick" ]; then
     exit 0
 fi
 
+# tests/products includes the byte-level fuzz suite of the HTTP front end
+# (test_server_fuzz.py: hypothesis at small max_examples, deadlines patched
+# to tens of milliseconds), here and in the sanitized pass below.
 if [ -n "${CI_FULL:-}" ]; then
     python -m pytest -x -q
 else
