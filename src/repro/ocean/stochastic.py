@@ -33,13 +33,14 @@ class BatchedStochasticForcing:
 
     One step's increments are one block per member with rows
     ``u, v, eta, T[0..nz), S[0..nz)``, which is also the order the member's
-    generator is consumed in.  Each generator fills its member's white
-    block with one draw; one filter pass
-    (:meth:`~repro.util.randomfields.GaussianRandomField2D.filter_white`,
+    generator is consumed in.  Each generator fills its member's block of
+    white coefficients with one draw -- ``dy x dx`` per row, the field's
+    own degrees of freedom, not one deviate per grid point; one synthesis
+    (:meth:`~repro.util.randomfields.GaussianRandomField2D.synthesize`,
     bit-identical with or without leading batch axes) and one multiply by
     a precomputed amplitude x depth-decay x wet-mask array run over the
     whole batch, so member ``i`` gets bit-for-bit what it would get alone.
-    The white buffer is kept between steps: one batch owns its forcing.
+    The coefficient buffer is kept between steps: one batch owns its forcing.
 
     Parameters
     ----------
@@ -51,8 +52,8 @@ class BatchedStochasticForcing:
     momentum_amplitude:
         Std-dev of the momentum noise in (m/s^2) * sqrt(s); forces u and v.
     eta_amplitude:
-        Std-dev of interface-height noise in m * sqrt(s)^-1... scaled by
-        sqrt(dt) at each step.
+        Std-dev of the interface-height noise in m / sqrt(s); a step of
+        ``dt`` seconds adds ``eta_amplitude * sqrt(dt)`` metres.
     tracer_amplitude:
         Std-dev of temperature noise (deg C / sqrt(s)).  Tracer noise
         decays with depth (mixed-layer/thermocline errors dominate) and
@@ -74,8 +75,7 @@ class BatchedStochasticForcing:
         for name in ("momentum_amplitude", "eta_amplitude", "tracer_amplitude"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        # The field is used only as a spectral filter (filter_white); its
-        # internal generator is never drawn from.
+        # Used for its synthesis only; its generator is never drawn from.
         self._field = GaussianRandomField2D(
             self.grid.shape2d, self.length_scale_cells
         )
@@ -85,7 +85,10 @@ class BatchedStochasticForcing:
             [[self.momentum_amplitude] * 2, [self.eta_amplitude], tracer, 0.1 * tracer]
         )
         self._weights = rows[:, None, None] * self.grid.mask
-        self._white = np.empty((self.count, *self._weights.shape))
+        self._scaled = (None, None)  # (dt, weights over that dt)
+        self._white = np.empty(
+            (self.count, len(rows), *self._field.coefficient_shape)
+        )
 
     @property
     def count(self) -> int:
@@ -104,12 +107,14 @@ class BatchedStochasticForcing:
         """Wiener increments over ``dt`` seconds, shape ``(N, 3 + 2 nz, ny, nx)``."""
         for white, rng in zip(self._white, self.rngs):
             rng.standard_normal(out=white)
-        # Every row grows like sqrt(dt); the momentum rows are an
-        # acceleration noise and carry another factor dt.
-        weights = self._weights * np.sqrt(dt)
-        weights[:2] *= dt
-        block = self._field.filter_white(self._white)
-        block *= weights
+        if self._scaled[0] != dt:
+            # Every row grows like sqrt(dt); the momentum rows are an
+            # acceleration noise and carry another factor dt.
+            weights = self._weights * np.sqrt(dt)
+            weights[:2] *= dt
+            self._scaled = (dt, weights)
+        block = self._field.synthesize(self._white)
+        block *= self._scaled[1]
         return block
 
 

@@ -2,11 +2,16 @@
 
 The reference below is the previous implementation kept verbatim in its
 arithmetic: pad-based Laplacian, three-slice ``ddx`` / ``ddy``,
-``np.where`` masks, dense :class:`LandFiller` sums, complex-FFT noise
-filter and five separate noise draws per step.  The kernel must agree
-with it to round-off, stay bit-for-bit identical between batched and
-serial stepping, and consume each member's random stream exactly as the
-five old calls did.
+``np.where`` masks, dense :class:`LandFiller` sums and the five separate
+noise scalings per step.  The kernel must agree with it to round-off and
+stay bit-for-bit identical between batched and serial stepping.
+
+The noise is drawn in the field's own basis (``Y^T Z X``), which is another
+random stream than filtering one white deviate per grid point, so the old
+complex-FFT filter survives here as the reference for the *law*: the
+synthesis has its covariance.  The noisy step is compared with the old step
+fed the same increments, and the increments with the old scalings applied
+to the same unit fields.
 """
 
 import numpy as np
@@ -164,7 +169,7 @@ def ref_tendencies(tracers, temp, salt, u, v, deta_dt, heat_flux):
 
 
 def ref_filter(shape, length_scale, white):
-    """The complex-FFT round trip ``filter_white`` used to make."""
+    """The complex-FFT round trip the noise filter used to make."""
     ky = np.fft.fftfreq(shape[0])[:, None] * 2.0 * np.pi
     kx = np.fft.fftfreq(shape[1])[None, :] * 2.0 * np.pi
     filt = np.exp(-0.5 * (ky**2 + kx**2) * length_scale**2)
@@ -173,30 +178,27 @@ def ref_filter(shape, length_scale, white):
     return np.real(np.fft.ifft2(spectrum, axes=(-2, -1)))
 
 
-def ref_increments(grid, rng, dt, amplitudes=(2.0e-7, 2.0e-5, 2.0e-6), length=4.0):
-    """The five old calls: u, v, eta, nz T, nz S -- drawn by hand from ``rng``."""
+def ref_increments(grid, unit, dt, amplitudes=(2.0e-7, 2.0e-5, 2.0e-6)):
+    """The five old scalings of unit fields ``unit`` (rows u, v, eta, nz T, nz S)."""
     momentum, eta_amp, tracer = amplitudes
-    shape, nz = grid.shape2d, grid.nz
-
-    def sample(*lead):
-        return ref_filter(shape, length, rng.standard_normal((*lead, *shape)))
+    nz = grid.nz
 
     def mask(fld):
         return np.where(grid.mask, fld, 0.0)
 
     scale = momentum * np.sqrt(dt) * dt
-    du, dv = mask(scale * sample()), mask(scale * sample())
-    d_eta = mask(eta_amp * np.sqrt(dt) * sample())
+    du, dv = mask(scale * unit[0]), mask(scale * unit[1])
+    d_eta = mask(eta_amp * np.sqrt(dt) * unit[2])
     z = np.asarray(grid.z_levels)
     depth_decay = np.exp(-z / max(z[-1] * 0.5, 1.0))[:, None, None]
     scale = tracer * np.sqrt(dt)
-    d_temp = mask(scale * sample(nz) * depth_decay)
-    d_salt = mask(0.1 * scale * sample(nz) * depth_decay)
+    d_temp = mask(scale * unit[3 : 3 + nz] * depth_decay)
+    d_salt = mask(0.1 * scale * unit[3 + nz :] * depth_decay)
     return du, dv, d_eta, d_temp, d_salt
 
 
-def ref_step(model, state, rng=None):
-    """The old ``PEModel.step`` body; ``rng`` adds the old noise calls."""
+def ref_step(model, state, noise=None):
+    """The old ``PEModel.step`` body; ``noise`` supplies the increment block."""
     dt = model.config.dt
     tau_x, tau_y = model.forcing.wind_stress(state.time)
     heat = model.forcing.heat_flux(state.time)
@@ -208,9 +210,10 @@ def ref_step(model, state, rng=None):
     )
     temp = state.temp + dt * d_temp
     salt = state.salt + dt * d_salt
-    if rng is not None:
-        du, dv, d_eta, dt_n, ds_n = ref_increments(model.grid, rng, dt)
-        u, v, eta, temp, salt = u + du, v + dv, eta + d_eta, temp + dt_n, salt + ds_n
+    if noise is not None:
+        block, nz = noise.increments(dt), model.grid.nz
+        u, v, eta = u + block[0], v + block[1], eta + block[2]
+        temp, salt = temp + block[3 : 3 + nz], salt + block[3 + nz :]
     mask, sponge = model.grid.mask, model._sponge
     u, v, eta = (np.where(mask, f, 0.0) * sponge for f in (u, v, eta))
     return ModelState(u=u, v=v, eta=eta, temp=temp, salt=salt, time=state.time + dt)
@@ -261,9 +264,10 @@ class TestStepEqualsOldFormulas:
         seeds = [100 + i for i in range(len(states))]
         references = []
         for state, seed in zip(states, seeds):
-            rng = np.random.default_rng(seed) if noisy else None
+            rng = np.random.default_rng(seed)  # the stream the kernel's forcing gets
+            twin = StochasticForcing(model.grid, rng=rng) if noisy else None
             for _ in range(n_steps):
-                state = ref_step(model, state, rng)
+                state = ref_step(model, state, twin)
             references.append(state)
 
         duration = n_steps * model.config.dt
@@ -331,46 +335,83 @@ class TestBlowupInBatch:
 
 
 class TestFilterWhite:
+    """The synthesized field has the law of the old filtered white noise."""
+
     @pytest.mark.parametrize("shape", [(20, 24), (14, 17), (13, 14), (9, 9)])
     def test_equals_complex_fft_reference(self, shape):
         field = GaussianRandomField2D(shape, 3.0)
-        white = np.random.default_rng(0).standard_normal((5, 3, *shape))
-        smooth = field.filter_white(white)
-        assert smooth.shape == white.shape
-        assert np.abs(smooth - ref_filter(shape, 3.0, white)).max() <= 1e-13
+        y, x = field.bases
+        n = shape[0] * shape[1]
+        # the old filter is linear: its matrix is its response to the identity
+        old = ref_filter(shape, 3.0, np.eye(n).reshape(n, *shape)).reshape(n, n)
+        covariance = np.kron(y.T @ y, x.T @ x)
+        assert np.abs(covariance - old @ old.T).max() <= 2e-9
         # one field alone is bit-for-bit its slice of the batch
-        assert np.array_equal(field.filter_white(white[2, 1]), smooth[2, 1])
+        white = np.random.default_rng(0).standard_normal(
+            (5, 3, *field.coefficient_shape)
+        )
+        smooth = field.synthesize(white)
+        assert smooth.shape == (5, 3, *shape)
+        assert np.array_equal(field.synthesize(white[2, 1]), smooth[2, 1])
 
     def test_unit_pointwise_variance(self):
-        field = GaussianRandomField2D((13, 17), 2.0)
-        white = np.random.default_rng(1).standard_normal((4000, 13, 17))
-        variance = field.filter_white(white).var(axis=0)
-        assert variance.mean() == pytest.approx(1.0, rel=0.02)
-        assert np.all(np.abs(variance - 1.0) < 0.15)
+        y, x = GaussianRandomField2D((13, 17), 2.0).bases
+        variance = np.outer((y**2).sum(axis=0), (x**2).sum(axis=0))
+        assert np.abs(variance - 1.0).max() <= 1e-12
+
+
+def member_rngs(seeds):
+    return [np.random.default_rng(seed) for seed in seeds]
 
 
 class TestIncrements:
-    def test_batched_slice_is_the_serial_block_and_the_old_stream(self, case):
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_batched_slice_is_the_serial_block(self, case, n):
         model, _ = case
-        grid, dt, n = model.grid, model.config.dt, 3
-        batched = BatchedStochasticForcing(
-            grid, rngs=[np.random.default_rng(40 + i) for i in range(n)]
-        )
-        for _ in range(2):  # two steps: the kept white buffer must not leak
-            blocks = batched.increments(dt)
-        assert blocks.shape == (n, 3 + 2 * grid.nz, *grid.shape2d)
-        for i in range(n):
-            serial = StochasticForcing(grid, rng=np.random.default_rng(40 + i))
-            twin = np.random.default_rng(40 + i)
-            for _ in range(2):
-                block = serial.increments(dt)
-                by_hand = np.concatenate(
-                    [f.reshape(-1, *grid.shape2d) for f in ref_increments(grid, twin, dt)]
-                )
-            assert np.array_equal(blocks[i], block)
+        grid, dt = model.grid, model.config.dt
+        seeds = [40 + i for i in range(n)]
+        batched = BatchedStochasticForcing(grid, rngs=member_rngs(seeds))
+        # two steps: the kept coefficient buffer must not leak
+        steps = [batched.increments(dt) for _ in range(2)]
+        assert steps[0].shape == (n, 3 + 2 * grid.nz, *grid.shape2d)
+        for i, seed in enumerate(seeds):
+            serial = StochasticForcing(grid, rng=np.random.default_rng(seed))
+            for blocks in steps:
+                assert np.array_equal(blocks[i], serial.increments(dt))
+            # both generators stand at the same point of the stream
+            assert np.array_equal(
+                serial.rng.standard_normal(4), batched.rngs[i].standard_normal(4)
+            )
+
+    def test_member_stream_does_not_depend_on_batch_composition(self, case):
+        model, _ = case
+        grid, dt = model.grid, model.config.dt
+        companies = ([40, 41, 42], [7, 42, 99, 40, 3, 41, 8])
+        steps = []
+        for seeds in companies:
+            forcing = BatchedStochasticForcing(grid, rngs=member_rngs(seeds))
+            steps.append([forcing.increments(dt) for _ in range(2)])
+        for seed in companies[0]:
+            here, there = (seeds.index(seed) for seeds in companies)
+            for first, second in zip(*steps):
+                assert np.array_equal(first[here], second[there])
+
+    def test_rows_are_the_old_scalings_of_the_members_unit_fields(self, case):
+        model, _ = case
+        grid, dt, rows = model.grid, model.config.dt, 3 + 2 * model.grid.nz
+        serial = StochasticForcing(grid, rng=np.random.default_rng(40))
+        twin = np.random.default_rng(40)
+        field = GaussianRandomField2D(grid.shape2d, serial.length_scale_cells)
+        for _ in range(2):
+            block = serial.increments(dt)
+            # one draw per step, rows in the order u, v, eta, T, S
+            unit = field.synthesize(
+                twin.standard_normal((rows, *field.coefficient_shape))
+            )
+            by_hand = np.concatenate(
+                [f.reshape(-1, *grid.shape2d) for f in ref_increments(grid, unit, dt)]
+            )
             scale = np.abs(by_hand).max(axis=(1, 2), keepdims=True)
             assert np.all(np.abs(block - by_hand) <= 1e-12 * scale)
-            # all three generators stand at the same point of the stream
-            expected = twin.standard_normal(4)
-            assert np.array_equal(serial.rng.standard_normal(4), expected)
-            assert np.array_equal(batched.rngs[i].standard_normal(4), expected)
+            assert np.all(block[:, ~grid.mask] == 0.0)
+        assert np.array_equal(serial.rng.standard_normal(4), twin.standard_normal(4))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.util.randomfields import GaussianRandomField2D
 from repro.util.rng import SeedSequenceStream, member_rng
@@ -92,3 +94,105 @@ class TestGaussianRandomField:
             GaussianRandomField2D((5, 5), 1.0, seed=1, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             GaussianRandomField2D((5, 5), 1.0).sample_many(-1)
+
+
+def filtered_white_covariance(shape, length_scale):
+    """Analytic covariance of the draw-everything-then-filter field.
+
+    The reference formula: one white deviate per grid point through the
+    normalized Gaussian filter with an ``rfft2`` / ``irfft2`` pair.  The
+    filter is linear, so its matrix is its response to the identity.
+    """
+    ny, nx = shape
+    ky = np.fft.fftfreq(ny)[:, None] * 2.0 * np.pi
+    kx = np.fft.fftfreq(nx)[None, :] * 2.0 * np.pi
+    filt = np.exp(-0.5 * (ky**2 + kx**2) * length_scale**2)
+    filt = filt[:, : nx // 2 + 1] / np.sqrt(np.mean(filt**2))
+    white = np.eye(ny * nx).reshape(ny * nx, ny, nx)
+    spectrum = np.fft.rfft2(white, axes=(-2, -1)) * filt
+    matrix = np.fft.irfft2(spectrum, s=shape, axes=(-2, -1)).reshape(ny * nx, -1)
+    return matrix @ matrix.T
+
+
+def synthesis_covariance(field):
+    """Covariance of ``Y^T Z X`` for white ``Z``, row-major over the grid."""
+    y, x = field.bases
+    return np.kron(y.T @ y, x.T @ x)
+
+
+def assert_law_of_filtered_white(shape, length_scale):
+    field = GaussianRandomField2D(shape, length_scale)
+    covariance = synthesis_covariance(field)
+    reference = filtered_white_covariance(shape, length_scale)
+    assert np.abs(covariance - reference).max() <= 2e-9
+    assert np.abs(np.diag(covariance) - 1.0).max() <= 1e-12
+    assert all(d <= n for d, n in zip(field.coefficient_shape, shape))
+
+
+class TestSynthesisOperator:
+    """Exact statements about ``Y`` and ``X``: nothing here draws a sample."""
+
+    @pytest.mark.parametrize(
+        "shape, length_scale",
+        [
+            ((28, 32), 4.0),  # the benchmark grid: 11 x 11 coefficients
+            ((13, 17), 2.0),
+            ((14, 17), 3.0),
+            ((12, 9), 0.5),
+            ((1, 9), 3.0),
+            ((5, 1), 1.0),
+            ((1, 1), 2.0),
+            ((6, 7), 0.0),
+            ((20, 24), 500.0),  # one constant mode per axis
+        ],
+    )
+    def test_covariance_is_the_filtered_white_covariance(self, shape, length_scale):
+        assert_law_of_filtered_white(shape, length_scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ny=st.integers(1, 12),
+        nx=st.integers(1, 12),
+        length_scale=st.floats(0.0, 12.0, allow_nan=False),
+    )
+    def test_law_holds_for_any_shape_and_length_scale(self, ny, nx, length_scale):
+        assert_law_of_filtered_white((ny, nx), length_scale)
+
+    def test_benchmark_grid_keeps_eleven_by_eleven(self):
+        assert GaussianRandomField2D((28, 32), 4.0).coefficient_shape == (11, 11)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (7, 9), (1, 6), (1, 1)])
+    def test_zero_length_scale_gives_orthonormal_bases(self, shape):
+        field = GaussianRandomField2D(shape, 0.0)
+        assert field.coefficient_shape == shape
+        for basis in field.bases:
+            identity = np.eye(len(basis))
+            assert np.abs(basis @ basis.T - identity).max() <= 1e-12
+            assert np.abs(basis.T @ basis - identity).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 28, 32])
+    def test_retained_rank_is_monotone_in_length_scale(self, n):
+        scales = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 1e3]
+        ranks = [GaussianRandomField2D((n, 1), ls).coefficient_shape[0] for ls in scales]
+        assert ranks[0] == n and ranks[-1] == 1
+        assert all(a >= b for a, b in zip(ranks, ranks[1:]))
+
+    def test_bases_are_shared_and_read_only(self):
+        first = GaussianRandomField2D((10, 12), 2.0)
+        second = GaussianRandomField2D((10, 12), 2.0, seed=5)
+        assert all(a is b for a, b in zip(first.bases, second.bases))
+        with pytest.raises(ValueError):
+            first.bases[0][0, 0] = 0.0
+
+    def test_synthesize_checks_the_block_shape(self):
+        field = GaussianRandomField2D((10, 12), 2.0)
+        with pytest.raises(ValueError, match="incompatible"):
+            field.synthesize(np.zeros((10, 12)))
+
+    def test_sample_is_the_synthesis_of_one_draw(self):
+        field = GaussianRandomField2D((10, 12), 2.0, seed=8)
+        twin = np.random.default_rng(8)
+        one = twin.standard_normal(field.coefficient_shape)
+        many = twin.standard_normal((3, *field.coefficient_shape))
+        assert np.array_equal(field.sample(), field.synthesize(one))
+        assert np.array_equal(field.sample_many(3), field.synthesize(many))

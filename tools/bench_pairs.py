@@ -22,7 +22,9 @@ the change -- on the same box and writes one JSON file holding
   of a skill number proves nothing;
 - ``cycle_skill`` (``--cycle-seeds K ...``): ``cycle_ref``'s error
   reduction per period (what its ``skill`` averages) at the full size for
-  each seed and side, with median and range, for the same reason.
+  each seed and side, with median and range, for the same reason.  Both
+  tables carry the per-seed difference change - parent, its mean and its
+  standard error (``paired_difference``).
 
 Usage::
 
@@ -139,6 +141,23 @@ def digest_by_seed(checkout: Path, snippet: str, seeds: list[int]) -> dict:
     return {"by_seed": by_seed, "summary": spread}
 
 
+def paired_difference(parent: dict, change: dict) -> dict:
+    """Change minus parent per seed of two ``digest_by_seed`` blocks, per fact."""
+    out = {}
+    for name in change["summary"]:
+        diffs = [
+            change["by_seed"][seed][name] - parent["by_seed"][seed][name]
+            for seed in change["by_seed"]
+        ]
+        out[name] = {
+            "mean": statistics.fmean(diffs),
+            "standard_error": statistics.stdev(diffs) / len(diffs) ** 0.5,
+            "seeds_where_change_is_higher": sum(d > 0 for d in diffs),
+            "seeds": len(diffs),
+        }
+    return out
+
+
 def quartiles(values: list[float]) -> dict:
     """Median and quartiles of one side's runs."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -233,15 +252,23 @@ def markdown_tables(record: dict, prefixes: tuple[str, ...] = ("",)) -> str:
         n = len(sides["change"]["by_seed"])
         lines += [
             "",
-            f"| `{workload}` fact, median (min - max) over {n} seeds | parent | change |",
-            "|---|---|---|",
+            f"| `{workload}` fact, median (min - max) over {n} seeds | parent | change "
+            "| change - parent per seed, mean +- s.e. (seeds higher) |",
+            "|---|---|---|---|",
         ]
         for name in sides["change"]["summary"]:
             cells = [
                 "{median:.4g} ({min:.4g} - {max:.4g})".format(**sides[side]["summary"][name])
                 for side in ("parent", "change")
             ]
-            lines.append(f"| `{name}` | {cells[0]} | {cells[1]} |")
+            # records older than PR 23 carry no paired block
+            diff = sides.get("paired_difference", {}).get(name)
+            cells.append(
+                "{mean:+.4f} +- {standard_error:.4f} "
+                "({seeds_where_change_is_higher} / {seeds})".format(**diff)
+                if diff else "-"
+            )
+            lines.append(f"| `{name}` | " + " | ".join(cells) + " |")
     return "\n".join(lines)
 
 
@@ -318,6 +345,10 @@ def main(argv=None) -> int:
             for side, checkout in (("parent", args.parent), ("change", args.change)):
                 print(f"{block} {side}", flush=True)
                 record[block][side] = digest_by_seed(checkout, snippet, seeds)
+            if len(seeds) > 1:
+                record[block]["paired_difference"] = paired_difference(
+                    record[block]["parent"], record[block]["change"]
+                )
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out}")

@@ -52,6 +52,7 @@ else
         tests/core/test_tiled_analysis.py tests/core/test_assimilation.py \
         tests/core/test_subspace.py tests/core/test_incremental_svd.py \
         tests/util/test_linalg.py tests/util/test_randomized_svd.py \
+        tests/util/test_rng_randomfields.py \
         tests/ocean tests/acoustics tests/test_determinism.py -q
 fi
 
