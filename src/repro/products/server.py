@@ -14,7 +14,7 @@ service's ETag/503 semantics passed straight through.
 anything that would open a file.  Only those go to a single-worker
 thread pool running ``ProductService.handle``: a miss is a small-file
 read plus an npz decode, which would stall every other connection
-(REP010); one worker because misses serialize on the store anyway.  The
+(TestHitPathOverHTTP); one worker because misses serialize anyway.  The
 hit path's one system call is an ``os.stat`` of ``HEAD.json`` per
 ``latest`` request -- a metadata lookup on a local pointer file,
 microseconds and bounded, where a ``read_text`` is an open + read +

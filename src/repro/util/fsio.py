@@ -13,8 +13,8 @@ directory) publishes through a **versioned pointer**: a small JSON record
 written with :func:`durable_write` *after* the payload it vouches for is
 durable.  :class:`PointerWriter` owns the commit ordering and restart
 recovery; :class:`PointerReader` owns the bounded "unreadable reads as
-not-yet" contract.  The REP011 lint rule holds any code that does not go
-through these helpers to the same steps.
+not-yet" contract.  ``tests/util/test_fsio.py`` holds the rest of the tree
+to it: a rename outside :func:`durable_replace` fails the site allowlist.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Runtime concurrency sanitizer: lockset races and lock-order inversions.
 
 The many-task pipeline (``repro.workflow.parallel``) is threads sharing
-mutable state behind ad-hoc locks; the static lock rules (REP003,
-REP006--REP008 in ``tools/lint``) catch what is visible lexically, but a
-race that only exists on one interleaving needs a *dynamic* check.  This
-module provides two, both in the spirit of Savage et al.'s Eraser:
+mutable state behind ad-hoc locks; the static lock rule (REP003 in
+``tools/lint``) catches the unlocked mutation that is visible lexically,
+but a race that only exists on one interleaving, or two locks taken in
+opposite orders, needs a *dynamic* check.  This module provides two, both
+in the spirit of Savage et al.'s Eraser:
 
 - a **lockset race detector**: every shared variable registered with
   :func:`track` keeps the set of locks that protected *all* of its

@@ -26,47 +26,24 @@ def _bad_repo(tmp_path):
 
 
 class TestRealTree:
-    def test_repo_lints_clean_against_committed_baseline(self):
-        """Acceptance: `python -m tools.lint src/repro tests` exits 0."""
-        assert main(["src/repro", "tests", "--root", str(REPO_ROOT)]) == 0
-
-    def test_repo_lints_clean_in_json_format(self, capsys):
-        code = main(
-            ["src/repro", "tests", "--root", str(REPO_ROOT), "--format", "json"]
-        )
-        assert code == 0
+    def test_repo_lints_clean(self, capsys):
+        """Acceptance: `python -m tools.lint src/repro tests benchmarks tools`
+        exits 0 -- the one whole-tree lint of tier-1, over what ci.sh lints."""
+        trees = ["src/repro", "tests", "benchmarks", "tools"]
+        code = main([*trees, "--root", str(REPO_ROOT), "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
         assert doc["findings"] == []
-        assert doc["stale_baseline"] == []
+        assert code == 0
         assert doc["files"] > 100
 
 
 class TestExitCodes:
     def test_findings_exit_1(self, tmp_path, capsys):
         root = _bad_repo(tmp_path)
-        code = main(["src/repro", "--root", str(root), "--no-baseline"])
+        code = main(["src/repro", "--root", str(root)])
         assert code == 1
         out = capsys.readouterr().out
         assert "REP001" in out
-
-    def test_baselined_findings_exit_0(self, tmp_path, capsys):
-        root = _bad_repo(tmp_path)
-        assert main(["src/repro", "--root", str(root), "--write-baseline"]) == 0
-        capsys.readouterr()
-        code = main(["src/repro", "--root", str(root), "--select", "REP001"])
-        assert code == 0
-        assert "(1 baselined" in capsys.readouterr().out
-
-    def test_fixed_debt_reported_stale(self, tmp_path, capsys):
-        root = _bad_repo(tmp_path)
-        assert main(["src/repro", "--root", str(root), "--write-baseline"]) == 0
-        (root / "src/repro/sched/mod.py").write_text(
-            "import numpy as np\n\nrng = np.random.default_rng(42)\n"
-        )
-        capsys.readouterr()
-        code = main(["src/repro", "--root", str(root), "--select", "REP001"])
-        assert code == 0  # stale entries warn, they don't fail
-        assert "stale baseline entry" in capsys.readouterr().out
 
     def test_bad_path_exit_2(self, tmp_path):
         assert main(["no/such/path", "--root", str(tmp_path)]) == 2
@@ -85,7 +62,6 @@ class TestJsonFormat:
                 "src/repro",
                 "--root",
                 str(root),
-                "--no-baseline",
                 "--select",
                 "REP001",
                 "--format",
@@ -101,7 +77,7 @@ class TestJsonFormat:
 
 class TestDeveloperHelp:
     def test_explain_every_rule(self, capsys):
-        for rule_id in ("REP001", "REP002", "REP003", "REP004", "REP005"):
+        for rule_id in ("REP001", "REP002", "REP003", "REP005", "REP009"):
             assert main(["--explain", rule_id]) == 0
             out = capsys.readouterr().out
             assert rule_id in out
@@ -114,7 +90,7 @@ class TestDeveloperHelp:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("REP001", "REP002", "REP003", "REP004", "REP005"):
+        for rule_id in ("REP001", "REP002", "REP003", "REP005", "REP009"):
             assert rule_id in out
 
 
@@ -138,7 +114,6 @@ class TestChangedOnly:
                 "src/repro",
                 "--root",
                 str(root),
-                "--no-baseline",
                 "--changed-only",
                 "--format",
                 "json",
@@ -156,7 +131,7 @@ class TestChangedOnly:
             lambda r: {bad.resolve()},
         )
         code = main(
-            ["src/repro", "--root", str(root), "--no-baseline", "--changed-only"]
+            ["src/repro", "--root", str(root), "--changed-only"]
         )
         assert code == 1
         out = capsys.readouterr().out
@@ -169,7 +144,7 @@ class TestChangedOnly:
             "tools.lint.cli._git_changed_files", lambda r: set()
         )
         code = main(
-            ["src/repro", "--root", str(root), "--no-baseline", "--changed-only"]
+            ["src/repro", "--root", str(root), "--changed-only"]
         )
         assert code == 0
         assert "0 file(s)" in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Good/bad fixtures for the dataflow rules (REP009-REP012).
+"""Good/bad fixtures for the dataflow rule (REP009, resource lifecycle).
 
 Same convention as ``test_rules.py``: every bad fixture fires exactly
 the selected rule; its good twin (the idiomatic fix) stays quiet.
@@ -153,346 +153,5 @@ class TestREP009ResourceLifecycle:
                     os.close(fd)
             """,
             select=["REP009"],
-        )
-        assert report.findings == []
-
-
-class TestREP010AsyncDiscipline:
-    def test_blocking_call_in_async_def_fires(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/products/example.py",
-            """\
-            import time
-
-            async def poll(interval):
-                time.sleep(interval)
-            """,
-            select=["REP010"],
-        )
-        assert [f.rule for f in report.findings] == ["REP010"]
-
-    def test_asyncio_sleep_is_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/products/example.py",
-            """\
-            import asyncio
-
-            async def poll(interval):
-                await asyncio.sleep(interval)
-            """,
-            select=["REP010"],
-        )
-        assert report.findings == []
-
-    def test_await_under_sync_lock_fires(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/products/example.py",
-            """\
-            import threading
-
-            class Cache:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                async def refresh(self, fetch):
-                    with self._lock:
-                        self.data = await fetch()
-            """,
-            select=["REP010"],
-        )
-        assert len(report.findings) == 1
-        assert "await" in report.findings[0].message
-
-    def test_await_under_asyncio_lock_is_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/products/example.py",
-            """\
-            import asyncio
-
-            class Cache:
-                def __init__(self):
-                    self._lock = asyncio.Lock()
-
-                async def refresh(self, fetch):
-                    async with self._lock:
-                        self.data = await fetch()
-            """,
-            select=["REP010"],
-        )
-        assert report.findings == []
-
-    def test_annotated_blocking_entry_point_fires_cross_function(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/products/example.py",
-            """\
-            class Service:
-                def handle(self, req):  # repro-lint: blocking -- reads snapshot files
-                    return req
-
-            class Server:
-                async def serve(self, service, req):
-                    return service.handle(req)
-            """,
-            select=["REP010"],
-        )
-        assert len(report.findings) == 1
-        assert "handle" in report.findings[0].message
-
-    def test_executor_offload_is_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/products/example.py",
-            """\
-            import asyncio
-
-            class Service:
-                def handle(self, req):  # repro-lint: blocking -- reads snapshot files
-                    return req
-
-            class Server:
-                async def serve(self, service, req):
-                    loop = asyncio.get_running_loop()
-                    return await loop.run_in_executor(None, service.handle, req)
-            """,
-            select=["REP010"],
-        )
-        assert report.findings == []
-
-
-class TestREP011PublishProtocol:
-    def test_replace_without_fsync_fires(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import json
-            import os
-
-            def publish(tmp, head_path, head):
-                tmp.write_text(json.dumps(head))
-                os.replace(tmp, head_path)
-            """,
-            select=["REP011"],
-        )
-        assert [f.rule for f in report.findings] == ["REP011"]
-        assert "fsync" in report.findings[0].message
-
-    def test_fsync_before_replace_is_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import json
-            import os
-
-            def publish(tmp, head_path, head, fsync_path):
-                tmp.write_text(json.dumps(head))
-                fsync_path(tmp)
-                os.replace(tmp, head_path)
-            """,
-            select=["REP011"],
-        )
-        assert report.findings == []
-
-    def test_durable_replace_is_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import json
-
-            from repro.util.fsio import durable_replace
-
-            def publish(tmp, head_path, head):
-                tmp.write_text(json.dumps(head))
-                durable_replace(tmp, head_path)
-            """,
-            select=["REP011"],
-        )
-        assert report.findings == []
-
-    def test_fsync_on_one_branch_only_fires(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import os
-
-            def publish(tmp, target, data, careful, fsync_path):
-                tmp.write_bytes(data)
-                if careful:
-                    fsync_path(tmp)
-                os.replace(tmp, target)
-            """,
-            select=["REP011"],
-        )
-        assert len(report.findings) == 1
-
-    def test_numpy_savez_then_replace_fires(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import os
-
-            import numpy as np
-
-            def write_live(tmp, target, anomalies):
-                np.savez(tmp, anomalies=anomalies)
-                os.replace(tmp, target)
-            """,
-            select=["REP011"],
-        )
-        assert len(report.findings) == 1
-
-    def test_direct_write_to_published_path_fires(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import json
-
-            from repro.util.fsio import durable_replace
-
-            class Store:
-                def publish(self, tmp, head):
-                    tmp.write_text(json.dumps(head))
-                    durable_replace(tmp, self.head_path)
-
-                def sneak(self, head):
-                    self.head_path.write_text(json.dumps(head))
-            """,
-            select=["REP011"],
-        )
-        assert len(report.findings) == 1
-        assert "publish" in report.findings[0].message.lower()
-
-
-class TestREP012ArrayContracts:
-    def test_correct_contract_is_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/core/example.py",
-            """\
-            import numpy as np
-
-            def anomalies(n, count):
-                out = np.zeros((n, count))  # shape: (n, count) # dtype: float64
-                return out
-            """,
-            select=["REP012"],
-        )
-        assert report.findings == []
-
-    def test_wrong_literal_dims_fire(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/core/example.py",
-            """\
-            import numpy as np
-
-            def grid():
-                out = np.zeros((4, 8))  # shape: (4, 9)
-                return out
-            """,
-            select=["REP012"],
-        )
-        assert [f.rule for f in report.findings] == ["REP012"]
-
-    def test_transpose_propagation_checks_downstream(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/core/example.py",
-            """\
-            import numpy as np
-
-            def f(matrix):
-                m = np.asarray(matrix)  # shape: (rows, cols)
-                t = m.T  # shape: (rows, cols)
-                return t
-            """,
-            select=["REP012"],
-        )
-        # m.T is (cols, rows); the declared (rows, cols) contradicts it.
-        assert len(report.findings) == 1
-
-    def test_axis_reduction_drops_dim(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/core/example.py",
-            """\
-            import numpy as np
-
-            def f(blocks):
-                b = np.asarray(blocks)  # shape: (tj, ti, k)
-                sums = np.nansum(b, axis=2)  # shape: (tj, ti)
-                return sums
-            """,
-            select=["REP012"],
-        )
-        assert report.findings == []
-
-    def test_dtype_mismatch_fires(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/core/example.py",
-            """\
-            import numpy as np
-
-            def f(raw):
-                ids = np.asarray(raw, dtype=np.int64)  # dtype: float64
-                return ids
-            """,
-            select=["REP012"],
-        )
-        assert len(report.findings) == 1
-
-    def test_malformed_contract_fires(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/core/example.py",
-            """\
-            import numpy as np
-
-            def f(n):
-                out = np.zeros(n)  # shape: n by 3
-                return out
-            """,
-            select=["REP012"],
-        )
-        assert len(report.findings) == 1
-        assert "malformed" in report.findings[0].message
-
-    def test_wildcard_and_symbol_dims_do_not_conflict(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/core/example.py",
-            """\
-            import numpy as np
-
-            def f(matrix, n):
-                m = np.asarray(matrix)  # shape: (n, ?)
-                r = m.reshape((n, -1))  # shape: (n, ?)
-                return r
-            """,
-            select=["REP012"],
-        )
-        assert report.findings == []
-
-    def test_docstring_mention_is_not_a_contract(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/core/example.py",
-            '''\
-            def f():
-                """Document the syntax: use `# shape: (a, b)` comments."""
-                return None
-            ''',
-            select=["REP012"],
         )
         assert report.findings == []

@@ -1,59 +1,16 @@
-"""Detection-power tests: re-plant the real violations fixed in this PR.
+"""Detection-power tests: re-plant the real violations the rules found.
 
 Mirrors ``tests/workflow/test_sanitizer_race.py``: each test names the
 shipped defect, replants the pre-fix shape of the code, and asserts the
 rule fires on it -- then checks the shipped (fixed) shape stays quiet.
 If a refactor of the rules breaks one of these, the rule has lost the
-power that justified it.
+power that justified it.  This file is the arbiter of ROADMAP's "rules
+that have never caught anything get deleted": the historical defects of
+the rules deleted in PR 24 (REP004, REP010, REP011) are guarded by the
+tier-1 tests listed in ``docs/STATIC_ANALYSIS.md``, not here.
 """
 
-from tests.lint.test_rules import lint, lint_files
-
-
-class TestREP011CatchesUnfsyncedHeadPublish:
-    """The defect fixed in ``products/store.py`` and ``benchmarks/record.py``.
-
-    Both staged a JSON artifact next to its destination and published it
-    with a bare ``os.replace`` -- after a crash the *published* head could
-    be a zero-length file because the staged bytes were never forced to
-    disk before the rename.
-    """
-
-    BAD = """\
-        import json
-        import os
-
-        class ProductStore:
-            def _publish_head(self, head):
-                tmp = self.head_path.with_suffix(".tmp")
-                tmp.write_text(json.dumps(head))
-                os.replace(tmp, self.head_path)
-        """
-
-    FIXED = """\
-        import json
-
-        from repro.util.fsio import durable_replace
-
-        class ProductStore:
-            def _publish_head(self, head):
-                tmp = self.head_path.with_suffix(".tmp")
-                tmp.write_text(json.dumps(head))
-                durable_replace(tmp, self.head_path)
-        """
-
-    def test_pre_fix_store_publish_fires(self, tmp_path):
-        report = lint(
-            tmp_path, "src/repro/products/store.py", self.BAD, select=["REP011"]
-        )
-        assert [f.rule for f in report.findings] == ["REP011"]
-        assert report.findings[0].symbol.endswith("tmp")
-
-    def test_shipped_fix_is_quiet(self, tmp_path):
-        report = lint(
-            tmp_path, "src/repro/products/store.py", self.FIXED, select=["REP011"]
-        )
-        assert report.findings == []
+from tests.lint.test_rules import lint
 
 
 class TestREP009CatchesCovfileReadLeak:
@@ -102,308 +59,5 @@ class TestREP009CatchesCovfileReadLeak:
     def test_shipped_fix_is_quiet(self, tmp_path):
         report = lint(
             tmp_path, "src/repro/workflow/covfile.py", self.FIXED, select=["REP009"]
-        )
-        assert report.findings == []
-
-
-class TestREP010CatchesInlineBlockingHandle:
-    """The defect fixed in ``products/server.py``.
-
-    The async request loop called ``self.service.handle(...)`` inline;
-    a cache miss reads and decodes snapshot files on the event loop,
-    stalling every concurrent connection.  The fix offloads to a
-    single-worker executor.
-    """
-
-    BAD = """\
-        class ProductServer:
-            async def _handle_connection(self, method, target, headers):
-                response = self.service.handle(method, target, headers)
-                return response
-
-        class ProductService:
-            def handle(self, method, target, headers):  # repro-lint: blocking -- cache misses read and decode snapshot files
-                return (method, target, headers)
-        """
-
-    FIXED = """\
-        import asyncio
-
-        class ProductServer:
-            async def _handle_connection(self, method, target, headers):
-                response = await asyncio.get_running_loop().run_in_executor(
-                    self._executor, self.service.handle, method, target, headers
-                )
-                return response
-
-        class ProductService:
-            def handle(self, method, target, headers):  # repro-lint: blocking -- cache misses read and decode snapshot files
-                return (method, target, headers)
-        """
-
-    def test_pre_fix_inline_handle_fires(self, tmp_path):
-        report = lint(
-            tmp_path, "src/repro/products/server.py", self.BAD, select=["REP010"]
-        )
-        assert [f.rule for f in report.findings] == ["REP010"]
-        assert "handle" in report.findings[0].message
-
-    def test_shipped_fix_is_quiet(self, tmp_path):
-        report = lint(
-            tmp_path, "src/repro/products/server.py", self.FIXED, select=["REP010"]
-        )
-        assert report.findings == []
-
-
-class TestREP012CatchesRankConfusedContract:
-    """The near-miss caught while annotating ``products/tiles.py``.
-
-    ``np.full(counts.shape, np.nan)`` inherits the rank of ``counts``;
-    a contract pinning the wrong rank on the reduced ``sums`` array
-    (written as 3-d when the ``axis=2`` reduction makes it 2-d) must be
-    rejected, while the shipped 2-d contract passes.
-    """
-
-    BAD = """\
-        import numpy as np
-
-        def downsample(blocks):
-            b = np.asarray(blocks)  # shape: (tj, ti, k)
-            sums = np.nansum(b, axis=2)  # shape: (tj, ti, k)
-            return sums
-        """
-
-    FIXED = """\
-        import numpy as np
-
-        def downsample(blocks):
-            b = np.asarray(blocks)  # shape: (tj, ti, k)
-            sums = np.nansum(b, axis=2)  # shape: (tj, ti)
-            return sums
-        """
-
-    def test_pre_fix_rank_mismatch_fires(self, tmp_path):
-        report = lint(
-            tmp_path, "src/repro/products/tiles.py", self.BAD, select=["REP012"]
-        )
-        assert [f.rule for f in report.findings] == ["REP012"]
-
-    def test_shipped_contract_is_quiet(self, tmp_path):
-        report = lint(
-            tmp_path, "src/repro/products/tiles.py", self.FIXED, select=["REP012"]
-        )
-        assert report.findings == []
-
-
-class TestREP011CatchesReplaceHiddenInHelper:
-    """The cross-function shape of the unfsynced-publish defect.
-
-    Refactoring the bare ``os.replace`` into an unannotated helper hides
-    the publish from per-function analysis entirely -- the caller shows a
-    dirty temp path and no replace, the helper shows a replace of a
-    parameter it knows nothing about.  Only the effect summary
-    (``replace_src_params``) reconnects them.
-    """
-
-    HELPER_BAD = """\
-        import os
-
-        def commit_head(tmp, final):
-            os.replace(tmp, final)
-        """
-
-    HELPER_FIXED = """\
-        import os
-
-        def commit_head(tmp, final):
-            _fsync_path(tmp)
-            os.replace(tmp, final)
-
-        def _fsync_path(path):
-            fd = os.open(path, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-        """
-
-    CALLER = """\
-        import json
-
-        from repro.products.headio import commit_head
-
-        class ProductStore:
-            def _publish_head(self, head):
-                tmp = self.head_path.with_suffix(".tmp")
-                tmp.write_text(json.dumps(head))
-                commit_head(tmp, self.head_path)
-        """
-
-    def files(self, helper):
-        return {
-            "src/repro/products/headio.py": helper,
-            "src/repro/products/store.py": self.CALLER,
-        }
-
-    def test_caught_interprocedurally(self, tmp_path):
-        report = lint_files(
-            tmp_path, self.files(self.HELPER_BAD), select=["REP011"]
-        )
-        assert [f.rule for f in report.findings] == ["REP011"]
-        assert report.findings[0].path.endswith("store.py")
-
-    def test_missed_per_function(self, tmp_path):
-        report = lint_files(
-            tmp_path,
-            self.files(self.HELPER_BAD),
-            select=["REP011"],
-            use_summaries=False,
-        )
-        assert report.findings == []
-
-    def test_fsyncing_helper_is_quiet(self, tmp_path):
-        report = lint_files(
-            tmp_path, self.files(self.HELPER_FIXED), select=["REP011"]
-        )
-        assert report.findings == []
-
-
-class TestREP010CatchesBlockingThroughHelperChain:
-    """Transitive blocking with no annotation anywhere.
-
-    The async connection handler calls a sync helper that reaches
-    ``open()`` two hops down; no ``# repro-lint: blocking`` mark exists,
-    so per-function analysis has nothing to match -- only the inferred
-    summary chain convicts the call.
-    """
-
-    SERVICE = """\
-        import json
-
-        def load_snapshot(version):
-            return _read(version)
-
-        def _read(version):
-            with open(version) as fh:
-                return json.load(fh)
-        """
-
-    SERVER_BAD = """\
-        from repro.products.service import load_snapshot
-
-        class ProductServer:
-            async def _handle(self, version):
-                return load_snapshot(version)
-        """
-
-    SERVER_FIXED = """\
-        import asyncio
-
-        from repro.products.service import load_snapshot
-
-        class ProductServer:
-            async def _handle(self, version):
-                loop = asyncio.get_running_loop()
-                return await loop.run_in_executor(None, load_snapshot, version)
-        """
-
-    def files(self, server):
-        return {
-            "src/repro/products/service.py": self.SERVICE,
-            "src/repro/products/server.py": server,
-        }
-
-    def test_caught_interprocedurally(self, tmp_path):
-        report = lint_files(
-            tmp_path, self.files(self.SERVER_BAD), select=["REP010"]
-        )
-        assert [f.rule for f in report.findings] == ["REP010"]
-        assert "transitively" in report.findings[0].message
-        assert "load_snapshot -> _read" in report.findings[0].message
-
-    def test_missed_per_function(self, tmp_path):
-        report = lint_files(
-            tmp_path,
-            self.files(self.SERVER_BAD),
-            select=["REP010"],
-            use_summaries=False,
-        )
-        assert report.findings == []
-
-    def test_executor_offload_is_quiet(self, tmp_path):
-        report = lint_files(
-            tmp_path, self.files(self.SERVER_FIXED), select=["REP010"]
-        )
-        assert report.findings == []
-
-
-class TestREP009CatchesLeakThroughAcquiringHelper:
-    """The covfile read-leak with the acquisition behind a helper.
-
-    ``open_columns`` returns an open handle; the caller validates after
-    acquiring, so the truncated-snapshot raise leaks the handle.
-    Per-function analysis never sees an acquisition in the caller; the
-    helper's ``returns_resource`` summary plants the obligation.
-    """
-
-    HELPER = """\
-        def open_columns(path):
-            handle = open(path, "rb")
-            return handle
-        """
-
-    CALLER_BAD = """\
-        import numpy as np
-
-        from repro.workflow.snapio import open_columns
-
-        def read_snapshot(path, count):
-            columns = open_columns(path)
-            member_ids = np.fromfile(path, dtype=np.int64, count=count)
-            if member_ids.size != count:
-                raise ValueError("truncated snapshot")
-            columns.close()
-            return member_ids
-        """
-
-    CALLER_FIXED = """\
-        import numpy as np
-
-        from repro.workflow.snapio import open_columns
-
-        def read_snapshot(path, count):
-            member_ids = np.fromfile(path, dtype=np.int64, count=count)
-            if member_ids.size != count:
-                raise ValueError("truncated snapshot")
-            columns = open_columns(path)
-            columns.close()
-            return member_ids
-        """
-
-    def files(self, caller):
-        return {
-            "src/repro/workflow/snapio.py": self.HELPER,
-            "src/repro/workflow/covfile.py": caller,
-        }
-
-    def test_caught_interprocedurally(self, tmp_path):
-        report = lint_files(
-            tmp_path, self.files(self.CALLER_BAD), select=["REP009"]
-        )
-        assert [f.rule for f in report.findings] == ["REP009"]
-        assert "'columns'" in report.findings[0].message
-
-    def test_missed_per_function(self, tmp_path):
-        report = lint_files(
-            tmp_path,
-            self.files(self.CALLER_BAD),
-            select=["REP009"],
-            use_summaries=False,
-        )
-        assert report.findings == []
-
-    def test_validate_before_acquire_is_quiet(self, tmp_path):
-        report = lint_files(
-            tmp_path, self.files(self.CALLER_FIXED), select=["REP009"]
         )
         assert report.findings == []

@@ -1,10 +1,9 @@
-"""Framework mechanics: fingerprints, baselines, suppressions, discovery."""
+"""Framework mechanics: fingerprints, suppressions, discovery."""
 
 import textwrap
 
 import pytest
 
-from tools.lint.baseline import Baseline
 from tools.lint.core import (
     Finding,
     LintError,
@@ -31,7 +30,7 @@ class TestFingerprints:
         assert _finding().fingerprint != _finding(path="src/repro/y.py").fingerprint
 
     def test_fingerprint_survives_edits_above(self, tmp_path):
-        """Inserting lines above a finding must not invalidate the baseline."""
+        """Inserting lines above a finding must not change its identity."""
         snippet = """\
         import numpy as np
 
@@ -49,58 +48,14 @@ class TestFingerprints:
         assert before[0].fingerprint == after[0].fingerprint
 
 
-class TestBaseline:
-    def test_from_findings_counts_duplicates(self):
-        base = Baseline.from_findings([_finding(), _finding(), _finding("other")])
-        assert base.entries[_finding().fingerprint] == 2
-        assert base.entries[_finding("other").fingerprint] == 1
-
-    def test_apply_splits_known_and_new(self):
-        base = Baseline.from_findings([_finding()])
-        result = base.apply([_finding(), _finding(line=20), _finding("other")])
-        # one occurrence is known debt, the excess + the new symbol fail
-        assert len(result.known) == 1
-        assert {f.symbol for f in result.new} == {"Pool.produce:_items", "other"}
-        assert result.stale == []
-
-    def test_apply_reports_stale_entries(self):
-        base = Baseline.from_findings([_finding(), _finding("fixed-one")])
-        result = base.apply([_finding()])
-        assert result.new == []
-        assert result.stale == [_finding("fixed-one").fingerprint]
-
-    def test_write_load_round_trip(self, tmp_path):
-        base = Baseline.from_findings([_finding(), _finding()])
-        path = tmp_path / "baseline.json"
-        base.write(path)
-        loaded = Baseline.load(path)
-        assert loaded.entries == base.entries
-
-    def test_missing_file_is_empty_baseline(self, tmp_path):
-        loaded = Baseline.load(tmp_path / "absent.json")
-        assert loaded.entries == {}
-
-    def test_invalid_json_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("{not json")
-        with pytest.raises(LintError):
-            Baseline.load(path)
-
-    def test_unsupported_version_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"version": 99, "entries": {}}')
-        with pytest.raises(LintError):
-            Baseline.load(path)
-
-
 class TestSuppressionParsing:
     def test_parse_inline_and_file_directives(self):
         supp = Suppressions.parse(
             "x = 1  # repro-lint: disable=REP001,REP002\n"
-            "# repro-lint: disable-file=REP004\n"
+            "# repro-lint: disable-file=REP003\n"
         )
         assert supp.by_line[1] == {"REP001", "REP002"}
-        assert supp.whole_file == {"REP004"}
+        assert supp.whole_file == {"REP003"}
 
     def test_covers_matches_rule_line_and_all(self):
         supp = Suppressions.parse("x = 1  # repro-lint: disable=REP001\n")

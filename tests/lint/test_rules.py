@@ -1,7 +1,7 @@
 """Each REP rule fires on a bad fixture and stays quiet on the good twin.
 
-Every lint() call selects the rule under test so docstring-less fixture
-snippets don't trip REP004 incidentally.
+Every lint() call selects the rule under test so a fixture written for one
+rule cannot trip another incidentally.
 """
 
 import textwrap
@@ -18,26 +18,6 @@ def lint(tmp_path, relpath, source, select):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source))
     return run_lint([path], root=tmp_path, select=select)
-
-
-def lint_files(
-    tmp_path, files, select, *, use_summaries=True, jobs=1, cache_dir=None
-):
-    """Write a multi-file scratch project and lint all of it."""
-    paths = []
-    for relpath, source in files.items():
-        path = tmp_path / relpath
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source))
-        paths.append(path)
-    return run_lint(
-        paths,
-        root=tmp_path,
-        select=select,
-        jobs=jobs,
-        use_summaries=use_summaries,
-        cache_dir=cache_dir,
-    )
 
 
 class TestREP001Determinism:
@@ -345,56 +325,6 @@ class TestREP003LockDiscipline:
         assert report.findings == []
 
 
-class TestREP004Docstrings:
-    def test_missing_docstrings_fire(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/core/example.py",
-            """\
-            class Widget:
-                def frob(self):
-                    return 1
-            """,
-            select=["REP004"],
-        )
-        items = {f.symbol for f in report.findings}
-        assert items == {"<module docstring>", "Widget", "Widget.frob"}
-
-    def test_documented_module_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/core/example.py",
-            '''\
-            """A documented module."""
-
-
-            class Widget:
-                """A documented class."""
-
-                def frob(self):
-                    """A documented method."""
-                    return 1
-
-                def _private(self):
-                    return 2
-            ''',
-            select=["REP004"],
-        )
-        assert report.findings == []
-
-    def test_files_outside_src_repro_exempt(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "tests/test_example.py",
-            """\
-            def test_something():
-                assert True
-            """,
-            select=["REP004"],
-        )
-        assert report.findings == []
-
-
 class TestREP005Layering:
     def test_util_importing_core_fires(self, tmp_path):
         report = lint(
@@ -551,476 +481,3 @@ class TestSuppressions:
         )
         assert report.findings == []
         assert report.n_suppressed == 1
-
-
-class TestREP006LockOrdering:
-    def test_opposite_nesting_orders_fire(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import threading
-
-            class Pool:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.Lock()
-
-                def one(self):
-                    with self._a:
-                        with self._b:
-                            pass
-
-                def two(self):
-                    with self._b:
-                        with self._a:
-                            pass
-            """,
-            select=["REP006"],
-        )
-        assert [f.rule for f in report.findings] == ["REP006"]
-        assert "cycle" in report.findings[0].message
-        assert "self._a" in report.findings[0].message
-        assert "self._b" in report.findings[0].message
-
-    def test_consistent_order_is_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import threading
-
-            class Pool:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.Lock()
-
-                def one(self):
-                    with self._a:
-                        with self._b:
-                            pass
-
-                def two(self):
-                    with self._a:
-                        with self._b:
-                            pass
-            """,
-            select=["REP006"],
-        )
-        assert report.findings == []
-
-    def test_nested_nonreentrant_reacquisition_fires(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import threading
-
-            class Pool:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def work(self):
-                    with self._lock:
-                        with self._lock:
-                            pass
-            """,
-            select=["REP006"],
-        )
-        assert [f.rule for f in report.findings] == ["REP006"]
-        assert "self-deadlock" in report.findings[0].message
-
-    def test_reentrant_reacquisition_is_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import threading
-
-            class Pool:
-                def __init__(self):
-                    self._lock = threading.RLock()
-
-                def work(self):
-                    with self._lock:
-                        with self._lock:
-                            pass
-            """,
-            select=["REP006"],
-        )
-        assert report.findings == []
-
-    def test_cycle_through_own_method_call_fires(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import threading
-
-            class Pool:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.Lock()
-
-                def log(self):
-                    with self._b:
-                        pass
-
-                def outer(self):
-                    with self._a:
-                        self.log()
-
-                def other(self):
-                    with self._b:
-                        with self._a:
-                            pass
-            """,
-            select=["REP006"],
-        )
-        assert [f.rule for f in report.findings] == ["REP006"]
-        assert "cycle" in report.findings[0].message
-
-    def test_reacquire_through_method_call_fires(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import threading
-
-            class Pool:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def log(self):
-                    with self._lock:
-                        pass
-
-                def outer(self):
-                    with self._lock:
-                        self.log()
-            """,
-            select=["REP006"],
-        )
-        assert [f.rule for f in report.findings] == ["REP006"]
-        assert "self-deadlock" in report.findings[0].message
-
-    def test_sanitizer_factories_count_as_locks(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            from repro.util.sanitizer import new_lock
-
-            class Pool:
-                def __init__(self):
-                    self._a = new_lock("a")
-                    self._b = new_lock("b")
-
-                def one(self):
-                    with self._a:
-                        with self._b:
-                            pass
-
-                def two(self):
-                    with self._b:
-                        with self._a:
-                            pass
-            """,
-            select=["REP006"],
-        )
-        assert [f.rule for f in report.findings] == ["REP006"]
-
-
-class TestREP007ExceptionSafeLocking:
-    def test_bare_acquire_release_fires(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import threading
-
-            class Pool:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._items = []
-
-                def work(self):
-                    self._lock.acquire()
-                    self._items.append(1)
-                    self._lock.release()
-            """,
-            select=["REP007"],
-        )
-        assert [f.rule for f in report.findings] == ["REP007"]
-        assert "try/finally" in report.findings[0].message
-
-    def test_acquire_then_try_finally_is_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import threading
-
-            class Pool:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._items = []
-
-                def work(self):
-                    self._lock.acquire()
-                    try:
-                        self._items.append(1)
-                    finally:
-                        self._lock.release()
-            """,
-            select=["REP007"],
-        )
-        assert report.findings == []
-
-    def test_acquire_inside_guarding_try_is_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import threading
-
-            class Pool:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def work(self):
-                    try:
-                        self._lock.acquire()
-                        pass
-                    finally:
-                        self._lock.release()
-            """,
-            select=["REP007"],
-        )
-        assert report.findings == []
-
-    def test_with_statement_is_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import threading
-
-            class Pool:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._items = []
-
-                def work(self):
-                    with self._lock:
-                        self._items.append(1)
-            """,
-            select=["REP007"],
-        )
-        assert report.findings == []
-
-    def test_non_lock_acquire_methods_ignored(self, tmp_path):
-        # Node.acquire() in the sched resource model is core accounting.
-        report = lint(
-            tmp_path,
-            "src/repro/sched/example.py",
-            """\
-            def start(node, job):
-                node.acquire(job.cores)
-                node.release()
-            """,
-            select=["REP007"],
-        )
-        assert report.findings == []
-
-    def test_lock_named_parameter_fires(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            def work(acc_lock, items):
-                acc_lock.acquire()
-                items.append(1)
-                acc_lock.release()
-            """,
-            select=["REP007"],
-        )
-        assert [f.rule for f in report.findings] == ["REP007"]
-
-
-class TestREP008NoBlockingUnderLock:
-    def test_sleep_under_lock_fires(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import threading
-            import time
-
-            class Pool:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._events = []
-
-                def work(self):
-                    with self._lock:
-                        time.sleep(0.1)
-                        self._events.append(1)
-            """,
-            select=["REP008"],
-        )
-        assert [f.rule for f in report.findings] == ["REP008"]
-        assert "time.sleep" in report.findings[0].message
-
-    def test_sleep_outside_lock_is_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import threading
-            import time
-
-            class Pool:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._events = []
-
-                def work(self):
-                    with self._lock:
-                        self._events.append(1)
-                    time.sleep(0.1)
-            """,
-            select=["REP008"],
-        )
-        assert report.findings == []
-
-    def test_open_under_lock_fires(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import threading
-
-            class Pool:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def work(self, path):
-                    with self._lock:
-                        with open(path) as fh:
-                            return fh.read()
-            """,
-            select=["REP008"],
-        )
-        assert [f.rule for f in report.findings] == ["REP008"]
-        assert "open()" in report.findings[0].message
-
-    def test_thread_join_under_lock_fires(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import threading
-
-            class Pool:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def work(self):
-                    worker = threading.Thread(target=print)
-                    worker.start()
-                    with self._lock:
-                        worker.join()
-            """,
-            select=["REP008"],
-        )
-        assert [f.rule for f in report.findings] == ["REP008"]
-        assert "waits on a thread" in report.findings[0].message
-
-    def test_subprocess_under_lock_fires(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import subprocess
-            import threading
-
-            class Pool:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def work(self):
-                    with self._lock:
-                        subprocess.run(["true"])
-            """,
-            select=["REP008"],
-        )
-        assert [f.rule for f in report.findings] == ["REP008"]
-
-    def test_blocking_queue_get_under_lock_fires(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import queue
-            import threading
-
-            class Pool:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def work(self):
-                    inbox = queue.Queue()
-                    with self._lock:
-                        return inbox.get()
-            """,
-            select=["REP008"],
-        )
-        assert [f.rule for f in report.findings] == ["REP008"]
-        assert "queue" in report.findings[0].message
-
-    def test_nonblocking_queue_get_is_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import queue
-            import threading
-
-            class Pool:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def work(self):
-                    inbox = queue.Queue()
-                    with self._lock:
-                        return inbox.get(block=False)
-            """,
-            select=["REP008"],
-        )
-        assert report.findings == []
-
-    def test_explicit_acquire_release_region_tracked(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            """\
-            import threading
-            import time
-
-            class Pool:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def work(self):
-                    self._lock.acquire()
-                    try:
-                        time.sleep(0.1)
-                    finally:
-                        self._lock.release()
-                    time.sleep(0.1)
-            """,
-            select=["REP008"],
-        )
-        assert len(report.findings) == 1
-        assert report.findings[0].line == 11  # the sleep inside the region

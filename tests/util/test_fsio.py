@@ -7,13 +7,19 @@ client adds is tested next to the client; what happens when the writer
 dies at each step is ``test_fsio_killpoints.py``.
 """
 
+import ast
 import json
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.util.fsio as fsio
 from repro.util.fsio import PointerReader, PointerWriter, durable_write, staging_path
+
+
+SRC = Path(fsio.__file__).resolve().parents[1]
 
 
 class StoreGone(RuntimeError):
@@ -184,3 +190,58 @@ class TestPointerReader:
     def test_bound_validation(self, path):
         with pytest.raises(ValueError, match="max_unreadable_reads"):
             PointerReader(path, StoreGone, max_unreadable_reads=0)
+
+
+def rename_sites(tree, scope=""):
+    """``Class.func`` of every call under ``tree`` that renames a file:
+    ``os.replace`` / ``os.rename``, or a one-argument ``.replace(x)`` /
+    ``.rename(x)`` method call (``Path``'s; ``str.replace`` takes two)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from rename_sites(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        func = getattr(node, "func", None)
+        if isinstance(func, ast.Attribute) and func.attr in ("replace", "rename"):
+            via_os = isinstance(func.value, ast.Name) and func.value.id == "os"
+            if via_os or (len(node.args) == 1 and not node.keywords):
+                yield scope
+        yield from rename_sites(node, scope)
+
+
+class TestRenameSiteAllowlist:
+    """A rename is a publish, and ``durable_replace`` is where publishes are
+    made durable (stage fsynced before, directory after).  PR 8 found six
+    bare ``os.replace`` publishes; since PR 15 the tree has two rename sites."""
+
+    ALLOWED = {
+        ("util/fsio.py", "durable_replace"),
+        # A directory rename: its files are fsynced one by one before it,
+        # and the pointer commit that makes it visible follows it.
+        ("products/store.py", "ProductStore.publish"),
+    }
+
+    def test_files_are_renamed_only_through_the_durable_primitive(self):
+        sites = {
+            (path.relative_to(SRC).as_posix(), scope)
+            for path in sorted(SRC.rglob("*.py"))
+            for scope in rename_sites(ast.parse(path.read_text()))
+        }
+        assert sites == self.ALLOWED
+
+    def test_pr8_unfsynced_head_publish_is_a_site(self):
+        """The pre-fix ``products/store.py``: staged JSON published with a
+        bare ``os.replace``, so a crash could leave an empty ``HEAD.json``."""
+        planted = """\
+            class ProductStore:
+                def _publish_head(self, head):
+                    tmp = self.head_path.with_suffix(".tmp")
+                    tmp.write_text(json.dumps(head))
+                    os.replace(tmp, self.head_path)
+
+                def _publish_head_pathlib(self, head, tmp):
+                    tmp.replace(self.head_path)
+            """
+        assert list(rename_sites(ast.parse(textwrap.dedent(planted)))) == [
+            "ProductStore._publish_head",
+            "ProductStore._publish_head_pathlib",
+        ]

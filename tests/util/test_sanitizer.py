@@ -6,9 +6,9 @@ not on winning an actual race, so a single forced interleaving decides
 each verdict.
 
 The fixtures here are deliberately racy/deadlocky -- that is what the
-sanitizer under test must detect -- so the static lock rules are off for
+sanitizer under test must detect -- so the static lock rule is off for
 this file:
-# repro-lint: disable-file=REP003,REP006,REP007 -- deliberate bad-pattern fixtures
+# repro-lint: disable-file=REP003 -- deliberate bad-pattern fixtures
 """
 
 import importlib.util

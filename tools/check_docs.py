@@ -1,17 +1,5 @@
 #!/usr/bin/env python
-"""Docs lint: every public class/function/method carries a docstring.
-
-Thin CLI over the repro-lint REP004 rule (see
-:mod:`tools.lint.rules.docstrings`), kept because CI scripts and muscle
-memory already invoke it:
-
-    python tools/check_docs.py [module ...]
-
-With no arguments every ``repro.*`` module is checked; passing module
-names (e.g. ``repro.workflow.faults``) restricts the scan.  Exits nonzero
-listing each undocumented public item.
-
-A second mode lints the ``docs/`` pages themselves:
+"""Docs lint: the ``docs/`` pages are linked and their snippets compile.
 
     python tools/check_docs.py --pages
 
@@ -21,82 +9,18 @@ block in ``docs/`` actually compiles (doctest-style ``>>>`` blocks are
 parsed as doctests first) -- documentation drift shows up as a lint
 failure, not as a reader's surprise.
 
-Unlike the original runtime version this parses source files instead of
-importing them, so it needs no ``PYTHONPATH=src`` and cannot be fooled by
-docstrings inherited through the MRO.
+Docstring coverage of ``src/repro`` is not checked here: tier-1's
+``tests/test_docstrings.py`` is its one enforcer.
 """
 
 from __future__ import annotations
 
-import ast
 import doctest
 import re
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-if str(REPO_ROOT) not in sys.path:  # direct-script runs lack the repo root
-    sys.path.insert(0, str(REPO_ROOT))
-
-from tools.lint.rules.docstrings import undocumented_in_tree  # noqa: E402
-
-
-def module_files() -> dict[str, Path]:
-    """Mapping of ``repro.*`` module name -> source file under src/."""
-    src = REPO_ROOT / "src"
-    mapping: dict[str, Path] = {}
-    for path in sorted((src / "repro").rglob("*.py")):
-        parts = list(path.relative_to(src).with_suffix("").parts)
-        if parts[-1] == "__init__":
-            parts = parts[:-1]
-        name = ".".join(parts)
-        if name == "repro":
-            # Match the runtime lint, which walked with prefix="repro."
-            # and so never reported the top-level package itself.
-            continue
-        mapping[name] = path
-    return mapping
-
-
-def iter_modules(selected: list[str]) -> list[str]:
-    """The module names to lint (all of ``repro`` unless restricted)."""
-    names = list(module_files())
-    if not selected:
-        return names
-    missing = [s for s in selected if s not in names]
-    if missing:
-        raise SystemExit(f"unknown module(s): {', '.join(missing)}")
-    return selected
-
-
-def undocumented_items(module_name: str) -> list[str]:
-    """Public items of one module lacking a docstring (empty = clean)."""
-    path = module_files()[module_name]
-    tree = ast.parse(path.read_text(), filename=str(path))
-    return [item for _, item in undocumented_in_tree(tree)]
-
-
-def main(argv: list[str]) -> int:
-    """Lint the requested modules; returns a process exit code."""
-    if argv and argv[0] == "--pages":
-        if len(argv) > 1:
-            raise SystemExit("--pages takes no further arguments")
-        return pages_main()
-    failures = 0
-    for module_name in iter_modules(argv):
-        for item in undocumented_items(module_name):
-            print(f"{module_name}: undocumented public item: {item}")
-            failures += 1
-    if failures:
-        print(f"docs lint: {failures} undocumented public item(s)")
-        return 1
-    print("docs lint: all public items documented")
-    return 0
-
-
-# -- docs/ page lint (--pages) -------------------------------------------------
-
 DOCS_DIR = REPO_ROOT / "docs"
 README_PATH = REPO_ROOT / "README.md"
 
@@ -162,6 +86,13 @@ def pages_main() -> int:
     n = len(docs_pages())
     print(f"docs pages lint: {n} page(s) linked from README, snippets compile")
     return 0
+
+
+def main(argv: list[str]) -> int:
+    """Command line: ``--pages`` is the one mode; returns the exit code."""
+    if argv != ["--pages"]:
+        raise SystemExit("usage: python tools/check_docs.py --pages")
+    return pages_main()
 
 
 if __name__ == "__main__":

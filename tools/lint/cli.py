@@ -2,7 +2,7 @@
 
 Examples
 --------
-Lint the default targets against the checked-in baseline::
+Lint the default targets (the four trees ``tools/ci.sh`` and tier-1 lint)::
 
     python -m tools.lint
 
@@ -10,16 +10,12 @@ Lint specific paths, machine-readable::
 
     python -m tools.lint src/repro tests --format json
 
-Accept the current findings as known debt::
-
-    python -m tools.lint --write-baseline
-
 Developer help for one rule::
 
     python -m tools.lint --explain REP003
 
-Exit codes: 0 clean (modulo baseline), 1 non-baselined findings,
-2 usage / framework error.
+Exit codes: 0 clean, 1 findings, 2 usage / framework error.  There is no
+baseline: a finding is fixed, or suppressed inline with a reason.
 """
 
 from __future__ import annotations
@@ -30,19 +26,19 @@ import subprocess
 import sys
 from pathlib import Path
 
-from tools.lint.baseline import DEFAULT_BASELINE, Baseline
 from tools.lint.core import LintError, all_rules, iter_python_files, run_lint
 
-#: Linted when no paths are given (matches tools/ci.sh).
-DEFAULT_PATHS = ("src/repro", "tests")
+#: Linted when no paths are given (matches tools/ci.sh and tier-1's
+#: ``tests/lint/test_cli.py::TestRealTree``).
+DEFAULT_PATHS = ("src/repro", "tests", "benchmarks", "tools")
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse CLI definition."""
     parser = argparse.ArgumentParser(
         prog="python -m tools.lint",
-        description="repro-lint: AST-based determinism/clock/lock/docs/"
-        "layering contracts for the repro codebase.",
+        description="repro-lint: AST-based determinism/clock/lock/layering/"
+        "resource-lifecycle contracts for the repro codebase.",
     )
     parser.add_argument(
         "paths",
@@ -52,61 +48,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif", "github"),
+        choices=("text", "json"),
         default="text",
-        help="report format (default: text); sarif emits a SARIF 2.1.0 log "
-        "for GitHub code scanning, github emits workflow-command "
-        "annotations (::error file=...)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the per-file rule pass (the summary "
-        "pass stays serial); default 1",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="enable the warm-run cache in DIR (IRs by content hash, "
-        "findings by content hash + dependency signature)",
-    )
-    parser.add_argument(
-        "--no-summaries",
-        action="store_true",
-        help="disable the interprocedural layer (call graph + effect "
-        "summaries + cache); rules fall back to per-function analysis",
+        help="report format (default: text)",
     )
     parser.add_argument(
         "--root",
         type=Path,
         default=None,
-        help="repository root for relative paths/baseline (default: cwd)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline file (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring the baseline",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept the current findings: rewrite the baseline and exit 0",
-    )
-    parser.add_argument(
-        "--strict-baseline",
-        action="store_true",
-        help="fail (exit 1) on stale baseline entries, not just new findings "
-        "-- keeps the baseline an honest debt ledger in CI",
+        help="repository root for relative paths (default: cwd)",
     )
     parser.add_argument(
         "--changed-only",
@@ -185,7 +135,6 @@ def main(argv: list[str] | None = None) -> int:
         return _list_rules()
 
     root = (args.root or Path.cwd()).resolve()
-    baseline_path = args.baseline if args.baseline is not None else root / DEFAULT_BASELINE
     select = args.select.split(",") if args.select else None
 
     try:
@@ -196,81 +145,30 @@ def main(argv: list[str] | None = None) -> int:
                 p for p in iter_python_files(paths, root)
                 if p.resolve() in changed
             ]
-        if args.jobs < 1:
-            raise LintError(f"--jobs must be >= 1, got {args.jobs}")
-        report = run_lint(
-            paths,
-            root=root,
-            select=select,
-            jobs=args.jobs,
-            use_summaries=not args.no_summaries,
-            cache_dir=args.cache_dir,
-        )
+        report = run_lint(paths, root=root, select=select)
     except LintError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        Baseline.from_findings(report.findings).write(baseline_path)
-        print(
-            f"repro-lint: baseline written to {baseline_path} "
-            f"({len(report.findings)} finding(s) accepted)"
-        )
-        return 0
-
-    if args.no_baseline:
-        baseline = Baseline()
-    else:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except LintError as exc:
-            print(f"repro-lint: error: {exc}", file=sys.stderr)
-            return 2
-    split = baseline.apply(report.findings)
-
-    if args.format == "sarif":
-        from tools.lint.sarif import render_sarif
-
-        print(json.dumps(render_sarif(split.new, all_rules()), indent=2))
-    elif args.format == "github":
-        from tools.lint.github import render_github
-
-        for line in render_github(split.new, all_rules()):
-            print(line)
-    elif args.format == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {
                     "files": report.n_files,
-                    "findings": [f.to_dict() for f in split.new],
-                    "baselined": [f.to_dict() for f in split.known],
-                    "stale_baseline": split.stale,
+                    "findings": [f.to_dict() for f in report.findings],
                     "suppressed": report.n_suppressed,
                 },
                 indent=2,
             )
         )
     else:
-        for finding in split.new:
+        for finding in report.findings:
             print(finding.render())
-        for fp in split.stale:
-            print(f"repro-lint: stale baseline entry (fixed? prune it): {fp}")
         print(
-            f"repro-lint: {len(split.new)} finding(s) in {report.n_files} "
-            f"file(s) ({len(split.known)} baselined, "
-            f"{report.n_suppressed} suppressed, {len(split.stale)} stale "
-            "baseline entr(y/ies))"
+            f"repro-lint: {len(report.findings)} finding(s) in "
+            f"{report.n_files} file(s) ({report.n_suppressed} suppressed)"
         )
-        if args.strict_baseline and split.stale:
-            print(
-                "repro-lint: --strict-baseline: prune the stale entr(y/ies) "
-                "above from the baseline (the findings are fixed)"
-            )
-    if split.new:
-        return 1
-    if args.strict_baseline and split.stale:
-        return 1
-    return 0
+    return 1 if report.findings else 0
 
 
 if __name__ == "__main__":

@@ -2,10 +2,11 @@
 
 The framework is deliberately small and dependency-free: rules operate on
 the stdlib :mod:`ast` of one file at a time (plus a little repo-level
-context such as the module's dotted name), findings carry a *stable
-fingerprint* so a checked-in baseline can tolerate pre-existing debt
-without pinning line numbers, and inline ``# repro-lint: disable=REP001``
-comments suppress individual findings at the offending line.
+context such as the module's dotted name), findings carry a line-free
+*fingerprint* so a report can be compared across edits, and inline
+``# repro-lint: disable=REP001`` comments suppress individual findings
+at the offending line.  There is no baseline: a finding fails the run
+until it is fixed or suppressed with a reason.
 
 Vocabulary
 ----------
@@ -15,11 +16,11 @@ Rule
 Finding
     One violation: (rule, file, line, message, symbol).  The ``symbol`` is
     a line-number-free context string (e.g. ``ClusterScheduler.__init__``)
-    used to build the baseline fingerprint, so unrelated edits above a
-    finding do not invalidate the baseline.
+    used to build the fingerprint, so unrelated edits above a finding do
+    not change its identity.
 Suppression
     ``# repro-lint: disable=REP001`` (or ``disable=all``) on the finding's
-    line, or ``# repro-lint: disable-file=REP004`` anywhere in the file.
+    line, or ``# repro-lint: disable-file=REP003`` anywhere in the file.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Line-number-free identity used by the baseline."""
+        """Line-number-free identity of the finding."""
         return f"{self.path}::{self.rule}::{self.symbol}"
 
     def render(self) -> str:
@@ -75,11 +76,6 @@ class FileContext:
     source: str
     tree: ast.Module
     module_name: str | None  # dotted ``repro.x.y`` when under src/, else None
-    #: The :class:`~tools.lint.summaries.ProjectSummaries` of this run,
-    #: or None when interprocedural analysis is disabled.  Rules that can
-    #: use call-graph facts check for it and degrade to their
-    #: per-function behaviour without it.
-    project: object | None = None
 
     @property
     def package(self) -> str | None:
@@ -128,13 +124,6 @@ class Rule:
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         """Yield findings for one file (may be empty)."""
         raise NotImplementedError
-
-    def finish(self) -> Iterator[Finding]:
-        """Yield repo-level findings after every file was checked.
-
-        Most rules are file-local and use the default (empty) hook.
-        """
-        return iter(())
 
 
 _REGISTRY: dict[str, Rule] = {}
@@ -251,13 +240,11 @@ def make_context(path: Path, root: Path) -> FileContext:
 
 @dataclass
 class LintReport:
-    """Outcome of one lint run (before baseline filtering)."""
+    """Outcome of one lint run."""
 
     findings: list[Finding]
     n_suppressed: int
     n_files: int
-    #: Files whose findings were replayed from the warm cache.
-    n_from_cache: int = 0
 
 
 def _filter_rules(select: Iterable[str] | None) -> dict[str, Rule]:
@@ -272,221 +259,28 @@ def _filter_rules(select: Iterable[str] | None) -> dict[str, Rule]:
     return rules
 
 
-def _relpath_of(path: Path, root: Path) -> str:
-    """Repo-relative posix path (absolute posix when outside the root)."""
-    try:
-        return path.resolve().relative_to(root.resolve()).as_posix()
-    except ValueError:
-        return path.as_posix()
-
-
-def _lint_one_file(
-    path: Path, root: Path, rules: dict[str, Rule], project
-) -> tuple[str, list[Finding], int]:
-    """Run the per-file rule pass; returns (relpath, findings, n_suppressed)."""
-    ctx = make_context(path, root)
-    ctx.project = project
-    supp = Suppressions.parse(ctx.source)
-    findings: list[Finding] = []
-    n_suppressed = 0
-    for rule in rules.values():
-        for finding in rule.check(ctx):
-            if supp.covers(finding):
-                n_suppressed += 1
-            else:
-                findings.append(finding)
-    return ctx.relpath, findings, n_suppressed
-
-
-# The --jobs worker pool: each process builds its rule instances once and
-# receives the (pure-data) project summaries through the initializer.
-_WORKER: dict = {}
-
-
-def _worker_init(root_str: str, select: tuple[str, ...] | None, project) -> None:
-    _WORKER["root"] = Path(root_str)
-    _WORKER["rules"] = _filter_rules(select)
-    _WORKER["project"] = project
-
-
-def _worker_lint(path_str: str) -> tuple[str, list[Finding], int]:
-    return _lint_one_file(
-        Path(path_str), _WORKER["root"], _WORKER["rules"], _WORKER["project"]
-    )
-
-
-def _build_project(files: list[Path], root: Path, cache):
-    """Serial summary pass: extract (or reuse cached) IRs, link, converge.
-
-    Returns ``(project, shas)`` where ``shas`` maps relpath to the file's
-    content hash (reused for the findings-cache key).
-    """
-    from tools.lint.cache import content_hash
-    from tools.lint.summaries import build_project, extract_ir
-
-    irs = {}
-    shas: dict[str, str] = {}
-    for path in files:
-        data = path.read_bytes()
-        sha = content_hash(data)
-        relpath = _relpath_of(path, root)
-        shas[relpath] = sha
-        ir = cache.get_ir(relpath, sha) if cache is not None else None
-        if ir is None:
-            source = data.decode("utf-8")
-            try:
-                tree = ast.parse(source, filename=str(path))
-            except SyntaxError as exc:
-                raise LintError(f"{path}: syntax error: {exc}") from exc
-            ir = extract_ir(tree, source, relpath)
-            if cache is not None:
-                cache.put_ir(relpath, sha, ir)
-        irs[relpath] = ir
-    return build_project(irs), shas
-
-
 def run_lint(
     paths: Iterable[str | Path],
     root: Path,
     select: Iterable[str] | None = None,
-    *,
-    jobs: int = 1,
-    use_summaries: bool = True,
-    cache_dir: str | Path | None = None,
 ) -> LintReport:
-    """Run all (or ``select``-ed) rules over the given paths.
-
-    The run has two passes.  The serial *summary pass* extracts per-file
-    IRs, links the project call graph and converges the effect summaries
-    (skipped with ``use_summaries=False``, which also disables the
-    cache -- findings keys depend on summary signatures).  The *rule
-    pass* lints each file and fans out over ``jobs`` worker processes
-    when asked; with a ``cache_dir``, files whose content hash and
-    dependency signature both match the cache replay their findings
-    without re-parsing or re-linting.
-    """
-    select = tuple(select) if select is not None else None
+    """Run all (or ``select``-ed) rules over the given paths, file by file."""
     rules = _filter_rules(select)
-    select_key = ",".join(sorted(rules))
     files = iter_python_files(paths, root)
-    cache = None
-    if cache_dir is not None and use_summaries:
-        from tools.lint.cache import LintCache
-
-        cache = LintCache(cache_dir)
-
-    project = None
-    shas: dict[str, str] = {}
-    if use_summaries:
-        project, shas = _build_project(files, root, cache)
-
     findings: list[Finding] = []
     n_suppressed = 0
-    n_from_cache = 0
-    to_run: list[tuple[Path, str | None]] = []  # (path, findings-cache key)
-    if cache is not None:
-        from tools.lint.cache import LintCache as _LC
-
-        for path in files:
-            relpath = _relpath_of(path, root)
-            key = _LC.findings_key(
-                shas[relpath],
-                project.dependency_signature(relpath),
-                select_key,
-            )
-            hit = cache.get_findings(relpath, key)
-            if hit is None:
-                to_run.append((path, key))
-            else:
-                cached_findings, cached_suppressed = hit
-                findings.extend(
-                    Finding(
-                        rule=f["rule"],
-                        path=f["path"],
-                        line=f["line"],
-                        message=f["message"],
-                        symbol=f["symbol"],
-                    )
-                    for f in cached_findings
-                )
-                n_suppressed += cached_suppressed
-                n_from_cache += 1
-    else:
-        to_run = [(path, None) for path in files]
-
-    # Cross-file `finish()` state only exists on the serial, no-project
-    # path (with summaries the lifted rules report everything in check()),
-    # so parallel execution without summaries falls back to one process.
-    if project is None and jobs > 1:
-        jobs = 1
-
-    if jobs > 1 and len(to_run) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        keys = {str(path): key for path, key in to_run}
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_worker_init,
-            initargs=(str(root), select, project),
-        ) as pool:
-            results = list(
-                pool.map(_worker_lint, [str(path) for path, _ in to_run])
-            )
-        for (relpath, file_findings, file_suppressed), (path, _) in zip(
-            results, to_run
-        ):
-            findings.extend(file_findings)
-            n_suppressed += file_suppressed
-            if cache is not None:
-                cache.put_findings(
-                    relpath,
-                    keys[str(path)],
-                    [f.to_dict() for f in file_findings],
-                    file_suppressed,
-                )
-    else:
-        supp_by_path: dict[str, Suppressions] = {}
-        for path, key in to_run:
-            ctx = make_context(path, root)
-            ctx.project = project
-            supp = Suppressions.parse(ctx.source)
-            supp_by_path[ctx.relpath] = supp
-            file_findings: list[Finding] = []
-            file_suppressed = 0
-            for rule in rules.values():
-                for finding in rule.check(ctx):
-                    if supp.covers(finding):
-                        file_suppressed += 1
-                    else:
-                        file_findings.append(finding)
-            findings.extend(file_findings)
-            n_suppressed += file_suppressed
-            if cache is not None and key is not None:
-                cache.put_findings(
-                    ctx.relpath,
-                    key,
-                    [f.to_dict() for f in file_findings],
-                    file_suppressed,
-                )
-        # Repo-level findings honour the suppressions of the file they
-        # point at, same as per-file findings (REP010's no-project mode
-        # reports call sites discovered only after every file was read).
+    for path in files:
+        ctx = make_context(path, root)
+        supp = Suppressions.parse(ctx.source)
         for rule in rules.values():
-            for finding in rule.finish():
-                supp = supp_by_path.get(finding.path)
-                if supp is not None and supp.covers(finding):
+            for finding in rule.check(ctx):
+                if supp.covers(finding):
                     n_suppressed += 1
                 else:
                     findings.append(finding)
-
-    if cache is not None:
-        cache.save()
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return LintReport(
-        findings=findings,
-        n_suppressed=n_suppressed,
-        n_files=len(files),
-        n_from_cache=n_from_cache,
+        findings=findings, n_suppressed=n_suppressed, n_files=len(files)
     )
 
 

@@ -1,10 +1,9 @@
 """Intraprocedural dataflow: per-function CFG + forward worklist analysis.
 
 This module turns one function body into a control-flow graph and runs
-client-defined forward analyses over it.  It is the engine under the
-REP009-REP012 rule families (resource lifecycle, async discipline,
-publish protocol, array contracts), but knows nothing about any rule:
-clients supply the lattice (initial state, transfer function, merge).
+client-defined forward analyses over it.  It is the engine under REP009
+(resource lifecycle), but knows nothing about the rule: the client
+supplies the lattice (initial state, transfer function, merge).
 
 CFG model
 ---------

@@ -2,19 +2,13 @@
 
 Add a new rule by creating a module here with a ``@register``-decorated
 :class:`tools.lint.core.Rule` subclass and importing it below (see
-``docs/STATIC_ANALYSIS.md`` for the full how-to).
+``docs/STATIC_ANALYSIS.md`` for the bar a new rule has to clear).
 """
 
 from tools.lint.rules import (  # noqa: F401  -- imported for registration
-    asyncdiscipline,
     clocks,
-    concurrency,
-    contracts,
     determinism,
-    docstrings,
     layering,
     locks,
-    protocols,
-    publish,
     resources,
 )

@@ -6,15 +6,6 @@ on every random draw flowing from :class:`repro.util.rng.SeedSequenceStream`.
 An unseeded ``np.random.default_rng()`` fallback or a legacy module-level
 ``np.random.*`` call silently breaks bit-identical repeat runs, which in
 turn invalidates ensemble-statistics comparisons between configurations.
-
-With the interprocedural layer (``FileContext.project``) the taint also
-crosses call boundaries: a call into a project function whose effect
-summary carries an ``rng`` chain (it transitively constructs an unseeded
-generator or draws from the hidden global state) is flagged at the call
-site with the chain -- even when this file never imports numpy itself.
-Suppressing the construction site (``# repro-lint: disable=REP001 --
-why``) clears the taint for every caller: the justification covers the
-whole chain.
 """
 
 from __future__ import annotations
@@ -98,7 +89,6 @@ Suppress a deliberate exception with `# repro-lint: disable=REP001`.
             return
         aliases = ImportAliases()
         aliases.visit(ctx.tree)
-        yield from self._tainted_calls(ctx)
         if not any(v.split(".")[0] == "numpy" for v in aliases.aliases.values()):
             return
         symbols = enclosing_symbols(ctx.tree)
@@ -153,30 +143,3 @@ Suppress a deliberate exception with `# repro-lint: disable=REP001`.
                         "default_factory) constructs an unseeded generator",
                         symbol=symbols.get(id(node), "<module>"),
                     )
-
-    def _tainted_calls(self, ctx: FileContext) -> Iterator[Finding]:
-        """Flag calls into project functions with an rng-taint summary."""
-        project = getattr(ctx, "project", None)
-        if project is None:
-            return
-        symbols = enclosing_symbols(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            summ = project.summary_for_call(ctx.relpath, node)
-            if summ is None or summ.rng is None:
-                continue
-            if isinstance(node.func, ast.Attribute):
-                name = node.func.attr
-            elif isinstance(node.func, ast.Name):
-                name = node.func.id
-            else:
-                continue
-            yield ctx.finding(
-                self,
-                node,
-                f"call to {name}() draws from non-deterministic randomness "
-                f"({name} -> {summ.rng}); thread a seeded Generator from "
-                "the caller's root seed instead",
-                symbol=f"{symbols.get(id(node), '<module>')}:rng-taint:{name}",
-            )

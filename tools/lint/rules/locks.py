@@ -26,27 +26,22 @@ from tools.lint.core import (
     resolve_dotted,
 )
 
-#: Constructors whose result makes an attribute a class-owned lock, mapped
-#: to whether the resulting lock is reentrant (REP006 allows nested
-#: re-acquisition of reentrant locks only).  The sanitizer factories are
-#: here so swapping ``threading.Lock()`` for ``new_lock()`` keeps every
-#: lock rule engaged.
-LOCK_FACTORY_KINDS: dict[str, bool] = {
-    "threading.Lock": False,
-    "threading.RLock": True,
-    "threading.Condition": True,
-    "repro.util.sanitizer.SanitizedLock": False,
-    "repro.util.sanitizer.SanitizedRLock": True,
-    "repro.util.sanitizer.new_lock": False,
-    "repro.util.sanitizer.new_rlock": True,
-    "repro.util.SanitizedLock": False,
-    "repro.util.SanitizedRLock": True,
-    "repro.util.new_lock": False,
-    "repro.util.new_rlock": True,
+#: Constructors whose result makes an attribute a class-owned lock.  The
+#: sanitizer factories are here so swapping ``threading.Lock()`` for
+#: ``new_lock()`` keeps the rule engaged.
+LOCK_FACTORIES = {
+    "threading.Lock",
+    "threading.RLock",
+    "threading.Condition",
+    "repro.util.sanitizer.SanitizedLock",
+    "repro.util.sanitizer.SanitizedRLock",
+    "repro.util.sanitizer.new_lock",
+    "repro.util.sanitizer.new_rlock",
+    "repro.util.SanitizedLock",
+    "repro.util.SanitizedRLock",
+    "repro.util.new_lock",
+    "repro.util.new_rlock",
 }
-
-#: Constructors whose result makes an attribute a class-owned lock.
-LOCK_FACTORIES = set(LOCK_FACTORY_KINDS)
 
 #: Method calls that mutate their receiver in place.
 MUTATORS = {

@@ -18,21 +18,18 @@ the function's responsibility:
 - it is passed to a call on a line annotated
   ``# repro-lint: takes-ownership -- why``.
 
-With the interprocedural layer (``FileContext.project``), ownership also
-follows *calls*: ``x = make_buffer()`` is an acquire site when the
-helper's effect summary says it returns a tracked resource; ``release(x)``
-discharges the obligation when the helper closes its parameter;
-``registry.stash(x)`` escapes it when the callee stores the parameter on
-long-lived state; and ``y = passthrough(x)`` keeps the obligation alive
-on ``y`` when the callee returns its argument.  A resolved callee that
-touches none of these leaves the obligation PENDING -- passing a buffer
-to a pure helper no longer launders the leak.
+The analysis is per function.  Passing a tracked resource *into* a
+call whose result is bound (``wrapped = Wrapper(buf)``) is a conservative
+escape -- the wrapper owns it now; a bare ``helper(buf)`` statement moves
+nothing, so a helper that really takes the resource over says so with the
+``takes-ownership`` annotation.
 
 A site still PENDING at the function exit (on any path: merge keeps the
 leak) is reported at the acquire line.  Exceptional edges from arbitrary
 expressions are deliberately not modelled (see ``dataflow``): the rule
 flags leaks on *explicit* paths -- early returns, branches, raises --
-which is exactly where the PR-5/6 fault-path leaks lived.
+which is exactly where the PR-5/6 fault-path leaks and PR 8's covfile
+``read()`` memmap leak lived.
 """
 
 from __future__ import annotations
@@ -49,23 +46,36 @@ from tools.lint.core import (
     register,
     resolve_dotted,
 )
-from tools.lint import vocab
 from tools.lint.dataflow import analyze_forward, build_cfg, iter_function_defs
 
 #: Resolved dotted constructors whose result carries a release obligation.
-#: (Shared with the effect-summary engine -- see :mod:`tools.lint.vocab`.)
-RESOURCE_FACTORIES = vocab.RESOURCE_FACTORIES
+RESOURCE_FACTORIES = {
+    "numpy.memmap",
+    "numpy.lib.format.open_memmap",
+    "multiprocessing.shared_memory.SharedMemory",
+    "socket.socket",
+    "socket.create_connection",
+    "os.open",
+    "concurrent.futures.ThreadPoolExecutor",
+    "concurrent.futures.ProcessPoolExecutor",
+}
 
 #: Bare class names that carry an obligation even when the import cannot
 #: be resolved (the repo's own resource classes are imported many ways).
-RESOURCE_CLASS_NAMES = vocab.RESOURCE_CLASS_NAMES
+RESOURCE_CLASS_NAMES = {
+    "SharedEnsembleBuffer",
+    "MemmapCovarianceStore",
+    "SharedMemory",
+    "ThreadPoolExecutor",
+    "ProcessPoolExecutor",
+}
 
 #: Method calls that discharge the obligation on their receiver.
-RELEASE_METHODS = vocab.RELEASE_METHODS
+RELEASE_METHODS = {"close", "unlink", "shutdown", "cleanup", "terminate"}
 
 #: Method calls that store their argument for later cleanup (ownership
 #: moves to the receiver: ExitStack.enter_context, list.append, ...).
-SINK_METHODS = vocab.SINK_METHODS
+SINK_METHODS = {"append", "add", "push", "register", "enter_context", "callback"}
 
 _OWNERSHIP_MARK = "takes-ownership"
 
@@ -98,13 +108,6 @@ def _acquire_call(call: ast.expr, aliases: dict[str, str]) -> str | None:
 def _names_in(node: ast.AST) -> set[str]:
     """All bare ``Name`` identifiers appearing under a node."""
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-
-def _summary_effects(project, relpath: str, call: ast.Call):
-    """Resolved-call effect lookup (see :func:`summaries.call_param_effects`)."""
-    from tools.lint.summaries import call_param_effects
-
-    return call_param_effects(project, relpath, call)
 
 
 class _State:
@@ -210,16 +213,13 @@ or transfer ownership explicitly:
         symbols: dict[int, str],
         ownership_lines: set[int],
     ) -> Iterator[Finding]:
-        project = getattr(ctx, "project", None)
-        sites = self._acquire_sites(func, aliases, project, ctx.relpath)
+        sites = self._acquire_sites(func, aliases)
         if not sites:
             return
         cfg = build_cfg(func)
 
         def transfer(node, state: _State) -> _State:
-            return self._transfer(
-                node, state, sites, aliases, ownership_lines, project, ctx.relpath
-            )
+            return self._transfer(node, state, sites, aliases, ownership_lines)
 
         in_states = analyze_forward(cfg, _State({}, {}), transfer, _merge)
         exit_state = in_states.get(cfg.exit)
@@ -244,14 +244,8 @@ or transfer ownership explicitly:
             )
 
     @staticmethod
-    def _acquire_sites(
-        func, aliases: dict[str, str], project=None, relpath: str = ""
-    ) -> dict[int, tuple]:
-        """Map Assign-node id -> site key for tracked acquires.
-
-        With a project, ``x = make_buffer()`` acquires when the callee's
-        summary says the return value carries a release obligation.
-        """
+    def _acquire_sites(func, aliases: dict[str, str]) -> dict[int, tuple]:
+        """Map Assign-node id -> site key for tracked acquires."""
         sites: dict[int, tuple] = {}
         for node in ast.walk(func):
             if (
@@ -260,10 +254,6 @@ or transfer ownership explicitly:
                 and isinstance(node.targets[0], ast.Name)
             ):
                 label = _acquire_call(node.value, aliases)
-                if label is None and isinstance(node.value, ast.Call):
-                    summ, _ = _summary_effects(project, relpath, node.value)
-                    if summ is not None and summ.returns_resource is not None:
-                        label = f"{summ.returns_resource} (via helper)"
                 if label is not None:
                     var = node.targets[0].id
                     sites[id(node)] = (node.lineno, var, label)
@@ -276,31 +266,28 @@ or transfer ownership explicitly:
         sites: dict[int, tuple],
         aliases: dict[str, str],
         ownership_lines: set[int],
-        project=None,
-        relpath: str = "",
     ) -> _State:
         out = state.copy()
         stmt = node.stmt
         if node.kind == "with" and isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
-                self._with_item(out, item, aliases)
+                self._with_item(out, item)
             return out
         if node.kind in ("entry", "exit", "with_exit", "except", "loop_head"):
             return out
         if stmt is None:
             return out
         if isinstance(stmt, ast.Assign):
-            self._assign(out, stmt, sites, ownership_lines, project, relpath)
+            self._assign(out, stmt, sites)
         elif isinstance(stmt, (ast.Return, ast.Raise)):
             if stmt_value := getattr(stmt, "value", None):
                 self._escape_names(out, _names_in(stmt_value))
         elif isinstance(stmt, ast.Expr):
-            self._expr(out, stmt.value, ownership_lines, aliases, project, relpath)
-        elif isinstance(stmt, (ast.If, ast.While)) or node.kind == "branch":
-            pass  # tests don't move ownership
+            self._expr(out, stmt.value, ownership_lines, aliases)
+        # Branch and loop tests don't move ownership.
         return out
 
-    def _with_item(self, out: _State, item: ast.withitem, aliases) -> None:
+    def _with_item(self, out: _State, item: ast.withitem) -> None:
         expr = item.context_expr
         # `with <acquire>() as f:` -- managed, never an obligation; the
         # bound name must not shadow a tracked site.
@@ -318,15 +305,7 @@ or transfer ownership explicitly:
         if isinstance(item.optional_vars, ast.Name):
             out.env.pop(item.optional_vars.id, None)
 
-    def _assign(
-        self,
-        out: _State,
-        stmt: ast.Assign,
-        sites,
-        ownership_lines,
-        project=None,
-        relpath: str = "",
-    ) -> None:
+    def _assign(self, out: _State, stmt: ast.Assign, sites) -> None:
         site = sites.get(id(stmt))
         if site is not None:
             # Fresh acquire.  Rebinding over a pending site leaves the old
@@ -345,63 +324,16 @@ or transfer ownership explicitly:
                     out.env.pop(target.id, None)
                 return
             if isinstance(stmt.value, ast.Call):
-                marked = stmt.value.lineno in ownership_lines or getattr(
-                    stmt.value, "end_lineno", stmt.value.lineno
-                ) in ownership_lines
-                if marked:
-                    # The explicit annotation always wins over inference.
-                    self._escape_call_args(out, stmt.value, always=True)
-                elif self._call_moves(out, stmt.value, target, project, relpath):
-                    return  # target aliases a still-live site
+                # `wrapped = Wrapper(buf)`: the wrapper owns every
+                # argument now (conservative escape).
+                self._escape_call_args(out, stmt.value)
             out.env.pop(target.id, None)
             return
         # Attribute/subscript/tuple target: everything on the rhs escapes
         # into longer-lived storage.
         self._escape_names(out, _names_in(stmt.value))
 
-    def _call_moves(
-        self, out: _State, call: ast.Call, target: ast.Name, project, relpath
-    ) -> bool:
-        """Apply a call's ownership effects on its arguments.
-
-        Returns True when the callee returns one of its arguments and the
-        assignment target therefore aliases that argument's site (the
-        obligation stays live under the new name).  Without a resolved
-        summary the call is treated as ``wrapped = Wrapper(buf)``: the
-        wrapper owns every argument now (conservative escape).
-        """
-        summ, pairs = _summary_effects(project, relpath, call)
-        if summ is None or summ.unknown_calls:
-            self._escape_call_args(out, call, always=True)
-            return False
-        aliased = False
-        for arg, idx in pairs:
-            if not isinstance(arg, ast.Name):
-                self._escape_names(out, _names_in(arg))
-                continue
-            site = out.env.get(arg.id)
-            if site is None:
-                continue
-            if idx in summ.close_params:
-                out.status[site] = _RELEASED
-            elif idx in summ.store_params:
-                out.status[site] = _ESCAPED
-            elif idx in summ.returns_params:
-                out.env[target.id] = site
-                aliased = True
-            # Untouched parameters keep their pending obligation: the
-            # resolved callee provably neither releases nor stores them.
-        return aliased
-
-    def _expr(
-        self,
-        out: _State,
-        value: ast.expr,
-        ownership_lines,
-        aliases,
-        project=None,
-        relpath: str = "",
-    ) -> None:
+    def _expr(self, out: _State, value: ast.expr, ownership_lines, aliases) -> None:
         if not isinstance(value, ast.Call):
             return
         func = value.func
@@ -421,37 +353,16 @@ or transfer ownership explicitly:
                 out.status[site] = _RELEASED
                 return
             if func.attr in SINK_METHODS:
-                self._escape_call_args(out, value, always=True)
+                self._escape_call_args(out, value)
                 return
         if value.lineno in ownership_lines or getattr(
             value, "end_lineno", value.lineno
         ) in ownership_lines:
-            # The explicit human annotation always wins over inference.
-            self._escape_call_args(out, value, always=True)
-            return
-        summ, pairs = _summary_effects(project, relpath, value)
-        if summ is not None:
-            # Receiver of a bound method is the callee's parameter 0
-            # (self): `buf.release_all()` where release_all closes self.
-            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-                site = out.env.get(func.value.id)
-                if site is not None:
-                    if 0 in summ.close_params:
-                        out.status[site] = _RELEASED
-                    elif 0 in summ.store_params:
-                        out.status[site] = _ESCAPED
-            for arg, idx in pairs:
-                if not isinstance(arg, ast.Name):
-                    continue
-                site = out.env.get(arg.id)
-                if site is None:
-                    continue
-                if idx in summ.close_params:
-                    out.status[site] = _RELEASED
-                elif idx in summ.store_params or summ.unknown_calls:
-                    out.status[site] = _ESCAPED
+            # The explicit human annotation is the only way a bare call
+            # statement takes a resource over.
+            self._escape_call_args(out, value)
 
-    def _escape_call_args(self, out: _State, call: ast.Call, always: bool) -> None:
+    def _escape_call_args(self, out: _State, call: ast.Call) -> None:
         for arg in list(call.args) + [kw.value for kw in call.keywords]:
             self._escape_names(out, _names_in(arg))
 
