@@ -93,10 +93,10 @@ class ConvergenceCriterion:
             The new estimate.
         count:
             Ensemble size to record in the history (defaults to
-            ``subspace.n_samples``).  The parallel SVD worker passes the
-            snapshot count explicitly so that history entries name the
-            published ensemble size even when one snapshot satisfies
-            several growth checkpoints at once.
+            ``subspace.n_samples``).  The stage loop passes the snapshot
+            count explicitly so that history entries name the published
+            ensemble size even when one snapshot satisfies several
+            growth checkpoints at once.
         """
         rho = None
         if self._previous is not None:

@@ -8,8 +8,9 @@ member execution -- perturb, integrate, return the forecast vector -- as a
 pure function of (mean state, member index), which both the in-process
 driver and the many-task workflow reuse.  :func:`grow_ensemble` is the
 staged growth itself (Fig 2 ii-iv), written once for
-:meth:`repro.core.driver.ESSEDriver.forecast` and
-:meth:`repro.workflow.ensemble.EnsembleEngine.run`.
+:meth:`repro.core.driver.ESSEDriver.forecast`,
+:meth:`repro.workflow.ensemble.EnsembleEngine.run` and the Fig 3 / Fig 4
+workflows.
 """
 
 from __future__ import annotations
@@ -171,8 +172,14 @@ def grow_ensemble(
     telemetry,
     started: float,
     rng: np.random.Generator | None = None,
+    on_check: Callable | None = None,
 ) -> EnsembleGrowth:
     """The Fig 2 stage loop: grow, propagate, fold, SVD, test, stop.
+
+    A stage that leaves the sink's count where the last check found it
+    -- every member failed, or a client running ahead already delivered
+    them -- is neither factored nor tested: the same columns would give
+    a similarity of 1 and a false convergence.
 
     Parameters
     ----------
@@ -181,7 +188,8 @@ def grow_ensemble(
     propagate:
         ``propagate(indices, deliver)`` runs one stage's member indices
         and calls ``deliver(result)`` once per :class:`MemberResult`,
-        from the calling thread.
+        from the calling thread.  It may deliver members of later
+        stages too.
     sink:
         Where columns go: ``add_member(index, forecast)``, ``count``,
         ``member_ids``, and ``view()`` returning ``columns`` / ``count`` /
@@ -194,11 +202,15 @@ def grow_ensemble(
         Sketch generator of the subspace estimator.  The driver keys it
         on its root seed; the engine passes none (the estimators' fixed
         keyed-stream fallback) -- the one difference between the two.
+    on_check:
+        Called after every check as ``on_check(count, subspace, rho,
+        converged)``; the Fig 4 workflow logs its events from it.
     """
     criterion = ConvergenceCriterion(tolerance=config.convergence_tolerance)
     estimator = config.subspace_estimator(rng=rng)
     failed: list[int] = []
     subspace = None
+    checked = 0  # sink count at the last check
 
     def deliver(result: MemberResult) -> None:
         """Fold one member result into the sink."""
@@ -213,18 +225,21 @@ def grow_ensemble(
         next_index = stage_target
         with telemetry.span("stage.propagate", round=round_no, size=len(indices)):
             propagate(indices, deliver)
-        if sink.count >= 2:
+        if sink.count >= 2 and sink.count > checked:
             with telemetry.span("stage.svd", count=sink.count) as span:
                 view = sink.view()
                 subspace = estimator.update(view.columns, view.count, view.scale)
                 rho = criterion.update(subspace, count=view.count)
                 span.set(path=estimator.last_path, rank=subspace.rank)
+            checked = view.count
             telemetry.event(
                 "convergence_check",
                 count=view.count,
                 rho=rho,
                 converged=criterion.converged,
             )
+            if on_check is not None:
+                on_check(view.count, subspace, rho, criterion.converged)
         if criterion.converged:
             break
         if (

@@ -1,18 +1,19 @@
 """Shared task-execution vocabulary for the execution layers.
 
 Table 1 of the paper gives the single-task CPU times on the local
-cluster's Opteron 250 reference node; both execution layers consume
-them -- the sched simulator to calibrate its clusters and Grid/EC2
-site models, and the workflow DAG analysis as default task durations.
-They live in ``core`` (not ``sched``) so that ``workflow`` and ``sched``
-can both read them without importing each other: this module replaced
-the last ``workflow -> sched`` edge, making the package DAG (REP005)
-cycle-free.  :class:`DegradedEnsembleWarning` lives here for the same
-reason: both the workflow task pools and the core tiled analysis raise
-it, and ``core`` must not import ``workflow``.
+cluster's Opteron 250 reference node; the sched simulator calibrates its
+clusters and Grid/EC2 site models from them.  They live in ``core`` (not
+``sched``) because a workflow task-graph analysis, since deleted, read
+them too: this module replaced the last ``workflow -> sched`` edge,
+making the package DAG (REP005) cycle-free.
+:class:`DegradedEnsembleWarning` lives here because both the workflow
+task pools and the core tiled analysis raise it, and ``core`` must not
+import ``workflow``.
 """
 
 from __future__ import annotations
+
+import warnings
 
 
 class DegradedEnsembleWarning(UserWarning):
@@ -24,6 +25,18 @@ class DegradedEnsembleWarning(UserWarning):
     pool (lost forecast members) and by the tiled analysis (tiles that
     keep their prior after retries are exhausted).
     """
+
+
+def warn_lost_members(n_lost: int) -> None:
+    """Warn the caller of a staged run that ``n_lost`` members were lost."""
+    warnings.warn(
+        f"ensemble degraded: {n_lost} member(s) lost terminally "
+        "(retries exhausted or disabled); the error subspace is "
+        "estimated from the surviving members only (see "
+        "docs/FAILURE_MODEL.md)",
+        DegradedEnsembleWarning,
+        stacklevel=3,
+    )
 
 
 #: Measured single-task reference times on the local Opteron 250 (Table 1).

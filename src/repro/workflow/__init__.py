@@ -11,16 +11,18 @@ serial ESSE job shepherd (Fig 3) into a decoupled many-task pipeline
   memmap column store published through a versioned header
   (``docs/COVFILE_PROTOCOL.md``),
 - :mod:`~repro.workflow.serial` -- the serial implementation with its four
-  bottlenecks, instrumented so the benches can show them,
+  bottlenecks, instrumented so the benches can show them, a client of the
+  one stage loop :func:`repro.core.ensemble.grow_ensemble`,
 - :mod:`~repro.workflow.pool` -- the one fault-tolerant task pool
   (retry/backoff, straggler cancel-and-replace, fault injection, loss)
   that members, shared-memory member columns and analysis tiles all run
   on, and :class:`TileTaskPool`, its tile client
   (``docs/FAILURE_MODEL.md``, ``docs/ASSIMILATION.md``),
 - :mod:`~repro.workflow.parallel` -- the MTC implementation: the Fig 4
-  choreography (staged pool growth ahead of the next checkpoint, a
-  continuously running differ, a decoupled SVD/convergence worker,
-  cancellation of superfluous members) as a client of that pool,
+  pipeline (a pool kept ahead of the stage being grown, a differ folding
+  members in completion order, each stage's SVD on the published
+  snapshot, cancellation of superfluous members) as a client of that
+  pool and of the same stage loop,
 - :mod:`~repro.workflow.policies` -- cancellation and retry policies,
 - :mod:`~repro.workflow.faults` -- deterministic fault injection (crash /
   corrupt output / straggler stall / transient submit failure) for

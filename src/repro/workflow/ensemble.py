@@ -27,7 +27,6 @@ for the backend matrix and N-vs-workers guidance.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from pathlib import Path
@@ -42,7 +41,7 @@ from repro.core.ensemble import (
     MemberResult,
     grow_ensemble,
 )
-from repro.core.taskmodel import DegradedEnsembleWarning
+from repro.core.taskmodel import warn_lost_members
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import NULL_RECORDER
 from repro.workflow.covfile import MemmapCovarianceStore
@@ -383,12 +382,12 @@ def make_backend(
 
 
 class _PublishedColumns(AnomalyAccumulator):
-    """The engine's column sink: accumulate, publish, read back.
+    """The column sink of the engine and of Fig 4: accumulate, publish, read back.
 
     Every :meth:`view` ships the new columns to the
     :class:`~repro.workflow.covfile.MemmapCovarianceStore`, publishes,
-    and returns the *published* snapshot -- the same zero-copy read path
-    the Fig 4 SVD worker uses.
+    and returns the *published* snapshot, so every SVD factors what the
+    three-file protocol made visible, zero-copy.
     """
 
     def __init__(self, layout, central, store, metrics):
@@ -569,14 +568,7 @@ class EnsembleEngine:
 
         n_lost = len(growth.failed_members)
         if n_lost:
-            warnings.warn(
-                f"ensemble degraded: {n_lost} member(s) lost terminally "
-                "(retries exhausted or disabled); the error subspace is "
-                "estimated from the surviving members only (see "
-                "docs/FAILURE_MODEL.md)",
-                DegradedEnsembleWarning,
-                stacklevel=2,
-            )
+            warn_lost_members(n_lost)
         return EngineResult(
             **vars(growth),
             n_retried=self._n_retried,

@@ -228,6 +228,10 @@ class TaskPool:
         """Whether every submitted task delivered a result or was lost."""
         return len(self._resolved) == len(self._attempts)
 
+    def resolved(self, indices: Iterable[int]) -> bool:
+        """Whether every task in ``indices`` delivered a result or was lost."""
+        return self._resolved.issuperset(indices)
+
     @property
     def lost(self) -> frozenset[int]:
         """Tasks that failed with no retry left."""

@@ -4,7 +4,11 @@ A loop of N ensemble members is calculated (perturb + forecast), then the
 diff loop appends each member's difference from the central forecast to a
 single covariance file, then the SVD runs, then the convergence test; on
 failure the ensemble grows to N2 and the process repeats for members
-N+1..N2.  The implementation deliberately preserves the four bottlenecks
+N+1..N2.  The stages, SVD and test are
+:func:`repro.core.ensemble.grow_ensemble`, the loop every staged run
+shares; the shepherd supplies its ``propagate`` (the perturb/forecast
+loop, then the in-order diff loop) and its sink (the one covariance
+file).  The implementation deliberately preserves the four bottlenecks
 the paper lists:
 
 1. the diff loop cannot start before the perturb/forecast loop finishes;
@@ -13,7 +17,7 @@ the paper lists:
 4. the SVD/convergence is a large serial computation.
 
 Phase timings are telemetry spans (``serial.pert_forecast`` /
-``serial.diff`` / ``serial.svd_conv``, one per round): the
+``serial.diff`` per round, and the loop's ``stage.svd``): the
 :class:`SerialTimings` table the Fig 3 bench displays is *derived* from
 the recorded spans rather than kept in hand-rolled lists, so the same
 run exports the same Chrome-trace timeline as the parallel workflow.
@@ -26,17 +30,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion
-from repro.core.covariance import AnomalyAccumulator
+from repro.core.covariance import AnomalyAccumulator, AnomalyView
 from repro.core.driver import ESSEConfig
-from repro.core.ensemble import EnsembleRunner
+from repro.core.ensemble import EnsembleRunner, MemberResult, grow_ensemble
 from repro.core.subspace import ErrorSubspace
 from repro.telemetry.spans import TraceRecorder
 from repro.util.fsio import durable_write
 from repro.workflow.statefiles import StatusDirectory, TaskStatus
-
-#: Span-name prefix shared by the serial shepherd's phase spans.
-PHASE_PREFIX = "serial."
 
 
 @dataclass
@@ -53,23 +53,19 @@ class SerialTimings:
         """Rebuild the per-round phase table from recorded telemetry spans.
 
         Accepts any span iterable (a recorder's or a parsed run log's);
-        spans not named ``serial.<phase>`` are ignored, so a recorder
-        shared with other subsystems still yields the right table.
+        spans other than ``serial.<phase>`` and ``stage.svd`` are
+        ignored.  A round whose members added no column is not factored,
+        so it has no ``svd_conv`` entry.
         """
         timings = cls()
-        ordered = sorted(
-            (s for s in spans if s.name.startswith(PHASE_PREFIX)),
-            key=lambda s: (s.start, s.span_id),
-        )
-        for span in ordered:
-            phase = span.name[len(PHASE_PREFIX):]
-            if phase == "pert_forecast":
-                timings.pert_forecast.append(span.duration)
-            elif phase == "diff":
-                timings.diff.append(span.duration)
-            elif phase == "svd_conv":
+        for span in sorted(spans, key=lambda s: (s.start, s.span_id)):
+            if span.name == "stage.svd":  # the loop's SVD + convergence test
                 timings.svd_conv.append(span.duration)
                 timings.round_sizes.append(int(span.attr("count", 0)))
+            elif span.name == "serial.pert_forecast":
+                timings.pert_forecast.append(span.duration)
+            elif span.name == "serial.diff":
+                timings.diff.append(span.duration)
         return timings
 
     @property
@@ -97,6 +93,40 @@ class SerialResult:
     convergence_history: tuple[tuple[int, float], ...]
     timings: SerialTimings
     failed_members: tuple[int, ...]
+
+
+class _CovarianceFile(AnomalyAccumulator):
+    """Fig 3's column sink: the one covariance file.
+
+    Every member rewrites the whole file -- the serial implementation's
+    "large file" write bottleneck -- and the SVD factors what it reads
+    back from that file.
+    """
+
+    def __init__(self, layout, central, path: Path):
+        super().__init__(layout, central)
+        self.path = path
+
+    def add_member(self, member_index: int, forecast: np.ndarray) -> None:
+        """Fold one member, then rewrite the covariance file."""
+        super().add_member(member_index, forecast)
+        if self.count >= 2:
+            view = super().view()
+            durable_write(
+                self.path,
+                lambda fh: np.savez(
+                    fh, columns=view.columns, member_ids=view.member_ids
+                ),
+            )
+
+    def view(self) -> AnomalyView:
+        """The columns as the covariance file holds them."""
+        with np.load(self.path) as data:
+            return AnomalyView(
+                columns=data["columns"],
+                member_ids=tuple(data["member_ids"].tolist()),
+                version=self.version,
+            )
 
 
 class SerialESSEWorkflow:
@@ -136,97 +166,58 @@ class SerialESSEWorkflow:
     def _member_path(self, index: int) -> Path:
         return self.workdir / "members" / f"forecast_{index:05d}.npz"
 
+    def _propagate(self, mean_state, indices: range, deliver) -> None:
+        """One round: the perturb/forecast loop, then the diff loop."""
+        recorder = self.telemetry
+        # --- perturb/forecast loop (bottleneck 1: fully serial) -------------
+        with recorder.span("serial.pert_forecast", size=len(indices)):
+            for j in indices:
+                # Restart path (Sec 4.2): a member that already reported
+                # success on a previous run is reused from its file
+                # instead of being recomputed.
+                path = self._member_path(j)
+                if self.status.succeeded("pemodel", j) and path.exists():
+                    continue
+                result = self.runner.run_member(mean_state, j)
+                if result.ok:
+                    np.savez(path, forecast=result.forecast)
+                    self.status.write("pemodel", j, TaskStatus.SUCCESS)
+                else:
+                    self.status.write("pemodel", j, TaskStatus.MODEL_FAILURE)
+                    deliver(result)
+        # --- diff loop (bottleneck 2: one shared file, in order) ------------
+        with recorder.span("serial.diff", size=len(indices)):
+            for j in indices:
+                if self.status.succeeded("pemodel", j):
+                    with np.load(self._member_path(j)) as data:
+                        deliver(MemberResult(j, data["forecast"]))
+
     def run(self, mean_state) -> SerialResult:
         """Execute the serial shepherd until convergence, Nmax or Tmax."""
-        cfg = self.config
         recorder = self.telemetry
-        clock = recorder.clock
         central = self.runner.central_forecast(mean_state)
-        central_vec = self.runner.model.to_vector(central)
-        accumulator = AnomalyAccumulator(self.runner.model.layout, central_vec)
-        criterion = ConvergenceCriterion(tolerance=cfg.convergence_tolerance)
-        failed: list[int] = []
-        next_index = 0
-        subspace: ErrorSubspace | None = None
-        started = clock()
-
-        with recorder.span("workflow.serial"):
-            for round_no, stage_target in enumerate(cfg.stage_sizes()):
-                # --- perturb/forecast loop (bottleneck 1: fully serial) ---
-                batch = range(next_index, stage_target)
-                next_index = stage_target
-                with recorder.span(
-                    "serial.pert_forecast", round=round_no, size=len(batch)
-                ):
-                    for j in batch:
-                        # Restart path (Sec 4.2): a member that already
-                        # reported success on a previous run is reused from
-                        # its file instead of being recomputed.
-                        if self.status.succeeded(
-                            "pemodel", j
-                        ) and self._member_path(j).exists():
-                            continue
-                        result = self.runner.run_member(mean_state, j)
-                        if result.ok:
-                            np.savez(self._member_path(j), forecast=result.forecast)
-                            self.status.write("pemodel", j, TaskStatus.SUCCESS)
-                        else:
-                            failed.append(j)
-                            self.status.write(
-                                "pemodel", j, TaskStatus.MODEL_FAILURE
-                            )
-
-                # --- diff loop (bottleneck 2: one shared file, in order) --
-                with recorder.span("serial.diff", round=round_no):
-                    for j in sorted(self.status.successful_indices("pemodel")):
-                        if accumulator.has_member(j):
-                            continue
-                        with np.load(self._member_path(j)) as data:
-                            accumulator.add_member(j, data["forecast"])
-                        # rewrite the single covariance file after every
-                        # member -- the serial implementation's "large
-                        # file" write bottleneck
-                        if accumulator.count >= 2:
-                            durable_write(
-                                self.cov_path,
-                                lambda fh: np.savez(
-                                    fh,
-                                    anomalies=accumulator.matrix(),
-                                    member_ids=accumulator.member_ids,
-                                ),
-                            )
-
-                # --- SVD + convergence (bottlenecks 3 and 4) ---------------
-                with recorder.span(
-                    "serial.svd_conv", round=round_no, count=accumulator.count
-                ):
-                    if accumulator.count >= 2:
-                        with np.load(self.cov_path) as data:
-                            anomalies = data["anomalies"]
-                        subspace = ErrorSubspace.from_anomalies(
-                            anomalies,
-                            rank=cfg.max_subspace_rank,
-                            energy=cfg.svd_energy,
-                        )
-                        criterion.update(subspace)
-
-                if criterion.converged:
-                    break
-                if cfg.deadline_seconds is not None and (
-                    clock() - started > cfg.deadline_seconds
-                ):
-                    break
-
-        if subspace is None:
-            raise RuntimeError("no ensemble members survived the serial workflow")
-        timings = SerialTimings.from_spans(
-            s for s in recorder.spans() if s.start >= started
+        started = recorder.clock()
+        sink = _CovarianceFile(
+            self.runner.model.layout,
+            self.runner.model.to_vector(central),
+            self.cov_path,
         )
+        with recorder.span("workflow.serial"):
+            # Bottlenecks 3 and 4: the loop's SVD waits for the round.
+            growth = grow_ensemble(
+                self.config,
+                lambda indices, deliver: self._propagate(mean_state, indices, deliver),
+                sink,
+                telemetry=recorder,
+                started=started,
+            )
         return SerialResult(
-            subspace=subspace,
-            ensemble_size=accumulator.count,
-            converged=criterion.converged,
-            convergence_history=tuple(criterion.history),
-            timings=timings,
-            failed_members=tuple(failed),
+            subspace=growth.subspace,
+            ensemble_size=growth.ensemble_size,
+            converged=growth.converged,
+            convergence_history=growth.convergence_history,
+            timings=SerialTimings.from_spans(
+                s for s in recorder.spans() if s.start >= started
+            ),
+            failed_members=growth.failed_members,
         )

@@ -68,8 +68,9 @@ class TestParallelWorkflowTracing:
         names = {s.name for s in spans}
         assert "workflow.run" in names
         assert "pemodel" in names
-        assert "differ.loop" in names
-        assert "svd.loop" in names
+        # the one stage loop: the differ's propagation and the SVD it feeds
+        assert "stage.propagate" in names
+        assert "stage.svd" in names
 
         # span tree is well-formed: every parent exists and contains its kids
         by_id = {s.span_id: s for s in spans}

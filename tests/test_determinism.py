@@ -7,8 +7,9 @@ REP001 lint rule guards statically, asserted here dynamically.
 
 The replay classes compare whole runs: one fixed-seed realtime cycle must
 publish the same bytes whatever ``engine.batch_size`` the driver steps its
-ensemble with, and the driver and the engine -- two clients of the one
-stage loop, :func:`repro.core.ensemble.grow_ensemble` -- must agree.
+ensemble with, and every client of the one stage loop,
+:func:`repro.core.ensemble.grow_ensemble` -- the driver, the engine on each
+backend, the Fig 3 shepherd and the Fig 4 pipeline -- must agree.
 """
 
 import hashlib
@@ -32,6 +33,14 @@ from repro.sched.gridsites import TERAGRID_SITES, run_reserved_campaign
 from repro.sched.schedulers import ClusterScheduler, SGEPolicy
 from repro.util.linalg import randomized_svd
 from repro.util.randomfields import GaussianRandomField2D
+from repro.workflow import (
+    BatchedBackend,
+    EnsembleEngine,
+    ParallelESSEWorkflow,
+    ProcessesBackend,
+    SerialBackend,
+    SerialESSEWorkflow,
+)
 
 
 class TestDefaultStreamRepeatability:
@@ -239,6 +248,101 @@ class TestOneLoopTwoSinks:
         assert [(count, pytest.approx(rho, abs=1e-12))] == list(fc.convergence_history)
         assert result.member_ids == fc.member_ids
         assert similarity_coefficient(result.subspace, fc.subspace) >= 1 - 1e-12
+
+
+class TestReplayMatrix:
+    """Every staged route runs the same members to the same subspace.
+
+    Convergence is out of reach, so each route grows to all 20 members and
+    ends on the SVD of the same 20 columns, signs oriented.  The similarity
+    trace on the way is not compared for Fig 4: its pool runs ahead of the
+    stage being grown, so its first check factors however many members
+    had arrived by then.  Where two routes factor the same column order
+    from the same memory layout they agree bit for bit: the driver and
+    Fig 3 (in-memory columns, the Fig 3 file a copy of them), and the
+    engine's serial and batched backends (the published memmap).  Across the two layouts BLAS sums in another
+    order, and the Fig 4 pipeline and the processes backend fold in
+    completion order, which permutes the Gram matrix: those agree to
+    :attr:`TOLERANCE` (measured 6e-14 on the modes).
+    """
+
+    #: Stated tolerance, relative to each quantity's largest magnitude.
+    TOLERANCE = 1e-10
+    DURATION = 3 * 3600.0
+    BIT_IDENTICAL = (("driver", "fig3"), ("engine_serial", "engine_batched"))
+
+    @pytest.fixture(scope="class")
+    def routes(self, replay_case, tmp_path_factory):
+        model, background, subspace, _ = replay_case
+        config = replay_config()
+        esse = config.esse.build()
+        runner = EnsembleRunner(
+            model,
+            PerturbationGenerator(model.layout, subspace, root_seed=3),
+            self.DURATION,
+            root_seed=3,
+        )
+        workdir = tmp_path_factory.mktemp
+        fig3 = SerialESSEWorkflow(runner, esse, workdir("fig3"))
+        runs = {
+            "driver": config.build_driver(model).forecast(
+                background, subspace, self.DURATION
+            ),
+            "fig3": fig3.run(background),
+            "fig4_threads": ParallelESSEWorkflow(
+                runner, esse, workdir("fig4_threads"), n_workers=2
+            ).run(background),
+            "fig4_processes": ParallelESSEWorkflow(
+                runner, esse, workdir("fig4_processes"), n_workers=2, use_processes=True
+            ).run(background),
+        }
+        for backend in (SerialBackend(), BatchedBackend(), ProcessesBackend(n_workers=2)):
+            runs[f"engine_{backend.name}"] = EnsembleEngine(
+                runner, esse, workdir(backend.name), backend=backend
+            ).run(background)
+        # Fig 3 keeps its member ids where the paper does: in its one file.
+        with np.load(fig3.cov_path) as data:
+            fig3_ids = tuple(data["member_ids"].tolist())
+        return {
+            name: (fig3_ids if name == "fig3" else run.member_ids, run)
+            for name, run in runs.items()
+        }
+
+    def close(self, got, expected):
+        np.testing.assert_allclose(
+            got, expected, rtol=0, atol=self.TOLERANCE * np.abs(expected).max()
+        )
+
+    @pytest.mark.parametrize(
+        "route",
+        ["fig3", "fig4_threads", "fig4_processes", "engine_serial", "engine_batched",
+         "engine_processes"],
+    )
+    def test_route_agrees_with_the_driver(self, routes, route):
+        ids, run = routes[route]
+        ref_ids, ref = routes["driver"]
+        assert sorted(ids) == sorted(ref_ids) == list(range(20))
+        assert run.ensemble_size == 20 and not run.converged
+        count, rho = run.convergence_history[-1]
+        assert count == 20
+        if not route.startswith("fig4"):
+            # Fig 4's first check sees whatever its pool ran ahead of stage
+            # 1, so its similarity trace is timing's; every other route
+            # checks exactly 10 and 20 members.
+            assert [(count, pytest.approx(rho, abs=1e-12))] == list(
+                ref.convergence_history
+            )
+        assert run.subspace.rank == ref.subspace.rank
+        self.close(run.subspace.sigmas, ref.subspace.sigmas)
+        self.close(run.subspace.modes, ref.subspace.modes)  # signs included
+
+    @pytest.mark.parametrize("pair", BIT_IDENTICAL, ids=lambda pair: "=".join(pair))
+    def test_same_order_same_layout_is_bit_identical(self, routes, pair):
+        (ids, run), (other_ids, other) = (routes[name] for name in pair)
+        assert ids == other_ids == tuple(range(20))
+        assert run.convergence_history == other.convergence_history
+        assert np.array_equal(run.subspace.sigmas, other.subspace.sigmas)
+        assert np.array_equal(run.subspace.modes, other.subspace.modes)
 
 
 class TestCycleReplayAcrossSvdRoutes:

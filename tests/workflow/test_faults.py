@@ -14,7 +14,6 @@ import pytest
 from repro.core import (
     ESSEConfig,
     PerturbationGenerator,
-    similarity_coefficient,
     synthetic_initial_subspace,
 )
 from repro.core.ensemble import EnsembleRunner
@@ -366,9 +365,16 @@ class TestReplay:
         assert faulted.events_of("member_corrupt") and faulted.events_of("submit_retry")
         assert not faulted.degraded and faulted.n_failed == 0
         # A member's forecast depends on (root seed, index) only, never on
-        # which attempt produced it: same members, same subspace.
+        # which attempt produced it: same members, same subspace, signs
+        # included.  Completion order permutes the columns, so the two
+        # factorizations agree to round-off, not bit for bit.
         assert set(faulted.member_ids) == set(clean.member_ids) == set(range(16))
-        assert similarity_coefficient(clean.subspace, faulted.subspace) >= 1 - 1e-9
+        assert faulted.subspace.rank == clean.subspace.rank
+        for name in ("sigmas", "modes"):
+            got, expected = getattr(faulted.subspace, name), getattr(clean.subspace, name)
+            np.testing.assert_allclose(
+                got, expected, rtol=0, atol=1e-10 * np.abs(expected).max()
+            )
 
 
 class TestAttemptRecords:

@@ -8,6 +8,11 @@ pool and proves the *dynamic* layer (the Eraser-style lockset detector)
 reports it too, under a deterministic two-thread schedule; the fixed
 locking discipline stays clean.  If a refactor ever weakens the
 detector, this test fails before a real race can slip through.
+
+The corner it models is gone from the workflow: the Fig 4 differ now runs
+on the thread that polls the pool, with no sweep counter and no lock.
+The fixture keeps the shape of the bug because the test is about the
+sanitizer, not about the workflow.
 """
 
 import threading

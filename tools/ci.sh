@@ -124,7 +124,7 @@ problems = validate_chrome_trace(obj)
 if problems:
     raise SystemExit("trace smoke test failed: " + "; ".join(problems))
 names = {e["name"] for e in obj["traceEvents"]}
-for required in ("workflow.run", "pemodel"):
+for required in ("workflow.run", "pemodel", "stage.propagate", "stage.svd"):
     if required not in names:
         raise SystemExit(f"trace smoke test: missing {required!r} span")
 print(f"trace smoke test: valid Chrome trace "

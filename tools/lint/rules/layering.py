@@ -8,10 +8,10 @@ execution layers (``workflow``/``sched``/``realtime``), so the algorithm
 stays runnable under any execution substrate.
 
 The graph is acyclic.  The scheduler simulator reuses the workflow's
-fault/retry vocabulary (``sched -> workflow``); the reverse edge -- the
-workflow DAG module reading the scheduler's calibrated task times -- was
-broken by moving the Table 1 reference times into
-``repro.core.taskmodel``, which both layers may import.
+fault/retry vocabulary (``sched -> workflow``); the reverse edge -- a
+workflow task-graph module (since deleted) reading the scheduler's
+calibrated task times -- was broken by moving the Table 1 reference
+times into ``repro.core.taskmodel``, which both layers may import.
 """
 
 from __future__ import annotations
