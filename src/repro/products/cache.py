@@ -14,9 +14,8 @@ and the Prometheus exporter can report cache effectiveness.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
-
-from repro.util.sanitizer import new_lock
 
 
 class LRUCache:
@@ -40,7 +39,7 @@ class LRUCache:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = int(capacity)
         self._entries: OrderedDict = OrderedDict()
-        self._lock = new_lock(f"LRUCache({name})._lock")
+        self._lock = threading.Lock()
         if registry is not None:
             self._hits = registry.counter("product_cache_hits", cache=name)
             self._misses = registry.counter("product_cache_misses", cache=name)

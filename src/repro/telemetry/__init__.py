@@ -26,7 +26,6 @@ from repro.telemetry.clock import MONOTONIC, FakeClock
 from repro.telemetry.events import (
     TelemetryEvent,
     from_fault_events,
-    from_sanitizer_reports,
     from_sim_jobs,
     from_workflow_events,
     parse_detail,
@@ -57,7 +56,6 @@ __all__ = [
     "parse_detail",
     "from_workflow_events",
     "from_fault_events",
-    "from_sanitizer_reports",
     "from_sim_jobs",
     "RunLog",
     "chrome_trace",

@@ -91,26 +91,6 @@ def from_fault_events(events, source: str = "faults") -> list[TelemetryEvent]:
     ]
 
 
-def from_sanitizer_reports(reports, source: str = "sanitizer") -> list[TelemetryEvent]:
-    """Convert concurrency-sanitizer reports to the unified schema.
-
-    Accepts the :class:`~repro.util.sanitizer.RaceReport` /
-    :class:`~repro.util.sanitizer.LockOrderReport` dataclasses (the
-    sanitizer lives in the leaf ``util`` package and cannot import this
-    schema itself).  Reports carry no timestamp, so as with fault events
-    the ordinal position doubles as the time axis.
-    """
-    return [
-        TelemetryEvent(
-            time=float(i),
-            kind=f"sanitizer_{r.kind}",
-            attrs=tuple(sorted(r.to_attrs().items())),
-            source=source,
-        )
-        for i, r in enumerate(reports)
-    ]
-
-
 def from_sim_jobs(jobs, source: str = "sched") -> list[TelemetryEvent]:
     """Convert simulator job records into submit/start/end events.
 

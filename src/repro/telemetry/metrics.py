@@ -16,8 +16,7 @@ either build their own :class:`MetricsRegistry` or call
 from __future__ import annotations
 
 import math
-
-from repro.util.sanitizer import new_lock
+import threading
 
 
 def _labels_key(name: str, labels: dict) -> str:
@@ -35,7 +34,7 @@ class Counter:
         self.name = name
         self.labels = dict(labels or {})
         self._value = 0.0
-        self._lock = new_lock(f"Counter({name})._lock")
+        self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be >= 0: counters never go down)."""
@@ -57,7 +56,7 @@ class Gauge:
         self.name = name
         self.labels = dict(labels or {})
         self._value = 0.0
-        self._lock = new_lock(f"Gauge({name})._lock")
+        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
         """Replace the current value."""
@@ -86,7 +85,7 @@ class Histogram:
         self.name = name
         self.labels = dict(labels or {})
         self._values: list[float] = []
-        self._lock = new_lock(f"Histogram({name})._lock")
+        self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         """Record one observation."""
@@ -135,7 +134,7 @@ class MetricsRegistry:
     """Get-or-create home for all instruments of one process/run."""
 
     def __init__(self):
-        self._lock = new_lock("MetricsRegistry._lock")
+        self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}

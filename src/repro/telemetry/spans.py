@@ -25,7 +25,6 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.telemetry.clock import MONOTONIC
-from repro.util.sanitizer import new_lock
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ class TraceRecorder:
         self.clock = clock
         self._spans: list[Span] = []
         self._events: list = []
-        self._lock = new_lock("TraceRecorder._lock")
+        self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._local = threading.local()
 

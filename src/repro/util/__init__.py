@@ -1,4 +1,4 @@
-"""Shared utilities: thin SVDs, RNG streams, random fields, sanitizer."""
+"""Shared utilities: thin SVDs, RNG streams, random fields."""
 
 from repro.util.linalg import (
     thin_svd,
@@ -8,14 +8,6 @@ from repro.util.linalg import (
 )
 from repro.util.rng import SeedSequenceStream, member_rng
 from repro.util.randomfields import GaussianRandomField2D
-from repro.util.sanitizer import (
-    SanitizedLock,
-    SanitizedRLock,
-    new_lock,
-    new_rlock,
-    sanitized,
-    track,
-)
 
 __all__ = [
     "thin_svd",
@@ -25,10 +17,4 @@ __all__ = [
     "SeedSequenceStream",
     "member_rng",
     "GaussianRandomField2D",
-    "SanitizedLock",
-    "SanitizedRLock",
-    "new_lock",
-    "new_rlock",
-    "sanitized",
-    "track",
 ]

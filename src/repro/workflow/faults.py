@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.util.rng import SeedSequenceStream
-from repro.util.sanitizer import new_lock
 
 
 class FaultKind(Enum):
@@ -114,7 +113,7 @@ class FaultInjector:
         self.seed = int(seed)
         self._stream = SeedSequenceStream(self.seed)
         self._history: list[FaultEvent] = []
-        self._lock = new_lock("FaultInjector._lock")
+        self._lock = threading.Lock()
 
     def __getstate__(self):
         """Pickle support for process-pool workers (locks don't travel)."""
@@ -126,7 +125,7 @@ class FaultInjector:
         """Rebuild the lock; worker-side history starts empty by design."""
         self.__dict__.update(state)
         self._history = []
-        self._lock = new_lock("FaultInjector._lock")
+        self._lock = threading.Lock()
 
     # -- deterministic draws ------------------------------------------------
 

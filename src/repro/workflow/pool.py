@@ -41,7 +41,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import NULL_RECORDER
-from repro.util.sanitizer import new_lock, track
 from repro.workflow.faults import FaultInjector, FaultKind
 from repro.workflow.policies import RetryPolicy
 
@@ -193,10 +192,8 @@ class TaskPool:
         self._resolved: set[int] = set()  # delivered a result, or lost
         self._lost: set[int] = set()
         self._outcomes: list[TaskOutcome] = []  # handed out by the next poll
-        # Start times are written by attempt threads and read by poll().
-        self._lock = new_lock("TaskPool._lock")
+        #: (task, attempt) -> when poll() first saw it running; poll() only.
         self._started_at: dict[tuple[int, int], float] = {}
-        track(self, "_started_at")
 
     # -- executor lifetime ---------------------------------------------------
 
@@ -243,24 +240,16 @@ class TaskPool:
         self, index: int, attempt: int, cancel: threading.Event
     ) -> tuple:
         started = self._clock()
-        with self._lock:
-            self._started_at[(index, attempt)] = started
-        try:
-            with self.telemetry.span(
-                self.kind, parent=self.parent_span, index=index, attempt=attempt
-            ) as span:
-                result = _attempt(
-                    self.kind, self.task, self.faults, index, attempt, cancel
-                )
-                span.set(ok=result[0])
-            if self.metrics is not None:
-                self.metrics.histogram("task_seconds", kind=self.kind).observe(
-                    self._clock() - started
-                )
-            return result
-        finally:
-            with self._lock:
-                self._started_at.pop((index, attempt), None)
+        with self.telemetry.span(
+            self.kind, parent=self.parent_span, index=index, attempt=attempt
+        ) as span:
+            result = _attempt(self.kind, self.task, self.faults, index, attempt, cancel)
+            span.set(ok=result[0])
+        if self.metrics is not None:
+            self.metrics.histogram("task_seconds", kind=self.kind).observe(
+                self._clock() - started
+            )
+        return result
 
     # -- the mechanics -----------------------------------------------------------
 
@@ -353,7 +342,9 @@ class TaskPool:
         Launches the retries whose backoff elapsed, then makes one pass
         over the in-flight attempts: finished ones are judged (a failed
         one is retried or lost), running ones past the straggler
-        deadline are cancelled and replaced.
+        deadline are cancelled and replaced.  The deadline counts from
+        the first poll that saw the attempt running, so time spent queued
+        behind busy workers is not held against it.
         """
         while self._accepting and self._retry_heap and self._retry_heap[0][0] <= now:
             _, index = heapq.heappop(self._retry_heap)
@@ -364,6 +355,7 @@ class TaskPool:
             key = (index, attempt)
             if future.done():
                 del self._inflight[index]
+                self._started_at.pop(key, None)
                 if future.cancelled() or key in self._abandoned:
                     continue
                 try:
@@ -377,11 +369,19 @@ class TaskPool:
                     self._outcomes.append(
                         self._failed(index, attempt, now, error or "failure")
                     )
-            elif deadline is not None and key not in self._abandoned:
-                with self._lock:
-                    started = self._started_at.get(key)
-                if started is None or now - started <= deadline:
+            elif (
+                deadline is not None
+                and cancel is not None  # process attempts are exempt
+                and key not in self._abandoned
+            ):
+                started = self._started_at.get(key)
+                if started is None:
+                    if future.running():
+                        self._started_at[key] = now
                     continue
+                if now - started <= deadline:
+                    continue
+                del self._started_at[key]
                 self._abandoned.add(key)
                 cancel.set()  # frees the pool slot mid-stall
                 self.n_timed_out += 1

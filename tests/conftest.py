@@ -1,13 +1,4 @@
-"""Shared fixtures: small grids and models sized for fast unit tests.
-
-With ``REPRO_SANITIZE=1`` in the environment every test additionally
-runs inside the runtime concurrency sanitizer (lockset race detection
-plus lock-order witnessing; see docs/CONCURRENCY.md) and fails if it
-produces a report.  Tests that *plant* a race clear their monitor
-before returning.
-"""
-
-import os
+"""Shared fixtures: small grids and models sized for fast unit tests."""
 
 import numpy as np
 import pytest
@@ -20,26 +11,6 @@ from repro.ocean import (
 )
 from repro.ocean.bathymetry import monterey_grid
 from repro.ocean.grid import demo_grid
-
-
-@pytest.fixture(autouse=os.environ.get("REPRO_SANITIZE") == "1")
-def _sanitize_test():
-    """Run the test under the concurrency sanitizer (opt-in via env).
-
-    Inert unless ``REPRO_SANITIZE=1``: autouse is False, so the fixture
-    is never requested and plain runs pay nothing.
-    """
-    from repro.util.sanitizer import sanitized
-
-    with sanitized() as monitor:
-        yield
-        reports = monitor.reports
-    if reports:
-        lines = "\n".join(f"  {r.describe()}" for r in reports)
-        pytest.fail(
-            f"concurrency sanitizer: {len(reports)} report(s):\n{lines}",
-            pytrace=False,
-        )
 
 
 @pytest.fixture(scope="session")

@@ -77,7 +77,7 @@ class TestJsonFormat:
 
 class TestDeveloperHelp:
     def test_explain_every_rule(self, capsys):
-        for rule_id in ("REP001", "REP002", "REP003", "REP005", "REP009"):
+        for rule_id in ("REP001", "REP002", "REP005", "REP009"):
             assert main(["--explain", rule_id]) == 0
             out = capsys.readouterr().out
             assert rule_id in out
@@ -90,7 +90,7 @@ class TestDeveloperHelp:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("REP001", "REP002", "REP003", "REP005", "REP009"):
+        for rule_id in ("REP001", "REP002", "REP005", "REP009"):
             assert rule_id in out
 
 

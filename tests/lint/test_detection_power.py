@@ -1,13 +1,13 @@
 """Detection-power tests: re-plant the real violations the rules found.
 
-Mirrors ``tests/workflow/test_sanitizer_race.py``: each test names the
-shipped defect, replants the pre-fix shape of the code, and asserts the
-rule fires on it -- then checks the shipped (fixed) shape stays quiet.
-If a refactor of the rules breaks one of these, the rule has lost the
-power that justified it.  This file is the arbiter of ROADMAP's "rules
-that have never caught anything get deleted": the historical defects of
-the rules deleted in PR 24 (REP004, REP010, REP011) are guarded by the
-tier-1 tests listed in ``docs/STATIC_ANALYSIS.md``, not here.
+Each test names the shipped defect, replants the pre-fix shape of the
+code, and asserts the rule fires on it -- then checks the shipped
+(fixed) shape stays quiet.  If a refactor of the rules breaks one of
+these, the rule has lost the power that justified it.  This file is the
+arbiter of ROADMAP's "rules that have never caught anything get
+deleted": the historical defects of deleted rules (REP003, REP004,
+REP010, REP011) are guarded by the tier-1 tests listed in
+``docs/STATIC_ANALYSIS.md``, or have no subject left, not here.
 """
 
 from tests.lint.test_rules import lint

@@ -13,9 +13,9 @@ from tools.lint.core import (
 )
 
 
-def _finding(symbol="Pool.produce:_items", path="src/repro/x.py", line=10):
+def _finding(symbol="open_columns:columns", path="src/repro/x.py", line=10):
     return Finding(
-        rule="REP003", path=path, line=line, message="unlocked", symbol=symbol
+        rule="REP009", path=path, line=line, message="leaked", symbol=symbol
     )
 
 
@@ -52,10 +52,10 @@ class TestSuppressionParsing:
     def test_parse_inline_and_file_directives(self):
         supp = Suppressions.parse(
             "x = 1  # repro-lint: disable=REP001,REP002\n"
-            "# repro-lint: disable-file=REP003\n"
+            "# repro-lint: disable-file=REP009\n"
         )
         assert supp.by_line[1] == {"REP001", "REP002"}
-        assert supp.whole_file == {"REP003"}
+        assert supp.whole_file == {"REP009"}
 
     def test_covers_matches_rule_line_and_all(self):
         supp = Suppressions.parse("x = 1  # repro-lint: disable=REP001\n")

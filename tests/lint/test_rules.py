@@ -239,92 +239,6 @@ class TestREP002ClockDiscipline:
         assert report.findings == []
 
 
-LOCKED_CLASS_HEADER = """\
-import threading
-
-
-class Pool:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._items = []
-
-    def consume(self):
-        with self._lock:
-            return len(self._items)
-"""
-
-
-class TestREP003LockDiscipline:
-    def test_unlocked_mutation_fires(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            LOCKED_CLASS_HEADER
-            + """
-    def produce(self, x):
-        self._items.append(x)
-""",
-            select=["REP003"],
-        )
-        assert [f.rule for f in report.findings] == ["REP003"]
-        assert report.findings[0].symbol == "Pool.produce:_items"
-
-    def test_locked_mutation_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            LOCKED_CLASS_HEADER
-            + """
-    def produce(self, x):
-        with self._lock:
-            self._items.append(x)
-""",
-            select=["REP003"],
-        )
-        assert report.findings == []
-
-    def test_init_is_exempt_construction_path(self, tmp_path):
-        # __init__ assigns self._items without the lock: allowed.
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            LOCKED_CLASS_HEADER,
-            select=["REP003"],
-        )
-        assert report.findings == []
-
-    def test_nested_function_analyzed_as_unlocked(self, tmp_path):
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            LOCKED_CLASS_HEADER
-            + """
-    def spawn(self):
-        with self._lock:
-            def worker():
-                self._items.append(1)
-            return worker
-""",
-            select=["REP003"],
-        )
-        assert [f.rule for f in report.findings] == ["REP003"]
-        assert report.findings[0].symbol == "Pool.spawn:_items"
-
-    def test_unguarded_attribute_ignored(self, tmp_path):
-        # self._scratch is never touched under the lock: thread-confined.
-        report = lint(
-            tmp_path,
-            "src/repro/workflow/example.py",
-            LOCKED_CLASS_HEADER
-            + """
-    def note(self, x):
-        self._scratch = x
-""",
-            select=["REP003"],
-        )
-        assert report.findings == []
-
-
 class TestREP005Layering:
     def test_util_importing_core_fires(self, tmp_path):
         report = lint(

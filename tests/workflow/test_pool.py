@@ -153,6 +153,25 @@ class TestStragglers:
         assert MONOTONIC() - t0 < 5.0  # cancelled, not served for 30 s
         assert final[0].ok and final[0].attempt == 2
 
+    def test_deadline_counts_from_start_not_submit(self, kind):
+        def nap(index, attempt, corrupt, cancel):
+            threading.Event().wait(0.06)
+            return True, index, None
+
+        pool = TaskPool(
+            kind,
+            nap,
+            1,
+            retry=RetryPolicy(max_attempts=3, backoff_base_s=0.001, timeout_seconds=0.1),
+            poll_interval=0.001,
+        )
+        # one worker: the last task waits ~0.18 s in the queue, past the
+        # deadline, yet each attempt runs well inside it once started
+        outcomes = list(pool.run(range(4)))
+        assert not any(out.timed_out for out in outcomes)
+        assert pool.n_timed_out == 0
+        assert all(out.ok for out in final_outcomes(outcomes).values())
+
 
 class TestLoss:
     def test_submit_failures_exhaust_at_the_bound(self, kind):

@@ -1,17 +1,12 @@
 #!/bin/sh
-# CI check: test suites, the sanitized pass, static analysis, docs pages,
-# benchmark and trace smokes.
+# CI check: test suites, static analysis, docs pages, benchmark and trace
+# smokes.
 #
 # Run from the repository root:
-#     sh tools/ci.sh          # workflow/telemetry/kernel tests + the rest below
-#     CI_FULL=1 sh tools/ci.sh  # the full tier-1 suite instead
+#     sh tools/ci.sh          # the tier-1 suite once + the rest below
 #     sh tools/ci.sh --quick  # pre-commit: changed-only lint + tier-1 tests
 #
-# The sanitized pass re-runs every test outside tests/lint under the
-# runtime concurrency sanitizer (docs/CONCURRENCY.md): lockset race
-# detection plus lock-order witnessing -- the only lock-order guard there
-# is -- failing any test that produces a report.  Static analysis is one
-# repro-lint run (determinism, clock, lock, layering and
+# Static analysis is one repro-lint run (determinism, clock, layering and
 # resource-lifecycle rules; docs/STATIC_ANALYSIS.md) over the same four
 # trees tier-1's tests/lint/test_cli.py::TestRealTree lints; there is no
 # baseline, a finding fails.  The docs lint checks the docs/ pages
@@ -34,27 +29,10 @@ if [ "${1:-}" = "--quick" ]; then
     exit 0
 fi
 
-# tests/products includes the byte-level fuzz suite of the HTTP front end
-# (test_server_fuzz.py: hypothesis at small max_examples, deadlines patched
-# to tens of milliseconds); the sanitized pass below runs it again.
-if [ -n "${CI_FULL:-}" ]; then
-    python -m pytest -x -q
-else
-    python -m pytest tests/workflow tests/telemetry tests/lint tests/products \
-        tests/core/test_localization.py tests/core/test_tiling.py \
-        tests/core/test_tiled_analysis.py tests/core/test_assimilation.py \
-        tests/core/test_subspace.py tests/core/test_incremental_svd.py \
-        tests/util/test_linalg.py tests/util/test_randomized_svd.py \
-        tests/util/test_rng_randomfields.py \
-        tests/ocean tests/acoustics tests/test_determinism.py -q
-fi
-
-# Sanitized pass: everything but the linter's own tests again, with the
-# lockset race detector and lock-order witness live on every lock in the
-# system (not a hand-kept list of "threaded" directories: a lock taken in
-# tests/integration or tests/realtime is witnessed too).
-REPRO_SANITIZE=1 python -m pytest tests --ignore=tests/lint -q
-echo "sanitizer: clean"
+# Every test, once.  tests/products includes the byte-level fuzz suite of
+# the HTTP front end (test_server_fuzz.py: hypothesis at small
+# max_examples, deadlines patched to tens of milliseconds).
+python -m pytest -q
 
 python -m tools.lint src/repro tests benchmarks tools
 echo "repro-lint: clean"

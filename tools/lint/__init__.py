@@ -6,7 +6,6 @@ else in the test suite fails on:
 
 - **REP001** determinism -- no unseeded/global-state numpy randomness,
 - **REP002** clock discipline -- "now" flows through ``telemetry.clock``,
-- **REP003** lock discipline -- guarded state is mutated under its lock,
 - **REP005** import layering -- the package DAG is a checked contract,
 - **REP009** resource lifecycle -- what is acquired is released on every path.
 

@@ -12,7 +12,7 @@ Lint specific paths, machine-readable::
 
 Developer help for one rule::
 
-    python -m tools.lint --explain REP003
+    python -m tools.lint --explain REP009
 
 Exit codes: 0 clean, 1 findings, 2 usage / framework error.  There is no
 baseline: a finding is fixed, or suppressed inline with a reason.

@@ -20,7 +20,7 @@ Finding
     not change its identity.
 Suppression
     ``# repro-lint: disable=REP001`` (or ``disable=all``) on the finding's
-    line, or ``# repro-lint: disable-file=REP003`` anywhere in the file.
+    line, or ``# repro-lint: disable-file=REP009`` anywhere in the file.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def all_rules() -> dict[str, Rule]:
 # -- suppressions -------------------------------------------------------------
 
 # A directive may carry a human justification after ``--``:
-#   x = f()  # repro-lint: disable=REP003 -- differ-thread only
+#   t0 = time.perf_counter()  # repro-lint: disable=REP002 -- bench wall time
 _DISABLE_RE = re.compile(
     r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+?)\s*(?:--|#|$)"
 )

@@ -9,6 +9,5 @@ from tools.lint.rules import (  # noqa: F401  -- imported for registration
     clocks,
     determinism,
     layering,
-    locks,
     resources,
 )
