@@ -8,6 +8,12 @@ all available results are used."
 
 IMMEDIATE minimizes latency; DRAIN_RUNNING uses the nearly-free extra
 members for a better final subspace.
+
+Sized so that convergence leaves members behind: two workers and a pool
+kept three times the stage ahead (24 members submitted for the stage
+that grows to 8), so at the check most of the pool is still queued.
+With four workers at the default margin of 1.5 every submitted member
+has started by the check and there is nothing to cancel.
 """
 
 import pytest
@@ -32,8 +38,9 @@ def run_policies(setup, tmp_path):
             runner,
             config,
             tmp_path / policy.value,
-            n_workers=4,
+            n_workers=2,
             cancellation=policy,
+            pool_margin=3.0,
         ).run(background)
     return out
 
@@ -68,5 +75,6 @@ def test_ablation_cancellation_policy(benchmark, small_esse_setup, tmp_path):
     assert len(immediate.events_of("final_svd")) == 0
     # DRAIN folds in at least as many members as IMMEDIATE used
     assert drain.ensemble_size >= immediate.ensemble_size
-    # both cancel something out of the 48-member pool
+    # both cancel queued members out of the 48-member pool
+    assert immediate.n_cancelled > 0 and drain.n_cancelled > 0
     assert immediate.n_completed < 48

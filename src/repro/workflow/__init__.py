@@ -15,12 +15,12 @@ serial ESSE job shepherd (Fig 3) into a decoupled many-task pipeline
   one stage loop :func:`repro.core.ensemble.grow_ensemble`,
 - :mod:`~repro.workflow.pool` -- the one fault-tolerant task pool
   (retry/backoff, straggler cancel-and-replace, fault injection, loss)
-  that members, shared-memory member columns and analysis tiles all run
-  on, and :class:`TileTaskPool`, its tile client
+  that members and analysis tiles both run on, and
+  :class:`TileTaskPool`, its tile client
   (``docs/FAILURE_MODEL.md``, ``docs/ASSIMILATION.md``),
 - :mod:`~repro.workflow.parallel` -- the MTC implementation: the Fig 4
-  pipeline (a pool kept ahead of the stage being grown, a differ folding
-  members in completion order, each stage's SVD on the published
+  pipeline (a member pool kept ahead of the stage being grown, a differ
+  folding members in completion order, each stage's SVD on the published
   snapshot, cancellation of superfluous members) as a client of that
   pool and of the same stage loop,
 - :mod:`~repro.workflow.policies` -- cancellation and retry policies,
@@ -29,8 +29,8 @@ serial ESSE job shepherd (Fig 3) into a decoupled many-task pipeline
   exercising the retry machinery; the failure model is documented in
   ``docs/FAILURE_MODEL.md``,
 - :mod:`~repro.workflow.ensemble` -- the backend-selectable ensemble
-  engine: serial / vectorized-batched / shared-memory process
-  propagation behind one interface (``docs/ENSEMBLE_ENGINE.md``).
+  engine: serial / vectorized-batched / process-pool propagation (the
+  Fig 4 member pool) behind one interface (``docs/ENSEMBLE_ENGINE.md``).
 """
 
 from repro.workflow.statefiles import StatusDirectory, TaskStatus
@@ -57,7 +57,6 @@ from repro.workflow.ensemble import (
     EnsembleEngine,
     ProcessesBackend,
     SerialBackend,
-    SharedEnsembleBuffer,
     make_backend,
 )
 
@@ -89,6 +88,5 @@ __all__ = [
     "EnsembleEngine",
     "ProcessesBackend",
     "SerialBackend",
-    "SharedEnsembleBuffer",
     "make_backend",
 ]

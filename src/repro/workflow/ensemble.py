@@ -11,44 +11,33 @@ provides both, behind one interface:
 - :class:`BatchedBackend` -- vectorized propagation via
   :meth:`~repro.core.ensemble.EnsembleRunner.run_members_batched`,
   *bit-identical* to the serial backend under a fixed seed;
-- :class:`ProcessesBackend` -- a process-executor client of the one
-  :class:`~repro.workflow.pool.TaskPool` whose workers write forecast
-  columns straight into a :class:`SharedEnsembleBuffer`, feeding the
-  covariance store without serializing member state.
+- :class:`ProcessesBackend` -- the Fig 4 member pool
+  (:class:`~repro.workflow.parallel.MemberPool`) on worker processes,
+  entered once per run.
 
 :class:`EnsembleEngine` drives any backend through the one staged ESSE
-loop, :func:`repro.core.ensemble.grow_ensemble` (propagate -> accumulate
--> SVD -> convergence test -> grow), with a column sink that publishes
-to the memmap column store and factors the published snapshot.  Backend
-choice is config-driven via the ``engine`` section of
-:class:`repro.config.ExperimentConfig`.  See ``docs/ENSEMBLE_ENGINE.md``
-for the backend matrix and N-vs-workers guidance.
+loop, :func:`repro.core.ensemble.grow_ensemble`, with a column sink that
+publishes to the memmap column store and factors the published
+snapshot.  The ``engine`` section of :class:`repro.config.ExperimentConfig`
+picks the backend; ``docs/ENSEMBLE_ENGINE.md`` has the backend matrix and
+N-vs-workers guidance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from pathlib import Path
 
-import numpy as np
-
-from repro.core.covariance import AnomalyAccumulator
 from repro.core.driver import ESSEConfig
-from repro.core.ensemble import (
-    EnsembleGrowth,
-    EnsembleRunner,
-    MemberResult,
-    grow_ensemble,
-)
+from repro.core.ensemble import EnsembleGrowth, EnsembleRunner, grow_ensemble
 from repro.core.taskmodel import warn_lost_members
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import NULL_RECORDER
 from repro.workflow.covfile import MemmapCovarianceStore
 from repro.workflow.faults import FaultInjector
 from repro.workflow.monitor import ProgressMonitor
+from repro.workflow.parallel import MemberPool, _PublishedColumns
 from repro.workflow.policies import RetryPolicy
-from repro.workflow.pool import TaskPool
 from repro.workflow.statefiles import StatusDirectory, TaskStatus
 
 #: Backend names accepted by :func:`make_backend` and the config section.
@@ -58,18 +47,13 @@ BACKEND_NAMES = ("serial", "batched", "processes")
 class EnsembleBackend:
     """Strategy interface: how one stage's members get propagated.
 
-    A backend receives the engine (for the runner, status directory,
-    telemetry and fault/retry policies), the mean state and the member
-    indices of one growth stage, and must call ``deliver(result)`` once
-    per member with a :class:`~repro.core.ensemble.MemberResult` --
-    always from the thread that called :meth:`propagate`, so the engine
-    needs no locks around its accumulator.
-
-    ``members_per_task`` is the progress-accounting contract: how many
-    members one status record written by this backend covers (1 for the
-    per-member backends; the batch size for :class:`BatchedBackend`).
-    :meth:`EnsembleEngine.progress_monitor` uses it so batched runs do
-    not report 1/N progress.
+    A backend receives the engine (runner, status directory, telemetry,
+    fault/retry policies), the mean state and one growth stage's member
+    indices, and calls ``deliver(result)`` once per member with a
+    :class:`~repro.core.ensemble.MemberResult`, always from the thread
+    that called :meth:`propagate` (the engine's accumulator has no lock).
+    ``members_per_task`` -- members per status record, the batch size
+    for :class:`BatchedBackend` -- keeps progress in member units.
     """
 
     #: Backend name (matches the config value and telemetry attributes).
@@ -78,6 +62,8 @@ class EnsembleBackend:
     members_per_task: int = 1
     #: Status-record kind this backend writes.
     status_kind: str = "pemodel"
+    #: Resubmissions in the last run (only a pool-backed backend retries).
+    n_retried: int = 0
 
     def propagate(self, engine, mean_state, indices, deliver) -> None:
         """Run ``indices`` and hand each member's result to ``deliver``."""
@@ -97,24 +83,18 @@ class SerialBackend(EnsembleBackend):
         for idx in indices:
             with engine.telemetry.span("pemodel", index=idx, backend=self.name):
                 result = engine.runner.run_member(mean_state, idx)
-            engine.status.write(
-                "pemodel",
-                idx,
-                TaskStatus.SUCCESS if result.ok else TaskStatus.MODEL_FAILURE,
-            )
+            status = TaskStatus.SUCCESS if result.ok else TaskStatus.MODEL_FAILURE
+            engine.status.write("pemodel", idx, status)
             deliver(result)
 
 
 class BatchedBackend(EnsembleBackend):
     """Vectorized propagation of whole member batches.
 
-    The ensemble is packed into an ``(state_dim, N)`` matrix and every
-    member steps in one pass of vectorized numpy
-    (:meth:`~repro.core.ensemble.EnsembleRunner.run_members_batched`);
-    trajectories are bit-identical to the serial backend under a fixed
-    seed.  One *task* -- and therefore one status record, of kind
-    ``pemodel_batch`` -- covers ``batch_size`` members, which is why
-    :attr:`members_per_task` matters to progress monitoring.
+    Every member of a batch steps in one pass of vectorized numpy
+    (:meth:`~repro.core.ensemble.EnsembleRunner.run_members_batched`),
+    bit-identical to the serial backend under a fixed seed.  One status
+    record, of kind ``pemodel_batch``, covers a whole batch.
 
     Parameters
     ----------
@@ -147,151 +127,24 @@ class BatchedBackend(EnsembleBackend):
                 "pemodel.batch", batch=batch_no, size=len(chunk), backend=self.name
             ):
                 results = engine.runner.run_members_batched(mean_state, chunk)
-            any_ok = any(r.ok for r in results)
-            engine.status.write(
-                "pemodel_batch",
-                batch_no,
-                TaskStatus.SUCCESS if any_ok else TaskStatus.MODEL_FAILURE,
-            )
+            ok = any(r.ok for r in results)
+            status = TaskStatus.SUCCESS if ok else TaskStatus.MODEL_FAILURE
+            engine.status.write("pemodel_batch", batch_no, status)
             for result in results:
                 deliver(result)
 
 
-class SharedEnsembleBuffer:
-    """An ``(state_dim, capacity)`` float64 column buffer in shared memory.
-
-    One column per member *attempt*: every (member, attempt) pair owns a
-    slot, so a column is written at most once and is immutable from
-    the moment its worker's SUCCESS status lands (the same append-only
-    discipline as the covariance column store).  Columns are NaN-filled
-    at creation; a torn write -- a worker that died or a
-    :class:`~repro.workflow.faults.FaultKind.CORRUPT` injection that
-    stops half-way -- leaves NaNs in the tail, which is exactly what the
-    parent-side validator checks before accepting a column.
-
-    Lifecycle: the parent creates (and NaN-fills) the segment, workers
-    attach by name on their first attempt and keep the mapping for the
-    pool's lifetime, and the parent ``close()`` + ``unlink()`` in a
-    ``finally`` once the batch is accumulated.  The engine's pools fork
-    from the parent, so all processes share one resource tracker and the
-    parent's unlink is the single point of truth.
-
-    Parameters
-    ----------
-    state_dim:
-        Rows (packed ESSE state dimension).
-    capacity:
-        Columns (member attempts the buffer can hold).
-    name:
-        Existing segment to attach to; None creates a new one.
-    """
-
-    def __init__(self, state_dim: int, capacity: int, name: str | None = None):
-        if state_dim < 1 or capacity < 1:
-            raise ValueError("state_dim and capacity must be >= 1")
-        self.state_dim = int(state_dim)
-        self.capacity = int(capacity)
-        nbytes = self.state_dim * self.capacity * 8
-        if name is None:
-            self._shm = shared_memory.SharedMemory(create=True, size=nbytes)
-            self._owner = True
-        else:
-            self._shm = shared_memory.SharedMemory(name=name)
-            self._owner = False
-        # Column-major so each member's column is contiguous, matching
-        # the covariance store's on-disk layout.
-        self.array = np.ndarray(
-            (self.state_dim, self.capacity),
-            dtype=np.float64,
-            order="F",
-            buffer=self._shm.buf,
-        )
-        if self._owner:
-            self.array.fill(np.nan)
-
-    @property
-    def name(self) -> str:
-        """The segment name workers attach to."""
-        return self._shm.name
-
-    def column(self, slot: int) -> np.ndarray:
-        """The (contiguous, zero-copy) column view for one attempt slot."""
-        if not 0 <= slot < self.capacity:
-            raise IndexError(f"slot {slot} outside capacity {self.capacity}")
-        return self.array[:, slot]
-
-    def close(self) -> None:
-        """Drop this process's mapping (the segment itself survives)."""
-        # The ndarray view must die before the mmap can close.
-        self.array = None
-        self._shm.close()
-
-    def unlink(self) -> None:
-        """Remove the segment (owner-side, after all workers are done)."""
-        if self._owner:
-            self._shm.unlink()
-
-    @classmethod
-    def attach(cls, name: str, state_dim: int, capacity: int) -> "SharedEnsembleBuffer":
-        """Attach to an existing segment created by the parent."""
-        return cls(state_dim, capacity, name=name)
-
-
-class _ShmMemberTask:
-    """One member attempt writing its forecast column into shared memory.
-
-    Shipped once to every worker process by the pool; each worker maps
-    the segment on its first attempt and keeps the mapping for the
-    pool's lifetime.  Every (member, attempt) owns one slot, so a column
-    is written at most once.  The SUCCESS record lands only after the
-    column bytes are in place, so it always refers to fully written (or
-    deliberately torn) bytes, never a column still in flight.
-    """
-
-    def __init__(self, runner, mean_state, status, buffer, first_slot):
-        self.runner = runner
-        self.mean_state = mean_state
-        self.status = status
-        self.shm = (buffer.name, buffer.state_dim, buffer.capacity)
-        self.first_slot = first_slot  # member index -> slot of attempt 1
-        self._buffer = None
-
-    def __call__(self, index, attempt, corrupt, cancel):
-        if self._buffer is None:
-            self._buffer = SharedEnsembleBuffer.attach(*self.shm)
-        result = self.runner.run_member(self.mean_state, index)
-        if not result.ok:
-            return False, None, result.error
-        slot = self.first_slot[index] + attempt - 1
-        column = self._buffer.column(slot)
-        if corrupt:
-            # Torn write: half a column plus a success status -- the
-            # shared-memory analogue of the differ's torn npz read, left
-            # for the parent's finiteness validator to catch.
-            half = result.forecast.size // 2
-            column[:half] = result.forecast[:half]
-        else:
-            column[:] = result.forecast
-        self.status.write("pemodel", index, TaskStatus.SUCCESS, attempt=attempt)
-        return True, slot, None
-
-
 class ProcessesBackend(EnsembleBackend):
-    """A true process pool writing member state into shared memory.
+    """The Fig 4 member pool on worker processes, for the whole run.
 
-    Workers run one member each and write the forecast vector straight
-    into their attempt's column of a :class:`SharedEnsembleBuffer`; the
-    parent validates the column (a NaN tail means a torn write) and
-    hands the *same bytes* to the anomaly accumulator feeding the memmap
-    covariance store -- member state never rides through a pickled
-    Future or an npz member file.
-
-    Retry, backoff, submit-failure and fault-injection semantics are the
-    :class:`~repro.workflow.pool.TaskPool`'s (``docs/FAILURE_MODEL.md``);
-    the backend's own part is the torn-column check: an attempt that
-    reported success over a half-written column is failed back to the
-    pool (IO_FAILURE) and reruns into a *fresh* slot.  Lost members
-    degrade the ensemble gracefully.
+    A run's first :meth:`propagate` enters one
+    :class:`~repro.workflow.parallel.MemberPool` with ``processes=True``
+    under the engine's working directory, every stage runs on it, and
+    :meth:`close` leaves it.  Members travel as member files, as from the
+    paper's remote hosts; retries, torn-file detection, status records
+    and degradation are the member pool's (``docs/FAILURE_MODEL.md``).
+    At margin 1 it holds exactly the stage being grown, so the engine
+    checks at the stage sizes.
 
     Parameters
     ----------
@@ -305,68 +158,35 @@ class ProcessesBackend(EnsembleBackend):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers
+        self._members: MemberPool | None = None
 
     def propagate(self, engine, mean_state, indices, deliver) -> None:
-        """Run members on a process pool via the shared-memory buffer."""
-        indices = list(indices)
-        if not indices:
-            return
-        retry = engine.retry
-        max_attempts = retry.max_attempts if retry is not None else 1
-        buffer = SharedEnsembleBuffer(
-            engine.runner.model.layout.size, len(indices) * max_attempts
-        )
-        try:
-            pool = TaskPool(
-                "pemodel",
-                _ShmMemberTask(
-                    engine.runner,
-                    mean_state,
-                    engine.status,
-                    buffer,
-                    {idx: k * max_attempts for k, idx in enumerate(indices)},
-                ),
+        """Run a stage's members on the run's one process pool."""
+        if self._members is None:
+            self._members = MemberPool(
+                engine.runner,
+                mean_state,
+                engine.workdir,
+                engine.status,
                 self.n_workers,
+                engine.config.max_ensemble_size,
                 processes=True,
-                retry=retry,
+                retry=engine.retry,
                 faults=engine.faults,
                 telemetry=engine.telemetry,
                 metrics=engine.metrics,
-            )
-            for out in pool.run(indices):
-                if out.ok:
-                    column = buffer.column(out.value)
-                    if np.all(np.isfinite(column)):
-                        # Zero-copy: the result aliases the shared segment;
-                        # the engine's deliver copies it into the
-                        # accumulator before the buffer is unlinked below.
-                        deliver(MemberResult(out.index, column))
-                        continue
-                    # Torn write: the worker reported success but the
-                    # column carries the NaN fill in its tail.
-                    out = pool.fail(
-                        out.index, out.attempt, "torn shared-memory column"
-                    )
-                    status = TaskStatus.IO_FAILURE
-                elif not out.submit_try:
-                    status = TaskStatus.MODEL_FAILURE
-                elif out.lost:
-                    status = TaskStatus.IO_FAILURE  # submission path dead
-                else:
-                    continue  # transient submit failure, re-queued
-                engine.status.write("pemodel", out.index, status, attempt=out.attempt)
-                if out.lost:
-                    deliver(MemberResult(out.index, None, out.error))
-                else:
-                    engine.note_retry(out.index, out.attempt + 1, out.error)
-        finally:
-            buffer.close()
-            buffer.unlink()
+            ).__enter__()
+        self._members.propagate(indices, deliver)
+
+    def close(self) -> None:
+        """Leave the run's member pool: cancel the queue, wait for workers."""
+        members, self._members = self._members, None
+        if members is not None:
+            members.__exit__(None, None, None)
+            self.n_retried = members.pool.n_retried
 
 
-def make_backend(
-    name: str, n_workers: int = 4, batch_size: int = 8
-) -> EnsembleBackend:
+def make_backend(name: str, n_workers: int = 4, batch_size: int = 8) -> EnsembleBackend:
     """Construct an :class:`EnsembleBackend` from its config name.
 
     ``name`` is one of :data:`BACKEND_NAMES`; ``n_workers`` is the pool
@@ -379,29 +199,6 @@ def make_backend(
     if name == "processes":
         return ProcessesBackend(n_workers=n_workers)
     raise ValueError(f"unknown backend {name!r}; valid: {BACKEND_NAMES}")
-
-
-class _PublishedColumns(AnomalyAccumulator):
-    """The column sink of the engine and of Fig 4: accumulate, publish, read back.
-
-    Every :meth:`view` ships the new columns to the
-    :class:`~repro.workflow.covfile.MemmapCovarianceStore`, publishes,
-    and returns the *published* snapshot, so every SVD factors what the
-    three-file protocol made visible, zero-copy.
-    """
-
-    def __init__(self, layout, central, store, metrics):
-        super().__init__(layout, central)
-        self.store = store
-        self.metrics = metrics
-
-    def view(self):
-        """Publish what has accumulated; the published snapshot."""
-        nbytes = self.store.sync_from(super().view())
-        self.store.publish()
-        if self.metrics is not None:
-            self.metrics.counter("cov.bytes_written").inc(nbytes)
-        return self.store.read_safe()
 
 
 @dataclass
@@ -435,13 +232,9 @@ class EnsembleEngine:
     backend:
         An :class:`EnsembleBackend` instance, or a name for
         :func:`make_backend` with its defaults.
-    retry:
-        Resubmission policy, honoured by the ``processes`` backend (the
-        in-process backends capture failures without raising, matching
-        the seed semantics where a member failure is terminal).
-    faults:
-        Deterministic fault injector, honoured by the ``processes``
-        backend.
+    retry, faults:
+        Resubmission policy and fault injector, honoured by the
+        ``processes`` backend (in process a member failure is terminal).
     telemetry:
         Span recorder; also supplies the engine's only clock.
     metrics:
@@ -465,9 +258,7 @@ class EnsembleEngine:
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.status = StatusDirectory(self.workdir / "status")
         self.store = MemmapCovarianceStore(self.workdir)
-        self.backend = (
-            make_backend(backend) if isinstance(backend, str) else backend
-        )
+        self.backend = make_backend(backend) if isinstance(backend, str) else backend
         self.retry = retry
         self.faults = faults
         self.telemetry = telemetry if telemetry is not None else NULL_RECORDER
@@ -475,7 +266,6 @@ class EnsembleEngine:
         self._clock = self.telemetry.clock
         self._batch_counter = 0
         self._batch_sizes: dict[int, int] = {}
-        self._n_retried = 0
 
     # -- backend services --------------------------------------------------
 
@@ -487,11 +277,6 @@ class EnsembleEngine:
         self._batch_sizes[n] = size
         return n
 
-    def note_retry(self, index: int, attempt: int, why: str) -> None:
-        """Count one resubmission (processes backend bookkeeping)."""
-        self._n_retried += 1
-        self.telemetry.event("retry", index=index, attempt=attempt, why=why)
-
     # -- monitoring --------------------------------------------------------
 
     def progress_monitor(
@@ -501,15 +286,11 @@ class EnsembleEngine:
     ) -> ProgressMonitor:
         """A member-accurate progress monitor for this engine's backend.
 
-        Batched runs write one status record per batch *task*; the
-        returned monitor carries the exact member count of every batch
-        the engine has recorded so progress and ETA are reported in
-        member units, not task units (the 1/N-progress bug this
-        parameter exists to fix).  Exact sizes matter because batching
-        happens within each growth stage: a stage of 4 members batched
-        in threes yields batches of 3 and 1, and a uniform
-        ``batch_size`` weight would over-count both stages.  Before the
-        engine has run, the backend's uniform weight is used instead.
+        Batched runs write one status record per batch; the monitor
+        carries the exact member count of every batch recorded, so
+        progress and ETA are in members, not tasks.  Sizes are exact
+        because batches are cut per stage (4 members in threes: 3 + 1).
+        Before the engine has run, the backend's uniform weight is used.
         """
         n = (
             int(expected_members)
@@ -543,7 +324,6 @@ class EnsembleEngine:
         self.store = MemmapCovarianceStore(self.workdir)
         self._batch_counter = 0
         self._batch_sizes = {}
-        self._n_retried = 0
         with self.telemetry.span("engine.run", backend=self.backend.name):
             with self.telemetry.span("central_forecast"):
                 central = self.runner.central_forecast(mean_state)
@@ -571,7 +351,7 @@ class EnsembleEngine:
             warn_lost_members(n_lost)
         return EngineResult(
             **vars(growth),
-            n_retried=self._n_retried,
+            n_retried=self.backend.n_retried,
             wall_seconds=self._clock() - started,
             backend=self.backend.name,
             degraded=n_lost > 0,

@@ -18,18 +18,17 @@ The serial shepherd's loops are decoupled:
   SVD uses them all;
 - *fault tolerance* is the one :class:`~repro.workflow.pool.TaskPool`'s
   (retry/backoff, straggler cancel-and-replace, fault injection); the
-  workflow's own part is that the differ fails torn member files back to
-  the pool, every attempt leaves a numbered status record, and the run
-  degrades to the surviving members when retries are exhausted
+  member pool's own part is that the differ fails torn member files back
+  to the pool, every attempt leaves a numbered status record, and the
+  run degrades to the surviving members when retries are exhausted
   (``docs/FAILURE_MODEL.md``).
 
-The stages, SVDs and test are :func:`repro.core.ensemble.grow_ensemble`,
-the loop of every staged run: the differ is its ``propagate``, the
-engine's published column store its sink.  Only member attempts run on
-other threads (or processes); the pool keeps them running while the
-calling thread diffs or factors.  Every component appends to one event
-log, from which the Fig 4 bench derives phase overlap and speedup versus
-the serial implementation.
+The stages, SVDs and test are :func:`repro.core.ensemble.grow_ensemble`:
+its ``propagate`` is one :class:`MemberPool` (the engine's ``processes``
+backend runs the same), its sink the published column store.  Only
+member attempts run on other threads (or processes), and every component
+appends to one event log, from which the Fig 4 bench derives phase
+overlap and speedup versus the serial implementation.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.covariance import AnomalyAccumulator
 from repro.core.driver import ESSEConfig
 from repro.core.ensemble import EnsembleRunner, MemberResult, grow_ensemble
 from repro.core.subspace import ErrorSubspace
@@ -51,7 +51,6 @@ from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import NULL_RECORDER
 from repro.util.fsio import durable_write
 from repro.workflow.covfile import MemmapCovarianceStore
-from repro.workflow.ensemble import _PublishedColumns
 from repro.workflow.faults import FaultInjector
 from repro.workflow.policies import CancellationPolicy, RetryPolicy
 from repro.workflow.pool import TaskOutcome, TaskPool
@@ -143,6 +142,200 @@ class _MemberTask:
         return True, None, None
 
 
+class _PublishedColumns(AnomalyAccumulator):
+    """The column sink of the engine and of Fig 4: accumulate, publish, read back.
+
+    Every :meth:`view` ships the new columns to the
+    :class:`~repro.workflow.covfile.MemmapCovarianceStore`, publishes,
+    and returns the *published* snapshot, so every SVD factors what the
+    three-file protocol made visible, zero-copy.
+    """
+
+    def __init__(self, layout, central, store, metrics):
+        super().__init__(layout, central)
+        self.store = store
+        self.metrics = metrics
+
+    def view(self):
+        """Publish what has accumulated; the published snapshot."""
+        nbytes = self.store.sync_from(super().view())
+        self.store.publish()
+        if self.metrics is not None:
+            self.metrics.counter("cov.bytes_written").inc(nbytes)
+        return self.store.read_safe()
+
+
+class MemberPool:
+    """One run's member tasks, files and records: the stage loop's ``propagate``.
+
+    The :class:`~repro.workflow.pool.TaskPool` of :class:`_MemberTask`
+    attempts, entered once per run (``with``).  :meth:`propagate` keeps
+    ``ceil(stage end x margin)`` members submitted and runs :meth:`collect`
+    until the stage is resolved.  Every outcome writes its status record
+    and event-log entry (a retry also a ``retry`` telemetry event); a lost
+    member is delivered as ``MemberResult(index, None, error)``.  Leaving
+    the block cancels the queued members (CANCELLED records) and waits
+    for the running ones, which one more :meth:`collect` then reads.
+    Clients: :class:`ParallelESSEWorkflow` (Fig 4) and the engine's
+    :class:`~repro.workflow.ensemble.ProcessesBackend` (margin 1).
+
+    Parameters
+    ----------
+    runner, mean_state:
+        What every member attempt runs.
+    workdir, status:
+        Member files go to ``workdir/members``, ``pemodel`` records to
+        ``status``.
+    n_workers, max_members:
+        Executor width; Nmax, never submitted past.
+    margin:
+        How far (a factor >= 1) the pool runs ahead of the stage.
+    deadline:
+        Tmax as a clock reading: a stage stops waiting past it once two
+        members are in.  None waits for every stage.
+    log:
+        ``log(kind, detail)``, the event log.
+    options:
+        The :class:`~repro.workflow.pool.TaskPool`'s other keywords.
+    """
+
+    def __init__(
+        self,
+        runner: EnsembleRunner,
+        mean_state,
+        workdir: Path,
+        status: StatusDirectory,
+        n_workers: int,
+        max_members: int,
+        margin: float = 1.0,
+        deadline: float | None = None,
+        log=lambda kind, detail="": None,
+        **options,
+    ):
+        self.members_dir = Path(workdir) / "members"
+        self.status = status
+        self.max_members = max_members
+        self.margin = margin
+        self.deadline = deadline
+        self._log = log
+        self.pool = TaskPool(
+            "pemodel",
+            _MemberTask(runner, mean_state, self.members_dir, status),
+            n_workers,
+            **options,
+        )
+        self.submitted = 0
+        self.count = 0  # members delivered
+        self.cancelled: list[int] = []
+
+    def __enter__(self) -> "MemberPool":
+        # A run starts from nothing: no member file or record of an
+        # earlier run in the same directory may be folded into this one.
+        self.members_dir.mkdir(parents=True, exist_ok=True)
+        for path in self.members_dir.glob("forecast_*.npz"):
+            path.unlink()
+        self.status.clear("pemodel")
+        self.pool.__enter__()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        # Superfluous members: queued ones are cancelled, running ones
+        # finish while the executor shuts down.
+        try:
+            self.cancelled = self.pool.cancel_pending()
+            for index in self.cancelled:
+                self.status.write("pemodel", index, TaskStatus.CANCELLED)
+                self._log("cancel", f"member={index}")
+        finally:
+            self.pool.__exit__(*exc_info)
+
+    def propagate(self, indices: range, deliver) -> None:
+        """Keep the pool ahead of this stage; diff until it is resolved."""
+        want = min(math.ceil(indices.stop * self.margin), self.max_members)
+        if want > self.submitted:
+            self._log("enlarge" if self.submitted else "pool", f"size={want}")
+            for index in range(self.submitted, want):
+                self.pool.submit(index)
+            self.submitted = want
+            if self.pool.metrics is not None:
+                self.pool.metrics.gauge("pool_size").set(want)
+        while not self.pool.resolved(indices):
+            # Tmax cuts a stage short once there is something to factor.
+            if (
+                self.deadline is not None
+                and self.count >= 2
+                and self.pool.telemetry.clock() > self.deadline
+            ):
+                self._log("deadline")
+                return
+            if not self.collect(deliver):
+                time.sleep(self.pool.poll_interval)
+
+    def collect(self, deliver) -> bool:
+        """One differ pass; returns whether the pool reported anything.
+
+        A successful attempt's member file is read and delivered; a torn
+        or missing one fails the attempt back to the pool (IO_FAILURE).
+        """
+        outcomes = self.pool.poll(self.pool.telemetry.clock())
+        for out in outcomes:
+            self._record(out)
+            if out.ok:
+                path = self.members_dir / f"forecast_{out.index:05d}.npz"
+                try:
+                    with np.load(path) as data:
+                        forecast = data["forecast"].copy()
+                except Exception:
+                    out = self.pool.fail(out.index, out.attempt, "corrupt output")
+                    self._record(out, corrupt=True)
+                else:
+                    deliver(MemberResult(out.index, forecast))
+                    self.count += 1
+                    self._log("diff_added", f"member={out.index} count={self.count}")
+                    continue
+            if out.lost:
+                deliver(MemberResult(out.index, None, out.error))
+        return bool(outcomes)
+
+    def _record(self, out: TaskOutcome, corrupt: bool = False) -> None:
+        """Write the status record and log the events of one pool outcome.
+
+        Attempts write their own SUCCESS record, every failure record is
+        written here (``corrupt``: the differ failed it over a torn file).
+        """
+        member = f"member={out.index}"
+        if out.ok:
+            self._log("member_done", member)
+            return
+        if out.submit_try and not out.lost:
+            self._log("submit_retry", f"{member} try={out.submit_try}")
+            return
+        status = TaskStatus.MODEL_FAILURE
+        if corrupt or out.submit_try:  # a torn file; the submission path dead
+            status = TaskStatus.IO_FAILURE
+        elif out.timed_out:
+            status = TaskStatus.TIMED_OUT
+        self.status.write("pemodel", out.index, status, attempt=out.attempt)
+        if corrupt:
+            self._log("member_corrupt", f"{member} attempt={out.attempt}")
+        elif out.timed_out:
+            after = f"after={out.elapsed:.3f}"
+            self._log("straggler_cancel", f"{member} attempt={out.attempt} {after}")
+        elif out.lost and not out.submit_try:
+            self._log("member_done", member)
+        if out.lost:
+            self._log("member_terminal_failure", f"{member} why={out.error}")
+        else:
+            self._log(
+                "retry",
+                f"{member} attempt={out.attempt + 1} "
+                f"delay={out.retry_delay:.3f} why={out.error}",
+            )
+            self.pool.telemetry.event(
+                "retry", index=out.index, attempt=out.attempt + 1, why=out.error
+            )
+
+
 class ParallelESSEWorkflow:
     """Fig 4: member pool + completion-order differ + published-snapshot SVD.
 
@@ -151,43 +344,36 @@ class ParallelESSEWorkflow:
     runner:
         Ensemble runner shared by all members.
     config:
-        ESSE sizing/convergence configuration; stage sizes double as the
-        SVD checkpoints.
+        ESSE sizing/convergence configuration (stages = SVD checkpoints).
     workdir:
-        Shared working directory (member files, status files, covariance
-        protocol files).
+        Shared working directory: member, status and covariance files.
     n_workers:
         Worker pool width.
     cancellation:
         Policy applied to in-flight members on convergence.
     use_processes:
         Run members in a process pool (true parallelism) instead of
-        threads.  Threads are the default: cheap, and sufficient for the
-        correctness-level tests.
+        threads, the cheap default.
     poll_interval:
         Differ polling period (s).
     pool_margin:
         The task pool stays this factor ahead of the stage being grown
         so the pipeline never drains.
     retry:
-        Resubmission policy for failed/corrupt/straggling members.  None
-        (the default) keeps the seed semantics: every failure is terminal.
-        Straggler cancellation (``retry.timeout_seconds``) requires the
-        thread backend; process-pool attempts cannot be interrupted.
+        Resubmission policy for failed/corrupt/straggling members; None
+        makes every failure terminal.  Straggler cancellation
+        (``retry.timeout_seconds``) needs threads: process attempts
+        cannot be interrupted.
     faults:
-        Deterministic fault injector exercised by every member attempt;
-        None runs fault-free.
+        Deterministic fault injector; None runs fault-free.
     telemetry:
-        A :class:`~repro.telemetry.spans.TraceRecorder` to receive spans
-        (per-member attempts, stage propagation, SVDs) and which
-        supplies the workflow's *only* time source via its ``clock``.
-        The default :data:`~repro.telemetry.spans.NULL_RECORDER` records
-        nothing and keeps the seed behaviour/overhead.
+        A :class:`~repro.telemetry.spans.TraceRecorder` for the spans
+        (member attempts, stages, SVDs); its ``clock`` is the workflow's
+        *only* time source.  The default records nothing.
     metrics:
-        A :class:`~repro.telemetry.metrics.MetricsRegistry` fed task
-        latencies, retry/timeout counters, pool-size gauges, covariance
-        bytes written (``cov.bytes_written``) and SVD counts
-        (``svd_computations``); None disables metric recording.
+        A :class:`~repro.telemetry.metrics.MetricsRegistry` (None: none) fed
+        task latencies, retry/timeout counters, pool-size gauges, covariance
+        bytes (``cov.bytes_written``) and SVD counts (``svd_computations``).
     """
 
     def __init__(
@@ -212,8 +398,6 @@ class ParallelESSEWorkflow:
         self.runner = runner
         self.config = config
         self.workdir = Path(workdir)
-        self.members_dir = self.workdir / "members"
-        self.members_dir.mkdir(parents=True, exist_ok=True)
         self.status = StatusDirectory(self.workdir / "status")
         self.covset = MemmapCovarianceStore(self.workdir)
         self.n_workers = n_workers
@@ -225,10 +409,8 @@ class ParallelESSEWorkflow:
         self.faults = faults
         self.telemetry = telemetry if telemetry is not None else NULL_RECORDER
         self.metrics = metrics
-        # The single time source for the whole workflow: every "now" --
-        # event stamps, retry backoff deadlines, straggler timers, the
-        # Tmax check -- goes through this clock so tests can inject a
-        # fake one end-to-end.
+        # The one time source: event stamps, backoff, straggler timers and
+        # Tmax all read it, so tests can inject a fake clock end to end.
         self._clock = self.telemetry.clock
         self._events: list[WorkflowEvent] = []
         self._t0 = 0.0
@@ -250,73 +432,6 @@ class ParallelESSEWorkflow:
         if converged:
             self._log("converged", f"count={count}")
 
-    # -- pool outcomes -> status records + event log -----------------------
-
-    def _record(self, out: TaskOutcome, corrupt: bool = False) -> None:
-        """Write the status record and log the events of one pool outcome.
-
-        Attempts write their own SUCCESS record; every failure record is
-        written here -- ``corrupt`` for an attempt the differ failed back
-        to the pool over a torn member file.
-        """
-        member = f"member={out.index}"
-        if out.ok:
-            self._log("member_done", member)
-            return
-        if out.submit_try and not out.lost:
-            self._log("submit_retry", f"{member} try={out.submit_try}")
-            return
-        status, event = TaskStatus.MODEL_FAILURE, None
-        if corrupt:
-            status = TaskStatus.IO_FAILURE
-            event = ("member_corrupt", f"{member} attempt={out.attempt}")
-        elif out.timed_out:
-            status = TaskStatus.TIMED_OUT
-            event = (
-                "straggler_cancel",
-                f"{member} attempt={out.attempt} after={out.elapsed:.3f}",
-            )
-        elif out.submit_try:
-            status = TaskStatus.IO_FAILURE  # submission path dead
-        elif out.lost:
-            event = ("member_done", member)
-        self.status.write("pemodel", out.index, status, attempt=out.attempt)
-        if event is not None:
-            self._log(*event)
-        if out.lost:
-            self._log("member_terminal_failure", f"{member} why={out.error}")
-        else:
-            self._log(
-                "retry",
-                f"{member} attempt={out.attempt + 1} "
-                f"delay={out.retry_delay:.3f} why={out.error}",
-            )
-
-    def _diff(self, pool: TaskPool, sink, deliver) -> bool:
-        """One differ pass over what the pool finished since the last one.
-
-        Every successful attempt's member file is read and folded with
-        ``deliver``; a torn or missing file fails that attempt back to
-        the pool (IO_FAILURE), so the pool counts a member resolved once
-        it is folded or lost.  Returns whether the pool reported anything.
-        """
-        outcomes = pool.poll(self._clock())
-        for out in outcomes:
-            self._record(out)
-            if not out.ok:
-                continue
-            path = self.members_dir / f"forecast_{out.index:05d}.npz"
-            try:
-                with np.load(path) as data:
-                    forecast = data["forecast"].copy()
-            except Exception:
-                failed = pool.fail(out.index, out.attempt, "corrupt output")
-                self._record(failed, corrupt=True)
-                continue
-            deliver(MemberResult(out.index, forecast))
-            self._log("diff_added", f"member={out.index} count={sink.count}")
-        return bool(outcomes)
-
     # -- main -------------------------------------------------------------------
 
     def run(self, mean_state) -> WorkflowResult:
@@ -329,14 +444,11 @@ class ParallelESSEWorkflow:
         cfg = self.config
         self._events = []
         self._t0 = started = self._clock()
-        # A reused workflow starts from nothing -- empty covariance store,
-        # no member records -- or the run would fold the previous run's
-        # forecasts (and published header) into this one.
+        # A reused workflow starts from an empty covariance store, or the
+        # run would fold the previous run's published header into this
+        # one (the member pool clears the member files and records).
         self.covset.cleanup()
         self.covset = MemmapCovarianceStore(self.workdir)
-        self.status.clear("pemodel")
-        for path in self.members_dir.glob("forecast_*.npz"):
-            path.unlink()
 
         with self.telemetry.span("central_forecast"):
             central = self.runner.central_forecast(mean_state)
@@ -345,70 +457,44 @@ class ParallelESSEWorkflow:
         sink = _PublishedColumns(
             model.layout, model.to_vector(central), self.covset, self.metrics
         )
-        pool = TaskPool(
-            "pemodel",
-            _MemberTask(self.runner, mean_state, self.members_dir, self.status),
+        deadline = cfg.deadline_seconds
+        if deadline is not None:
+            deadline += started  # Tmax as a clock reading
+        members = MemberPool(
+            self.runner,
+            mean_state,
+            self.workdir,
+            self.status,
             self.n_workers,
+            cfg.max_ensemble_size,
             processes=self.use_processes,
+            margin=self.pool_margin,
+            deadline=deadline,
             retry=self.retry,
             faults=self.faults,
             telemetry=self.telemetry,
             metrics=self.metrics,
             poll_interval=self.poll_interval,
             parent_span=root,
+            log=self._log,
         )
-        submitted = 0
-
-        def propagate(indices: range, deliver) -> None:
-            """Keep the pool ahead of this stage; diff until it is resolved."""
-            nonlocal submitted
-            want = min(
-                math.ceil(indices.stop * self.pool_margin), cfg.max_ensemble_size
+        with members:
+            growth = grow_ensemble(
+                cfg,
+                members.propagate,
+                sink,
+                telemetry=self.telemetry,
+                started=started,
+                on_check=self._checked,
             )
-            if want > submitted:
-                self._log("enlarge" if submitted else "pool", f"size={want}")
-                for index in range(submitted, want):
-                    pool.submit(index)
-                submitted = want
-                if self.metrics is not None:
-                    self.metrics.gauge("pool_size").set(submitted)
-            while not pool.resolved(indices):
-                # Tmax cuts a stage short once there is something to factor.
-                if (
-                    cfg.deadline_seconds is not None
-                    and sink.count >= 2
-                    and self._clock() - started > cfg.deadline_seconds
-                ):
-                    self._log("deadline")
-                    return
-                if not self._diff(pool, sink, deliver):
-                    time.sleep(self.poll_interval)
-
-        with pool:
-            try:
-                growth = grow_ensemble(
-                    cfg,
-                    propagate,
-                    sink,
-                    telemetry=self.telemetry,
-                    started=started,
-                    on_check=self._checked,
-                )
-            finally:
-                # Cancellation of superfluous members (queued; running
-                # ones finish while the pool closes)
-                cancelled = pool.cancel_pending()
-            for idx in cancelled:
-                self.status.write("pemodel", idx, TaskStatus.CANCELLED)
-                self._log("cancel", f"member={idx}")
 
         subspace = growth.subspace
         if self.cancellation is not CancellationPolicy.IMMEDIATE:
             # Drain: the members that were still running are diffed, and
             # "another SVD calculation is performed and all available
-            # results are used".
-            self._diff(
-                pool, sink, lambda res: sink.add_member(res.member_index, res.forecast)
+            # results are used".  A member lost here is only recorded.
+            members.collect(
+                lambda res: res.ok and sink.add_member(res.member_index, res.forecast)
             )
             if sink.count > growth.ensemble_size:
                 with self.telemetry.span("svd.final", count=sink.count):
@@ -418,7 +504,7 @@ class ParallelESSEWorkflow:
                     )
                 self._log("final_svd", f"count={view.count}")
 
-        lost = pool.lost
+        lost = members.pool.lost
         if lost:
             self._log("degraded", f"n_lost={len(lost)}")
             warn_lost_members(len(lost))
@@ -429,7 +515,9 @@ class ParallelESSEWorkflow:
         if self.metrics is not None:
             self.metrics.gauge("members_completed", kind="pemodel").set(n_completed)
             self.metrics.gauge("members_failed", kind="pemodel").set(n_failed)
-            self.metrics.gauge("members_cancelled", kind="pemodel").set(len(cancelled))
+            self.metrics.gauge("members_cancelled", kind="pemodel").set(
+                len(members.cancelled)
+            )
         return WorkflowResult(
             subspace=subspace,
             ensemble_size=sink.count,
@@ -438,10 +526,10 @@ class ParallelESSEWorkflow:
             events=tuple(self._events),
             n_completed=n_completed,
             n_failed=n_failed,
-            n_cancelled=len(cancelled),
+            n_cancelled=len(members.cancelled),
             wall_seconds=self._clock() - started,
             member_ids=sink.member_ids,
-            n_retried=pool.n_retried,
-            n_timed_out=pool.n_timed_out,
+            n_retried=members.pool.n_retried,
+            n_timed_out=members.pool.n_timed_out,
             degraded=bool(lost),
         )

@@ -1,9 +1,8 @@
 """The one fault-tolerant task pool behind every bag of independent tasks.
 
 The paper's Fig 4 turns ESSE into independent, failure-tolerant tasks;
-ensemble members, shared-memory member columns and analysis tiles all
-have that shape (local regions update independently), so one pool serves
-them all.  :class:`TaskPool` holds the mechanics once
+ensemble members and analysis tiles (local regions update independently)
+both have that shape, so :class:`TaskPool` holds the mechanics once
 (``docs/FAILURE_MODEL.md``):
 
 - a per-task attempt counter and one span per in-process attempt,
@@ -18,15 +17,12 @@ them all.  :class:`TaskPool` holds the mechanics once
 - tasks out of retries resolved as *lost*, for the client to degrade on.
 
 CORRUPT is the one client-specific fault: the pool reports the draw to
-the task, and what a torn output looks like and who detects it (the
-client, through :meth:`TaskPool.fail` or its own validation) stay with
-the client.  The pool reads time only through the telemetry clock and
-draws randomness only through the seeded policy/injector streams, so a
-fixed seed reproduces the exact retry schedule and fault sequence.
-
-:class:`TileTaskPool` is the pool with kind ``"tile"`` and a result
-validator, the ``task_runner`` of the tiled analysis
-(``docs/ASSIMILATION.md``).
+the task; what a torn output looks like and who detects it (through
+:meth:`TaskPool.fail` or its own validation) is the client's.  Time comes
+only from the telemetry clock and randomness only from the seeded
+policy/injector streams, so a fixed seed reproduces the exact retry
+schedule and fault sequence.  :class:`TileTaskPool`, kind ``"tile"``, is
+the tiled analysis's ``task_runner`` (``docs/ASSIMILATION.md``).
 """
 
 from __future__ import annotations
@@ -214,11 +210,6 @@ class TaskPool:
         self._executor.shutdown(wait=True)
 
     # -- bookkeeping the client reads ------------------------------------------
-
-    @property
-    def n_resolved(self) -> int:
-        """Tasks that delivered a result or were lost."""
-        return len(self._resolved)
 
     @property
     def all_resolved(self) -> bool:
@@ -460,22 +451,10 @@ class TileTaskPool:
     Parameters
     ----------
     n_workers:
-        Thread-pool width.  Tile tasks are numpy-heavy and release the
-        GIL inside BLAS, so modest widths already overlap usefully.
-    retry:
-        Resubmission policy (None disables retries *and* straggler
-        handling: every failure is terminal).
-    faults:
-        Deterministic fault injector exercised with task kind ``"tile"``;
-        an injected CORRUPT replaces the tile's result with a payload
-        that fails validation.
-    telemetry:
-        Span/event recorder; also supplies the pool's clock.
-    metrics:
-        Optional registry fed ``task_seconds`` / ``task_retries`` /
-        ``task_timeouts`` with ``kind="tile"`` labels.
-    poll_interval:
-        Polling period in seconds.
+        Thread-pool width (tile tasks release the GIL inside BLAS).
+    retry, faults, telemetry, metrics, poll_interval:
+        The :class:`TaskPool`'s; an injected CORRUPT replaces the tile's
+        result with a payload that fails validation.
     validate:
         Result predicate; a falsy verdict counts as a failed attempt
         (default: the result is neither None nor the injected-corruption

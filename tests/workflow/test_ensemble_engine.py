@@ -19,7 +19,7 @@ from repro.workflow import (
     ProcessesBackend,
     RetryPolicy,
     SerialBackend,
-    SharedEnsembleBuffer,
+    TaskPool,
     make_backend,
 )
 from repro.workflow.covfile import MemmapCovarianceStore
@@ -79,70 +79,6 @@ class TestMakeBackend:
         assert make_backend("serial").members_per_task == 1
         assert make_backend("batched", batch_size=5).members_per_task == 5
         assert make_backend("batched", batch_size=5).status_kind == "pemodel_batch"
-
-
-class TestSharedEnsembleBuffer:
-    def test_columns_start_nan_and_round_trip(self):
-        buffer = SharedEnsembleBuffer(10, 3)
-        try:
-            assert np.all(np.isnan(buffer.column(1)))
-            buffer.column(1)[:] = np.arange(10.0)
-            assert np.array_equal(buffer.column(1), np.arange(10.0))
-            assert np.all(np.isnan(buffer.column(0)))  # siblings untouched
-        finally:
-            buffer.close()
-            buffer.unlink()
-
-    def test_attach_sees_owner_writes(self):
-        buffer = SharedEnsembleBuffer(6, 2)
-        try:
-            buffer.column(0)[:] = 7.0
-            view = SharedEnsembleBuffer.attach(
-                buffer.name, buffer.state_dim, buffer.capacity
-            )
-            try:
-                assert np.array_equal(view.column(0), np.full(6, 7.0))
-            finally:
-                view.close()
-        finally:
-            buffer.close()
-            buffer.unlink()
-
-    def test_feed_into_column_store_ships_each_column_once(self, tmp_path):
-        """The process-backend handoff serializes nothing: the accumulator
-        reads the shared-memory views, the store appends from the
-        accumulator's view, and each member costs its column and its id."""
-        from repro.core.covariance import AnomalyAccumulator
-        from repro.core.state import FieldLayout, FieldSpec
-
-        state_dim, members = 50, 6
-        forecasts = np.random.default_rng(0).standard_normal((state_dim, members))
-        layout = FieldLayout([FieldSpec("x", (state_dim,))])
-        buffer = SharedEnsembleBuffer(state_dim, members)
-        store = MemmapCovarianceStore(tmp_path)
-        try:
-            for k in range(members):  # worker side: each attempt writes once
-                buffer.column(k)[:] = forecasts[:, k]
-            accumulator = AnomalyAccumulator(layout, np.zeros(state_dim))
-            shipped = 0
-            for k in range(members):
-                accumulator.add_member(k, buffer.column(k))
-                if accumulator.count >= 2:
-                    shipped += store.sync_from(accumulator.view())
-                    store.publish()
-            assert shipped == members * (8 * state_dim + 8)
-            snapshot = store.read_safe()
-            assert np.array_equal(np.asarray(snapshot.columns), forecasts)
-        finally:
-            store.close()
-            buffer.close()
-            buffer.unlink()
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            SharedEnsembleBuffer(0, 4)
-        with pytest.raises(ValueError, match=">= 1"):
-            SharedEnsembleBuffer(4, 0)
 
 
 class TestBackendEquivalence:
@@ -248,7 +184,7 @@ class TestProcessBackendFaults:
         result = engine.run(background)
         assert result.ensemble_size == 4
         assert not result.degraded
-        # the half-written shm columns were caught (IO_FAILURE) and the
+        # the truncated member files were caught (IO_FAILURE) and the
         # final accepted columns are fully finite
         statuses = [
             status
@@ -296,6 +232,52 @@ class TestProcessBackendFaults:
         ).run(background)
         assert faulty.n_retried == 0
         assert sorted(faulty.member_ids) == sorted(plain.member_ids)
+
+
+class TestProcessesMemberPool:
+    """The processes backend runs the whole run on one member pool."""
+
+    def test_one_executor_per_run(self, setup, tmp_path, monkeypatch):
+        _, background, runner = setup
+        entered = []
+        enter = TaskPool.__enter__
+
+        def counting_enter(pool):
+            entered.append(pool.kind)
+            return enter(pool)
+
+        monkeypatch.setattr(TaskPool, "__enter__", counting_enter)
+        result = EnsembleEngine(
+            runner,
+            config(convergence_tolerance=1.0),  # two stages: 4 -> 8
+            tmp_path / "wf",
+            backend=ProcessesBackend(n_workers=2),
+        ).run(background)
+        # checked at 4, compared at 8: two stages
+        assert [count for count, _ in result.convergence_history] == [8]
+        assert entered == ["pemodel"]
+
+    def test_reused_engine_folds_nothing_from_the_last_run(self, setup, tmp_path):
+        """A second run() starts from nothing: no old member file or record."""
+        model, background, runner = setup
+        other = model.run(background, 86400.0)  # a different mean state
+        cfg = config(convergence_tolerance=1.0)
+        engine = EnsembleEngine(
+            runner, cfg, tmp_path / "reused", backend=ProcessesBackend(n_workers=2)
+        )
+        engine.run(background)
+        second = engine.run(other)
+        fresh = EnsembleEngine(
+            runner, cfg, tmp_path / "fresh", backend=ProcessesBackend(n_workers=2)
+        )
+        expected = fresh.run(other)
+        assert second.ensemble_size == expected.ensemble_size == 8
+        assert sorted(second.member_ids) == sorted(expected.member_ids)
+        reused = anomaly_columns_by_member(engine)
+        for member, column in anomaly_columns_by_member(fresh).items():
+            assert np.array_equal(reused[member], column), member
+        history = engine.status.attempt_counts("pemodel")
+        assert all(counts == {TaskStatus.SUCCESS: 1} for counts in history.values())
 
 
 class TestProgressMonitor:

@@ -2,10 +2,10 @@
 
 Objects with an OS-level footprint (file handles from ``open``/
 ``Path.open``, ``np.memmap`` views, ``multiprocessing.shared_memory``
-segments, the workflow's ``SharedEnsembleBuffer`` / covariance stores,
-executors, sockets) must reach a release call (``close()`` / ``unlink()``
-/ ``shutdown()`` / ``cleanup()``) on *every* control-flow path out of the
-function that acquired them -- or be handed off explicitly.
+segments, the workflow's covariance stores, executors, sockets) must
+reach a release call (``close()`` / ``unlink()`` / ``shutdown()`` /
+``cleanup()``) on *every* control-flow path out of the function that
+acquired them -- or be handed off explicitly.
 
 The rule runs the :mod:`tools.lint.dataflow` obligation analysis over
 each function: acquire sites create a PENDING obligation, releases and
@@ -63,7 +63,6 @@ RESOURCE_FACTORIES = {
 #: Bare class names that carry an obligation even when the import cannot
 #: be resolved (the repo's own resource classes are imported many ways).
 RESOURCE_CLASS_NAMES = {
-    "SharedEnsembleBuffer",
     "MemmapCovarianceStore",
     "SharedMemory",
     "ThreadPoolExecutor",
@@ -162,32 +161,32 @@ class ResourceLifecycleRule(Rule):
         "explicitly transferred"
     )
     explanation = """\
-A shared-memory slot or memmap that misses its close()/unlink() on one
-branch leaks until process exit -- and /dev/shm segments survive the
+A shared-memory segment or memmap that misses its close()/unlink() on
+one branch leaks until process exit -- and /dev/shm segments survive the
 process.  The rule tracks each acquired resource through the function's
 control-flow graph (branches, loops, try/finally, with, early returns)
 and reports acquire sites whose obligation is still pending on any path
 reaching the function exit.
 
 Bad:
-    buf = SharedEnsembleBuffer(n, k)
+    seg = SharedMemory(create=True, size=nbytes)
     if not ready:
-        return None          # buf leaked on this path
-    buf.close()
+        return None          # seg leaked on this path
+    seg.close()
 
 Good -- every path releases:
-    buf = SharedEnsembleBuffer(n, k)
+    seg = SharedMemory(create=True, size=nbytes)
     try:
         if not ready:
             return None
     finally:
-        buf.close()
+        seg.close()
 
 or transfer ownership explicitly:
-    buf = SharedEnsembleBuffer(n, k)
-    self._buffers.append(buf)          # container owns it now
-    return SharedView(buf)             # caller owns it now
-    track(buf)  # repro-lint: takes-ownership -- registry closes it
+    cols = np.memmap(path, dtype=np.float64, mode="r", shape=(n, k))
+    self._views.append(cols)           # container owns it now
+    return cols                        # caller owns it now
+    track(cols)  # repro-lint: takes-ownership -- registry closes it
 """
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
