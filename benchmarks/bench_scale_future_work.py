@@ -1,13 +1,11 @@
-"""Sec 7 (future work): scaling to 1000-10000 members and nested MPI jobs.
+"""Sec 7 (future work): scaling to 1000-10000 members.
 
 "Future more involved experiments are expected to scale from 1000 to
 10000 or more ESSE ensemble members (and even more acoustic calculations).
 We are interested in seeing how queuing systems and resource managers
-handle such a workload in a short time interval.  Furthermore more
-realistic model setups are expected to require ... massive ensembles of
-small (2-3 task) MPI jobs."
+handle such a workload in a short time interval."
 
-The DES answers both questions for the calibrated home cluster.
+The DES answers this for the calibrated home cluster.
 """
 
 import pytest
@@ -22,19 +20,6 @@ def run_scaling():
     for n in (600, 1000, 10000):
         campaign = EnsembleCampaign(mseas_cluster(), policy=SGEPolicy())
         out[n] = campaign.run(campaign.ensemble_specs(n))
-    return out
-
-
-def run_nested():
-    out = {}
-    for tasks in (1, 2, 3):
-        campaign = EnsembleCampaign(mseas_cluster(), policy=SGEPolicy())
-        specs = (
-            campaign.ensemble_specs(600)
-            if tasks == 1
-            else campaign.nested_ensemble_specs(600, mpi_tasks=tasks)
-        )
-        out[tasks] = campaign.run(specs)
     return out
 
 
@@ -64,30 +49,3 @@ def test_scale_to_10000_members(benchmark):
     for s in stats.values():
         assert s.core_utilization > 0.85
 
-
-def test_nested_mpi_ensembles(benchmark):
-    stats = benchmark.pedantic(run_nested, rounds=1, iterations=1)
-
-    rows = [
-        [
-            f"{tasks}-task jobs",
-            f"{s.mean_runtime_by_kind['pemodel']:.0f} s",
-            f"{s.makespan_minutes:.1f} min",
-        ]
-        for tasks, s in stats.items()
-    ]
-    print_table(
-        "Sec 7: 600-member ensembles of small MPI pemodel jobs",
-        ["job shape", "pemodel runtime", "campaign makespan"],
-        rows,
-    )
-
-    # each MPI job runs faster...
-    assert (
-        stats[2].mean_runtime_by_kind["pemodel"]
-        < stats[1].mean_runtime_by_kind["pemodel"]
-    )
-    # ...but the campaign makespan stays roughly constant (same total work
-    # on the same cores, minus parallel-efficiency losses)
-    assert stats[2].makespan_minutes > 0.9 * stats[1].makespan_minutes
-    assert stats[3].makespan_minutes > 0.9 * stats[1].makespan_minutes

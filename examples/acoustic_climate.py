@@ -68,6 +68,8 @@ def main() -> None:
     # -- coupled physical-acoustical modes ---------------------------------
     coupled = coupled_uncertainty_modes(np.stack(temp_sections), tl_fields)
     frac = coupled.coupling_fraction()
+    # every joint mode carries some acoustic variance, none more than all
+    assert np.all((frac > 0.0) & (frac <= 1.0)), frac
     print(f"\ncoupled physical-acoustical covariance: rank {coupled.n_modes}")
     print(f"  dominant mode explains "
           f"{100 * coupled.variances[0] / coupled.variances.sum():.0f}% of joint "
@@ -87,6 +89,7 @@ def main() -> None:
         central, n_ranges=12, max_depth=200.0
     )
     stats = climate.tl_statistics()
+    assert climate.completed == len(tasks) and np.isfinite(stats["mean"])
     print(f"  completed {climate.completed}/{len(tasks)} in "
           f"{time.perf_counter() - t0:.1f} s; "
           f"TL mean {stats['mean']:.1f} dB, spread {stats['std']:.1f} dB")

@@ -68,6 +68,7 @@ def main() -> None:
     sfc = bio.surface_chlorophyll(phyto)[grid.mask]
     print(f"biology: surface chlorophyll {sfc.min():.2f}-{sfc.max():.2f} "
           f"mg/m^3 (mean {sfc.mean():.2f}) after {duration / 3600:.0f} h")
+    assert np.all(np.isfinite(sfc)) and 0.0 < sfc.min() <= sfc.max() < 10.0
 
     # 3. acoustics through the forecast ocean --------------------------------
     lx, ly = grid.nx * grid.dx, grid.ny * grid.dy
@@ -88,6 +89,10 @@ def main() -> None:
     sst_truth = truth.temp[0][grid.mask]
     report = verify_ensemble(sst_members, sst_truth)
     print(f"verification (SST): {report.render()}")
+    scores = (report.rmse, report.bias, report.spread_skill, report.crps)
+    assert np.all(np.isfinite(scores)), report
+    assert abs(report.bias) <= report.rmse < 5.0, report  # degC, after one day
+    assert report.crps > 0.0 and report.spread_skill > 0.0, report
 
     # 5. the bulletin ----------------------------------------------------------
     network = aosn2_network(grid, layout, rng=np.random.default_rng(7))

@@ -28,7 +28,6 @@ from repro.core.taskmodel import DegradedEnsembleWarning
 from repro.core.tiling import Tile, TileDecomposition
 from repro.core.ensemble import EnsembleRunner, MemberResult
 from repro.core.driver import ESSEConfig, ESSEDriver, ForecastResult
-from repro.core.smoother import ESSESmoother, SmootherResult
 from repro.core.verification import (
     VerificationReport,
     anomaly_correlation,
@@ -71,8 +70,6 @@ __all__ = [
     "ESSEConfig",
     "ESSEDriver",
     "ForecastResult",
-    "ESSESmoother",
-    "SmootherResult",
     "VerificationReport",
     "anomaly_correlation",
     "bias",

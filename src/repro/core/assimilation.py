@@ -16,8 +16,7 @@ de-normalization diagonal) and ``S = diag(sigma^2)``:
 from one Cholesky factorization of a ``p x p`` matrix, so the cost is
 O(m p^2 + p^3) for m observations and subspace rank p -- never an O(m^3)
 dense solve, which matters at the paper's m = O(10^4 - 10^5) observation
-counts.  It is the only linear solve of the analysis, of the smoother
-(:mod:`repro.core.smoother`, ``S = I`` in member space) and of the
+counts.  It is the only linear solve of the analysis and of the
 coupled physical-acoustical update (:mod:`repro.acoustics.coupled`).
 
 There is one update path (:meth:`ESSEAnalysis.update`): the state is

@@ -17,24 +17,18 @@ SGE-vs-Condor gaps, dollar costs) are then emergent.
 - :mod:`~repro.sched.cluster` -- the paper's local cluster,
 - :mod:`~repro.sched.campaign` -- ESSE/acoustic campaign builders + stats,
 - :mod:`~repro.sched.gridsites` -- Table 1 TeraGrid platforms,
-- :mod:`~repro.sched.ec2` -- Table 2 EC2 instances and the cost model.
+- :mod:`~repro.sched.ec2` -- Table 2 EC2 instances and the cost model,
+- :mod:`~repro.sched.transfer` -- Sec 5.3.2 output-return strategies.
 """
 
 from repro.sched.engine import Simulator
 from repro.sched.iomodel import SharedBandwidth, IOConfiguration, IOMode
 from repro.sched.resources import NodeSpec, Node, ClusterModel
 from repro.sched.jobs import JobSpec, Job, JobState
-from repro.sched.schedulers import (
-    BigJobPriorityPolicy,
-    ClusterScheduler,
-    CondorPolicy,
-    SGEPolicy,
-)
+from repro.sched.schedulers import ClusterScheduler, CondorPolicy, SGEPolicy
 from repro.sched.cluster import mseas_cluster, reference_task_times
 from repro.sched.campaign import EnsembleCampaign, CampaignStats
 from repro.sched.gridsites import GridSite, TERAGRID_SITES, run_site_benchmark
-from repro.sched.federation import federate, pool_sizes
-from repro.sched.elastic import ElasticEC2Pool
 from repro.sched.transfer import (
     OutputReturnPlan,
     TransferReport,
@@ -61,7 +55,6 @@ __all__ = [
     "Job",
     "JobState",
     "SGEPolicy",
-    "BigJobPriorityPolicy",
     "CondorPolicy",
     "ClusterScheduler",
     "mseas_cluster",
@@ -71,9 +64,6 @@ __all__ = [
     "GridSite",
     "TERAGRID_SITES",
     "run_site_benchmark",
-    "federate",
-    "pool_sizes",
-    "ElasticEC2Pool",
     "OutputReturnPlan",
     "TransferReport",
     "WANModel",

@@ -16,14 +16,9 @@ import numpy as np
 from repro.sched.cluster import reference_task_times
 from repro.sched.engine import Simulator
 from repro.sched.iomodel import IOConfiguration
-from repro.sched.jobs import Job, JobSpec, JobState
+from repro.sched.jobs import JobSpec, JobState
 from repro.sched.resources import ClusterModel
-from repro.sched.schedulers import (
-    BigJobPriorityPolicy,
-    ClusterScheduler,
-    CondorPolicy,
-    SGEPolicy,
-)
+from repro.sched.schedulers import ClusterScheduler, CondorPolicy, SGEPolicy
 
 
 @dataclass(frozen=True)
@@ -37,7 +32,6 @@ class CampaignStats:
     mean_runtime_by_kind: dict[str, float]
     core_utilization: float
     sim_events: int = 0  # DES events processed: the scheduler-load proxy
-    failed_count: int = 0  # jobs lost to injected failures (+ dependents)
 
     @property
     def makespan_minutes(self) -> float:
@@ -66,7 +60,7 @@ class EnsembleCampaign:
     def __init__(
         self,
         cluster: ClusterModel,
-        policy: SGEPolicy | CondorPolicy | BigJobPriorityPolicy | None = None,
+        policy: SGEPolicy | CondorPolicy | None = None,
         io_config: IOConfiguration | None = None,
         task_times: dict[str, float] | None = None,
         as_job_array: bool = True,
@@ -98,41 +92,6 @@ class EnsembleCampaign:
             )
         return specs
 
-    def nested_ensemble_specs(
-        self,
-        n_members: int,
-        mpi_tasks: int = 2,
-        parallel_efficiency: float = 0.9,
-    ) -> list[JobSpec]:
-        """Ensemble of small MPI pemodel jobs (paper Sec 7 future work).
-
-        "More realistic model setups are expected to require the use of
-        nested HOPS calculations which are executed in parallel -- thereby
-        introducing the concept of massive ensembles of small (2-3 task)
-        MPI jobs."  Each pemodel occupies ``mpi_tasks`` cores on one node
-        and runs ``mpi_tasks * parallel_efficiency`` times faster.
-        """
-        if mpi_tasks < 1:
-            raise ValueError("mpi_tasks must be >= 1")
-        if not 0.0 < parallel_efficiency <= 1.0:
-            raise ValueError("parallel_efficiency must be in (0, 1]")
-        specs: list[JobSpec] = []
-        speedup = mpi_tasks * parallel_efficiency
-        for i in range(n_members):
-            specs.append(
-                JobSpec(kind="pert", index=i, cpu_seconds=self.task_times["pert"])
-            )
-            specs.append(
-                JobSpec(
-                    kind="pemodel",
-                    index=i,
-                    cpu_seconds=self.task_times["pemodel"] / speedup,
-                    depends_on=("pert", i),
-                    cores=mpi_tasks,
-                )
-            )
-        return specs
-
     def acoustic_specs(self, n_tasks: int) -> list[JobSpec]:
         """Independent short acoustic singletons (no job arrays used)."""
         if n_tasks < 1:
@@ -142,100 +101,22 @@ class EnsembleCampaign:
             for i in range(n_tasks)
         ]
 
-    def batched_acoustic_specs(
-        self, n_tasks: int, batch_size: int = 8
-    ) -> list[JobSpec]:
-        """Acoustic singletons repackaged as wide batch jobs.
-
-        Sec 5.3.4: on schedulers tuned to favour large parallel jobs "one
-        needs to refactor singleton jobs to batches of singletons packaged
-        as a single job (with all the extra trouble this refactoring can
-        introduce)".  Each batch occupies ``batch_size`` cores of one node
-        for one singleton's wall time.
-        """
-        if n_tasks < 1 or batch_size < 1:
-            raise ValueError("n_tasks and batch_size must be >= 1")
-        n_batches = (n_tasks + batch_size - 1) // batch_size
-        return [
-            JobSpec(
-                kind="acoustic_batch",
-                index=i,
-                cpu_seconds=self.task_times["acoustic"],
-                cores=min(batch_size, n_tasks - i * batch_size),
-            )
-            for i in range(n_batches)
-        ]
-
-    def run(
-        self,
-        specs: list[JobSpec],
-        failure_rate: float = 0.0,
-        failure_seed: int | None = None,
-        telemetry=None,
-        metrics=None,
-    ) -> CampaignStats:
-        """Simulate the campaign to completion and aggregate statistics.
-
-        Parameters
-        ----------
-        specs:
-            Job specifications.
-        failure_rate:
-            Per-job death probability (ESSE tolerates the holes -- Sec 4
-            point 3); with a non-zero rate, statistics cover the surviving
-            jobs and ``failed_count`` reports the losses.
-        failure_seed:
-            Seed for reproducible failure draws.
-        telemetry:
-            Optional recorder *factory*: a callable taking the virtual
-            clock and returning the recorder the scheduler should use
-            (typically ``TraceRecorder``), or an already-built recorder.
-            The recorded spans are in simulated seconds, exportable with
-            the same Chrome-trace pipeline as a live run; when a factory
-            is passed, the built recorder is kept on ``last_telemetry``.
-        metrics:
-            Optional :class:`~repro.telemetry.metrics.MetricsRegistry`
-            fed per-kind wait/wall histograms and outcome counters.
-        """
-        import numpy as _np
-
+    def run(self, specs: list[JobSpec]) -> CampaignStats:
+        """Simulate the campaign to completion and aggregate statistics."""
         sim = Simulator()
-        if (
-            telemetry is not None
-            and callable(telemetry)
-            and (isinstance(telemetry, type) or not hasattr(telemetry, "record_span"))
-        ):
-            telemetry = telemetry(sim.clock())
-        self.last_telemetry = telemetry  # factory-built recorders retrievable
         scheduler = ClusterScheduler(
             sim,
             self.cluster,
             self.policy,
             io_config=self.io_config,
             as_job_array=self.as_job_array,
-            failure_rate=failure_rate,
-            failure_rng=(
-                _np.random.default_rng(failure_seed)
-                if failure_rate > 0
-                else None
-            ),
-            telemetry=telemetry,
-            metrics=metrics,
         )
         scheduler.submit(specs)
         sim.run()
 
         jobs = [j for j in scheduler.jobs.values() if j.state is JobState.DONE]
-        lost = sum(
-            1
-            for j in scheduler.jobs.values()
-            if j.state in (JobState.FAILED, JobState.CANCELLED)
-        )
-        if len(jobs) + lost != len(specs):
-            unfinished = len(specs) - len(jobs) - lost
-            raise RuntimeError(f"{unfinished} jobs did not finish")
-        if failure_rate == 0.0 and lost:
-            raise RuntimeError(f"{lost} jobs lost without failure injection")
+        if len(jobs) != len(specs):
+            raise RuntimeError(f"{len(specs) - len(jobs)} jobs did not finish")
         makespan = max(j.end_time for j in jobs)
         waits = [j.wait_seconds for j in jobs]
         kinds = sorted({j.spec.kind for j in jobs})
@@ -255,5 +136,4 @@ class EnsembleCampaign:
             mean_runtime_by_kind=runtime,
             core_utilization=core_util,
             sim_events=sim.events_processed,
-            failed_count=lost,
         )

@@ -32,15 +32,6 @@ class Simulator:
         self._cancelled: set[int] = set()
         self.events_processed = 0
 
-    def clock(self) -> Callable[[], float]:
-        """A zero-argument virtual-time clock for telemetry recorders.
-
-        ``TraceRecorder(clock=sim.clock())`` stamps spans in simulated
-        seconds, so an SGE/Condor/EC2 campaign exports the *same* trace
-        format as a live task-pool run (paper Fig 1 vs Fig 4 timelines).
-        """
-        return lambda: self.now
-
     def schedule(self, delay: float, callback: Callable) -> int:
         """Schedule ``callback`` to fire ``delay`` seconds from now.
 
@@ -61,24 +52,6 @@ class Simulator:
     def cancel(self, handle: int) -> None:
         """Cancel a scheduled event (lazy removal)."""
         self._cancelled.add(handle)
-
-    def step(self) -> bool:
-        """Process exactly one (non-cancelled) event.
-
-        Returns False when the queue is empty.  Useful for observing a
-        simulation mid-flight -- e.g. asserting that a retry's backoff
-        delay elapsed before its resubmission fired.
-        """
-        while self._queue:
-            time, handle, callback = heapq.heappop(self._queue)
-            if handle in self._cancelled:
-                self._cancelled.discard(handle)
-                continue
-            self.now = time
-            self.events_processed += 1
-            callback()
-            return True
-        return False
 
     def run(self, until: float | None = None) -> None:
         """Process events in time order, optionally stopping at ``until``.

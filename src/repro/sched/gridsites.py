@@ -19,7 +19,6 @@ from repro.sched.cluster import (
     REFERENCE_PERT_SECONDS,
 )
 from repro.sched.resources import ClusterModel, Node, NodeSpec
-from repro.util.rng import SeedSequenceStream
 
 
 @dataclass(frozen=True)
@@ -125,112 +124,6 @@ TERAGRID_SITES: dict[str, GridSite] = {
         cores=210,
     ),
 }
-
-
-def run_reserved_campaign(
-    site: GridSite,
-    n_members: int,
-    window_seconds: float | None,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
-) -> dict[str, float | int]:
-    """An ESSE slice on a Grid site, with or without an advance reservation.
-
-    Sec 5.3.4: "In the absence of advance reservation the jobs submitted
-    may very well end up running on the following day (or in any case
-    outside the useful time window for ocean forecasts to be issued)" and
-    "Advance reservations ... will be necessary to ensure that a
-    sufficient number of cpu power will be available."
-
-    With a reservation (``window_seconds`` set) the campaign starts
-    immediately but is hard-killed at the window end: unfinished members
-    are cancelled (ESSE tolerates the holes).  Without one, the whole
-    campaign waits out a stochastic queue delay first.
-
-    The queue-wait draw comes from ``rng`` when given, else from a
-    :class:`~repro.util.rng.SeedSequenceStream` stream keyed by ``seed``
-    (default 0) and the site name -- repeat calls with the same arguments
-    reproduce the same wait.
-
-    Returns
-    -------
-    dict with ``queue_wait_s``, ``completed``, ``cancelled`` and
-    ``finish_time_s`` (wall time until the last *useful* result).
-    """
-    from repro.sched.engine import Simulator
-    from repro.sched.iomodel import IOConfiguration, IOMode
-    from repro.sched.jobs import JobState, JobSpec
-    from repro.sched.schedulers import ClusterScheduler, SGEPolicy
-
-    if n_members < 1:
-        raise ValueError("n_members must be >= 1")
-    if rng is None:
-        rng = SeedSequenceStream(seed if seed is not None else 0).rng(
-            "gridsites", site.name, "queue-wait"
-        )
-    reserved = window_seconds is not None
-    queue_wait = 0.0 if reserved else site.sample_queue_wait(rng)
-
-    sim = Simulator()
-    scheduler = ClusterScheduler(
-        sim,
-        site.cluster(),
-        SGEPolicy(),
-        IOConfiguration(
-            mode=IOMode.PRESTAGED,
-            prestage_cost_s=0.0,
-            pert_input_mb=0.0,
-            pemodel_input_mb=0.0,
-            output_mb=0.0,
-        ),
-    )
-    specs: list[JobSpec] = []
-    for i in range(n_members):
-        specs.append(
-            JobSpec(kind="pert", index=i, cpu_seconds=REFERENCE_PERT_SECONDS)
-        )
-        specs.append(
-            JobSpec(
-                kind="pemodel",
-                index=i,
-                cpu_seconds=REFERENCE_PEMODEL_SECONDS,
-                depends_on=("pert", i),
-            )
-        )
-    sim.schedule(queue_wait, lambda: scheduler.submit(specs))
-    if reserved:
-        sim.schedule(queue_wait + window_seconds, scheduler.cancel_queued)
-        sim.run(until=queue_wait + window_seconds)
-        # jobs still running at the wall are lost too
-        lost_running = [
-            j for j in scheduler.jobs.values() if j.state is JobState.RUNNING
-        ]
-        sim.run()  # let in-flight events settle for accounting
-        for job in lost_running:
-            if job.state is JobState.DONE and job.end_time > (
-                queue_wait + window_seconds
-            ):
-                job.state = JobState.CANCELLED
-    else:
-        sim.run()
-
-    done = [
-        j
-        for j in scheduler.jobs.values()
-        if j.state is JobState.DONE and j.spec.kind == "pemodel"
-    ]
-    cancelled = [
-        j
-        for j in scheduler.jobs.values()
-        if j.state is JobState.CANCELLED and j.spec.kind == "pemodel"
-    ]
-    finish = max((j.end_time for j in done), default=queue_wait)
-    return {
-        "queue_wait_s": queue_wait,
-        "completed": len(done),
-        "cancelled": len(cancelled),
-        "finish_time_s": float(finish),
-    }
 
 
 def run_site_benchmark(site: GridSite) -> dict[str, float]:

@@ -24,12 +24,6 @@ class IOMode(Enum):
 
     NFS = "nfs"  # read inputs from the shared server at job start
     PRESTAGED = "prestaged"  # inputs already on every local disk
-    # "the shared input files can be read remotely from OpenDAP servers at
-    # the home institution ... The performance implications of such an
-    # approach however (hundreds of requests to a central OpenDAP server)
-    # make it a less desirable solution" (Sec 5.3.2): like NFS but through
-    # a far thinner WAN pipe.
-    OPENDAP = "opendap"
 
 
 @dataclass(frozen=True)
@@ -60,7 +54,6 @@ class IOConfiguration:
     pemodel_input_mb: float = 850.0
     output_mb: float = 11.0
     prestage_cost_s: float = 120.0
-    opendap_bandwidth_mbps: float = 40.0  # WAN pipe to the home OpenDAP server
 
     def __post_init__(self):
         for name in (
@@ -71,8 +64,6 @@ class IOConfiguration:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.opendap_bandwidth_mbps <= 0:
-            raise ValueError("opendap_bandwidth_mbps must be positive")
 
     def input_mb(self, kind: str) -> float:
         """Input volume for a task kind."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -12,7 +12,6 @@ class JobState(Enum):
     QUEUED = "queued"
     RUNNING = "running"
     DONE = "done"
-    FAILED = "failed"
     CANCELLED = "cancelled"
 
 
@@ -31,26 +30,21 @@ class JobSpec:
     depends_on:
         Index of a same-campaign job that must succeed first (pemodel
         depends on its pert); None if independent.
-    cores:
-        Cores the job occupies on one node (default 1).  Values > 1 model
-        the paper's future-work "massive ensembles of small (2-3 task) MPI
-        jobs" from nested HOPS setups (Sec 7); all cores must come from a
-        single node.
+
+    Every job occupies one core: the paper's ESSE and acoustic tasks are
+    all singletons.
     """
 
     kind: str
     index: int
     cpu_seconds: float
     depends_on: tuple[str, int] | None = None
-    cores: int = 1
 
     def __post_init__(self):
         if self.cpu_seconds <= 0:
             raise ValueError("cpu_seconds must be positive")
         if self.index < 0:
             raise ValueError("index must be >= 0")
-        if self.cores < 1:
-            raise ValueError("cores must be >= 1")
 
 
 @dataclass
@@ -64,21 +58,6 @@ class Job:
     end_time: float | None = None
     node_name: str | None = None
     cpu_busy_seconds: float = 0.0  # time actually computing (not I/O)
-    attempt: int = 1  # 1-based; > 1 after retry-policy resubmissions
-
-    def reset_for_retry(self, submit_time: float) -> None:
-        """Re-queue this record for its next attempt (retry policy).
-
-        Timing fields are cleared so wait/runtime metrics describe the
-        attempt that actually produced the result, not the failed ones.
-        """
-        self.attempt += 1
-        self.state = JobState.QUEUED
-        self.submit_time = submit_time
-        self.start_time = None
-        self.end_time = None
-        self.node_name = None
-        self.cpu_busy_seconds = 0.0
 
     @property
     def wait_seconds(self) -> float | None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -49,21 +49,17 @@ class Node:
         """Cores currently idle."""
         return self.spec.cores - self.busy_cores
 
-    def acquire(self, cores: int = 1) -> None:
-        """Claim ``cores`` cores on this node."""
-        if cores < 1:
-            raise ValueError("cores must be >= 1")
-        if self.free_cores < cores:
+    def acquire(self) -> None:
+        """Claim one core on this node."""
+        if self.free_cores < 1:
             raise RuntimeError(f"node {self.spec.name} oversubscribed")
-        self.busy_cores += cores
+        self.busy_cores += 1
 
-    def release(self, cores: int = 1) -> None:
-        """Release ``cores`` cores."""
-        if cores < 1:
-            raise ValueError("cores must be >= 1")
-        if self.busy_cores < cores:
+    def release(self) -> None:
+        """Release one core."""
+        if self.busy_cores < 1:
             raise RuntimeError(f"node {self.spec.name} released too many cores")
-        self.busy_cores -= cores
+        self.busy_cores -= 1
 
 
 @dataclass
@@ -96,13 +92,9 @@ class ClusterModel:
         """All cores across nodes."""
         return sum(n.spec.cores for n in self.nodes)
 
-    def find_free_node(self, cores: int = 1) -> Node | None:
-        """Fastest node with at least ``cores`` free cores (None if none).
-
-        Multi-core requests must be satisfied on a single node (an "MPI
-        job" in the paper's nested-model sense runs on one box).
-        """
-        candidates = [n for n in self.nodes if n.free_cores >= cores]
+    def find_free_node(self) -> Node | None:
+        """Fastest node with a free core (None if every core is busy)."""
+        candidates = [n for n in self.nodes if n.free_cores >= 1]
         if not candidates:
             return None
         return max(candidates, key=lambda n: n.spec.speed_factor)

@@ -19,11 +19,6 @@ from repro.sched.engine import Simulator
 from repro.sched.iomodel import IOConfiguration, IOMode, SharedBandwidth
 from repro.sched.jobs import Job, JobSpec, JobState
 from repro.sched.resources import ClusterModel, Node
-from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import NULL_RECORDER
-from repro.util.rng import SeedSequenceStream
-from repro.workflow.faults import FaultInjector, FaultKind
-from repro.workflow.policies import RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -34,31 +29,6 @@ class SGEPolicy:
     dispatch_latency_s: float = 0.5  # scheduler reaction time
     submit_overhead_s: float = 0.02  # per-job submission cost (no arrays)
     array_overhead_s: float = 0.002  # per-job cost inside a job array
-
-    def __post_init__(self):
-        if self.dispatch_latency_s < 0 or self.submit_overhead_s < 0:
-            raise ValueError("latencies must be >= 0")
-
-
-@dataclass(frozen=True)
-class BigJobPriorityPolicy:
-    """A shared-centre scheduler that favours wide parallel jobs.
-
-    Sec 5.3.4 disadvantage 4: "in many cases the queuing system scheduler
-    has been tuned to prioritize large core count parallel jobs and
-    thereby penalize massive task parallelism workloads.  In that case one
-    needs to refactor singleton jobs to batches of singletons packaged as
-    a single job."  Dispatch considers the widest queued jobs first and
-    holds back narrow ones whenever a wide job is waiting for cores
-    (reserving capacity for it), so streams of 1-core singletons starve
-    behind parallel workloads unless they are bundled.
-    """
-
-    name: str = "bigjob"
-    dispatch_latency_s: float = 0.5
-    submit_overhead_s: float = 0.02
-    array_overhead_s: float = 0.002
-    reserve_for_wide: bool = True
 
     def __post_init__(self):
         if self.dispatch_latency_s < 0 or self.submit_overhead_s < 0:
@@ -101,84 +71,22 @@ class ClusterScheduler:
         Whether submissions are batched as arrays (cheaper per job,
         Sec 5.2.1: "we used job arrays to lessen the load on the
         scheduler").
-    failure_rate:
-        Probability that a job dies on its node (hardware/software
-        failure).  ESSE tolerates these -- "failures ... are not
-        catastrophic" (Sec 4 point 3) -- so campaigns can quantify the
-        statistical coverage surviving a flaky substrate.
-    failure_rng:
-        Generator for failure draws; thread one from your experiment's
-        root seed for stream independence.  The default is a
-        deterministic :class:`~repro.util.rng.SeedSequenceStream` stream,
-        so repeat runs reproduce the same failures either way.
-    retry_policy:
-        When set, FAILED jobs are resubmitted with deterministic
-        exponential backoff until ``max_attempts`` is exhausted -- the
-        campaign-simulator mirror of the task-pool retry machinery.
-        Completion callbacks and dependent-job aborts fire only on
-        *terminal* outcomes.
-    fault_injector:
-        Deterministic fault source (same draws as the live workflow):
-        CRASH and CORRUPT attempts fail on their node (CORRUPT after
-        paying the output transfer), STALL attempts occupy the node for
-        ``stall_seconds`` extra, and transiently submit-failing jobs reach
-        the queue only after their backoff delays elapse.
-    telemetry:
-        A :class:`~repro.telemetry.spans.TraceRecorder` built on this
-        simulator's virtual clock (``TraceRecorder(clock=sim.clock())``).
-        Every finished attempt is recorded as a span named after its job
-        kind -- queue wait as a ``queue`` span, node occupancy as the
-        ``<kind>`` span -- so campaigns export the same Chrome-trace
-        format as the live task pool.  Default: record nothing.
-    metrics:
-        A :class:`~repro.telemetry.metrics.MetricsRegistry` fed per-kind
-        wall/wait histograms and completion/failure/retry counters; None
-        disables metric recording.
     """
-
-    #: Bound on transient-submit retries per job (mirrors the workflow).
-    MAX_SUBMIT_TRIES = 50
 
     def __init__(
         self,
         sim: Simulator,
         cluster: ClusterModel,
-        policy: SGEPolicy | CondorPolicy | BigJobPriorityPolicy,
+        policy: SGEPolicy | CondorPolicy,
         io_config: IOConfiguration | None = None,
         as_job_array: bool = True,
-        failure_rate: float = 0.0,
-        failure_rng=None,
-        retry_policy: RetryPolicy | None = None,
-        fault_injector: FaultInjector | None = None,
-        telemetry=None,
-        metrics: MetricsRegistry | None = None,
     ):
-        if not 0.0 <= failure_rate < 1.0:
-            raise ValueError("failure_rate must be in [0, 1)")
         self.sim = sim
         self.cluster = cluster
         self.policy = policy
         self.io_config = io_config if io_config is not None else IOConfiguration()
         self.as_job_array = as_job_array
-        self.failure_rate = failure_rate
-        self.retry_policy = retry_policy
-        self.fault_injector = fault_injector
-        self.telemetry = telemetry if telemetry is not None else NULL_RECORDER
-        self.metrics = metrics
-        self.n_retried = 0  # resubmissions performed by the retry policy
-        self._failure_rng = failure_rng
-        if failure_rate > 0 and failure_rng is None:
-            # Deterministic fallback: a keyed stream off the zero root seed,
-            # so two otherwise-identical campaigns draw identical failures.
-            self._failure_rng = SeedSequenceStream(0).rng("sched", "node-failures")
         self.nfs = SharedBandwidth(sim, cluster.nfs_bandwidth_mbps)
-        # OpenDAP input reads go through a central WAN server, not the
-        # cluster file server (Sec 5.3.2).
-        self.opendap = (
-            SharedBandwidth(sim, self.io_config.opendap_bandwidth_mbps)
-            if self.io_config.mode is IOMode.OPENDAP
-            else None
-        )
         self.jobs: dict[tuple[str, int], Job] = {}
         self._ready: deque[Job] = deque()
         self._waiting_dependency: list[Job] = []
@@ -214,30 +122,17 @@ class ClusterScheduler:
             job = Job(spec=spec, submit_time=self.sim.now + delay)
             self.jobs[key] = job
             submitted.append(job)
-            if spec.depends_on is None:
-                fault_delay = self._submit_fault_delay(spec)
-                if fault_delay is None:
-                    # every transient-submit retry failed: terminal
-                    job.state = JobState.FAILED
-                    job.end_time = self.sim.now
-                    self._notify(job)
-                elif fault_delay > 0:
-                    # transient submit failures: the job reaches the queue
-                    # only after its backoff delays elapse (Sec 5.3.1)
-                    self.sim.schedule(
-                        delay + fault_delay, lambda j=job: self._enqueue(j)
-                    )
-                elif self.as_job_array:
-                    # One array = one scheduler object: all tasks become
-                    # visible together, no per-job events.
-                    self._ready.append(job)
-                else:
-                    # Per-job submission: each job is a separate scheduler
-                    # event, staggered by its submission cost -- the load
-                    # that job arrays exist to avoid (Sec 4.2 / 5.2.1).
-                    self.sim.schedule(delay, lambda j=job: self._enqueue(j))
-            else:
+            if spec.depends_on is not None:
                 self._waiting_dependency.append(job)
+            elif self.as_job_array:
+                # One array = one scheduler object: all tasks become
+                # visible together, no per-job events.
+                self._ready.append(job)
+            else:
+                # Per-job submission: each job is a separate scheduler
+                # event, staggered by its submission cost -- the load
+                # that job arrays exist to avoid (Sec 4.2 / 5.2.1).
+                self.sim.schedule(delay, lambda j=job: self._enqueue(j))
             delay += overhead
         if self.io_config.mode is IOMode.PRESTAGED and not self._prestage_started:
             self._prestage_started = True
@@ -277,35 +172,6 @@ class ClusterScheduler:
         self._prestage_done = True
         self._request_dispatch()
 
-    def _submit_fault_delay(self, spec: JobSpec) -> float | None:
-        """Backoff delay from transient submit failures (deterministic).
-
-        0.0 when the first try sticks; None when MAX_SUBMIT_TRIES draws in
-        a row fail (the submission is terminally lost).
-        """
-        if self.fault_injector is None:
-            return 0.0
-        delay = 0.0
-        for t in range(1, self.MAX_SUBMIT_TRIES + 1):
-            if not self.fault_injector.submit_fails(spec.index, t, kind=spec.kind):
-                return delay
-            self.fault_injector.fire(
-                FaultKind.SUBMIT_FAILURE, spec.index, t, kind=spec.kind
-            )
-            if self.retry_policy is not None:
-                delay += self.retry_policy.backoff_seconds(spec.index, min(t, 8))
-            else:
-                delay += 1.0  # nominal resubmission pause without a policy
-        return None
-
-    def _draw_fault(self, job: Job) -> FaultKind | None:
-        """The injected execution fault for this job attempt, if any."""
-        if self.fault_injector is None:
-            return None
-        return self.fault_injector.draw(
-            job.spec.index, job.attempt, kind=job.spec.kind
-        )
-
     def _enqueue(self, job: Job) -> None:
         if job.state is JobState.QUEUED:  # not cancelled meanwhile
             self._ready.append(job)
@@ -313,7 +179,7 @@ class ClusterScheduler:
                 isinstance(self.policy, CondorPolicy)
                 and not self._negotiation_active
             ):
-                # a retried/delayed job may arrive after negotiation went
+                # a staggered submission may arrive after negotiation went
                 # idle; restart the cycle or it would never be dispatched
                 self._schedule_negotiation()
             self._request_dispatch()
@@ -330,24 +196,10 @@ class ClusterScheduler:
 
     def _negotiation_cycle(self) -> None:
         self._dispatch_now()
-        work_left = self._ready or self._waiting_dependency or self._any_running()
-        if work_left and self._placeable_eventually():
+        if self._ready or self._waiting_dependency or self._any_running():
             self._schedule_negotiation()
         else:
             self._negotiation_active = False
-
-    def _placeable_eventually(self) -> bool:
-        """False when only permanently unplaceable jobs remain.
-
-        A queued job wider than the widest node can never start; without
-        this check the negotiation loop would tick forever.
-        """
-        if self._any_running() or self._waiting_dependency:
-            return True
-        if not self._ready:
-            return True
-        widest = max(n.spec.cores for n in self.cluster.nodes)
-        return any(job.spec.cores <= widest for job in self._ready)
 
     def _any_running(self) -> bool:
         return any(j.state is JobState.RUNNING for j in self.jobs.values())
@@ -368,64 +220,22 @@ class ClusterScheduler:
     def _dispatch_now(self) -> None:
         if self.io_config.mode is IOMode.PRESTAGED and not self._prestage_done:
             return
-        if isinstance(self.policy, BigJobPriorityPolicy):
-            self._dispatch_bigjob_first()
-            return
-        # FIFO with backfill: a multi-core job that does not fit anywhere
-        # right now must not starve smaller jobs behind it.
-        unplaced: deque[Job] = deque()
+        # FIFO: every job takes one core, so the first job that finds no
+        # free core stops the scan
         while self._ready:
-            job = self._ready.popleft()
-            node = self.cluster.find_free_node(cores=job.spec.cores)
+            node = self.cluster.find_free_node()
             if node is None:
-                unplaced.append(job)
-                if job.spec.cores == 1:
-                    break  # no node has even one core: stop scanning
-                continue
-            self._start_job(job, node)
-        unplaced.extend(self._ready)
-        self._ready = unplaced
-
-    def _dispatch_bigjob_first(self) -> None:
-        """Widest-job-first dispatch with capacity reservation.
-
-        While a placeable wide job waits for cores, narrower jobs are held
-        back (the reservation that penalizes singleton streams).  Jobs
-        wider than the widest node are skipped -- they can never run and
-        must not deadlock the queue.
-        """
-        widest_node = max(n.spec.cores for n in self.cluster.nodes)
-        ordered = sorted(self._ready, key=lambda j: -j.spec.cores)
-        unplaced: deque[Job] = deque()
-        blocked = False
-        for job in ordered:
-            if blocked:
-                unplaced.append(job)
-                continue
-            if job.spec.cores > widest_node:
-                unplaced.append(job)  # permanently unplaceable: skip over
-                continue
-            node = self.cluster.find_free_node(cores=job.spec.cores)
-            if node is None:
-                unplaced.append(job)
-                if self.policy.reserve_for_wide:
-                    blocked = True  # hold capacity for this wide job
-                continue
-            self._start_job(job, node)
-        self._ready = unplaced
+                break
+            self._start_job(self._ready.popleft(), node)
 
     def _start_job(self, job: Job, node: Node) -> None:
-        node.acquire(job.spec.cores)
+        node.acquire()
         job.state = JobState.RUNNING
         job.start_time = self.sim.now
         job.node_name = node.spec.name
         input_mb = self.io_config.input_mb(job.spec.kind)
         if self.io_config.mode is IOMode.NFS and input_mb > 0:
             self.nfs.transfer(input_mb, lambda: self._start_compute(job, node))
-        elif self.io_config.mode is IOMode.OPENDAP and input_mb > 0:
-            self.opendap.transfer(
-                input_mb, lambda: self._start_compute(job, node)
-            )
         elif input_mb > 0:
             read_time = input_mb / node.spec.local_disk_mbps
             self.sim.schedule(read_time, lambda: self._start_compute(job, node))
@@ -435,122 +245,19 @@ class ClusterScheduler:
     def _start_compute(self, job: Job, node: Node) -> None:
         duration = job.spec.cpu_seconds / node.spec.speed_factor
         job.cpu_busy_seconds = duration
-        wall = duration
-        if self._draw_fault(job) is FaultKind.STALL:
-            # straggler: the node is held for the stall on top of compute
-            self.fault_injector.fire(
-                FaultKind.STALL, job.spec.index, job.attempt, kind=job.spec.kind
-            )
-            wall += self.fault_injector.stall_seconds
-        self.sim.schedule(wall, lambda: self._start_output(job, node))
+        self.sim.schedule(duration, lambda: self._start_output(job, node))
 
     def _start_output(self, job: Job, node: Node) -> None:
-        fault = self._draw_fault(job)
-        if fault is FaultKind.CRASH:
-            # dies before any output comes home
-            self.fault_injector.fire(
-                FaultKind.CRASH, job.spec.index, job.attempt, kind=job.spec.kind
-            )
-            self._fail_job(job, node)
-            return
-        if self.failure_rate > 0 and self._failure_rng.random() < self.failure_rate:
-            # the job died on its node; no output comes home, and jobs
-            # depending on it can never run
-            self._fail_job(job, node)
-            return
         out_mb = self.io_config.output_mb_for(job.spec.kind)
-        if fault is FaultKind.CORRUPT:
-            # the output transfer happens -- and is wasted: the file is
-            # unreadable, discovered only after it came home (Sec 5.2.1)
-            self.fault_injector.fire(
-                FaultKind.CORRUPT, job.spec.index, job.attempt, kind=job.spec.kind
-            )
-            if out_mb > 0:
-                self.nfs.transfer(out_mb, lambda: self._fail_job(job, node))
-            else:
-                self._fail_job(job, node)
-            return
         if out_mb > 0:
             self.nfs.transfer(out_mb, lambda: self._finish_job(job, node))
         else:
             self._finish_job(job, node)
 
-    def _record_attempt(self, job: Job, status: str) -> None:
-        """Record one node-occupying attempt as telemetry spans + metrics.
-
-        Called with the job's timing fields still describing the attempt
-        (i.e. before :meth:`Job.reset_for_retry` clears them).  Times are
-        virtual seconds from the simulator clock, so the exported trace
-        lines up with the live workflow's format.
-        """
-        if self.telemetry.enabled and job.start_time is not None:
-            if job.start_time > job.submit_time:
-                self.telemetry.record_span(
-                    "queue",
-                    job.submit_time,
-                    job.start_time,
-                    kind=job.spec.kind,
-                    index=job.spec.index,
-                    attempt=job.attempt,
-                )
-            self.telemetry.record_span(
-                job.spec.kind,
-                job.start_time,
-                job.end_time,
-                status=status,
-                index=job.spec.index,
-                attempt=job.attempt,
-                node=job.node_name,
-            )
-        if self.metrics is not None:
-            if job.runtime_seconds is not None:
-                self.metrics.histogram(
-                    "job_wall_seconds", kind=job.spec.kind
-                ).observe(job.runtime_seconds)
-            if job.wait_seconds is not None:
-                self.metrics.histogram(
-                    "job_wait_seconds", kind=job.spec.kind
-                ).observe(job.wait_seconds)
-            outcome = "jobs_completed" if status == "ok" else "jobs_failed"
-            self.metrics.counter(outcome, kind=job.spec.kind).inc()
-
-    def _fail_job(self, job: Job, node: Node) -> None:
-        """One attempt failed: resubmit under the retry policy or finalize."""
-        node.release(job.spec.cores)
-        job.end_time = self.sim.now
-        self._record_attempt(job, "error")
-        policy = self.retry_policy
-        if policy is not None and policy.retries_left(job.attempt):
-            delay = policy.backoff_seconds(job.spec.index, job.attempt)
-            self.n_retried += 1
-            if self.metrics is not None:
-                self.metrics.counter("job_retries", kind=job.spec.kind).inc()
-            job.reset_for_retry(self.sim.now + delay)
-            self.sim.schedule(delay, lambda j=job: self._enqueue(j))
-            self._request_dispatch()
-            return
-        job.state = JobState.FAILED
-        self._abort_dependents(job)
-        self._notify(job)
-        self._request_dispatch()
-
-    def _abort_dependents(self, job: Job) -> None:
-        key = (job.spec.kind, job.spec.index)
-        still_waiting = []
-        for waiting in self._waiting_dependency:
-            if waiting.spec.depends_on == key:
-                waiting.state = JobState.CANCELLED
-                waiting.end_time = self.sim.now
-                self._notify(waiting)
-            else:
-                still_waiting.append(waiting)
-        self._waiting_dependency = still_waiting
-
     def _finish_job(self, job: Job, node: Node) -> None:
-        node.release(job.spec.cores)
+        node.release()
         job.state = JobState.DONE
         job.end_time = self.sim.now
-        self._record_attempt(job, "ok")
         # release dependents
         released = []
         still_waiting = []

@@ -7,14 +7,13 @@ the pool-of-tasks workflow, and Sec 5.3.1 notes that remote execution
 This package is the instrument for both complaints:
 
 - :mod:`~repro.telemetry.clock` -- injectable monotonic time sources
-  (live, simulated, fake);
+  (live, fake);
 - :mod:`~repro.telemetry.spans` -- nestable thread-safe tracing spans,
   with a zero-overhead :data:`NULL_RECORDER` as the default everywhere;
 - :mod:`~repro.telemetry.metrics` -- process-local counters, gauges and
   histograms (task latency, retries, queue depth, differ I/O sweeps);
 - :mod:`~repro.telemetry.events` -- one structured event schema unifying
-  the workflow event log, the sched simulator's job stream and the fault
-  injector;
+  the workflow event log and the fault injector;
 - :mod:`~repro.telemetry.export` -- JSONL run logs, Chrome-trace JSON
   (rendered by Perfetto as the paper's Fig 4 timeline) and a
   Prometheus-style text snapshot.
@@ -26,7 +25,6 @@ from repro.telemetry.clock import MONOTONIC, FakeClock
 from repro.telemetry.events import (
     TelemetryEvent,
     from_fault_events,
-    from_sim_jobs,
     from_workflow_events,
     parse_detail,
 )
@@ -56,7 +54,6 @@ __all__ = [
     "parse_detail",
     "from_workflow_events",
     "from_fault_events",
-    "from_sim_jobs",
     "RunLog",
     "chrome_trace",
     "write_chrome_trace",

@@ -3,9 +3,7 @@
 Every component that needs "now" takes a zero-argument callable instead
 of calling :func:`time.perf_counter` directly, so that
 
-- live runs use the process monotonic clock,
-- the sched simulator hands out its *virtual* clock and exports the same
-  trace format as a live task-pool run, and
+- live runs use the process monotonic clock, and
 - tests inject a :class:`FakeClock` and make timing assertions exact.
 """
 

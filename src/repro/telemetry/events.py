@@ -1,14 +1,11 @@
 """Structured event records unifying the pipeline's event streams.
 
-Before this module, the repo had three disjoint event vocabularies: the
-parallel workflow's :class:`~repro.workflow.parallel.WorkflowEvent`
-(``time/kind/detail`` with detail strings like ``"member=3 count=4"``),
-the sched simulator's per-job state transitions (held as fields on
-:class:`~repro.sched.jobs.Job`), and the fault injector's
-:class:`~repro.workflow.faults.FaultEvent`.  A
-:class:`TelemetryEvent` is the common schema -- ``(time, kind, attrs,
-source)`` -- that all three convert into, so one exporter and one
-summary CLI serve every layer.
+Two event vocabularies meet here: the parallel workflow's
+:class:`~repro.workflow.parallel.WorkflowEvent` (``time/kind/detail``
+with detail strings like ``"member=3 count=4"``) and the fault injector's
+:class:`~repro.workflow.faults.FaultEvent`.  A :class:`TelemetryEvent` is
+the common schema -- ``(time, kind, attrs, source)`` -- that both convert
+into, so one exporter and one summary CLI serve every layer.
 """
 
 from __future__ import annotations
@@ -89,40 +86,3 @@ def from_fault_events(events, source: str = "faults") -> list[TelemetryEvent]:
         )
         for i, e in enumerate(events)
     ]
-
-
-def from_sim_jobs(jobs, source: str = "sched") -> list[TelemetryEvent]:
-    """Convert simulator job records into submit/start/end events.
-
-    Accepts any iterable of :class:`~repro.sched.jobs.Job`; jobs that
-    never started contribute only their submit (and terminal) events, so
-    cancelled-in-queue work is still visible on the timeline.
-    """
-    out: list[TelemetryEvent] = []
-    for job in jobs:
-        base = (("index", job.spec.index), ("kind", job.spec.kind))
-        out.append(
-            TelemetryEvent(
-                time=job.submit_time, kind="job_submit", attrs=base, source=source
-            )
-        )
-        if job.start_time is not None:
-            out.append(
-                TelemetryEvent(
-                    time=job.start_time,
-                    kind="job_start",
-                    attrs=base + (("node", job.node_name),),
-                    source=source,
-                )
-            )
-        if job.end_time is not None:
-            out.append(
-                TelemetryEvent(
-                    time=job.end_time,
-                    kind=f"job_{job.state.value}",
-                    attrs=base + (("attempt", job.attempt),),
-                    source=source,
-                )
-            )
-    out.sort(key=lambda e: e.time)
-    return out

@@ -8,7 +8,7 @@ Three sinks for the same recorded telemetry:
 - :func:`chrome_trace` / :func:`write_chrome_trace` -- the Trace Event
   Format consumed by ``chrome://tracing`` and https://ui.perfetto.dev, so
   a task-pool run renders as the paper's Fig 4 Gantt timeline with one
-  track per thread (or per simulated node).
+  track per thread.
 - :func:`prometheus_text` -- a Prometheus exposition-format snapshot of a
   :class:`~repro.telemetry.metrics.MetricsRegistry`.
 """

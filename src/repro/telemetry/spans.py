@@ -13,8 +13,7 @@ Two recorders implement the same interface:
   so an un-instrumented hot path pays one attribute lookup and one call
   -- no allocation when called without attributes.
 - :class:`TraceRecorder` records :class:`Span` records against an
-  injectable monotonic clock -- the live process clock by default, the
-  sched simulator's virtual clock for campaign traces, or a
+  injectable monotonic clock -- the live process clock by default, or a
   :class:`~repro.telemetry.clock.FakeClock` in tests.
 """
 
@@ -32,7 +31,7 @@ class Span:
     """One completed, immutable trace interval.
 
     Times are seconds on the recorder's clock (live monotonic seconds or
-    simulator virtual seconds -- the exporters do not care which).
+    a fake clock's -- the exporters do not care which).
     """
 
     name: str
@@ -108,7 +107,7 @@ class NullRecorder:
         status: str = "ok",
         **attrs,
     ) -> None:
-        """Discard a pre-timed span (the simulator's completion path)."""
+        """Discard a pre-timed span."""
 
     def event(self, kind: str, **attrs) -> None:
         """Discard an instantaneous event."""
@@ -166,8 +165,7 @@ class TraceRecorder:
     Parameters
     ----------
     clock:
-        Zero-argument callable returning monotonic seconds.  Pass
-        ``lambda: sim.now`` to trace a simulation in virtual time, or a
+        Zero-argument callable returning monotonic seconds; pass a
         :class:`~repro.telemetry.clock.FakeClock` in tests.
 
     Examples
@@ -250,9 +248,10 @@ class TraceRecorder:
     ) -> Span:
         """Record a span whose interval was timed externally.
 
-        The completion path for discrete-event simulations: the scheduler
-        knows each job's start/end in virtual time only once the job
-        finishes, so it records the whole interval at once.
+        The completion path for work whose start and end are known only
+        once it finishes (a product request's handling time, measured by
+        the service around the whole request), so the whole interval is
+        recorded at once.
         """
         if end < start:
             raise ValueError(f"span ends before it starts: {end} < {start}")

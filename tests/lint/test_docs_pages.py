@@ -1,8 +1,15 @@
-"""The docs/ page lint: README linkage and snippet compilation."""
+"""The docs/ page lint: README linkage, snippet compilation, cited names."""
 
 import textwrap
 
-from tools.check_docs import docs_pages, snippet_errors, unlinked_pages
+from tools.check_docs import (
+    DESIGN_PATH,
+    README_PATH,
+    docs_pages,
+    snippet_errors,
+    unlinked_pages,
+    unresolved_names,
+)
 
 
 class TestUnlinkedPages:
@@ -77,3 +84,23 @@ class TestSnippetErrors:
         errors = snippet_errors(page)
         assert len(errors) == 1
         assert "does not compile" in errors[0]
+
+
+class TestUnresolvedNames:
+    def test_real_pages_name_only_what_exists(self):
+        for page in [README_PATH, DESIGN_PATH, *docs_pages()]:
+            assert unresolved_names(page.read_text()) == [], page.name
+
+    def test_deleted_names_reported(self):
+        text = (
+            "| smoother | `repro.core.smoother` |\n"
+            "| kernel | `repro.core.assimilation.subspace_gain` |\n"
+            "| method | `repro.acoustics.coupled.CoupledCovariance.assimilate` |\n"
+            "| mode | `repro.sched.iomodel.IOMode.OPENDAP` |\n"
+            "| package | `repro.sched` and `repro.nowhere.thing` |\n"
+        )
+        assert unresolved_names(text) == [
+            "repro.core.smoother",
+            "repro.sched.iomodel.IOMode.OPENDAP",
+            "repro.nowhere.thing",
+        ]

@@ -125,19 +125,19 @@ class TestREP001Determinism:
         )
         assert report.findings == []
 
-    def test_removing_seed_from_real_schedulers_fails_lint(self, tmp_path):
-        """Acceptance check: de-seeding sched/schedulers.py trips REP001."""
-        original = (REPO_ROOT / "src/repro/sched/schedulers.py").read_text()
+    def test_removing_seed_from_real_network_fails_lint(self, tmp_path):
+        """Acceptance check: de-seeding obs/network.py trips REP001."""
+        original = (REPO_ROOT / "src/repro/obs/network.py").read_text()
         mutated = original.replace(
-            'SeedSequenceStream(0).rng("sched", "node-failures")',
+            'SeedSequenceStream(0).rng("obs", "network-noise")',
             "default_rng()",
         ).replace(
             "from repro.util.rng import SeedSequenceStream",
             "from numpy.random import default_rng",
         )
-        assert mutated != original, "expected fallback not found in schedulers.py"
+        assert mutated != original, "expected fallback not found in network.py"
 
-        target = tmp_path / "src/repro/sched/schedulers.py"
+        target = tmp_path / "src/repro/obs/network.py"
         target.parent.mkdir(parents=True)
 
         target.write_text(original)
@@ -147,7 +147,7 @@ class TestREP001Determinism:
         target.write_text(mutated)
         dirty = run_lint([target], root=tmp_path, select=["REP001"])
         assert [f.rule for f in dirty.findings] == ["REP001"]
-        assert "ClusterScheduler.__init__" in dirty.findings[0].symbol
+        assert "ObservationNetwork.__init__" in dirty.findings[0].symbol
 
 
 class TestREP002ClockDiscipline:
@@ -262,9 +262,9 @@ class TestREP005Layering:
         )
         assert [f.symbol for f in report.findings] == ["core->workflow"]
 
-    def test_sched_may_import_workflow_but_not_vice_versa(self, tmp_path):
-        # The one-way edge that remains after the cycle break: the sched
-        # simulator reuses the workflow's fault/retry vocabulary ...
+    def test_sched_importing_workflow_fires(self, tmp_path):
+        # The campaign simulator shares no code with the live task pool:
+        # an edge in either direction is a finding.
         report = lint(
             tmp_path,
             "src/repro/sched/example.py",
@@ -273,9 +273,7 @@ class TestREP005Layering:
             """,
             select=["REP005"],
         )
-        assert report.findings == []
-        # ... while the reverse direction (the old workflow -> sched
-        # task-times read, now served by repro.core.taskmodel) fires.
+        assert [f.symbol for f in report.findings] == ["sched->workflow"]
         report = lint(
             tmp_path,
             "src/repro/workflow/example.py",

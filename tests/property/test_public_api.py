@@ -10,7 +10,7 @@ class TestPublicAPISurface:
         for name in (
             "ESSEConfig", "ESSEDriver", "ErrorSubspace", "ESSEAnalysis",
             "PerturbationGenerator", "synthetic_initial_subspace",
-            "similarity_coefficient", "ESSESmoother", "crps",
+            "similarity_coefficient", "crps",
             "verify_ensemble",
         ):
             assert name in core.__all__, name
@@ -22,7 +22,7 @@ class TestPublicAPISurface:
         for name in (
             "Simulator", "EnsembleCampaign", "mseas_cluster",
             "TERAGRID_SITES", "EC2_INSTANCE_TYPES", "EC2CostModel",
-            "federate", "ElasticEC2Pool", "simulate_output_return",
+            "simulate_output_return",
         ):
             assert name in sched.__all__, name
             assert hasattr(sched, name), name

@@ -94,87 +94,3 @@ class TestPlans:
                 [1.0], 1.0, OutputReturnPlan.PULL, pull_concurrency=0
             )
 
-
-class TestMultiCoreJobs:
-    """The Sec 7 nested-MPI-job extension of the scheduler."""
-
-    def test_nested_specs_occupy_cores(self):
-        from repro.sched import EnsembleCampaign, ClusterModel, Node, NodeSpec
-        from repro.sched.iomodel import IOConfiguration
-
-        cluster = ClusterModel(
-            nodes=[Node(NodeSpec(name="n", cores=4, local_disk_mbps=250.0))]
-        )
-        campaign = EnsembleCampaign(
-            cluster,
-            io_config=IOConfiguration(
-                pert_input_mb=0.0, pemodel_input_mb=0.0, output_mb=0.0,
-                prestage_cost_s=0.0,
-            ),
-            task_times={"pert": 1.0, "pemodel": 100.0, "acoustic": 10.0},
-        )
-        specs = campaign.nested_ensemble_specs(4, mpi_tasks=2)
-        assert all(s.cores == 2 for s in specs if s.kind == "pemodel")
-        stats = campaign.run(specs)
-        # 4 pemodels x 2 cores on 4 cores -> two waves of two
-        two_task_runtime = 100.0 / (2 * 0.9)
-        assert stats.makespan_seconds >= 2 * two_task_runtime
-
-    def test_mpi_speedup_shortens_each_job(self):
-        from repro.sched import EnsembleCampaign, ClusterModel, Node, NodeSpec
-
-        cluster = ClusterModel(nodes=[Node(NodeSpec(name="n", cores=4))])
-        campaign = EnsembleCampaign(
-            cluster, task_times={"pert": 1.0, "pemodel": 100.0, "acoustic": 1.0}
-        )
-        serial_spec = campaign.ensemble_specs(1)[1]
-        mpi_spec = campaign.nested_ensemble_specs(1, mpi_tasks=2)[1]
-        assert mpi_spec.cpu_seconds < serial_spec.cpu_seconds
-
-    def test_backfill_avoids_starvation(self):
-        """A 4-core job that doesn't fit must not block 1-core jobs."""
-        from repro.sched import (
-            ClusterModel,
-            ClusterScheduler,
-            JobSpec,
-            JobState,
-            Node,
-            NodeSpec,
-            SGEPolicy,
-            Simulator,
-        )
-        from repro.sched.iomodel import IOConfiguration
-
-        sim = Simulator()
-        cluster = ClusterModel(
-            nodes=[Node(NodeSpec(name="n", cores=2, local_disk_mbps=250.0))]
-        )
-        sched = ClusterScheduler(
-            sim, cluster, SGEPolicy(),
-            IOConfiguration(pert_input_mb=0.0, pemodel_input_mb=0.0,
-                            output_mb=0.0, prestage_cost_s=0.0),
-        )
-        big = JobSpec(kind="pemodel", index=0, cpu_seconds=10.0, cores=4)
-        small = JobSpec(kind="pemodel", index=1, cpu_seconds=10.0, cores=1)
-        jobs = sched.submit([big, small])
-        sim.run(until=100.0)
-        # the 4-core job can never run on a 2-core node; the small one must
-        assert jobs[1].state is JobState.DONE
-        assert jobs[0].state is JobState.QUEUED
-
-    def test_spec_validation(self):
-        from repro.sched import JobSpec
-
-        with pytest.raises(ValueError, match="cores"):
-            JobSpec(kind="pemodel", index=0, cpu_seconds=1.0, cores=0)
-
-    def test_campaign_validation(self):
-        from repro.sched import EnsembleCampaign, ClusterModel, Node, NodeSpec
-
-        campaign = EnsembleCampaign(
-            ClusterModel(nodes=[Node(NodeSpec(name="n", cores=2))])
-        )
-        with pytest.raises(ValueError, match="mpi_tasks"):
-            campaign.nested_ensemble_specs(2, mpi_tasks=0)
-        with pytest.raises(ValueError, match="efficiency"):
-            campaign.nested_ensemble_specs(2, parallel_efficiency=0.0)

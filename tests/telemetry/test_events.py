@@ -4,7 +4,6 @@ from types import SimpleNamespace
 
 from repro.telemetry.events import (
     TelemetryEvent,
-    from_sim_jobs,
     from_workflow_events,
     parse_detail,
 )
@@ -46,44 +45,6 @@ class TestWorkflowConversion:
         )
         assert converted[0].attr("member") == 1
         assert converted[0].attr("attempt") == 0
-
-
-class TestSimJobConversion:
-    def _job(self, index, kind, submit, start, end, state, node="n0", attempt=0):
-        return SimpleNamespace(
-            spec=SimpleNamespace(index=index, kind=kind),
-            submit_time=submit,
-            start_time=start,
-            end_time=end,
-            state=SimpleNamespace(value=state),
-            node_name=node,
-            attempt=attempt,
-        )
-
-    def test_full_lifecycle_events(self):
-        events = from_sim_jobs(
-            [self._job(0, "pemodel", 0.0, 5.0, 25.0, "finished")]
-        )
-        assert [e.kind for e in events] == ["job_submit", "job_start", "job_finished"]
-        assert events[1].attr("node") == "n0"
-        assert events[2].attr("attempt") == 0
-        assert all(e.source == "sched" for e in events)
-
-    def test_never_started_job_has_no_start_event(self):
-        events = from_sim_jobs(
-            [self._job(1, "pemodel", 2.0, None, None, "queued")]
-        )
-        assert [e.kind for e in events] == ["job_submit"]
-
-    def test_events_sorted_by_time_across_jobs(self):
-        events = from_sim_jobs(
-            [
-                self._job(0, "a", 10.0, 12.0, 20.0, "finished"),
-                self._job(1, "b", 0.0, 1.0, 30.0, "finished"),
-            ]
-        )
-        times = [e.time for e in events]
-        assert times == sorted(times)
 
 
 class TestTelemetryEvent:

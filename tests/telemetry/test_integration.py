@@ -1,4 +1,4 @@
-"""End-to-end telemetry: live workflow, fake clock, simulator, CLI."""
+"""End-to-end telemetry: live workflow, fake clock, CLI."""
 
 import json
 
@@ -12,8 +12,6 @@ from repro.core import (
 from repro.core.ensemble import EnsembleRunner
 from repro.ocean import PEModel
 from repro.ocean.bathymetry import monterey_grid
-from repro.sched import EnsembleCampaign, mseas_cluster
-from repro.sched.iomodel import IOConfiguration, IOMode
 from repro.telemetry import (
     FakeClock,
     MetricsRegistry,
@@ -117,34 +115,6 @@ class TestParallelWorkflowTracing:
         for span in recorder.spans():
             assert span.start == 100.0
             assert span.end == 100.0
-
-
-class TestSimulatorTracing:
-    def test_campaign_records_virtual_time_spans(self):
-        """The sched simulator exports the same trace format, in sim time."""
-        campaign = EnsembleCampaign(
-            mseas_cluster(),
-            io_config=IOConfiguration(
-                mode=IOMode.PRESTAGED, pert_input_mb=1.0, pemodel_input_mb=1.0,
-                output_mb=1.0, prestage_cost_s=0.0,
-            ),
-        )
-        metrics = MetricsRegistry()
-        stats = campaign.run(
-            campaign.ensemble_specs(6), telemetry=TraceRecorder, metrics=metrics
-        )
-        recorder = campaign.last_telemetry
-        spans = recorder.spans()
-        kinds = {s.name for s in spans}
-        assert "pemodel" in kinds
-        assert "pert" in kinds
-        # virtual timestamps: the makespan bounds every span
-        assert all(s.end <= stats.makespan_seconds + 1e-9 for s in spans)
-        assert validate_chrome_trace(chrome_trace(spans=spans)) == []
-        snap = metrics.snapshot()
-        assert snap["counters"]["jobs_completed{kind=pert}"] == 6
-        assert snap["counters"]["jobs_completed{kind=pemodel}"] == 6
-        assert snap["histograms"]["job_wall_seconds{kind=pemodel}"]["count"] == 6
 
 
 class TestTraceSummaryCli:

@@ -28,9 +28,6 @@ from repro.obs.network import aosn2_network
 from repro.ocean.stochastic import StochasticForcing
 from repro.products.store import CycleProductPublisher, ProductStore
 from repro.realtime import RealTimeForecastCycle
-from repro.sched.engine import Simulator
-from repro.sched.gridsites import TERAGRID_SITES, run_reserved_campaign
-from repro.sched.schedulers import ClusterScheduler, SGEPolicy
 from repro.util.linalg import randomized_svd
 from repro.util.randomfields import GaussianRandomField2D
 from repro.workflow import (
@@ -44,33 +41,6 @@ from repro.workflow import (
 
 
 class TestDefaultStreamRepeatability:
-    def test_reserved_campaign_repeats_bit_identically(self):
-        site = TERAGRID_SITES["ORNL"]
-        first = run_reserved_campaign(site, n_members=2, window_seconds=None)
-        second = run_reserved_campaign(site, n_members=2, window_seconds=None)
-        assert first == second
-        assert first["queue_wait_s"] > 0.0  # the stochastic draw happened
-
-    def test_reserved_campaign_seed_changes_the_draw(self):
-        site = TERAGRID_SITES["ORNL"]
-        base = run_reserved_campaign(site, n_members=1, window_seconds=None)
-        other = run_reserved_campaign(
-            site, n_members=1, window_seconds=None, seed=1
-        )
-        assert base["queue_wait_s"] != other["queue_wait_s"]
-
-    def test_scheduler_failure_fallback_repeats(self):
-        def draws():
-            scheduler = ClusterScheduler(
-                Simulator(),
-                TERAGRID_SITES["local"].cluster(),
-                SGEPolicy(),
-                failure_rate=0.5,
-            )
-            return scheduler._failure_rng.random(16)
-
-        assert np.array_equal(draws(), draws())
-
     def test_observation_network_fallback_repeats(self, small_model):
         grid, layout = small_model.grid, small_model.layout
         first = aosn2_network(grid, layout).rng.standard_normal(16)

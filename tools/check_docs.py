@@ -1,12 +1,15 @@
 #!/usr/bin/env python
-"""Docs lint: the ``docs/`` pages are linked and their snippets compile.
+"""Docs lint: the ``docs/`` pages are linked, their snippets compile, and
+every ``repro.`` name the docs cite exists.
 
     python tools/check_docs.py --pages
 
 checks that every ``docs/*.md`` page is linked from ``README.md`` (no
-orphaned architecture documents) and that every fenced ``python`` code
+orphaned architecture documents), that every fenced ``python`` code
 block in ``docs/`` actually compiles (doctest-style ``>>>`` blocks are
-parsed as doctests first) -- documentation drift shows up as a lint
+parsed as doctests first), and that every backticked dotted
+``repro.…`` name in README.md, DESIGN.md and ``docs/*.md`` resolves to a
+module or a module attribute -- documentation drift shows up as a lint
 failure, not as a reader's surprise.
 
 Docstring coverage of ``src/repro`` is not checked here: tier-1's
@@ -16,6 +19,7 @@ Docstring coverage of ``src/repro`` is not checked here: tier-1's
 from __future__ import annotations
 
 import doctest
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -23,8 +27,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCS_DIR = REPO_ROOT / "docs"
 README_PATH = REPO_ROOT / "README.md"
+DESIGN_PATH = REPO_ROOT / "DESIGN.md"
 
 _FENCE_RE = re.compile(r"^```python[ \t]*\n(.*?)^```", re.DOTALL | re.MULTILINE)
+_NAME_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
 
 
 def docs_pages() -> list[Path]:
@@ -70,6 +76,29 @@ def snippet_errors(page: Path) -> list[str]:
     return errors
 
 
+def unresolved_names(text: str) -> list[str]:
+    """Backticked ``repro.…`` dotted names in ``text`` that name nothing.
+
+    A name resolves when its longest importable prefix is a module and the
+    rest is a chain of attributes on it (a class, a function, a method).
+    """
+    missing = []
+    for name in dict.fromkeys(_NAME_RE.findall(text)):
+        parts = name.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:cut]))
+            except ImportError:
+                continue
+            try:
+                for attr in parts[cut:]:
+                    obj = getattr(obj, attr)
+            except AttributeError:
+                missing.append(name)
+            break
+    return missing
+
+
 def pages_main() -> int:
     """Lint the docs/ pages; returns a process exit code."""
     failures = 0
@@ -80,11 +109,19 @@ def pages_main() -> int:
         for error in snippet_errors(page):
             print(error)
             failures += 1
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    for page in [README_PATH, DESIGN_PATH, *docs_pages()]:
+        for name in unresolved_names(page.read_text()):
+            print(f"{page.relative_to(REPO_ROOT)}: `{name}` names nothing")
+            failures += 1
     if failures:
         print(f"docs pages lint: {failures} problem(s)")
         return 1
     n = len(docs_pages())
-    print(f"docs pages lint: {n} page(s) linked from README, snippets compile")
+    print(
+        f"docs pages lint: {n} page(s) linked from README, snippets compile, "
+        "repro names resolve"
+    )
     return 0
 
 

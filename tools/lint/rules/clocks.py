@@ -56,9 +56,8 @@ class ClockRule(Rule):
     )
     explanation = """\
 Components must take "now" from an injectable zero-argument callable (see
-repro.telemetry.clock) so that live runs use the monotonic clock, the
-sched simulator substitutes its virtual clock, and tests inject FakeClock
-for exact timing assertions.  Both calls and bare references (handing the
+repro.telemetry.clock) so that live runs use the monotonic clock and
+tests inject FakeClock for exact timing assertions.  Both calls and bare references (handing the
 function around as a clock) are flagged; time.sleep() is allowed.
 
 Bad:

@@ -7,11 +7,13 @@ be pulled in), and ``core`` -- the ESSE algorithm -- must never import the
 execution layers (``workflow``/``sched``/``realtime``), so the algorithm
 stays runnable under any execution substrate.
 
-The graph is acyclic.  The scheduler simulator reuses the workflow's
-fault/retry vocabulary (``sched -> workflow``); the reverse edge -- a
-workflow task-graph module (since deleted) reading the scheduler's
-calibrated task times -- was broken by moving the Table 1 reference
-times into ``repro.core.taskmodel``, which both layers may import.
+The graph is acyclic, and ``sched`` and ``workflow`` share no edge in
+either direction.  The campaign simulator once reused the workflow's
+fault/retry vocabulary (``sched -> workflow``); those simulator options
+had no caller outside their own tests and were deleted with the edge.
+The reverse edge -- a workflow task-graph module (since deleted) reading
+the scheduler's calibrated task times -- was broken by moving the Table 1
+reference times into ``repro.core.taskmodel``, which both layers import.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ ALLOWED_IMPORTS: dict[str, set[str]] = {
     "obs": {"util", "core", "ocean"},
     "acoustics": {"util", "core", "ocean"},
     "workflow": {"util", "telemetry", "core"},
-    "sched": {"util", "telemetry", "core", "workflow"},
+    "sched": {"util", "core"},
     "realtime": {
         "util",
         "telemetry",
@@ -96,8 +98,7 @@ class LayeringRule(Rule):
 The allowed edges are declared in ALLOWED_IMPORTS
 (tools/lint/rules/layering.py).  Keeping the ESSE algorithm (core) free of
 execution-layer imports is what lets the same algorithm run under the
-serial shepherd, the thread/process task pool, the sched simulator and the
-realtime cycle.
+serial shepherd, the thread/process task pool and the realtime cycle.
 
 Bad (inside src/repro/core/driver.py):
     from repro.workflow.parallel import ParallelESSEWorkflow
