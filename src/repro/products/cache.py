@@ -1,11 +1,11 @@
 """A small thread-safe LRU cache for rendered product responses.
 
-The service's read path is dominated by two costs: loading + verifying a
-published snapshot (npz decode, SHA-256) and rendering a response body
-(JSON encode of tiles/overviews).  Both are pure functions of
-``(version, resource)``, and versions are immutable once published -- so
-an LRU keyed by that pair never needs invalidation: entries for retired
-versions simply age out.
+A miss costs its render, not its load: a ``serve_publish`` body (800
+requests, 4 publishes; one Xeon core) renders 347 bodies in 99 ms, three
+quarters of it ``json.dumps`` float text, and loads 4 snapshots (npz
+decode + SHA-256) in 11 ms.  Both are pure functions of ``(version,
+resource)``, and versions are immutable once published -- so an LRU keyed
+by that pair never needs invalidation: retired versions age out.
 
 Instrumented: hit/miss/eviction counters land in an optional
 :class:`~repro.telemetry.metrics.MetricsRegistry` so the load benchmark

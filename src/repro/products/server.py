@@ -8,38 +8,34 @@ persistent connections (keep-alive by default, honoured until the
 client sends ``Connection: close``), ``Content-Length`` framing and the
 service's ETag/503 semantics passed straight through.
 
-**What runs where.**  Every request is first put to
-``ProductService.cached`` *on the event loop*: it answers from memory
-(cached responses, ``304``, routing errors) and returns ``None`` for
-anything that would open a file.  Only those go to a single-worker
-thread pool running ``ProductService.handle``: a miss is a small-file
-read plus an npz decode, which would stall every other connection
-(TestHitPathOverHTTP); one worker because misses serialize anyway.  The
-hit path's one system call is an ``os.stat`` of ``HEAD.json`` per
-``latest`` request -- a metadata lookup on a local pointer file,
-microseconds and bounded, where a ``read_text`` is an open + read +
-close of a size and latency the server does not control.  Heavy
-deployments run several server processes on the same immutable store.
+**What runs where** (``docs/PRODUCT_SERVICE.md``).  ``ProductService.cached``
+runs *on the event loop* and answers everything memory can, rendering a
+cold body from a warm snapshot too: the JSON encoder holds the
+interpreter lock for its whole call, so on a thread it blocked the loop
+as long and added a hop.  Only its ``None`` -- a request that must read a
+file -- goes to a one-worker thread pool running ``ProductService.handle``;
+the loop's one system call is an ``os.stat`` of ``HEAD.json`` per
+``latest`` request.
 
-**Hostile input** (table in ``docs/PRODUCT_SERVICE.md``).  A head is
-CRLF-framed and taken with one ``readuntil(b"\\r\\n\\r\\n")`` under
-:data:`MAX_LINE_BYTES` per line, :data:`MAX_HEADERS` lines and the
-64 KiB ``StreamReader`` limit.  A lone CR or LF inside it is malformed;
-a head that never reaches CRLF CRLF (a bare-LF client's) cannot be told
-from a slow one and meets the deadline.  ``400``: malformed head,
-``Transfer-Encoding``, ``Content-Length`` not digits or repeated with
-different values.  ``413``: a body over :data:`MAX_BODY_BYTES` (no route
-takes one; smaller ones are drained).  ``408``: head or body incomplete
-:data:`HEAD_TIMEOUT_S` after its first byte.  All three close the
-connection.  One silent for :data:`IDLE_TIMEOUT_S` between requests is
-closed unanswered; one not draining a response for as long is aborted.
+**Hostile input.**  A head is CRLF-framed: a request line ending in a
+bare LF is refused at once, and the header lines are one
+``readuntil(b"\\r\\n\\r\\n")`` under :data:`MAX_LINE_BYTES`,
+:data:`MAX_HEADERS` and the 64 KiB ``StreamReader`` limit.  ``400``:
+malformed head, ``Transfer-Encoding``, ``Content-Length`` not digits or
+repeated with different values.  ``413``: a body over
+:data:`MAX_BODY_BYTES` (smaller ones are drained).  ``408``: head or body
+incomplete :data:`HEAD_TIMEOUT_S` after its first byte.  A refusal
+half-closes and discards input until EOF or :data:`LINGER_S` before it
+closes, so the client reads it instead of a reset.  A connection silent
+for :data:`IDLE_TIMEOUT_S` between requests is closed unanswered; one not
+draining a response for as long is aborted.
 """
 
 from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import asynccontextmanager
+from contextlib import asynccontextmanager, suppress
 
 from repro.products.service import ProductService, ServiceResponse
 
@@ -53,6 +49,8 @@ MAX_BODY_BYTES = 4 * 1024
 HEAD_TIMEOUT_S = 10.0
 #: Seconds a connection may neither send a request nor drain a response.
 IDLE_TIMEOUT_S = 60.0
+#: Seconds input is still read and discarded after a refusal.
+LINGER_S = 2.0
 
 _HEAD_END = b"\r\n\r\n"
 _VERSION = {True: b"HTTP/1.1", False: b"HTTP/1.0"}
@@ -61,9 +59,9 @@ _CONNECTION = {True: b"Connection: keep-alive\r\n\r\n", False: b"Connection: clo
 
 def _parse_head(head: bytes) -> tuple[str, dict[str, str]] | None:
     """Start line and lower-cased headers of one head; None if malformed."""
-    text = head[:-4].decode("latin-1")
+    text = head.removesuffix(_HEAD_END).decode("latin-1")
     start, *lines = text.split("\r\n")
-    n = len(lines)  # so many CRLFs: any other CR or LF is a stray one
+    n = len(lines)  # so many CRLFs: any other CR or LF (an unended head's too) is stray
     if n > MAX_HEADERS or text.count("\n") != n or text.count("\r") != n:
         return None
     if len(text) > MAX_LINE_BYTES and len(max(start, *lines, key=len)) > MAX_LINE_BYTES:
@@ -104,9 +102,7 @@ class ProductHTTPServer:
             raise RuntimeError("server already started")
         self._executor = ThreadPoolExecutor(1, thread_name_prefix="product-service")
         self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
+        self._server = await asyncio.start_server(self._handle_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
@@ -116,9 +112,8 @@ class ProductHTTPServer:
         self._server.close()
         await self._server.wait_closed()
         self._server = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        self._executor.shutdown(wait=True)  # started with the server
+        self._executor = None
 
     @asynccontextmanager
     async def serving(self):
@@ -128,11 +123,6 @@ class ProductHTTPServer:
             yield self
         finally:
             await self.stop()
-
-    @property
-    def url(self) -> str:
-        """Base URL of the bound listener."""
-        return f"http://{self.host}:{self.port}"
 
     # -- connection handling -------------------------------------------------
 
@@ -146,6 +136,7 @@ class ProductHTTPServer:
                 if isinstance(request, int):
                     refusal = ServiceResponse(request, b'{"error": "request refused"}')
                     await self._write_response(writer, refusal, False, True)
+                    await self._linger(reader, writer)
                     break
                 method, target, http11, headers = request
                 response = self.service.cached(method, target, headers)
@@ -175,7 +166,12 @@ class ProductHTTPServer:
                 return None  # the client closed between requests
             timer.cancel()
             timer = self._loop.call_later(HEAD_TIMEOUT_S, expire, TimeoutError())
-            parsed = _parse_head(first + await reader.readuntil(_HEAD_END))
+            head = first + await reader.readuntil(b"\n")
+            if head[-2:] != b"\r\n":
+                return 400  # a bare-LF head: no CRLF CRLF is coming to end it
+            head += await reader.readexactly(1)  # CR unless a header line follows
+            rest = reader.readexactly(1) if head[-1:] == b"\r" else reader.readuntil(_HEAD_END)
+            parsed = _parse_head(head + await rest)
             parts = parsed[0].split() if parsed else ()
             if len(parts) != 3 or not parts[2].startswith("HTTP/"):
                 return 400
@@ -194,6 +190,16 @@ class ProductHTTPServer:
             return 400  # EOF mid-request; head past the stream limit; int() refused
         finally:
             timer.cancel()
+
+    async def _linger(self, reader: asyncio.StreamReader, writer) -> None:
+        """Half-close, then discard input until EOF or :data:`LINGER_S`."""
+        writer.write_eof()
+        reader.set_exception(None)  # the deadline's TimeoutError, if one fired
+        timer = self._loop.call_later(LINGER_S, reader.set_exception, TimeoutError())
+        with suppress(TimeoutError):  # at the bound, close on a client still sending
+            while await reader.read(1 << 16):
+                pass
+        timer.cancel()
 
     async def _write_response(self, writer, response, keep_alive, http11) -> None:
         """Send one response with explicit length framing."""

@@ -9,9 +9,9 @@ records, with
   npz decode + checksum pass serves every later request of a version) and
   a **response cache** of finished ``200``s keyed by ``(version, resource)``;
 - **two entries, one code path**: :meth:`ProductService.cached` answers
-  from memory alone and returns ``None`` for whatever would open a file
-  (the server calls it on its event loop); :meth:`ProductService.handle`
-  is that lookup, then the miss work;
+  from memory -- cached bodies, ``304``, and renders from a warm snapshot
+  -- and returns ``None`` when a file must be read (the server calls it on
+  its event loop); :meth:`ProductService.handle` is that, then the reads;
 - **ETag / version validation**: every resource response carries
   ``ETag: "v<version>-<checksum16>"``; a request presenting it back via
   ``If-None-Match`` gets ``304 Not Modified`` with an empty body;
@@ -50,6 +50,8 @@ from repro.telemetry.spans import NULL_RECORDER
 
 #: Seconds readers are asked to back off when a cycle is still publishing.
 RETRY_AFTER_SECONDS = 1
+#: How many verified snapshots stay decoded in memory (0 with ``cache_size=0``).
+SNAPSHOT_CACHE_SIZE = 4
 _JSON = ("Content-Type", "application/json")
 #: A target that is only an origin-form path: nothing for ``urlsplit`` to do.
 _BARE_PATH = re.compile(r"/(?!/)[^?#\s]*").fullmatch
@@ -91,9 +93,9 @@ def _json_body(payload: dict) -> bytes:
 
 
 def _array_json(array: np.ndarray) -> list:
-    """A 2-D array as nested lists with NaN encoded as None."""
-    rows = np.asarray(array, dtype=np.float64)
-    return [[None if np.isnan(v) else float(v) for v in row] for row in rows]
+    """A 2-D array as nested lists, NaN as None (``v != v``: no numpy scalar per value)."""
+    rows = np.asarray(array, dtype=np.float64).tolist()
+    return [[None if v != v else v for v in row] for row in rows]
 
 
 def _plain(status: int, payload: dict, route: str = "unknown") -> ServiceResponse:
@@ -169,8 +171,6 @@ class ProductService:
     cache_size:
         Response-cache capacity (finished responses); 0 disables response
         and snapshot caching (the benchmark's cache-off mode).
-    snapshot_cache_size:
-        How many verified snapshots stay decoded in memory.
     registry:
         Optional metrics registry for request/cache instruments.
     telemetry:
@@ -178,14 +178,10 @@ class ProductService:
         simulated or fake clock drives exact latency tests.
     """
 
-    #: Routes answered by this service (see docs/PRODUCT_SERVICE.md).
-    ROUTES = ("healthz", "product", "field", "tile")
-
     def __init__(
         self,
         workdir,
         cache_size: int = 256,
-        snapshot_cache_size: int = 4,
         registry=None,
         telemetry=None,
         max_unreadable_reads: int = 64,
@@ -195,7 +191,7 @@ class ProductService:
         self.registry = registry
         self._responses = LRUCache(cache_size, registry=registry, name="responses")
         self._snapshots = LRUCache(
-            snapshot_cache_size if cache_size else 0, registry=registry, name="snapshots"
+            SNAPSHOT_CACHE_SIZE if cache_size else 0, registry=registry, name="snapshots"
         )
         #: (signature of HEAD.json taken before reading it, the version read).
         self._head: tuple = (None, None)
@@ -207,10 +203,10 @@ class ProductService:
     ) -> ServiceResponse | None:
         """Answer from memory, or None -- nothing counted -- if that takes a file.
 
-        Dictionary lookups plus, for ``latest``, one ``os.stat`` of
-        ``HEAD.json``: the remembered HEAD version stands only while the
-        file's signature is the one taken before it was read.  ``headers``
-        keys must be lower-case, as the server's parser delivers them.
+        A warm snapshot is memory: an uncached body is rendered and stored.
+        For ``latest``, one ``os.stat`` of ``HEAD.json``: the remembered
+        version stands only while the file's signature is the one taken
+        before it was read.  ``headers`` keys must be lower-case.
         """
         started = self.telemetry.clock()
         if method.upper() != "GET":
@@ -229,15 +225,8 @@ class ProductService:
         snapshot = self._snapshots.peek(version)
         if snapshot is None:
             return None
-        response = _not_modified(snapshot, headers, route.name)
-        if response is None:
-            key = (version, route.name) + route[2:]
-            response = self._responses.peek(key)
-            if response is None:
-                return None
-            self._responses.touch(key)
         self._snapshots.touch(version)
-        return self._account(started, response)
+        return self._account(started, self._answer(route, snapshot, headers))
 
     def handle(
         self, method: str, target: str, headers: dict[str, str] | None = None
@@ -276,10 +265,22 @@ class ProductService:
             ).inc()
         return response
 
+    def _answer(self, route: _Route, snapshot: ProductSnapshot, headers) -> ServiceResponse:
+        """``304``, else the cached body, else a fresh render (stored if a 200)."""
+        response = _not_modified(snapshot, headers, route.name)
+        if response is None:
+            key = (snapshot.version, route.name) + route[2:]
+            response = self._responses.get(key)
+            if response is None:
+                response = self._render(route, snapshot)
+                if response.status == 200:  # a 404 for a bad field/tile is not cached
+                    self._responses.put(key, response)
+        return response
+
     # -- the miss work: file reads -------------------------------------------
 
     def _load(self, route: _Route, headers) -> ServiceResponse:
-        """Resolve the snapshot and render (or revalidate) the resource."""
+        """Read what memory lacks (HEAD, a snapshot), then answer from it."""
         name = route.name
         if name == "healthz":
             return self._healthz()
@@ -291,15 +292,7 @@ class ProductService:
             return _plain(404, {"error": str(exc)}, name)
         if snapshot is None:
             return _unavailable("no product published yet (store warming up)", name)
-        response = _not_modified(snapshot, headers, name)
-        if response is None:
-            key = (snapshot.version, name) + route[2:]
-            response = self._responses.get(key)
-            if response is None:
-                response = self._render(route, snapshot)
-                if response.status == 200:  # a 404 for a bad field/tile is not cached
-                    self._responses.put(key, response)
-        return response
+        return self._answer(route, snapshot, headers)
 
     def _snapshot(self, version: int | None) -> ProductSnapshot | None:
         """Fetch a verified snapshot through the per-version cache."""

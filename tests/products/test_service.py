@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.products.service as service_module
 from repro.products.service import ProductService, ServiceResponse
 from repro.products.store import ProductStore
 from repro.telemetry.clock import FakeClock
@@ -95,6 +96,35 @@ class TestResources:
         )
         np.testing.assert_allclose(got, expected)
         assert body["summary"]["count"] == int(np.sum(~np.isnan(expected)))
+
+    def test_every_body_matches_the_per_element_encoder_byte_for_byte(
+        self, store, monkeypatch
+    ):
+        """The list-speed encoder against the one it replaced, on every route
+        of a field holding the floats whose text is easiest to get wrong."""
+
+        def per_element_json(array):  # the encoder before ``tolist``
+            rows = np.asarray(array, dtype=np.float64)
+            return [[None if np.isnan(v) else float(v) for v in row] for row in rows]
+
+        field = make_field(3)
+        field[10, :11] = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 0.1, 1e16, 1e22, -1e22, 1.0]
+        with np.errstate(invalid="ignore"):  # inf - inf in the tile statistics
+            store.publish(make_product(0), {"sst_nowcast": field, "sst_sigma": np.abs(field)})
+        targets = [LATEST, "/v1/products/1"]
+        tiles = [(tj, ti) for tj in range(3) for ti in range(3)]
+        for name in ("sst_nowcast", "sst_sigma"):
+            targets += [f"{LATEST}/fields/{name}?level={level}" for level in range(3)]
+            targets += [f"/v1/products/1/tiles/{name}/{tj}/{ti}" for tj, ti in tiles]
+        fast = ProductService(store.workdir)
+        got = [fast.handle("GET", target) for target in targets]
+        monkeypatch.setattr(service_module, "_array_json", per_element_json)
+        reference = ProductService(store.workdir)
+        for target, response in zip(targets, got):
+            want = reference.handle("GET", target)
+            assert response.status == 200, target
+            assert (response.head, response.body) == (want.head, want.body), target
+        assert b"-0.0, Infinity, -Infinity, 5e-324, -5e-324, 0.1, 1e+16, 1e+22" in got[2].body
 
     def test_unknown_field_and_bad_level_404(self, published):
         service = ProductService(published.workdir)
@@ -267,6 +297,9 @@ class TestHitPath:
     def test_cached_is_none_when_the_answer_is_not_in_memory(
         self, published, monkeypatch, case
     ):
+        """None exactly when a file must be read.  ``cold-body`` and
+        ``bad-field`` are the other side of that line: their snapshot is
+        warm, so ``cached`` renders them, opening nothing."""
         target, status = TILE, 200
         if case == "cold-snapshot":
             service = ProductService(published.workdir)
@@ -287,11 +320,15 @@ class TestHitPath:
         elif case == "head-gone":
             published.head_path.unlink()
             status = 503
+        if case in ("cold-body", "bad-field"):
+            response, reads = file_reads(monkeypatch, lambda: service.cached("GET", target))
+            assert (response.status, reads) == (status, 0)
+            assert response == ProductService(published.workdir).handle("GET", target)
+            return
         assert service.cached("GET", target) is None
         response, reads = file_reads(monkeypatch, lambda: service.handle("GET", target))
         assert response.status == status
-        # Everything but a render from a warm pinned snapshot opened a file.
-        assert reads > 0 or case == "cold-body"
+        assert reads > 0
 
     def test_a_none_leaves_no_trace(self, published):
         """A miss is counted once -- by the ``handle`` that does its work."""
@@ -303,12 +340,13 @@ class TestHitPath:
             assert service.cached("GET", "/healthz") is None
         assert not any(reg.snapshot()["counters"].values())
         assert recorder.spans() == ()
-        # Warm snapshot, cold body: the snapshot hit is not counted either.
+        # Warm snapshot, changed HEAD: the snapshot is not looked up either.
         service.handle("GET", LATEST)
-        before = reg.snapshot()["counters"]["product_cache_hits{cache=snapshots}"]
+        before = reg.snapshot()["counters"]
+        published.publish(make_product(1), {"sst_nowcast": make_field(2)})
         assert service.cached("GET", TILE) is None
-        after = reg.snapshot()["counters"]["product_cache_hits{cache=snapshots}"]
-        assert after == before
+        assert reg.snapshot()["counters"] == before
+        assert len(recorder.spans()) == 1
 
     def test_accounting_matches_the_one_path_service(self, published):
         """The counts ``handle`` recorded for this sequence before it had a
@@ -372,14 +410,15 @@ class TestHitPath:
         assert len(spans) == 13  # every request but the 404 / 405 of no route
 
     def test_a_hit_refreshes_lru_recency(self, published):
+        """A cached answer is the stored object itself; a re-render is not."""
         service = ProductService(published.workdir, cache_size=2)
         tiles = [LATEST + f"/tiles/sst_nowcast/{tj}/0" for tj in range(3)]
-        service.handle("GET", tiles[0])
-        service.handle("GET", tiles[1])
-        assert service.cached("GET", tiles[0]) is not None  # now the newest
+        first = [service.handle("GET", target) for target in tiles[:2]]
+        assert service.cached("GET", tiles[0]) is first[0]  # now the newest
         service.handle("GET", tiles[2])  # evicts tiles[1], not tiles[0]
-        assert service.cached("GET", tiles[0]) is not None
-        assert service.cached("GET", tiles[1]) is None
+        assert service.cached("GET", tiles[0]) is first[0]
+        again = service.cached("GET", tiles[1])  # rendered anew from the snapshot
+        assert again == first[1] and again is not first[1]
 
     def test_latest_follows_head_on_the_very_next_request(self, published):
         """The remembered HEAD version never outlives the file it was read from."""
