@@ -9,11 +9,16 @@ all available results are used."
 IMMEDIATE minimizes latency; DRAIN_RUNNING uses the nearly-free extra
 members for a better final subspace.
 
-Sized so that convergence leaves members behind: two workers and a pool
-kept three times the stage ahead (24 members submitted for the stage
-that grows to 8), so at the check most of the pool is still queued.
-With four workers at the default margin of 1.5 every submitted member
-has started by the check and there is nothing to cancel.
+Sized so that convergence leaves members behind.  A pool task is a batch
+of up to 8 members (the paper's Sec 4.2 job array), and a batch that has
+started cannot be cancelled, so the pool must hold whole batches that no
+worker has picked up yet when the test passes.  One worker and a pool
+kept three times the stage ahead do that: the first stage (8 members) submits
+batches 0-7, 8-15 and 16-23, the second (16) adds 24-31 to 40-47, and at
+each check the one worker is busy with one batch while the later ones
+wait.  The sizing before tasks were batches (4 initial members, two
+workers) cancelled nothing in three of four runs: by the time it
+converged, each batch it had submitted had been picked up by a worker.
 """
 
 import pytest
@@ -27,8 +32,8 @@ def run_policies(setup, tmp_path):
     runner = setup["runner"]
     background = setup["background"]
     config = ESSEConfig(
-        initial_ensemble_size=4,
-        max_ensemble_size=48,
+        initial_ensemble_size=8,
+        max_ensemble_size=64,
         convergence_tolerance=0.85,
         max_subspace_rank=8,
     )
@@ -38,7 +43,7 @@ def run_policies(setup, tmp_path):
             runner,
             config,
             tmp_path / policy.value,
-            n_workers=2,
+            n_workers=1,
             cancellation=policy,
             pool_margin=3.0,
         ).run(background)
@@ -75,6 +80,6 @@ def test_ablation_cancellation_policy(benchmark, small_esse_setup, tmp_path):
     assert len(immediate.events_of("final_svd")) == 0
     # DRAIN folds in at least as many members as IMMEDIATE used
     assert drain.ensemble_size >= immediate.ensemble_size
-    # both cancel queued members out of the 48-member pool
+    # both cancel queued members out of the 64-member pool
     assert immediate.n_cancelled > 0 and drain.n_cancelled > 0
-    assert immediate.n_completed < 48
+    assert immediate.n_completed < 64

@@ -13,7 +13,7 @@ provides both, behind one interface:
   *bit-identical* to the serial backend under a fixed seed;
 - :class:`ProcessesBackend` -- the Fig 4 member pool
   (:class:`~repro.workflow.parallel.MemberPool`) on worker processes,
-  entered once per run.
+  entered once per run, its tasks member batches of ``batch_size``.
 
 :class:`EnsembleEngine` drives any backend through the one staged ESSE
 loop, :func:`repro.core.ensemble.grow_ensemble`, with a column sink that
@@ -35,7 +35,6 @@ from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import NULL_RECORDER
 from repro.workflow.covfile import MemmapCovarianceStore
 from repro.workflow.faults import FaultInjector
-from repro.workflow.monitor import ProgressMonitor
 from repro.workflow.parallel import MemberPool, _PublishedColumns
 from repro.workflow.policies import RetryPolicy
 from repro.workflow.statefiles import StatusDirectory, TaskStatus
@@ -52,16 +51,12 @@ class EnsembleBackend:
     indices, and calls ``deliver(result)`` once per member with a
     :class:`~repro.core.ensemble.MemberResult`, always from the thread
     that called :meth:`propagate` (the engine's accumulator has no lock).
-    ``members_per_task`` -- members per status record, the batch size
-    for :class:`BatchedBackend` -- keeps progress in member units.
+    Every backend writes ``pemodel`` status records, which the status
+    directory's scans count in members however many one record names.
     """
 
     #: Backend name (matches the config value and telemetry attributes).
     name: str = "abstract"
-    #: Members covered by one status record (see class docstring).
-    members_per_task: int = 1
-    #: Status-record kind this backend writes.
-    status_kind: str = "pemodel"
     #: Resubmissions in the last run (only a pool-backed backend retries).
     n_retried: int = 0
 
@@ -94,7 +89,8 @@ class BatchedBackend(EnsembleBackend):
     Every member of a batch steps in one pass of vectorized numpy
     (:meth:`~repro.core.ensemble.EnsembleRunner.run_members_batched`),
     bit-identical to the serial backend under a fixed seed.  One status
-    record, of kind ``pemodel_batch``, covers a whole batch.
+    record covers a whole batch: a SUCCESS record naming the members that
+    completed, and a MODEL_FAILURE record naming any that blew up.
 
     Parameters
     ----------
@@ -105,31 +101,26 @@ class BatchedBackend(EnsembleBackend):
     """
 
     name = "batched"
-    status_kind = "pemodel_batch"
 
     def __init__(self, batch_size: int = 8):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.batch_size = batch_size
 
-    @property
-    def members_per_task(self) -> int:
-        """One batch task covers ``batch_size`` members."""
-        return self.batch_size
-
     def propagate(self, engine, mean_state, indices, deliver) -> None:
         """Run members in vectorized batches; deliver per member."""
         indices = list(indices)
         for lo in range(0, len(indices), self.batch_size):
             chunk = indices[lo : lo + self.batch_size]
-            batch_no = engine.next_batch_no(len(chunk))
             with engine.telemetry.span(
-                "pemodel.batch", batch=batch_no, size=len(chunk), backend=self.name
+                "pemodel.batch", index=chunk[0], size=len(chunk), backend=self.name
             ):
                 results = engine.runner.run_members_batched(mean_state, chunk)
-            ok = any(r.ok for r in results)
-            status = TaskStatus.SUCCESS if ok else TaskStatus.MODEL_FAILURE
-            engine.status.write("pemodel_batch", batch_no, status)
+            statuses = {True: TaskStatus.SUCCESS, False: TaskStatus.MODEL_FAILURE}
+            for ok, status in statuses.items():
+                members = [r.member_index for r in results if r.ok is ok]
+                if members:
+                    engine.status.write_batch("pemodel", members, status, attempt=1)
             for result in results:
                 deliver(result)
 
@@ -140,24 +131,30 @@ class ProcessesBackend(EnsembleBackend):
     A run's first :meth:`propagate` enters one
     :class:`~repro.workflow.parallel.MemberPool` with ``processes=True``
     under the engine's working directory, every stage runs on it, and
-    :meth:`close` leaves it.  Members travel as member files, as from the
-    paper's remote hosts; retries, torn-file detection, status records
-    and degradation are the member pool's (``docs/FAILURE_MODEL.md``).
-    At margin 1 it holds exactly the stage being grown, so the engine
-    checks at the stage sizes.
+    :meth:`close` leaves it.  A task is a batch of members, which travels
+    back as one batch file, as from the paper's remote hosts; retries
+    (per member), torn-file detection, status records and degradation
+    are the member pool's (``docs/FAILURE_MODEL.md``).  At margin 1 it
+    holds exactly the stage being grown, so the engine checks at the
+    stage sizes.
 
     Parameters
     ----------
     n_workers:
         Process-pool width.
+    batch_size:
+        Members per task (``engine.batch_size``).
     """
 
     name = "processes"
 
-    def __init__(self, n_workers: int = 2):
+    def __init__(self, n_workers: int = 2, batch_size: int = 8):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         self.n_workers = n_workers
+        self.batch_size = batch_size
         self._members: MemberPool | None = None
 
     def propagate(self, engine, mean_state, indices, deliver) -> None:
@@ -171,6 +168,7 @@ class ProcessesBackend(EnsembleBackend):
                 self.n_workers,
                 engine.config.max_ensemble_size,
                 processes=True,
+                batch_size=self.batch_size,
                 retry=engine.retry,
                 faults=engine.faults,
                 telemetry=engine.telemetry,
@@ -190,14 +188,15 @@ def make_backend(name: str, n_workers: int = 4, batch_size: int = 8) -> Ensemble
     """Construct an :class:`EnsembleBackend` from its config name.
 
     ``name`` is one of :data:`BACKEND_NAMES`; ``n_workers`` is the pool
-    width of ``processes``, ``batch_size`` the batch width of ``batched``.
+    width of ``processes``, ``batch_size`` the batch width of ``batched``
+    and ``processes``.
     """
     if name == "serial":
         return SerialBackend()
     if name == "batched":
         return BatchedBackend(batch_size=batch_size)
     if name == "processes":
-        return ProcessesBackend(n_workers=n_workers)
+        return ProcessesBackend(n_workers=n_workers, batch_size=batch_size)
     raise ValueError(f"unknown backend {name!r}; valid: {BACKEND_NAMES}")
 
 
@@ -264,66 +263,16 @@ class EnsembleEngine:
         self.telemetry = telemetry if telemetry is not None else NULL_RECORDER
         self.metrics = metrics
         self._clock = self.telemetry.clock
-        self._batch_counter = 0
-        self._batch_sizes: dict[int, int] = {}
-
-    # -- backend services --------------------------------------------------
-
-    def next_batch_no(self, size: int = 1) -> int:
-        """Allocate the next batch-task index, recording its member count
-        (the exact per-batch sizes feed :meth:`progress_monitor`)."""
-        n = self._batch_counter
-        self._batch_counter += 1
-        self._batch_sizes[n] = size
-        return n
-
-    # -- monitoring --------------------------------------------------------
-
-    def progress_monitor(
-        self,
-        expected_members: int | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> ProgressMonitor:
-        """A member-accurate progress monitor for this engine's backend.
-
-        Batched runs write one status record per batch; the monitor
-        carries the exact member count of every batch recorded, so
-        progress and ETA are in members, not tasks.  Sizes are exact
-        because batches are cut per stage (4 members in threes: 3 + 1).
-        Before the engine has run, the backend's uniform weight is used.
-        """
-        n = (
-            int(expected_members)
-            if expected_members is not None
-            else self.config.max_ensemble_size
-        )
-        weight = self.backend.members_per_task
-        kind = self.backend.status_kind
-        if self._batch_sizes:
-            members_per_task = {kind: dict(self._batch_sizes)}
-        elif weight > 1:
-            members_per_task = {kind: weight}
-        else:
-            members_per_task = None
-        return ProgressMonitor(
-            self.status,
-            {kind: n},
-            clock=self._clock,
-            metrics=metrics,
-            members_per_task=members_per_task,
-        )
 
     # -- main loop ---------------------------------------------------------
 
     def run(self, mean_state) -> EngineResult:
         """Grow the ensemble until convergence, Nmax or Tmax."""
         started = self._clock()
-        # A reused engine starts from an empty column store and fresh
-        # batch bookkeeping, not from the previous run's tail.
+        # A reused engine starts from an empty column store, not from the
+        # previous run's tail.
         self.store.cleanup()
         self.store = MemmapCovarianceStore(self.workdir)
-        self._batch_counter = 0
-        self._batch_sizes = {}
         with self.telemetry.span("engine.run", backend=self.backend.name):
             with self.telemetry.span("central_forecast"):
                 central = self.runner.central_forecast(mean_state)

@@ -87,20 +87,17 @@ class ProgressMonitor:
         ``progress_throughput_per_minute``) so dashboards read the
         registry instead of re-parsing status directories.
     members_per_task:
-        Mapping of task kind -> members covered by one status record.
-        The batched ensemble backend writes one ``pemodel_batch`` record
-        per *batch* of members; without this weight a 24-member run with
-        batch size 8 would report 3/24 when fully done.  ``expected``
-        stays in member units.  Each value is either an ``int`` -- a
-        uniform weight applied to every record, with the final partial
-        batch clamped so reports never overshoot ``expected`` -- or a
-        mapping of record index -> exact member count, which staged
-        growth needs: stages of 4 members batched in threes produce
-        *two* partial batches (3+1, 3+1), and a uniform weight cannot
-        represent that.  :meth:`EnsembleEngine.progress_monitor` passes
-        the exact sizes it recorded.  Attempt-level counters
-        (``n_retried`` / ``n_timed_out``) remain task-level: a batch
-        retry is one resubmission however many members ride in it.
+        Mapping of task kind -> members covered by one status record,
+        for records that do not name their members (the program's own
+        batch records do, and the status scans already count them in
+        members).  ``expected`` stays in member units.  Each value is
+        either an ``int`` -- a uniform weight applied to every record,
+        with the final partial batch clamped so reports never overshoot
+        ``expected`` -- or a mapping of record index -> exact member
+        count, which staged growth needs: stages of 4 members batched in
+        threes produce *two* partial batches (3+1, 3+1), and a uniform
+        weight cannot represent that.  Attempt-level counters
+        (``n_retried`` / ``n_timed_out``) are not weighted.
     """
 
     def __init__(

@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import io
 import math
-import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,13 +103,15 @@ class WorkflowResult:
 
 @dataclass(frozen=True)
 class _MemberTask:
-    """One member attempt, as the pool runs it in a thread or a worker process.
+    """One batch attempt, as the pool runs it in a thread or a worker process.
 
     Remote execution hosts in the paper write their outputs and status
     files to a shared filesystem and the differ on the master consumes
-    them; members mirror that in both executors: the attempt writes the
-    member file, then its SUCCESS record, and returns no payload.  The
-    differ reads the file once the pool reports the attempt done.
+    them; a batch, one job-array task, mirrors that in both executors: it
+    steps its members with ``run_members_batched`` (bit-identical to
+    ``run_member``), writes one batch file of those that did not blow up,
+    then one SUCCESS record naming them, and returns the file's name as
+    each one's value for the differ to read.
     """
 
     runner: EnsembleRunner
@@ -119,27 +119,27 @@ class _MemberTask:
     members_dir: Path
     status: StatusDirectory
 
-    def __call__(
-        self, index: int, attempt: int, corrupt: bool, cancel: threading.Event | None
-    ) -> tuple[bool, None, str | None]:
-        result = self.runner.run_member(self.mean_state, index)
+    def __call__(self, indices, attempt, corrupt, cancel) -> list[tuple]:
+        """One attempt of ``indices`` (the pool's :data:`~repro.workflow.pool.Task`)."""
+        results = self.runner.run_members_batched(self.mean_state, indices)
         if cancel is not None and cancel.is_set():
             # Straggler-cancelled mid-run: the pool already reported
-            # TIMED_OUT and queued the replacement; write nothing.
-            return False, None, "cancelled"
-        if not result.ok:
-            return False, None, result.error
-        whole = io.BytesIO()
-        np.savez(whole, forecast=result.forecast)
-        data = whole.getvalue()
-        if corrupt:
-            # A torn shared-FS write: truncated file *and* a success
-            # status -- the case the differ must catch.
-            data = FaultInjector.corrupt_bytes(data)
-        path = self.members_dir / f"forecast_{index:05d}.npz"
-        durable_write(path, lambda fh: fh.write(data))
-        self.status.write("pemodel", index, TaskStatus.SUCCESS, attempt=attempt)
-        return True, None, None
+            # TIMED_OUT and queued the replacements; write nothing.
+            return [(False, None, "cancelled")] * len(indices)
+        done = [r.member_index for r in results if r.ok]
+        name = f"batch_{indices[0]:05d}.a{attempt}.npz"
+        if done:
+            whole = io.BytesIO()
+            forecasts = np.stack([r.forecast for r in results if r.ok])
+            np.savez(whole, members=np.array(done), forecasts=forecasts)
+            data = whole.getvalue()
+            if any(corrupt):
+                # A torn shared-FS write: truncated file *and* a success
+                # status -- the case the differ must catch.
+                data = FaultInjector.corrupt_bytes(data)
+            durable_write(self.members_dir / name, lambda fh: fh.write(data))
+            self.status.write_batch("pemodel", done, TaskStatus.SUCCESS, attempt)
+        return [(True, name, None) if r.ok else (False, None, r.error) for r in results]
 
 
 class _PublishedColumns(AnomalyAccumulator):
@@ -170,13 +170,16 @@ class MemberPool:
 
     The :class:`~repro.workflow.pool.TaskPool` of :class:`_MemberTask`
     attempts, entered once per run (``with``).  :meth:`propagate` keeps
-    ``ceil(stage end x margin)`` members submitted and runs :meth:`collect`
-    until the stage is resolved.  Every outcome writes its status record
-    and event-log entry (a retry also a ``retry`` telemetry event); a lost
-    member is delivered as ``MemberResult(index, None, error)``.  Leaving
-    the block cancels the queued members (CANCELLED records) and waits
-    for the running ones, which one more :meth:`collect` then reads.
-    Clients: :class:`ParallelESSEWorkflow` (Fig 4) and the engine's
+    ``ceil(stage end x margin)`` members submitted, in job-array batches
+    of at most ``batch_size``, and runs :meth:`collect` until the stage
+    is resolved.  The batch is the attempt unit, the member the unit of
+    everything else: each outcome writes one member's failure record and
+    event-log entry (a retry also a ``retry`` telemetry event), a failed
+    member is retried alone, a lost one delivered as
+    ``MemberResult(index, None, error)``.  Leaving the block
+    cancels the queued members (CANCELLED records) and waits for the
+    running ones, which one more :meth:`collect` then reads.  Clients:
+    :class:`ParallelESSEWorkflow` (Fig 4) and the engine's
     :class:`~repro.workflow.ensemble.ProcessesBackend` (margin 1).
 
     Parameters
@@ -184,12 +187,14 @@ class MemberPool:
     runner, mean_state:
         What every member attempt runs.
     workdir, status:
-        Member files go to ``workdir/members``, ``pemodel`` records to
+        Batch files go to ``workdir/members``, ``pemodel`` records to
         ``status``.
     n_workers, max_members:
         Executor width; Nmax, never submitted past.
     margin:
         How far (a factor >= 1) the pool runs ahead of the stage.
+    batch_size:
+        Members per first attempt (the batched backend's default, 8).
     deadline:
         Tmax as a clock reading: a stage stops waiting past it once two
         members are in.  None waits for every stage.
@@ -208,6 +213,7 @@ class MemberPool:
         n_workers: int,
         max_members: int,
         margin: float = 1.0,
+        batch_size: int = 8,
         deadline: float | None = None,
         log=lambda kind, detail="": None,
         **options,
@@ -216,23 +222,20 @@ class MemberPool:
         self.status = status
         self.max_members = max_members
         self.margin = margin
+        self.batch_size = batch_size
         self.deadline = deadline
         self._log = log
-        self.pool = TaskPool(
-            "pemodel",
-            _MemberTask(runner, mean_state, self.members_dir, status),
-            n_workers,
-            **options,
-        )
+        task = _MemberTask(runner, mean_state, self.members_dir, status)
+        self.pool = TaskPool("pemodel", task, n_workers, **options)
         self.submitted = 0
         self.count = 0  # members delivered
         self.cancelled: list[int] = []
 
     def __enter__(self) -> "MemberPool":
-        # A run starts from nothing: no member file or record of an
+        # A run starts from nothing: no batch file or record of an
         # earlier run in the same directory may be folded into this one.
         self.members_dir.mkdir(parents=True, exist_ok=True)
-        for path in self.members_dir.glob("forecast_*.npz"):
+        for path in self.members_dir.glob("batch_*.npz"):
             path.unlink()
         self.status.clear("pemodel")
         self.pool.__enter__()
@@ -254,12 +257,15 @@ class MemberPool:
         want = min(math.ceil(indices.stop * self.margin), self.max_members)
         if want > self.submitted:
             self._log("enlarge" if self.submitted else "pool", f"size={want}")
-            for index in range(self.submitted, want):
-                self.pool.submit(index)
+            for lo in range(self.submitted, want, self.batch_size):
+                self.pool.submit(range(lo, min(lo + self.batch_size, want)))
             self.submitted = want
             if self.pool.metrics is not None:
                 self.pool.metrics.gauge("pool_size").set(want)
-        while not self.pool.resolved(indices):
+        while True:
+            self.collect(deliver)
+            if self.pool.resolved(indices):
+                return
             # Tmax cuts a stage short once there is something to factor.
             if (
                 self.deadline is not None
@@ -268,24 +274,23 @@ class MemberPool:
             ):
                 self._log("deadline")
                 return
-            if not self.collect(deliver):
-                time.sleep(self.pool.poll_interval)
+            self.pool.wait()
 
-    def collect(self, deliver) -> bool:
-        """One differ pass; returns whether the pool reported anything.
+    def collect(self, deliver) -> None:
+        """One differ pass over what the pool reported since the last.
 
-        A successful attempt's member file is read and delivered; a torn
-        or missing one fails the attempt back to the pool (IO_FAILURE).
+        Each batch file a successful attempt names is read once and its
+        members delivered one by one; a torn or missing file fails each
+        of its members back to the pool (IO_FAILURE).
         """
-        outcomes = self.pool.poll(self.pool.telemetry.clock())
-        for out in outcomes:
+        files: dict[str, dict] = {}  # batch file -> member -> forecast
+        for out in self.pool.poll(self.pool.telemetry.clock()):
             self._record(out)
             if out.ok:
-                path = self.members_dir / f"forecast_{out.index:05d}.npz"
-                try:
-                    with np.load(path) as data:
-                        forecast = data["forecast"].copy()
-                except Exception:
+                if out.value not in files:
+                    files[out.value] = self._read(out.value)
+                forecast = files[out.value].get(out.index)
+                if forecast is None:
                     out = self.pool.fail(out.index, out.attempt, "corrupt output")
                     self._record(out, corrupt=True)
                 else:
@@ -295,13 +300,21 @@ class MemberPool:
                     continue
             if out.lost:
                 deliver(MemberResult(out.index, None, out.error))
-        return bool(outcomes)
+
+    def _read(self, name: str) -> dict:
+        """A batch file's forecasts by member; none when it is torn."""
+        try:
+            with np.load(self.members_dir / name) as data:
+                return dict(zip(data["members"].tolist(), data["forecasts"]))
+        except Exception:
+            return {}
 
     def _record(self, out: TaskOutcome, corrupt: bool = False) -> None:
-        """Write the status record and log the events of one pool outcome.
+        """Write the status record and log the events of one member's outcome.
 
-        Attempts write their own SUCCESS record, every failure record is
-        written here (``corrupt``: the differ failed it over a torn file).
+        Attempts write their batch's SUCCESS record, every failure record
+        is one member's, written here (``corrupt``: the differ failed it
+        over a torn file).
         """
         member = f"member={out.index}"
         if out.ok:
@@ -315,7 +328,7 @@ class MemberPool:
             status = TaskStatus.IO_FAILURE
         elif out.timed_out:
             status = TaskStatus.TIMED_OUT
-        self.status.write("pemodel", out.index, status, attempt=out.attempt)
+        self.status.write_batch("pemodel", (out.index,), status, out.attempt)
         if corrupt:
             self._log("member_corrupt", f"{member} attempt={out.attempt}")
         elif out.timed_out:
@@ -326,11 +339,8 @@ class MemberPool:
         if out.lost:
             self._log("member_terminal_failure", f"{member} why={out.error}")
         else:
-            self._log(
-                "retry",
-                f"{member} attempt={out.attempt + 1} "
-                f"delay={out.retry_delay:.3f} why={out.error}",
-            )
+            after = f"attempt={out.attempt + 1} delay={out.retry_delay:.3f}"
+            self._log("retry", f"{member} {after} why={out.error}")
             self.pool.telemetry.event(
                 "retry", index=out.index, attempt=out.attempt + 1, why=out.error
             )

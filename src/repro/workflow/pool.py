@@ -5,15 +5,16 @@ ensemble members and analysis tiles (local regions update independently)
 both have that shape, so :class:`TaskPool` holds the mechanics once
 (``docs/FAILURE_MODEL.md``):
 
-- a per-task attempt counter and one span per in-process attempt,
+- an *attempt* runs a batch of tasks (the paper's Sec 4.2 job array),
+  one span per in-process attempt; the bookkeeping unit stays the task,
 - transient submission failures retried up to
   :attr:`TaskPool.MAX_SUBMIT_TRIES`,
-- failed attempts resubmitted after the
+- failed tasks resubmitted, each alone, after the
   :class:`~repro.workflow.policies.RetryPolicy` deterministic backoff,
 - attempts running past the policy's straggler deadline cancelled and
-  replaced, their late results ignored,
+  their tasks replaced, their late results ignored,
 - a seedable :class:`~repro.workflow.faults.FaultInjector`, keyed by the
-  pool's task kind, injecting STALL / CRASH / SUBMIT_FAILURE on demand,
+  pool's task kind, drawing STALL / CRASH / SUBMIT_FAILURE per task,
 - tasks out of retries resolved as *lost*, for the client to degrade on.
 
 CORRUPT is the one client-specific fault: the pool reports the draw to
@@ -31,7 +32,8 @@ import heapq
 import pickle
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -40,16 +42,16 @@ from repro.telemetry.spans import NULL_RECORDER
 from repro.workflow.faults import FaultInjector, FaultKind
 from repro.workflow.policies import RetryPolicy
 
-#: One task attempt: ``task(index, attempt, corrupt, cancel)`` returns
-#: ``(ok, value, error)``.  ``corrupt`` is the injector's CORRUPT draw
-#: (tear the output the way this kind of task tears it); ``cancel`` is
+#: One attempt: ``task(indices, attempt, corrupt, cancel)`` returns one
+#: ``(ok, value, error)`` per index.  ``corrupt`` holds each index's CORRUPT
+#: draw (tear the output the way this kind of task tears it); ``cancel`` is
 #: the attempt's cooperative-cancel event (None in a worker process).
-Task = Callable[[int, int, bool, "threading.Event | None"], tuple]
+Task = Callable[[tuple, int, tuple, "threading.Event | None"], list]
 
 
 @dataclass(frozen=True)
 class TaskOutcome:
-    """What became of one attempt, or one submission try, of one task."""
+    """What became of one task in one attempt, or in one submission try."""
 
     index: int
     attempt: int
@@ -70,31 +72,53 @@ class TaskOutcome:
         return not self.ok and self.retry_delay is None
 
 
+@dataclass
+class _Launched:
+    """One batch attempt in flight, as the polling thread tracks it."""
+
+    indices: tuple[int, ...]
+    attempt: int
+    future: Future
+    cancel: threading.Event | None
+    #: When poll() first saw it running; poll() alone reads and writes it.
+    started: float | None = None
+
+
 def _attempt(
     kind: str,
     task: Task,
     faults: FaultInjector | None,
-    index: int,
+    indices: tuple[int, ...],
     attempt: int,
     cancel: threading.Event | None,
-) -> tuple:
-    """Run one attempt under the injector; returns ``(ok, value, error)``."""
-    fault = faults.draw(index, attempt, kind=kind) if faults is not None else None
-    if fault is not None:
-        faults.fire(fault, index, attempt, kind=kind)
-    if fault is FaultKind.STALL and faults.stall(cancel):
-        return False, None, "stall cancelled"
-    if fault is FaultKind.CRASH:
-        return False, None, "injected crash"
+) -> list[tuple]:
+    """Run one attempt under the injector; one ``(ok, value, error)`` per index.
+
+    Draws stay per task: a task drawn to crash fails alone while the rest
+    run; one drawn to stall holds up its whole batch, as a slow host does.
+    """
+    draws = [None] * len(indices)
+    if faults is not None:
+        draws = [faults.draw(index, attempt, kind=kind) for index in indices]
+        for index, fault in zip(indices, draws):
+            if fault is not None:
+                faults.fire(fault, index, attempt, kind=kind)
+        if FaultKind.STALL in draws and faults.stall(cancel):
+            return [(False, None, "stall cancelled")] * len(indices)
+    kept = [k for k, fault in enumerate(draws) if fault is not FaultKind.CRASH]
+    ran = tuple(indices[k] for k in kept)
+    corrupt = tuple(draws[k] is FaultKind.CORRUPT for k in kept)
     try:
-        return task(index, attempt, fault is FaultKind.CORRUPT, cancel)
+        done = iter(task(ran, attempt, corrupt, cancel) if ran else ())
     except Exception as exc:
-        return False, None, f"task error: {exc!r}"
+        done = iter([(False, None, f"task error: {exc!r}")] * len(ran))
+    crashed = (False, None, "injected crash")
+    return [crashed if fault is FaultKind.CRASH else next(done) for fault in draws]
 
 
 # Worker processes receive (kind, task, faults) once through the executor
 # initializer, as remote hosts in the paper receive their job description;
-# attempts then travel as (index, attempt) and return (ok, value, error).
+# attempts then travel as (indices, attempt) and return their results.
 _WORKER: dict = {}
 
 
@@ -102,9 +126,9 @@ def _process_worker_init(payload: bytes) -> None:
     _WORKER["kind"], _WORKER["task"], _WORKER["faults"] = pickle.loads(payload)
 
 
-def _process_attempt(index: int, attempt: int) -> tuple:
+def _process_attempt(indices: tuple[int, ...], attempt: int) -> list[tuple]:
     return _attempt(
-        _WORKER["kind"], _WORKER["task"], _WORKER["faults"], index, attempt, None
+        _WORKER["kind"], _WORKER["task"], _WORKER["faults"], indices, attempt, None
     )
 
 
@@ -112,8 +136,9 @@ class TaskPool:
     """Retry, backoff, straggler replacement and loss for one bag of tasks.
 
     One pool serves one run: enter it (the executor lives for the ``with``
-    block, and leaving waits for running attempts), :meth:`submit` task
-    indices as they become wanted, and :meth:`poll` from one thread.
+    block, and leaving waits for running attempts), :meth:`submit` batches
+    of task indices as they become wanted, and :meth:`poll` from one
+    thread, :meth:`wait` between polls.
 
     Parameters
     ----------
@@ -136,10 +161,11 @@ class TaskPool:
     telemetry:
         Span recorder; also supplies the pool's only clock.
     metrics:
-        Optional registry fed ``task_seconds`` / ``task_retries`` /
-        ``task_timeouts``, labelled with ``kind``.
+        Optional registry fed ``task_seconds`` (per attempt) /
+        ``task_retries`` / ``task_timeouts`` (per task), labelled with
+        ``kind``.
     poll_interval:
-        :meth:`run`'s polling period, and the delay before a failed
+        The longest :meth:`wait` blocks, and the delay before a failed
         submission is retried when there is no retry policy (s).
     parent_span:
         Parent of the attempt spans.
@@ -173,14 +199,13 @@ class TaskPool:
         self.poll_interval = poll_interval
         self.parent_span = parent_span
         self._clock = self.telemetry.clock
-        self.n_retried = 0  # follow-up attempts queued
-        self.n_timed_out = 0  # straggler attempts cancelled
+        self.n_retried = 0  # follow-up attempts queued, in tasks
+        self.n_timed_out = 0  # tasks whose attempt was cancelled as a straggler
         self._executor = None
         self._accepting = True  # False once cancel_pending() ran
         self._attempts: dict[int, int] = {}  # current attempt per task
         self._submit_tries: dict[int, int] = {}
-        #: task -> (attempt, future, cancel event) of its latest attempt
-        self._inflight: dict[int, tuple[int, Future, threading.Event | None]] = {}
+        self._inflight: list[_Launched] = []  # in submission order
         self._retry_heap: list[tuple[float, int]] = []  # (ready_at, task)
         #: (task, attempt) pairs already judged (straggler-cancelled or
         #: failed by the client): their own late result is ignored.
@@ -188,8 +213,6 @@ class TaskPool:
         self._resolved: set[int] = set()  # delivered a result, or lost
         self._lost: set[int] = set()
         self._outcomes: list[TaskOutcome] = []  # handed out by the next poll
-        #: (task, attempt) -> when poll() first saw it running; poll() only.
-        self._started_at: dict[tuple[int, int], float] = {}
 
     # -- executor lifetime ---------------------------------------------------
 
@@ -228,90 +251,89 @@ class TaskPool:
     # -- one attempt (worker thread) -------------------------------------------
 
     def _thread_attempt(
-        self, index: int, attempt: int, cancel: threading.Event
-    ) -> tuple:
+        self, indices: tuple[int, ...], attempt: int, cancel: threading.Event
+    ) -> list[tuple]:
         started = self._clock()
-        with self.telemetry.span(
-            self.kind, parent=self.parent_span, index=index, attempt=attempt
-        ) as span:
-            result = _attempt(self.kind, self.task, self.faults, index, attempt, cancel)
-            span.set(ok=result[0])
-        if self.metrics is not None:
-            self.metrics.histogram("task_seconds", kind=self.kind).observe(
-                self._clock() - started
+        attrs = dict(index=indices[0], attempt=attempt, tasks=len(indices))
+        with self.telemetry.span(self.kind, parent=self.parent_span, **attrs) as span:
+            results = _attempt(
+                self.kind, self.task, self.faults, indices, attempt, cancel
             )
-        return result
+            span.set(ok=sum(1 for result in results if result[0]))
+        if self.metrics is not None:
+            seconds = self._clock() - started
+            self.metrics.histogram("task_seconds", kind=self.kind).observe(seconds)
+        return results
 
     # -- the mechanics -----------------------------------------------------------
 
-    def submit(self, index: int) -> None:
-        """Enter task ``index`` into the pool (attempt 1)."""
-        self._attempts[index] = 1
-        self._launch(index, self._clock())
+    def submit(self, indices: Sequence[int]) -> None:
+        """Enter tasks ``indices`` into the pool as one batch attempt (attempt 1)."""
+        indices = tuple(indices)
+        for index in indices:
+            self._attempts[index] = 1
+        self._launch(indices, self._clock())
 
-    def _launch(self, index: int, now: float) -> None:
-        """Submit the task's current attempt; the submission may itself fail."""
-        attempt = self._attempts[index]
-        tries = self._submit_tries[index] = self._submit_tries.get(index, 0) + 1
-        if self.faults is not None and self.faults.submit_fails(
-            index, tries, kind=self.kind
-        ):
-            self.faults.fire(FaultKind.SUBMIT_FAILURE, index, tries, kind=self.kind)
-            delay = None
-            if tries >= self.MAX_SUBMIT_TRIES:
-                self._resolved.add(index)
-                self._lost.add(index)
-            else:
-                delay = (
-                    self.retry.backoff_seconds(index, min(tries, 8))
-                    if self.retry is not None
-                    else self.poll_interval
-                )
-                heapq.heappush(self._retry_heap, (now + delay, index))
-            self._outcomes.append(
-                TaskOutcome(
-                    index,
-                    attempt,
-                    False,
-                    error="submit failure" if delay is not None
-                    else "submit failures exhausted",
-                    submit_try=tries,
-                    retry_delay=delay,
-                )
-            )
-            return
+    def _launch(self, indices: tuple[int, ...], now: float) -> None:
+        """Submit one attempt of ``indices`` (first attempts come in the
+        client's batches, follow-ups alone); a task whose submission try
+        fails waits out its backoff and is launched again alone."""
+        attempt = self._attempts[indices[0]]
+        if self.faults is not None:
+            indices = tuple(i for i in indices if not self._submit_failed(i, now))
+            if not indices:
+                return
         if self.processes:
             cancel = None
-            future = self._executor.submit(_process_attempt, index, attempt)
+            future = self._executor.submit(_process_attempt, indices, attempt)
         else:
             cancel = threading.Event()
             future = self._executor.submit(
-                self._thread_attempt, index, attempt, cancel
+                self._thread_attempt, indices, attempt, cancel
             )
-        self._inflight[index] = (attempt, future, cancel)
+        self._inflight.append(_Launched(indices, attempt, future, cancel))
+
+    def _submit_failed(self, index: int, now: float) -> bool:
+        """Draw one submission try of ``index``; on failure queue the next."""
+        tries = self._submit_tries[index] = self._submit_tries.get(index, 0) + 1
+        if not self.faults.submit_fails(index, tries, kind=self.kind):
+            return False
+        self.faults.fire(FaultKind.SUBMIT_FAILURE, index, tries, kind=self.kind)
+        delay = None
+        if tries < self.MAX_SUBMIT_TRIES:
+            delay = self.poll_interval
+            if self.retry is not None:
+                delay = self.retry.backoff_seconds(index, min(tries, 8))
+        self._queue(index, now, delay)
+        error = "submit failure" if delay is not None else "submit failures exhausted"
+        fields = dict(error=error, submit_try=tries, retry_delay=delay)
+        attempt = self._attempts[index]
+        self._outcomes.append(TaskOutcome(index, attempt, False, **fields))
+        return True
 
     def _failed(
         self, index: int, attempt: int, now: float, error: str, **fields
     ) -> TaskOutcome:
         """Queue the follow-up attempt, or resolve the task as lost."""
         delay = None
-        if (
-            self._accepting
-            and self.retry is not None
-            and self.retry.retries_left(attempt)
-        ):
+        retry = self.retry
+        if self._accepting and retry is not None and retry.retries_left(attempt):
             self._attempts[index] = attempt + 1
-            delay = self.retry.backoff_seconds(index, attempt)
-            heapq.heappush(self._retry_heap, (now + delay, index))
+            delay = retry.backoff_seconds(index, attempt)
             self.n_retried += 1
             if self.metrics is not None:
                 self.metrics.counter("task_retries", kind=self.kind).inc()
-        else:
+        self._queue(index, now, delay)
+        fields.update(error=error, retry_delay=delay)
+        return TaskOutcome(index, attempt, False, **fields)
+
+    def _queue(self, index: int, now: float, delay: float | None) -> None:
+        """Launch ``index`` again, alone, ``delay`` s from ``now``; None: it is lost."""
+        if delay is None:
             self._resolved.add(index)
             self._lost.add(index)
-        return TaskOutcome(
-            index, attempt, False, error=error, retry_delay=delay, **fields
-        )
+        else:
+            heapq.heappush(self._retry_heap, (now + delay, index))
 
     def fail(self, index: int, attempt: int, why: str) -> TaskOutcome | None:
         """The client found ``attempt``'s output bad: retry it or lose it.
@@ -331,107 +353,124 @@ class TaskPool:
         """Advance the pool to ``now``; returns what happened since the last poll.
 
         Launches the retries whose backoff elapsed, then makes one pass
-        over the in-flight attempts: finished ones are judged (a failed
-        one is retried or lost), running ones past the straggler
-        deadline are cancelled and replaced.  The deadline counts from
-        the first poll that saw the attempt running, so time spent queued
+        over the in-flight attempts: each task of a finished one is judged
+        on its own (a failed one is retried alone or lost); each task of a
+        running one past its straggler deadline is timed out and replaced.
+        An attempt's deadline is ``timeout_seconds`` times its task count,
+        counted from the first poll that saw it running, so time queued
         behind busy workers is not held against it.
         """
         while self._accepting and self._retry_heap and self._retry_heap[0][0] <= now:
             _, index = heapq.heappop(self._retry_heap)
             if index not in self._resolved:
-                self._launch(index, now)
-        deadline = self.retry.timeout_seconds if self.retry is not None else None
-        for index, (attempt, future, cancel) in list(self._inflight.items()):
-            key = (index, attempt)
-            if future.done():
-                del self._inflight[index]
-                self._started_at.pop(key, None)
-                if future.cancelled() or key in self._abandoned:
-                    continue
-                try:
-                    ok, value, error = future.result()
-                except Exception as exc:  # worker infrastructure died
-                    ok, value, error = False, None, f"worker error: {exc!r}"
-                if ok:
-                    self._resolved.add(index)
-                    self._outcomes.append(TaskOutcome(index, attempt, True, value))
-                else:
-                    self._outcomes.append(
-                        self._failed(index, attempt, now, error or "failure")
-                    )
-            elif (
-                deadline is not None
-                and cancel is not None  # process attempts are exempt
-                and key not in self._abandoned
-            ):
-                started = self._started_at.get(key)
-                if started is None:
-                    if future.running():
-                        self._started_at[key] = now
-                    continue
-                if now - started <= deadline:
-                    continue
-                del self._started_at[key]
-                self._abandoned.add(key)
-                cancel.set()  # frees the pool slot mid-stall
-                self.n_timed_out += 1
-                if self.metrics is not None:
-                    self.metrics.counter("task_timeouts", kind=self.kind).inc()
-                self._outcomes.append(
-                    self._failed(
-                        index,
-                        attempt,
-                        now,
-                        "straggler timeout",
-                        timed_out=True,
-                        elapsed=now - started,
-                    )
-                )
+                self._launch((index,), now)
+        timeout = self.retry.timeout_seconds if self.retry is not None else None
+        running = []
+        for launched in self._inflight:
+            if launched.future.done():
+                self._judge(launched, now)
+                continue
+            running.append(launched)
+            cancel = launched.cancel
+            if timeout is None or cancel is None or cancel.is_set():
+                continue  # no deadline, a process attempt, or already judged
+            if launched.started is None:
+                if launched.future.running():
+                    launched.started = now
+                continue
+            elapsed = now - launched.started
+            if elapsed <= timeout * len(launched.indices):
+                continue
+            cancel.set()  # frees the pool slot mid-stall
+            self.n_timed_out += len(launched.indices)
+            if self.metrics is not None:
+                timeouts = self.metrics.counter("task_timeouts", kind=self.kind)
+                timeouts.inc(len(launched.indices))
+            fields = dict(error="straggler timeout", timed_out=True, elapsed=elapsed)
+            for i in launched.indices:  # each task times out and is requeued
+                self._abandoned.add((i, launched.attempt))
+                self._outcomes.append(self._failed(i, launched.attempt, now, **fields))
+        self._inflight = running
         outcomes, self._outcomes = self._outcomes, []
         return outcomes
+
+    def _judge(self, launched: _Launched, now: float) -> None:
+        """Turn a finished attempt into one outcome per task not yet judged."""
+        if launched.future.cancelled():
+            return
+        try:
+            results = launched.future.result()
+        except Exception as exc:  # worker infrastructure died
+            results = [(False, None, f"worker error: {exc!r}")] * len(launched.indices)
+        attempt = launched.attempt
+        for index, (ok, value, error) in zip(launched.indices, results):
+            if (index, attempt) in self._abandoned:
+                continue
+            if ok:
+                self._resolved.add(index)
+                self._outcomes.append(TaskOutcome(index, attempt, True, value))
+            else:
+                self._outcomes.append(
+                    self._failed(index, attempt, now, error or "failure")
+                )
+
+    def wait(self) -> None:
+        """Block until an attempt finishes, a retry falls due, or at most
+        :attr:`poll_interval` (so running attempts are stamped and checked
+        against their straggler deadline that often)."""
+        timeout = self.poll_interval
+        if self._retry_heap:
+            timeout = min(timeout, max(self._retry_heap[0][0] - self._clock(), 0.0))
+        futures = [launched.future for launched in self._inflight]
+        if futures:
+            wait(futures, timeout=timeout, return_when=FIRST_COMPLETED)
+        elif timeout > 0:
+            time.sleep(timeout)  # only backoffs pending: nothing to wake on
 
     def cancel_pending(self) -> list[int]:
         """Stop launching: the rest of the bag is superfluous.
 
         Drops queued retries, cancels attempts that have not started
-        (their task indices are returned) and releases in-flight injected
-        stalls -- draws are pure, so the pool can tell which running
-        attempts are stalls without asking the worker.  Running attempts
-        finish; from here on a failure is final.
+        (the task indices they carried are returned) and releases
+        in-flight injected stalls -- draws are pure, so the pool can tell
+        which running attempts are stalls without asking the worker.
+        Running attempts finish; from here on a failure is final.
         """
         self._accepting = False
         self._retry_heap.clear()
-        cancelled = []
-        for index, (attempt, future, cancel) in list(self._inflight.items()):
-            if future.cancel():
-                del self._inflight[index]
-                cancelled.append(index)
-            elif (
-                cancel is not None
+        cancelled, running = [], []
+        for launched in self._inflight:
+            if launched.future.cancel():
+                cancelled.extend(launched.indices)
+                continue
+            running.append(launched)
+            keys = [(index, launched.attempt) for index in launched.indices]
+            if (
+                launched.cancel is not None
                 and self.faults is not None
-                and not future.done()
-                and self.faults.draw(index, attempt, kind=self.kind)
-                is FaultKind.STALL
+                and not launched.future.done()
+                and FaultKind.STALL
+                in [self.faults.draw(i, a, kind=self.kind) for i, a in keys]
             ):
-                self._abandoned.add((index, attempt))
-                cancel.set()
+                self._abandoned.update(keys)
+                launched.cancel.set()
+        self._inflight = running
         return cancelled
 
     def run(self, indices: Iterable[int]) -> Iterator[TaskOutcome]:
-        """Submit every index, then poll until each is resolved.
+        """Submit every index as a batch of one, then poll until each is resolved.
 
         Yields every outcome as it is observed, retries and timeouts
         included; a task's last outcome is ``ok`` or ``lost``.
         """
         with self:
             for index in indices:
-                self.submit(index)
+                self.submit((index,))
             while True:
                 yield from self.poll(self._clock())
                 if self.all_resolved:
                     return
-                time.sleep(self.poll_interval)
+                self.wait()
 
 
 class _CorruptResult:
@@ -498,13 +537,14 @@ class TileTaskPool:
         if not tasks:
             return results
 
-        def attempt(index, attempt_no, corrupt, cancel):
+        def attempt(indices, attempt_no, corrupt, cancel):
+            (index,), (torn,) = indices, corrupt  # tiles run one per attempt
             value = tasks[index]()
-            if corrupt:
+            if torn:
                 value = _CORRUPT  # the work was done; its output is torn
             if self.validate(value):
-                return True, value, None
-            return False, None, "invalid result"
+                return [(True, value, None)]
+            return [(False, None, "invalid result")]
 
         with self.telemetry.span("tilepool.run", tasks=len(tasks)) as root:
             pool = TaskPool(

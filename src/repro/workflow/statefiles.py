@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
+from typing import Sequence
 
 from repro.util.fsio import durable_write
 
@@ -51,6 +52,15 @@ class StatusRecord:
 class StatusDirectory:
     """A shared directory of ``<kind>.<index>.status`` files.
 
+    Two record shapes share it.  A *plain* record
+    ``<kind>.<index>.status`` is one task's latest outcome, written by
+    single-attempt writers (the serial shepherd, the engine's serial
+    backend, cancellations).  An *attempt* record covers one attempt of
+    one or more tasks -- the member pool's job-array batch:
+    ``<kind>.<index>.a<attempt>.status`` for a batch of one, or
+    ``<kind>.<first>-<last>.a<attempt>.status`` naming its members after
+    the exit code.  The scans answer per task either way.
+
     Parameters
     ----------
     root:
@@ -66,7 +76,9 @@ class StatusDirectory:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, kind: str, index: int, attempt: int | None = None) -> Path:
+    def _path(
+        self, kind: str, index: int, attempt: int | None = None, last: int | None = None
+    ) -> Path:
         if not kind or "." in kind or "/" in kind:
             raise ValueError(f"invalid task kind {kind!r}")
         if index < 0:
@@ -75,7 +87,8 @@ class StatusDirectory:
             return self.root / f"{kind}.{index}.status"
         if attempt < 1:
             raise ValueError(f"invalid attempt {attempt} (1-based)")
-        return self.root / f"{kind}.{index}.a{attempt}.status"
+        span = index if last is None else f"{index}-{last}"
+        return self.root / f"{kind}.{span}.a{attempt}.status"
 
     def write(
         self,
@@ -87,21 +100,38 @@ class StatusDirectory:
         """Record a singleton's exit code (atomic).
 
         The plain ``<kind>.<index>.status`` file always carries the task's
-        *latest* outcome -- what restart and the differ consult.  When
-        ``attempt`` is given, an additional attempt-numbered record
-        ``<kind>.<index>.a<attempt>.status`` preserves the full retry
-        history (consumed by :meth:`attempt_history` and the progress
-        monitor's retry counters).
+        *latest* outcome -- what restart consults.  When ``attempt`` is
+        given, the attempt record ``<kind>.<index>.a<attempt>.status``
+        also preserves it in the retry history.
         """
         code = b"%d\n" % TaskStatus(status)
         durable_write(self._path(kind, index), lambda fh: fh.write(code))
         if attempt is not None:
-            durable_write(
-                self._path(kind, index, attempt), lambda fh: fh.write(code)
-            )
+            self.write_batch(kind, (index,), status, attempt)
+
+    def write_batch(
+        self,
+        kind: str,
+        members: Sequence[int],
+        status: TaskStatus | int,
+        attempt: int,
+    ) -> None:
+        """Record one attempt of ``members`` (ascending) in one file (atomic).
+
+        No plain record is written: the attempt records alone carry these
+        members' outcomes until a plain record (a cancellation) supersedes
+        them.
+        """
+        code = b"%d" % TaskStatus(status)
+        if len(members) == 1:
+            path = self._path(kind, members[0], attempt)
+        else:
+            path = self._path(kind, members[0], attempt, last=members[-1])
+            code += b" " + " ".join(map(str, members)).encode()
+        durable_write(path, lambda fh: fh.write(code + b"\n"))
 
     def read(self, kind: str, index: int) -> TaskStatus | None:
-        """The recorded status, or None if the task has not reported."""
+        """The task's plain record, or None if it has not written one."""
         path = self._path(kind, index)
         try:
             text = path.read_text()
@@ -109,85 +139,70 @@ class StatusDirectory:
             return None
         return TaskStatus(int(text.strip()))
 
-    def is_done(self, kind: str, index: int) -> bool:
-        """Whether the task reported (any exit code)."""
-        return self.read(kind, index) is not None
-
     def succeeded(self, kind: str, index: int) -> bool:
-        """Whether the task reported success."""
+        """Whether the task's plain record says success."""
         return self.read(kind, index) == TaskStatus.SUCCESS
 
-    def completed_indices(self, kind: str) -> dict[int, TaskStatus]:
-        """All reported indices of a kind -> status (one directory scan)."""
-        out: dict[int, TaskStatus] = {}
+    def _scan(self, kind: str) -> tuple[dict, dict]:
+        """One directory scan: index -> plain status, index -> attempt -> status.
+
+        An attempt recorded twice -- its output written as a success, then
+        found torn or timed out -- keeps the failure.
+        """
+        plain: dict[int, TaskStatus] = {}
+        histories: dict[int, dict[int, TaskStatus]] = {}
         prefix = f"{kind}."
         for path in self.root.glob(f"{kind}.*.status"):
             stem = path.name[len(prefix) : -len(".status")]
+            span, _, attempt_part = stem.rpartition(".a")
             try:
-                index = int(stem)
-            except ValueError:
-                continue  # foreign file in a shared directory
-            try:
-                out[index] = TaskStatus(int(path.read_text().strip()))
+                code, *members = path.read_text().split()
+                status = TaskStatus(int(code))
+                if not span:
+                    plain[int(stem)] = status
+                    continue
+                attempt = int(attempt_part)
+                members = [int(m) for m in members] or [int(span)]
             except (ValueError, OSError):
-                continue  # torn/foreign content: treat as not reported
+                continue  # torn or foreign file in a shared directory
+            for member in members:
+                history = histories.setdefault(member, {})
+                if history.get(attempt, TaskStatus.SUCCESS) == TaskStatus.SUCCESS:
+                    history[attempt] = status
+        return plain, histories
+
+    def completed_indices(self, kind: str) -> dict[int, TaskStatus]:
+        """All reported indices of a kind -> latest status (one directory scan).
+
+        A plain record is the latest outcome; a task with attempt records
+        only reports its latest attempt's.
+        """
+        plain, histories = self._scan(kind)
+        out = {index: history[max(history)] for index, history in histories.items()}
+        out.update(plain)
         return out
 
     def attempt_history(self, kind: str, index: int) -> dict[int, TaskStatus]:
         """Attempt number -> recorded status for one task (may be empty).
 
-        Only populated by attempt-aware writers (the retrying workflow);
-        plain single-attempt writes leave it empty.
+        Only populated by attempt-aware writers (the member pool); plain
+        single-attempt writes leave it empty.
         """
-        out: dict[int, TaskStatus] = {}
-        for path in self.root.glob(f"{kind}.{index}.a*.status"):
-            stem = path.name[: -len(".status")].rsplit(".a", 1)[-1]
-            try:
-                attempt = int(stem)
-                out[attempt] = TaskStatus(int(path.read_text().strip()))
-            except (ValueError, OSError):
-                continue  # torn/foreign content: treat as not reported
-        return out
+        return self._scan(kind)[1].get(index, {})
 
     def attempt_counts(self, kind: str) -> dict[int, dict[TaskStatus, int]]:
-        """Index -> {status: attempt-record count} in one directory scan.
+        """Index -> {status: attempts ending so} in one directory scan.
 
         The monitor derives its retry/straggler counters from this:
-        resubmissions are attempt records beyond the first, and timed-out
+        resubmissions are attempts beyond the first, and timed-out
         attempts carry :attr:`TaskStatus.TIMED_OUT`.
         """
-        prefix = f"{kind}."
         out: dict[int, dict[TaskStatus, int]] = {}
-        for path in self.root.glob(f"{kind}.*.a*.status"):
-            stem = path.name[len(prefix) : -len(".status")]
-            index_part, _, attempt_part = stem.rpartition(".a")
-            try:
-                index = int(index_part)
-                int(attempt_part)
-                status = TaskStatus(int(path.read_text().strip()))
-            except (ValueError, OSError):
-                continue  # foreign file in a shared directory
-            per_index = out.setdefault(index, {})
-            per_index[status] = per_index.get(status, 0) + 1
+        for index, history in self._scan(kind)[1].items():
+            per_index = out[index] = {}
+            for status in history.values():
+                per_index[status] = per_index.get(status, 0) + 1
         return out
-
-    def successful_indices(self, kind: str) -> list[int]:
-        """Sorted indices that reported success (restart bookkeeping)."""
-        return sorted(
-            idx
-            for idx, status in self.completed_indices(kind).items()
-            if status == TaskStatus.SUCCESS
-        )
-
-    def pending_indices(self, kind: str, universe: range) -> list[int]:
-        """Indices in ``universe`` that have not reported yet.
-
-        This is the restart path of Sec 4.2: "if the ESSE execution gets
-        stopped, it can only be restarted without rerunning all jobs" by
-        consulting these files.
-        """
-        done = self.completed_indices(kind)
-        return [i for i in universe if i not in done]
 
     def clear(self, kind: str | None = None) -> int:
         """Remove status files (all kinds by default); returns count."""

@@ -93,35 +93,32 @@ class TestAccumulatorProperties:
 
 class TestStatusDirectoryProperties:
     @given(
-        st.dictionaries(
-            st.integers(0, 200),
-            st.sampled_from(list(TaskStatus)),
-            min_size=0,
-            max_size=30,
-        ),
-        st.integers(1, 250),
+        st.lists(
+            st.tuples(
+                st.sets(st.integers(0, 200), min_size=1, max_size=8),
+                st.sampled_from(list(TaskStatus)),
+            ),
+            max_size=12,
+        )
     )
     @settings(max_examples=30, deadline=None)
-    def test_pending_and_completed_partition_universe(
-        self, reports, universe_size
-    ):
+    def test_batch_records_answer_per_member(self, batches):
         import tempfile
 
         # hypothesis replays examples within one test call, so a per-example
         # fresh directory (not a pytest fixture) is required
         with tempfile.TemporaryDirectory() as tmp:
-            self._check(tmp, reports, universe_size)
+            self._check(tmp, batches)
 
     @staticmethod
-    def _check(tmp, reports, universe_size):
+    def _check(tmp, batches):
+        """Batch k is attempt k + 1: the latest record naming a member wins."""
         status = StatusDirectory(tmp)
-        for index, code in reports.items():
-            status.write("pemodel", index, code)
-        universe = range(universe_size)
-        done = set(status.completed_indices("pemodel")) & set(universe)
-        pending = set(status.pending_indices("pemodel", universe))
-        assert done | pending == set(universe)
-        assert done & pending == set()
+        latest = {}
+        for attempt, (members, code) in enumerate(batches, start=1):
+            status.write_batch("pemodel", sorted(members), code, attempt)
+            latest.update(dict.fromkeys(members, code))
+        assert status.completed_indices("pemodel") == latest
 
 
 class TestRandomFieldProperties:

@@ -17,6 +17,7 @@ from repro.workflow import (
     EnsembleEngine,
     FaultInjector,
     ProcessesBackend,
+    ProgressMonitor,
     RetryPolicy,
     SerialBackend,
     TaskPool,
@@ -76,9 +77,11 @@ class TestMakeBackend:
             BatchedBackend(batch_size=0)
 
     def test_members_per_task(self):
-        assert make_backend("serial").members_per_task == 1
-        assert make_backend("batched", batch_size=5).members_per_task == 5
-        assert make_backend("batched", batch_size=5).status_kind == "pemodel_batch"
+        """``engine.batch_size`` reaches both backends whose task is a batch."""
+        assert make_backend("batched", batch_size=5).batch_size == 5
+        assert make_backend("processes", batch_size=5).batch_size == 5
+        with pytest.raises(ValueError):
+            ProcessesBackend(batch_size=0)
 
 
 class TestBackendEquivalence:
@@ -138,12 +141,13 @@ class TestBackendEquivalence:
             runner, config(), tmp_path / "st", backend=BatchedBackend(batch_size=3)
         )
         result = engine.run(background)
-        done = engine.status.completed_indices("pemodel_batch")
-        assert all(s is TaskStatus.SUCCESS for s in done.values())
+        done = engine.status.completed_indices("pemodel")
+        assert done == dict.fromkeys(range(8), TaskStatus.SUCCESS)
         # Batching happens within each growth stage: stages of 4 then 4
-        # more members, each split into ceil(4/3) = 2 batch tasks.
+        # more members, each split into ceil(4/3) = 2 batch tasks, and
+        # each batch writes one record naming its members.
         assert result.ensemble_size == 8
-        assert len(done) == 4
+        assert len(list(engine.status.root.glob("pemodel.*.status"))) == 4
 
 
 class TestProcessBackendFaults:
@@ -178,7 +182,10 @@ class TestProcessBackendFaults:
             config(max_ensemble_size=4, convergence_tolerance=1.0),
             tmp_path / "wf",
             backend=ProcessesBackend(n_workers=2),
-            retry=RetryPolicy(max_attempts=3, backoff_base_s=0.0, seed=0),
+            # Members 0 and 3 tear the one batch file at attempt 1, which
+            # fails all four; member 2 then draws CORRUPT at attempts 2
+            # and 3 on its own and lands at attempt 4.
+            retry=RetryPolicy(max_attempts=4, backoff_base_s=0.0, seed=0),
             faults=FaultInjector(corrupt_rate=0.4, seed=7),
         )
         result = engine.run(background)
@@ -290,9 +297,9 @@ class TestProgressMonitor:
             backend=BatchedBackend(batch_size=3),
         )
         result = engine.run(background)
-        report = engine.progress_monitor(
-            expected_members=result.ensemble_size
-        ).report("pemodel_batch")
+        report = ProgressMonitor(
+            engine.status, {"pemodel": result.ensemble_size}
+        ).report("pemodel")
         assert report.succeeded == result.ensemble_size
         assert report.complete
         assert report.pending == 0
@@ -303,7 +310,7 @@ class TestProgressMonitor:
         """Stages of 4 batched in threes write 3+1, 3+1 -- exactly 8 members.
 
         A uniform batch_size weight would scale the 4 records to 12/8;
-        the engine hands the monitor the exact per-batch sizes instead.
+        the records name their members, so the monitor needs no weight.
         """
         _, background, runner = setup
         engine = EnsembleEngine(
@@ -314,9 +321,9 @@ class TestProgressMonitor:
         )
         result = engine.run(background)
         assert result.ensemble_size == 8
-        report = engine.progress_monitor(
-            expected_members=result.ensemble_size
-        ).report("pemodel_batch")
+        report = ProgressMonitor(
+            engine.status, {"pemodel": result.ensemble_size}
+        ).report("pemodel")
         assert report.succeeded == 8
         assert report.pending == 0
         assert report.complete
@@ -334,9 +341,9 @@ class TestProgressMonitor:
         second = engine.run(background)
         assert second.member_ids == first.member_ids
         assert np.array_equal(second.subspace.modes, first.subspace.modes)
-        report = engine.progress_monitor(
-            expected_members=second.ensemble_size
-        ).report("pemodel_batch")
+        report = ProgressMonitor(
+            engine.status, {"pemodel": second.ensemble_size}
+        ).report("pemodel")
         assert report.succeeded == second.ensemble_size
         assert report.complete
 
@@ -349,8 +356,8 @@ class TestProgressMonitor:
             backend=SerialBackend(),
         )
         result = engine.run(background)
-        report = engine.progress_monitor(
-            expected_members=result.ensemble_size
+        report = ProgressMonitor(
+            engine.status, {"pemodel": result.ensemble_size}
         ).report("pemodel")
         assert report.succeeded == result.ensemble_size
         assert report.complete

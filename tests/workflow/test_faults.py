@@ -21,14 +21,17 @@ from repro.ocean import PEModel
 from repro.ocean.bathymetry import monterey_grid
 from repro.workflow import (
     DegradedEnsembleWarning,
+    EnsembleEngine,
     FaultInjector,
     FaultKind,
     ParallelESSEWorkflow,
+    ProcessesBackend,
     ProgressMonitor,
     RetryPolicy,
     StatusDirectory,
     TaskStatus,
 )
+from repro.workflow.parallel import MemberPool
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +45,13 @@ def setup():
     perturber = PerturbationGenerator(model.layout, subspace, root_seed=5)
     runner = EnsembleRunner(model, perturber, duration=6 * 400.0, root_seed=5)
     return model, background, runner
+
+
+class CrashMemberThree(FaultInjector):
+    """Member 3 crashes at every attempt (module-level: picklable)."""
+
+    def draw(self, index, attempt, kind="pemodel"):
+        return FaultKind.CRASH if index == 3 else None
 
 
 def config(**kw):
@@ -206,7 +216,9 @@ class TestFaultInjectedWorkflow:
             config(),
             tmp_path,
             n_workers=4,
-            retry=RetryPolicy(max_attempts=3, backoff_base_s=0.01),
+            # Members 6 and 11 tear batch 6-11 at attempt 1, which fails
+            # all six; member 7 then draws CORRUPT at attempts 2 and 3.
+            retry=RetryPolicy(max_attempts=4, backoff_base_s=0.01),
             faults=FaultInjector(corrupt_rate=0.3, seed=1),
         )
         result = wf.run(background)
@@ -219,7 +231,7 @@ class TestFaultInjectedWorkflow:
 
     def test_torn_last_output_is_retried_not_lost(self, setup, tmp_path):
         """ROADMAP defect (a): the main loop must not leave on all-resolved
-        before the differ has read the last successful member's file."""
+        before the differ has read the last successful batch file."""
         _, background, runner = setup
         last = config().max_ensemble_size - 1
 
@@ -229,16 +241,9 @@ class TestFaultInjectedWorkflow:
                 return FaultKind.CORRUPT if torn else None
 
         def run(workdir, **kw):
-            # One worker: members finish in index order, so ``last`` is the
-            # final output the differ gets to see.
+            # One worker: batches finish in index order, so the one holding
+            # ``last`` (members 12-15) is the final output the differ sees.
             wf = ParallelESSEWorkflow(runner, config(), workdir, n_workers=1, **kw)
-            listing = wf.status.successful_indices
-
-            def slow_listing(kind):  # a shared FS slower than the main loop
-                time.sleep(0.05)
-                return listing(kind)
-
-            wf.status.successful_indices = slow_listing
             return wf.run(background)
 
         clean = run(tmp_path / "clean")
@@ -247,8 +252,10 @@ class TestFaultInjectedWorkflow:
             retry=RetryPolicy(max_attempts=3, backoff_base_s=0.005),
             faults=TearLastMember(),
         )
-        assert faulted.events_of("member_corrupt")
-        assert faulted.n_retried == 1
+        # the torn batch file fails exactly its members back to the pool
+        torn = [e.detail for e in faulted.events_of("member_corrupt")]
+        assert torn == [f"member={i} attempt=1" for i in range(12, 16)]
+        assert faulted.n_retried == 4
         assert not faulted.degraded and faulted.n_failed == 0
         assert set(faulted.member_ids) == set(clean.member_ids) == set(range(last + 1))
 
@@ -260,8 +267,9 @@ class TestFaultInjectedWorkflow:
             config(),
             tmp_path,
             n_workers=4,
+            # a batch of six gets 6 x 0.25 s before its members time out
             retry=RetryPolicy(
-                max_attempts=4, backoff_base_s=0.01, timeout_seconds=1.0
+                max_attempts=4, backoff_base_s=0.01, timeout_seconds=0.25
             ),
             faults=FaultInjector(stall_rate=0.3, stall_seconds=stall, seed=2),
         )
@@ -326,7 +334,11 @@ class TestReplay:
     MAX_ATTEMPTS = 5
 
     def recoverable_seed(self):
-        """A seed that injects every fault class and loses no member."""
+        """A seed that injects every fault class and loses no member.
+
+        A member's first attempt may fail with its batch (a torn file, a
+        stall), so each needs a clean draw among its retries alone.
+        """
         for seed in range(200):
             draws = [
                 [
@@ -337,7 +349,7 @@ class TestReplay:
             ]
             first = {row[0] for row in draws}
             if first >= {FaultKind.CRASH, FaultKind.CORRUPT, FaultKind.STALL} and all(
-                None in row for row in draws
+                None in row[1:] for row in draws
             ):
                 return seed
         raise AssertionError("no recoverable seed in range")
@@ -356,7 +368,7 @@ class TestReplay:
             retry=RetryPolicy(
                 max_attempts=self.MAX_ATTEMPTS,
                 backoff_base_s=0.005,
-                timeout_seconds=1.0,
+                timeout_seconds=0.25,
                 seed=seed,
             ),
             faults=FaultInjector(seed=seed, stall_seconds=30.0, **self.RATES),
@@ -375,6 +387,129 @@ class TestReplay:
             np.testing.assert_allclose(
                 got, expected, rtol=0, atol=1e-10 * np.abs(expected).max()
             )
+
+
+class TestBatchedMemberPool:
+    """A pool task is a batch of members; the member stays the unit of
+    retry, loss and counting (paper Sec 4.2 job arrays)."""
+
+    def test_torn_batch_file_fails_exactly_its_members(self, setup, tmp_path):
+        _, background, runner = setup
+
+        class TearMemberFive(FaultInjector):
+            def draw(self, index, attempt, kind="pemodel"):
+                return FaultKind.CORRUPT if (index, attempt) == (5, 1) else None
+
+        wf = ParallelESSEWorkflow(
+            runner,
+            config(),
+            tmp_path,
+            n_workers=2,
+            retry=RetryPolicy(max_attempts=2, backoff_base_s=0.001),
+            faults=TearMemberFive(),
+        )
+        result = wf.run(background)
+        # the first batch is members 0-5 (stage 4 x margin 1.5)
+        torn = sorted(int(e.detail.split()[0][7:]) for e in result.events_of("member_corrupt"))
+        assert torn == list(range(6))
+        assert result.n_retried == 6 and result.n_completed == 16
+        history = wf.status.attempt_counts("pemodel")
+        io_failed = {i for i, per in history.items() if TaskStatus.IO_FAILURE in per}
+        assert io_failed == set(range(6))
+
+    def test_lost_members_are_delivered_one_by_one(self, setup, tmp_path):
+        _, background, runner = setup
+
+        class CrashOneAndTwo(FaultInjector):
+            def draw(self, index, attempt, kind="pemodel"):
+                return FaultKind.CRASH if index in (1, 2) else None
+
+        delivered = []
+        status = StatusDirectory(tmp_path / "status")
+        with MemberPool(
+            runner, background, tmp_path, status, 2, 4, faults=CrashOneAndTwo()
+        ) as members:
+            members.propagate(range(4), delivered.append)
+        assert sorted(r.member_index for r in delivered) == [0, 1, 2, 3]
+        lost = sorted((r.member_index, r.error) for r in delivered if not r.ok)
+        assert lost == [(1, "injected crash"), (2, "injected crash")]
+        # one batch record for the two that ran, one record per lost member
+        names = sorted(path.name for path in status.root.iterdir())
+        assert names == ["pemodel.0-3.a1.status", "pemodel.1.a1.status", "pemodel.2.a1.status"]
+
+    @staticmethod
+    def suite_injector(seed, n_members=24, attempts=4):
+        """The benchmark's ``mtc_pool`` fault search: the first derived seed
+        that crashes some first attempt and exhausts no member."""
+        for offset in range(1000):
+            faults = FaultInjector(crash_rate=0.1, seed=seed * 1000 + offset)
+            crashes = [
+                [faults.draw(i, a) is FaultKind.CRASH for a in range(1, attempts + 1)]
+                for i in range(n_members)
+            ]
+            if any(row[0] for row in crashes) and not any(all(row) for row in crashes):
+                return faults, {i for i, row in enumerate(crashes) if row[0]}
+        raise AssertionError("no fault seed")
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_benchmark_fault_schedule_retries_only_crashed_members(
+        self, setup, tmp_path, seed
+    ):
+        """The ``mtc_pool`` faulted run's shape: 24 members in batches 8/8/2/6."""
+        _, background, runner = setup
+        faults, crashed_first = self.suite_injector(seed)
+        result = ParallelESSEWorkflow(
+            runner,
+            config(initial_ensemble_size=12, max_ensemble_size=24, convergence_tolerance=0.99999),
+            tmp_path,
+            n_workers=2,
+            retry=RetryPolicy(max_attempts=4, backoff_base_s=0.01, seed=seed),
+            faults=faults,
+        ).run(background)
+        assert result.n_retried > 0 and result.n_failed == 0 and not result.degraded
+        assert result.ensemble_size == 24
+        first_retries = {
+            int(e.detail.split()[0][7:])
+            for e in result.events_of("retry")
+            if "attempt=2" in e.detail
+        }
+        assert first_retries == crashed_first  # batch-mates were not retried
+
+    def test_counts_are_in_members(self, setup, tmp_path):
+        """Completed, failed, cancelled and retried count members, not batches."""
+        _, background, runner = setup
+        # One worker, a pool three stages deep: converged at the stage-2
+        # check (16), batches 24-31 to 40-47 are still queued.
+        wf = ParallelESSEWorkflow(
+            runner,
+            config(initial_ensemble_size=8, max_ensemble_size=64, convergence_tolerance=0.05),
+            tmp_path / "wf",
+            n_workers=1,
+            pool_margin=3.0,
+            faults=CrashMemberThree(),
+        )
+        with pytest.warns(DegradedEnsembleWarning):
+            result = wf.run(background)
+        submitted = int(result.events_of("enlarge")[-1].detail.split("=")[1])
+        assert submitted == 48 and result.n_failed == 1
+        assert result.n_cancelled in (16, 24)  # whole batches, counted in members
+        assert len(result.events_of("cancel")) == result.n_cancelled
+        assert result.n_completed + result.n_failed + result.n_cancelled == submitted
+        assert result.n_completed == sum(
+            s == TaskStatus.SUCCESS for s in wf.status.completed_indices("pemodel").values()
+        )
+        engine = EnsembleEngine(
+            runner,
+            config(max_ensemble_size=8, convergence_tolerance=1.0),
+            tmp_path / "engine",
+            backend=ProcessesBackend(n_workers=2),
+            retry=RetryPolicy(max_attempts=3, backoff_base_s=0.0),
+            faults=CrashMemberThree(),
+        )
+        with pytest.warns(DegradedEnsembleWarning):
+            run = engine.run(background)
+        # member 3 alone is retried, twice; its batch-mates land at once
+        assert run.n_retried == 2 and run.failed_members == (3,)
 
 
 class TestAttemptRecords:
@@ -396,7 +531,6 @@ class TestAttemptRecords:
         status = StatusDirectory(tmp_path)
         status.write("pemodel", 0, TaskStatus.SUCCESS, attempt=2)
         assert status.completed_indices("pemodel") == {0: TaskStatus.SUCCESS}
-        assert status.successful_indices("pemodel") == [0]
 
     def test_retryable_classification(self):
         assert TaskStatus.MODEL_FAILURE.is_retryable

@@ -24,9 +24,18 @@ KINDS = ("pemodel", "tile")
 pytestmark = pytest.mark.parametrize("kind", KINDS)
 
 
-def echo(index, attempt, corrupt, cancel):
+def each(fn):
+    """A batch task from a per-index ``fn(index, attempt, corrupt, cancel)``."""
+
+    def task(indices, attempt, corrupt, cancel):
+        return [fn(i, attempt, torn, cancel) for i, torn in zip(indices, corrupt)]
+
+    return task
+
+
+def echo(indices, attempt, corrupt, cancel):
     """A task that always succeeds (module-level: picklable for processes)."""
-    return True, (index, attempt, corrupt), None
+    return [(True, (i, attempt, torn), None) for i, torn in zip(indices, corrupt)]
 
 
 def final_outcomes(outcomes):
@@ -110,7 +119,7 @@ class TestStragglers:
         recorder = TraceRecorder()
         pool = TaskPool(
             kind,
-            task,
+            each(task),
             2,
             retry=RetryPolicy(
                 max_attempts=3, backoff_base_s=0.001, timeout_seconds=0.05
@@ -160,7 +169,7 @@ class TestStragglers:
 
         pool = TaskPool(
             kind,
-            nap,
+            each(nap),
             1,
             retry=RetryPolicy(max_attempts=3, backoff_base_s=0.001, timeout_seconds=0.1),
             poll_interval=0.001,
@@ -197,7 +206,7 @@ class TestLoss:
         def boom(index, attempt, corrupt, cancel):
             raise RuntimeError("exploded")
 
-        pool = TaskPool(kind, boom, 2)
+        pool = TaskPool(kind, each(boom), 2)
         final = final_outcomes(pool.run(range(3)))
         assert all(out.lost and out.attempt == 1 for out in final.values())
         assert "exploded" in final[0].error
@@ -232,7 +241,7 @@ class TestClientFailures:
             poll_interval=0.001,
         )
         with pool:
-            pool.submit(0)
+            pool.submit([0])
             poll_until(pool, lambda seen: any(o.ok for o in seen))
             assert pool.all_resolved
             out = pool.fail(0, 1, "corrupt output")
@@ -259,11 +268,11 @@ class TestClientFailures:
             return False, None, "failed"
 
         pool = TaskPool(
-            kind, task, 1, retry=RetryPolicy(backoff_base_s=0.0), poll_interval=0.001
+            kind, each(task), 1, retry=RetryPolicy(backoff_base_s=0.0), poll_interval=0.001
         )
         with pool:
             for index in range(4):
-                pool.submit(index)  # one worker: 0 runs, 1-3 queue
+                pool.submit([index])  # one worker: 0 runs, 1-3 queue
             assert running.wait(10.0)
             assert pool.cancel_pending() == [1, 2, 3]
             gate.set()
@@ -293,3 +302,69 @@ class TestProcessExecutor:
         final = final_outcomes(pool.run([0]))
         assert final[0].ok and final[0].value == (0, 2, False)
         assert pool.n_retried == 1
+
+
+class TestBatchAttempts:
+    """One attempt runs a batch; retries, faults and loss stay per task."""
+
+    def test_crashed_task_is_retried_alone_while_its_batch_mates_land(self, kind):
+        class CrashTwoOnce(FaultInjector):
+            def draw(self, index, attempt, kind="pemodel"):
+                return FaultKind.CRASH if (index, attempt) == (2, 1) else None
+
+        batches = []
+
+        def task(indices, attempt, corrupt, cancel):
+            batches.append((indices, attempt))
+            return echo(indices, attempt, corrupt, cancel)
+
+        pool = TaskPool(
+            kind,
+            task,
+            1,
+            retry=RetryPolicy(max_attempts=2, backoff_base_s=0.001),
+            faults=CrashTwoOnce(),
+            poll_interval=0.001,
+        )
+        with pool:
+            pool.submit(range(4))
+            seen = poll_until(pool, lambda seen: len(final_outcomes(seen)) == 4)
+        final = final_outcomes(seen)
+        assert {i: final[i].attempt for i in range(4)} == {0: 1, 1: 1, 2: 2, 3: 1}
+        assert batches == [((0, 1, 3), 1), ((2,), 2)]  # the crash never ran
+        assert pool.n_retried == 1 and not pool.lost
+
+    def test_straggling_batch_times_out_per_task(self, kind):
+        released = threading.Event()
+
+        def task(indices, attempt, corrupt, cancel):
+            if attempt == 1:
+                assert released.wait(10.0)  # ignores its cancel event
+            return echo(indices, attempt, corrupt, cancel)
+
+        timeout = 0.05
+        pool = TaskPool(
+            kind,
+            task,
+            2,
+            retry=RetryPolicy(max_attempts=2, backoff_base_s=0.001, timeout_seconds=timeout),
+            poll_interval=0.001,
+        )
+        with pool:
+            pool.submit(range(3))
+            seen = poll_until(pool, lambda seen: len(final_outcomes(seen)) == 3)
+            released.set()
+        timed_out = [out for out in seen if out.timed_out]
+        # the batch's deadline is the per-task timeout times its three tasks
+        assert sorted(out.index for out in timed_out) == [0, 1, 2]
+        assert all(out.elapsed > 3 * timeout for out in timed_out)
+        assert all(out.ok and out.attempt == 2 for out in final_outcomes(seen).values())
+        assert pool.n_timed_out == 3 and pool.n_retried == 3
+
+    def test_lost_tasks_resolve_one_by_one(self, kind):
+        pool = TaskPool(kind, echo, 1, faults=FaultInjector(crash_rate=1.0))
+        with pool:
+            pool.submit(range(3))
+            seen = poll_until(pool, lambda seen: len(seen) == 3)
+        assert [(out.index, out.lost) for out in seen] == [(0, True), (1, True), (2, True)]
+        assert pool.lost == {0, 1, 2} and pool.all_resolved

@@ -119,19 +119,25 @@ class TestNoCheckWithoutGrowth:
 
 
 class SlowTailRunner(EnsembleRunner):
-    """Members from ``slow_from`` on take long enough to be running at
-    the stage-2 check."""
+    """A batch starting at ``slow_from`` or later takes long enough to be
+    running at the stage-2 check."""
 
-    slow_from = 8
+    slow_from = 16
 
-    def run_member(self, mean_state, member_index):
-        if member_index >= self.slow_from:
+    def run_members_batched(self, mean_state, member_indices):
+        if min(member_indices) >= self.slow_from:
             time.sleep(0.5)
-        return super().run_member(mean_state, member_index)
+        return super().run_members_batched(mean_state, member_indices)
 
 
 class TestFig4Drain:
-    """Converge at stage 2 (8 members) while members 8 and 9 are running."""
+    """Converge at stage 2 (16 members) while batch 16-23 is running.
+
+    One worker and a pool kept three times the stage ahead: stage 1
+    submits batches 0-7, 8-15 and 16-23; the check at 8 sees batch 0-7,
+    stage 2 adds batches 24-31 to 40-47 and its check at 16 converges
+    while 16-23 runs and the rest queue.
+    """
 
     def run(self, setup, workdir, cancellation):
         background, runner = setup
@@ -140,26 +146,29 @@ class TestFig4Drain:
         )
         workflow = ParallelESSEWorkflow(
             slow,
-            config(convergence_tolerance=0.05),
+            config(
+                initial_ensemble_size=8, max_ensemble_size=64, convergence_tolerance=0.05
+            ),
             workdir,
-            n_workers=2,
+            n_workers=1,
             cancellation=cancellation,
+            pool_margin=3.0,
         )
         return workflow, workflow.run(background)
 
     def test_final_svd_covers_every_folded_member(self, setup, tmp_path):
         workflow, result = self.run(setup, tmp_path, CancellationPolicy.DRAIN_RUNNING)
         assert result.converged
-        assert [count for count, _ in result.convergence_history] == [8]
-        # pool of 12 (8 x 1.5): 10 and 11 cancelled, 8 and 9 drained
-        assert result.n_cancelled == 2
-        assert sorted(result.member_ids) == list(range(10))
-        # the run ends below the next stage (16), and the final SVD has it all
+        assert [count for count, _ in result.convergence_history] == [16]
+        # pool of 48 (16 x 3): 24-47 cancelled, 16-23 drained
+        assert result.n_cancelled == 24
+        assert sorted(result.member_ids) == list(range(24))
+        # the run ends below the next stage (32), and the final SVD has it all
         (final,) = result.events_of("final_svd")
-        assert final.detail == "count=10"
-        assert result.ensemble_size == result.subspace.n_samples == 10
+        assert final.detail == "count=24"
+        assert result.ensemble_size == result.subspace.n_samples == 24
         snap = workflow.covset.read_safe()
-        assert snap.count == 10
+        assert snap.count == 24
         expected = ColdSubspaceEstimator(rank=8, energy=0.999).update(
             snap.columns, snap.count, snap.scale
         )
@@ -188,5 +197,5 @@ class TestFig4Drain:
     def test_immediate_keeps_the_converged_subspace(self, setup, tmp_path):
         _, result = self.run(setup, tmp_path, CancellationPolicy.IMMEDIATE)
         assert result.converged and result.events_of("final_svd") == []
-        assert result.ensemble_size == result.subspace.n_samples == 8
-        assert sorted(result.member_ids) == list(range(8))
+        assert result.ensemble_size == result.subspace.n_samples == 16
+        assert sorted(result.member_ids) == list(range(16))

@@ -14,17 +14,15 @@ class TestBasics:
     def test_round_trip(self, status):
         status.write("pemodel", 7, TaskStatus.SUCCESS)
         assert status.read("pemodel", 7) == TaskStatus.SUCCESS
-        assert status.is_done("pemodel", 7)
         assert status.succeeded("pemodel", 7)
 
     def test_unreported_is_none(self, status):
         assert status.read("pemodel", 0) is None
-        assert not status.is_done("pemodel", 0)
         assert not status.succeeded("pemodel", 0)
 
     def test_failure_codes(self, status):
         status.write("pemodel", 1, TaskStatus.MODEL_FAILURE)
-        assert status.is_done("pemodel", 1)
+        assert status.read("pemodel", 1) == TaskStatus.MODEL_FAILURE
         assert not status.succeeded("pemodel", 1)
 
     def test_overwrite_allowed(self, status):
@@ -59,18 +57,6 @@ class TestScans:
             2: TaskStatus.CANCELLED,
         }
 
-    def test_successful_indices_sorted(self, status):
-        for idx in (9, 1, 4):
-            status.write("pemodel", idx, TaskStatus.SUCCESS)
-        status.write("pemodel", 2, TaskStatus.MODEL_FAILURE)
-        assert status.successful_indices("pemodel") == [1, 4, 9]
-
-    def test_pending_indices_restart_path(self, status):
-        """Sec 4.2: restart submits only not-yet-reported indices."""
-        for idx in (0, 1, 3):
-            status.write("pemodel", idx, TaskStatus.SUCCESS)
-        assert status.pending_indices("pemodel", range(6)) == [2, 4, 5]
-
     def test_foreign_files_ignored(self, status, tmp_path):
         (status.root / "pemodel.notanint.status").write_text("0\n")
         (status.root / "pemodel.3.status").write_text("garbage\n")
@@ -84,3 +70,49 @@ class TestScans:
         assert status.read("pert", 0) is None
         assert status.read("pemodel", 0) is not None
         assert status.clear() == 1
+
+
+class TestBatchRecords:
+    """One record per batch attempt; every scan still answers per member."""
+
+    def test_one_file_names_its_members(self, status):
+        status.write_batch("pemodel", [0, 1, 3], TaskStatus.SUCCESS, attempt=1)
+        assert [p.name for p in status.root.iterdir()] == ["pemodel.0-3.a1.status"]
+        assert status.completed_indices("pemodel") == dict.fromkeys(
+            (0, 1, 3), TaskStatus.SUCCESS
+        )
+        assert status.attempt_history("pemodel", 3) == {1: TaskStatus.SUCCESS}
+        assert status.read("pemodel", 1) is None  # no plain record
+
+    def test_member_outcomes_across_attempts(self, status):
+        # member 2 crashed alone, its batch-mates succeeded; then it
+        # succeeded alone at attempt 2
+        status.write_batch("pemodel", [0, 1, 3], TaskStatus.SUCCESS, attempt=1)
+        status.write_batch("pemodel", [2], TaskStatus.MODEL_FAILURE, attempt=1)
+        status.write_batch("pemodel", [2], TaskStatus.SUCCESS, attempt=2)
+        assert status.completed_indices("pemodel") == dict.fromkeys(
+            range(4), TaskStatus.SUCCESS
+        )
+        counts = status.attempt_counts("pemodel")
+        assert counts[2] == {TaskStatus.MODEL_FAILURE: 1, TaskStatus.SUCCESS: 1}
+        assert counts[0] == {TaskStatus.SUCCESS: 1}
+
+    def test_a_failure_outranks_the_success_of_the_same_attempt(self, status):
+        """A torn batch file: the attempt wrote SUCCESS, the differ IO_FAILURE."""
+        status.write_batch("pemodel", [4, 5], TaskStatus.SUCCESS, attempt=1)
+        for member in (4, 5):
+            status.write_batch("pemodel", [member], TaskStatus.IO_FAILURE, attempt=1)
+        assert status.completed_indices("pemodel") == dict.fromkeys(
+            (4, 5), TaskStatus.IO_FAILURE
+        )
+        assert status.attempt_counts("pemodel")[5] == {TaskStatus.IO_FAILURE: 1}
+
+    def test_a_plain_record_supersedes_attempt_records(self, status):
+        status.write_batch("pemodel", [6], TaskStatus.MODEL_FAILURE, attempt=1)
+        status.write("pemodel", 6, TaskStatus.CANCELLED)  # its retry never ran
+        assert status.completed_indices("pemodel") == {6: TaskStatus.CANCELLED}
+
+    def test_clear_removes_batch_records(self, status):
+        status.write_batch("pemodel", [0, 1], TaskStatus.SUCCESS, attempt=1)
+        assert status.clear("pemodel") == 1
+        assert status.completed_indices("pemodel") == {}

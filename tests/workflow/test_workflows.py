@@ -218,12 +218,16 @@ class TestFaultTolerance:
         model, background, runner = setup
 
         class FlakyRunner(EnsembleRunner):
-            def run_member(self, mean_state, member_index):
-                if member_index % 5 == 1:  # every 5th member "crashes"
-                    from repro.core.ensemble import MemberResult
+            def run_members_batched(self, mean_state, member_indices):
+                from repro.core.ensemble import MemberResult
 
-                    return MemberResult(member_index, None, "SimulatedCrash")
-                return super().run_member(mean_state, member_index)
+                # every 5th member "crashes"; its batch-mates run
+                return [
+                    MemberResult(r.member_index, None, "SimulatedCrash")
+                    if r.member_index % 5 == 1
+                    else r
+                    for r in super().run_members_batched(mean_state, member_indices)
+                ]
 
         flaky = FlakyRunner(
             runner.model, runner.perturber, runner.duration, runner.root_seed
