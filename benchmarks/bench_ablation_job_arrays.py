@@ -19,7 +19,7 @@ from repro.workflow import FaultInjector, RetryPolicy, StatusDirectory
 from repro.workflow.parallel import MemberPool
 
 #: Members of the real-pool comparison, and its batch sizes: one task per
-#: member against the batched backend's default.
+#: member against the engine's default batch.
 POOL_MEMBERS = 24
 POOL_BATCHES = (1, 8)
 

@@ -98,32 +98,20 @@ class ESSESection:
 
 @dataclass(frozen=True)
 class EngineSection:
-    """Ensemble-engine backend selection (``docs/ENSEMBLE_ENGINE.md``).
+    """Ensemble-engine sizing (``docs/ENSEMBLE_ENGINE.md``).
 
     Parameters
     ----------
-    backend:
-        One of ``serial`` / ``batched`` / ``processes``.
-    n_workers:
-        Pool width for the ``processes`` backend.
     batch_size:
-        Members per vectorized batch: for the engine's ``batched``
-        backend and for :class:`~repro.core.driver.ESSEDriver`, which
-        always steps its ensemble in such batches.
+        Members per vectorized batch: for the
+        :class:`~repro.workflow.ensemble.EnsembleEngine` and for
+        :class:`~repro.core.driver.ESSEDriver`, which both step their
+        ensemble in such batches.
     """
 
-    backend: str = "batched"
-    n_workers: int = 4
     batch_size: int = 8
 
     def __post_init__(self):
-        if self.backend not in ("serial", "batched", "processes"):
-            raise ConfigError(
-                f"engine: unknown backend {self.backend!r} "
-                "(have: serial, batched, processes)"
-            )
-        if self.n_workers < 1:
-            raise ConfigError("engine: n_workers must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("engine: batch_size must be >= 1")
 
@@ -421,20 +409,15 @@ class ExperimentConfig:
 
         ``runner`` is an :class:`~repro.core.ensemble.EnsembleRunner` and
         ``workdir`` the engine's working directory; extra keyword
-        arguments (telemetry, metrics, retry, faults) pass through.
+        arguments (telemetry, metrics) pass through.
         """
-        from repro.workflow.ensemble import EnsembleEngine, make_backend
+        from repro.workflow.ensemble import EnsembleEngine
 
-        backend = make_backend(
-            self.engine.backend,
-            n_workers=self.engine.n_workers,
-            batch_size=self.engine.batch_size,
-        )
         return EnsembleEngine(
             runner,
             self.esse.build(),
             workdir,
-            backend=backend,
+            batch_size=self.engine.batch_size,
             **kwargs,
         )
 

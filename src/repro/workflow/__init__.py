@@ -28,9 +28,10 @@ serial ESSE job shepherd (Fig 3) into a decoupled many-task pipeline
   corrupt output / straggler stall / transient submit failure) for
   exercising the retry machinery; the failure model is documented in
   ``docs/FAILURE_MODEL.md``,
-- :mod:`~repro.workflow.ensemble` -- the backend-selectable ensemble
-  engine: serial / vectorized-batched / process-pool propagation (the
-  Fig 4 member pool) behind one interface (``docs/ENSEMBLE_ENGINE.md``).
+- :mod:`~repro.workflow.ensemble` -- the ensemble engine: the same stage
+  loop over vectorized member batches and the published memmap column
+  store; process-parallel members are the Fig 4 pipeline with
+  ``use_processes=True`` (``docs/ENSEMBLE_ENGINE.md``).
 """
 
 from repro.workflow.statefiles import StatusDirectory, TaskStatus
@@ -50,15 +51,7 @@ from repro.workflow.parallel import (
     WorkflowResult,
 )
 from repro.workflow.monitor import ProgressMonitor, ProgressReport
-from repro.workflow.ensemble import (
-    BatchedBackend,
-    EngineResult,
-    EnsembleBackend,
-    EnsembleEngine,
-    ProcessesBackend,
-    SerialBackend,
-    make_backend,
-)
+from repro.workflow.ensemble import EngineResult, EnsembleEngine
 
 __all__ = [
     "StatusDirectory",
@@ -82,11 +75,6 @@ __all__ = [
     "TaskOutcome",
     "TaskPool",
     "TileTaskPool",
-    "BatchedBackend",
     "EngineResult",
-    "EnsembleBackend",
     "EnsembleEngine",
-    "ProcessesBackend",
-    "SerialBackend",
-    "make_backend",
 ]

@@ -86,18 +86,6 @@ class ProgressMonitor:
         ``progress_cancelled`` / ``progress_pending`` /
         ``progress_throughput_per_minute``) so dashboards read the
         registry instead of re-parsing status directories.
-    members_per_task:
-        Mapping of task kind -> members covered by one status record,
-        for records that do not name their members (the program's own
-        batch records do, and the status scans already count them in
-        members).  ``expected`` stays in member units.  Each value is
-        either an ``int`` -- a uniform weight applied to every record,
-        with the final partial batch clamped so reports never overshoot
-        ``expected`` -- or a mapping of record index -> exact member
-        count, which staged growth needs: stages of 4 members batched in
-        threes produce *two* partial batches (3+1, 3+1), and a uniform
-        weight cannot represent that.  Attempt-level counters
-        (``n_retried`` / ``n_timed_out``) are not weighted.
     """
 
     def __init__(
@@ -106,18 +94,12 @@ class ProgressMonitor:
         expected: dict[str, int],
         clock=MONOTONIC,
         metrics: MetricsRegistry | None = None,
-        members_per_task: dict[str, int | dict[int, int]] | None = None,
     ):
         if not expected:
             raise ValueError("expected task counts must be non-empty")
         for kind, count in expected.items():
             if count < 1:
                 raise ValueError(f"expected count for {kind!r} must be >= 1")
-        self._members_per_task = dict(members_per_task or {})
-        for kind, spec in self._members_per_task.items():
-            sizes = spec.values() if isinstance(spec, dict) else (spec,)
-            if any(size < 1 for size in sizes):
-                raise ValueError(f"members_per_task for {kind!r} must be >= 1")
         self.status = status
         self.expected = dict(expected)
         self._clock = clock
@@ -125,46 +107,22 @@ class ProgressMonitor:
         self.metrics = metrics
         # Completions already on disk when monitoring began: a restarted
         # monitor must not count them as *its* throughput, for any kind.
-        # Kept in member units so weighted kinds measure member throughput.
         self._baseline = {
-            kind: sum(
-                self._weight(kind, index)
-                for index in status.completed_indices(kind)
-            )
-            for kind in expected
+            kind: len(status.completed_indices(kind)) for kind in expected
         }
 
-    def _weight(self, kind: str, index: int) -> int:
-        """Members covered by one status record of ``kind`` at ``index``."""
-        spec = self._members_per_task.get(kind, 1)
-        if isinstance(spec, dict):
-            return spec.get(index, 1)
-        return spec
-
     def report(self, kind: str) -> ProgressReport:
-        """Progress snapshot for one task kind (counts in *member* units)."""
+        """Progress snapshot for one task kind (counts in *member* units).
+
+        Every record names the members it covers, so the status scans
+        already answer per member.
+        """
         if kind not in self.expected:
             raise KeyError(f"unknown kind {kind!r}; expected {sorted(self.expected)}")
-        spec = self._members_per_task.get(kind, 1)
-        exact = isinstance(spec, dict)
-        weight = max(spec.values(), default=1) if exact else spec
-        statuses = self.status.completed_indices(kind)
-        succeeded = sum(
-            self._weight(kind, i)
-            for i, s in statuses.items()
-            if s == TaskStatus.SUCCESS
-        )
-        failed = sum(
-            self._weight(kind, i)
-            for i, s in statuses.items()
-            if s
-            in (TaskStatus.MODEL_FAILURE, TaskStatus.IO_FAILURE, TaskStatus.TIMED_OUT)
-        )
-        cancelled = sum(
-            self._weight(kind, i)
-            for i, s in statuses.items()
-            if s == TaskStatus.CANCELLED
-        )
+        statuses = list(self.status.completed_indices(kind).values())
+        succeeded = statuses.count(TaskStatus.SUCCESS)
+        cancelled = statuses.count(TaskStatus.CANCELLED)
+        failed = sum(1 for s in statuses if s.is_retryable)  # a failure class
         attempts = self.status.attempt_counts(kind)
         n_retried = sum(sum(per.values()) - 1 for per in attempts.values())
         n_timed_out = sum(
@@ -175,37 +133,12 @@ class ProgressMonitor:
         # Exclude pre-existing completions from the measured rate; clamp
         # at zero so a cleaned-up status directory (fewer records than the
         # baseline) cannot produce a negative throughput.
-        reported_members = sum(self._weight(kind, i) for i in statuses)
-        new_since_start = max(reported_members - self._baseline[kind], 0)
+        new_since_start = max(len(statuses) - self._baseline[kind], 0)
         rate = 60.0 * new_since_start / elapsed
-        expected = self.expected[kind]
-        reported = succeeded + failed + cancelled
-        # Exact per-record sizes cannot overshoot legitimately; a uniform
-        # weight overshoots by less than one task on the partial final
-        # batch, and only by a whole task when the expectation is stale.
-        stale = (
-            reported > expected if exact else reported - expected >= weight
-        )
-        if not exact and weight > 1 and reported > expected and not stale:
-            # Final partial batch: the last task carried fewer members
-            # than its weight, so the record counts overshoot by less
-            # than one task.  Clamp -- trimming successes first, then
-            # failures, then cancellations -- so the member totals sum
-            # to the expectation instead of reporting 27/24.
-            overshoot = reported - expected
-            take = min(succeeded, overshoot)
-            succeeded -= take
-            overshoot -= take
-            take = min(failed, overshoot)
-            failed -= take
-            overshoot -= take
-            cancelled -= overshoot
-            reported = expected
-        remaining = expected - reported
-        if stale:
-            # More whole tasks reported than the expectation can hold: the
-            # expectation is stale, so any ETA would be fiction (previously
-            # this claimed 0.0).
+        remaining = self.expected[kind] - len(statuses)
+        if remaining < 0:
+            # More reported than the expectation can hold: the expectation
+            # is stale, so any ETA would be fiction.
             eta = None
         elif remaining == 0:
             eta = 0.0
@@ -238,7 +171,3 @@ class ProgressMonitor:
     def reports(self) -> list[ProgressReport]:
         """Snapshots for every expected kind."""
         return [self.report(kind) for kind in self.expected]
-
-    def all_complete(self) -> bool:
-        """Whether every expected task of every kind has reported."""
-        return all(r.complete for r in self.reports())

@@ -24,8 +24,8 @@ The serial shepherd's loops are decoupled:
   (``docs/FAILURE_MODEL.md``).
 
 The stages, SVDs and test are :func:`repro.core.ensemble.grow_ensemble`:
-its ``propagate`` is one :class:`MemberPool` (the engine's ``processes``
-backend runs the same), its sink the published column store.  Only
+its ``propagate`` is one :class:`MemberPool`, its sink the published
+column store (the engine's).  Only
 member attempts run on other threads (or processes), and every component
 appends to one event log, from which the Fig 4 bench derives phase
 overlap and speedup versus the serial implementation.
@@ -178,9 +178,8 @@ class MemberPool:
     member is retried alone, a lost one delivered as
     ``MemberResult(index, None, error)``.  Leaving the block
     cancels the queued members (CANCELLED records) and waits for the
-    running ones, which one more :meth:`collect` then reads.  Clients:
-    :class:`ParallelESSEWorkflow` (Fig 4) and the engine's
-    :class:`~repro.workflow.ensemble.ProcessesBackend` (margin 1).
+    running ones, which one more :meth:`collect` then reads.  Client:
+    :class:`ParallelESSEWorkflow` (Fig 4), on threads or processes.
 
     Parameters
     ----------
@@ -194,7 +193,7 @@ class MemberPool:
     margin:
         How far (a factor >= 1) the pool runs ahead of the stage.
     batch_size:
-        Members per first attempt (the batched backend's default, 8).
+        Members per first attempt (the engine's default batch, 8).
     deadline:
         Tmax as a clock reading: a stage stops waiting past it once two
         members are in.  None waits for every stage.

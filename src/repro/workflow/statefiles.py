@@ -12,7 +12,6 @@ scanning which indices already completed and submitting only the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 from typing import Sequence
@@ -39,24 +38,14 @@ class TaskStatus(IntEnum):
         )
 
 
-@dataclass(frozen=True)
-class StatusRecord:
-    """One task's recorded outcome."""
-
-    kind: str
-    index: int
-    status: TaskStatus
-    attempt: int = 1
-
-
 class StatusDirectory:
     """A shared directory of ``<kind>.<index>.status`` files.
 
     Two record shapes share it.  A *plain* record
     ``<kind>.<index>.status`` is one task's latest outcome, written by
-    single-attempt writers (the serial shepherd, the engine's serial
-    backend, cancellations).  An *attempt* record covers one attempt of
-    one or more tasks -- the member pool's job-array batch:
+    single-attempt writers (the serial shepherd, cancellations).  An
+    *attempt* record covers one attempt of one or more tasks -- a batch
+    of the member pool or of the engine:
     ``<kind>.<index>.a<attempt>.status`` for a batch of one, or
     ``<kind>.<first>-<last>.a<attempt>.status`` naming its members after
     the exit code.  The scans answer per task either way.
@@ -181,14 +170,6 @@ class StatusDirectory:
         out = {index: history[max(history)] for index, history in histories.items()}
         out.update(plain)
         return out
-
-    def attempt_history(self, kind: str, index: int) -> dict[int, TaskStatus]:
-        """Attempt number -> recorded status for one task (may be empty).
-
-        Only populated by attempt-aware writers (the member pool); plain
-        single-attempt writes leave it empty.
-        """
-        return self._scan(kind)[1].get(index, {})
 
     def attempt_counts(self, kind: str) -> dict[int, dict[TaskStatus, int]]:
         """Index -> {status: attempts ending so} in one directory scan.

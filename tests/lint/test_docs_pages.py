@@ -104,3 +104,23 @@ class TestUnresolvedNames:
             "repro.sched.iomodel.IOMode.OPENDAP",
             "repro.nowhere.thing",
         ]
+
+    def test_snippet_imports_of_deleted_names_reported(self):
+        """A snippet that imports a name that is gone fails, though it compiles."""
+        text = textwrap.dedent(
+            """\
+            ```python
+            from repro.workflow import EnsembleEngine, make_backend  # a, b
+            >>> from repro.config import (
+            ...     ExperimentConfig as Config,
+            ...     EngineBackend,
+            ... )
+            ```
+
+            from repro.workflow import NotInAFence
+            """
+        )
+        assert unresolved_names(text) == [
+            "repro.workflow.make_backend",
+            "repro.config.EngineBackend",
+        ]

@@ -69,11 +69,7 @@ def config_documents(draw):
             max_subspace_rank=st.integers(1, 200),
             root_seed=st.integers(0, 2**31 - 1),
         ),
-        "engine": dict(
-            backend=st.sampled_from(["serial", "batched", "processes"]),
-            n_workers=st.integers(1, 64),
-            batch_size=st.integers(1, 64),
-        ),
+        "engine": dict(batch_size=st.integers(1, 64)),
         "assimilation": dict(
             backend=st.sampled_from(["global", "tiled"]),
             tile_ny=st.integers(1, 64),

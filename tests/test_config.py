@@ -128,34 +128,20 @@ class TestBuilders:
 class TestEngineSection:
     def test_defaults(self):
         cfg = ExperimentConfig.from_dict({})
-        assert cfg.engine.backend == "batched"
-        assert cfg.engine.n_workers == 4
         assert cfg.engine.batch_size == 8
 
-    def test_backend_selection(self):
-        cfg = ExperimentConfig.from_dict(
-            {"engine": {"backend": "processes", "n_workers": 2}}
-        )
-        assert cfg.engine.backend == "processes"
-        assert cfg.engine.n_workers == 2
-
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError, match="unknown backend"):
-            ExperimentConfig.from_dict({"engine": {"backend": "gpu"}})
-        # the deleted thread backend is rejected by name, with the valid ones
-        with pytest.raises(ConfigError, match="serial, batched, processes"):
-            ExperimentConfig.from_dict({"engine": {"backend": "threads"}})
+        """There is one engine: a backend key is an unknown key."""
+        for key in ("backend", "n_workers"):
+            with pytest.raises(ConfigError, match=r"unknown keys .*valid: \['batch_size'\]"):
+                ExperimentConfig.from_dict({"engine": {key: "batched"}})
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigError, match="n_workers"):
-            ExperimentConfig.from_dict({"engine": {"n_workers": 0}})
         with pytest.raises(ConfigError, match="batch_size"):
             ExperimentConfig.from_dict({"engine": {"batch_size": 0}})
 
     def test_round_trips(self):
-        cfg = ExperimentConfig.from_dict(
-            {"engine": {"backend": "processes", "n_workers": 3}}
-        )
+        cfg = ExperimentConfig.from_dict({"engine": {"batch_size": 3}})
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_build_engine_runs(self, tmp_path):
@@ -168,7 +154,7 @@ class TestEngineSection:
                 "domain": {"nx": 16, "ny": 14, "nz": 3},
                 "esse": {"initial_ensemble_size": 4, "max_ensemble_size": 4,
                          "max_subspace_rank": 4, "root_seed": 5},
-                "engine": {"backend": "batched", "batch_size": 2},
+                "engine": {"batch_size": 2},
             }
         )
         model = cfg.build_model()
@@ -183,12 +169,12 @@ class TestEngineSection:
             root_seed=5,
         )
         engine = cfg.build_engine(runner, tmp_path / "engine")
-        assert engine.backend.name == "batched"
-        assert engine.backend.batch_size == 2
+        assert engine.batch_size == 2
         assert engine.config.max_ensemble_size == 4
         result = engine.run(background)
-        assert result.backend == "batched"
         assert result.ensemble_size == 4
+        # two batches of two, one record each
+        assert len(list(engine.status.root.glob("pemodel.*.status"))) == 2
 
 
 class TestAssimilationSection:

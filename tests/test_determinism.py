@@ -8,8 +8,8 @@ REP001 lint rule guards statically, asserted here dynamically.
 The replay classes compare whole runs: one fixed-seed realtime cycle must
 publish the same bytes whatever ``engine.batch_size`` the driver steps its
 ensemble with, and every client of the one stage loop,
-:func:`repro.core.ensemble.grow_ensemble` -- the driver, the engine on each
-backend, the Fig 3 shepherd and the Fig 4 pipeline -- must agree.
+:func:`repro.core.ensemble.grow_ensemble` -- the driver, the engine, the Fig 3
+shepherd and the Fig 4 pipeline on threads and on processes -- must agree.
 """
 
 import hashlib
@@ -30,14 +30,7 @@ from repro.products.store import CycleProductPublisher, ProductStore
 from repro.realtime import RealTimeForecastCycle
 from repro.util.linalg import randomized_svd
 from repro.util.randomfields import GaussianRandomField2D
-from repro.workflow import (
-    BatchedBackend,
-    EnsembleEngine,
-    ParallelESSEWorkflow,
-    ProcessesBackend,
-    SerialBackend,
-    SerialESSEWorkflow,
-)
+from repro.workflow import EnsembleEngine, ParallelESSEWorkflow, SerialESSEWorkflow
 
 
 class TestDefaultStreamRepeatability:
@@ -211,7 +204,6 @@ class TestOneLoopTwoSinks:
             root_seed=3,
         )
         result = config.build_engine(runner, tmp_path / "engine").run(background)
-        assert result.backend == "batched"
         # Same members, same loop; the engine factors the column-major
         # memmap snapshot, so BLAS sums in another order: equal to round-off.
         (count, rho), = result.convergence_history
@@ -229,17 +221,17 @@ class TestReplayMatrix:
     stage being grown, so its first check factors however many members
     had arrived by then.  Where two routes factor the same column order
     from the same memory layout they agree bit for bit: the driver and
-    Fig 3 (in-memory columns, the Fig 3 file a copy of them), and the
-    engine's serial and batched backends (the published memmap).  Across the two layouts BLAS sums in another
-    order, and the Fig 4 pipeline and the processes backend fold in
-    completion order, which permutes the Gram matrix: those agree to
-    :attr:`TOLERANCE` (measured 6e-14 on the modes).
+    Fig 3 (in-memory columns, the Fig 3 file a copy of them).  The engine
+    factors the published memmap, where BLAS sums in another order, and
+    the Fig 4 pipeline folds in completion order, which permutes the Gram
+    matrix: those agree to :attr:`TOLERANCE` (measured 6e-14 on the
+    modes).
     """
 
     #: Stated tolerance, relative to each quantity's largest magnitude.
     TOLERANCE = 1e-10
     DURATION = 3 * 3600.0
-    BIT_IDENTICAL = (("driver", "fig3"), ("engine_serial", "engine_batched"))
+    BIT_IDENTICAL = (("driver", "fig3"),)
 
     @pytest.fixture(scope="class")
     def routes(self, replay_case, tmp_path_factory):
@@ -265,11 +257,10 @@ class TestReplayMatrix:
             "fig4_processes": ParallelESSEWorkflow(
                 runner, esse, workdir("fig4_processes"), n_workers=2, use_processes=True
             ).run(background),
+            "engine_batched": EnsembleEngine(runner, esse, workdir("engine")).run(
+                background
+            ),
         }
-        for backend in (SerialBackend(), BatchedBackend(), ProcessesBackend(n_workers=2)):
-            runs[f"engine_{backend.name}"] = EnsembleEngine(
-                runner, esse, workdir(backend.name), backend=backend
-            ).run(background)
         # Fig 3 keeps its member ids where the paper does: in its one file.
         with np.load(fig3.cov_path) as data:
             fig3_ids = tuple(data["member_ids"].tolist())
@@ -285,8 +276,7 @@ class TestReplayMatrix:
 
     @pytest.mark.parametrize(
         "route",
-        ["fig3", "fig4_threads", "fig4_processes", "engine_serial", "engine_batched",
-         "engine_processes"],
+        ["fig3", "fig4_threads", "fig4_processes", "engine_batched"],
     )
     def test_route_agrees_with_the_driver(self, routes, route):
         ids, run = routes[route]

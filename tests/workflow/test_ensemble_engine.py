@@ -1,4 +1,10 @@
-"""The backend-selectable ensemble engine: equivalence, faults, monitoring."""
+"""The ensemble engine and the process route beside it.
+
+The engine steps each stage's members in vectorized batches, in process.
+Process-parallel members are the Fig 4 pipeline on worker processes; at
+``pool_margin=1.0`` its pool holds exactly the stage being grown, which
+is how :func:`process_route` runs it.
+"""
 
 import numpy as np
 import pytest
@@ -13,15 +19,12 @@ from repro.core.taskmodel import DegradedEnsembleWarning
 from repro.ocean import PEModel
 from repro.ocean.bathymetry import monterey_grid
 from repro.workflow import (
-    BatchedBackend,
     EnsembleEngine,
     FaultInjector,
-    ProcessesBackend,
+    ParallelESSEWorkflow,
     ProgressMonitor,
     RetryPolicy,
-    SerialBackend,
     TaskPool,
-    make_backend,
 )
 from repro.workflow.covfile import MemmapCovarianceStore
 from repro.workflow.statefiles import TaskStatus
@@ -51,95 +54,78 @@ def config(**kw):
     return ESSEConfig(**defaults)
 
 
-def anomaly_columns_by_member(engine):
-    """Mapping member id -> raw anomaly column from the engine's store."""
-    snap = MemmapCovarianceStore(engine.workdir).read_safe()
+def process_route(runner, cfg, workdir, **kwargs):
+    """Fig 4 on two worker processes, its pool exactly the stage."""
+    return ParallelESSEWorkflow(
+        runner, cfg, workdir, n_workers=2, use_processes=True, pool_margin=1.0, **kwargs
+    )
+
+
+def anomaly_columns_by_member(run):
+    """Mapping member id -> raw anomaly column from a run's column store."""
+    snap = MemmapCovarianceStore(run.workdir).read_safe()
     return {
         member: np.asarray(snap.columns[:, j]).copy()
         for j, member in enumerate(snap.member_ids)
     }
 
 
-class TestMakeBackend:
-    def test_names_resolve(self):
-        assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("batched"), BatchedBackend)
-        assert isinstance(make_backend("processes"), ProcessesBackend)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("gpu")
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ProcessesBackend(n_workers=0)
-        with pytest.raises(ValueError):
-            BatchedBackend(batch_size=0)
-
-    def test_members_per_task(self):
-        """``engine.batch_size`` reaches both backends whose task is a batch."""
-        assert make_backend("batched", batch_size=5).batch_size == 5
-        assert make_backend("processes", batch_size=5).batch_size == 5
-        with pytest.raises(ValueError):
-            ProcessesBackend(batch_size=0)
-
-
 class TestBackendEquivalence:
-    """Per-member forecasts are bit-identical across every backend."""
+    """Per-member anomalies are bit-identical to ``run_member``'s on every route."""
 
     @pytest.fixture(scope="class")
     def results(self, setup, tmp_path_factory):
         _, background, runner = setup
-        root = tmp_path_factory.mktemp("engines")
-        engines = {
-            name: EnsembleEngine(
-                runner,
-                config(),
-                root / name,
-                backend=make_backend(name, n_workers=2, batch_size=3),
-            )
-            for name in ("serial", "batched", "processes")
+        root = tmp_path_factory.mktemp("routes")
+        runs = {
+            "batched": EnsembleEngine(runner, config(), root / "batched", batch_size=3),
+            "one_at_a_time": EnsembleEngine(
+                runner, config(), root / "one_at_a_time", batch_size=1
+            ),
+            "processes": process_route(runner, config(), root / "processes"),
         }
-        outcomes = {name: eng.run(background) for name, eng in engines.items()}
-        columns = {
-            name: anomaly_columns_by_member(eng)
-            for name, eng in engines.items()
-        }
+        outcomes = {name: run.run(background) for name, run in runs.items()}
+        columns = {name: anomaly_columns_by_member(run) for name, run in runs.items()}
         return outcomes, columns
 
     def test_all_backends_complete(self, results):
         outcomes, _ = results
         for name, res in outcomes.items():
-            assert res.backend == name
-            assert res.ensemble_size == len(res.member_ids)
-            assert res.ensemble_size >= 4
-            assert res.failed_members == ()
+            assert res.ensemble_size == len(res.member_ids) == 8, name
             assert res.wall_seconds >= 0.0
             assert res.convergence_history
+        for name in ("batched", "one_at_a_time"):
+            assert outcomes[name].failed_members == ()
+        assert outcomes["processes"].n_failed == 0
 
-    def test_member_anomalies_bit_identical(self, results):
+    def test_member_anomalies_bit_identical(self, setup, results):
+        """The stored columns are ``run_member(...).forecast - central``, exactly."""
+        model, background, runner = setup
         _, columns = results
-        reference = columns["serial"]
-        for name in ("batched", "processes"):
-            assert set(columns[name]) == set(reference), name
+        central = model.to_vector(runner.central_forecast(background))
+        reference = {
+            member: model.layout.normalize(
+                runner.run_member(background, member).forecast - central
+            )
+            for member in range(8)
+        }
+        for name, stored in columns.items():
+            assert set(stored) == set(reference), name
             for member, column in reference.items():
-                assert np.array_equal(columns[name][member], column), (
-                    f"{name} member {member}"
-                )
+                assert np.array_equal(stored[member], column), f"{name} member {member}"
 
     def test_serial_and_batched_subspace_bit_identical(self, results):
+        """One member at a time or three: the same run, bit for bit."""
         outcomes, _ = results
-        serial = outcomes["serial"].subspace
+        serial = outcomes["one_at_a_time"].subspace
         batched = outcomes["batched"].subspace
         assert np.array_equal(serial.modes, batched.modes)
         assert np.array_equal(serial.sigmas, batched.sigmas)
-        assert outcomes["serial"].member_ids == outcomes["batched"].member_ids
+        assert outcomes["one_at_a_time"].member_ids == outcomes["batched"].member_ids
 
     def test_status_records_written(self, setup, results, tmp_path):
         _, background, runner = setup
-        engine = EnsembleEngine(
-            runner, config(), tmp_path / "st", backend=BatchedBackend(batch_size=3)
-        )
+        engine = EnsembleEngine(runner, config(), tmp_path / "st", batch_size=3)
         result = engine.run(background)
         done = engine.status.completed_indices("pemodel")
         assert done == dict.fromkeys(range(8), TaskStatus.SUCCESS)
@@ -149,24 +135,30 @@ class TestBackendEquivalence:
         assert result.ensemble_size == 8
         assert len(list(engine.status.root.glob("pemodel.*.status"))) == 4
 
+    def test_batch_size_validated(self, setup, tmp_path):
+        _, _, runner = setup
+        with pytest.raises(ValueError, match="batch_size"):
+            EnsembleEngine(runner, config(), tmp_path, batch_size=0)
+
 
 class TestProcessBackendFaults:
+    """Retries, torn batch files and loss on the process route."""
+
     def test_crashes_are_retried_to_completion(self, setup, tmp_path):
         _, background, runner = setup
-        engine = EnsembleEngine(
+        route = process_route(
             runner,
             config(max_ensemble_size=4, convergence_tolerance=1.0),
             tmp_path / "wf",
-            backend=ProcessesBackend(n_workers=2),
             retry=RetryPolicy(max_attempts=3, backoff_base_s=0.0, seed=0),
             faults=FaultInjector(crash_rate=0.4, seed=7),
         )
-        result = engine.run(background)
+        result = route.run(background)
         assert result.n_retried > 0
         assert result.ensemble_size == 4
         assert not result.degraded
         # every retried member carries an attempt-numbered failure record
-        history = engine.status.attempt_counts("pemodel")
+        history = route.status.attempt_counts("pemodel")
         failures = sum(
             n
             for counts in history.values()
@@ -177,34 +169,33 @@ class TestProcessBackendFaults:
 
     def test_torn_column_detected_and_retried(self, setup, tmp_path):
         _, background, runner = setup
-        engine = EnsembleEngine(
+        route = process_route(
             runner,
             config(max_ensemble_size=4, convergence_tolerance=1.0),
             tmp_path / "wf",
-            backend=ProcessesBackend(n_workers=2),
             # Members 0 and 3 tear the one batch file at attempt 1, which
             # fails all four; member 2 then draws CORRUPT at attempts 2
             # and 3 on its own and lands at attempt 4.
             retry=RetryPolicy(max_attempts=4, backoff_base_s=0.0, seed=0),
             faults=FaultInjector(corrupt_rate=0.4, seed=7),
         )
-        result = engine.run(background)
+        result = route.run(background)
         assert result.ensemble_size == 4
         assert not result.degraded
-        # the truncated member files were caught (IO_FAILURE) and the
+        # the truncated batch files were caught (IO_FAILURE) and the
         # final accepted columns are fully finite
         statuses = [
             status
-            for counts in engine.status.attempt_counts("pemodel").values()
+            for counts in route.status.attempt_counts("pemodel").values()
             for status in counts
         ]
         assert TaskStatus.IO_FAILURE in statuses
-        for column in anomaly_columns_by_member(engine).values():
+        for column in anomaly_columns_by_member(route).values():
             assert np.all(np.isfinite(column))
 
     def test_exhausted_retries_degrade_gracefully(self, setup, tmp_path):
         _, background, runner = setup
-        engine = EnsembleEngine(
+        route = process_route(
             runner,
             config(
                 initial_ensemble_size=4,
@@ -212,37 +203,35 @@ class TestProcessBackendFaults:
                 convergence_tolerance=1.0,
             ),
             tmp_path / "wf",
-            backend=ProcessesBackend(n_workers=2),
             faults=FaultInjector(crash_rate=0.4, seed=7),  # no retry policy
         )
         with pytest.warns(DegradedEnsembleWarning):
-            result = engine.run(background)
+            result = route.run(background)
         assert result.degraded
-        assert result.failed_members
-        assert result.ensemble_size + len(result.failed_members) == 4
+        assert result.n_failed
+        assert result.ensemble_size + result.n_failed == 4
         assert result.subspace.rank >= 1
 
     def test_fault_free_run_matches_serial(self, setup, tmp_path):
         """retry/faults wiring must not perturb the no-fault path."""
         _, background, runner = setup
         cfg = config(max_ensemble_size=4, convergence_tolerance=1.0)
-        faulty = EnsembleEngine(
+        faulty = process_route(
             runner,
             cfg,
             tmp_path / "faulty",
-            backend=ProcessesBackend(n_workers=2),
             retry=RetryPolicy(max_attempts=3, seed=0),
             faults=FaultInjector(seed=0),  # all rates zero
         ).run(background)
-        plain = EnsembleEngine(
-            runner, cfg, tmp_path / "plain", backend=SerialBackend()
-        ).run(background)
+        plain = EnsembleEngine(runner, cfg, tmp_path / "plain", batch_size=1).run(
+            background
+        )
         assert faulty.n_retried == 0
         assert sorted(faulty.member_ids) == sorted(plain.member_ids)
 
 
 class TestProcessesMemberPool:
-    """The processes backend runs the whole run on one member pool."""
+    """The process route runs the whole run on one member pool."""
 
     def test_one_executor_per_run(self, setup, tmp_path, monkeypatch):
         _, background, runner = setup
@@ -254,36 +243,31 @@ class TestProcessesMemberPool:
             return enter(pool)
 
         monkeypatch.setattr(TaskPool, "__enter__", counting_enter)
-        result = EnsembleEngine(
+        result = process_route(
             runner,
             config(convergence_tolerance=1.0),  # two stages: 4 -> 8
             tmp_path / "wf",
-            backend=ProcessesBackend(n_workers=2),
         ).run(background)
         # checked at 4, compared at 8: two stages
         assert [count for count, _ in result.convergence_history] == [8]
         assert entered == ["pemodel"]
 
-    def test_reused_engine_folds_nothing_from_the_last_run(self, setup, tmp_path):
-        """A second run() starts from nothing: no old member file or record."""
+    def test_reused_workdir_folds_nothing_from_the_last_run(self, setup, tmp_path):
+        """A second run() starts from nothing: no old batch file or record."""
         model, background, runner = setup
         other = model.run(background, 86400.0)  # a different mean state
         cfg = config(convergence_tolerance=1.0)
-        engine = EnsembleEngine(
-            runner, cfg, tmp_path / "reused", backend=ProcessesBackend(n_workers=2)
-        )
-        engine.run(background)
-        second = engine.run(other)
-        fresh = EnsembleEngine(
-            runner, cfg, tmp_path / "fresh", backend=ProcessesBackend(n_workers=2)
-        )
+        reused = process_route(runner, cfg, tmp_path / "reused")
+        reused.run(background)
+        second = reused.run(other)
+        fresh = process_route(runner, cfg, tmp_path / "fresh")
         expected = fresh.run(other)
         assert second.ensemble_size == expected.ensemble_size == 8
         assert sorted(second.member_ids) == sorted(expected.member_ids)
-        reused = anomaly_columns_by_member(engine)
+        columns = anomaly_columns_by_member(reused)
         for member, column in anomaly_columns_by_member(fresh).items():
-            assert np.array_equal(reused[member], column), member
-        history = engine.status.attempt_counts("pemodel")
+            assert np.array_equal(columns[member], column), member
+        history = reused.status.attempt_counts("pemodel")
         assert all(counts == {TaskStatus.SUCCESS: 1} for counts in history.values())
 
 
@@ -294,7 +278,7 @@ class TestProgressMonitor:
             runner,
             config(max_ensemble_size=4, convergence_tolerance=1.0),
             tmp_path / "wf",
-            backend=BatchedBackend(batch_size=3),
+            batch_size=3,
         )
         result = engine.run(background)
         report = ProgressMonitor(
@@ -309,15 +293,15 @@ class TestProgressMonitor:
     ):
         """Stages of 4 batched in threes write 3+1, 3+1 -- exactly 8 members.
 
-        A uniform batch_size weight would scale the 4 records to 12/8;
-        the records name their members, so the monitor needs no weight.
+        The records name their members, so the monitor counts members
+        with no weight.
         """
         _, background, runner = setup
         engine = EnsembleEngine(
             runner,
             config(),  # grows 4 -> 8 with tolerance 0.9
             tmp_path / "wf",
-            backend=BatchedBackend(batch_size=3),
+            batch_size=3,
         )
         result = engine.run(background)
         assert result.ensemble_size == 8
@@ -327,16 +311,14 @@ class TestProgressMonitor:
         assert report.succeeded == 8
         assert report.pending == 0
         assert report.complete
-        assert report.eta_seconds is not None  # exact sizes: not stale
+        assert report.eta_seconds is not None  # not stale
 
     def test_reused_engine_restarts_store_and_batch_bookkeeping(
         self, setup, tmp_path
     ):
         """A second run() neither dies on the store tail nor over-counts."""
         _, background, runner = setup
-        engine = EnsembleEngine(
-            runner, config(), tmp_path / "wf", backend=BatchedBackend(batch_size=3)
-        )
+        engine = EnsembleEngine(runner, config(), tmp_path / "wf", batch_size=3)
         first = engine.run(background)
         second = engine.run(background)
         assert second.member_ids == first.member_ids
@@ -353,7 +335,7 @@ class TestProgressMonitor:
             runner,
             config(max_ensemble_size=4, convergence_tolerance=1.0),
             tmp_path / "wf",
-            backend=SerialBackend(),
+            batch_size=1,
         )
         result = engine.run(background)
         report = ProgressMonitor(

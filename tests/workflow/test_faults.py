@@ -21,11 +21,9 @@ from repro.ocean import PEModel
 from repro.ocean.bathymetry import monterey_grid
 from repro.workflow import (
     DegradedEnsembleWarning,
-    EnsembleEngine,
     FaultInjector,
     FaultKind,
     ParallelESSEWorkflow,
-    ProcessesBackend,
     ProgressMonitor,
     RetryPolicy,
     StatusDirectory,
@@ -498,18 +496,21 @@ class TestBatchedMemberPool:
         assert result.n_completed == sum(
             s == TaskStatus.SUCCESS for s in wf.status.completed_indices("pemodel").values()
         )
-        engine = EnsembleEngine(
+        processes = ParallelESSEWorkflow(
             runner,
             config(max_ensemble_size=8, convergence_tolerance=1.0),
-            tmp_path / "engine",
-            backend=ProcessesBackend(n_workers=2),
+            tmp_path / "processes",
+            n_workers=2,
+            use_processes=True,
+            pool_margin=1.0,
             retry=RetryPolicy(max_attempts=3, backoff_base_s=0.0),
             faults=CrashMemberThree(),
         )
         with pytest.warns(DegradedEnsembleWarning):
-            run = engine.run(background)
+            run = processes.run(background)
         # member 3 alone is retried, twice; its batch-mates land at once
-        assert run.n_retried == 2 and run.failed_members == (3,)
+        assert run.n_retried == 2 and run.n_failed == 1
+        assert sorted(run.member_ids) == [0, 1, 2, 4, 5, 6, 7]
 
 
 class TestAttemptRecords:
@@ -517,15 +518,15 @@ class TestAttemptRecords:
         status = StatusDirectory(tmp_path)
         status.write("pemodel", 3, TaskStatus.MODEL_FAILURE, attempt=1)
         status.write("pemodel", 3, TaskStatus.SUCCESS, attempt=2)
-        # latest outcome drives restart; history keeps both attempts
+        # latest outcome drives restart; the attempt records keep both
         assert status.read("pemodel", 3) == TaskStatus.SUCCESS
-        assert status.attempt_history("pemodel", 3) == {
-            1: TaskStatus.MODEL_FAILURE,
-            2: TaskStatus.SUCCESS,
+        assert status.attempt_counts("pemodel") == {
+            3: {TaskStatus.MODEL_FAILURE: 1, TaskStatus.SUCCESS: 1}
         }
-        counts = status.attempt_counts("pemodel")
-        assert counts[3][TaskStatus.MODEL_FAILURE] == 1
-        assert counts[3][TaskStatus.SUCCESS] == 1
+        assert sorted(p.name for p in status.root.glob("pemodel.3.a*.status")) == [
+            "pemodel.3.a1.status",
+            "pemodel.3.a2.status",
+        ]
 
     def test_attempt_files_do_not_confuse_completed_indices(self, tmp_path):
         status = StatusDirectory(tmp_path)

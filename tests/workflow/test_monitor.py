@@ -43,7 +43,6 @@ class TestProgressMonitor:
         for idx in range(3):
             status.write("pert", idx, TaskStatus.SUCCESS)
         assert monitor.report("pert").complete
-        assert monitor.all_complete()
 
     def test_eta_from_throughput(self, status):
         clock = FakeClock()
@@ -144,131 +143,6 @@ class TestProgressMonitor:
         monitor = ProgressMonitor(status, {"pert": 1})
         with pytest.raises(KeyError, match="unknown kind"):
             monitor.report("pemodel")
-
-    def test_members_per_task_scales_counts(self, status):
-        """One batch record covers batch_size members (docs/ENSEMBLE_ENGINE.md)."""
-        monitor = ProgressMonitor(
-            status, {"pemodel_batch": 24}, members_per_task={"pemodel_batch": 8}
-        )
-        status.write("pemodel_batch", 0, TaskStatus.SUCCESS)
-        report = monitor.report("pemodel_batch")
-        assert report.succeeded == 8
-        assert report.pending == 16
-        assert not report.complete
-        for idx in (1, 2):
-            status.write("pemodel_batch", idx, TaskStatus.SUCCESS)
-        report = monitor.report("pemodel_batch")
-        assert report.succeeded == 24
-        assert report.complete
-
-    def test_members_per_task_scales_throughput_and_eta(self, status):
-        clock = FakeClock()
-        monitor = ProgressMonitor(
-            status,
-            {"pemodel_batch": 32},
-            clock=clock,
-            members_per_task={"pemodel_batch": 8},
-        )
-        # 1 batch (8 members) per minute -> 24 members remain -> 3 min ETA
-        status.write("pemodel_batch", 0, TaskStatus.SUCCESS)
-        clock.t = 60.0
-        report = monitor.report("pemodel_batch")
-        assert report.throughput_per_minute == pytest.approx(8.0)
-        assert report.eta_seconds == pytest.approx(3 * 60.0)
-
-    def test_members_per_task_clamps_partial_final_batch(self, status):
-        """10 members in batches of 4: the last record covers only 2."""
-        monitor = ProgressMonitor(
-            status, {"pemodel_batch": 10}, members_per_task={"pemodel_batch": 4}
-        )
-        for idx in range(3):
-            status.write("pemodel_batch", idx, TaskStatus.SUCCESS)
-        report = monitor.report("pemodel_batch")
-        assert report.succeeded == 10  # not 12
-        assert report.pending == 0
-        assert report.complete
-        assert report.eta_seconds == 0.0
-
-    def test_members_per_task_stale_expectation_still_detected(self, status):
-        """A whole surplus task (>= one weight) still voids the ETA."""
-        clock = FakeClock()
-        monitor = ProgressMonitor(
-            status,
-            {"pemodel_batch": 8},
-            clock=clock,
-            members_per_task={"pemodel_batch": 4},
-        )
-        for idx in range(3):  # 12 members reported against 8 expected
-            status.write("pemodel_batch", idx, TaskStatus.SUCCESS)
-        clock.t = 60.0
-        report = monitor.report("pemodel_batch")
-        assert report.eta_seconds is None
-        assert report.complete
-
-    def test_members_per_task_exact_sizes_for_uneven_batches(self, status):
-        """Staged growth: batches of 3+1 per stage must not over-count.
-
-        A uniform weight of 3 would report 12/8; the exact per-record
-        sizes report 8/8 (the bug docs/ENSEMBLE_ENGINE.md Sec 5 covers).
-        """
-        sizes = {0: 3, 1: 1, 2: 3, 3: 1}
-        monitor = ProgressMonitor(
-            status,
-            {"pemodel_batch": 8},
-            members_per_task={"pemodel_batch": sizes},
-        )
-        for idx in sizes:
-            status.write("pemodel_batch", idx, TaskStatus.SUCCESS)
-        report = monitor.report("pemodel_batch")
-        assert report.succeeded == 8
-        assert report.pending == 0
-        assert report.complete
-        assert report.eta_seconds == 0.0
-
-    def test_members_per_task_exact_sizes_detect_stale_expectation(self, status):
-        """With exact sizes any overshoot means the expectation is stale."""
-        clock = FakeClock()
-        monitor = ProgressMonitor(
-            status,
-            {"pemodel_batch": 8},
-            clock=clock,
-            members_per_task={"pemodel_batch": {0: 3, 1: 1, 2: 3, 3: 1}},
-        )
-        for idx in range(5):  # index 4 unknown to the map -> weight 1 -> 9/8
-            status.write("pemodel_batch", idx, TaskStatus.SUCCESS)
-        clock.t = 60.0
-        report = monitor.report("pemodel_batch")
-        assert report.succeeded == 9
-        assert report.eta_seconds is None
-        assert report.complete
-
-    def test_members_per_task_exact_sizes_scale_throughput(self, status):
-        clock = FakeClock()
-        monitor = ProgressMonitor(
-            status,
-            {"pemodel_batch": 8},
-            clock=clock,
-            members_per_task={"pemodel_batch": {0: 3, 1: 1, 2: 3, 3: 1}},
-        )
-        # first stage (3 + 1 members) lands in one minute -> 4 members/min
-        status.write("pemodel_batch", 0, TaskStatus.SUCCESS)
-        status.write("pemodel_batch", 1, TaskStatus.SUCCESS)
-        clock.t = 60.0
-        report = monitor.report("pemodel_batch")
-        assert report.throughput_per_minute == pytest.approx(4.0)
-        assert report.eta_seconds == pytest.approx(60.0)
-
-    def test_members_per_task_validation(self, status):
-        with pytest.raises(ValueError, match="members_per_task"):
-            ProgressMonitor(
-                status, {"pemodel_batch": 8}, members_per_task={"pemodel_batch": 0}
-            )
-        with pytest.raises(ValueError, match="members_per_task"):
-            ProgressMonitor(
-                status,
-                {"pemodel_batch": 8},
-                members_per_task={"pemodel_batch": {0: 3, 1: 0}},
-            )
 
     def test_live_workflow_integration(self, status, tmp_path):
         """The monitor reads a real parallel workflow's status directory."""

@@ -56,19 +56,20 @@ def config(**kw):
 
 
 class FailingRunner(EnsembleRunner):
-    """Members ``failing`` crash; the rest run as usual."""
+    """Members ``failing`` crash; the rest of their batch runs as usual."""
 
     failing = range(4, 8)
 
-    def run_member(self, mean_state, member_index):
-        if member_index in self.failing:
-            return MemberResult(member_index, None, "SimulatedCrash")
-        return super().run_member(mean_state, member_index)
+    def run_members_batched(self, mean_state, member_indices):
+        indices = list(member_indices)
+        running = [i for i in indices if i not in self.failing]
+        ran = {r.member_index: r for r in super().run_members_batched(mean_state, running)}
+        return [ran.get(i, MemberResult(i, None, "SimulatedCrash")) for i in indices]
 
 
 def run_engine(runner, background, workdir, cls=EnsembleRunner):
     member_runner = cls(runner.model, runner.perturber, runner.duration, runner.root_seed)
-    engine = EnsembleEngine(member_runner, config(), workdir, backend="serial")
+    engine = EnsembleEngine(member_runner, config(), workdir)
     return engine.run(background)
 
 

@@ -81,7 +81,7 @@ class TestBatchRecords:
         assert status.completed_indices("pemodel") == dict.fromkeys(
             (0, 1, 3), TaskStatus.SUCCESS
         )
-        assert status.attempt_history("pemodel", 3) == {1: TaskStatus.SUCCESS}
+        assert status.attempt_counts("pemodel")[3] == {TaskStatus.SUCCESS: 1}
         assert status.read("pemodel", 1) is None  # no plain record
 
     def test_member_outcomes_across_attempts(self, status):

@@ -8,8 +8,9 @@ checks that every ``docs/*.md`` page is linked from ``README.md`` (no
 orphaned architecture documents), that every fenced ``python`` code
 block in ``docs/`` actually compiles (doctest-style ``>>>`` blocks are
 parsed as doctests first), and that every backticked dotted
-``repro.…`` name in README.md, DESIGN.md and ``docs/*.md`` resolves to a
-module or a module attribute -- documentation drift shows up as a lint
+``repro.…`` name and every name a snippet imports from ``repro`` in
+README.md, DESIGN.md and ``docs/*.md`` resolves to a module or a module
+attribute -- documentation drift shows up as a lint
 failure, not as a reader's surprise.
 
 Docstring coverage of ``src/repro`` is not checked here: tier-1's
@@ -31,6 +32,13 @@ DESIGN_PATH = REPO_ROOT / "DESIGN.md"
 
 _FENCE_RE = re.compile(r"^```python[ \t]*\n(.*?)^```", re.DOTALL | re.MULTILINE)
 _NAME_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
+#: ``from repro.x import A, B`` in a snippet, on one line or parenthesized
+#: (doctest prompts allowed).
+_IMPORT_RE = re.compile(
+    r"^[ \t]*(?:>>>[ \t]*)?from[ \t]+(repro(?:\.\w+)*)[ \t]+import[ \t]+"
+    r"(\([^)]*\)|[^\n]*)",
+    re.MULTILINE,
+)
 
 
 def docs_pages() -> list[Path]:
@@ -76,14 +84,30 @@ def snippet_errors(page: Path) -> list[str]:
     return errors
 
 
-def unresolved_names(text: str) -> list[str]:
-    """Backticked ``repro.…`` dotted names in ``text`` that name nothing.
+def imported_names(text: str) -> list[str]:
+    """``repro.x.A`` for every ``from repro.x import A`` in fenced snippets."""
+    names = []
+    for block in _FENCE_RE.findall(text):
+        for module, imported in _IMPORT_RE.findall(block):
+            # Drop comments and doctest continuation prompts first.
+            body = re.sub(r"#.*|^[ \t]*\.\.\.", "", imported, flags=re.MULTILINE)
+            for item in body.strip("()").split(","):
+                words = item.split()  # "A" or "A as B"
+                if words:
+                    names.append(f"{module}.{words[0]}")
+    return names
 
-    A name resolves when its longest importable prefix is a module and the
-    rest is a chain of attributes on it (a class, a function, a method).
+
+def unresolved_names(text: str) -> list[str]:
+    """``repro.…`` dotted names in ``text`` that name nothing.
+
+    The names are the backticked dotted ones and those that fenced
+    ``python`` snippets import (``from repro.x import A, B``).  A name
+    resolves when its longest importable prefix is a module and the rest
+    is a chain of attributes on it (a class, a function, a method).
     """
     missing = []
-    for name in dict.fromkeys(_NAME_RE.findall(text)):
+    for name in dict.fromkeys([*_NAME_RE.findall(text), *imported_names(text)]):
         parts = name.split(".")
         for cut in range(len(parts), 0, -1):
             try:
