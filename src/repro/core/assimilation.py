@@ -22,10 +22,16 @@ coupled physical-acoustical update (:mod:`repro.acoustics.coupled`).
 There is one update path (:meth:`ESSEAnalysis.update`): the state is
 split into *locales* that each own a disjoint set of state entries,
 every locale solves its own low-dimensional problem against the
-observations it selects, and the results are stitched and refactorized
-through a ``p x p`` Gram eigensolve -- rank never grows, and posterior
-variance is never larger than the (inflated) prior anywhere.  The
-paper's global analysis is the configuration with a single locale that
+observations it selects, and the results are refactorized into
+orthonormal modes -- rank never grows, and posterior variance is never
+larger than the (inflated) prior anywhere.  Tiles' posterior anomaly
+rows are stitched into one ``n x p`` matrix ``M`` and factored by
+:func:`repro.util.linalg.truncated_svd` (a ``p x p`` Gram eigensolve).
+A locale owning every row has ``M = E B`` with a ``p x p`` factor ``B``;
+the prior modes ``E`` are orthonormal (the ``ErrorSubspace`` contract),
+so ``svd(M) = E svd(B)``: LAPACK factors ``B`` itself, no Gram matrix
+squares its condition number, and ``E U_B`` is the one ``n x p`` product.
+The paper's global analysis is the configuration with a single locale that
 owns everything and selects every observation at unit weight;
 :class:`TiledESSEAnalysis` configures the locales as grid tiles with
 distance-tapered observation selection (:mod:`repro.core.localization`,
@@ -54,7 +60,7 @@ from repro.core.subspace import ANOMALY_RTOL, ErrorSubspace
 from repro.core.taskmodel import DegradedEnsembleWarning
 from repro.core.tiling import TileDecomposition
 from repro.telemetry.spans import NULL_RECORDER
-from repro.util.linalg import truncated_svd
+from repro.util.linalg import _orient, lapack_svd, truncated_svd
 
 if TYPE_CHECKING:  # avoid a core <-> obs import cycle; used as hints only
     from repro.obs.operators import ObservationOperator
@@ -161,6 +167,20 @@ def _refactorize(anomalies: np.ndarray, n_samples: int) -> ErrorSubspace:
     return ErrorSubspace(modes=modes, sigmas=sigmas, n_samples=n_samples)
 
 
+def _refactorize_factor(
+    modes: np.ndarray, factor: np.ndarray, n_samples: int
+) -> ErrorSubspace:
+    """:func:`_refactorize` of ``modes @ factor`` for orthonormal ``modes``.
+
+    The LAPACK SVD of the ``p x p`` factor, the same cut and orientation;
+    the ``n x p`` product is formed once, as the posterior modes.
+    """
+    u, sigmas, vt = lapack_svd(factor, rtol=ANOMALY_RTOL)
+    u = modes @ u
+    _orient(u, vt)  # by the largest entry of the state-space mode
+    return ErrorSubspace(modes=u, sigmas=sigmas, n_samples=n_samples)
+
+
 @dataclass(frozen=True)
 class AnalysisResult:
     """Output of one ESSE assimilation.
@@ -211,7 +231,8 @@ class TileUpdate:
     anomaly_block:
         Posterior anomaly rows ``(n_t, p)`` of the owned entries: the
         kept modes' prior anomalies contracted by the local update,
-        dropped modes at their prior values.
+        dropped modes at their prior values.  The global locale returns
+        the ``(p, p)`` factor ``B`` of its rows ``E B`` instead.
     n_observations:
         Observations the locale assimilated (after selection).
     inflation_factor:
@@ -258,8 +279,8 @@ class ESSEAnalysis:
     - a disjoint scatter of the increments and anomaly rows (each locale
       owns its state entries exclusively; locales without data, or whose
       task failed terminally, keep their prior);
-    - one ``p x p`` Gram eigensolve that refactorizes ``M`` into
-      orthonormal, sign-oriented modes and descending sigmas.
+    - one refactorization of ``M`` (of its ``p x p`` factor ``B``, for the
+      global locale) into orthonormal, sign-oriented modes and sigmas.
 
     Parameters
     ----------
@@ -370,10 +391,15 @@ class ESSEAnalysis:
             # variance <= prior pointwise.
             eigvals, eigvecs = scipy.linalg.eigh(s_post / np.outer(sig_k, sig_k))
             contraction = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, 1.0))) @ eigvecs.T
-            anomaly = e_k @ (sig_k[:, None] * contraction)
-            if kept.size < sigmas.size:  # dropped modes keep their prior rows
-                contracted, anomaly = anomaly, e_owned * sigmas
-                anomaly[:, kept] = contracted
+            block = sig_k[:, None] * contraction
+            if isinstance(owned, slice):  # every row: E B, only B leaves
+                anomaly = np.diag(sigmas)
+                anomaly[np.ix_(kept, kept)] = block
+            else:
+                anomaly = e_k @ block
+                if kept.size < sigmas.size:  # dropped modes keep their prior rows
+                    contracted, anomaly = anomaly, e_owned * sigmas
+                    anomaly[:, kept] = contracted
             return TileUpdate(
                 tile_index=index,
                 kept_modes=kept,
@@ -433,23 +459,28 @@ class ESSEAnalysis:
                     f"for {len(locales)} tile tasks"
                 )
 
-            # Stitch: disjoint scatter of mean increments and posterior
-            # anomaly rows; entries no locale updated keep their rows of
-            # the prior anomaly matrix M = E diag(sigma).
-            anomalies = np.empty_like(modes)
+            # Stitch: disjoint scatter of mean increments and (tiles)
+            # posterior anomaly rows; entries no locale updated keep their
+            # prior rows of M = E diag(sigma).  The global locale returns
+            # the factor B of M = E B instead, or None to keep the prior.
+            updated = [(loc[1], res) for loc, res in zip(locales, results) if res]
+            n_failed = len(locales) - len(updated)
             increment_norm = np.zeros(self.layout.size)
-            at_prior = np.ones(self.layout.size, dtype=bool)
-            n_failed = 0
-            for (_, owned, _, _), result in zip(locales, results):
-                if result is None:
-                    n_failed += 1  # degraded: this locale keeps its prior
-                    continue
+            for owned, result in updated:
                 increment_norm[owned] = result.mean_increment
-                anomalies[owned] = result.anomaly_block
-                at_prior[owned] = False
-            anomalies[at_prior] = modes[at_prior] * sigmas
             analysis_mean = forecast_mean + self.layout.denormalize(increment_norm)
-            posterior = _refactorize(anomalies, subspace.n_samples)
+            posterior = subspace
+            if self.decomposition is None and updated:
+                factor = updated[0][1].anomaly_block
+                posterior = _refactorize_factor(modes, factor, subspace.n_samples)
+            elif self.decomposition is not None:
+                anomalies = np.empty_like(modes)
+                at_prior = np.ones(self.layout.size, dtype=bool)
+                for owned, result in updated:
+                    anomalies[owned] = result.anomaly_block
+                    at_prior[owned] = False
+                anomalies[at_prior] = modes[at_prior] * sigmas
+                posterior = _refactorize(anomalies, subspace.n_samples)
 
             counts = {
                 "updated": len(locales) - n_failed,

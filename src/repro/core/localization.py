@@ -114,11 +114,10 @@ def observation_coords(operator) -> np.ndarray:
 
     Column 0 is the ``j`` (row) index, column 1 the ``i`` (column) index.
     Depth levels are ignored: localization here is horizontal only, the
-    standard LETKF simplification for strongly stratified flows.
+    standard LETKF simplification for strongly stratified flows.  The
+    array is the operator's own, built once with it, and read-only.
     """
-    return np.array(
-        [(obs.j, obs.i) for obs in operator.observations], dtype=np.float64
-    ).reshape(len(operator.observations), 2)
+    return operator.coords
 
 
 def select_observations(

@@ -106,19 +106,23 @@ class TileDecomposition:
     def distances_to(self, jj: np.ndarray, ii: np.ndarray) -> np.ndarray:
         """Distances from points to every tile at once, shape ``(n_tiles, m)``.
 
-        Row ``t`` equals ``tiles[t].distance_to(jj, ii)``; one vectorized
-        evaluation replaces the per-tile Python loop on the analysis hot
-        path (m observations x T tiles is the dominant selection cost).
+        Row ``t`` equals ``tiles[t].distance_to(jj, ii)``, bit for bit.
+        Tiles in one row band share their row offsets and tiles in one
+        column band their column offsets, so the offsets are taken once
+        per band, ``(n_bands, m)``, and only the ``hypot`` runs per tile
+        (m observations x T tiles is the dominant selection cost).
         """
-        jj = np.asarray(jj, dtype=np.float64)[None, :]
-        ii = np.asarray(ii, dtype=np.float64)[None, :]
-        j0 = np.array([[t.j0] for t in self.tiles], dtype=np.float64)
-        j1 = np.array([[t.j1 - 1] for t in self.tiles], dtype=np.float64)
-        i0 = np.array([[t.i0] for t in self.tiles], dtype=np.float64)
-        i1 = np.array([[t.i1 - 1] for t in self.tiles], dtype=np.float64)
-        dj = np.maximum(np.maximum(j0 - jj, jj - j1), 0.0)
-        di = np.maximum(np.maximum(i0 - ii, ii - i1), 0.0)
-        return np.hypot(dj, di)
+        (ny, nx), (tile_ny, tile_nx) = self.grid_shape, self.tile_shape
+        jj = np.asarray(jj, dtype=np.float64)
+        ii = np.asarray(ii, dtype=np.float64)
+        j0 = np.arange(0, ny, tile_ny, dtype=np.float64)[:, None]
+        i0 = np.arange(0, nx, tile_nx, dtype=np.float64)[:, None]
+        j1 = np.minimum(j0 + tile_ny, ny) - 1.0
+        i1 = np.minimum(i0 + tile_nx, nx) - 1.0
+        dj = np.maximum(np.maximum(j0 - jj, jj - j1), 0.0)  # (row bands, m)
+        di = np.maximum(np.maximum(i0 - ii, ii - i1), 0.0)  # (column bands, m)
+        # Tiles are numbered row band by row band (``__init__``).
+        return np.hypot(dj[:, None], di[None]).reshape(self.n_tiles, jj.size)
 
     def cell_tile_map(self) -> np.ndarray:
         """The ``(ny, nx)`` array mapping each grid cell to its tile index."""

@@ -105,8 +105,14 @@ class ObservationOperator:
                 )
             indices[k] = layout.slice_of(obs.field).start + flat
         self._indices = indices
-        self.values = np.array([o.value for o in observations])
-        self.noise_var = np.array([o.noise_std**2 for o in observations])
+        # Generators, not lists: m Python objects would stay in peak memory.
+        m = len(observations)
+        self.values = np.fromiter((o.value for o in observations), float, m)
+        self.noise_var = np.fromiter((o.noise_std**2 for o in observations), float, m)
+        # Read-only (j, i) per observation: what tile selection measures from.
+        rows = ((o.j for o in observations), (o.i for o in observations))
+        self.coords = np.stack([np.fromiter(r, float, m) for r in rows], axis=1)
+        self.coords.flags.writeable = False
 
     @property
     def size(self) -> int:

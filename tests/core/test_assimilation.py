@@ -1,14 +1,23 @@
 """Unit tests for the ESSE analysis update."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from repro.core import assimilation
-from repro.core.assimilation import ESSEAnalysis, TiledESSEAnalysis, subspace_gain
+from repro.core.assimilation import (
+    ESSEAnalysis,
+    TiledESSEAnalysis,
+    run_tiles_serial,
+    subspace_gain,
+)
 from repro.core.localization import AdaptiveInflation, MultiplicativeInflation
 from repro.core.state import FieldLayout, FieldSpec
 from repro.core.subspace import ErrorSubspace
 from repro.obs.operators import Observation, ObservationOperator
+from repro.util import linalg
 
 
 @pytest.fixture()
@@ -461,3 +470,138 @@ def test_refactorize_drops_unresolved_modes():
         rtol=0,
         atol=1e-12 * posterior.variances[0],
     )
+
+
+class TestModeSpacePosterior:
+    """The global locale's posterior is factored from ``B`` of ``M = E B``.
+
+    The reference is the stitched route on the same anomalies,
+    ``_refactorize(E @ B)``: the ``n x p`` matrix formed and factored in
+    state space.  Priors come from each route of
+    :func:`repro.util.linalg.truncated_svd`, so each kind of
+    orthonormality the ``ErrorSubspace`` contract promises is covered.
+    """
+
+    GRID = (10, 12)
+    #: route -> (anomaly columns, spectrum depth, rank cut)
+    PRIORS = {"gram-raw": (8, 0.3, None), "gram-polished": (8, 1 / 400, None),
+              "lapack": (100, 0.3, 8)}
+
+    @pytest.fixture()
+    def gridded(self):
+        return FieldLayout(
+            [FieldSpec("ssh", self.GRID, scale=0.5), FieldSpec("temp", (2, *self.GRID), scale=2.0)]
+        )
+
+    def prior(self, layout, route):
+        """A prior factored by ``route``; asserts the route was taken."""
+        columns, depth, rank = self.PRIORS[route]
+        rng = np.random.default_rng(columns)
+        anomalies = rng.standard_normal((layout.size, columns)) * np.geomspace(1, depth, columns)
+        prior = ErrorSubspace.from_anomalies(anomalies, rank=rank)
+        bound = columns * np.finfo(float).eps * (prior.sigmas[0] / prior.sigmas[-1]) ** 2
+        if route == "lapack":
+            assert layout.size < linalg.TALL_ASPECT * columns
+        else:
+            assert (bound > linalg.GRAM_POLISH) == (route == "gram-polished")
+            assert bound <= linalg.GRAM_TRUST
+        return prior
+
+    def case(self, layout, route):
+        rng = np.random.default_rng(5)
+        ny, nx = self.GRID
+        observations = [
+            Observation(field=field, level=level, j=int(j), i=int(i),
+                        value=float(rng.normal()), noise_std=0.2)
+            for field, level in (("ssh", 0), ("temp", 1))
+            for j, i in zip(rng.integers(0, ny, 15), rng.integers(0, nx, 15))
+        ]
+        mean = rng.normal(0.0, 1.0, layout.size)
+        return mean, self.prior(layout, route), ObservationOperator(layout, observations)
+
+    @staticmethod
+    def global_update(layout, mean, prior, operator):
+        """The global result and the ``p x p`` factor its locale returned."""
+        updates = []
+        engine = ESSEAnalysis(layout)
+        engine.task_runner = lambda tasks: updates.extend(run_tiles_serial(tasks)) or updates
+        result = engine.update(mean, prior, operator)
+        (update,) = updates
+        assert update.anomaly_block.shape == (prior.rank, prior.rank)
+        return result, update.anomaly_block
+
+    @pytest.mark.parametrize("route", sorted(PRIORS))
+    def test_matches_stitched_route_on_same_anomalies(self, gridded, route):
+        mean, prior, operator = self.case(gridded, route)
+        result, factor = self.global_update(gridded, mean, prior, operator)
+        expected = assimilation._refactorize(prior.modes @ factor, prior.n_samples)
+        posterior = result.subspace
+        assert posterior.rank == expected.rank and posterior.n_samples == prior.n_samples
+        assert_allclose(posterior.sigmas, expected.sigmas, rtol=1e-12, atol=0)
+        assert_allclose(posterior.modes, expected.modes, rtol=0, atol=1e-10)
+        gram = posterior.modes.T @ posterior.modes
+        assert np.abs(gram - np.eye(posterior.rank)).max() <= 1e-13
+        assert_matches_dense(gridded, result, mean, prior, operator)
+
+    @pytest.mark.parametrize("route", sorted(PRIORS))
+    def test_mean_equals_one_tile_stitched_route(self, gridded, route):
+        """One tile stitches rows; the global locale does not: same mean bits.
+
+        The tile gathers its rows into C-ordered copies, and BLAS sums a
+        Fortran-ordered operand (the LAPACK route's modes) in another
+        order, so the prior is handed over C-ordered: same values.
+        """
+        mean, prior, operator = self.case(gridded, route)
+        prior = ErrorSubspace(np.ascontiguousarray(prior.modes), prior.sigmas, prior.n_samples)
+        one_tile = TiledESSEAnalysis(gridded, self.GRID, tile_shape=(64, 64))
+        stitched = one_tile.update(mean, prior, operator)
+        result = ESSEAnalysis(gridded).update(mean, prior, operator)
+        np.testing.assert_array_equal(result.mean, stitched.mean)
+        assert_allclose(result.subspace.sigmas, stitched.subspace.sigmas, rtol=1e-12)
+        assert_allclose(result.subspace.modes, stitched.subspace.modes, atol=1e-10)
+
+    def test_failed_global_locale_returns_the_prior(self, gridded):
+        mean, prior, operator = self.case(gridded, "gram-raw")
+        engine = ESSEAnalysis(gridded)
+        engine.task_runner = lambda tasks: [None] * len(tasks)
+        with pytest.warns(assimilation.DegradedEnsembleWarning):
+            result = engine.update(mean, prior, operator)
+        assert result.subspace is prior  # validated: every sigma is positive
+        np.testing.assert_array_equal(result.mean, mean)
+
+
+def test_global_update_forms_no_state_by_rank_intermediate():
+    """Allocation guard: one global update's traced peak on a tall case.
+
+    ``n = m = 20 000``, ``p = 16``; one ``n x p`` float64 array is 2.56 MB.
+    Measured peaks of this update: 11.2 MB (4.38 arrays) when the locale
+    returned its ``n x p`` posterior anomaly rows, which were then stitched
+    into a second array and refactorized through a Gram pass; 6.09 MB
+    (2.38 arrays: the observed modes and the posterior modes, plus
+    ``m``-vectors) with the ``p x p`` factor.  The bound, 3 arrays, fails
+    if any ``n x p`` intermediate is alive next to those two again.
+    """
+    ny, nx, p = 100, 200, 16
+    layout = FieldLayout([FieldSpec("ssh", (ny, nx), scale=0.5)])
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((layout.size, p)))
+    prior = ErrorSubspace(modes=q, sigmas=np.geomspace(1.0, 0.1, p), n_samples=40)
+    values = rng.standard_normal(layout.size)
+    operator = ObservationOperator(
+        layout,
+        [
+            Observation(field="ssh", level=0, j=j, i=i, value=float(values[j * nx + i]), noise_std=0.3)
+            for j in range(ny)
+            for i in range(nx)
+        ],
+    )
+    analysis = ESSEAnalysis(layout)
+    mean = np.zeros(layout.size)
+    tracemalloc.start()
+    try:
+        result = analysis.update(mean, prior, operator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.subspace.rank == p
+    assert peak <= 3 * layout.size * p * 8, f"peak {peak / 1e6:.2f} MB"

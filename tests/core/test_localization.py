@@ -1,10 +1,8 @@
 """Tests for distance tapers, observation selection and inflation models."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from repro.core.localization import (
     AdaptiveInflation,
@@ -16,6 +14,8 @@ from repro.core.localization import (
     observation_coords,
     select_observations,
 )
+from repro.core.state import FieldLayout, FieldSpec
+from repro.obs.operators import Observation, ObservationOperator
 
 
 class TestGaspariCohnTaper:
@@ -71,20 +71,32 @@ class TestMakeTaper:
 
 
 class TestObservationCoords:
-    def test_coords_shape_and_order(self):
-        op = SimpleNamespace(
-            observations=[
-                SimpleNamespace(j=2, i=7),
-                SimpleNamespace(j=0, i=1),
-            ]
+    @pytest.fixture()
+    def operator(self):
+        layout = FieldLayout([FieldSpec("ssh", (4, 9)), FieldSpec("temp", (3, 4, 9))])
+        return ObservationOperator(
+            layout,
+            [
+                Observation(field="temp", level=2, j=2, i=7, value=1.0, noise_std=0.1),
+                Observation(field="ssh", level=0, j=0, i=1, value=0.0, noise_std=0.1),
+            ],
         )
-        coords = observation_coords(op)
-        assert coords.shape == (2, 2)
-        assert_allclose(coords, [[2.0, 7.0], [0.0, 1.0]])
+
+    def test_coords_shape_and_order(self, operator):
+        coords = observation_coords(operator)
+        assert coords.shape == (2, 2) and coords.dtype == np.float64
+        assert_array_equal(coords, [[2.0, 7.0], [0.0, 1.0]])  # level ignored
+
+    def test_coords_are_built_once_and_read_only(self, operator):
+        coords = observation_coords(operator)
+        assert coords is observation_coords(operator)
+        with pytest.raises(ValueError, match="read-only"):
+            coords[0, 0] = 5.0
 
     def test_empty_operator(self):
-        op = SimpleNamespace(observations=[])
-        assert observation_coords(op).shape == (0, 2)
+        """No operator without observations, so no empty coordinate array."""
+        with pytest.raises(ValueError, match="at least one observation"):
+            ObservationOperator(FieldLayout([FieldSpec("ssh", (4, 9))]), [])
 
 
 class TestSelectObservations:

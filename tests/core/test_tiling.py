@@ -60,14 +60,16 @@ class TestTileDecomposition:
         assert_array_equal(counts, [t.n_cells for t in decomp.tiles])
 
     def test_distances_to_matches_per_tile(self):
-        decomp = TileDecomposition((9, 7), (4, 3))
+        """Bit-identical to each tile's own, on grids (4, 3) does and does not divide."""
         rng = np.random.default_rng(0)
-        jj = rng.uniform(-2, 11, 40)
-        ii = rng.uniform(-2, 9, 40)
-        stacked = decomp.distances_to(jj, ii)
-        assert stacked.shape == (decomp.n_tiles, 40)
-        for tile in decomp.tiles:
-            assert_allclose(stacked[tile.index], tile.distance_to(jj, ii))
+        for grid in [(8, 6), (9, 7), (11, 5)]:
+            decomp = TileDecomposition(grid, (4, 3))
+            jj = np.concatenate([rng.uniform(-2, grid[0] + 2, 40), rng.integers(0, grid[0], 40)])
+            ii = np.concatenate([rng.uniform(-2, grid[1] + 2, 40), rng.integers(0, grid[1], 40)])
+            stacked = decomp.distances_to(jj, ii)
+            assert stacked.shape == (decomp.n_tiles, 80)
+            for tile in decomp.tiles:
+                assert_array_equal(stacked[tile.index], tile.distance_to(jj, ii))
 
     def test_single_tile_owns_everything(self):
         decomp = TileDecomposition((6, 4), (100, 100))

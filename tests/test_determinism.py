@@ -308,12 +308,13 @@ class TestReplayMatrix:
 class TestCycleReplayAcrossSvdRoutes:
     """A cycle is a function of its covariances, not of the solver.
 
-    Every SVD of the run -- the synthetic initial subspace, each
-    forecast-stage checkpoint, each posterior refactorization -- goes through
+    Every state-sized SVD of the run -- the synthetic initial subspace and
+    each forecast-stage checkpoint -- goes through
     :func:`repro.util.linalg.truncated_svd`, which factors tall input in
     ensemble space.  There is no runtime switch; with the kernel's aspect
     constant patched out of reach the same run takes the LAPACK driver
-    everywhere.  Both routes sign-orient their modes, so the two runs agree
+    everywhere.  The global posterior factors only its ``p x p`` factor,
+    by LAPACK on either run.  Both routes sign-orient their modes, so the two runs agree
     period by period *including mode signs* -- which the fixed coefficients
     :class:`PerturbationGenerator` multiplies into the modes require.
     """
@@ -329,10 +330,10 @@ class TestCycleReplayAcrossSvdRoutes:
 
     @pytest.fixture(scope="class")
     def routes(self, tmp_path_factory):
-        from repro.core import subspace as estimators
+        from repro.core import assimilation, subspace as estimators
         from repro.util import linalg
 
-        calls = {"gram": 0, "lapack": 0}
+        calls = {"gram": 0, "lapack": 0, "factor": 0}
         gram_svd, lapack_svd = linalg.gram_svd, linalg.lapack_svd
 
         def counted(name, fn):
@@ -345,20 +346,21 @@ class TestCycleReplayAcrossSvdRoutes:
 
         runs = {}
         for route, aspect in (("gram", linalg.TALL_ASPECT), ("lapack", np.inf)):
-            calls.update(gram=0, lapack=0)
+            calls.update(gram=0, lapack=0, factor=0)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(linalg, "TALL_ASPECT", aspect)
                 for module in (linalg, estimators):  # the kernel's two callers
                     patch.setattr(module, "gram_svd", counted("gram", gram_svd))
                     patch.setattr(module, "lapack_svd", counted("lapack", lapack_svd))
+                patch.setattr(assimilation, "lapack_svd", counted("factor", lapack_svd))
                 runs[route] = self.build_and_run(tmp_path_factory.mktemp(route))
             runs[route] += (dict(calls),)
         return runs
 
     def test_each_run_took_its_route(self, routes):
-        # initial subspace + 2 periods x (2 stage checkpoints + 1 posterior)
-        assert routes["gram"][-1] == {"gram": 7, "lapack": 0}
-        assert routes["lapack"][-1] == {"gram": 0, "lapack": 7}
+        # initial subspace + 2 periods x 2 stage checkpoints; 2 posteriors
+        assert routes["gram"][-1] == {"gram": 5, "lapack": 0, "factor": 2}
+        assert routes["lapack"][-1] == {"gram": 0, "lapack": 5, "factor": 2}
 
     def close(self, got, expected):
         np.testing.assert_allclose(
