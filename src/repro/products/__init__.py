@@ -38,7 +38,7 @@ from repro.products.store import (
     ProductStore,
     ProductStoreError,
 )
-from repro.products.tiles import TiledField, TileSummary, downsample, tile_summaries
+from repro.products.tiles import TiledField, TileSummary, downsample, tile_statistics
 
 __all__ = [
     "LRUCache",
@@ -57,5 +57,5 @@ __all__ = [
     "TiledField",
     "TileSummary",
     "downsample",
-    "tile_summaries",
+    "tile_statistics",
 ]

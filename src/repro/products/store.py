@@ -9,16 +9,19 @@ pointer, so commit ordering, restart recovery and the bounded
 :class:`ProductReadError`) are the pointer's.  Written here, the payload:
 
 - Each published version lives in its own **immutable directory**
-  ``v<k>`` (payload arrays, product bulletin, manifest with checksums).
-  The directory is staged under a dot-prefixed temp name and atomically
-  renamed into place, so a version directory either exists completely
-  or not at all; only then is HEAD, which names the version, its
-  directory and its manifest checksum, committed.  A reader sees either
+  ``v<k>`` (payload arrays, product bulletin, manifest with checksums
+  and the tile statistics as columns).  The payload is built in memory
+  and hashed from the bytes written, never read back.  The directory is
+  staged under a dot-prefixed temp name, its files and then the
+  directory itself fsynced, and atomically renamed into place, so a
+  version directory either exists completely or not at all; only then
+  is HEAD, which names the version, its directory and its manifest
+  checksum, committed.  A reader sees either
   version ``k`` or ``k+1``, never a mixture, and never blocks on the
   writer.
-- Readers verify every payload file against the manifest and the
-  manifest against HEAD; a mismatch -- torn copy, NFS lag -- is one more
-  unreadable read.
+- Readers read each payload file once, verify those bytes against the
+  manifest (and the manifest against HEAD) and parse the same bytes; a
+  mismatch -- torn copy, NFS lag -- is one more unreadable read.
 - A retain window drops version directories HEAD has moved past.
 
 Single-writer, many-reader: nothing serializes concurrent writers -- the
@@ -42,9 +45,6 @@ from repro.products.tiles import TiledField
 from repro.realtime.products import ForecastProduct
 from repro.util import fsio
 
-#: Payload files every version directory carries next to its manifest.
-PAYLOAD_FILES = ("fields.npz", "product.json")
-
 
 class ProductStoreError(RuntimeError):
     """The writer side failed in a way the caller must see."""
@@ -65,15 +65,6 @@ class ProductNotFound(LookupError):
 def _dirname(version: int) -> str:
     """Canonical directory name of one published version."""
     return f"v{version:08d}"
-
-
-def _file_sha256(path: Path) -> str:
-    """Hex SHA-256 of one file's bytes."""
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -187,14 +178,14 @@ class ProductStore:
             arrays.update(field.arrays())
         buffer = io.BytesIO()
         np.savez(buffer, **arrays)
-        (stage_dir / "fields.npz").write_bytes(buffer.getvalue())
-        (stage_dir / "product.json").write_text(
-            json.dumps(product.to_dict(), sort_keys=True)
-        )
-
-        payload_sums = {
-            name: _file_sha256(stage_dir / name) for name in PAYLOAD_FILES
+        payload = {
+            "fields.npz": buffer.getbuffer(),
+            "product.json": json.dumps(product.to_dict(), sort_keys=True).encode(),
         }
+        payload_sums = {}
+        for name, data in payload.items():  # hash the bytes written, no re-read
+            (stage_dir / name).write_bytes(data)
+            payload_sums[name] = hashlib.sha256(data).hexdigest()
         checksum = hashlib.sha256(
             "".join(f"{k}:{payload_sums[k]};" for k in sorted(payload_sums)).encode()
         ).hexdigest()
@@ -208,16 +199,13 @@ class ProductStore:
         (stage_dir / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True)
         )
-        self._fsync_dir_tree(stage_dir)
+        for path in stage_dir.iterdir():
+            fsio.fsync_path(path)
+        fsio.fsync_dir(stage_dir)  # the names inside v<k>/ are durable too
         os.replace(stage_dir, final_dir)
         self._head.commit(dir=_dirname(version), checksum=checksum)
         self._retire_old_versions()
         return version
-
-    def _fsync_dir_tree(self, directory: Path) -> None:
-        """Flush a staged version directory's files to stable storage."""
-        for path in directory.iterdir():
-            fsio.fsync_path(path)
 
     def _retire_old_versions(self) -> None:
         """Drop version directories older than the retain window."""
@@ -342,17 +330,17 @@ class ProductReader(fsio.PointerReader):
                 f"manifest checksum {manifest['checksum'][:12]}... does not "
                 f"match HEAD {expected_checksum[:12]}..."
             )
+        payload = {}
         for name, expected in manifest["payload"].items():
-            actual = _file_sha256(vdir / name)
+            payload[name] = data = (vdir / name).read_bytes()  # parsed below
+            actual = hashlib.sha256(data).hexdigest()
             if actual != expected:
                 raise ValueError(
                     f"payload {name} checksum mismatch "
                     f"({actual[:12]}... != {expected[:12]}...)"
                 )
-        product = ForecastProduct.from_dict(
-            json.loads((vdir / "product.json").read_text())
-        )
-        with np.load(vdir / "fields.npz") as data:
+        product = ForecastProduct.from_dict(json.loads(payload["product.json"]))
+        with np.load(io.BytesIO(payload["fields.npz"])) as data:
             arrays = {key: np.asarray(data[key]) for key in data.files}
         fields = {
             name: TiledField.from_payload(meta, arrays)

@@ -5,16 +5,20 @@ uncertainty maps and nowcast fields to many readers; a naive server
 would re-scan every grid cell per request.  This module precomputes the
 two structures that make the read path cheap:
 
-- **Tiles**: the field is cut into fixed-size square tiles, each
-  carrying a :class:`TileSummary` (min/max/mean/std over wet cells).  A
-  whole-domain overview statistic is then an ``O(tiles)`` fold over the
-  summaries -- never an ``O(cells)`` scan (:meth:`TiledField.domain_summary`).
+- **Tiles**: the field is cut into fixed-size square tiles whose
+  wet-cell statistics (count/min/max/mean/std) are kept as five
+  ``(n_tj, n_ti)`` arrays (:func:`tile_statistics`).  A whole-domain
+  overview statistic is then an ``O(tiles)`` fold over those arrays --
+  never an ``O(cells)`` scan (:meth:`TiledField.domain_summary`); a
+  :class:`TileSummary` record is built only for the one tile a tile
+  response renders.
 - **Levels of detail**: 2-3 factor-of-two mean-pooled downsamples, so a
   "whole-domain overview" image read returns ``cells / 4^L`` values.
 
-Land/masked cells are stored as NaN and excluded from every summary --
+Land/masked cells are stored as NaN and excluded from every statistic --
 the per-tile ``count`` says how many wet cells contributed, and all-land
-tiles summarise as NaN with ``count == 0``.
+tiles summarise as NaN with ``count == 0``.  The manifest stores the
+five arrays as row-major columns, NaN as ``null``.
 
 The layout mirrors what downstream *localized* assimilation wants: the
 LETKF line of work (Ott et al., PAPERS.md) performs per-tile local
@@ -62,23 +66,6 @@ class TileSummary:
             "std": enc(self.std),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TileSummary":
-        """Inverse of :meth:`to_dict`."""
-
-        def dec(x):
-            return float("nan") if x is None else float(x)
-
-        return cls(
-            tj=int(data["tj"]),
-            ti=int(data["ti"]),
-            count=int(data["count"]),
-            min=dec(data["min"]),
-            max=dec(data["max"]),
-            mean=dec(data["mean"]),
-            std=dec(data["std"]),
-        )
-
 
 def _pad_to_multiple(array: np.ndarray, block: int) -> np.ndarray:
     """Pad a 2-D array with NaN so both dims are multiples of ``block``."""
@@ -90,71 +77,78 @@ def _pad_to_multiple(array: np.ndarray, block: int) -> np.ndarray:
     return np.pad(array, ((0, py), (0, px)), constant_values=np.nan)
 
 
-def _blocked(array: np.ndarray, block: int) -> np.ndarray:
-    """Reshape a padded 2-D array into ``(tj, ti, block*block)`` blocks."""
-    padded = _pad_to_multiple(np.asarray(array, dtype=np.float64), block)
-    ny, nx = padded.shape
-    return (
-        padded.reshape(ny // block, block, nx // block, block)
-        .transpose(0, 2, 1, 3)
-        .reshape(ny // block, nx // block, block * block)
-    )
-
-
 def downsample(array: np.ndarray, factor: int = 2) -> np.ndarray:
     """NaN-aware mean pooling by ``factor`` in both dimensions.
 
     Cells with no wet contributors pool to NaN (preserving the land
-    mask's shape at every level instead of bleeding zeros into it).
+    mask's shape at every level instead of bleeding zeros into it).  A
+    block's wet values are summed from 0.0 in row-major order over strided
+    views -- the order ``np.sum`` takes over the four cells of a
+    factor-two block, so every level is the same bits as that reduction.
     """
     if factor < 2:
         raise ValueError(f"downsample factor must be >= 2, got {factor}")
-    blocks = _blocked(array, factor)  # shape: (tj, ti, ?) # dtype: float64
-    counts = np.sum(~np.isnan(blocks), axis=2)  # shape: (tj, ti)
-    sums = np.nansum(blocks, axis=2)  # shape: (tj, ti) # dtype: float64
-    out = np.full(counts.shape, np.nan)  # shape: (tj, ti)
-    wet = counts > 0
-    out[wet] = sums[wet] / counts[wet]
+    padded = _pad_to_multiple(np.asarray(array, dtype=np.float64), factor)
+    land = np.isnan(padded)
+    values = np.where(land, 0.0, padded)  # shape: (ny, nx) # dtype: float64
+    wet = ~land
+    shape = (padded.shape[0] // factor, padded.shape[1] // factor)
+    sums = np.zeros(shape)  # shape: (tj, ti) # dtype: float64
+    counts = np.zeros(shape, dtype=np.intp)  # shape: (tj, ti)
+    for dy in range(factor):
+        for dx in range(factor):
+            sums += values[dy::factor, dx::factor]
+            counts += wet[dy::factor, dx::factor]
+    out = np.full(shape, np.nan)  # shape: (tj, ti)
+    pooled = counts > 0
+    out[pooled] = sums[pooled] / counts[pooled]
     return out
 
 
-def tile_summaries(array: np.ndarray, tile_size: int) -> list[TileSummary]:
-    """Per-tile wet-cell statistics of a 2-D field (vectorized, one pass)."""
+#: The per-tile statistics, in the order the manifest stores their columns.
+STATISTICS = ("count", "min", "max", "mean", "std")
+
+
+def tile_statistics(array: np.ndarray, tile_size: int) -> dict[str, np.ndarray]:
+    """Per-tile wet-cell statistics of a 2-D field as ``(n_tj, n_ti)`` arrays.
+
+    Keys are :data:`STATISTICS`; all-land tiles have ``count == 0`` and
+    NaN elsewhere.  NaN is marked once; one working copy of the blocks is
+    filled with +inf, -inf, then 0 for the min, max and moment reductions.
+    """
     if tile_size < 1:
         raise ValueError(f"tile_size must be >= 1, got {tile_size}")
-    blocks = _blocked(array, tile_size)  # shape: (tj, ti, ?) # dtype: float64
-    counts = np.sum(~np.isnan(blocks), axis=2)  # shape: (tj, ti)
+    padded = _pad_to_multiple(np.asarray(array, dtype=np.float64), tile_size)
+    n_tj, n_ti = padded.shape[0] // tile_size, padded.shape[1] // tile_size
+    blocks = (  # shape: (tj, ti, ?) # dtype: float64
+        padded.reshape(n_tj, tile_size, n_ti, tile_size)
+        .transpose(0, 2, 1, 3)
+        .reshape(n_tj, n_ti, tile_size * tile_size)
+    )
+    land = np.isnan(blocks)
+    counts = blocks.shape[2] - np.count_nonzero(land, axis=2)  # shape: (tj, ti)
     wet = counts > 0
-    with np.errstate(invalid="ignore"):
-        mins = np.where(wet, np.nanmin(np.where(np.isnan(blocks), np.inf, blocks), axis=2), np.nan)
-        maxs = np.where(wet, np.nanmax(np.where(np.isnan(blocks), -np.inf, blocks), axis=2), np.nan)
-        sums = np.nansum(blocks, axis=2)  # shape: (tj, ti) # dtype: float64
-        means = np.where(wet, sums / np.maximum(counts, 1), np.nan)
-        sq = np.nansum(blocks**2, axis=2)  # shape: (tj, ti) # dtype: float64
-        variances = np.where(
-            wet, np.maximum(sq / np.maximum(counts, 1) - means**2, 0.0), np.nan
-        )
-    stds = np.sqrt(variances)
-    summaries = []
-    n_tj, n_ti = counts.shape
-    for tj in range(n_tj):
-        for ti in range(n_ti):
-            summaries.append(
-                TileSummary(
-                    tj=tj,
-                    ti=ti,
-                    count=int(counts[tj, ti]),
-                    min=float(mins[tj, ti]),
-                    max=float(maxs[tj, ti]),
-                    mean=float(means[tj, ti]),
-                    std=float(stds[tj, ti]),
-                )
-            )
-    return summaries
+    work = np.where(land, np.inf, blocks)  # shape: (tj, ti, ?) # dtype: float64
+    mins = work.min(axis=2)  # shape: (tj, ti) # dtype: float64
+    np.copyto(work, -np.inf, where=land)
+    maxs = work.max(axis=2)  # shape: (tj, ti) # dtype: float64
+    np.copyto(work, 0.0, where=land)
+    sums = work.sum(axis=2)  # shape: (tj, ti) # dtype: float64
+    sq = (work * work).sum(axis=2)  # shape: (tj, ti) # dtype: float64
+    n = np.maximum(counts, 1)  # shape: (tj, ti)
+    means = np.where(wet, sums / n, np.nan)  # shape: (tj, ti) # dtype: float64
+    variances = np.where(wet, np.maximum(sq / n - means**2, 0.0), np.nan)
+    return {
+        "count": counts,
+        "min": np.where(wet, mins, np.nan),
+        "max": np.where(wet, maxs, np.nan),
+        "mean": means,
+        "std": np.sqrt(variances),
+    }
 
 
 class TiledField:
-    """One named 2-D product field with tiles, summaries and LOD levels.
+    """One named 2-D product field with tile statistics and LOD levels.
 
     Parameters
     ----------
@@ -168,7 +162,8 @@ class TiledField:
         Number of factor-of-two downsampled overview levels (>= 1).
 
     ``levels[0]`` is the full-resolution array itself; ``level L`` has
-    been mean-pooled ``L`` times.
+    been mean-pooled ``L`` times.  ``statistics`` holds the
+    :func:`tile_statistics` arrays of the full resolution.
     """
 
     def __init__(
@@ -190,7 +185,7 @@ class TiledField:
         self._levels: list[np.ndarray] = [data]
         for _ in range(levels):
             self._levels.append(downsample(self._levels[-1], 2))
-        self.summaries = tuple(tile_summaries(data, tile_size))
+        self.statistics = tile_statistics(data, tile_size)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -217,45 +212,52 @@ class TiledField:
             )
         return self._levels[lod]
 
-    def tile(self, tj: int, ti: int) -> np.ndarray:
-        """One full-resolution tile (edge tiles may be smaller)."""
+    def _check_tile(self, tj: int, ti: int) -> None:
+        """KeyError unless ``(tj, ti)`` is on the tile grid."""
         n_tj, n_ti = self.tile_grid
         if not (0 <= tj < n_tj and 0 <= ti < n_ti):
             raise KeyError(
                 f"tile ({tj}, {ti}) outside tile grid {self.tile_grid} "
                 f"of field {self.name!r}"
             )
+
+    def tile(self, tj: int, ti: int) -> np.ndarray:
+        """One full-resolution tile (edge tiles may be smaller)."""
+        self._check_tile(tj, ti)
         ts = self.tile_size
         return self._levels[0][tj * ts : (tj + 1) * ts, ti * ts : (ti + 1) * ts]
 
     def summary(self, tj: int, ti: int) -> TileSummary:
-        """The precomputed summary of one tile."""
-        n_tj, n_ti = self.tile_grid
-        if not (0 <= tj < n_tj and 0 <= ti < n_ti):
-            raise KeyError(
-                f"tile ({tj}, {ti}) outside tile grid {self.tile_grid} "
-                f"of field {self.name!r}"
-            )
-        return self.summaries[tj * n_ti + ti]
+        """The precomputed statistics of one tile, as a record."""
+        self._check_tile(tj, ti)
+        stats = self.statistics
+        return TileSummary(
+            tj, ti, int(stats["count"][tj, ti]),
+            *(float(stats[key][tj, ti]) for key in STATISTICS[1:]),
+        )
 
     def domain_summary(self) -> dict:
-        """Whole-domain min/max/mean/std folded from the tile summaries.
+        """Whole-domain min/max/mean/std folded from the tile statistics.
 
         ``O(tiles)`` instead of ``O(cells)``: means combine count-weighted,
         variances via the pooled second moment.  This is the overview
         statistic the service serves without touching the field arrays.
+        The fold is Python ``sum`` over the wet tiles in row-major order.
         """
-        wet = [s for s in self.summaries if s.count > 0]
-        if not wet:
+        wet = self.statistics["count"] > 0
+        if not wet.any():
             return {"count": 0, "min": None, "max": None, "mean": None, "std": None}
-        total = sum(s.count for s in wet)
-        mean = sum(s.count * s.mean for s in wet) / total
-        second = sum(s.count * (s.std**2 + s.mean**2) for s in wet) / total
+        counts, mins, maxs, means, stds = (
+            self.statistics[key][wet].tolist() for key in STATISTICS
+        )
+        total = sum(counts)
+        mean = sum(c * m for c, m in zip(counts, means)) / total
+        second = sum(c * (s**2 + m**2) for c, m, s in zip(counts, means, stds)) / total
         var = max(second - mean**2, 0.0)
         return {
             "count": total,
-            "min": float(min(s.min for s in wet)),
-            "max": float(max(s.max for s in wet)),
+            "min": float(min(mins)),
+            "max": float(max(maxs)),
             "mean": float(mean),
             "std": float(np.sqrt(var)),
         }
@@ -270,7 +272,10 @@ class TiledField:
             "tile_size": self.tile_size,
             "tile_grid": list(self.tile_grid),
             "n_levels": self.n_levels,
-            "summaries": [s.to_dict() for s in self.summaries],
+            "summaries": {
+                key: [None if v != v else v for v in self.statistics[key].ravel().tolist()]
+                for key in STATISTICS
+            },
             "domain": self.domain_summary(),
         }
 
@@ -285,10 +290,9 @@ class TiledField:
     def from_payload(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "TiledField":
         """Rebuild a field from a manifest entry plus its stored arrays.
 
-        The full-resolution array is re-tiled (cheap at read time only
-        once per version -- the service caches the result); downsampled
-        levels are taken from the payload rather than recomputed so the
-        bytes served match the bytes published exactly.
+        Levels come from the payload and tile statistics from the
+        manifest's columns (``null`` back to NaN) rather than being
+        recomputed, so what is served matches what was published exactly.
         """
         name = meta["name"]
         n_levels = int(meta["n_levels"])
@@ -300,7 +304,11 @@ class TiledField:
         field.name = name
         field.tile_size = int(meta["tile_size"])
         field._levels = [np.asarray(arrays[k], dtype=np.float64) for k in keys]
-        field.summaries = tuple(
-            TileSummary.from_dict(s) for s in meta["summaries"]
-        )
+        grid = tuple(meta["tile_grid"])
+        columns = meta["summaries"]
+        field.statistics = {
+            key: np.array(columns[key], dtype=np.int64 if key == "count" else np.float64)
+            .reshape(grid)
+            for key in STATISTICS
+        }
         return field

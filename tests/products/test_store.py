@@ -1,10 +1,17 @@
 """Product store publish/fetch protocol: versioning, checksums, recovery."""
 
+import builtins
+import hashlib
+import io
 import json
+import os
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.util.fsio as fsio
 from repro.products.store import (
     ProductNotFound,
     ProductPending,
@@ -14,6 +21,9 @@ from repro.products.store import (
     ProductStoreError,
 )
 from tests.products.conftest import make_field, make_product
+
+#: The files the HEAD checksum covers, next to each version's manifest.
+PAYLOAD_FILES = ("fields.npz", "product.json")
 
 
 @pytest.fixture()
@@ -56,6 +66,37 @@ class TestPublish:
         (stale / "junk").write_text("leftover from a crashed publish")
         assert publish_one(store) == 1
         assert not stale.exists()
+
+    def test_staged_directory_is_fsynced_before_its_rename(self, store, monkeypatch):
+        # fsync(2): the names inside v<k>/ are durable only once the
+        # directory itself is fsynced, and HEAD must not name them before
+        events = []
+        real_path, real_dir, real_replace = fsio.fsync_path, fsio.fsync_dir, os.replace
+
+        def fsync_path(path):
+            events.append(("fsync", Path(path)))
+            real_path(path)
+
+        def fsync_dir(path):
+            events.append(("fsync_dir", Path(path)))
+            real_dir(path)
+
+        def replace(src, dst):
+            events.append(("replace", Path(src), Path(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(fsio, "fsync_path", fsync_path)
+        monkeypatch.setattr(fsio, "fsync_dir", fsync_dir)
+        monkeypatch.setattr(os, "replace", replace)
+        publish_one(store)
+        stage = store.workdir / ".stage-v00000001"
+        rename = events.index(("replace", stage, store.workdir / "v00000001"))
+        dir_sync = events.index(("fsync_dir", stage))
+        assert dir_sync < rename
+        for name in PAYLOAD_FILES + ("manifest.json",):
+            assert events.index(("fsync", stage / name)) < dir_sync
+        head = [i for i, e in enumerate(events) if e[0] == "replace" and e[2] == store.head_path]
+        assert head and head[0] > rename
 
     def test_retain_window_retires_old_versions(self, tmp_path):
         store = ProductStore(tmp_path / "s", retain=2)
@@ -121,6 +162,46 @@ class TestFetch:
         publish_one(store)
         reader = ProductReader(store.workdir)
         assert reader.fetch().checksum == reader.read_head()["checksum"]
+
+
+class TestOnePassIO:
+    def test_manifest_sums_are_the_files_on_disk(self, store):
+        publish_one(store)
+        publish_one(store, 1, seed=1)
+        for vdir in sorted(store.workdir.glob("v*")):
+            manifest = json.loads((vdir / "manifest.json").read_text())
+            assert sorted(manifest["payload"]) == sorted(PAYLOAD_FILES)
+            for name, digest in manifest["payload"].items():
+                assert digest == hashlib.sha256((vdir / name).read_bytes()).hexdigest()
+
+    def test_fetch_opens_each_payload_file_once(self, store, monkeypatch):
+        publish_one(store)
+        opened = Counter()
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened[Path(file).name] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        snapshot = ProductReader(store.workdir).fetch()
+        monkeypatch.undo()
+        assert snapshot is not None and snapshot.version == 1
+        assert {name: opened[name] for name in PAYLOAD_FILES} == dict.fromkeys(
+            PAYLOAD_FILES, 1
+        )
+
+    def test_head_checksum_is_pinned(self, store):
+        # Digest of the same fields and product as published by the
+        # per-tile implementation: the payload bytes (np.savez output and
+        # the product JSON) and thus every ETag must not move.
+        publish_one(store)
+        head = json.loads(store.head_path.read_text())
+        assert head["checksum"] == (
+            "df05d878b3d8542efbb4f4d224bd684bc01165678c6d37ad270d20d8bfb0aa7f"
+        )
 
 
 class TestUnreadableStates:

@@ -4,7 +4,9 @@ The primitive (``repro.util.fsio``) publishes in five steps: write the
 staged file, fsync the payload the pointer vouches for, fsync the staged
 file, replace, fsync the directory.  Each step is made to raise for each
 client of the primitive -- the covariance column store, the product
-store and the status directory.  After the kill a *fresh* reader must see
+store and the status directory; the product store adds one step of its
+own before the primitive runs, the fsync of its staged version directory
+(``stage_dir_fsync``).  After the kill a *fresh* reader must see
 version ``k`` or ``k + 1`` in full (never a mixture, never an exception)
 and a *fresh* writer on the same directory must recover and publish the
 next version up.
@@ -48,6 +50,11 @@ def is_staged(path):
     return Path(path).suffix == fsio.staging_path("x").suffix
 
 
+def is_stage_dir(path):
+    """Whether ``path`` is a product version directory still being staged."""
+    return Path(path).name.startswith(".stage-")
+
+
 def kill_at(step, monkeypatch):
     """Make one step of the primitive raise :class:`Killed` from now on."""
 
@@ -71,7 +78,13 @@ def kill_at(step, monkeypatch):
         # its staged *directory* is not a step of the primitive
         monkeypatch.setattr(fsio.os, "replace", die_if(is_staged, fsio.os.replace))
     elif step == "dir_fsync":
-        monkeypatch.setattr(fsio, "fsync_dir", die)
+        # the pointer's directory, after its replace: not a staged directory
+        real = fsio.fsync_dir
+        monkeypatch.setattr(
+            fsio, "fsync_dir", die_if(lambda p: not is_stage_dir(p), real)
+        )
+    elif step == "stage_dir_fsync":
+        monkeypatch.setattr(fsio, "fsync_dir", die_if(is_stage_dir, fsio.fsync_dir))
     else:
         raise AssertionError(step)
 
@@ -106,7 +119,7 @@ class ColumnStoreClient:
 class ProductStoreClient:
     """Version ``v`` carries cycle ``v`` and a field filled with ``v``."""
 
-    steps = ColumnStoreClient.steps
+    steps = ColumnStoreClient.steps + ("stage_dir_fsync",)
 
     def __init__(self, root):
         self.root = root
