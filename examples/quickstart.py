@@ -1,4 +1,4 @@
-"""Quickstart: one ESSE forecast/assimilation cycle in ~30 seconds.
+"""Quickstart: one ESSE forecast/assimilation cycle in a few seconds.
 
 Runs the full Fig 2 pipeline on a coarse synthetic Monterey Bay domain:
 
@@ -58,6 +58,7 @@ def main() -> None:
         root_seed=42,
     )
     forecast = driver.forecast(background, subspace, duration=duration)
+    assert forecast.failure_count == len(forecast.failed_members)
     print(
         f"ensemble: N={forecast.ensemble_size}, converged={forecast.converged}, "
         f"failures={forecast.failure_count}"
@@ -68,7 +69,9 @@ def main() -> None:
     # 4. assimilate one observation batch -----------------------------------
     network = aosn2_network(grid, layout, rng=np.random.default_rng(7))
     batch = network.observe(truth)
-    print(f"observations: {batch.size} ({batch.operator.by_instrument()})")
+    by_instrument = batch.operator.by_instrument()
+    assert sum(by_instrument.values()) == batch.size, by_instrument
+    print(f"observations: {batch.size} ({by_instrument})")
     analysis = driver.assimilate(forecast, batch.operator)
 
     # 5. report ---------------------------------------------------------------
@@ -79,6 +82,9 @@ def main() -> None:
           f"{analysis.analysis_rms:.4f}")
     print(f"true state error {e_fc:.2f} -> {e_an:.2f} "
           f"({100 * (1 - e_an / e_fc):.0f}% reduction)")
+    # the headline: assimilating the observations moves the state toward
+    # the truth
+    assert e_an < e_fc, (e_fc, e_an)
     var = forecast.subspace.variance_field() * np.asarray(layout.scales) ** 2
     sst_sigma = np.sqrt(layout.view(var, "temp")[0])
     print(f"forecast SST uncertainty: {sst_sigma[grid.mask].min():.3f} - "

@@ -10,7 +10,8 @@ pair into one joint vector, non-dimensionalize each block by its ensemble
 spread, and take the thin SVD of the anomaly matrix -- the dominant left
 singular vectors are the coupled uncertainty modes, and the implied
 cross-covariance block quantifies how hydrographic errors map into TL
-errors.
+errors.  The coupled assimilation the paper goes on to name is not
+implemented: nothing in the cycle observes transmission loss.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.acoustics.tl import TLField
-from repro.core.assimilation import subspace_gain
 from repro.util.linalg import truncated_svd
 
 
@@ -76,85 +76,6 @@ class CoupledCovariance:
         acoustic = np.sum(self.acoustic_block() ** 2, axis=0)
         total = np.sum(self.modes**2, axis=0)
         return acoustic / total
-
-    def assimilate(
-        self,
-        mean_temp: np.ndarray,
-        mean_tl: np.ndarray,
-        observed_indices: np.ndarray,
-        observed_values: np.ndarray,
-        noise_std: float,
-        block: str = "tl",
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Coupled physical-acoustical analysis (paper Sec 2.2).
-
-        Assimilates scalar observations of one block (TL by default --
-        e.g. measured transmission loss at receivers -- or temperature)
-        and updates *both* fields through the coupled modes: TL data
-        corrects the hydrography and vice versa.
-
-        Parameters
-        ----------
-        mean_temp, mean_tl:
-            Prior mean fields (any shapes; flattened to the covariance's
-            block sizes).
-        observed_indices:
-            Flat indices into the observed block.
-        observed_values:
-            Measured values (physical units of that block).
-        noise_std:
-            Measurement noise std-dev (> 0).
-        block:
-            ``"tl"`` or ``"temp"``.
-
-        Returns
-        -------
-        (analysis_temp, analysis_tl) with the input shapes.
-        """
-        if noise_std <= 0:
-            raise ValueError("noise_std must be positive")
-        if block not in ("tl", "temp"):
-            raise ValueError(f"block must be 'tl' or 'temp', got {block!r}")
-        t_shape, a_shape = mean_temp.shape, mean_tl.shape
-        t_flat = np.asarray(mean_temp, dtype=float).ravel()
-        a_flat = np.asarray(mean_tl, dtype=float).ravel()
-        n_t = self.n_physical
-        n_a = self.modes.shape[0] - n_t
-        if t_flat.size != n_t or a_flat.size != n_a:
-            raise ValueError(
-                f"mean field sizes ({t_flat.size}, {a_flat.size}) do not match "
-                f"covariance blocks ({n_t}, {n_a})"
-            )
-        idx = np.asarray(observed_indices, dtype=np.intp)
-        values = np.asarray(observed_values, dtype=float)
-        if idx.shape != values.shape or idx.ndim != 1 or idx.size == 0:
-            raise ValueError("indices and values must be matching 1-D arrays")
-
-        if block == "tl":
-            if np.any(idx >= n_a):
-                raise ValueError("TL observation index out of range")
-            joint_rows = n_t + idx
-            scale = self.tl_scale
-            prior_at_obs = a_flat[idx]
-        else:
-            if np.any(idx >= n_t):
-                raise ValueError("temperature observation index out of range")
-            joint_rows = idx
-            scale = self.temp_scale
-            prior_at_obs = t_flat[idx]
-
-        # Kalman update in mode space (normalized joint coordinates)
-        innov = (values - prior_at_obs) / scale  # normalized innovation
-        coeffs, _ = subspace_gain(
-            self.modes[joint_rows, :],  # H U, (m, p)
-            self.variances,
-            np.full(idx.size, (noise_std / scale) ** 2),
-            innov,
-        )
-        increment = self.modes @ coeffs  # normalized joint increment
-        t_new = t_flat + increment[:n_t] * self.temp_scale
-        a_new = a_flat + increment[n_t:] * self.tl_scale
-        return t_new.reshape(t_shape), a_new.reshape(a_shape)
 
 
 def coupled_uncertainty_modes(

@@ -52,16 +52,6 @@ class TLField:
                 f"tl shape {self.tl.shape} != ({self.depths.size}, {self.ranges.size})"
             )
 
-    def at(self, r: float, z: float) -> float:
-        """TL at one (range, depth) by nearest-node lookup."""
-        i = int(np.argmin(np.abs(self.ranges - r)))
-        k = int(np.argmin(np.abs(self.depths - z)))
-        return float(self.tl[k, i])
-
-    def as_vector(self) -> np.ndarray:
-        """Flattened TL field (used by the coupled covariance)."""
-        return self.tl.ravel()
-
 
 _TL_FLOOR_DB = 160.0  # cap for shadow zones / mode-free columns
 
@@ -165,38 +155,5 @@ def transmission_loss(
         depths=section.depths.copy(),
         tl=tl,
         frequency=frequency,
-        source_depth=source_depth,
-    )
-
-
-def broadband_transmission_loss(
-    section: AcousticSection,
-    frequencies: list[float] | np.ndarray,
-    source_depth: float = 30.0,
-    max_modes: int | None = 40,
-) -> TLField:
-    """Incoherent broadband TL: intensity-average over frequencies.
-
-    The paper computes "a broadband transmission loss field" per ocean
-    realization; incoherent averaging in intensity is the standard
-    broadband reduction.
-    """
-    freqs = np.asarray(frequencies, dtype=float)
-    if freqs.size == 0:
-        raise ValueError("need at least one frequency")
-    intensity = None
-    for f in freqs:
-        fld = transmission_loss(section, f, source_depth, max_modes)
-        contrib = 10.0 ** (-fld.tl / 10.0)
-        intensity = contrib if intensity is None else intensity + contrib
-    intensity /= freqs.size
-    with np.errstate(divide="ignore"):
-        tl = -10.0 * np.log10(intensity)
-    tl = np.minimum(np.where(np.isfinite(tl), tl, _TL_FLOOR_DB), _TL_FLOOR_DB)
-    return TLField(
-        ranges=section.ranges[1:].copy(),
-        depths=section.depths.copy(),
-        tl=tl,
-        frequency=float(np.mean(freqs)),
         source_depth=source_depth,
     )

@@ -20,7 +20,8 @@ Example
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from repro.core.driver import ESSEConfig, ESSEDriver
@@ -236,6 +237,23 @@ class TimelineSection:
             raise ConfigError("timeline: forecast horizon must be >= 1 period")
 
 
+def _type_error(kind: str, value) -> str | None:
+    """Why ``value`` is not a valid ``kind`` key value (None when it is).
+
+    ``bool`` is an ``int`` subclass and ``json.load`` parses ``NaN``, so
+    neither ``isinstance`` nor a range check alone refuses them.
+    """
+    if kind == "str":
+        return None if isinstance(value, str) else "a string"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "an integer" if kind == "int" else "a number"
+    if kind == "int" and not isinstance(value, int):
+        return "an integer"
+    if isinstance(value, float) and not math.isfinite(value):
+        return "finite"
+    return None
+
+
 _SECTIONS = {
     "domain": DomainSection,
     "model": ModelSection,
@@ -265,8 +283,10 @@ class ExperimentConfig:
     def from_dict(cls, document: dict) -> "ExperimentConfig":
         """Build and validate from a plain dict.
 
-        Unknown sections or keys raise :class:`ConfigError` -- a silently
-        ignored typo in an at-sea configuration costs a forecast cycle.
+        Unknown sections or keys, and values of the wrong type (a float
+        or ``true`` for an integer key, a string or non-finite number for
+        a number key) raise :class:`ConfigError` -- a silently ignored
+        typo in an at-sea configuration costs a forecast cycle.
         """
         if not isinstance(document, dict):
             raise ConfigError(f"document must be a dict, got {type(document)}")
@@ -280,13 +300,19 @@ class ExperimentConfig:
             raw = document.get(name, {})
             if not isinstance(raw, dict):
                 raise ConfigError(f"section {name!r} must be a mapping")
-            valid_keys = set(section_cls.__dataclass_fields__)
-            bad = set(raw) - valid_keys
+            kinds = {f.name: f.type for f in fields(section_cls)}
+            bad = set(raw) - set(kinds)
             if bad:
                 raise ConfigError(
                     f"section {name!r}: unknown keys {sorted(bad)}; "
-                    f"valid: {sorted(valid_keys)}"
+                    f"valid: {sorted(kinds)}"
                 )
+            for key, value in raw.items():
+                expected = _type_error(kinds[key], value)
+                if expected:
+                    raise ConfigError(
+                        f"section {name!r}: {key} must be {expected}, got {value!r}"
+                    )
             kwargs[name] = section_cls(**raw)
         return cls(**kwargs)
 

@@ -141,10 +141,6 @@ class AnomalyAccumulator:
         """Member indices in arrival order (the paper's bookkeeping)."""
         return tuple(self._member_ids)
 
-    def has_member(self, member_index: int) -> bool:
-        """Whether a member's anomaly is already in the matrix."""
-        return member_index in self._index_of
-
     # -- snapshots ------------------------------------------------------------
 
     @property
@@ -196,59 +192,3 @@ class AnomalyAccumulator:
         return ColdSubspaceEstimator(rank=rank, energy=energy).update(
             view.columns, view.count, view.scale
         )
-
-    def sample_variance_field(self) -> np.ndarray:
-        """Pointwise sample variance (normalized units) without the SVD."""
-        view = self.view()
-        return np.einsum("ij,ij->i", view.columns, view.columns) * view.scale**2
-
-
-class MemmapAnomalyAccumulator(AnomalyAccumulator):
-    """An anomaly matrix backed by an on-disk memory map.
-
-    Paper Sec 4.1: "the covariance matrix tends to be very large
-    (O((N G V)^2))" and lives on "a single machine with access to lots of
-    disk space".  For state dimensions where ``n x Nmax`` float64 no
-    longer fits in RAM, this variant keeps the columns in a ``.npy``
-    memory map: accumulation writes columns through the page cache and
-    snapshots for the SVD are read straight out of the map.
-
-    Parameters
-    ----------
-    layout, central:
-        As for :class:`AnomalyAccumulator`.
-    path:
-        Backing file (created/overwritten); ``.npy`` format, so it can be
-        inspected with ``np.load(..., mmap_mode='r')`` out of process.
-    max_members:
-        Fixed capacity (e.g. the campaign's Nmax); the file is allocated
-        once at this size -- no mid-campaign reallocation of a huge file.
-    """
-
-    def __init__(
-        self,
-        layout: FieldLayout,
-        central: np.ndarray,
-        path,
-        max_members: int = 1024,
-    ):
-        if max_members < 2:
-            raise ValueError("max_members must be >= 2")
-        super().__init__(layout, central, capacity=2)
-        self.path = path
-        self.max_members = int(max_members)
-        self._columns = np.lib.format.open_memmap(
-            path, mode="w+", dtype=np.float64, shape=(layout.size, max_members)
-        )
-
-    def add_member(self, member_index: int, forecast: np.ndarray) -> None:
-        """Add a member; raises when the fixed capacity is exhausted."""
-        if self.count >= self.max_members:
-            raise RuntimeError(
-                f"memmap accumulator full ({self.max_members} members)"
-            )
-        super().add_member(member_index, forecast)
-
-    def flush(self) -> None:
-        """Flush dirty pages to disk (end-of-stage checkpoint)."""
-        self._columns.flush()

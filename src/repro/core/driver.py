@@ -55,11 +55,11 @@ class ESSEConfig:
     max_ensemble_size:
         Nmax: hard ceiling on members.
     convergence_tolerance:
-        Similarity-coefficient threshold for convergence.
+        Similarity-coefficient threshold for convergence, in (0, 1].
     max_subspace_rank:
         Cap on retained error modes.
     svd_energy:
-        Retained variance fraction in each SVD snapshot.
+        Retained variance fraction in each SVD snapshot, in (0, 1].
     deadline_seconds:
         Tmax: wall-clock budget for the ensemble stage (None = unlimited);
         "until the time Tmax available for the forecast expires" (Sec 4).
@@ -96,6 +96,12 @@ class ESSEConfig:
             raise ValueError("max_ensemble_size < initial_ensemble_size")
         if self.max_subspace_rank < 1:
             raise ValueError("max_subspace_rank must be >= 1")
+        if not 0.0 < self.convergence_tolerance <= 1.0:
+            raise ValueError("convergence_tolerance must be in (0, 1]")
+        if not 0.0 < self.svd_energy <= 1.0:
+            raise ValueError("svd_energy must be in (0, 1]")
+        if self.deadline_seconds is not None and not self.deadline_seconds >= 0:
+            raise ValueError("deadline_seconds must be None or >= 0")
         if self.svd_method not in ("lapack", "randomized"):
             raise ValueError(f"unknown svd_method {self.svd_method!r}")
 

@@ -134,17 +134,6 @@ class ErrorSubspace:
         """
         return np.einsum("ij,j,ij->i", self.modes, self.variances, self.modes)
 
-    def sample_coefficients(
-        self, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Draw ``count`` coefficient vectors ~ N(0, diag(sigma^2)).
-
-        Shape ``(count, p)``; ``modes @ coeffs[j]`` is one state perturbation.
-        """
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        return rng.standard_normal((count, self.rank)) * self.sigmas[None, :]
-
     def truncate(self, rank: int | None = None, energy: float | None = None) -> "ErrorSubspace":
         """A lower-rank copy keeping the dominant modes."""
         if rank is None and energy is None:

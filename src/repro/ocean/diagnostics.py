@@ -15,33 +15,11 @@ def kinetic_energy(grid: OceanGrid, state: ModelState) -> float:
     return float(np.mean(ke)) if ke.size else 0.0
 
 
-def total_volume_anomaly(grid: OceanGrid, state: ModelState) -> float:
-    """Domain integral of eta (m^3) -- conserved up to sponge damping."""
-    wet = grid.mask
-    return float(np.sum(state.eta[wet]) * grid.dx * grid.dy)
-
-
-def sea_surface_temperature(state: ModelState) -> np.ndarray:
-    """SST: the top tracer level, shape ``(ny, nx)``."""
-    return state.temp[0]
-
-
-def temperature_at_depth(grid: OceanGrid, state: ModelState, depth: float) -> np.ndarray:
-    """Temperature at the level nearest ``depth`` metres, shape ``(ny, nx)``."""
-    return state.temp[grid.level_index(depth)]
-
-
 def max_current_speed(grid: OceanGrid, state: ModelState) -> float:
     """Maximum layer speed over ocean points (m/s)."""
     wet = grid.mask
     speed = np.sqrt(state.u[wet] ** 2 + state.v[wet] ** 2)
     return float(speed.max()) if speed.size else 0.0
-
-
-def cfl_number(grid: OceanGrid, state: ModelState, dt: float, wave_speed: float) -> float:
-    """Advective+gravity-wave CFL number for step ``dt``."""
-    dmin = min(grid.dx, grid.dy)
-    return (max_current_speed(grid, state) + wave_speed) * dt / dmin
 
 
 def ensemble_std(fields: np.ndarray) -> np.ndarray:

@@ -89,14 +89,6 @@ class OceanGrid:
         omega = 7.2921159e-5
         return 2.0 * omega * np.sin(np.deg2rad(self.lat0))
 
-    def x_coords(self) -> np.ndarray:
-        """Eastward coordinates of grid columns (m)."""
-        return np.arange(self.nx) * self.dx
-
-    def y_coords(self) -> np.ndarray:
-        """Northward coordinates of grid rows (m)."""
-        return np.arange(self.ny) * self.dy
-
     # -- indexing helpers ----------------------------------------------
 
     def level_index(self, depth: float) -> int:

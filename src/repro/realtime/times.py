@@ -72,11 +72,6 @@ class SimulationWindow:
         if self.forecast_end < self.nowcast_time:
             raise ValueError("forecast must extend beyond the nowcast")
 
-    @property
-    def forecast_horizon(self) -> float:
-        """Length of the forecast-proper segment (s)."""
-        return self.forecast_end - self.nowcast_time
-
 
 class ExperimentTimeline:
     """The full Fig 1 structure for one real-time experiment.
@@ -130,11 +125,6 @@ class ExperimentTimeline:
         start = self.t0 + k * self.period_length
         return ObservationPeriod(index=k, start=start, end=start + self.period_length)
 
-    @property
-    def final_time(self) -> float:
-        """``T_f``: end of the last observation window."""
-        return self.t0 + self.n_periods * self.period_length
-
     # -- forecaster time ----------------------------------------------------------
 
     def forecaster_tasks(
@@ -173,10 +163,3 @@ class ExperimentTimeline:
             nowcast_time=nowcast,
             forecast_end=forecast_end,
         )
-
-    def simulation_windows(self, k: int) -> list[SimulationWindow]:
-        """All ``r+1`` simulation windows of prediction ``k``."""
-        return [
-            self.simulation_window(k, simulation_index=i)
-            for i in range(self.n_simulations)
-        ]

@@ -129,11 +129,6 @@ class SharedBandwidth:
         """Number of in-flight transfers."""
         return len(self._active)
 
-    def current_rate(self) -> float:
-        """Per-transfer rate right now (MB/s)."""
-        n = max(len(self._active), 1)
-        return self._effective_capacity() / n
-
     def _advance(self) -> None:
         """Consume elapsed time: decrement remaining sizes at the old rate."""
         elapsed = self.sim.now - self._last_update

@@ -12,7 +12,6 @@ class JobState(Enum):
     QUEUED = "queued"
     RUNNING = "running"
     DONE = "done"
-    CANCELLED = "cancelled"
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.sched.engine import Simulator
 from repro.sched.iomodel import IOConfiguration, IOMode, SharedBandwidth
@@ -90,7 +89,6 @@ class ClusterScheduler:
         self.jobs: dict[tuple[str, int], Job] = {}
         self._ready: deque[Job] = deque()
         self._waiting_dependency: list[Job] = []
-        self._on_complete: list[Callable[[Job], None]] = []
         self._dispatch_scheduled = False
         self._prestage_done = self.io_config.mode is not IOMode.NFS and (
             self.io_config.prestage_cost_s == 0.0
@@ -101,10 +99,6 @@ class ClusterScheduler:
             self._schedule_negotiation()
 
     # -- public API ---------------------------------------------------------
-
-    def on_complete(self, callback: Callable[[Job], None]) -> None:
-        """Register a callback fired when any job reaches a final state."""
-        self._on_complete.append(callback)
 
     def submit(self, specs: list[JobSpec]) -> list[Job]:
         """Submit jobs; returns their runtime records."""
@@ -144,28 +138,6 @@ class ClusterScheduler:
         self._request_dispatch(after=delay)
         return submitted
 
-    def cancel_queued(self, kind: str | None = None) -> int:
-        """Cancel all not-yet-running jobs (optionally of one kind).
-
-        Works by job state so jobs still waiting for their staggered
-        submission to register are cancelled too.
-        """
-        cancelled = 0
-        for job in self.jobs.values():
-            if job.state is not JobState.QUEUED:
-                continue
-            if kind is not None and job.spec.kind != kind:
-                continue
-            job.state = JobState.CANCELLED
-            job.end_time = self.sim.now
-            cancelled += 1
-            self._notify(job)
-        for pool in (self._ready, self._waiting_dependency):
-            keep = [j for j in pool if j.state is JobState.QUEUED]
-            pool.clear()
-            pool.extend(keep)
-        return cancelled
-
     # -- internals --------------------------------------------------------------
 
     def _finish_prestage(self) -> None:
@@ -173,20 +145,12 @@ class ClusterScheduler:
         self._request_dispatch()
 
     def _enqueue(self, job: Job) -> None:
-        if job.state is JobState.QUEUED:  # not cancelled meanwhile
-            self._ready.append(job)
-            if (
-                isinstance(self.policy, CondorPolicy)
-                and not self._negotiation_active
-            ):
-                # a staggered submission may arrive after negotiation went
-                # idle; restart the cycle or it would never be dispatched
-                self._schedule_negotiation()
-            self._request_dispatch()
-
-    def _notify(self, job: Job) -> None:
-        for callback in self._on_complete:
-            callback(job)
+        self._ready.append(job)
+        if isinstance(self.policy, CondorPolicy) and not self._negotiation_active:
+            # a staggered submission may arrive after negotiation went
+            # idle; restart the cycle or it would never be dispatched
+            self._schedule_negotiation()
+        self._request_dispatch()
 
     def _schedule_negotiation(self) -> None:
         self._negotiation_active = True
@@ -269,5 +233,4 @@ class ClusterScheduler:
                 still_waiting.append(waiting)
         self._waiting_dependency = still_waiting
         self._ready.extend(released)
-        self._notify(job)
         self._request_dispatch()

@@ -94,11 +94,6 @@ class TransferReport:
     mean_file_delay: float  # mean (arrival - production) per file
     transfers_started: int
 
-    @property
-    def drain_seconds(self) -> float:
-        """Time from the last file's production to full arrival (>= 0)."""
-        return self.all_home_time
-
 
 def simulate_output_return(
     completion_times: list[float] | np.ndarray,

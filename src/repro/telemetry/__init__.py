@@ -8,12 +8,11 @@ This package is the instrument for both complaints:
 
 - :mod:`~repro.telemetry.clock` -- injectable monotonic time sources
   (live, fake);
-- :mod:`~repro.telemetry.spans` -- nestable thread-safe tracing spans,
-  with a zero-overhead :data:`NULL_RECORDER` as the default everywhere;
+- :mod:`~repro.telemetry.spans` -- nestable thread-safe tracing spans
+  and instantaneous events, with a zero-overhead :data:`NULL_RECORDER` as
+  the default everywhere;
 - :mod:`~repro.telemetry.metrics` -- process-local counters, gauges and
   histograms (task latency, retries, queue depth, differ I/O sweeps);
-- :mod:`~repro.telemetry.events` -- one structured event schema unifying
-  the workflow event log and the fault injector;
 - :mod:`~repro.telemetry.export` -- JSONL run logs, Chrome-trace JSON
   (rendered by Perfetto as the paper's Fig 4 timeline) and a
   Prometheus-style text snapshot.
@@ -22,12 +21,6 @@ See ``docs/OBSERVABILITY.md`` for naming conventions and usage.
 """
 
 from repro.telemetry.clock import MONOTONIC, FakeClock
-from repro.telemetry.events import (
-    TelemetryEvent,
-    from_fault_events,
-    from_workflow_events,
-    parse_detail,
-)
 from repro.telemetry.export import (
     RunLog,
     chrome_trace,
@@ -42,18 +35,18 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_registry,
-    reset_registry,
 )
-from repro.telemetry.spans import NULL_RECORDER, NullRecorder, Span, TraceRecorder
+from repro.telemetry.spans import (
+    NULL_RECORDER,
+    NullRecorder,
+    Span,
+    TelemetryEvent,
+    TraceRecorder,
+)
 
 __all__ = [
     "MONOTONIC",
     "FakeClock",
-    "TelemetryEvent",
-    "parse_detail",
-    "from_workflow_events",
-    "from_fault_events",
     "RunLog",
     "chrome_trace",
     "write_chrome_trace",
@@ -65,10 +58,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "get_registry",
-    "reset_registry",
     "NULL_RECORDER",
     "NullRecorder",
     "Span",
+    "TelemetryEvent",
     "TraceRecorder",
 ]

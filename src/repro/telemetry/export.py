@@ -19,9 +19,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.telemetry.events import TelemetryEvent
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import Span
+from repro.telemetry.spans import Span, TelemetryEvent
 
 
 @dataclass
@@ -55,7 +54,6 @@ def _event_line(event: TelemetryEvent) -> dict:
         "type": "event",
         "time": event.time,
         "kind": event.kind,
-        "source": event.source,
         "attrs": dict(event.attrs),
     }
 
@@ -110,7 +108,6 @@ def read_jsonl(path) -> RunLog:
                 TelemetryEvent(
                     time=record["time"],
                     kind=record["kind"],
-                    source=record.get("source", ""),
                     attrs=tuple(sorted(record.get("attrs", {}).items())),
                 )
             )
@@ -164,7 +161,7 @@ def chrome_trace(spans=(), events=(), pid: int = 1) -> dict:
         trace_events.append(
             {
                 "name": event.kind,
-                "cat": event.source or "event",
+                "cat": "event",
                 "ph": "i",
                 "s": "p",
                 "ts": event.time * 1e6,

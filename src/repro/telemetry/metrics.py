@@ -8,9 +8,8 @@ optional label set (``registry.counter("task_retries", kind="pemodel")``),
 so the same metric can be sliced per task kind the way the paper's
 tables slice per singleton type.
 
-A module-level default registry exists for convenience; tests should
-either build their own :class:`MetricsRegistry` or call
-:func:`reset_registry` between cases.
+A registry is an object: whoever wants metrics builds a
+:class:`MetricsRegistry` and passes it to the components it measures.
 """
 
 from __future__ import annotations
@@ -194,17 +193,3 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
-
-
-#: Default process-local registry for code that does not thread one through.
-_DEFAULT = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-local default registry."""
-    return _DEFAULT
-
-
-def reset_registry() -> None:
-    """Reset the default registry (call between tests)."""
-    _DEFAULT.reset()

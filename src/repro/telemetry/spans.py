@@ -56,6 +56,22 @@ class Span:
         return default
 
 
+@dataclass(frozen=True)
+class TelemetryEvent:
+    """One instantaneous, attributed occurrence on a telemetry clock."""
+
+    time: float
+    kind: str
+    attrs: tuple[tuple[str, object], ...] = ()
+
+    def attr(self, key: str, default=None):
+        """Look up one attribute value by key."""
+        for k, v in self.attrs:
+            if k == key:
+                return v
+        return default
+
+
 class _NullSpan:
     """The do-nothing span handle (a process-wide singleton)."""
 
@@ -273,8 +289,6 @@ class TraceRecorder:
 
     def event(self, kind: str, **attrs) -> None:
         """Record an instantaneous structured event at the current clock."""
-        from repro.telemetry.events import TelemetryEvent
-
         record = TelemetryEvent(
             time=self.clock(), kind=kind, attrs=tuple(sorted(attrs.items()))
         )
@@ -292,11 +306,6 @@ class TraceRecorder:
         """All recorded events, ordered by time."""
         with self._lock:
             return tuple(sorted(self._events, key=lambda e: e.time))
-
-    def current_span(self):
-        """The innermost open span of the calling thread (or None)."""
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else None
 
     def clear(self) -> None:
         """Drop all recorded spans and events (id sequence keeps going)."""

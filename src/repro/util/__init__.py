@@ -4,7 +4,6 @@ from repro.util.linalg import (
     thin_svd,
     truncated_svd,
     orthonormal_columns,
-    subspace_principal_angles,
 )
 from repro.util.rng import SeedSequenceStream, member_rng
 from repro.util.randomfields import GaussianRandomField2D
@@ -13,7 +12,6 @@ __all__ = [
     "thin_svd",
     "truncated_svd",
     "orthonormal_columns",
-    "subspace_principal_angles",
     "SeedSequenceStream",
     "member_rng",
     "GaussianRandomField2D",

@@ -314,16 +314,3 @@ def orthonormal_columns(a: np.ndarray, atol: float = 1e-8) -> bool:
         raise ValueError(f"expected 2-D array, got shape {a.shape}")
     gram = a.T @ a
     return bool(np.allclose(gram, np.eye(a.shape[1]), atol=atol))
-
-
-def subspace_principal_angles(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """Principal angles (radians, ascending) between two column subspaces.
-
-    Both inputs must have orthonormal columns; use the cosines
-    ``sigma(E1^T E2)`` clipped into [0, 1].
-    """
-    for name, e in (("e1", e1), ("e2", e2)):
-        if not orthonormal_columns(e, atol=1e-6):
-            raise ValueError(f"{name} does not have orthonormal columns")
-    cosines = scipy.linalg.svd(e1.T @ e2, compute_uv=False)
-    return np.arccos(np.clip(cosines, 0.0, 1.0))[::-1]

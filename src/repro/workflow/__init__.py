@@ -5,7 +5,9 @@ serial ESSE job shepherd (Fig 3) into a decoupled many-task pipeline
 (Fig 4):
 
 - :mod:`~repro.workflow.statefiles` -- per-perturbation-index status files
-  carrying singleton exit codes (Sec 4.2 dependency tracking),
+  carrying singleton exit codes (Sec 4.2 dependency tracking); a run's
+  progress and its failed attempts are read back from the same directory,
+  the monitoring Sec 5.3.1 asks for,
 - :mod:`~repro.workflow.covfile` -- the three-file covariance handoff
   that decouples the differ from the SVD without a race: an append-only
   memmap column store published through a versioned header
@@ -50,7 +52,6 @@ from repro.workflow.parallel import (
     WorkflowEvent,
     WorkflowResult,
 )
-from repro.workflow.monitor import ProgressMonitor, ProgressReport
 from repro.workflow.ensemble import EngineResult, EnsembleEngine
 
 __all__ = [
@@ -70,8 +71,6 @@ __all__ = [
     "ParallelESSEWorkflow",
     "WorkflowEvent",
     "WorkflowResult",
-    "ProgressMonitor",
-    "ProgressReport",
     "TaskOutcome",
     "TaskPool",
     "TileTaskPool",

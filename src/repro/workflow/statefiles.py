@@ -132,11 +132,13 @@ class StatusDirectory:
         """Whether the task's plain record says success."""
         return self.read(kind, index) == TaskStatus.SUCCESS
 
-    def _scan(self, kind: str) -> tuple[dict, dict]:
-        """One directory scan: index -> plain status, index -> attempt -> status.
+    def completed_indices(self, kind: str) -> dict[int, TaskStatus]:
+        """All reported indices of a kind -> latest status (one directory scan).
 
-        An attempt recorded twice -- its output written as a success, then
-        found torn or timed out -- keeps the failure.
+        A plain record is the latest outcome; a task with attempt records
+        only reports its latest attempt's.  An attempt recorded twice --
+        its output written as a success, then found torn or timed out --
+        keeps the failure.
         """
         plain: dict[int, TaskStatus] = {}
         histories: dict[int, dict[int, TaskStatus]] = {}
@@ -158,31 +160,8 @@ class StatusDirectory:
                 history = histories.setdefault(member, {})
                 if history.get(attempt, TaskStatus.SUCCESS) == TaskStatus.SUCCESS:
                     history[attempt] = status
-        return plain, histories
-
-    def completed_indices(self, kind: str) -> dict[int, TaskStatus]:
-        """All reported indices of a kind -> latest status (one directory scan).
-
-        A plain record is the latest outcome; a task with attempt records
-        only reports its latest attempt's.
-        """
-        plain, histories = self._scan(kind)
         out = {index: history[max(history)] for index, history in histories.items()}
         out.update(plain)
-        return out
-
-    def attempt_counts(self, kind: str) -> dict[int, dict[TaskStatus, int]]:
-        """Index -> {status: attempts ending so} in one directory scan.
-
-        The monitor derives its retry/straggler counters from this:
-        resubmissions are attempts beyond the first, and timed-out
-        attempts carry :attr:`TaskStatus.TIMED_OUT`.
-        """
-        out: dict[int, dict[TaskStatus, int]] = {}
-        for index, history in self._scan(kind)[1].items():
-            per_index = out[index] = {}
-            for status in history.values():
-                per_index[status] = per_index.get(status, 0) + 1
         return out
 
     def clear(self, kind: str | None = None) -> int:

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.acoustics.environment import AcousticSection, extract_section
-from repro.acoustics.tl import (
-    TLField,
-    broadband_transmission_loss,
-    transmission_loss,
-)
+from repro.acoustics.tl import TLField, transmission_loss
 from repro.acoustics.climate import (
     AcousticClimate,
     AcousticTask,
@@ -109,14 +105,6 @@ class TestTransmissionLoss:
         fld = transmission_loss(sec, 100.0, source_depth=50.0)
         assert np.all(fld.tl > 20.0)
 
-    def test_at_lookup(self):
-        sec = iso_section()
-        fld = transmission_loss(sec, 100.0, source_depth=50.0)
-        v = fld.at(10000.0, 100.0)
-        i = np.argmin(np.abs(fld.ranges - 10000.0))
-        k = np.argmin(np.abs(fld.depths - 100.0))
-        assert v == fld.tl[k, i]
-
     def test_field_shape_validation(self):
         with pytest.raises(ValueError, match="tl shape"):
             TLField(
@@ -126,21 +114,6 @@ class TestTransmissionLoss:
                 frequency=100.0,
                 source_depth=10.0,
             )
-
-
-class TestBroadband:
-    def test_incoherent_average_smooths(self):
-        sec = iso_section(nr=25, length=30000.0)
-        single = transmission_loss(sec, 150.0, source_depth=50.0)
-        broad = broadband_transmission_loss(
-            sec, [130.0, 150.0, 170.0], source_depth=50.0
-        )
-        # broadband averaging reduces interference variance along range
-        assert broad.tl.std(axis=1).mean() <= single.tl.std(axis=1).mean() + 1e-9
-
-    def test_requires_frequencies(self):
-        with pytest.raises(ValueError, match="frequency"):
-            broadband_transmission_loss(iso_section(), [])
 
 
 class TestAcousticClimate:

@@ -61,20 +61,6 @@ class TestCovariance:
         assert np.all(sub.variance_field() >= -1e-15)
 
 
-class TestSampling:
-    def test_coefficient_statistics(self):
-        sub = random_subspace(p=3, seed=1)
-        rng = np.random.default_rng(0)
-        coeffs = sub.sample_coefficients(20000, rng)
-        assert coeffs.shape == (20000, 3)
-        assert np.allclose(coeffs.std(axis=0), sub.sigmas, rtol=0.05)
-        assert np.allclose(coeffs.mean(axis=0), 0.0, atol=0.05)
-
-    def test_negative_count(self):
-        with pytest.raises(ValueError):
-            random_subspace().sample_coefficients(-1, np.random.default_rng(0))
-
-
 class TestTruncation:
     def test_by_rank(self):
         sub = random_subspace(p=5)

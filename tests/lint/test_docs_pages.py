@@ -95,7 +95,7 @@ class TestUnresolvedNames:
         text = (
             "| smoother | `repro.core.smoother` |\n"
             "| kernel | `repro.core.assimilation.subspace_gain` |\n"
-            "| method | `repro.acoustics.coupled.CoupledCovariance.assimilate` |\n"
+            "| method | `repro.acoustics.coupled.CoupledCovariance.coupling_fraction` |\n"
             "| mode | `repro.sched.iomodel.IOMode.OPENDAP` |\n"
             "| package | `repro.sched` and `repro.nowhere.thing` |\n"
         )

@@ -44,10 +44,6 @@ class TestConstruction:
         g = make_grid(lat0=36.7)
         assert 8.0e-5 < g.coriolis < 9.5e-5
 
-    def test_coordinates(self):
-        g = make_grid()
-        assert np.allclose(g.x_coords(), np.arange(8) * 1000.0)
-        assert np.allclose(g.y_coords(), np.arange(6) * 2000.0)
 
 
 class TestIndexing:

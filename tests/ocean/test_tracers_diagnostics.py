@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ocean import PEModel
-from repro.ocean.diagnostics import (
-    cfl_number,
-    ensemble_std,
-    kinetic_energy,
-    max_current_speed,
-    sea_surface_temperature,
-    temperature_at_depth,
-    total_volume_anomaly,
-)
+from repro.ocean.diagnostics import ensemble_std, kinetic_energy, max_current_speed
 from repro.ocean.grid import demo_grid
 from repro.ocean.tracers import TracerDynamics, climatological_profile
 
@@ -90,22 +82,6 @@ class TestDiagnostics:
         grid = small_model.grid
         assert kinetic_energy(grid, s) == 0.0
         assert max_current_speed(grid, s) == 0.0
-        assert total_volume_anomaly(grid, s) == 0.0
-
-    def test_sst_and_depth_extraction(self, small_model, spun_up_state):
-        grid = small_model.grid
-        sst = sea_surface_temperature(spun_up_state)
-        assert np.array_equal(sst, spun_up_state.temp[0])
-        t_mid = temperature_at_depth(grid, spun_up_state, grid.z_levels[2])
-        assert np.array_equal(t_mid, spun_up_state.temp[2])
-
-    def test_cfl_number_positive_and_small(self, small_model, spun_up_state):
-        grid = small_model.grid
-        cfl = cfl_number(
-            grid, spun_up_state, small_model.config.dt,
-            small_model.dynamics.gravity_wave_speed,
-        )
-        assert 0.0 < cfl < 1.0  # the run is CFL-stable
 
     def test_ensemble_std(self):
         rng = np.random.default_rng(0)

@@ -80,16 +80,6 @@ class TestAccumulatorProperties:
         m1, m2 = acc1.matrix(), acc2.matrix()
         assert np.allclose(m1 @ m1.T, m2 @ m2.T, atol=1e-10)
 
-    @given(st.integers(2, 15), st.integers(0, 2**31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_sample_variance_nonnegative(self, n, seed):
-        rng = np.random.default_rng(seed)
-        layout = FieldLayout([FieldSpec("a", (5,), scale=0.5)])
-        acc = AnomalyAccumulator(layout, rng.standard_normal(5))
-        for k in range(n):
-            acc.add_member(k, rng.standard_normal(5))
-        assert np.all(acc.sample_variance_field() >= 0.0)
-
 
 class TestStatusDirectoryProperties:
     @given(

@@ -32,7 +32,7 @@ class TestPublicAPISurface:
 
         for name in (
             "SerialESSEWorkflow", "ParallelESSEWorkflow", "StatusDirectory",
-            "MemmapCovarianceStore", "CancellationPolicy", "ProgressMonitor",
+            "MemmapCovarianceStore", "CancellationPolicy",
         ):
             assert name in workflow.__all__, name
 

@@ -18,7 +18,6 @@ class TestObservationPeriods:
         for a, b in zip(periods[:-1], periods[1:]):
             assert a.end == b.start
         assert periods[0].start == 100.0
-        assert tl.final_time == 300.0
 
     def test_period_duration(self):
         p = ObservationPeriod(index=0, start=0.0, end=10.0)
@@ -79,12 +78,6 @@ class TestSimulationWindows:
         )
         win = tl.simulation_window(k=1)
         assert win.forecast_end == win.nowcast_time + 20.0
-        assert win.forecast_horizon == 20.0
-
-    def test_multiple_simulations_per_prediction(self):
-        tl = ExperimentTimeline(n_simulations=3)
-        wins = tl.simulation_windows(k=0)
-        assert [w.simulation_index for w in wins] == [0, 1, 2]
 
     def test_window_validation(self):
         with pytest.raises(ValueError):

@@ -67,11 +67,14 @@ class TestSharedBandwidth:
     def test_active_count_and_rate(self):
         sim = Simulator()
         bw = SharedBandwidth(sim, capacity_mbps=100.0)
-        assert bw.current_rate() == 100.0
-        bw.transfer(1000.0, lambda: None)
-        bw.transfer(1000.0, lambda: None)
+        done = []
+        bw.transfer(1000.0, lambda: done.append(sim.now))
+        bw.transfer(1000.0, lambda: done.append(sim.now))
         assert bw.active_count == 2
-        assert bw.current_rate() == pytest.approx(50.0)
+        sim.run()
+        # two streams share 100 MB/s: 50 MB/s each, 20 s for 1000 MB
+        assert done == pytest.approx([20.0, 20.0])
+        assert bw.active_count == 0
 
 
 class TestIOConfiguration:

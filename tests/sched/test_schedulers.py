@@ -110,28 +110,6 @@ class TestClusterScheduler:
         with pytest.raises(ValueError, match="duplicate"):
             sched.submit([spec])
 
-    def test_cancel_queued(self):
-        sim = Simulator()
-        sched = ClusterScheduler(sim, small_cluster(cores=1), SGEPolicy(), quick_io())
-        jobs = sched.submit(
-            [JobSpec(kind="pemodel", index=i, cpu_seconds=1000.0) for i in range(5)]
-        )
-        sim.run(until=50.0)  # first job running, rest queued
-        cancelled = sched.cancel_queued()
-        sim.run()
-        assert cancelled == 4
-        states = sorted(j.state.value for j in jobs)
-        assert states.count("cancelled") == 4
-        assert states.count("done") == 1
-
-    def test_completion_callbacks(self):
-        sim = Simulator()
-        sched = ClusterScheduler(sim, small_cluster(), SGEPolicy(), quick_io())
-        seen = []
-        sched.on_complete(lambda job: seen.append(job.spec.index))
-        sched.submit([JobSpec(kind="pert", index=i, cpu_seconds=1.0) for i in range(3)])
-        sim.run()
-        assert sorted(seen) == [0, 1, 2]
 
 
 class TestPolicies:

@@ -10,17 +10,7 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     _labels_key,
-    get_registry,
-    reset_registry,
 )
-
-
-@pytest.fixture(autouse=True)
-def _clean_default_registry():
-    """Tests touching the module default must not leak into each other."""
-    reset_registry()
-    yield
-    reset_registry()
 
 
 class TestInstruments:
@@ -113,8 +103,3 @@ class TestRegistry:
         assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
         # recreated fresh, not resurrecting the old instrument
         assert reg.counter("n").value == 0.0
-
-    def test_default_registry_reset_between_tests(self):
-        get_registry().counter("leak_check").inc()
-        reset_registry()
-        assert get_registry().snapshot()["counters"] == {}

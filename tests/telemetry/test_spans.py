@@ -9,6 +9,7 @@ from repro.telemetry.clock import FakeClock
 from repro.telemetry.spans import (
     NULL_RECORDER,
     NullRecorder,
+    TelemetryEvent,
     TraceRecorder,
     _NULL_SPAN,
 )
@@ -61,16 +62,6 @@ class TestNesting:
         assert child.duration == pytest.approx(2.0)
         assert parent.duration == pytest.approx(4.0)
 
-    def test_current_span_tracks_innermost(self):
-        rec = TraceRecorder(clock=FakeClock())
-        assert rec.current_span() is None
-        with rec.span("a") as a:
-            assert rec.current_span() is a
-            with rec.span("b") as b:
-                assert rec.current_span() is b
-            assert rec.current_span() is a
-        assert rec.current_span() is None
-
 
 class TestSpanLifecycle:
     def test_attributes_sorted_and_queryable(self):
@@ -121,6 +112,13 @@ class TestSpanLifecycle:
         rec.record_span("late", 10.0, 11.0)
         rec.record_span("early", 1.0, 2.0)
         assert [s.name for s in rec.spans()] == ["early", "late"]
+
+
+class TestTelemetryEvent:
+    def test_attr_lookup(self):
+        event = TelemetryEvent(time=1.0, kind="x", attrs=(("a", 1),))
+        assert event.attr("a") == 1
+        assert event.attr("b", "fallback") == "fallback"
 
 
 class TestThreadSafety:

@@ -1,11 +1,20 @@
 """Tests for the declarative experiment configuration."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from repro.config import ConfigError, ExperimentConfig
+
+
+NAN_FOR_EVERY_FLOAT_KEY = [
+    (section.name, key.name, float("nan"))
+    for section in fields(ExperimentConfig)
+    for key in fields(section.default_factory)
+    if key.type == "float"
+]
 
 
 class TestValidation:
@@ -41,6 +50,23 @@ class TestValidation:
             ExperimentConfig.from_dict({"timeline": {"n_periods": 0}})
         with pytest.raises(ConfigError, match="network"):
             ExperimentConfig.from_dict({"observations": {"network": "argo"}})
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            *NAN_FOR_EVERY_FLOAT_KEY,
+            ("esse", "convergence_tolerance", 1.5),
+            ("esse", "convergence_tolerance", -1),
+            ("assimilation", "radius", float("inf")),
+            ("timeline", "n_periods", 2.5),
+            ("engine", "batch_size", True),
+            ("domain", "nx", "20"),
+            ("observations", "network", 1),
+        ],
+    )
+    def test_wrong_type_or_range_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=section):
+            ExperimentConfig.from_dict({section: {key: value}})
 
     def test_non_dict_rejected(self):
         with pytest.raises(ConfigError, match="dict"):

@@ -14,8 +14,9 @@ import pytest
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 EXAMPLE_FILES = sorted(EXAMPLES_DIR.glob("*.py"))
 
-#: Examples that are the only non-test callers of a module.
+#: Examples that are the only non-test callers of a module or name.
 ASSERTING_EXAMPLES = (
+    "quickstart",  # ForecastResult.failure_count, ObservationOperator.by_instrument
     "adaptive_sampling",  # repro.obs.adaptive
     "multidisciplinary_forecast",  # repro.ocean.biology, repro.core.verification
     "acoustic_climate",  # repro.acoustics.coupled

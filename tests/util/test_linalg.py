@@ -10,7 +10,6 @@ from repro.util.linalg import (
     gram_svd,
     lapack_svd,
     orthonormal_columns,
-    subspace_principal_angles,
     thin_svd,
     truncated_svd,
 )
@@ -79,22 +78,6 @@ class TestOrthonormality:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             orthonormal_columns(np.zeros(4))
-
-
-class TestPrincipalAngles:
-    def test_same_subspace_zero_angles(self):
-        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((10, 3)))
-        angles = subspace_principal_angles(q, q)
-        assert np.allclose(angles, 0.0, atol=1e-7)
-
-    def test_orthogonal_subspaces_right_angles(self):
-        e = np.eye(6)
-        angles = subspace_principal_angles(e[:, :2], e[:, 2:4])
-        assert np.allclose(angles, np.pi / 2)
-
-    def test_requires_orthonormal_input(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            subspace_principal_angles(2.0 * np.eye(4)[:, :2], np.eye(4)[:, :2])
 
 
 def matrix_with_spectrum(n, sigmas, seed=0):

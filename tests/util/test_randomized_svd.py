@@ -68,63 +68,3 @@ class TestRandomizedSVD:
             randomized_svd(np.zeros(5), rank=1)
         with pytest.raises(ValueError, match="oversample"):
             randomized_svd(a, rank=2, oversample=-1)
-
-
-class TestMemmapAccumulator:
-    def test_round_trip_matches_in_memory(self, tmp_path):
-        from repro.core.covariance import (
-            AnomalyAccumulator,
-            MemmapAnomalyAccumulator,
-        )
-        from repro.core.state import FieldLayout, FieldSpec
-
-        layout = FieldLayout([FieldSpec("a", (64,), scale=2.0)])
-        rng = np.random.default_rng(0)
-        members = {k: rng.standard_normal(64) for k in range(12)}
-
-        mem = AnomalyAccumulator(layout, np.zeros(64))
-        disk = MemmapAnomalyAccumulator(
-            layout, np.zeros(64), tmp_path / "cov.npy", max_members=16
-        )
-        for k, v in members.items():
-            mem.add_member(k, v)
-            disk.add_member(k, v)
-        disk.flush()
-        assert np.allclose(mem.matrix(), disk.matrix())
-
-    def test_backing_file_readable_out_of_process(self, tmp_path):
-        from repro.core.covariance import MemmapAnomalyAccumulator
-        from repro.core.state import FieldLayout, FieldSpec
-
-        layout = FieldLayout([FieldSpec("a", (16,), scale=1.0)])
-        acc = MemmapAnomalyAccumulator(
-            layout, np.zeros(16), tmp_path / "cov.npy", max_members=4
-        )
-        acc.add_member(0, np.ones(16))
-        acc.flush()
-        raw = np.load(tmp_path / "cov.npy", mmap_mode="r")
-        assert raw.shape == (16, 4)
-        assert np.allclose(raw[:, 0], 1.0)
-
-    def test_capacity_enforced(self, tmp_path):
-        from repro.core.covariance import MemmapAnomalyAccumulator
-        from repro.core.state import FieldLayout, FieldSpec
-
-        layout = FieldLayout([FieldSpec("a", (8,), scale=1.0)])
-        acc = MemmapAnomalyAccumulator(
-            layout, np.zeros(8), tmp_path / "cov.npy", max_members=2
-        )
-        acc.add_member(0, np.ones(8))
-        acc.add_member(1, np.ones(8))
-        with pytest.raises(RuntimeError, match="full"):
-            acc.add_member(2, np.ones(8))
-
-    def test_validation(self, tmp_path):
-        from repro.core.covariance import MemmapAnomalyAccumulator
-        from repro.core.state import FieldLayout, FieldSpec
-
-        layout = FieldLayout([FieldSpec("a", (8,), scale=1.0)])
-        with pytest.raises(ValueError, match="max_members"):
-            MemmapAnomalyAccumulator(
-                layout, np.zeros(8), tmp_path / "cov.npy", max_members=1
-            )

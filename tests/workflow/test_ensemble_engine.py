@@ -22,12 +22,12 @@ from repro.workflow import (
     EnsembleEngine,
     FaultInjector,
     ParallelESSEWorkflow,
-    ProgressMonitor,
     RetryPolicy,
     TaskPool,
 )
 from repro.workflow.covfile import MemmapCovarianceStore
 from repro.workflow.statefiles import TaskStatus
+from tests.workflow.conftest import attempt_records
 
 
 @pytest.fixture(scope="module")
@@ -158,14 +158,8 @@ class TestProcessBackendFaults:
         assert result.ensemble_size == 4
         assert not result.degraded
         # every retried member carries an attempt-numbered failure record
-        history = route.status.attempt_counts("pemodel")
-        failures = sum(
-            n
-            for counts in history.values()
-            for status, n in counts.items()
-            if status is not TaskStatus.SUCCESS
-        )
-        assert failures >= result.n_retried
+        failures = attempt_records(route.status, TaskStatus.MODEL_FAILURE)
+        assert len(failures) >= result.n_retried
 
     def test_torn_column_detected_and_retried(self, setup, tmp_path):
         _, background, runner = setup
@@ -184,12 +178,7 @@ class TestProcessBackendFaults:
         assert not result.degraded
         # the truncated batch files were caught (IO_FAILURE) and the
         # final accepted columns are fully finite
-        statuses = [
-            status
-            for counts in route.status.attempt_counts("pemodel").values()
-            for status in counts
-        ]
-        assert TaskStatus.IO_FAILURE in statuses
+        assert attempt_records(route.status, TaskStatus.IO_FAILURE)
         for column in anomaly_columns_by_member(route).values():
             assert np.all(np.isfinite(column))
 
@@ -267,11 +256,18 @@ class TestProcessesMemberPool:
         columns = anomaly_columns_by_member(reused)
         for member, column in anomaly_columns_by_member(fresh).items():
             assert np.array_equal(columns[member], column), member
-        history = reused.status.attempt_counts("pemodel")
-        assert all(counts == {TaskStatus.SUCCESS: 1} for counts in history.values())
+        # one successful first attempt per member, and no other record
+        assert reused.status.completed_indices("pemodel") == dict.fromkeys(
+            second.member_ids, TaskStatus.SUCCESS
+        )
+        records = {path.name for path in reused.status.root.glob("pemodel.*")}
+        assert records == attempt_records(reused.status, TaskStatus.SUCCESS)
+        assert all(name.endswith(".a1.status") for name in records)
 
 
-class TestProgressMonitor:
+class TestMemberRecords:
+    """Batch records name their members: each member is counted once."""
+
     def test_batched_progress_in_member_units(self, setup, tmp_path):
         _, background, runner = setup
         engine = EnsembleEngine(
@@ -281,21 +277,14 @@ class TestProgressMonitor:
             batch_size=3,
         )
         result = engine.run(background)
-        report = ProgressMonitor(
-            engine.status, {"pemodel": result.ensemble_size}
-        ).report("pemodel")
-        assert report.succeeded == result.ensemble_size
-        assert report.complete
-        assert report.pending == 0
+        assert engine.status.completed_indices("pemodel") == dict.fromkeys(
+            range(result.ensemble_size), TaskStatus.SUCCESS
+        )
 
     def test_staged_growth_with_partial_batches_not_overcounted(
         self, setup, tmp_path
     ):
-        """Stages of 4 batched in threes write 3+1, 3+1 -- exactly 8 members.
-
-        The records name their members, so the monitor counts members
-        with no weight.
-        """
+        """Stages of 4 batched in threes write 3+1, 3+1 -- exactly 8 members."""
         _, background, runner = setup
         engine = EnsembleEngine(
             runner,
@@ -305,13 +294,15 @@ class TestProgressMonitor:
         )
         result = engine.run(background)
         assert result.ensemble_size == 8
-        report = ProgressMonitor(
-            engine.status, {"pemodel": result.ensemble_size}
-        ).report("pemodel")
-        assert report.succeeded == 8
-        assert report.pending == 0
-        assert report.complete
-        assert report.eta_seconds is not None  # not stale
+        assert engine.status.completed_indices("pemodel") == dict.fromkeys(
+            range(8), TaskStatus.SUCCESS
+        )
+        assert attempt_records(engine.status, TaskStatus.SUCCESS) == {
+            "pemodel.0-2.a1.status",
+            "pemodel.3.a1.status",
+            "pemodel.4-6.a1.status",
+            "pemodel.7.a1.status",
+        }
 
     def test_reused_engine_restarts_store_and_batch_bookkeeping(
         self, setup, tmp_path
@@ -323,11 +314,10 @@ class TestProgressMonitor:
         second = engine.run(background)
         assert second.member_ids == first.member_ids
         assert np.array_equal(second.subspace.modes, first.subspace.modes)
-        report = ProgressMonitor(
-            engine.status, {"pemodel": second.ensemble_size}
-        ).report("pemodel")
-        assert report.succeeded == second.ensemble_size
-        assert report.complete
+        assert engine.status.completed_indices("pemodel") == dict.fromkeys(
+            second.member_ids, TaskStatus.SUCCESS
+        )
+        assert len(attempt_records(engine.status, TaskStatus.SUCCESS)) == 4
 
     def test_serial_progress_per_member(self, setup, tmp_path):
         _, background, runner = setup
@@ -338,9 +328,9 @@ class TestProgressMonitor:
             batch_size=1,
         )
         result = engine.run(background)
-        report = ProgressMonitor(
-            engine.status, {"pemodel": result.ensemble_size}
-        ).report("pemodel")
-        assert report.succeeded == result.ensemble_size
-        assert report.complete
-        assert report.pending == 0
+        assert engine.status.completed_indices("pemodel") == dict.fromkeys(
+            range(result.ensemble_size), TaskStatus.SUCCESS
+        )
+        assert attempt_records(engine.status, TaskStatus.SUCCESS) == {
+            f"pemodel.{i}.a1.status" for i in range(4)
+        }

@@ -24,12 +24,12 @@ from repro.workflow import (
     FaultInjector,
     FaultKind,
     ParallelESSEWorkflow,
-    ProgressMonitor,
     RetryPolicy,
     StatusDirectory,
     TaskStatus,
 )
 from repro.workflow.parallel import MemberPool
+from tests.workflow.conftest import attempt_records
 
 
 @pytest.fixture(scope="module")
@@ -185,15 +185,14 @@ class TestFaultInjectedWorkflow:
         assert not result.degraded
         assert result.n_completed == 16
         assert result.events_of("retry")
-        # the monitor surfaces the retry counters from attempt records
-        report = ProgressMonitor(wf.status, {"pemodel": 16}).report("pemodel")
-        assert report.n_retried > 0
-        assert "retried" in report.render()
-        # attempt-numbered records preserve the failed first attempts
-        counts = wf.status.attempt_counts("pemodel")
-        assert any(
-            per.get(TaskStatus.MODEL_FAILURE, 0) > 0 for per in counts.values()
-        )
+        # every injected crash left its attempt-numbered failure record,
+        # and each one was retried
+        crashed = attempt_records(wf.status, TaskStatus.MODEL_FAILURE)
+        assert crashed == {
+            f"pemodel.{e.index}.a{e.attempt}.status"
+            for e in wf.faults.fault_sequence()
+        }
+        assert len(crashed) == result.n_retried
 
     def test_same_seed_reproduces_fault_sequence(self, setup, tmp_path):
         wf1, r1 = self.run_demo(setup, tmp_path / "a")
@@ -224,8 +223,7 @@ class TestFaultInjectedWorkflow:
         assert result.n_retried > 0
         assert result.n_completed == 16  # healed: torn writes rerun
         # the torn attempt is on record as an IO failure
-        counts = wf.status.attempt_counts("pemodel")
-        assert any(per.get(TaskStatus.IO_FAILURE, 0) > 0 for per in counts.values())
+        assert attempt_records(wf.status, TaskStatus.IO_FAILURE)
 
     def test_torn_last_output_is_retried_not_lost(self, setup, tmp_path):
         """ROADMAP defect (a): the main loop must not leave on all-resolved
@@ -278,9 +276,7 @@ class TestFaultInjectedWorkflow:
         assert result.events_of("straggler_cancel")
         assert result.n_completed == 16
         assert result.wall_seconds < stall / 2
-        report = ProgressMonitor(wf.status, {"pemodel": 16}).report("pemodel")
-        assert report.n_timed_out > 0
-        assert "timed out" in report.render()
+        assert attempt_records(wf.status, TaskStatus.TIMED_OUT)
 
     def test_transient_submit_failures_retried(self, setup, tmp_path):
         _, background, runner = setup
@@ -411,9 +407,9 @@ class TestBatchedMemberPool:
         torn = sorted(int(e.detail.split()[0][7:]) for e in result.events_of("member_corrupt"))
         assert torn == list(range(6))
         assert result.n_retried == 6 and result.n_completed == 16
-        history = wf.status.attempt_counts("pemodel")
-        io_failed = {i for i, per in history.items() if TaskStatus.IO_FAILURE in per}
-        assert io_failed == set(range(6))
+        assert attempt_records(wf.status, TaskStatus.IO_FAILURE) == {
+            f"pemodel.{i}.a1.status" for i in range(6)
+        }
 
     def test_lost_members_are_delivered_one_by_one(self, setup, tmp_path):
         _, background, runner = setup
@@ -520,13 +516,10 @@ class TestAttemptRecords:
         status.write("pemodel", 3, TaskStatus.SUCCESS, attempt=2)
         # latest outcome drives restart; the attempt records keep both
         assert status.read("pemodel", 3) == TaskStatus.SUCCESS
-        assert status.attempt_counts("pemodel") == {
-            3: {TaskStatus.MODEL_FAILURE: 1, TaskStatus.SUCCESS: 1}
+        assert attempt_records(status, TaskStatus.MODEL_FAILURE) == {
+            "pemodel.3.a1.status"
         }
-        assert sorted(p.name for p in status.root.glob("pemodel.3.a*.status")) == [
-            "pemodel.3.a1.status",
-            "pemodel.3.a2.status",
-        ]
+        assert attempt_records(status, TaskStatus.SUCCESS) == {"pemodel.3.a2.status"}
 
     def test_attempt_files_do_not_confuse_completed_indices(self, tmp_path):
         status = StatusDirectory(tmp_path)
