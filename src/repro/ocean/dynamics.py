@@ -11,17 +11,24 @@ Spatial discretization is second-order centred differences with Laplacian
 eddy viscosity; time stepping is forward-backward for the gravity waves
 with an exact rotation for the Coriolis terms (see
 :meth:`ShallowWaterDynamics.step_dynamics`).  Every stencil reads one
-edge-replicated halo copy of its field, so a step is a short sequence of
-whole-array NumPy passes: a few tenths of a millisecond for one state on
-the default 42x36 AOSN-II grid (about a millisecond with the ten-level
-tracer stack of :mod:`repro.ocean.tracers`), which is what makes
-O(1000)-member ensembles tractable on one machine.
+edge-replicated halo copy of its field, and each field group (u and v
+here, T and S in :mod:`repro.ocean.tracers`) is one five-point coefficient
+stencil, so a step is a short sequence of whole-array NumPy passes.  On
+one core of a 2-vCPU VM (one BLAS thread) the dynamics of one state on
+the default 42x36 AOSN-II grid take about 0.13 ms and the whole step with
+the ten-level tracer stack about 0.5 ms; on the benchmark's 32x28x4 grid
+a noisy member costs 0.50 ms per step alone and 0.32 ms in a batch of four,
+its perturbation included (``ocean.member_step_us`` and
+``ocean.batched_member_step_us`` of the suite record quoted in
+EXPERIMENTS.md, "The ocean step as five-point coefficient stencils").
+That is what makes O(1000)-member ensembles tractable on one machine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,22 +76,62 @@ def rim_weights(n: int, spacing: float) -> np.ndarray:
     return weights
 
 
-def halo_ddx(halo: np.ndarray, wx: np.ndarray, out=None) -> np.ndarray:
-    """x-derivative of a halo array; ``wx`` is ``rim_weights(nx, dx)``."""
-    out = np.subtract(halo[..., 1:-1, 2:], halo[..., 1:-1, :-2], out=out)
-    out *= wx
+def halo_runs(halo: np.ndarray, axes: int) -> tuple[np.ndarray, ...]:
+    """Centre, east, west, north and south runs of a halo array.
+
+    The trailing ``axes`` axes of ``halo`` (rows and columns of the halo
+    grid last) are flattened.  The centre run starts one halo row (``W``
+    cells) in and is ``2 W`` cells shorter than the flat buffer; the others
+    are the same run shifted by ``+-1`` and ``+-W`` cells, the neighbours
+    of each of its cells.  A five-point stencil over the runs is a few
+    whole-buffer passes without row strides.  Its results on rim cells (the
+    rim columns, and on a level stack the rim rows between levels) are
+    junk; the interior is exact.
+    """
+    width = halo.shape[-1]
+    flat = halo.reshape(*halo.shape[:-axes], -1)
+    size = flat.shape[-1] - 2 * width
+    return tuple(
+        flat[..., start : start + size]
+        for start in (width, width + 1, width - 1, 2 * width, 0)
+    )
+
+
+def halo_run(halo: np.ndarray, axes: int) -> np.ndarray:
+    """The centre run of :func:`halo_runs`."""
+    width = halo.shape[-1]
+    flat = halo.reshape(*halo.shape[:-axes], -1)
+    return flat[..., width : flat.shape[-1] - width]
+
+
+def zero_rim(fld: np.ndarray) -> np.ndarray:
+    """Halo copy of ``fld`` whose rim is zero (for constant coefficients)."""
+    halo, interior = halo_buffer(np.shape(fld))
+    halo[...] = 0.0
+    interior[...] = fld
+    return halo
+
+
+def ddx(fld: np.ndarray, dx: float) -> np.ndarray:
+    """Centred x-derivative with one-sided differences at the edges."""
+    halo = with_halo(fld)
+    out = halo[..., 1:-1, 2:] - halo[..., 1:-1, :-2]
+    out *= rim_weights(np.shape(fld)[-1], dx)
     return out
 
 
-def halo_ddy(halo: np.ndarray, wy: np.ndarray, out=None) -> np.ndarray:
-    """y-derivative of a halo array; ``wy`` is ``rim_weights(ny, dy)[:, None]``."""
-    out = np.subtract(halo[..., 2:, 1:-1], halo[..., :-2, 1:-1], out=out)
-    out *= wy
+def ddy(fld: np.ndarray, dy: float) -> np.ndarray:
+    """Centred y-derivative with one-sided differences at the edges."""
+    halo = with_halo(fld)
+    out = halo[..., 2:, 1:-1] - halo[..., :-2, 1:-1]
+    out *= rim_weights(np.shape(fld)[-2], dy)[:, None]
     return out
 
 
-def halo_laplacian(halo: np.ndarray, cx: float, cy: float) -> np.ndarray:
-    """``cx * d2/dx2 + cy * d2/dy2`` in grid units (``cx = k / dx**2``)."""
+def laplacian(fld: np.ndarray, dx: float, dy: float) -> np.ndarray:
+    """Five-point Laplacian; zero-flux (Neumann) at the array edges."""
+    halo = with_halo(fld)
+    cx, cy = 1.0 / dx**2, 1.0 / dy**2
     lap = halo[..., 1:-1, 2:] + halo[..., 1:-1, :-2]
     lap *= cx
     term = halo[..., 2:, 1:-1] + halo[..., :-2, 1:-1]
@@ -95,19 +142,18 @@ def halo_laplacian(halo: np.ndarray, cx: float, cy: float) -> np.ndarray:
     return lap
 
 
-def ddx(fld: np.ndarray, dx: float) -> np.ndarray:
-    """Centred x-derivative with one-sided differences at the edges."""
-    return halo_ddx(with_halo(fld), rim_weights(np.shape(fld)[-1], dx))
+class StepConstants(NamedTuple):
+    """What a step of one length needs beyond the operator's own constants.
 
+    Built once per model by :meth:`ShallowWaterDynamics.step_constants`;
+    read-only, so pool threads may share it.
+    """
 
-def ddy(fld: np.ndarray, dy: float) -> np.ndarray:
-    """Centred y-derivative with one-sided differences at the edges."""
-    return halo_ddy(with_halo(fld), rim_weights(np.shape(fld)[-2], dy)[:, None])
-
-
-def laplacian(fld: np.ndarray, dx: float, dy: float) -> np.ndarray:
-    """Five-point Laplacian; zero-flux (Neumann) at the array edges."""
-    return halo_laplacian(with_halo(fld), 1.0 / dx**2, 1.0 / dy**2)
+    dt: float
+    wet_dt: np.ndarray  # the land mask times dt
+    cos: float  # the inertial rotation over dt
+    sin: float
+    damp: np.ndarray  # the land mask times the open-boundary sponge
 
 
 @dataclass(frozen=True)
@@ -155,16 +201,32 @@ class ShallowWaterDynamics:
         # condition before gradient/diffusion stencils (see masking.py).
         object.__setattr__(self, "fill_land", LandFiller(mask))
         object.__setattr__(self, "_wet", mask.astype(float))
-        object.__setattr__(self, "_wx", rim_weights(grid.nx, grid.dx))
-        object.__setattr__(self, "_wy", rim_weights(grid.ny, grid.dy)[:, None])
-        object.__setattr__(self, "_coriolis", grid.coriolis)
+        wx, wy = rim_weights(grid.nx, grid.dx), rim_weights(grid.ny, grid.dy)[:, None]
+        cx, cy = self.viscosity / grid.dx**2, self.viscosity / grid.dy**2
+        # The momentum stencil: (a_E, a_W, a_N, a_S) = (cx -/+ u wx, cy -/+ v wy)
+        # as one product with the rows (1, u wx, v wy); the viscosity's
+        # 2 (cx + cy) plus the bottom drag on the centre.  Then the
+        # pressure-gradient weights.
+        object.__setattr__(self, "_wx", np.broadcast_to(wx, grid.shape2d))
+        object.__setattr__(self, "_wy", np.broadcast_to(wy, grid.shape2d))
+        coef = [[cx, -1.0, 0.0], [cx, 1.0, 0.0], [cy, 0.0, -1.0], [cy, 0.0, 1.0]]
+        object.__setattr__(self, "_coef", np.array(coef))
+        object.__setattr__(self, "_a_centre", 2.0 * (cx + cy) + self.bottom_drag)
+        object.__setattr__(self, "_gwx", self.g_reduced * wx)
+        object.__setattr__(self, "_gwy", self.g_reduced * wy)
+        shape = grid.shape2d
         # Open (wet-wet) cell faces, used by the finite-volume continuity
         # fluxes: a face is open only when both adjacent cells are ocean,
         # which makes the coastline an exact no-flux wall and the scheme
         # exactly volume-conserving.  The factors carry the 1/2 of the
         # face mean (or the diffusivity) and the 1/dx of the divergence.
-        face_x = mask[:, :-1] & mask[:, 1:]
-        face_y = mask[:-1, :] & mask[1:, :]
+        # On the row-major flattened grid the x faces are the pairs of
+        # neighbouring cells, row ends included (those "faces" are closed),
+        # so every shift is one contiguous slice.
+        face_x = np.zeros(shape)
+        face_x[:, :-1] = mask[:, :-1] & mask[:, 1:]
+        face_x = face_x.reshape(-1)[:-1]
+        face_y = (mask[:-1, :] & mask[1:, :]).reshape(-1)
         kappa = self.eta_diffusivity
         object.__setattr__(self, "_face_x", face_x * (0.5 / grid.dx))
         object.__setattr__(self, "_face_y", face_y * (0.5 / grid.dy))
@@ -177,34 +239,36 @@ class ShallowWaterDynamics:
         """deta/dt from finite-volume mass fluxes plus conservative diffusion.
 
         Face transports use the mean of the two adjacent cells and vanish on
-        coast faces, so the sum of ``deta/dt`` over wet cells is exactly
-        zero: total layer volume is conserved to round-off (the paper's PE
-        model shares this property; it matters for multi-week ESSE runs).
-        Land cells have no open face, so they come out exactly zero.
+        coast faces, and each face's flux is computed once, so the sum of
+        ``deta/dt`` over wet cells is exactly zero: total layer volume is
+        conserved to round-off (the paper's PE model shares this property;
+        it matters for multi-week ESSE runs).  Land cells have no open face,
+        so they come out exactly zero.
         """
+        lead, nx = h.shape[:-2], h.shape[-1]
         hu, hv = h * u, h * v
-        ny, nx = h.shape[-2:]
-        # Face transports over the cell width, the two closed array ends
-        # included as explicit zeros, so that deta = inflow - outflow.
-        flux_x = np.zeros((*h.shape[:-2], ny, nx + 1))
-        inner = flux_x[..., :, 1:-1]
-        np.add(hu[..., :, :-1], hu[..., :, 1:], out=inner)
-        inner *= self._face_x
-        # Conservative interface-height diffusion on the same faces.
-        slope = eta_filled[..., :, 1:] - eta_filled[..., :, :-1]
+        hu, hv = hu.reshape(*lead, -1), hv.reshape(*lead, -1)
+        eta_filled = eta_filled.reshape(*lead, -1)
+        # Transports through the faces over the cell width, less the
+        # interface-height diffusion through the same faces.
+        flux_x = hu[..., :-1] + hu[..., 1:]
+        flux_x *= self._face_x
+        slope = eta_filled[..., 1:] - eta_filled[..., :-1]
         slope *= self._diff_x
-        inner -= slope
-        flux_y = np.zeros((*h.shape[:-2], ny + 1, nx))
-        inner = flux_y[..., 1:-1, :]
-        np.add(hv[..., :-1, :], hv[..., 1:, :], out=inner)
-        inner *= self._face_y
-        slope = eta_filled[..., 1:, :] - eta_filled[..., :-1, :]
+        flux_x -= slope
+        flux_y = hv[..., :-nx] + hv[..., nx:]
+        flux_y *= self._face_y
+        slope = eta_filled[..., nx:] - eta_filled[..., :-nx]
         slope *= self._diff_y
-        inner -= slope
-        deta = flux_x[..., :, :-1] - flux_x[..., :, 1:]
-        deta -= flux_y[..., 1:, :]
-        deta += flux_y[..., :-1, :]
-        return deta
+        flux_y -= slope
+        # deta = inflow - outflow; the closed array ends carry no flux.
+        deta = np.empty(hu.shape)
+        deta[..., 0] = 0.0
+        deta[..., 1:] = flux_x
+        deta[..., :-1] -= flux_x
+        deta[..., :-nx] -= flux_y
+        deta[..., nx:] += flux_y
+        return deta.reshape(h.shape)
 
     @property
     def gravity_wave_speed(self) -> float:
@@ -223,9 +287,12 @@ class ShallowWaterDynamics:
         eta: np.ndarray,
         tau_x: np.ndarray,
         tau_y: np.ndarray,
-        dt: float,
+        step: StepConstants,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Advance (u, v, eta) one step of ``dt`` seconds.
+        """Advance (u, v, eta) one step of ``step.dt`` seconds.
+
+        ``step`` is :meth:`step_constants` of the step length, which a model
+        builds once rather than on every step.
 
         All fields may carry arbitrary leading batch dimensions ahead of
         the trailing ``(ny, nx)`` axes -- a whole ``(N, ny, nx)`` ensemble
@@ -258,40 +325,63 @@ class ShallowWaterDynamics:
 
         # 1. continuity, forward step: exact finite-volume fluxes
         deta_dt = self._continuity_tendency(h, u, v, self.fill_land(eta))
-        eta_new = deta_dt * dt
+        eta_new = deta_dt * step.dt
         eta_new += eta
 
-        # 2. momentum: explicit advection/viscosity/drag/wind, backward
-        #    pressure gradient from the (land-filled) new interface height
+        # 2. momentum: one five-point stencil for u and v -- advection by
+        #    (u, v), viscosity and drag -- whose coefficients both share:
+        #    a_E/W = cx -/+ u wx, a_N/S = cy -/+ v wy, a_C = 2 (cx + cy) + r
+        lead = u.shape[:-2]
+        rows = np.empty((*lead, 3, *u.shape[-2:]))
+        rows[..., 0, :, :] = 1.0
+        np.multiply(u, self._wx, out=rows[..., 1, :, :])
+        np.multiply(v, self._wy, out=rows[..., 2, :, :])
+        coef = np.matmul(self._coef, rows.reshape(*lead, 3, -1))
+        coef = coef.reshape(*lead, 4, 1, *u.shape[-2:])
+        duv = halo[..., 1:-1, 2:] * coef[..., 0, :, :, :]
+        term = halo[..., 1:-1, :-2] * coef[..., 1, :, :, :]
+        duv += term
+        np.multiply(halo[..., 2:, 1:-1], coef[..., 2, :, :, :], out=term)
+        duv += term
+        np.multiply(halo[..., :-2, 1:-1], coef[..., 3, :, :, :], out=term)
+        duv += term
+        np.multiply(uv, self._a_centre, out=term)
+        duv -= term
+        #    backward pressure gradient from the (land-filled) new interface
+        #    height, and the wind, per component
         eta_halo = with_halo(eta_new, fill=self.fill_land)
-        loss = halo_ddx(halo, self._wx)  # advection + pressure + drag
-        loss *= u[..., None, :, :]
-        term = halo_ddy(halo, self._wy)
-        term *= v[..., None, :, :]
-        loss += term
-        halo_ddx(eta_halo, self._wx, out=term[..., 0, :, :])
-        halo_ddy(eta_halo, self._wy, out=term[..., 1, :, :])
-        term *= self.g_reduced
-        loss += term
-        np.multiply(uv, self.bottom_drag, out=term)
-        loss += term
-        cx, cy = self.viscosity / self.grid.dx**2, self.viscosity / self.grid.dy**2
-        duv = halo_laplacian(halo, cx, cy)
-        duv -= loss
+        grad = term[..., 0, :, :]
+        np.subtract(eta_halo[..., 1:-1, 2:], eta_halo[..., 1:-1, :-2], out=grad)
+        grad *= self._gwx
+        grad = term[..., 1, :, :]
+        np.subtract(eta_halo[..., 2:, 1:-1], eta_halo[..., :-2, 1:-1], out=grad)
+        grad *= self._gwy
+        duv -= term
         rho_h = RHO0 * h
         np.divide(tau_x, rho_h, out=term[..., 0, :, :])
         np.divide(tau_y, rho_h, out=term[..., 1, :, :])
         duv += term
-        duv *= self._wet * dt
+        duv *= step.wet_dt
         duv += uv  # (u*, v*)
 
         # 3. Coriolis: exact inertial rotation of (u*, v*)
-        angle = self._coriolis * dt
-        uv_new = duv * math.cos(angle)
-        np.multiply(duv, math.sin(angle), out=term)
-        uv_new[..., 0, :, :] += term[..., 1, :, :]
-        uv_new[..., 1, :, :] -= term[..., 0, :, :]
+        uv_new = duv * step.cos
+        duv *= step.sin
+        uv_new[..., 0, :, :] += duv[..., 1, :, :]
+        uv_new[..., 1, :, :] -= duv[..., 0, :, :]
         return uv_new[..., 0, :, :], uv_new[..., 1, :, :], eta_new, deta_dt
+
+    def step_constants(
+        self, dt: float, sponge: np.ndarray | None = None
+    ) -> StepConstants:
+        """The constants of a step of ``dt`` seconds (see :class:`StepConstants`).
+
+        ``sponge`` is the factor field of :meth:`sponge_factors`; None
+        zeroes land only.
+        """
+        angle = self.grid.coriolis * dt
+        damp = self._wet if sponge is None else self._wet * sponge
+        return StepConstants(dt, self._wet * dt, math.cos(angle), math.sin(angle), damp)
 
     def sponge_factors(self, dt: float, width: int = 5, tau_edge: float = 10800.0) -> np.ndarray:
         """Per-step damping factors of a smooth open-boundary sponge.
@@ -318,13 +408,13 @@ class ShallowWaterDynamics:
         u: np.ndarray,
         v: np.ndarray,
         eta: np.ndarray,
-        sponge: np.ndarray | None = None,
+        step: StepConstants | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Zero fields on land and apply the open-boundary sponge.
 
-        ``sponge`` is the precomputed factor field from
-        :meth:`sponge_factors`; passing None skips the sponge (used by
+        ``step`` is :meth:`step_constants`, whose ``damp`` holds the land
+        mask times the sponge factors; None zeroes land only (used by
         process-level tests).
         """
-        damp = self._wet if sponge is None else self._wet * sponge
+        damp = self._wet if step is None else step.damp
         return u * damp, v * damp, eta * damp

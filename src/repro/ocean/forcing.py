@@ -73,6 +73,7 @@ class AtmosphericForcing:
         tau_x, tau_y = upwelling_wind_stress(self.grid, amplitude=self.mean_tau)
         object.__setattr__(self, "_tau_x0", tau_x)
         object.__setattr__(self, "_tau_y0", tau_y)
+        object.__setattr__(self, "_wet", self.grid.mask.astype(float))
 
     def wind_stress(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Wind stress fields (tau_x, tau_y) at model time ``t`` seconds."""
@@ -84,5 +85,4 @@ class AtmosphericForcing:
         """Net surface heat flux (W/m^2, positive warms) at time ``t``."""
         daily = np.cos(2.0 * np.pi * (t % 86400.0) / 86400.0 - np.pi)
         synoptic = 0.3 * np.sin(2.0 * np.pi * t / self.synoptic_period)
-        value = self.heat_flux_amplitude * (daily + synoptic)
-        return self.grid.apply_mask(np.full(self.grid.shape2d, value))
+        return self._wet * (self.heat_flux_amplitude * (daily + synoptic))

@@ -9,7 +9,7 @@ singleton; the ESSE layer never looks inside.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,6 +217,8 @@ class PEModel:
         )
         self.tracers = TracerDynamics(self.grid, diffusivity=self.config.diffusivity)
         self._sponge = self.dynamics.sponge_factors(self.config.dt)
+        # Built once: pool threads share the model, so no step caches them.
+        self._constants = self.dynamics.step_constants(self.config.dt, self._sponge)
         max_dt = self.dynamics.max_stable_dt(safety=0.9)
         if self.config.dt > max_dt:
             raise ValueError(
@@ -305,14 +307,14 @@ class PEModel:
         heat = self.forcing.heat_flux(state.time)
 
         u, v, eta, deta_dt = self.dynamics.step_dynamics(
-            state.u, state.v, state.eta, tau_x, tau_y, dt
+            state.u, state.v, state.eta, tau_x, tau_y, self._constants
         )
         temp, salt = self.tracers.tendencies(
             state.temp, state.salt, state.u, state.v, deta_dt, heat
         )
-        temp *= dt
+        temp = np.multiply(temp, dt)
         temp += state.temp
-        salt *= dt
+        salt = np.multiply(salt, dt)
         salt += state.salt
 
         if noise is not None and noise.is_active():
@@ -324,10 +326,8 @@ class PEModel:
             temp += block[..., 3 : 3 + nz, :, :]
             salt += block[..., 3 + nz :, :, :]
 
-        u, v, eta = self.dynamics.enforce_boundaries(u, v, eta, sponge=self._sponge)
-        return replace(
-            state, u=u, v=v, eta=eta, temp=temp, salt=salt, time=state.time + dt
-        )
+        u, v, eta = self.dynamics.enforce_boundaries(u, v, eta, self._constants)
+        return type(state)(u, v, eta, temp, salt, state.time + dt)
 
     def step(self, state: ModelState) -> ModelState:
         """One forward-backward step of length ``config.dt`` + Wiener forcing.

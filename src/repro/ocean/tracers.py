@@ -17,11 +17,11 @@ import numpy as np
 
 from repro.ocean.dynamics import (
     halo_buffer,
-    halo_ddx,
-    halo_ddy,
-    halo_laplacian,
+    halo_run,
+    halo_runs,
     replicate_rim,
     rim_weights,
+    zero_rim,
 )
 from repro.ocean.grid import OceanGrid
 from repro.ocean.masking import LandFiller
@@ -92,16 +92,35 @@ class TracerDynamics:
         dtdz = np.gradient(t_prof, z)
         norm = np.max(np.abs(dtdz))
         structure = (np.abs(dtdz) / norm) if norm > 0 else np.zeros_like(z)
-        self._heave = (
-            np.array([3.5, -0.3])[:, None] * (self.heave_gain * structure)
-        )[:, :, None, None]
-        # T and S step as one (2, nz, ny, nx) stack: every stencil pass is
-        # issued once.  All of these are constants (shared across threads).
-        self._clim = np.stack([t_prof, s_prof])[:, :, None, None]
-        self._fill_land = LandFiller(self.grid.mask)
-        self._wet = self.grid.mask.astype(float)
-        self._wx = rim_weights(self.grid.nx, self.grid.dx)
-        self._wy = rim_weights(self.grid.ny, self.grid.dy)[:, None]
+        heave = np.array([3.5, -0.3])[:, None] * (self.heave_gain * structure)
+        # T and S step as one (2, nz, ny, nx) stack through one five-point
+        # stencil whose per-level coefficients both share.  Every
+        # coefficient carries the land mask, so the stencil is zero on land.
+        # All of these are constants (shared across threads).
+        grid = self.grid
+        wet = grid.mask.astype(float)
+        self._fill_land = LandFiller(grid.mask)
+        # The per-level coefficients and the source terms are small matrix
+        # products over the rows ``(v wy, 1, u wx, deta/dt, heat flux)`` of
+        # one per-step buffer in the halo layout (land zero in every row):
+        #   (a_N; a_S)_k = cy -/+ s_k v wy,  (a_E; a_W)_k = cx -/+ s_k u wx,
+        #   source = clim / tau + heave x deta/dt + heat (top level of T).
+        self._wx_wet = rim_weights(grid.nx, grid.dx) * wet
+        self._wy_wet = rim_weights(grid.ny, grid.dy)[:, None] * wet
+        self._wet_row = zero_rim(wet).reshape(-1)
+        cx = self.diffusivity / grid.dx**2
+        cy = self.diffusivity / grid.dy**2
+        s = self._vel_structure[:, 0, 0]
+        self._coef_y = np.stack([np.concatenate([-s, s]), np.full(2 * grid.nz, cy)], 1)
+        self._coef_x = np.stack([np.full(2 * grid.nz, cx), np.concatenate([-s, s])], 1)
+        clim = np.concatenate([t_prof, s_prof]) / self.relaxation_time
+        heat = np.zeros(2 * grid.nz)
+        heat[0] = 1.0 / (1025.0 * 3990.0 * self.heat_capacity_depth)
+        self._source = np.stack([clim, np.zeros_like(clim), heave.ravel(), heat], 1)
+        # The relaxation's -C/tau folded into the centre coefficient.
+        centre = (2.0 * (cx + cy) + 1.0 / self.relaxation_time) * wet
+        centre = zero_rim(np.broadcast_to(centre, grid.shape3d))
+        self._a_centre = halo_run(centre, 3).copy()
 
     def tendencies(
         self,
@@ -125,34 +144,56 @@ class TracerDynamics:
             the depth structure per level.
         deta_dt:
             Interface-height tendency (m/s); drives thermocline heave.
+            Zero on land, as :meth:`ShallowWaterDynamics.step_dynamics`
+            returns it.
         heat_flux:
-            Net surface heat flux (W/m^2), applied to the top level.
+            Net surface heat flux (W/m^2), applied to the top level; zero
+            on land, as :class:`AtmosphericForcing` returns it.
+
+        The stencil carries the land mask in its coefficients, so with
+        these two zero on land both tendencies are zero there.  They are
+        views of one halo-layout buffer.
         """
-        halo, both = halo_buffer((*temp.shape[:-3], 2, *temp.shape[-3:]))
+        lead, shape = temp.shape[:-3], temp.shape[-3:]
+        halo, both = halo_buffer((*lead, 2, *shape))
         both[..., 0, :, :, :] = temp
         both[..., 1, :, :, :] = salt
         # Land-filled tracer: zero-gradient at the coast, so diffusion
         # and advection see a no-flux wall, not a 0-valued one.
         self._fill_land.fill(both)
         replicate_rim(halo)
-        adv = halo_ddx(halo, self._wx)
-        adv *= u[..., None, None, :, :] * self._vel_structure
-        term = halo_ddy(halo, self._wy)
-        term *= v[..., None, None, :, :] * self._vel_structure
-        adv += term
-        cx = self.diffusivity / self.grid.dx**2
-        cy = self.diffusivity / self.grid.dy**2
-        tend = halo_laplacian(halo, cx, cy)
-        tend -= adv
-        np.subtract(self._clim, both, out=term)  # relaxation (the fill is land only)
-        term /= self.relaxation_time
-        tend += term
-        np.multiply(deta_dt[..., None, None, :, :], self._heave, out=term)
-        tend += term
-
-        # Surface heating on the top level.
-        rho_cp = 1025.0 * 3990.0
-        tend[..., 0, 0, :, :] += heat_flux / (rho_cp * self.heat_capacity_depth)
-
-        tend *= self._wet
+        # Advection by the level's velocity and diffusion as one stencil
+        # over the halo runs: a_E/W = cx -/+ u s_k wx, a_N/S = cy -/+ v s_k wy,
+        # and the centre a_C = 2 (cx + cy) + 1/tau carries the relaxation.
+        rows, inner = halo_buffer((*lead, 5, *shape[-2:]))
+        rows[...] = 0.0
+        np.multiply(v, self._wy_wet, out=inner[..., 0, :, :])
+        np.multiply(u, self._wx_wet, out=inner[..., 2, :, :])
+        inner[..., 3, :, :] = deta_dt
+        inner[..., 4, :, :] = heat_flux
+        rows = rows.reshape(*lead, 5, -1)
+        rows[..., 1, :] = self._wet_row
+        # (a_E, a_W), then (a_N, a_S): each pair one product into the layout
+        # (pair, 1, nz, ny + 2, nx + 2) of the halo runs.
+        coef = np.empty((*lead, 2, 1, *halo.shape[-3:]))
+        per_row = (*lead, 2 * shape[0], rows.shape[-1])
+        pair = halo_run(coef, 3)
+        stencil, scratch = np.empty(halo.shape), np.empty(halo.shape)
+        out, term = halo_run(stencil, 3), halo_run(scratch, 3)
+        centre, east, west, north, south = halo_runs(halo, 3)
+        np.matmul(self._coef_x, rows[..., 1:3, :], out=coef.reshape(per_row))
+        np.multiply(east, pair[..., 0, :, :], out=out)
+        np.multiply(west, pair[..., 1, :, :], out=term)
+        out += term
+        np.matmul(self._coef_y, rows[..., 0:2, :], out=coef.reshape(per_row))
+        np.multiply(north, pair[..., 0, :, :], out=term)
+        out += term
+        np.multiply(south, pair[..., 1, :, :], out=term)
+        out += term
+        np.multiply(centre, self._a_centre, out=term)  # the fill is land only
+        out -= term
+        # Relaxation source, thermocline heave and surface heating.
+        np.matmul(self._source, rows[..., 1:5, :], out=scratch.reshape(per_row))
+        out += term
+        tend = stencil[..., 1:-1, 1:-1]
         return tend[..., 0, :, :, :], tend[..., 1, :, :, :]

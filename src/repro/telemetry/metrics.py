@@ -186,10 +186,3 @@ class MetricsRegistry:
                 for k, h in histograms.items()
             },
         }
-
-    def reset(self) -> None:
-        """Drop every instrument (test isolation between cases)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()

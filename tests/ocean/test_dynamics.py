@@ -72,7 +72,8 @@ class TestConstruction:
 class TestStepDynamics:
     def test_rest_stays_at_rest(self, grid, dyn):
         zeros = np.zeros(grid.shape2d)
-        u, v, eta, deta = dyn.step_dynamics(zeros, zeros, zeros, zeros, zeros, 400.0)
+        step = dyn.step_constants(400.0)
+        u, v, eta, deta = dyn.step_dynamics(zeros, zeros, zeros, zeros, zeros, step)
         assert np.allclose(u, 0) and np.allclose(v, 0) and np.allclose(eta, 0)
         assert np.allclose(deta, 0)
 
@@ -83,18 +84,19 @@ class TestStepDynamics:
         u = np.zeros(grid.shape2d)
         v = np.zeros(grid.shape2d)
         tau = np.zeros(grid.shape2d)
-        sponge = dyn.sponge_factors(400.0)
+        step = dyn.step_constants(400.0, dyn.sponge_factors(400.0))
         amp0 = np.abs(eta).max()
         for _ in range(600):
-            u, v, eta, _ = dyn.step_dynamics(u, v, eta, tau, tau, 400.0)
-            u, v, eta = dyn.enforce_boundaries(u, v, eta, sponge)
+            u, v, eta, _ = dyn.step_dynamics(u, v, eta, tau, tau, step)
+            u, v, eta = dyn.enforce_boundaries(u, v, eta, step)
         assert np.all(np.isfinite(eta))
         assert np.abs(eta).max() < 20 * amp0  # bounded (in practice decays)
 
     def test_wind_accelerates_flow(self, grid, dyn):
         zeros = np.zeros(grid.shape2d)
         tau_x = grid.apply_mask(np.full(grid.shape2d, 0.05))
-        u, v, eta, _ = dyn.step_dynamics(zeros, zeros, zeros, tau_x, zeros, 400.0)
+        step = dyn.step_constants(400.0)
+        u, v, eta, _ = dyn.step_dynamics(zeros, zeros, zeros, tau_x, zeros, step)
         assert u[grid.mask].max() > 0
 
     def test_land_velocity_zeroed_by_boundaries(self, grid, dyn):
@@ -112,8 +114,9 @@ class TestStepDynamics:
         v = grid.apply_mask(rng.standard_normal(grid.shape2d) * 0.01)
         tau = np.zeros(grid.shape2d)
         vol0 = eta[grid.mask].sum()
+        step = dyn.step_constants(200.0)
         for _ in range(50):
-            u, v, eta, _ = dyn.step_dynamics(u, v, eta, tau, tau, 200.0)
+            u, v, eta, _ = dyn.step_dynamics(u, v, eta, tau, tau, step)
             u, v, eta = dyn.enforce_boundaries(u, v, eta)
         # interior divergence rearranges mass; edge one-sided stencils leak
         # only marginally

@@ -298,13 +298,29 @@ class TestStepEqualsOldFormulas:
         model, states = case
         state = states[0]
         tau_x, tau_y = model.forcing.wind_stress(state.time)
+        step = model.dynamics.step_constants(model.config.dt)
         *_, deta_dt = model.dynamics.step_dynamics(
-            state.u, state.v, state.eta, tau_x, tau_y, model.config.dt
+            state.u, state.v, state.eta, tau_x, tau_y, step
         )
         wet = deta_dt[model.grid.mask]
         assert np.abs(wet).max() > 0
         assert abs(wet.sum()) <= 1e-13 * np.abs(wet).sum()
         assert np.all(deta_dt[~model.grid.mask] == 0.0)
+
+
+class TestLongHorizon:
+    """Round-off drift of a regrouped kernel shows over hundreds of steps."""
+
+    def test_two_quiet_days_track_the_old_formulas(self):
+        model = PEModel(grid=GRIDS["monterey"]())
+        state = start_states(model, count=1)[0]
+        n_steps = int(round(2 * 86400.0 / model.config.dt))
+        assert n_steps >= 400
+        reference = state
+        for _ in range(n_steps):
+            reference = ref_step(model, reference)
+        final = model.run(state, n_steps * model.config.dt)
+        assert worst_relative_gap(final, reference) <= TOLERANCE
 
 
 class TestBlowupInBatch:

@@ -1,4 +1,4 @@
-"""Metrics registry semantics: instruments, labels, snapshots, reset."""
+"""Metrics registry semantics: instruments, labels, snapshots."""
 
 import threading
 
@@ -95,11 +95,3 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.histogram("h").observe(2.0)
         json.dumps(reg.snapshot())
-
-    def test_reset_drops_instruments(self):
-        reg = MetricsRegistry()
-        reg.counter("n").inc()
-        reg.reset()
-        assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
-        # recreated fresh, not resurrecting the old instrument
-        assert reg.counter("n").value == 0.0
