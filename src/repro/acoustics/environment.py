@@ -64,10 +64,6 @@ class AcousticSection:
         """Section length in metres."""
         return float(self.ranges[-1] - self.ranges[0])
 
-    def column(self, r_index: int) -> tuple[np.ndarray, float]:
-        """(sound-speed profile, water depth) at one range index."""
-        return self.sound_speed[:, r_index], float(self.water_depth[r_index])
-
 
 def extract_section(
     grid: OceanGrid,
@@ -126,25 +122,30 @@ def extract_section(
                 f"bathymetry shape {bathymetry.shape} != grid {grid.shape2d}"
             )
 
-    c_cols = np.empty((depths.size, n_ranges))
-    t_cols = np.empty((depths.size, n_ranges))
+    j, i = grid.nearest_points(xs, ys)
+    t_model = state.temp[:, j, i]
+    c_model = sound_speed_profile(t_model, state.salt[:, j, i], z_model)
+    # np.interp's formula, slope * (z - z_lo) + f_lo, with its weights taken
+    # once for the section; beyond the model levels the end value is held
+    # (lo == hi, offset 0).
+    lo = np.searchsorted(z_model, depths, side="right") - 1
+    inside = (lo >= 0) & (lo < z_model.size - 1)
+    lo = np.clip(lo, 0, z_model.size - 1)
+    hi = np.where(inside, lo + 1, lo)
+    span = np.where(inside, z_model[hi] - z_model[lo], 1.0)[:, None]
+    offset = np.where(inside, depths - z_model[lo], 0.0)[:, None]
+
+    def interp(f: np.ndarray) -> np.ndarray:
+        return (f[hi] - f[lo]) / span * offset + f[lo]
+
     water_depth = np.full(n_ranges, bottom)
-    for k, (x, y) in enumerate(zip(xs, ys)):
-        j, i = grid.nearest_point(x, y)
-        t_prof = state.temp[:, j, i]
-        s_prof = state.salt[:, j, i]
-        c_model = sound_speed_profile(t_prof, s_prof, z_model)
-        # Interpolate onto the fine grid; clamp beyond the model levels.
-        c_cols[:, k] = np.interp(depths, z_model, c_model)
-        t_cols[:, k] = np.interp(depths, z_model, t_prof)
-        if bathymetry is not None:
-            # at least a few nodes of water so the column supports modes
-            floor = max(float(bathymetry[j, i]), 4 * dz)
-            water_depth[k] = min(floor, bottom)
+    if bathymetry is not None:
+        # at least a few nodes of water so the column supports modes
+        water_depth = np.minimum(np.maximum(bathymetry[j, i], 4 * dz), bottom)
     return AcousticSection(
         ranges=ranges,
         depths=depths,
-        sound_speed=c_cols,
-        temperature=t_cols,
+        sound_speed=interp(c_model),
+        temperature=interp(t_model),
         water_depth=water_depth,
     )

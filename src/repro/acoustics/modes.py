@@ -10,9 +10,12 @@ with a pressure-release surface (psi(0) = 0) and a rigid bottom
 tridiagonal eigenproblem.  LAPACK's ``stemr`` (MRRR) driver returns the
 whole spectrum of a 75-point column in O(nz^2) -- several times faster
 than bisection plus inverse iteration over a selected band -- and the
-propagating band ``0 < kr^2 <= max(k^2)`` is kept afterwards, which holds
-single-task cost well under a millisecond and makes the 6000-task
-acoustic-climate runs (paper Sec 5.2.1) cheap to reproduce faithfully.
+propagating band ``0 < kr^2 <= max(k^2)`` is kept afterwards.
+:func:`solve_mode_stack` solves a section's columns in one pass: one
+``stemr`` call per column, then normalization and signs over the
+zero-padded stack.  On a 2-vCPU x86-64 host (one BLAS thread) a 75-point
+column takes about 0.4 ms, three quarters of a TL task; a ``cycle_ref``
+task (16 columns, 12 distinct) takes 7.3 ms in the benchmark record.
 """
 
 from __future__ import annotations
@@ -68,6 +71,8 @@ def solve_modes(
 ) -> ModeSet:
     """Solve the vertical eigenproblem for one profile.
 
+    The one-column case of :func:`solve_mode_stack`.
+
     Parameters
     ----------
     sound_speed:
@@ -78,7 +83,7 @@ def solve_modes(
     frequency:
         Source frequency (Hz), > 0.
     max_modes:
-        Optional cap on the number of returned modes.
+        Optional cap (>= 1) on the number of returned modes.
 
     Returns
     -------
@@ -87,56 +92,77 @@ def solve_modes(
     """
     c = np.asarray(sound_speed, dtype=float)
     z = np.asarray(depths, dtype=float)
-    if frequency <= 0:
-        raise ValueError("frequency must be positive")
     if c.ndim != 1 or c.shape != z.shape:
         raise ValueError("sound_speed and depths must be matching 1-D arrays")
-    if c.size < 4:
-        raise ValueError("need at least 4 grid points")
+    kr, psi, n_modes = solve_mode_stack(c[:, None], z, [c.size], frequency, max_modes)
+    n = int(n_modes[0])
+    return ModeSet(kr=kr[0, :n], psi=psi[0, :n].T, depths=z, frequency=frequency)
+
+
+def solve_mode_stack(
+    sound_speed: np.ndarray,
+    depths: np.ndarray,
+    n_water: np.ndarray,
+    frequency: float,
+    max_modes: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve the vertical eigenproblem for a stack of profiles.
+
+    ``sound_speed`` is ``(nz, n_cols)`` on :func:`solve_modes`'s grid
+    ``depths``; column ``k`` has its rigid seabed at node ``n_water[k] - 1``.
+    Returns ``(kr, psi, n_modes)``: wavenumbers ``(n_cols, width)`` and mode
+    functions ``(n_cols, width, nz)`` (each contiguous in depth), zero past
+    column ``k``'s ``n_modes[k]`` modes and below its seabed, in
+    :class:`ModeSet`'s order, normalization and signs.
+    """
+    c = np.asarray(sound_speed, dtype=float)
+    z = np.asarray(depths, dtype=float)
+    if frequency <= 0:
+        raise ValueError("frequency must be positive")
+    if max_modes is not None and max_modes < 1:
+        raise ValueError(f"max_modes must be at least 1, got {max_modes}")
+    n_water = np.asarray(n_water)
+    if np.any(n_water < 4) or np.any(n_water > z.size):
+        raise ValueError(f"need at least 4 grid points per column, at most {z.size}")
     dz = np.diff(z)
     if np.any(dz <= 0) or not np.allclose(dz, dz[0], rtol=1e-6):
         raise ValueError("depth grid must be uniform and ascending")
     dz = float(dz[0])
-    if np.any(c <= 0):
+    wet = np.arange(z.size)[:, None] < n_water
+    if not np.all(c[wet] > 0):  # NaN fails too, so LAPACK needs no check
         raise ValueError("sound speed must be positive")
 
-    omega = 2.0 * np.pi * frequency
-    k2 = (omega / c) ** 2
-
+    k2 = (2.0 * np.pi * frequency / c) ** 2
+    k2_max = np.max(k2, axis=0, where=wet, initial=0.0)
     # Interior points: surface node removed by psi(0) = 0; the bottom node
     # keeps psi'(H) = 0 via a mirrored ghost point.
-    n = c.size - 1  # unknowns: z_1..z_n (z_0 is the surface)
     diag = -2.0 / dz**2 + k2[1:]
-    off = np.full(n - 1, 1.0 / dz**2)
-    diag = diag.copy()
-    diag[-1] = -2.0 / dz**2 + k2[-1] + 1.0 / dz**2  # rigid-bottom mirror
-
-    # One full-spectrum solve, then keep the propagating band: kr^2 > 0
-    # discards evanescent modes, and kr^2 cannot exceed max(k2).
-    vals, vecs = scipy.linalg.eigh_tridiagonal(diag, off, lapack_driver="stemr")
-    keep = (vals > 0.0) & (vals <= float(np.max(k2)))
-    vals, vecs = vals[keep], vecs[:, keep]
-    if vals.size == 0:
-        return ModeSet(
-            kr=np.empty(0),
-            psi=np.empty((c.size, 0)),
-            depths=z,
-            frequency=frequency,
+    off = np.full(z.size - 2, 1.0 / dz**2)
+    n_cols = c.shape[1]
+    width = z.size - 1 if max_modes is None else min(max_modes, z.size - 1)
+    kr = np.zeros((n_cols, width))
+    psi = np.zeros((n_cols, width, z.size))
+    n_modes = np.zeros(n_cols, dtype=int)
+    for k, n in enumerate(n_water):
+        d = diag[: n - 1, k].copy()
+        d[-1] += 1.0 / dz**2  # rigid-bottom mirror
+        # One full-spectrum solve, then keep the propagating band: kr^2 > 0
+        # discards evanescent modes, and kr^2 cannot exceed max(k2).  LAPACK
+        # returns ascending order; largest kr^2 = lowest mode first.
+        vals, vecs = scipy.linalg.eigh_tridiagonal(
+            d, off[: n - 2], check_finite=False, lapack_driver="stemr"
         )
+        lo, hi = np.searchsorted(vals, (0.0, k2_max[k]), side="right")
+        m = n_modes[k] = min(hi - lo, width)
+        kr[k, :m] = np.sqrt(vals[hi - m : hi][::-1])
+        psi[k, :m, 1:n] = vecs[:, hi - m : hi][:, ::-1].T
 
-    # LAPACK returns ascending order; largest kr^2 = lowest mode first.
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    if max_modes is not None:
-        vals = vals[:max_modes]
-        vecs = vecs[:, :max_modes]
-
-    kr = np.sqrt(vals)
-    psi = np.zeros((c.size, kr.size))
-    psi[1:, :] = vecs
-    # Normalize: integral of psi^2 over depth = 1 (trapezoid on uniform grid).
-    norms = np.sqrt(np.trapezoid(psi**2, dx=dz, axis=0))
-    psi /= norms[None, :]
+    # Normalize: integral of psi^2 over the water = 1 (trapezoid on the
+    # uniform grid; psi(0) = 0, so only the seabed node has half weight).
+    seabed = psi[np.arange(n_cols), :, n_water - 1]
+    norms = np.sqrt(dz * (np.einsum("kmz,kmz->km", psi, psi) - 0.5 * seabed**2))
+    psi /= np.where(norms > 0.0, norms, 1.0)[..., None]
     # Sign convention: mode maximum positive near the surface duct.
-    peak = np.argmax(np.abs(psi), axis=0)
-    psi *= np.where(psi[peak, np.arange(kr.size)] < 0, -1.0, 1.0)
-    return ModeSet(kr=kr, psi=psi, depths=z, frequency=frequency)
+    peak = np.argmax(np.abs(psi), axis=-1)[..., None]
+    psi *= np.where(np.take_along_axis(psi, peak, axis=-1) < 0, -1.0, 1.0)
+    return kr, psi, n_modes

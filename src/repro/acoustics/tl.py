@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.acoustics.environment import AcousticSection
-from repro.acoustics.modes import ModeSet, solve_modes
+from repro.acoustics.modes import ModeSet, solve_mode_stack
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,9 @@ def transmission_loss(
     frequency:
         Source frequency (Hz).
     source_depth:
-        Source depth (m); must lie inside the waveguide.
+        Source depth (m); must lie inside the waveguide at the source.
     max_modes:
-        Cap on the modal sum (lowest-order modes carry the energy).
+        Cap (>= 1) on the modal sum (lowest-order modes carry the energy).
 
     Notes
     -----
@@ -82,77 +82,49 @@ def transmission_loss(
     modal sum is truncated to the smallest local mode count -- the adiabatic
     approximation.  Columns with no propagating modes yield the TL floor.
     """
-    if not 0.0 <= source_depth <= float(section.depths[-1]):
-        raise ValueError(
-            f"source depth {source_depth} outside waveguide "
-            f"[0, {section.depths[-1]}]"
-        )
+    depths, ranges = section.depths, section.ranges
+    bottom = min(float(depths[-1]), float(section.water_depth[0]))
+    if not 0.0 <= source_depth <= bottom:
+        raise ValueError(f"source depth {source_depth} outside waveguide [0, {bottom}]")
     # Range-dependent waveguide: each column's eigenproblem is solved over
-    # the local water depth (rigid seabed there); mode functions are padded
-    # with zeros below the bottom so the adiabatic index-matching and the
-    # receiver grid stay uniform.
-    nz_full = section.depths.size
-    mode_sets: list[ModeSet] = []
-    for r_index in range(section.ranges.size):
-        c_prof, water_depth = section.column(r_index)
-        n_local = int(np.searchsorted(section.depths, water_depth + 1e-9))
-        n_local = max(min(n_local, nz_full), 4)
-        local = solve_modes(
-            c_prof[:n_local],
-            section.depths[:n_local],
-            frequency,
-            max_modes=max_modes,
+    # the local water depth (rigid seabed there).  A column equal to its
+    # neighbour in profile and depth has the same modes, so each run of
+    # equal columns is solved once; ``stack[c]`` is column c's solution.
+    nz, nr = depths.size, ranges.size - 1
+    c = section.sound_speed
+    n_water = np.clip(np.searchsorted(depths, section.water_depth + 1e-9), 4, nz)
+    new = np.ones(nr + 1, dtype=bool)
+    new[1:] = (n_water[1:] != n_water[:-1]) | np.any(c[:, 1:] != c[:, :-1], axis=0)
+    stack = np.cumsum(new) - 1
+    kr, psi, n_modes = solve_mode_stack(c[:, new], depths, n_water[new], frequency, max_modes)
+    width = kr.shape[1]
+
+    # Adiabatic phase: the trapezoid of kr_m along range, cumulated over
+    # columns, for the modes present at every column up to the receiver.
+    kr_cols = kr[stack]
+    steps = 0.5 * (kr_cols[1:] + kr_cols[:-1]) * np.diff(ranges)[:, None]
+    phase = np.cumsum(steps, axis=0)
+    common = np.arange(width) < np.minimum.accumulate(n_modes[stack])[1:, None]
+    n_src = n_modes[0]
+    amp_src = np.zeros(width)
+    amp_src[:n_src] = ModeSet(
+        kr[0, :n_src], psi[0, :n_src].T, depths, frequency
+    ).at_depth(source_depth)
+    # The modal sum for every receiver column in one product: receiver r's
+    # coefficients sit in the block of its stack column, so the stack is
+    # never expanded to all columns.  Padded modes (kr = 0) drop out.
+    blocks = np.zeros((kr.shape[0], width, nr), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        blocks[stack[1:], :, np.arange(nr)] = np.where(
+            common, amp_src * np.exp(1j * phase) / np.sqrt(kr_cols[1:]), 0.0
         )
-        if n_local < nz_full and local.n_modes > 0:
-            psi_full = np.zeros((nz_full, local.n_modes))
-            psi_full[:n_local, :] = local.psi
-            local = ModeSet(
-                kr=local.kr,
-                psi=psi_full,
-                depths=section.depths,
-                frequency=frequency,
-            )
-        mode_sets.append(local)
-
-    src_modes = mode_sets[0]
-    nz = section.depths.size
-    nr = section.ranges.size - 1
-    tl = np.full((nz, nr), _TL_FLOOR_DB)
-
-    if src_modes.n_modes > 0:
-        amp_src = src_modes.at_depth(source_depth)
-        # Adiabatic phase: cumulative integral of kr_m along range, per mode,
-        # truncated to the minimum mode count available up to that range.
-        for col in range(1, section.ranges.size):
-            n_common = min(ms.n_modes for ms in mode_sets[: col + 1])
-            if n_common == 0:
-                continue
-            r = float(section.ranges[col])
-            if r <= 0:
-                continue
-            # trapezoid rule over columns 0..col for each common mode
-            kr_path = np.stack(
-                [mode_sets[c].kr[:n_common] for c in range(col + 1)], axis=1
-            )
-            seg = np.diff(section.ranges[: col + 1])
-            phase = np.sum(0.5 * (kr_path[:, 1:] + kr_path[:, :-1]) * seg, axis=1)
-            kr_here = mode_sets[col].kr[:n_common]
-            psi_here = mode_sets[col].psi[:, :n_common]
-            coeff = (
-                amp_src[:n_common]
-                * np.exp(1j * phase)
-                / np.sqrt(kr_here)
-            )
-            pressure = (psi_here @ coeff) / np.sqrt(8.0 * np.pi * r)
-            with np.errstate(divide="ignore"):
-                tl_col = -20.0 * np.log10(np.abs(pressure))
-            tl[:, col - 1] = np.minimum(
-                np.where(np.isfinite(tl_col), tl_col, _TL_FLOOR_DB), _TL_FLOOR_DB
-            )
-
+        pressure = psi.reshape(-1, nz).T @ blocks.reshape(-1, nr).view(float)
+        pressure = pressure.view(complex) / np.sqrt(8.0 * np.pi * ranges[1:])
+        tl = -20.0 * np.log10(np.abs(pressure))
+    tl = np.minimum(np.where(np.isfinite(tl), tl, _TL_FLOOR_DB), _TL_FLOOR_DB)
     return TLField(
-        ranges=section.ranges[1:].copy(),
-        depths=section.depths.copy(),
+        ranges=ranges[1:].copy(),
+        depths=depths.copy(),
         tl=tl,
         frequency=frequency,
         source_depth=source_depth,

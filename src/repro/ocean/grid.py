@@ -99,22 +99,44 @@ class OceanGrid:
     def nearest_point(self, x: float, y: float) -> tuple[int, int]:
         """Grid indices ``(j, i)`` of the wet point nearest to ``(x, y)`` m.
 
+        The one-point case of :meth:`nearest_points`.
+
         Raises
         ------
         ValueError
             If the grid has no wet points.
         """
-        if self.n_ocean == 0:
-            raise ValueError("grid has no ocean points")
-        j0 = int(np.clip(round(y / self.dy), 0, self.ny - 1))
-        i0 = int(np.clip(round(x / self.dx), 0, self.nx - 1))
-        if self.mask[j0, i0]:
-            return j0, i0
-        # Fall back to the nearest wet point by Euclidean grid distance.
-        jj, ii = np.nonzero(self.mask)
-        d2 = (jj - j0) ** 2 * (self.dy / self.dx) ** 2 + (ii - i0) ** 2
-        k = int(np.argmin(d2))
-        return int(jj[k]), int(ii[k])
+        j, i = self.nearest_points(np.array([x]), np.array([y]))
+        return int(j[0]), int(i[0])
+
+    def nearest_points(
+        self, xs: np.ndarray, ys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Grid indices ``(j, i)`` of the wet points nearest to ``(xs, ys)`` m.
+
+        Each position rounds to its grid cell (clipped to the domain); a
+        cell on land falls back to the nearest wet point by Euclidean grid
+        distance, the first in row-major order on a tie.
+
+        Raises
+        ------
+        ValueError
+            If the grid has no wet points.
+        """
+        j = np.clip(np.rint(np.asarray(ys, dtype=float) / self.dy), 0, self.ny - 1)
+        i = np.clip(np.rint(np.asarray(xs, dtype=float) / self.dx), 0, self.nx - 1)
+        j, i = j.astype(np.intp), i.astype(np.intp)
+        dry = ~self.mask[j, i]
+        if dry.any():
+            jj, ii = np.nonzero(self.mask)
+            if jj.size == 0:
+                raise ValueError("grid has no ocean points")
+            d2 = (jj - j[dry, None]) ** 2 * (self.dy / self.dx) ** 2 + (
+                ii - i[dry, None]
+            ) ** 2
+            nearest = np.argmin(d2, axis=1)
+            j[dry], i[dry] = jj[nearest], ii[nearest]
+        return j, i
 
     def apply_mask(self, fld: np.ndarray, fill: float = 0.0) -> np.ndarray:
         """Return a copy of ``fld`` with land points set to ``fill``.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.acoustics.modes import solve_modes
+from repro.acoustics.modes import solve_mode_stack, solve_modes
 
 
 @pytest.fixture()
@@ -115,6 +115,19 @@ class TestValidation:
         c[3] = -1.0
         with pytest.raises(ValueError, match="positive"):
             solve_modes(c, z, 100.0)
+
+    @pytest.mark.parametrize("max_modes", [0, -2])
+    def test_rejects_nonpositive_max_modes(self, iso_waveguide, max_modes):
+        """-2 used to return all but two modes, 0 an empty set."""
+        z, c = iso_waveguide
+        with pytest.raises(ValueError, match="max_modes"):
+            solve_modes(c, z, 100.0, max_modes=max_modes)
+
+    @pytest.mark.parametrize("n_water", [[5, 3], [5, 102]])
+    def test_stack_rejects_water_outside_the_grid(self, iso_waveguide, n_water):
+        z, c = iso_waveguide
+        with pytest.raises(ValueError, match="4 grid points per column, at most 101"):
+            solve_mode_stack(np.stack([c, c], axis=1), z, n_water, 100.0)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="4 grid points"):

@@ -100,6 +100,26 @@ class TestTransmissionLoss:
         with pytest.raises(ValueError, match="source depth"):
             transmission_loss(sec, 100.0, source_depth=500.0)
 
+    def test_source_below_the_seabed_rejected(self):
+        """60 m of water over the source: a 150 m source used to give a
+        field entirely at the 160 dB floor, with no error."""
+        flat = iso_section()
+        sec = AcousticSection(
+            ranges=flat.ranges,
+            depths=flat.depths,
+            sound_speed=flat.sound_speed,
+            temperature=flat.temperature,
+            water_depth=np.full(flat.ranges.size, 60.0),
+        )
+        with pytest.raises(ValueError, match=r"source depth 150.0 outside waveguide \[0, 60.0\]"):
+            transmission_loss(sec, 100.0, source_depth=150.0)
+        assert np.all(transmission_loss(sec, 100.0, source_depth=50.0).tl[1:15] < 160.0)
+
+    @pytest.mark.parametrize("max_modes", [0, -2])
+    def test_nonpositive_max_modes_rejected(self, max_modes):
+        with pytest.raises(ValueError, match="max_modes"):
+            transmission_loss(iso_section(), 100.0, source_depth=50.0, max_modes=max_modes)
+
     def test_tl_positive_beyond_1m(self):
         sec = iso_section()
         fld = transmission_loss(sec, 100.0, source_depth=50.0)

@@ -78,6 +78,42 @@ class TestIndexing:
             g.nearest_point(0.0, 0.0)
 
 
+class TestNearestPoints:
+    """The vectorized lookup equals ``nearest_point`` point by point."""
+
+    @staticmethod
+    def coast_grid():
+        mask = np.ones((6, 8), dtype=bool)
+        mask[:, :3] = False  # a coast along the west edge
+        mask[4:, 5] = False  # and an island
+        return make_grid(mask=mask)
+
+    def test_matches_nearest_point(self):
+        g = self.coast_grid()
+        rng = np.random.default_rng(3)
+        xs = np.concatenate([rng.uniform(-4000.0, 12000.0, 40), [0.0, 5000.0, 1e9, -1e9]])
+        ys = np.concatenate([rng.uniform(-5000.0, 16000.0, 40), [0.0, 9000.0, 1e9, 5000.0]])
+        j, i = g.nearest_points(xs, ys)
+        assert [(int(a), int(b)) for a, b in zip(j, i)] == [
+            g.nearest_point(x, y) for x, y in zip(xs, ys)
+        ]
+        assert np.all(g.mask[j, i])
+        # the sample covers land cells (the fallback) and the outside (clipping)
+        raw_i = np.clip(np.rint(xs / g.dx), 0, g.nx - 1).astype(int)
+        raw_j = np.clip(np.rint(ys / g.dy), 0, g.ny - 1).astype(int)
+        assert np.any(~g.mask[raw_j, raw_i])
+        assert np.any((xs < 0) | (xs > (g.nx - 1) * g.dx))
+
+    def test_land_falls_back_to_nearest_wet_point(self):
+        j, i = self.coast_grid().nearest_points(np.array([0.0, 5000.0]), np.array([0.0, 10000.0]))
+        assert list(j) == [0, 5] and list(i) == [3, 4]
+
+    def test_all_land_raises(self):
+        g = make_grid(mask=np.zeros((6, 8), dtype=bool))
+        with pytest.raises(ValueError, match="no ocean"):
+            g.nearest_points(np.array([0.0, 1000.0]), np.array([0.0, 0.0]))
+
+
 class TestMasking:
     def test_apply_mask_2d(self):
         mask = np.ones((6, 8), dtype=bool)
