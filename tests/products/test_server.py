@@ -2,9 +2,11 @@
 
 import asyncio
 import builtins
+import gc
 import json
 import os
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -310,8 +312,21 @@ class TestHostileClients:
             (b"GET /healthz HTTP/1.1\r\nHost: t\rX: y\r\n\r\n", False),
             (b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", False),
             (b"GET /healthz HTTP/1.1\r\n\rX: y\r\n\r\n", False),
+            (b"GET /healthz HTTP/1.1\r\nHost: t\nX: y", False),
+            (b"GET /healthz HTTP/1.1\r\nHost: t\rX: y", False),
+            (b"GET /healthz HTTP/1.1\r\nHost: t\r\n\n", False),
         ],
-        ids=["bare-lf-then-eof", "bare-lf-open", "lone-lf", "lone-cr", "no-colon", "cr-no-lf"],
+        ids=[
+            "bare-lf-then-eof",
+            "bare-lf-open",
+            "lone-lf",
+            "lone-cr",
+            "no-colon",
+            "cr-no-lf",
+            "lone-lf-unended-open",
+            "lone-cr-unended-open",
+            "lf-after-crlf-unended-open",
+        ],
     )
     def test_heads_are_crlf_framed(self, workdir, monkeypatch, head, eof):
         """The decision of the module docstring: bare LF is not a line end,
@@ -504,3 +519,140 @@ class TestHitPathOverHTTP:
             return version
 
         assert serve(store.workdir, scenario) >= 100
+
+
+class TestOneProtocolPerConnection:
+    """What the per-connection protocol promises beyond the wire format."""
+
+    def test_pipelined_requests_behind_an_executor_miss_keep_order_and_bodies(
+        self, workdir
+    ):
+        """A cold ``latest`` goes to the executor, held there until a tile and
+        an overview of the warm version (answerable from memory at once) and
+        ``healthz`` closing the connection have arrived behind it.  Each body
+        is the service's own answer to its own target, in the order sent."""
+        targets = [
+            "/v1/products/latest",
+            "/v1/products/1/tiles/sst_nowcast/1/1",
+            "/v1/products/1/fields/sst_nowcast?level=1",
+            "/healthz",
+        ]
+        requests = [
+            b"GET %s HTTP/1.1\r\nHost: t\r\n%s\r\n"
+            % (target.encode(), b"Connection: close\r\n" if k == 3 else b"")
+            for k, target in enumerate(targets)
+        ]
+        entered, release = threading.Event(), threading.Event()
+
+        class Held(ProductService):
+            def handle(self, method, target, headers=None):
+                if target == targets[0]:
+                    entered.set()
+                    release.wait(2.0)
+                return super().handle(method, target, headers)
+
+        async def runner():
+            server = ProductHTTPServer(Held(workdir))
+            async with server.serving():
+                await fetch(server.host, server.port, "/v1/products/1")  # warm v1
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(requests[0])
+                assert await asyncio.to_thread(entered.wait, 2.0)
+                writer.write(b"".join(requests[1:]))
+                await asyncio.sleep(0.05)  # the later requests are buffered
+                release.set()
+                payload = await asyncio.wait_for(reader.read(), 2.0)
+                writer.close()
+                return payload
+
+        payload = asyncio.run(runner())
+        reference = ProductService(workdir)
+        answers = []
+        while payload:
+            head, _, payload = payload.partition(b"\r\n\r\n")
+            length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+            answers.append((status_of(head), payload[:length]))
+            payload = payload[length:]
+        expected = [reference.handle("GET", target) for target in targets]
+        assert answers == [(r.status, r.body) for r in expected]
+        assert [json.loads(body)["version"] for _, body in answers] == [1] * 4
+        assert [sorted(json.loads(body))[:2] for _, body in answers] == [
+            ["bulletin", "checksum"],
+            ["field", "summary"],
+            ["domain", "field"],
+            ["status", "version"],
+        ]
+
+    def test_keep_alive_steady_state_schedules_no_timer_per_request(self, workdir):
+        """200 hot requests on one keep-alive connection: a constant number of
+        ``loop.call_at`` (``call_later`` goes through it), not one or two per
+        request -- the deadline moves later without a new timer."""
+
+        async def scenario(server):
+            loop = asyncio.get_running_loop()
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            target = "/v1/products/latest/tiles/sst_nowcast/0/0"
+            for _ in range(3):  # warm: the snapshot load and the first render
+                await fetch(server.host, server.port, target, reader=reader, writer=writer)
+            scheduled, call_at = [], loop.call_at
+
+            def counting_call_at(when, callback, *args, **kwargs):
+                scheduled.append(callback)
+                return call_at(when, callback, *args, **kwargs)
+
+            loop.call_at = counting_call_at
+            try:
+                statuses = [
+                    (await fetch(
+                        server.host, server.port, target, reader=reader, writer=writer
+                    ))[0]
+                    for _ in range(200)
+                ]
+            finally:
+                del loop.call_at
+            writer.close()
+            return statuses, len(scheduled)
+
+        statuses, scheduled = serve(workdir, scenario)
+        assert statuses == [200] * 200
+        assert scheduled <= 2
+
+    def test_a_stopped_server_leaves_no_cycle_holding_the_service(
+        self, workdir, monkeypatch
+    ):
+        """Keep-alive, pipelined, refused and timed-out connections with the
+        cyclic GC off: once the server has stopped and its loop closed, the
+        service is freed by reference counting alone -- no connection, and
+        no deadline of one, is left in a cycle that reaches it."""
+        monkeypatch.setattr(server_module, "HEAD_TIMEOUT_S", 0.05)
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            for target in ("/v1/products/latest", "/healthz", "/v1/products/latest"):
+                await fetch(server.host, server.port, target, reader=reader, writer=writer)
+            writer.close()
+            await writer.wait_closed()
+            statuses = [
+                status_of(await exchange(server, HEALTHZ + b"\r\n" + HEALTHZ + b"\r\n", eof=True)),
+                status_of(await exchange(server, b"not http\r\n\r\n")),
+                status_of(await exchange(server, b"GET /healthz HTT")),
+            ]
+            await asyncio.sleep(0.05)  # the last connections see their close
+            return statuses
+
+        async def runner(service):
+            server = ProductHTTPServer(service)
+            async with server.serving():
+                return await scenario(server)
+
+        gc.collect()
+        gc.disable()
+        try:
+            service = ProductService(workdir)
+            alive = weakref.ref(service)
+            statuses = asyncio.run(runner(service))
+            del service
+            assert alive() is None, "a reference cycle still holds the service"
+        finally:
+            gc.enable()
+        assert statuses == [200, 400, 408]

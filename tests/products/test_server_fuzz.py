@@ -4,11 +4,11 @@ Every example talks raw bytes to a live :class:`ProductHTTPServer` over a
 real socket and then checks the same five properties:
 
 1. nothing unhandled reached the loop's exception handler;
-2. no server-side ``StreamReader`` ever buffered beyond asyncio's own
-   high-water mark for the limit the server runs with (twice the limit,
-   plus the one ``recv`` that crossed it);
+2. no server connection ever buffered beyond its high-water mark (twice
+   asyncio's ``StreamReader`` limit, which the server keeps as its head
+   limit, plus the one ``recv`` that crossed it);
 3. after a refusal (``400`` / ``408`` / ``413``) the server closed the
-   connection, and no connection task outlives its client;
+   connection, and no connection outlives its client;
 4. every well-formed request pipelined *before* the garbage was answered
    correctly and in order;
 5. a well-formed request on a *new* connection afterwards is served.
@@ -27,13 +27,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.products.server as server_module
-from repro.products.server import ProductHTTPServer, fetch
+from repro.products.server import ProductHTTPServer, _Connection, fetch
 from repro.products.service import ProductService
 from repro.products.store import ProductStore
 from tests.products.conftest import exchange, make_field, make_product
 
-#: asyncio's default StreamReader limit (the server passes none) and the
-#: most one ``recv`` of a selector transport delivers.
+#: asyncio's default StreamReader limit (the server's ``MAX_HEAD_BYTES``)
+#: and the most one ``recv`` of a selector transport delivers.
 STREAM_LIMIT, RECV_MAX = 64 * 1024, 256 * 1024
 BUFFER_CAP = 2 * STREAM_LIMIT + RECV_MAX
 REFUSALS = (400, 408, 413)
@@ -57,6 +57,27 @@ VALID = [
 ]
 
 
+class WatchedConnection(_Connection):
+    """A connection reporting to its :class:`Watched` server."""
+
+    def connection_made(self, transport):
+        self.server.active += 1
+        self.server.transports.append(transport)
+        super().connection_made(transport)
+
+    def data_received(self, data):
+        # What the buffer holds once ``data`` is appended, before any of it
+        # is parsed off (a lingering connection appends nothing: an upper bound).
+        self.server.peak_buffered = max(
+            self.server.peak_buffered, len(self.buffer) + len(data)
+        )
+        super().data_received(data)
+
+    def connection_lost(self, exc):
+        super().connection_lost(exc)
+        self.server.active -= 1
+
+
 class Watched(ProductHTTPServer):
     """The server, remembering every connection it was handed."""
 
@@ -64,22 +85,10 @@ class Watched(ProductHTTPServer):
         super().__init__(service)
         self.active = 0
         self.peak_buffered = 0
-        self.writers = []
+        self.transports = []
 
-    async def _handle_connection(self, reader, writer):
-        feed = reader.feed_data
-
-        def watched_feed(data):
-            feed(data)
-            self.peak_buffered = max(self.peak_buffered, len(reader._buffer))
-
-        reader.feed_data = watched_feed
-        self.writers.append(writer)
-        self.active += 1
-        try:
-            await super()._handle_connection(reader, writer)
-        finally:
-            self.active -= 1
+    def _connection(self):
+        return WatchedConnection(self)
 
 
 class Harness:
@@ -105,14 +114,14 @@ class Harness:
         return await exchange(self.server, *chunks, patience=PATIENCE, **how)
 
     async def settle(self):
-        """Properties 1, 2, 3 (no task outlives its client) and 5."""
+        """Properties 1, 2, 3 (no connection outlives its client) and 5."""
         for _ in range(int(PATIENCE / 0.005)):
             if not self.server.active:
                 break
             await asyncio.sleep(0.005)
-        assert self.server.active == 0, "a connection task outlived its client"
-        assert all(w.transport.is_closing() for w in self.server.writers)
-        self.server.writers.clear()
+        assert self.server.active == 0, "a connection outlived its client"
+        assert all(t.is_closing() for t in self.server.transports)
+        self.server.transports.clear()
         assert self.loop_errors == []
         assert self.server.peak_buffered <= BUFFER_CAP
         status, _, body = await fetch(self.server.host, self.server.port, "/healthz")
