@@ -35,8 +35,9 @@ class AnomalyView:
     Attributes
     ----------
     columns:
-        Read-only ``(n, count)`` view into the accumulator's storage.
-        Valid forever: written columns are never mutated, and a storage
+        Read-only, F-contiguous ``(n, count)`` view into the
+        accumulator's storage (the transpose of its member rows).  Valid
+        forever: written columns are never mutated, and a storage
         reallocation (capacity growth) leaves this view on the old
         buffer.
     member_ids:
@@ -76,9 +77,12 @@ class AnomalyAccumulator:
     central:
         Central (unperturbed) forecast state vector, shape ``(n,)``.
     capacity:
-        Initial column capacity; grows geometrically as members arrive, so
-        staged ensemble enlargement (N -> N2 -> ... Nmax) never reallocates
-        per member.
+        Members the storage holds before it grows.  Each member is one
+        contiguous row of a ``(capacity, n)`` array, so a member writes
+        (and the allocator pages in) only its own row; past ``capacity``
+        the array doubles with one copy.
+        :class:`~repro.core.driver.ESSEDriver` passes Nmax, so its
+        accumulator never grows.
     """
 
     def __init__(
@@ -96,7 +100,7 @@ class AnomalyAccumulator:
             raise ValueError("capacity must be >= 1")
         self.layout = layout
         self.central = central.copy()
-        self._columns = np.empty((layout.size, capacity))
+        self._rows = np.empty((capacity, layout.size))
         self._member_ids: list[int] = []
         self._index_of: dict[int, int] = {}
         self._version = 0
@@ -121,13 +125,13 @@ class AnomalyAccumulator:
             )
         if not np.all(np.isfinite(forecast)):
             raise ValueError(f"member {member_index}: non-finite forecast")
-        col = len(self._member_ids)
-        if col == self._columns.shape[1]:
-            grown = np.empty((self.central.size, 2 * self._columns.shape[1]))
-            grown[:, :col] = self._columns[:, :col]
-            self._columns = grown
-        self._columns[:, col] = self.layout.normalize(forecast - self.central)
-        self._index_of[member_index] = col
+        row = len(self._member_ids)
+        if row == len(self._rows):
+            grown = np.empty((2 * row, self.central.size))
+            grown[:row] = self._rows
+            self._rows = grown
+        self._rows[row] = self.layout.normalize(forecast - self.central)
+        self._index_of[member_index] = row
         self._member_ids.append(member_index)
         self._version += 1
 
@@ -151,14 +155,15 @@ class AnomalyAccumulator:
     def view(self) -> AnomalyView:
         """A zero-copy :class:`AnomalyView` of the current columns.
 
-        No data is copied or scaled: the view aliases the accumulator's
-        storage, which is safe because written columns are immutable and
-        capacity growth rebinds (never resizes in place) the backing
-        array.  Callers sharing the accumulator across threads must take
-        the view under the same lock that guards :meth:`add_member`; the
-        returned view itself may then be read without the lock.
+        No data is copied or scaled: the columns are the transpose of the
+        written member rows, F-contiguous, which is safe because written
+        rows are immutable and capacity growth rebinds (never resizes in
+        place) the backing array.  Callers sharing the accumulator across
+        threads must take the view under the same lock that guards
+        :meth:`add_member`; the returned view itself may then be read
+        without the lock.
         """
-        cols = self._columns[:, : self.count]
+        cols = self._rows[: self.count].T
         cols.flags.writeable = False
         return AnomalyView(
             columns=cols,
@@ -176,7 +181,7 @@ class AnomalyAccumulator:
         n = self.count
         if n < 2:
             raise RuntimeError(f"need >= 2 members for an anomaly matrix, have {n}")
-        return self._columns[:, :n] / np.sqrt(n - 1)
+        return self._rows[:n].T / np.sqrt(n - 1)
 
     def subspace(
         self,

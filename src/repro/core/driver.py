@@ -12,14 +12,17 @@ One forecast-and-assimilation cycle is:
 This module is the *algorithmic*, in-memory implementation.  Steps
 (ii)-(iv) are :func:`repro.core.ensemble.grow_ensemble`, the one stage
 loop shared with :class:`repro.workflow.ensemble.EnsembleEngine`; the
-driver supplies vectorized member batches (optionally through a parallel
-``mapper`` over the batches) and an in-memory column sink.
+driver supplies vectorized member batches -- stepped on every usable CPU,
+or through a caller's ``mapper`` over the batches -- and an in-memory
+column sink.
 :mod:`repro.workflow` re-expresses the same steps as the paper's serial
 (Fig 3) and many-task (Fig 4) file-based workflows.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -39,6 +42,42 @@ from repro.telemetry.spans import NULL_RECORDER
 if TYPE_CHECKING:  # avoid core <-> obs/ocean import cycles; hints only
     from repro.obs.operators import ObservationOperator
     from repro.ocean.model import ModelState, PEModel
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_on_usable_cpus(fn, batches):
+    """``map(fn, batches)`` with the batches stepped on every usable CPU.
+
+    ``min(usable CPUs, len(batches))`` threads, the calling thread
+    included: the caller steps batches ``0, w, 2w, ...`` and a pool of
+    ``w - 1`` threads the rest, in order.  Results are yielded in batch
+    order on the calling thread.  A batch is whole ``batch_size`` members
+    because one vectorized batch releases the interpreter lock inside its
+    numpy passes, where one member per thread did not.  With one usable
+    CPU this is ``map`` and no thread starts.
+    """
+    width = min(_usable_cpus(), len(batches))
+    if width < 2:
+        yield from map(fn, batches)
+        return
+    with ThreadPoolExecutor(max_workers=width - 1) as pool:
+        pending = {
+            k: pool.submit(fn, batch)
+            for k, batch in enumerate(batches)
+            if k % width
+        }
+        try:
+            for k, batch in enumerate(batches):
+                yield fn(batch) if k % width == 0 else pending.pop(k).result()
+        finally:
+            for future in pending.values():
+                future.cancel()
 
 
 @dataclass(frozen=True)
@@ -176,7 +215,8 @@ class ESSEDriver:
         with ``config.inflation``.
     batch_size:
         Members per vectorized integration (``engine.batch_size`` of the
-        experiment config); results are bit-identical at every value.
+        experiment config), and the unit :meth:`forecast` hands to each
+        of its threads; results are bit-identical at every value.
     """
 
     def __init__(
@@ -222,9 +262,14 @@ class ESSEDriver:
         duration:
             Forecast horizon (s).
         mapper:
-            Optional parallel ``map(fn, iterable)`` applied over member
-            *batches*: each call it makes steps up to ``batch_size``
-            members in one vectorized integration.
+            Optional ``map(fn, iterable)`` applied over member *batches*:
+            each call it makes steps up to ``batch_size`` members in one
+            vectorized integration.  The default steps a stage's batches
+            on ``min(usable CPUs, batches in the stage)`` threads, the
+            calling thread included, each taking an equal strided share
+            of whole batches, and delivers them in batch order, so the
+            result is bit-identical to ``mapper=map`` (which one usable
+            CPU runs, starting no thread).
         stochastic:
             Disable to run a deterministic (no model-error) ensemble.
         """
@@ -237,7 +282,7 @@ class ESSEDriver:
             self.model, perturber, duration, self.root_seed, stochastic=stochastic
         )
         forecasts: list[np.ndarray] = []
-        run_map = mapper if mapper is not None else map
+        run_map = mapper if mapper is not None else _map_on_usable_cpus
 
         def propagate(indices, deliver) -> None:
             """Step the stage's members in vectorized batches."""
@@ -257,7 +302,11 @@ class ESSEDriver:
             growth = grow_ensemble(
                 self.config,
                 propagate,
-                AnomalyAccumulator(self.model.layout, self.model.to_vector(central)),
+                AnomalyAccumulator(
+                    self.model.layout,
+                    self.model.to_vector(central),
+                    capacity=self.config.max_ensemble_size,
+                ),
                 telemetry=self.telemetry,
                 started=started,
                 rng=np.random.default_rng(self.root_seed),

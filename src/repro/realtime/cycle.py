@@ -156,4 +156,8 @@ class RealTimeForecastCycle:
                 )
                 state = model.from_vector(analysis.mean, time=forecast.central.time)
                 subspace = analysis.subspace
+                # Nothing of this period may be alive while the next one's
+                # ensemble is in flight: its member forecasts alone are
+                # N x n floats.
+                del forecast, analysis, batch
         return records, state, subspace

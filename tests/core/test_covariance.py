@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.covariance import AnomalyAccumulator
 from repro.core.state import FieldLayout, FieldSpec
+from repro.workflow.covfile import MemmapCovarianceStore
 
 
 @pytest.fixture()
@@ -86,3 +87,46 @@ class TestMatrix:
         sub = acc.subspace(rank=3)
         assert sub.rank == 3
         assert sub.n_samples == 12
+
+
+class TestRowStorage:
+    """One contiguous row per member; the view is its transpose."""
+
+    def _filled(self, layout, count=5, capacity=8):
+        rng = np.random.default_rng(3)
+        acc = AnomalyAccumulator(layout, np.zeros(6), capacity=capacity)
+        for k in range(count):
+            acc.add_member(10 + k, rng.standard_normal(6))
+        return acc
+
+    def test_view_is_read_only_fortran_n_by_count(self, layout):
+        columns = self._filled(layout).view().columns
+        assert columns.shape == (6, 5)
+        assert columns.flags.f_contiguous
+        assert not columns.flags.writeable
+        with pytest.raises(ValueError):
+            columns[0, 0] = 1.0
+
+    def test_view_survives_growth_unchanged(self, layout):
+        acc = self._filled(layout, count=2, capacity=2)
+        before = acc.view().columns
+        snapshot = before.copy()
+        acc.add_member(99, np.full(6, 4.0))  # doubles the storage
+        assert np.array_equal(before, snapshot)
+        after = acc.view().columns
+        assert after.flags.f_contiguous and after.shape == (6, 3)
+        assert np.array_equal(after[:, :2], snapshot)
+        assert np.array_equal(after[:, 2], np.full(6, 2.0))
+
+    def test_store_receives_the_columns_bytes(self, layout, tmp_path):
+        acc = self._filled(layout)
+        view = acc.view()
+        store = MemmapCovarianceStore(tmp_path)
+        try:
+            store.sync_from(view)
+            store.publish()
+            written = store.columns_path.read_bytes()
+        finally:
+            store.close()
+        # The F array's own buffer, column after column (order="A").
+        assert written == np.asfortranarray(view.columns).tobytes(order="A")

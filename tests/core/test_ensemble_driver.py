@@ -1,5 +1,9 @@
 """Tests for the ensemble runner and the ESSE driver (fast, tiny grids)."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,7 @@ from repro.core import (
     PerturbationGenerator,
     synthetic_initial_subspace,
 )
+from repro.core import driver as driver_module
 from repro.ocean import PEModel
 from repro.ocean.bathymetry import monterey_grid
 
@@ -196,3 +201,154 @@ class TestDriver:
     def test_batch_size_validation(self, tiny_setup):
         with pytest.raises(ValueError, match="batch_size"):
             ESSEDriver(tiny_setup[0], batch_size=0)
+
+
+BOMB = 4  # blows up in the second batch of the first stage: a worker thread's
+
+
+def ragged_driver(model, batch_size):
+    """N 5 -> 10, never converging: ragged stages at any batch size."""
+    return ESSEDriver(
+        model,
+        ESSEConfig(
+            initial_ensemble_size=5,
+            max_ensemble_size=10,
+            convergence_tolerance=1.0,
+            max_subspace_rank=6,
+        ),
+        root_seed=1,
+        batch_size=batch_size,
+    )
+
+
+class TestBatchThreads:
+    """The default path steps batches on threads; ``mapper=map`` is the reference."""
+
+    @pytest.fixture()
+    def traced_batches(self, monkeypatch):
+        """Record each batch's results and the thread that stepped it."""
+        seen = []
+        batched = EnsembleRunner.run_members_batched
+
+        def recording(self, mean_state, indices):
+            results = batched(self, mean_state, indices)
+            seen.append((threading.current_thread(), results))
+            return results
+
+        monkeypatch.setattr(EnsembleRunner, "run_members_batched", recording)
+        return seen
+
+    @pytest.fixture()
+    def bomb(self, monkeypatch):
+        member_state = PerturbationGenerator.member_state
+
+        def planted(self, mean, member_index):
+            state = member_state(self, mean, member_index)
+            return state * 1e9 if member_index == BOMB else state
+
+        monkeypatch.setattr(PerturbationGenerator, "member_state", planted)
+
+    @staticmethod
+    def assert_same_forecast(fc, ref):
+        assert fc.member_ids == ref.member_ids
+        assert fc.failed_members == ref.failed_members
+        assert fc.convergence_history == ref.convergence_history
+        assert np.array_equal(fc.member_forecasts, ref.member_forecasts)
+        assert np.array_equal(fc.subspace.modes, ref.subspace.modes)
+        assert np.array_equal(fc.subspace.sigmas, ref.subspace.sigmas)
+
+    @pytest.mark.parametrize("width", [2, 3])
+    @pytest.mark.parametrize("batch_size", [3, 2])
+    def test_threads_equal_map_bit_for_bit(
+        self, tiny_setup, monkeypatch, traced_batches, width, batch_size
+    ):
+        model, background, subspace = tiny_setup
+        driver = ragged_driver(model, batch_size)
+        reference = driver.forecast(background, subspace, 2 * 400.0, mapper=map)
+        assert {t for t, _ in traced_batches} == {threading.main_thread()}
+        traced_batches.clear()
+        monkeypatch.setattr(driver_module, "_usable_cpus", lambda: width)
+        threaded = driver.forecast(background, subspace, 2 * 400.0)
+        self.assert_same_forecast(threaded, reference)
+        assert threaded.member_ids == tuple(range(10))
+        assert {t for t, _ in traced_batches} - {threading.main_thread()}
+
+    def test_more_threads_than_cores_under_fast_switching(
+        self, tiny_setup, monkeypatch
+    ):
+        """One-member batches on 3 threads, the interpreter switching every 10 us."""
+        model, background, subspace = tiny_setup
+        driver = ragged_driver(model, 1)
+        reference = driver.forecast(background, subspace, 2 * 400.0, mapper=map)
+        monkeypatch.setattr(driver_module, "_usable_cpus", lambda: 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = driver.forecast(background, subspace, 2 * 400.0)
+        finally:
+            sys.setswitchinterval(interval)
+        self.assert_same_forecast(threaded, reference)
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_blow_up_on_a_worker_thread(
+        self, tiny_setup, monkeypatch, traced_batches, bomb, width
+    ):
+        model, background, subspace = tiny_setup
+        driver = ragged_driver(model, 3)
+        reference = driver.forecast(background, subspace, 8 * 400.0, mapper=map)
+        errors = {r.member_index: r.error for _, rs in traced_batches for r in rs}
+        traced_batches.clear()
+        monkeypatch.setattr(driver_module, "_usable_cpus", lambda: width)
+        threaded = driver.forecast(background, subspace, 8 * 400.0)
+        self.assert_same_forecast(threaded, reference)
+        assert threaded.failed_members == (BOMB,)
+        (where,) = [t for t, rs in traced_batches for r in rs if r.member_index == BOMB]
+        assert where is not threading.main_thread()
+        threaded_errors = {
+            r.member_index: r.error for _, rs in traced_batches for r in rs
+        }
+        assert threaded_errors == errors
+        assert "FloatingPointError" in errors[BOMB]
+
+    def test_worker_exception_reaches_the_caller(self, tiny_setup, monkeypatch):
+        model, background, subspace = tiny_setup
+        batched = EnsembleRunner.run_members_batched
+
+        def failing(self, mean_state, indices):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker broke")
+            return batched(self, mean_state, indices)
+
+        monkeypatch.setattr(EnsembleRunner, "run_members_batched", failing)
+        monkeypatch.setattr(driver_module, "_usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="worker broke"):
+            ragged_driver(model, 3).forecast(background, subspace, 2 * 400.0)
+
+    def test_one_usable_cpu_starts_no_thread(self, tiny_setup, monkeypatch):
+        model, background, subspace = tiny_setup
+
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a thread pool was built on one CPU")
+
+        monkeypatch.setattr(driver_module, "ThreadPoolExecutor", no_threads)
+        monkeypatch.setattr(driver_module, "_usable_cpus", lambda: 1)
+        reference = ragged_driver(model, 3).forecast(
+            background, subspace, 2 * 400.0, mapper=map
+        )
+        fc = ragged_driver(model, 3).forecast(background, subspace, 2 * 400.0)
+        self.assert_same_forecast(fc, reference)
+
+    def test_width_follows_the_affinity_mask(self, tiny_setup, monkeypatch):
+        """Unpatched, a pool is built exactly when the mask has two CPUs."""
+        model, background, subspace = tiny_setup
+        pools = []
+        executor = driver_module.ThreadPoolExecutor
+
+        def counting(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return executor(*args, **kwargs)
+
+        monkeypatch.setattr(driver_module, "ThreadPoolExecutor", counting)
+        ragged_driver(model, 3).forecast(background, subspace, 2 * 400.0)
+        cpus = len(os.sched_getaffinity(0))
+        assert pools == ([1, 1] if cpus > 1 else [])  # two batches per stage

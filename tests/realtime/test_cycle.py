@@ -1,5 +1,8 @@
 """Integration test for the real-time forecast/assimilation cycle."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,8 +18,8 @@ from repro.ocean.bathymetry import monterey_grid
 from repro.realtime import ExperimentTimeline, RealTimeForecastCycle
 
 
-@pytest.fixture(scope="module")
-def cycle_run():
+def build_cycle(product_hook=None):
+    """A 3-period twin cycle on a tiny grid; the cycle and its run() inputs."""
     grid = monterey_grid(nx=16, ny=14, nz=3)
     model = PEModel(grid=grid)
     layout = model.layout
@@ -46,10 +49,16 @@ def cycle_run():
     timeline = ExperimentTimeline(
         t0=background.time, period_length=0.25 * 86400.0, n_periods=3
     )
-    cycle = RealTimeForecastCycle(driver, truth_model, network, timeline)
-    records, final_state, final_subspace = cycle.run(
-        background, truth0, subspace
+    cycle = RealTimeForecastCycle(
+        driver, truth_model, network, timeline, product_hook=product_hook
     )
+    return cycle, (background, truth0, subspace)
+
+
+@pytest.fixture(scope="module")
+def cycle_run():
+    cycle, inputs = build_cycle()
+    records, final_state, final_subspace = cycle.run(*inputs)
     return records, final_state, final_subspace
 
 
@@ -84,3 +93,26 @@ class TestCycle:
         times = [r.nowcast_time for r in records]
         assert times == sorted(times)
         assert len(set(times)) == len(times)
+
+
+class TestPeriodMemory:
+    def test_previous_forecast_is_freed_before_the_next(self):
+        """Period k's ForecastResult is dead when period k+1's forecast starts."""
+        results = []
+        cycle, inputs = build_cycle(
+            product_hook=lambda product, forecast: results.append(
+                weakref.ref(forecast)
+            )
+        )
+        alive = []
+        forecast = cycle.driver.forecast
+
+        def watched(*args, **kwargs):
+            gc.collect()
+            alive.append([ref() is not None for ref in results])
+            return forecast(*args, **kwargs)
+
+        cycle.driver.forecast = watched
+        cycle.run(*inputs)
+        assert alive == [[], [False], [False, False]]
+        assert len(results) == 3

@@ -34,6 +34,24 @@ fi
 # max_examples, deadlines patched to tens of milliseconds).
 python -m pytest -q
 
+# ESSEDriver.forecast steps a stage's member batches on every usable CPU,
+# and on one CPU it is plain map with no thread: re-run the driver and
+# replay tests once in a process pinned to one CPU, so the serial path
+# meets a real affinity mask and not only the patched helper.
+python - <<'EOF'
+import os
+import sys
+
+import pytest
+
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.exit(pytest.main([
+    "-q", "-p", "no:cacheprovider",
+    "tests/core/test_ensemble_driver.py", "tests/test_determinism.py",
+]))
+EOF
+echo "one-CPU driver and replay tests: ok"
+
 python -m tools.lint src/repro tests benchmarks tools
 echo "repro-lint: clean"
 
