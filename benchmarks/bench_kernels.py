@@ -103,7 +103,7 @@ def test_kernel_acoustic_singleton(benchmark, full_domain, kernel_results):
     def singleton():
         section = extract_section(
             grid, background, (0.6 * lx, 0.5 * ly), (0.1 * lx, 0.5 * ly),
-            n_ranges=16, dz=4.0, max_depth=300.0,
+            n_ranges=16, max_depth=300.0,
         )
         return transmission_loss(section, 200.0, source_depth=30.0)
 

@@ -54,7 +54,7 @@ def main() -> None:
     for member in forecast.member_forecasts:
         state = model.from_vector(member)
         section = extract_section(grid, state, start, end, n_ranges=14,
-                                  dz=4.0, max_depth=200.0)
+                                  max_depth=200.0)
         field = transmission_loss(section, frequency, source_depth=source_depth)
         temp_sections.append(section.temperature)
         tl_fields.append(field)

@@ -53,9 +53,7 @@ def main() -> None:
     print(f"forecast ensemble N={forecast.ensemble_size}")
 
     budget = 16
-    picks = suggest_sampling_locations(
-        forecast.subspace, layout, grid, field="temp", level=0, count=budget
-    )
+    picks = suggest_sampling_locations(forecast.subspace, layout, grid, count=budget)
     print(f"\nESSE suggests sampling SST at (most informative first):")
     for p in picks:
         print(f"  (j={p.j:2d}, i={p.i:2d})  predicted sigma "

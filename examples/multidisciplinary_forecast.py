@@ -74,7 +74,7 @@ def main() -> None:
     lx, ly = grid.nx * grid.dx, grid.ny * grid.dy
     section = extract_section(
         grid, forecast.central, (0.65 * lx, 0.55 * ly), (0.1 * lx, 0.55 * ly),
-        n_ranges=14, dz=4.0, max_depth=300.0, bathymetry=bathy.depth,
+        n_ranges=14, max_depth=300.0, bathymetry=bathy.depth,
     )
     tl = transmission_loss(section, 200.0, source_depth=30.0)
     print(f"acoustics: TL over the {section.length / 1000:.0f} km section "

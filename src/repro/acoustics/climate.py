@@ -40,8 +40,6 @@ class AcousticTask:
         Source frequency (Hz).
     source_depth:
         Source depth (m).
-    member_index:
-        Which ESSE realization's ocean this task propagates through.
     """
 
     task_id: int
@@ -49,14 +47,12 @@ class AcousticTask:
     slice_end: tuple[float, float]
     frequency: float
     source_depth: float
-    member_index: int = 0
 
     def run(
         self,
         grid: OceanGrid,
         state: ModelState,
         n_ranges: int = 16,
-        dz: float = 4.0,
         max_depth: float | None = 300.0,
     ) -> TLField:
         """Execute the task against one ocean realization."""
@@ -66,7 +62,6 @@ class AcousticTask:
             self.slice_start,
             self.slice_end,
             n_ranges=n_ranges,
-            dz=dz,
             max_depth=max_depth,
         )
         return transmission_loss(
@@ -79,14 +74,13 @@ def acoustic_climate_tasks(
     n_slices: int = 8,
     frequencies: Sequence[float] = (100.0, 200.0, 400.0),
     source_depths: Sequence[float] = (15.0, 60.0),
-    n_members: int = 1,
 ) -> list[AcousticTask]:
     """Enumerate the acoustic-climate task set for a region.
 
     Slices fan out from the bay mouth across the domain (rotated sections
-    through the region); the cross product with frequencies, source depths
-    and ensemble members yields the many-task workload --
-    ``n_slices * len(frequencies) * len(source_depths) * n_members`` tasks.
+    through the region); the cross product with frequencies and source
+    depths yields the many-task workload --
+    ``n_slices * len(frequencies) * len(source_depths)`` tasks.
     """
     if n_slices < 1:
         raise ValueError("need at least one slice")
@@ -95,26 +89,24 @@ def acoustic_climate_tasks(
     radius = 0.45 * min(lx, ly)
     tasks: list[AcousticTask] = []
     task_id = 0
-    for member in range(n_members):
-        for s in range(n_slices):
-            angle = np.pi * (0.55 + 0.9 * s / max(n_slices - 1, 1))  # westward fan
-            end = (
-                center[0] + radius * np.cos(angle),
-                center[1] + radius * np.sin(angle),
-            )
-            for f in frequencies:
-                for zs in source_depths:
-                    tasks.append(
-                        AcousticTask(
-                            task_id=task_id,
-                            slice_start=center,
-                            slice_end=end,
-                            frequency=float(f),
-                            source_depth=float(zs),
-                            member_index=member,
-                        )
+    for s in range(n_slices):
+        angle = np.pi * (0.55 + 0.9 * s / max(n_slices - 1, 1))  # westward fan
+        end = (
+            center[0] + radius * np.cos(angle),
+            center[1] + radius * np.sin(angle),
+        )
+        for f in frequencies:
+            for zs in source_depths:
+                tasks.append(
+                    AcousticTask(
+                        task_id=task_id,
+                        slice_start=center,
+                        slice_end=end,
+                        frequency=float(f),
+                        source_depth=float(zs),
                     )
-                    task_id += 1
+                )
+                task_id += 1
     return tasks
 
 
@@ -145,7 +137,7 @@ class AcousticClimate:
 
     def run(
         self,
-        states: Sequence[ModelState] | ModelState,
+        state: ModelState,
         mapper: Callable | None = None,
         **task_kwargs,
     ) -> "AcousticClimate":
@@ -153,19 +145,13 @@ class AcousticClimate:
 
         Parameters
         ----------
-        states:
-            One state (shared by all members) or a sequence indexed by
-            ``member_index``.
+        state:
+            The ocean realization every task propagates through.
         mapper:
             Optional ``map(func, iterable)``-compatible executor (e.g.
             ``ProcessPoolExecutor.map``); defaults to the builtin map.
         """
-        states_seq = states if isinstance(states, (list, tuple)) else None
-
         def execute(task: AcousticTask):
-            state = (
-                states_seq[task.member_index] if states_seq is not None else states
-            )
             try:
                 return task.task_id, task.run(self.grid, state, **task_kwargs), None
             except Exception as exc:  # tolerated member failure

@@ -81,8 +81,6 @@ class CoupledCovariance:
 def coupled_uncertainty_modes(
     temp_sections: np.ndarray,
     tl_fields: list[TLField] | np.ndarray,
-    energy: float = 0.99,
-    max_modes: int | None = None,
 ) -> CoupledCovariance:
     """Coupled physical-acoustical modes from an ensemble.
 
@@ -94,10 +92,8 @@ def coupled_uncertainty_modes(
     tl_fields:
         Matching ensemble of :class:`TLField` (or a raw ``(N, ...)`` array
         of TL values in dB).
-    energy:
-        Fraction of coupled variance retained by the truncation.
-    max_modes:
-        Optional hard cap on retained modes.
+
+    The truncation keeps 99 % of the coupled variance.
 
     Raises
     ------
@@ -129,7 +125,7 @@ def coupled_uncertainty_modes(
     joint = np.hstack([t_anom / t_scale, a_anom / a_scale]).T  # (nT+nTL, N)
     joint /= np.sqrt(n - 1)
 
-    u, s, _ = truncated_svd(joint, rank=max_modes, energy=energy if max_modes is None else None)
+    u, s, _ = truncated_svd(joint, energy=0.99)
     return CoupledCovariance(
         modes=u,
         variances=s**2,

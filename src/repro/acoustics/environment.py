@@ -18,6 +18,9 @@ from repro.acoustics.soundspeed import sound_speed_profile
 from repro.ocean.grid import OceanGrid
 from repro.ocean.model import ModelState
 
+#: Vertical resolution of a section's acoustic grid (m).
+SECTION_DZ = 4.0
+
 
 @dataclass(frozen=True)
 class AcousticSection:
@@ -71,7 +74,6 @@ def extract_section(
     start: tuple[float, float],
     end: tuple[float, float],
     n_ranges: int = 24,
-    dz: float = 4.0,
     max_depth: float | None = None,
     bathymetry: np.ndarray | None = None,
 ) -> AcousticSection:
@@ -89,9 +91,8 @@ def extract_section(
         Section end points ``(x, y)`` in metres; the source sits at
         ``start``.
     n_ranges:
-        Number of columns along the section (>= 2).
-    dz:
-        Vertical resolution of the acoustic grid (m).
+        Number of columns along the section (>= 2); the acoustic grid's
+        vertical resolution is ``SECTION_DZ``.
     max_depth:
         Waveguide truncation depth; defaults to the deepest model level.
     bathymetry:
@@ -102,14 +103,12 @@ def extract_section(
     """
     if n_ranges < 2:
         raise ValueError("need at least two range columns")
-    if dz <= 0:
-        raise ValueError("dz must be positive")
     z_model = np.asarray(grid.z_levels)
     bottom = float(max_depth if max_depth is not None else z_model[-1])
     if bottom <= z_model[0]:
         raise ValueError("max_depth must exceed the first model level")
 
-    depths = np.arange(0.0, bottom + dz / 2, dz)
+    depths = np.arange(0.0, bottom + SECTION_DZ / 2, SECTION_DZ)
     fracs = np.linspace(0.0, 1.0, n_ranges)
     xs = start[0] + fracs * (end[0] - start[0])
     ys = start[1] + fracs * (end[1] - start[1])
@@ -141,7 +140,7 @@ def extract_section(
     water_depth = np.full(n_ranges, bottom)
     if bathymetry is not None:
         # at least a few nodes of water so the column supports modes
-        water_depth = np.minimum(np.maximum(bathymetry[j, i], 4 * dz), bottom)
+        water_depth = np.minimum(np.maximum(bathymetry[j, i], 4 * SECTION_DZ), bottom)
     return AcousticSection(
         ranges=ranges,
         depths=depths,

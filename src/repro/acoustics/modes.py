@@ -67,9 +67,8 @@ def solve_modes(
     sound_speed: np.ndarray,
     depths: np.ndarray,
     frequency: float,
-    max_modes: int | None = None,
 ) -> ModeSet:
-    """Solve the vertical eigenproblem for one profile.
+    """Solve the vertical eigenproblem for one profile (every mode).
 
     The one-column case of :func:`solve_mode_stack`.
 
@@ -82,8 +81,6 @@ def solve_modes(
         surface.
     frequency:
         Source frequency (Hz), > 0.
-    max_modes:
-        Optional cap (>= 1) on the number of returned modes.
 
     Returns
     -------
@@ -94,7 +91,7 @@ def solve_modes(
     z = np.asarray(depths, dtype=float)
     if c.ndim != 1 or c.shape != z.shape:
         raise ValueError("sound_speed and depths must be matching 1-D arrays")
-    kr, psi, n_modes = solve_mode_stack(c[:, None], z, [c.size], frequency, max_modes)
+    kr, psi, n_modes = solve_mode_stack(c[:, None], z, [c.size], frequency)
     n = int(n_modes[0])
     return ModeSet(kr=kr[0, :n], psi=psi[0, :n].T, depths=z, frequency=frequency)
 

@@ -43,15 +43,10 @@ class DomainSection:
     nx: int = 42
     ny: int = 36
     nz: int = 10
-    dx: float = 3000.0
-    dy: float = 3000.0
-    max_level_depth: float = 400.0
 
     def __post_init__(self):
         if min(self.nx, self.ny) < 4 or self.nz < 1:
             raise ConfigError("domain: nx/ny must be >= 4 and nz >= 1")
-        if self.dx <= 0 or self.dy <= 0 or self.max_level_depth <= 0:
-            raise ConfigError("domain: spacings and depth must be positive")
 
 
 @dataclass(frozen=True)
@@ -59,14 +54,10 @@ class ModelSection:
     """Numerical model parameters (subset of :class:`ModelConfig`)."""
 
     dt: float = 400.0
-    viscosity: float = 120.0
-    diffusivity: float = 60.0
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ConfigError("model: dt must be positive")
-        if self.viscosity < 0 or self.diffusivity < 0:
-            raise ConfigError("model: mixing coefficients must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -81,6 +72,8 @@ class ESSESection:
     root_seed: int = 0
 
     def __post_init__(self):
+        if self.root_seed < 0:
+            raise ConfigError("esse: root_seed must be >= 0")
         try:
             self.build()
         except ValueError as exc:
@@ -95,26 +88,6 @@ class ESSESection:
             convergence_tolerance=self.convergence_tolerance,
             max_subspace_rank=self.max_subspace_rank,
         )
-
-
-@dataclass(frozen=True)
-class EngineSection:
-    """Ensemble-engine sizing (``docs/ENSEMBLE_ENGINE.md``).
-
-    Parameters
-    ----------
-    batch_size:
-        Members per vectorized batch: for the
-        :class:`~repro.workflow.ensemble.EnsembleEngine` and for
-        :class:`~repro.core.driver.ESSEDriver`, which both step their
-        ensemble in such batches.
-    """
-
-    batch_size: int = 8
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError("engine: batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -212,14 +185,11 @@ class AssimilationSection:
 class ObservationsSection:
     """Observation-network parameters."""
 
-    network: str = "aosn2"
     seed: int = 0
 
     def __post_init__(self):
-        if self.network not in ("aosn2",):
-            raise ConfigError(
-                f"observations: unknown network {self.network!r} (have: aosn2)"
-            )
+        if self.seed < 0:
+            raise ConfigError("observations: seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -228,13 +198,10 @@ class TimelineSection:
 
     period_hours: float = 48.0
     n_periods: int = 5
-    forecast_horizon_periods: int = 1
 
     def __post_init__(self):
         if self.period_hours <= 0 or self.n_periods < 1:
             raise ConfigError("timeline: positive period and >= 1 periods required")
-        if self.forecast_horizon_periods < 1:
-            raise ConfigError("timeline: forecast horizon must be >= 1 period")
 
 
 def _type_error(kind: str, value) -> str | None:
@@ -258,7 +225,6 @@ _SECTIONS = {
     "domain": DomainSection,
     "model": ModelSection,
     "esse": ESSESection,
-    "engine": EngineSection,
     "assimilation": AssimilationSection,
     "observations": ObservationsSection,
     "timeline": TimelineSection,
@@ -272,7 +238,6 @@ class ExperimentConfig:
     domain: DomainSection = field(default_factory=DomainSection)
     model: ModelSection = field(default_factory=ModelSection)
     esse: ESSESection = field(default_factory=ESSESection)
-    engine: EngineSection = field(default_factory=EngineSection)
     assimilation: AssimilationSection = field(default_factory=AssimilationSection)
     observations: ObservationsSection = field(default_factory=ObservationsSection)
     timeline: TimelineSection = field(default_factory=TimelineSection)
@@ -334,24 +299,10 @@ class ExperimentConfig:
 
     def build_model(self) -> PEModel:
         """The configured :class:`PEModel`."""
-        grid = monterey_grid(
-            nx=self.domain.nx,
-            ny=self.domain.ny,
-            nz=self.domain.nz,
-            dx=self.domain.dx,
-            dy=self.domain.dy,
-            max_level_depth=self.domain.max_level_depth,
-        )
-        return PEModel(
-            grid=grid,
-            config=ModelConfig(
-                dt=self.model.dt,
-                viscosity=self.model.viscosity,
-                diffusivity=self.model.diffusivity,
-            ),
-        )
+        grid = monterey_grid(nx=self.domain.nx, ny=self.domain.ny, nz=self.domain.nz)
+        return PEModel(grid=grid, config=ModelConfig(dt=self.model.dt))
 
-    def build_analysis(self, model: PEModel, telemetry=None, metrics=None):
+    def build_analysis(self, model: PEModel, telemetry=None):
         """The analysis the ``assimilation`` section describes.
 
         Both backends are the one engine of
@@ -378,7 +329,6 @@ class ExperimentConfig:
             analysis = ESSEAnalysis(model.layout, inflation=inflation)
             if telemetry is not None:
                 analysis.telemetry = telemetry
-            analysis.metrics = metrics
             return analysis
         from repro.workflow.policies import RetryPolicy
         from repro.workflow.pool import TileTaskPool
@@ -389,7 +339,6 @@ class ExperimentConfig:
                 max_attempts=asm.max_attempts, seed=self.esse.root_seed
             ),
             telemetry=telemetry,
-            metrics=metrics,
         )
         return TiledESSEAnalysis(
             model.layout,
@@ -401,7 +350,6 @@ class ExperimentConfig:
             local_energy_floor=asm.local_energy_floor,
             task_runner=pool.run,
             telemetry=telemetry,
-            metrics=metrics,
         )
 
     def build_driver(self, model: PEModel, telemetry=None) -> ESSEDriver:
@@ -412,7 +360,6 @@ class ExperimentConfig:
             root_seed=self.esse.root_seed,
             telemetry=telemetry,
             analysis=self.build_analysis(model, telemetry=telemetry),
-            batch_size=self.engine.batch_size,
         )
 
     def build_network(self, model: PEModel) -> ObservationNetwork:
@@ -439,13 +386,7 @@ class ExperimentConfig:
         """
         from repro.workflow.ensemble import EnsembleEngine
 
-        return EnsembleEngine(
-            runner,
-            self.esse.build(),
-            workdir,
-            batch_size=self.engine.batch_size,
-            **kwargs,
-        )
+        return EnsembleEngine(runner, self.esse.build(), workdir, **kwargs)
 
     def build_timeline(self, t0: float = 0.0) -> ExperimentTimeline:
         """The configured real-time timeline."""
@@ -453,5 +394,4 @@ class ExperimentConfig:
             t0=t0,
             period_length=self.timeline.period_hours * 3600.0,
             n_periods=self.timeline.n_periods,
-            forecast_horizon_periods=self.timeline.forecast_horizon_periods,
         )

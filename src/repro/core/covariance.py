@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.state import FieldLayout
-from repro.core.subspace import ColdSubspaceEstimator, ErrorSubspace
 
 
 @dataclass(frozen=True)
@@ -182,18 +181,3 @@ class AnomalyAccumulator:
         if n < 2:
             raise RuntimeError(f"need >= 2 members for an anomaly matrix, have {n}")
         return self._rows[:n].T / np.sqrt(n - 1)
-
-    def subspace(
-        self,
-        rank: int | None = None,
-        energy: float | None = None,
-    ) -> ErrorSubspace:
-        """SVD snapshot of the current matrix -> an :class:`ErrorSubspace`.
-
-        Factors the raw columns in place and scales the singular values;
-        no scaled copy of the matrix is made.
-        """
-        view = self.view()
-        return ColdSubspaceEstimator(rank=rank, energy=energy).update(
-            view.columns, view.count, view.scale
-        )

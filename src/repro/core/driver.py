@@ -249,7 +249,6 @@ class ESSEDriver:
         subspace: ErrorSubspace,
         duration: float,
         mapper: Callable | None = None,
-        stochastic: bool = True,
     ) -> ForecastResult:
         """Ensemble uncertainty forecast with adaptive sizing (Fig 2 i-iv).
 
@@ -270,17 +269,13 @@ class ESSEDriver:
             of whole batches, and delivers them in batch order, so the
             result is bit-identical to ``mapper=map`` (which one usable
             CPU runs, starting no thread).
-        stochastic:
-            Disable to run a deterministic (no model-error) ensemble.
         """
         clock = self.telemetry.clock
         started = clock()
         perturber = PerturbationGenerator(
             self.model.layout, subspace, root_seed=self.root_seed
         )
-        runner = EnsembleRunner(
-            self.model, perturber, duration, self.root_seed, stochastic=stochastic
-        )
+        runner = EnsembleRunner(self.model, perturber, duration, self.root_seed)
         forecasts: list[np.ndarray] = []
         run_map = mapper if mapper is not None else _map_on_usable_cpus
 
@@ -337,22 +332,3 @@ class ESSEDriver:
             return self.analysis.update(
                 self.model.to_vector(forecast.central), forecast.subspace, operator
             )
-
-    def cycle(
-        self,
-        mean_state: ModelState,
-        subspace: ErrorSubspace,
-        duration: float,
-        operator: ObservationOperator,
-        mapper: Callable | None = None,
-    ) -> tuple[ModelState, ErrorSubspace, ForecastResult, AnalysisResult]:
-        """One full forecast + assimilation cycle.
-
-        Returns
-        -------
-        (analysis_state, posterior_subspace, forecast_result, analysis_result)
-        """
-        fc = self.forecast(mean_state, subspace, duration, mapper=mapper)
-        an = self.assimilate(fc, operator)
-        analysis_state = self.model.from_vector(an.mean, time=fc.central.time)
-        return analysis_state, an.subspace, fc, an

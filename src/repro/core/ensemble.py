@@ -57,9 +57,8 @@ class EnsembleRunner:
     duration:
         Forecast length (s).
     root_seed:
-        Experiment seed; member stochastic forcing derives from it.
-    stochastic:
-        Whether members run with model-error (Wiener) forcing.
+        Experiment seed; each member's model-error (Wiener) forcing
+        derives from it.
     """
 
     def __init__(
@@ -68,7 +67,6 @@ class EnsembleRunner:
         perturber: PerturbationGenerator,
         duration: float,
         root_seed: int,
-        stochastic: bool = True,
     ):
         if duration <= 0:
             raise ValueError("forecast duration must be positive")
@@ -76,7 +74,6 @@ class EnsembleRunner:
         self.perturber = perturber
         self.duration = float(duration)
         self.root_seed = int(root_seed)
-        self.stochastic = stochastic
 
     def central_forecast(self, mean_state: ModelState) -> ModelState:
         """The unperturbed, noise-free central forecast."""
@@ -92,16 +89,13 @@ class EnsembleRunner:
             mean_vec = self.model.to_vector(mean_state)
             perturbed = self.perturber.member_state(mean_vec, member_index)
             state0 = self.model.from_vector(perturbed, time=mean_state.time)
-            if self.stochastic:
-                from repro.ocean.stochastic import StochasticForcing
+            from repro.ocean.stochastic import StochasticForcing
 
-                noise = StochasticForcing(
-                    self.model.grid,
-                    rng=member_rng(self.root_seed, member_index, purpose="model"),
-                )
-                model = self.model.with_noise(noise)
-            else:
-                model = self.model
+            noise = StochasticForcing(
+                self.model.grid,
+                rng=member_rng(self.root_seed, member_index, purpose="model"),
+            )
+            model = self.model.with_noise(noise)
             final = model.run(state0, self.duration)
             return MemberResult(member_index, model.to_vector(final))
         except Exception as exc:
@@ -131,15 +125,10 @@ class EnsembleRunner:
             [self.perturber.member_state(mean_vec, idx) for idx in indices], axis=1
         )  # shape: (state_dim, n_members)
         ensemble = self.model.ensemble_from_matrix(perturbed, time=mean_state.time)
-        noise = None
-        if self.stochastic:
-            noise = BatchedStochasticForcing(
-                self.model.grid,
-                rngs=[
-                    member_rng(self.root_seed, idx, purpose="model")
-                    for idx in indices
-                ],
-            )
+        noise = BatchedStochasticForcing(
+            self.model.grid,
+            rngs=[member_rng(self.root_seed, idx, purpose="model") for idx in indices],
+        )
         final, failed = self.model.run_ensemble(
             ensemble, self.duration, noise=noise
         )

@@ -25,6 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Localization weights at or below this are zero: a Gaspari-Cohn weight of
+#: 1e-12 would otherwise inflate the local R by 1e12.
+MIN_WEIGHT = 1e-10
+
 
 class GaspariCohnTaper:
     """The Gaspari & Cohn (1999) fifth-order piecewise-rational taper.
@@ -124,7 +128,6 @@ def select_observations(
     distances: np.ndarray,
     taper=None,
     cutoff: float | None = None,
-    min_weight: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Select the observations a region assimilates, with their weights.
 
@@ -138,10 +141,8 @@ def select_observations(
     cutoff:
         Optional hard maximum distance applied on top of (or instead of)
         the taper; with neither taper nor cutoff every observation is
-        selected at weight 1.
-    min_weight:
-        Weights below this are treated as zero (a Gaspari-Cohn weight of
-        1e-12 would otherwise inflate the local R by 1e12).
+        selected at weight 1.  Weights at or below ``MIN_WEIGHT`` are
+        treated as zero.
 
     Returns
     -------
@@ -152,7 +153,7 @@ def select_observations(
     d = np.asarray(distances, dtype=np.float64)
     if taper is None:
         weights = np.ones_like(d)
-        keep = weights > min_weight
+        keep = weights > MIN_WEIGHT
     else:
         radius = getattr(taper, "radius", None)
         if radius is not None:
@@ -164,7 +165,7 @@ def select_observations(
             weights[inside] = taper(d[inside])
         else:
             weights = taper(d)
-        keep = weights > min_weight
+        keep = weights > MIN_WEIGHT
     if cutoff is not None:
         keep &= d <= cutoff
     indices = np.flatnonzero(keep)

@@ -23,6 +23,12 @@ from repro.util.linalg import truncated_svd
 from repro.util.randomfields import GaussianRandomField2D
 from repro.util.rng import member_rng
 
+#: Physical perturbation std-dev per field of a cold-start subspace:
+#: mesoscale-analysis errors (m/s, m, degC, psu).
+FIELD_AMPLITUDES = {"u": 0.05, "v": 0.05, "eta": 0.5, "temp": 0.4, "salt": 0.04}
+#: Horizontal correlation length of the cold-start perturbations (cells).
+LENGTH_SCALE_CELLS = 5.0
+
 
 @dataclass(frozen=True)
 class PerturbationGenerator:
@@ -87,9 +93,6 @@ def synthetic_initial_subspace(
     shape2d: tuple[int, int],
     nz: int,
     rank: int = 30,
-    n_samples: int | None = None,
-    length_scale_cells: float = 5.0,
-    field_amplitudes: dict[str, float] | None = None,
     seed: int = 0,
 ) -> ErrorSubspace:
     """Build an initial error subspace from correlated random fields.
@@ -108,41 +111,24 @@ def synthetic_initial_subspace(
     nz:
         Number of levels of 3-D fields in the layout.
     rank:
-        Number of retained modes.
-    n_samples:
-        Random draws used for the estimate (default ``2 * rank``).
-    length_scale_cells:
-        Horizontal correlation length of the perturbations.
-    field_amplitudes:
-        Physical perturbation std-dev per field name; defaults to
-        mesoscale-analysis errors (0.05 m/s, 0.5 m, 0.4 degC, 0.04 psu).
+        Number of retained modes, estimated from ``2 * rank`` draws of
+        ``FIELD_AMPLITUDES``-scaled fields with correlation length
+        ``LENGTH_SCALE_CELLS``.
     seed:
         Seed for the construction.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    n_samples = 2 * rank if n_samples is None else n_samples
-    if n_samples < rank:
-        raise ValueError(f"n_samples={n_samples} < rank={rank}")
-    amplitudes = {
-        "u": 0.05,
-        "v": 0.05,
-        "eta": 0.5,
-        "temp": 0.4,
-        "salt": 0.04,
-    }
-    if field_amplitudes:
-        amplitudes.update(field_amplitudes)
-
+    n_samples = 2 * rank
     rng = np.random.default_rng(seed)
-    grf = GaussianRandomField2D(shape2d, length_scale_cells, rng=rng)
+    grf = GaussianRandomField2D(shape2d, LENGTH_SCALE_CELLS, rng=rng)
     z_decay = np.exp(-np.arange(nz) / max(nz / 2.0, 1.0))
 
     columns = np.empty((layout.size, n_samples))
     for s in range(n_samples):
         fields: dict[str, np.ndarray] = {}
         for spec in layout.specs:
-            amp = amplitudes.get(spec.name, spec.scale)
+            amp = FIELD_AMPLITUDES.get(spec.name, spec.scale)
             if len(spec.shape) == 2:
                 fields[spec.name] = amp * grf.sample()
             else:

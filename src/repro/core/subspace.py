@@ -134,26 +134,6 @@ class ErrorSubspace:
         """
         return np.einsum("ij,j,ij->i", self.modes, self.variances, self.modes)
 
-    def truncate(self, rank: int | None = None, energy: float | None = None) -> "ErrorSubspace":
-        """A lower-rank copy keeping the dominant modes."""
-        if rank is None and energy is None:
-            raise ValueError("pass rank= or energy=")
-        keep = self.rank
-        if energy is not None:
-            if not 0.0 < energy <= 1.0:
-                raise ValueError("energy must be in (0, 1]")
-            power = np.cumsum(self.variances)
-            total = power[-1] if power.size else 0.0
-            keep = 1 if total == 0 else int(np.searchsorted(power, energy * total) + 1)
-        if rank is not None:
-            keep = min(keep, max(int(rank), 1))
-        keep = min(keep, self.rank)
-        return ErrorSubspace(
-            modes=self.modes[:, :keep],
-            sigmas=self.sigmas[:keep],
-            n_samples=self.n_samples,
-        )
-
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
@@ -180,7 +160,6 @@ class ErrorSubspace:
         anomalies: np.ndarray,
         rank: int | None = None,
         energy: float | None = None,
-        rtol: float = ANOMALY_RTOL,
         method: str = "lapack",
         rng: np.random.Generator | None = None,
     ) -> "ErrorSubspace":
@@ -203,7 +182,7 @@ class ErrorSubspace:
         rng:
             Sketch generator for the randomized method.
         """
-        u, s = _factor(anomalies, rank, energy, rtol, method, rng)
+        u, s = _factor(anomalies, rank, energy, ANOMALY_RTOL, method, rng)
         return cls(modes=u, sigmas=s, n_samples=np.shape(anomalies)[1])
 
 
@@ -215,9 +194,8 @@ class ColdSubspaceEstimator:
     :meth:`repro.core.driver.ESSEConfig.subspace_estimator` builds when
     the randomized method was asked for (a cold sketch per checkpoint is
     its own documented trade-off), and the one-shot way to factor raw
-    columns with a scale (:meth:`AnomalyAccumulator.subspace
-    <repro.core.covariance.AnomalyAccumulator.subspace>`), so callers
-    never branch on which kind they hold.
+    columns with a scale, so callers never branch on which kind they
+    hold.
 
     Parameters
     ----------

@@ -35,22 +35,25 @@ class SamplingSuggestion:
     predicted_variance: float
 
 
+#: Assumed noise std-dev (deg C) of an adaptive SST sample, both when
+#: conditioning the placement and when sampling.
+ADAPTIVE_NOISE_STD = 0.05
+
+
 def suggest_sampling_locations(
     subspace: ErrorSubspace,
     layout: FieldLayout,
     grid: OceanGrid,
-    field: str = "temp",
-    level: int = 0,
     count: int = 5,
-    noise_std: float = 0.05,
 ) -> list[SamplingSuggestion]:
-    """Greedy variance-reduction placement of ``count`` observations.
+    """Greedy variance-reduction placement of ``count`` SST observations.
 
     At each step the wet point with the largest current subspace variance
-    of ``field`` at ``level`` is selected, then the subspace variance is
+    of ``temp`` at level 0 is selected, then the subspace variance is
     conditioned on a hypothetical observation there (scalar Kalman update
-    in mode space) before the next pick -- so later picks account for the
-    information the earlier ones will already bring.
+    in mode space, noise ``ADAPTIVE_NOISE_STD``) before the next pick -- so
+    later picks account for the information the earlier ones will already
+    bring.
 
     Parameters
     ----------
@@ -58,12 +61,8 @@ def suggest_sampling_locations(
         Forecast error subspace (normalized coordinates).
     layout, grid:
         State layout and grid (for masking and indexing).
-    field, level:
-        Observed field and depth level.
     count:
         Number of suggestions.
-    noise_std:
-        Assumed instrument noise (physical units) for the conditioning.
 
     Returns
     -------
@@ -71,25 +70,14 @@ def suggest_sampling_locations(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    spec = layout.spec(field)
-    if len(spec.shape) == 3:
-        if not 0 <= level < spec.shape[0]:
-            raise ValueError(f"level {level} out of range for field {field!r}")
-        ny, nx = spec.shape[1:]
-        level_offset = level * ny * nx
-    elif len(spec.shape) == 2:
-        if level != 0:
-            raise ValueError(f"2-D field {field!r} has no levels")
-        ny, nx = spec.shape
-        level_offset = 0
-    else:
-        raise ValueError(f"field {field!r} must be 2-D or 3-D")
+    spec = layout.spec("temp")
+    ny, nx = spec.shape[1:]
     if (ny, nx) != grid.shape2d:
         raise ValueError("field shape does not match the grid")
 
-    base = layout.slice_of(field).start + level_offset
+    base = layout.slice_of("temp").start
     scale = spec.scale
-    noise_var_norm = (noise_std / scale) ** 2
+    noise_var_norm = (ADAPTIVE_NOISE_STD / scale) ** 2
 
     # Work on the (n_wet, p) block of modes at this level, in normalized
     # units; condition the mode covariance S after each pick.
@@ -109,8 +97,8 @@ def suggest_sampling_locations(
         taken.add(int(pick))
         suggestions.append(
             SamplingSuggestion(
-                field=field,
-                level=level,
+                field="temp",
+                level=0,
                 j=int(wet_j[pick]),
                 i=int(wet_i[pick]),
                 predicted_variance=float(variance[pick]) * scale**2,
@@ -135,15 +123,10 @@ class AdaptiveSampler(Instrument):
 
     name = "adaptive"
 
-    def __init__(
-        self,
-        suggestions: list[SamplingSuggestion],
-        noise_std: float = 0.05,
-    ):
+    def __init__(self, suggestions: list[SamplingSuggestion]):
         if not suggestions:
             raise ValueError("need at least one suggestion")
         self.suggestions = tuple(suggestions)
-        self._noise_std = float(noise_std)
 
     def sample_points(self, grid: OceanGrid) -> list[tuple[str, int, int, int]]:
         """The suggested high-uncertainty points, verbatim."""
@@ -151,4 +134,4 @@ class AdaptiveSampler(Instrument):
 
     def noise_std_for(self, fieldname: str) -> float:
         """Uniform noise std-dev for all adaptive samples."""
-        return self._noise_std
+        return ADAPTIVE_NOISE_STD

@@ -78,8 +78,8 @@ class ObservationNetwork:
         )
         self._period_count = 0
 
-    def observe(self, truth: ModelState, time: float | None = None) -> ObservationBatch:
-        """Sample all instruments against a truth state -> one batch.
+    def observe(self, truth: ModelState) -> ObservationBatch:
+        """Sample all instruments against a truth state -> one batch at its time.
 
         Raises
         ------
@@ -93,7 +93,7 @@ class ObservationNetwork:
             raise RuntimeError("observation batch is empty (all points on land?)")
         batch = ObservationBatch(
             period_index=self._period_count,
-            time=truth.time if time is None else time,
+            time=truth.time,
             operator=ObservationOperator(self.layout, observations),
         )
         self._period_count += 1

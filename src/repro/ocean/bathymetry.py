@@ -50,46 +50,31 @@ class SyntheticBathymetry:
         return float(self.depth.max())
 
 
-def monterey_bathymetry(
-    nx: int = 42,
-    ny: int = 36,
-    coast_fraction: float = 0.78,
-    bay_center_fraction: float = 0.55,
-    bay_radius_fraction: float = 0.16,
-    canyon_depth: float = 1200.0,
-    shelf_depth: float = 120.0,
-) -> SyntheticBathymetry:
-    """Build the synthetic Monterey Bay geometry.
+#: Fraction of the x-extent that is ocean; the coastline sits near
+#: ``x = COAST_FRACTION * Lx`` with a bay carved eastward of it.
+COAST_FRACTION = 0.78
+#: Northing of the bay centre as a fraction of the y-extent.
+BAY_CENTER_FRACTION = 0.55
+#: Bay radius as a fraction of the y-extent.
+BAY_RADIUS_FRACTION = 0.16
+#: Maximum canyon depth (m).
+CANYON_DEPTH = 1200.0
+#: Depth of the continental shelf at the coast (m).
+SHELF_DEPTH = 120.0
 
-    Parameters
-    ----------
-    nx, ny:
-        Grid size.
-    coast_fraction:
-        Fraction of the x-extent that is ocean; the coastline sits near
-        ``x = coast_fraction * Lx`` with a bay carved eastward of it.
-    bay_center_fraction:
-        Northing of the bay centre as a fraction of the y-extent.
-    bay_radius_fraction:
-        Bay radius as a fraction of the y-extent.
-    canyon_depth:
-        Maximum canyon depth (m).
-    shelf_depth:
-        Depth of the continental shelf at the coast (m).
 
-    Returns
-    -------
-    SyntheticBathymetry
+def monterey_bathymetry(nx: int = 42, ny: int = 36) -> SyntheticBathymetry:
+    """Build the synthetic Monterey Bay geometry on an ``(ny, nx)`` grid.
+
+    The shape is fixed by the module constants above.
     """
-    if not 0.3 <= coast_fraction <= 0.95:
-        raise ValueError(f"coast_fraction out of range: {coast_fraction}")
     xf = np.linspace(0.0, 1.0, nx)[None, :]
     yf = np.linspace(0.0, 1.0, ny)[:, None]
 
     # Coastline: mostly straight, with a semicircular bay indentation.
-    coast_x = np.full((ny, 1), coast_fraction)
-    bay = bay_radius_fraction * np.sqrt(
-        np.clip(1.0 - ((yf - bay_center_fraction) / bay_radius_fraction) ** 2, 0.0, None)
+    coast_x = np.full((ny, 1), COAST_FRACTION)
+    bay = BAY_RADIUS_FRACTION * np.sqrt(
+        np.clip(1.0 - ((yf - BAY_CENTER_FRACTION) / BAY_RADIUS_FRACTION) ** 2, 0.0, None)
     )
     coast_x = coast_x + 0.8 * bay  # bay pushes the waterline eastward
 
@@ -108,9 +93,9 @@ def monterey_bathymetry(
     dist_off = np.clip(coast_x - xf, 0.0, None)
     shelf_width = 0.10  # fraction of the x-extent kept at shelf depth
     beyond = np.clip(dist_off - shelf_width, 0.0, None)
-    depth = shelf_depth + (3500.0 - shelf_depth) * (1.0 - np.exp(-beyond / 0.22))
-    canyon = canyon_depth * np.exp(
-        -(((yf - bay_center_fraction) / 0.05) ** 2)
+    depth = SHELF_DEPTH + (3500.0 - SHELF_DEPTH) * (1.0 - np.exp(-beyond / 0.22))
+    canyon = CANYON_DEPTH * np.exp(
+        -(((yf - BAY_CENTER_FRACTION) / 0.05) ** 2)
     ) * np.exp(-((dist_off - 0.05) / 0.18) ** 2)
     depth = depth + canyon
     depth = np.where(mask, depth, 0.0)
@@ -121,8 +106,6 @@ def monterey_grid(
     nx: int = 42,
     ny: int = 36,
     nz: int = 10,
-    dx: float = 3000.0,
-    dy: float = 3000.0,
     max_level_depth: float = 400.0,
 ) -> OceanGrid:
     """An :class:`OceanGrid` over the synthetic Monterey domain.
@@ -135,5 +118,5 @@ def monterey_grid(
     frac = (np.arange(nz) + 0.5) / nz
     z = 5.0 + (max_level_depth - 5.0) * frac**1.7
     return OceanGrid(
-        nx=nx, ny=ny, dx=dx, dy=dy, z_levels=tuple(z), mask=bathy.mask
+        nx=nx, ny=ny, dx=3000.0, dy=3000.0, z_levels=tuple(z), mask=bathy.mask
     )

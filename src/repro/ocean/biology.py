@@ -91,14 +91,9 @@ class PhytoplanktonModel:
         field = self.params.background * np.broadcast_to(
             self._light, self.grid.shape3d
         ).copy()
-        return self.grid.apply_mask(field, fill=0.0)
+        return self.grid.apply_mask(field)
 
-    def step(
-        self,
-        phyto: np.ndarray,
-        state: ModelState,
-        deta_dt: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def step(self, phyto: np.ndarray, state: ModelState) -> np.ndarray:
         """One forward-Euler step of length ``physics.config.dt``.
 
         Parameters
@@ -106,10 +101,8 @@ class PhytoplanktonModel:
         phyto:
             Current concentration, shape ``(nz, ny, nx)``.
         state:
-            Physical state at the same instant (velocity and eta).
-        deta_dt:
-            Optional interface tendency (m/s); if omitted the nutrient
-            proxy uses the standing displacement ``-eta`` alone.
+            Physical state at the same instant (velocity and eta); the
+            nutrient proxy uses its standing displacement ``-eta``.
         """
         p = self.params
         grid = self.grid
@@ -122,10 +115,8 @@ class PhytoplanktonModel:
         adv = -u3 * ddx(filled, dx) - v3 * ddy(filled, dy)
         diff = p.diffusivity * laplacian(filled, dx, dy)
 
-        # nutrient proxy: standing uplift plus (optionally) active upwelling
+        # nutrient proxy: standing uplift
         uplift = np.clip(-state.eta, 0.0, None)
-        if deta_dt is not None:
-            uplift = uplift + np.clip(-deta_dt, 0.0, None) * 3600.0
         nutrient = np.clip(
             0.2 + p.nutrient_upwelling_gain * uplift, 0.0, 1.0
         )[None, :, :]
@@ -137,24 +128,17 @@ class PhytoplanktonModel:
 
         out = phyto + dt * (adv + diff + reaction)
         out = np.clip(out, 0.0, None)  # concentrations stay non-negative
-        return grid.apply_mask(out, fill=0.0)
+        return grid.apply_mask(out)
 
     def run_along(
-        self,
-        initial_state: ModelState,
-        duration: float,
-        phyto0: np.ndarray | None = None,
+        self, initial_state: ModelState, duration: float
     ) -> tuple[np.ndarray, ModelState]:
-        """Integrate physics and biology together for ``duration`` seconds.
+        """Integrate physics and biology together for ``duration`` seconds,
+        starting from :meth:`initial_field`.
 
         Returns the final (phytoplankton, physical state) pair.
         """
-        phyto = self.initial_field() if phyto0 is None else np.array(phyto0)
-        if phyto.shape != self.grid.shape3d:
-            raise ValueError(
-                f"phyto shape {phyto.shape} != grid {self.grid.shape3d}"
-            )
-        holder = {"phyto": phyto}
+        holder = {"phyto": self.initial_field()}
 
         def follow(_step, state):
             holder["phyto"] = self.step(holder["phyto"], state)

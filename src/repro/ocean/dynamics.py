@@ -35,6 +35,10 @@ import numpy as np
 from repro.ocean.grid import OceanGrid
 from repro.ocean.masking import LandFiller
 
+#: Open-boundary sponge: width in cells and relaxation time (s) at the rim.
+SPONGE_WIDTH = 5
+SPONGE_TAU_EDGE = 10800.0
+
 RHO0 = 1025.0  # reference sea-water density, kg/m^3
 
 
@@ -383,25 +387,26 @@ class ShallowWaterDynamics:
         damp = self._wet if sponge is None else self._wet * sponge
         return StepConstants(dt, self._wet * dt, math.cos(angle), math.sin(angle), damp)
 
-    def sponge_factors(self, dt: float, width: int = 5, tau_edge: float = 10800.0) -> np.ndarray:
+    def sponge_factors(self, dt: float) -> np.ndarray:
         """Per-step damping factors of a smooth open-boundary sponge.
 
-        A cosine-shaped relaxation toward rest over ``width`` cells at the
-        west/south/north rims (the east rim is coast).  The relaxation time
-        grows from ``tau_edge`` at the outermost cell to infinity at the
+        A cosine-shaped relaxation toward rest over ``SPONGE_WIDTH`` cells at
+        the west/south/north rims (the east rim is coast).  The relaxation
+        time grows from ``SPONGE_TAU_EDGE`` at the outermost cell to infinity at the
         sponge's inner edge; abrupt damping would itself create reflections
         and destabilize the pressure gradient, so the profile must be smooth.
         """
         ny, nx = self.grid.shape2d
         strength = np.zeros((ny, nx))
 
+        width = SPONGE_WIDTH
         ramp = 0.5 * (1.0 + np.cos(np.pi * np.arange(width) / width))
         for k in range(min(width, nx)):
             strength[:, k] = np.maximum(strength[:, k], ramp[k])
         for k in range(min(width, ny)):
             strength[k, :] = np.maximum(strength[k, :], ramp[k])
             strength[ny - 1 - k, :] = np.maximum(strength[ny - 1 - k, :], ramp[k])
-        return np.exp(-dt * strength / tau_edge)
+        return np.exp(-dt * strength / SPONGE_TAU_EDGE)
 
     def enforce_boundaries(
         self,

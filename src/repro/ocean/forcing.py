@@ -18,10 +18,13 @@ import numpy as np
 from repro.ocean.grid import OceanGrid
 
 
+#: e-folding distance of the along-shore stress offshore, as a fraction of
+#: the x-extent.
+OFFSHORE_DECAY_FRACTION = 0.5
+
+
 def upwelling_wind_stress(
-    grid: OceanGrid,
-    amplitude: float = 0.08,
-    offshore_decay_fraction: float = 0.5,
+    grid: OceanGrid, amplitude: float = 0.08
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean wind-stress pattern (tau_x, tau_y) in N/m^2.
 
@@ -32,7 +35,7 @@ def upwelling_wind_stress(
     """
     xf = np.linspace(0.0, 1.0, grid.nx)[None, :]
     dist_offshore = 1.0 - xf  # 0 at the (eastern) coast
-    profile = np.exp(-dist_offshore / max(offshore_decay_fraction, 1e-6))
+    profile = np.exp(-dist_offshore / OFFSHORE_DECAY_FRACTION)
     tau_y = -amplitude * (0.4 + 0.6 * profile) * np.ones((grid.ny, 1))
     tau_x = 0.15 * amplitude * np.sin(np.pi * xf) * np.ones((grid.ny, 1))
     return grid.apply_mask(tau_x * np.ones(grid.shape2d)), grid.apply_mask(

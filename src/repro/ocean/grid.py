@@ -138,8 +138,8 @@ class OceanGrid:
             j[dry], i[dry] = jj[nearest], ii[nearest]
         return j, i
 
-    def apply_mask(self, fld: np.ndarray, fill: float = 0.0) -> np.ndarray:
-        """Return a copy of ``fld`` with land points set to ``fill``.
+    def apply_mask(self, fld: np.ndarray) -> np.ndarray:
+        """Return a copy of ``fld`` with land points set to zero.
 
         Works for 2-D ``(ny, nx)`` and 3-D ``(nz, ny, nx)`` fields.
         """
@@ -148,7 +148,7 @@ class OceanGrid:
             raise ValueError(
                 f"field shape {fld.shape} incompatible with grid {self.shape2d}"
             )
-        return np.where(self.mask, fld, fill)
+        return np.where(self.mask, fld, 0.0)
 
 
 def demo_grid(nx: int = 24, ny: int = 20, nz: int = 4) -> OceanGrid:

@@ -420,7 +420,6 @@ class PEModel:
         ensemble: EnsembleState,
         duration: float,
         noise=None,
-        callback=None,
     ) -> tuple[EnsembleState, dict[int, str]]:
         """Integrate a whole batch for ``duration`` seconds.
 
@@ -439,8 +438,6 @@ class PEModel:
             Integration length in seconds; must be >= 0.
         noise:
             Optional batched stochastic forcing (see :meth:`step_ensemble`).
-        callback:
-            Optional ``callback(step_index, ensemble)`` after each step.
 
         Returns
         -------
@@ -477,8 +474,6 @@ class PEModel:
                         # untouched (no cross-member operator exists).
                         for name in self.layout.names:
                             getattr(current, name)[pos] = 0.0
-                if callback is not None:
-                    callback(k, current)
         return current, failed
 
     def with_noise(self, noise: StochasticForcing) -> "PEModel":

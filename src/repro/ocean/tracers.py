@@ -27,24 +27,26 @@ from repro.ocean.grid import OceanGrid
 from repro.ocean.masking import LandFiller
 
 
+#: Central California background profile: a tanh thermocline between the
+#: surface and deep temperatures (deg C), centred at ``THERMOCLINE_DEPTH``
+#: with half-width ``THERMOCLINE_WIDTH`` (m); salinity (psu) follows the
+#: same shape, increasing monotonically with depth.
+SURFACE_TEMP = 15.0
+DEEP_TEMP = 7.0
+THERMOCLINE_DEPTH = 60.0
+THERMOCLINE_WIDTH = 45.0
+SURFACE_SALT = 33.4
+DEEP_SALT = 34.2
+
+
 def climatological_profile(
     z_levels: np.ndarray | tuple[float, ...],
-    surface_temp: float = 15.0,
-    deep_temp: float = 7.0,
-    thermocline_depth: float = 60.0,
-    thermocline_width: float = 45.0,
-    surface_salt: float = 33.4,
-    deep_salt: float = 34.2,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Background (T(z), S(z)) profiles for central California.
-
-    A tanh thermocline between ``surface_temp`` and ``deep_temp`` centred at
-    ``thermocline_depth``; salinity increases monotonically with depth.
-    """
+    """Background (T(z), S(z)) profiles for central California at ``z_levels``."""
     z = np.asarray(z_levels, dtype=float)
-    shape_fn = 0.5 * (1.0 + np.tanh((z - thermocline_depth) / thermocline_width))
-    temp = surface_temp + (deep_temp - surface_temp) * shape_fn
-    salt = surface_salt + (deep_salt - surface_salt) * shape_fn
+    shape_fn = 0.5 * (1.0 + np.tanh((z - THERMOCLINE_DEPTH) / THERMOCLINE_WIDTH))
+    temp = SURFACE_TEMP + (DEEP_TEMP - SURFACE_TEMP) * shape_fn
+    salt = SURFACE_SALT + (DEEP_SALT - SURFACE_SALT) * shape_fn
     return temp, salt
 
 

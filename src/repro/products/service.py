@@ -81,10 +81,10 @@ class ServiceResponse:
         lines.append(f"Content-Length: {len(self.body)}\r\n")
         return "\r\n".join(lines).encode("latin-1")
 
-    def header(self, name: str, default: str | None = None) -> str | None:
-        """Case-insensitive header lookup."""
+    def header(self, name: str) -> str | None:
+        """Case-insensitive header lookup (None when absent)."""
         found = (v for k, v in self.headers if k.lower() == name.lower())
-        return next(found, default)
+        return next(found, None)
 
 
 def _json_body(payload: dict) -> bytes:

@@ -77,8 +77,8 @@ def _pad_to_multiple(array: np.ndarray, block: int) -> np.ndarray:
     return np.pad(array, ((0, py), (0, px)), constant_values=np.nan)
 
 
-def downsample(array: np.ndarray, factor: int = 2) -> np.ndarray:
-    """NaN-aware mean pooling by ``factor`` in both dimensions.
+def downsample(array: np.ndarray) -> np.ndarray:
+    """NaN-aware mean pooling by two in both dimensions.
 
     Cells with no wet contributors pool to NaN (preserving the land
     mask's shape at every level instead of bleeding zeros into it).  A
@@ -86,8 +86,7 @@ def downsample(array: np.ndarray, factor: int = 2) -> np.ndarray:
     views -- the order ``np.sum`` takes over the four cells of a
     factor-two block, so every level is the same bits as that reduction.
     """
-    if factor < 2:
-        raise ValueError(f"downsample factor must be >= 2, got {factor}")
+    factor = 2
     padded = _pad_to_multiple(np.asarray(array, dtype=np.float64), factor)
     land = np.isnan(padded)
     values = np.where(land, 0.0, padded)  # shape: (ny, nx) # dtype: float64
@@ -184,7 +183,7 @@ class TiledField:
         self.tile_size = int(tile_size)
         self._levels: list[np.ndarray] = [data]
         for _ in range(levels):
-            self._levels.append(downsample(self._levels[-1], 2))
+            self._levels.append(downsample(self._levels[-1]))
         self.statistics = tile_statistics(data, tile_size)
 
     @property

@@ -145,27 +145,18 @@ def generate_product(
     forecast: "ForecastResult",
     operator: "ObservationOperator",
     cycle_index: int = 0,
-    extra_candidates: dict[str, np.ndarray] | None = None,
 ) -> ForecastProduct:
     """Build the cycle's product from the standard candidate set.
 
     The r+1 data-driven simulations are represented by:
 
     - ``central``: the unperturbed central forecast,
-    - ``ensemble-mean``: the mean of the surviving stochastic members,
-    - any caller-supplied extra candidates (e.g. alternative physics).
+    - ``ensemble-mean``: the mean of the surviving stochastic members.
     """
     central_vec = model.to_vector(forecast.central)
     candidates: dict[str, np.ndarray] = {"central": central_vec}
     if forecast.member_forecasts.shape[0] >= 2:
         candidates["ensemble-mean"] = forecast.member_forecasts.mean(axis=0)
-    if extra_candidates:
-        overlap = set(extra_candidates) & set(candidates)
-        if overlap:
-            raise ValueError(f"candidate labels collide: {sorted(overlap)}")
-        candidates.update(
-            {k: np.asarray(v) for k, v in extra_candidates.items()}
-        )
     scores = score_candidates(candidates, operator)
     best = scores[0].label
 

@@ -15,6 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Shares of a forecaster budget spent on data processing and on web
+#: distribution.
+PROCESSING_FRACTION = 0.2
+DISSEMINATION_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class ObservationPeriod:
@@ -127,21 +132,15 @@ class ExperimentTimeline:
 
     # -- forecaster time ----------------------------------------------------------
 
-    def forecaster_tasks(
-        self,
-        processing_fraction: float = 0.2,
-        dissemination_fraction: float = 0.1,
-        budget: float = 6 * 3600.0,
-    ) -> list[ForecasterTask]:
-        """The tau^k stage layout within one forecaster budget.
+    def forecaster_tasks(self, budget: float = 6 * 3600.0) -> list[ForecasterTask]:
+        """The tau^k stage layout within one forecaster ``budget`` (s).
 
-        Fractions split the wall-clock budget between data processing,
-        the forecast computations and web distribution.
+        ``PROCESSING_FRACTION`` of the wall-clock budget goes to data
+        processing and ``DISSEMINATION_FRACTION`` to web distribution; the
+        forecast computations get the rest.
         """
-        if not 0 < processing_fraction + dissemination_fraction < 1:
-            raise ValueError("fractions must leave room for the simulations")
-        t_proc = budget * processing_fraction
-        t_diss = budget * dissemination_fraction
+        t_proc = budget * PROCESSING_FRACTION
+        t_diss = budget * DISSEMINATION_FRACTION
         return [
             ForecasterTask("processing", 0.0, t_proc),
             ForecasterTask("simulation", t_proc, budget - t_diss),
@@ -150,15 +149,15 @@ class ExperimentTimeline:
 
     # -- simulation time -------------------------------------------------------------
 
-    def simulation_window(self, k: int, simulation_index: int = 0) -> SimulationWindow:
-        """Ocean-time coverage of one simulation of prediction ``k``."""
+    def simulation_window(self, k: int) -> SimulationWindow:
+        """Ocean-time coverage of the first simulation of prediction ``k``."""
         if not 0 <= k < self.n_periods:
             raise IndexError(f"prediction {k} out of range")
         observed = tuple(self.period(j) for j in range(k + 1))
         nowcast = observed[-1].end
         forecast_end = nowcast + self.forecast_horizon_periods * self.period_length
         return SimulationWindow(
-            simulation_index=simulation_index,
+            simulation_index=0,
             assimilation_periods=observed,
             nowcast_time=nowcast,
             forecast_end=forecast_end,

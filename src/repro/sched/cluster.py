@@ -23,25 +23,20 @@ from repro.core.taskmodel import (  # noqa: F401  -- re-exported
 from repro.sched.resources import ClusterModel, Node, NodeSpec
 
 
-def mseas_cluster(
-    available_cores: int = 210,
-    nfs_bandwidth_mbps: float = 1250.0,
-) -> ClusterModel:
+#: Cores usable for the campaign (the rest "were in use by other users").
+MSEAS_AVAILABLE_CORES = 210
+#: File-server bandwidth (10 Gbit/s link ~ 1250 MB/s).
+MSEAS_NFS_BANDWIDTH_MBPS = 1250.0
+
+
+def mseas_cluster() -> ClusterModel:
     """The MIT MSEAS-like local cluster, reduced to its available cores.
 
-    Parameters
-    ----------
-    available_cores:
-        Cores usable for the campaign (the rest "were in use by other
-        users").  The fast Opteron 285 replacement nodes are included
-        first, then Opteron 250 nodes until the budget is spent.
-    nfs_bandwidth_mbps:
-        File-server bandwidth (10 Gbit/s link ~ 1250 MB/s).
+    The fast Opteron 285 replacement nodes are included first, then
+    Opteron 250 nodes until ``MSEAS_AVAILABLE_CORES`` are spent.
     """
-    if available_cores < 1:
-        raise ValueError("available_cores must be >= 1")
     nodes: list[Node] = []
-    remaining = available_cores
+    remaining = MSEAS_AVAILABLE_CORES
     # 3 dual-socket dual-core Opteron 285 nodes: 4 cores each, ~8% faster.
     for k in range(3):
         if remaining <= 0:
@@ -63,5 +58,5 @@ def mseas_cluster(
         remaining -= cores
         k += 1
     return ClusterModel(
-        nodes=nodes, nfs_bandwidth_mbps=nfs_bandwidth_mbps, name="mseas"
+        nodes=nodes, nfs_bandwidth_mbps=MSEAS_NFS_BANDWIDTH_MBPS, name="mseas"
     )

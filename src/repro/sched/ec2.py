@@ -107,8 +107,8 @@ class EC2PriceBook:
 class EC2CostModel:
     """Dollar cost of an ESSE campaign on EC2 (Sec 5.4.2)."""
 
-    def __init__(self, prices: EC2PriceBook | None = None):
-        self.prices = prices if prices is not None else EC2PriceBook()
+    def __init__(self):
+        self.prices = EC2PriceBook()
 
     def compute_cost(
         self,
@@ -166,15 +166,15 @@ class EC2CostModel:
         )
 
 
-def ec2_virtual_cluster(
-    instance_name: str,
-    n_instances: int,
-    nfs_bandwidth_mbps: float = 125.0,
-) -> ClusterModel:
+#: Intra-EC2 shared-filesystem bandwidth: Gigabit Ethernet, ~125 MB/s.
+EC2_NFS_BANDWIDTH_MBPS = 125.0
+
+
+def ec2_virtual_cluster(instance_name: str, n_instances: int) -> ClusterModel:
     """A virtual EC2 cluster as a :class:`ClusterModel`.
 
     The intra-EC2 shared filesystem runs over Gigabit Ethernet
-    (~125 MB/s) -- "the Gigabit Ethernet connectivity used throughout
+    (``EC2_NFS_BANDWIDTH_MBPS``) -- "the Gigabit Ethernet connectivity used throughout
     Amazon EC2 ... mean[s] that parallel performance of the filesystem is
     not up to par" (Sec 5.4.3).
     """
@@ -200,6 +200,6 @@ def ec2_virtual_cluster(
     ]
     return ClusterModel(
         nodes=nodes,
-        nfs_bandwidth_mbps=nfs_bandwidth_mbps,
+        nfs_bandwidth_mbps=EC2_NFS_BANDWIDTH_MBPS,
         name=f"ec2-{instance_name}",
     )

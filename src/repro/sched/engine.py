@@ -53,25 +53,16 @@ class Simulator:
         """Cancel a scheduled event (lazy removal)."""
         self._cancelled.add(handle)
 
-    def run(self, until: float | None = None) -> None:
-        """Process events in time order, optionally stopping at ``until``.
-
-        When stopping early the clock is advanced to ``until``.
-        """
+    def run(self) -> None:
+        """Process events in time order until none is left."""
         while self._queue:
-            time, handle, callback = self._queue[0]
-            if until is not None and time > until:
-                self.now = until
-                return
-            heapq.heappop(self._queue)
+            time, handle, callback = heapq.heappop(self._queue)
             if handle in self._cancelled:
                 self._cancelled.discard(handle)
                 continue
             self.now = time
             self.events_processed += 1
             callback()
-        if until is not None and until > self.now:
-            self.now = until
 
     @property
     def pending(self) -> int:

@@ -95,14 +95,19 @@ class TransferReport:
     transfers_started: int
 
 
+#: Maximum simultaneous fetches of the pull agent.
+PULL_CONCURRENCY = 4
+#: Files bundled into one transfer by the two-stage agent.
+TWO_STAGE_BATCH_SIZE = 50
+#: Remote shared-filesystem staging rate of the two-stage agent (MB/s).
+STAGE_RATE_MBPS = 400.0
+
+
 def simulate_output_return(
     completion_times: list[float] | np.ndarray,
     file_mb: float,
     plan: OutputReturnPlan,
     wan: WANModel | None = None,
-    pull_concurrency: int = 4,
-    batch_size: int = 50,
-    stage_rate_mbps: float = 400.0,
 ) -> TransferReport:
     """Simulate returning one output file per completion time.
 
@@ -116,20 +121,12 @@ def simulate_output_return(
         PUSH, PULL or TWO_STAGE.
     wan:
         WAN/gateway model.
-    pull_concurrency:
-        Maximum simultaneous fetches of the pull agent.
-    batch_size:
-        Files bundled into one transfer by the two-stage agent.
-    stage_rate_mbps:
-        Remote shared-filesystem staging rate (two-stage only).
     """
     times = np.sort(np.asarray(completion_times, dtype=float))
     if times.size == 0:
         raise ValueError("need at least one completion time")
     if file_mb <= 0:
         raise ValueError("file_mb must be positive")
-    if pull_concurrency < 1 or batch_size < 1:
-        raise ValueError("pull_concurrency and batch_size must be >= 1")
     wan = wan if wan is not None else WANModel()
 
     sim = Simulator()
@@ -167,7 +164,7 @@ def simulate_output_return(
         in_flight = {"value": 0}
 
         def pump():
-            while in_flight["value"] < pull_concurrency and queue:
+            while in_flight["value"] < PULL_CONCURRENCY and queue:
                 produce_time = queue.pop(0)
                 in_flight["value"] += 1
                 started["value"] += 1
@@ -198,20 +195,20 @@ def simulate_output_return(
 
         def stage_done(produce_time: float):
             staged.append(produce_time)
-            if len(staged) % batch_size == 0:
-                flush(staged[-batch_size:])
+            if len(staged) % TWO_STAGE_BATCH_SIZE == 0:
+                flush(staged[-TWO_STAGE_BATCH_SIZE:])
 
         def flush(batch: list[float]):
             start_transfer(
                 file_mb * len(batch), min(batch), count=len(batch)
             )
 
-        stage_delay = file_mb / stage_rate_mbps
+        stage_delay = file_mb / STAGE_RATE_MBPS
         for t in times:
             sim.schedule_at(float(t) + stage_delay, lambda t=t: stage_done(float(t)))
 
         def flush_tail():
-            tail = len(staged) % batch_size
+            tail = len(staged) % TWO_STAGE_BATCH_SIZE
             if tail:
                 flush(staged[-tail:])
 

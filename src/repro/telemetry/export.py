@@ -119,13 +119,14 @@ def read_jsonl(path) -> RunLog:
 # -- Chrome trace (chrome://tracing / Perfetto) ------------------------------
 
 
-def chrome_trace(spans=(), events=(), pid: int = 1) -> dict:
+def chrome_trace(spans=(), events=()) -> dict:
     """Build a Trace Event Format object from spans and events.
 
     Spans become complete (``ph="X"``) events with microsecond
     timestamps; telemetry events become thread-scoped instants
     (``ph="i"``); thread names are declared via metadata (``ph="M"``)
     records so Perfetto labels each track (differ, svd, workers...).
+    Everything sits in process 1.
     """
     trace_events: list[dict] = []
     tids: dict[str, int] = {}
@@ -137,7 +138,7 @@ def chrome_trace(spans=(), events=(), pid: int = 1) -> dict:
                 {
                     "name": "thread_name",
                     "ph": "M",
-                    "pid": pid,
+                    "pid": 1,
                     "tid": tids[thread],
                     "args": {"name": thread},
                 }
@@ -152,7 +153,7 @@ def chrome_trace(spans=(), events=(), pid: int = 1) -> dict:
                 "ph": "X",
                 "ts": span.start * 1e6,
                 "dur": max(span.duration, 0.0) * 1e6,
-                "pid": pid,
+                "pid": 1,
                 "tid": tid_of(span.thread),
                 "args": dict(span.attrs) | {"span_id": span.span_id},
             }
@@ -165,7 +166,7 @@ def chrome_trace(spans=(), events=(), pid: int = 1) -> dict:
                 "ph": "i",
                 "s": "p",
                 "ts": event.time * 1e6,
-                "pid": pid,
+                "pid": 1,
                 "tid": tid_of("events"),
                 "args": dict(event.attrs),
             }
@@ -173,10 +174,10 @@ def chrome_trace(spans=(), events=(), pid: int = 1) -> dict:
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(path, spans=(), events=(), pid: int = 1) -> Path:
+def write_chrome_trace(path, spans=(), events=()) -> Path:
     """Write a Chrome-trace JSON file loadable in Perfetto."""
     path = Path(path)
-    path.write_text(json.dumps(chrome_trace(spans, events, pid=pid)))
+    path.write_text(json.dumps(chrome_trace(spans, events)))
     return path
 
 

@@ -62,11 +62,6 @@ class Gauge:
         with self._lock:
             self._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        """Adjust the current value by ``amount`` (may be negative)."""
-        with self._lock:
-            self._value += amount
-
     @property
     def value(self) -> float:
         """Current value."""

@@ -64,12 +64,12 @@ class TelemetryEvent:
     kind: str
     attrs: tuple[tuple[str, object], ...] = ()
 
-    def attr(self, key: str, default=None):
-        """Look up one attribute value by key."""
+    def attr(self, key: str):
+        """Look up one attribute value by key (None when absent)."""
         for k, v in self.attrs:
             if k == key:
                 return v
-        return default
+        return None
 
 
 class _NullSpan:
@@ -100,15 +100,14 @@ _NULL_SPAN = _NullSpan()
 class NullRecorder:
     """The zero-overhead default recorder: records nothing.
 
-    Carries a ``clock`` so instrumented code can route *all* its time
-    arithmetic through ``recorder.clock`` whether or not tracing is on
-    (the workflow's retry backoff and deadline checks do exactly that).
+    Carries the monotonic ``clock`` so instrumented code can route *all*
+    its time arithmetic through ``recorder.clock`` whether or not tracing
+    is on (the workflow's retry backoff and deadline checks do exactly
+    that).
     """
 
     enabled = False
-
-    def __init__(self, clock=MONOTONIC):
-        self.clock = clock
+    clock = staticmethod(MONOTONIC)
 
     def span(self, name: str, parent=None, **attrs) -> _NullSpan:
         """Return the shared no-op span handle."""
@@ -120,7 +119,6 @@ class NullRecorder:
         start: float,
         end: float,
         parent=None,
-        status: str = "ok",
         **attrs,
     ) -> None:
         """Discard a pre-timed span."""
@@ -259,7 +257,6 @@ class TraceRecorder:
         start: float,
         end: float,
         parent=None,
-        status: str = "ok",
         **attrs,
     ) -> Span:
         """Record a span whose interval was timed externally.
@@ -279,7 +276,6 @@ class TraceRecorder:
             parent_id=getattr(parent, "span_id", parent),
             thread=threading.current_thread().name,
             attrs=tuple(sorted(attrs.items())),
-            status=status,
         )
         with self._lock:
             self._spans.append(span)

@@ -71,11 +71,10 @@ class GaussianRandomField2D:
     length_scale:
         Correlation length in *grid cells*; the spectral filter is
         ``exp(-(k * L)^2 / 2)``.  ``0`` yields white noise.
-    seed / rng:
-        Either a seed for an internal generator or an external generator
-        (pass at most one).  With neither, the field uses a deterministic
-        :class:`~repro.util.rng.SeedSequenceStream` stream so repeat runs
-        draw identical fields.
+    rng:
+        The generator every draw uses.  Without one, the field uses a
+        deterministic :class:`~repro.util.rng.SeedSequenceStream` stream so
+        repeat runs draw identical fields.
 
     Notes
     -----
@@ -91,23 +90,17 @@ class GaussianRandomField2D:
         shape: tuple[int, int],
         length_scale: float,
         rng: np.random.Generator | None = None,
-        seed: int | None = None,
     ):
         ny, nx = shape
         if ny < 1 or nx < 1:
             raise ValueError(f"shape must be positive, got {shape}")
         if length_scale < 0:
             raise ValueError(f"length_scale must be >= 0, got {length_scale}")
-        if rng is not None and seed is not None:
-            raise ValueError("pass at most one of rng= and seed=")
         self.shape = (int(ny), int(nx))
         self.length_scale = float(length_scale)
-        if rng is not None:
-            self._rng = rng
-        elif seed is not None:
-            self._rng = np.random.default_rng(seed)
-        else:
-            self._rng = SeedSequenceStream(0).rng("util", "randomfields")
+        if rng is None:
+            rng = SeedSequenceStream(0).rng("util", "randomfields")
+        self._rng = rng
         self.bases = tuple(_axis_basis(n, self.length_scale) for n in self.shape)
         self.coefficient_shape = tuple(len(basis) for basis in self.bases)
 
@@ -127,14 +120,12 @@ class GaussianRandomField2D:
             )
         return np.matmul(y.T, np.matmul(coefficients, x))
 
-    def sample(self, rng: np.random.Generator | None = None) -> np.ndarray:
+    def sample(self) -> np.ndarray:
         """Draw one field of shape ``(ny, nx)`` with unit variance."""
-        gen = rng if rng is not None else self._rng
-        return self.synthesize(gen.standard_normal(self.coefficient_shape))
+        return self.synthesize(self._rng.standard_normal(self.coefficient_shape))
 
-    def sample_many(self, count: int, rng: np.random.Generator | None = None) -> np.ndarray:
+    def sample_many(self, count: int) -> np.ndarray:
         """Draw ``count`` independent fields, shape ``(count, ny, nx)``."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        gen = rng if rng is not None else self._rng
-        return self.synthesize(gen.standard_normal((count, *self.coefficient_shape)))
+        return self.synthesize(self._rng.standard_normal((count, *self.coefficient_shape)))

@@ -363,8 +363,6 @@ class ParallelESSEWorkflow:
     use_processes:
         Run members in a process pool (true parallelism) instead of
         threads, the cheap default.
-    poll_interval:
-        Differ polling period (s).
     pool_margin:
         The task pool stays this factor ahead of the stage being grown
         so the pipeline never drains.
@@ -393,7 +391,6 @@ class ParallelESSEWorkflow:
         n_workers: int = 4,
         cancellation: CancellationPolicy = CancellationPolicy.DRAIN_RUNNING,
         use_processes: bool = False,
-        poll_interval: float = 0.005,
         pool_margin: float = 1.5,
         retry: RetryPolicy | None = None,
         faults: FaultInjector | None = None,
@@ -412,7 +409,6 @@ class ParallelESSEWorkflow:
         self.n_workers = n_workers
         self.cancellation = cancellation
         self.use_processes = use_processes
-        self.poll_interval = poll_interval
         self.pool_margin = pool_margin
         self.retry = retry
         self.faults = faults
@@ -483,7 +479,6 @@ class ParallelESSEWorkflow:
             faults=self.faults,
             telemetry=self.telemetry,
             metrics=self.metrics,
-            poll_interval=self.poll_interval,
             parent_span=root,
             log=self._log,
         )

@@ -97,7 +97,6 @@ class RetryPolicy:
         u = SeedSequenceStream(self.seed).rng("backoff", index, attempt).random()
         return base * (1.0 + self.jitter * u)
 
-    def schedule(self, index: int, n_attempts: int | None = None) -> list[float]:
+    def schedule(self, index: int) -> list[float]:
         """The full backoff schedule for one member (for tests/docs)."""
-        n = self.max_attempts if n_attempts is None else n_attempts
-        return [self.backoff_seconds(index, a) for a in range(1, n)]
+        return [self.backoff_seconds(index, a) for a in range(1, self.max_attempts)]

@@ -491,13 +491,12 @@ class TileTaskPool:
     ----------
     n_workers:
         Thread-pool width (tile tasks release the GIL inside BLAS).
-    retry, faults, telemetry, metrics, poll_interval:
+    retry, faults, telemetry, metrics:
         The :class:`TaskPool`'s; an injected CORRUPT replaces the tile's
         result with a payload that fails validation.
-    validate:
-        Result predicate; a falsy verdict counts as a failed attempt
-        (default: the result is neither None nor the injected-corruption
-        sentinel).
+
+    A result that fails :meth:`_default_validate` (None or a corrupted
+    payload) counts as a failed attempt.
 
     Use :meth:`run` as the ``task_runner`` of a
     :class:`~repro.core.assimilation.TiledESSEAnalysis`.
@@ -510,20 +509,14 @@ class TileTaskPool:
         faults: FaultInjector | None = None,
         telemetry=None,
         metrics: MetricsRegistry | None = None,
-        poll_interval: float = 0.005,
-        validate: Callable[[object], bool] | None = None,
     ):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if poll_interval <= 0:
-            raise ValueError(f"poll_interval must be positive, got {poll_interval}")
         self.n_workers = int(n_workers)
         self.retry = retry
         self.faults = faults
         self.telemetry = telemetry if telemetry is not None else NULL_RECORDER
         self.metrics = metrics
-        self.poll_interval = float(poll_interval)
-        self.validate = validate if validate is not None else self._default_validate
 
     @staticmethod
     def _default_validate(result) -> bool:
@@ -542,7 +535,7 @@ class TileTaskPool:
             value = tasks[index]()
             if torn:
                 value = _CORRUPT  # the work was done; its output is torn
-            if self.validate(value):
+            if self._default_validate(value):
                 return [(True, value, None)]
             return [(False, None, "invalid result")]
 
@@ -555,7 +548,6 @@ class TileTaskPool:
                 faults=self.faults,
                 telemetry=self.telemetry,
                 metrics=self.metrics,
-                poll_interval=self.poll_interval,
                 parent_span=root,
             )
             for out in pool.run(range(len(tasks))):

@@ -141,11 +141,11 @@ class SerialESSEWorkflow:
     workdir:
         Working directory for member files, the covariance file and the
         status directory.
-    telemetry:
-        Optional :class:`~repro.telemetry.spans.TraceRecorder` that
-        receives the phase spans (and supplies the clock).  When None a
-        private recorder is used, so :class:`SerialTimings` -- which is
-        derived from the spans -- is always available.
+
+    The phase spans go to a private
+    :class:`~repro.telemetry.spans.TraceRecorder` (``telemetry``, which
+    also supplies the clock), so :class:`SerialTimings` -- which is derived
+    from the spans -- is always available.
     """
 
     def __init__(
@@ -153,7 +153,6 @@ class SerialESSEWorkflow:
         runner: EnsembleRunner,
         config: ESSEConfig,
         workdir: str | Path,
-        telemetry: TraceRecorder | None = None,
     ):
         self.runner = runner
         self.config = config
@@ -161,7 +160,7 @@ class SerialESSEWorkflow:
         (self.workdir / "members").mkdir(parents=True, exist_ok=True)
         self.status = StatusDirectory(self.workdir / "status")
         self.cov_path = self.workdir / "covariance.npz"
-        self.telemetry = telemetry if telemetry is not None else TraceRecorder()
+        self.telemetry = TraceRecorder()
 
     def _member_path(self, index: int) -> Path:
         return self.workdir / "members" / f"forecast_{index:05d}.npz"

@@ -71,11 +71,6 @@ class TestProperties:
         ms = solve_modes(c, z, 200.0)
         assert np.all(ms.kr <= 2 * np.pi * 200.0 / c.min() + 1e-9)
 
-    def test_max_modes_cap(self, iso_waveguide):
-        z, c = iso_waveguide
-        ms = solve_modes(c, z, 400.0, max_modes=3)
-        assert ms.n_modes == 3
-
     def test_ducted_profile_traps_low_modes(self):
         """A strong surface duct concentrates mode 1 near the duct axis."""
         z = np.arange(0.0, 300.1, 2.0)
@@ -115,13 +110,6 @@ class TestValidation:
         c[3] = -1.0
         with pytest.raises(ValueError, match="positive"):
             solve_modes(c, z, 100.0)
-
-    @pytest.mark.parametrize("max_modes", [0, -2])
-    def test_rejects_nonpositive_max_modes(self, iso_waveguide, max_modes):
-        """-2 used to return all but two modes, 0 an empty set."""
-        z, c = iso_waveguide
-        with pytest.raises(ValueError, match="max_modes"):
-            solve_modes(c, z, 100.0, max_modes=max_modes)
 
     @pytest.mark.parametrize("n_water", [[5, 3], [5, 102]])
     def test_stack_rejects_water_outside_the_grid(self, iso_waveguide, n_water):

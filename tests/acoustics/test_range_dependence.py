@@ -19,7 +19,6 @@ def shelf_section(model, state, bathy, **kw):
     lx, ly = grid.nx * grid.dx, grid.ny * grid.dy
     defaults = dict(
         n_ranges=12,
-        dz=4.0,
         max_depth=200.0,
         bathymetry=bathy.depth if bathy is not None else None,
     )

@@ -35,7 +35,6 @@ class TestSectionExtraction:
             (5000.0, 30000.0),
             (45000.0, 30000.0),
             n_ranges=12,
-            dz=5.0,
             max_depth=150.0,
         )
         assert sec.sound_speed.shape == (sec.depths.size, 12)
@@ -55,10 +54,6 @@ class TestSectionExtraction:
         with pytest.raises(ValueError, match="two range"):
             extract_section(
                 small_model.grid, spun_up_state, (0.0, 0.0), (1.0, 1.0), n_ranges=1
-            )
-        with pytest.raises(ValueError, match="dz"):
-            extract_section(
-                small_model.grid, spun_up_state, (0.0, 0.0), (1.0, 1.0), dz=0.0
             )
 
     def test_section_dataclass_validation(self):
@@ -139,13 +134,9 @@ class TestTransmissionLoss:
 class TestAcousticClimate:
     def test_task_enumeration_size(self, small_model):
         tasks = acoustic_climate_tasks(
-            small_model.grid,
-            n_slices=4,
-            frequencies=(100.0, 200.0),
-            source_depths=(15.0,),
-            n_members=3,
+            small_model.grid, n_slices=4, frequencies=(100.0, 200.0), source_depths=(15.0,)
         )
-        assert len(tasks) == 4 * 2 * 1 * 3
+        assert len(tasks) == 4 * 2 * 1
         assert len({t.task_id for t in tasks}) == len(tasks)
 
     def test_climate_runs_tasks(self, small_model, spun_up_state):
@@ -215,8 +206,3 @@ class TestCoupledCovariance:
             coupled_uncertainty_modes(temps[:1], tls[:1])
         with pytest.raises(ValueError, match="members"):
             coupled_uncertainty_modes(temps, tls[:-1])
-
-    def test_max_modes_cap(self):
-        temps, tls = self._ensemble()
-        cc = coupled_uncertainty_modes(temps, tls, max_modes=3)
-        assert cc.n_modes == 3

@@ -45,7 +45,7 @@ def ref_nearest_point(grid, x, y):
     return int(jj[k]), int(ii[k])
 
 
-def ref_extract_section(grid, state, start, end, n_ranges, dz, max_depth, bathymetry=None):
+def ref_extract_section(grid, state, start, end, n_ranges, max_depth, bathymetry=None, dz=4.0):
     z_model = np.asarray(grid.z_levels)
     bottom = float(max_depth)
     depths = np.arange(0.0, bottom + dz / 2, dz)
@@ -154,7 +154,7 @@ def cycle_case():
     state.temp += 0.3 * np.sin(0.4 * xx + 0.3 * yy) * np.array([1.0, 0.7, 0.4, 0.2])[:, None, None]
     state.salt += 0.05 * np.cos(0.2 * xx - 0.5 * yy)
     task = acoustic_climate_tasks(grid, n_slices=1, frequencies=(100.0,), source_depths=(15.0,))[0]
-    kwargs = dict(n_ranges=16, dz=4.0, max_depth=300.0)
+    kwargs = dict(n_ranges=16, max_depth=300.0)
     return grid, state, task.slice_start, task.slice_end, kwargs
 
 
@@ -164,7 +164,7 @@ def shelf_case(small_model, spun_up_state):
     grid = small_model.grid
     lx, ly = grid.nx * grid.dx, grid.ny * grid.dy
     bathy = monterey_bathymetry(nx=grid.nx, ny=grid.ny)
-    kwargs = dict(n_ranges=12, dz=4.0, max_depth=200.0, bathymetry=bathy.depth)
+    kwargs = dict(n_ranges=12, max_depth=200.0, bathymetry=bathy.depth)
     return grid, spun_up_state, (0.7 * lx, 0.2 * ly), (0.1 * lx, 0.2 * ly), kwargs
 
 

@@ -79,15 +79,6 @@ class TestMatrix:
         ma, mb = a.matrix(), b.matrix()
         assert np.allclose(ma @ ma.T, mb @ mb.T)  # same covariance
 
-    def test_subspace_snapshot(self, layout):
-        rng = np.random.default_rng(2)
-        acc = AnomalyAccumulator(layout, np.zeros(6))
-        for k in range(12):
-            acc.add_member(k, rng.standard_normal(6))
-        sub = acc.subspace(rank=3)
-        assert sub.rank == 3
-        assert sub.n_samples == 12
-
 
 class TestRowStorage:
     """One contiguous row per member; the view is its transpose."""

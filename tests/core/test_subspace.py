@@ -61,28 +61,6 @@ class TestCovariance:
         assert np.all(sub.variance_field() >= -1e-15)
 
 
-class TestTruncation:
-    def test_by_rank(self):
-        sub = random_subspace(p=5)
-        t = sub.truncate(rank=2)
-        assert t.rank == 2
-        assert np.allclose(t.sigmas, sub.sigmas[:2])
-
-    def test_by_energy(self):
-        modes = np.eye(10)[:, :4]
-        sub = ErrorSubspace(modes=modes, sigmas=np.array([10.0, 1.0, 0.1, 0.01]))
-        t = sub.truncate(energy=0.99)
-        assert t.rank == 1  # first mode has 100/101.0101 > 0.99 of variance
-
-    def test_requires_argument(self):
-        with pytest.raises(ValueError, match="rank= or energy="):
-            random_subspace().truncate()
-
-    def test_never_exceeds_rank(self):
-        sub = random_subspace(p=3)
-        assert sub.truncate(rank=10).rank == 3
-
-
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         sub = random_subspace(seed=9, n_samples=33)

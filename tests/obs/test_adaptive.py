@@ -64,7 +64,7 @@ class TestSuggestions:
         model, forecast = forecast_setup
         layout = model.layout
         picks = suggest_sampling_locations(
-            forecast.subspace, layout, model.grid, field="temp", level=0, count=1
+            forecast.subspace, layout, model.grid, count=1
         )
         var = layout.view(forecast.subspace.variance_field(), "temp")[0]
         var = np.where(model.grid.mask, var, -np.inf)
@@ -76,7 +76,7 @@ class TestSuggestions:
         model, forecast = forecast_setup
         layout = model.layout
         picks = suggest_sampling_locations(
-            forecast.subspace, layout, model.grid, count=4, noise_std=0.01
+            forecast.subspace, layout, model.grid, count=4
         )
         var = layout.view(forecast.subspace.variance_field(), "temp")[0]
         var = np.where(model.grid.mask, var, -np.inf)
@@ -92,14 +92,6 @@ class TestSuggestions:
         with pytest.raises(ValueError, match="count"):
             suggest_sampling_locations(
                 forecast.subspace, model.layout, model.grid, count=0
-            )
-        with pytest.raises(ValueError, match="level"):
-            suggest_sampling_locations(
-                forecast.subspace, model.layout, model.grid, level=99
-            )
-        with pytest.raises(ValueError, match="levels"):
-            suggest_sampling_locations(
-                forecast.subspace, model.layout, model.grid, field="eta", level=1
             )
 
 

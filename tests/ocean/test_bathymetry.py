@@ -48,10 +48,6 @@ class TestMontereyBathymetry:
         b = monterey_bathymetry()
         assert np.all(b.depth[~b.mask] == 0.0)
 
-    def test_invalid_coast_fraction(self):
-        with pytest.raises(ValueError, match="coast_fraction"):
-            monterey_bathymetry(coast_fraction=0.1)
-
 
 class TestSyntheticBathymetryValidation:
     def test_rejects_negative_depth(self):

@@ -94,10 +94,6 @@ class TestCoupledRun:
         sfc = bio.surface_chlorophyll(phyto)
         assert np.array_equal(sfc, phyto[0])
 
-    def test_bad_initial_shape_rejected(self, bio, spun_up_state):
-        with pytest.raises(ValueError, match="shape"):
-            bio.run_along(spun_up_state, 400.0, phyto0=np.zeros((2, 2)))
-
     def test_coastal_bloom_structure(self, bio, small_model, spun_up_state):
         """After a few days the surface chlorophyll is spatially
         structured (blooms where the physics upwells)."""

@@ -129,7 +129,7 @@ class TestSponge:
         assert np.all(s > 0) and np.all(s <= 1.0)
 
     def test_interior_untouched(self, dyn, grid):
-        s = dyn.sponge_factors(400.0, width=3)
+        s = dyn.sponge_factors(400.0)
         assert np.all(s[8:10, 8:12] == 1.0)
 
     def test_stronger_at_rim(self, dyn):

@@ -120,8 +120,8 @@ class TestMasking:
         mask[2, 3] = False
         g = make_grid(mask=mask)
         fld = np.ones(g.shape2d)
-        out = g.apply_mask(fld, fill=-9.0)
-        assert out[2, 3] == -9.0
+        out = g.apply_mask(fld)
+        assert out[2, 3] == 0.0
         assert out[0, 0] == 1.0
         assert fld[2, 3] == 1.0  # input untouched
 

@@ -200,10 +200,6 @@ class TestDownsample:
         assert out.shape == (2, 2)
         assert np.all(out == 1.0)
 
-    def test_factor_validation(self):
-        with pytest.raises(ValueError, match=">= 2"):
-            downsample(np.ones((2, 2)), factor=1)
-
 
 class TestTileSummaries:
     def test_matches_naive_per_tile_stats(self, field):

@@ -92,16 +92,6 @@ class TestSubspaceProperties:
         v = rng.standard_normal(sub.state_dim)
         assert v @ sub.covariance_action(v) >= -1e-10
 
-    @given(subspaces(), st.floats(0.2, 1.0))
-    @settings(max_examples=50, deadline=None)
-    def test_truncation_keeps_leading_energy(self, sub, energy):
-        t = sub.truncate(energy=energy)
-        assert 1 <= t.rank <= sub.rank
-        assert t.total_variance >= energy * sub.total_variance - 1e-9 or (
-            t.rank == sub.rank
-        )
-        assert orthonormal_columns(t.modes)
-
     @given(st.integers(4, 20), st.integers(3, 12), st.integers(0, 2**31 - 1))
     @settings(max_examples=50, deadline=None)
     def test_from_anomalies_never_exceeds_data_rank(self, n, m, seed):

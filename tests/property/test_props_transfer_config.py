@@ -26,17 +26,6 @@ class TestTransferConservation:
         assert report.mean_file_delay > 0
         assert report.all_home_time >= max(times)
 
-    @given(
-        st.lists(st.floats(0.0, 100.0), min_size=2, max_size=30),
-        st.integers(1, 8),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_pull_concurrency_always_respected(self, times, concurrency):
-        report = simulate_output_return(
-            times, 11.0, OutputReturnPlan.PULL, pull_concurrency=concurrency
-        )
-        assert report.peak_concurrent_streams <= concurrency
-
 
 def _finite(lo, hi, **kwargs):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kwargs)
@@ -50,15 +39,8 @@ def config_documents(draw):
             nx=st.integers(4, 60),
             ny=st.integers(4, 60),
             nz=st.integers(1, 12),
-            dx=_finite(1.0, 1e5),
-            dy=_finite(1.0, 1e5),
-            max_level_depth=_finite(1.0, 5e3),
         ),
-        "model": dict(
-            dt=_finite(1.0, 3600.0),
-            viscosity=_finite(0.0, 1e3),
-            diffusivity=_finite(0.0, 1e3),
-        ),
+        "model": dict(dt=_finite(1.0, 3600.0)),
         # keys that bound each other are drawn from ranges that meet at the
         # other key's default, so either may be absent
         "esse": dict(
@@ -69,7 +51,6 @@ def config_documents(draw):
             max_subspace_rank=st.integers(1, 200),
             root_seed=st.integers(0, 2**31 - 1),
         ),
-        "engine": dict(batch_size=st.integers(1, 64)),
         "assimilation": dict(
             backend=st.sampled_from(["global", "tiled"]),
             tile_ny=st.integers(1, 64),
@@ -84,13 +65,10 @@ def config_documents(draw):
             n_workers=st.integers(1, 64),
             max_attempts=st.integers(1, 10),
         ),
-        "observations": dict(
-            network=st.just("aosn2"), seed=st.integers(0, 2**31 - 1)
-        ),
+        "observations": dict(seed=st.integers(0, 2**31 - 1)),
         "timeline": dict(
             period_hours=_finite(1.0, 96.0),
             n_periods=st.integers(1, 10),
-            forecast_horizon_periods=st.integers(1, 4),
         ),
     }
     present = draw(st.sets(st.sampled_from(sorted(sections))))

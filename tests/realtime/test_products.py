@@ -149,25 +149,6 @@ class TestProduct:
         assert 0.0 < product.sst_sigma_median < 5.0
         assert product.ensemble_size == forecast.ensemble_size
 
-    def test_extra_candidates_participate(self, product_setup):
-        model, forecast, batch = product_setup
-        bad = model.to_vector(forecast.central) + 10.0
-        product = generate_product(
-            model, forecast, batch.operator,
-            extra_candidates={"persistence": bad},
-        )
-        ranking = [s.label for s in product.scores]
-        assert "persistence" in ranking
-        assert ranking[-1] == "persistence"  # the corrupted one ranks last
-
-    def test_label_collision_rejected(self, product_setup):
-        model, forecast, batch = product_setup
-        with pytest.raises(ValueError, match="collide"):
-            generate_product(
-                model, forecast, batch.operator,
-                extra_candidates={"central": model.to_vector(forecast.central)},
-            )
-
     def test_render_bulletin(self, product_setup):
         model, forecast, batch = product_setup
         text = generate_product(model, forecast, batch.operator).render()

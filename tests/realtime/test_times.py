@@ -55,11 +55,6 @@ class TestForecasterTasks:
         sim = tasks[1]
         assert sim.end - sim.start > 50.0
 
-    def test_fraction_validation(self):
-        tl = ExperimentTimeline()
-        with pytest.raises(ValueError, match="fractions"):
-            tl.forecaster_tasks(processing_fraction=0.9, dissemination_fraction=0.2)
-
     def test_task_validation(self):
         with pytest.raises(ValueError):
             ForecasterTask("x", 5.0, 1.0)

@@ -65,22 +65,6 @@ class TestCancelAndUntil:
         sim.run()
         assert fired == []
 
-    def test_run_until_stops_clock(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(10.0, lambda: fired.append("late"))
-        sim.run(until=5.0)
-        assert fired == []
-        assert sim.now == 5.0
-        sim.run()
-        assert fired == ["late"]
-
-    def test_run_until_past_all_events(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run(until=100.0)
-        assert sim.now == 100.0
-
     def test_pending_counts_cancellations(self):
         sim = Simulator()
         h = sim.schedule(1.0, lambda: None)

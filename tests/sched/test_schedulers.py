@@ -195,7 +195,7 @@ class TestCampaign:
             camp.acoustic_specs(0)
 
     def test_mseas_cluster_shape(self):
-        cluster = mseas_cluster(available_cores=210)
+        cluster = mseas_cluster()
         assert cluster.total_cores == 210
         assert cluster.nodes[0].spec.name.startswith("opt285")
 

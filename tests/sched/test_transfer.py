@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.sched.transfer import (
+    PULL_CONCURRENCY,
+    TWO_STAGE_BATCH_SIZE,
     OutputReturnPlan,
     WANModel,
     simulate_output_return,
@@ -58,24 +60,17 @@ class TestPlans:
         assert pull.mean_file_delay < push.mean_file_delay
 
     def test_pull_respects_concurrency(self):
-        times = wave(100)
-        report = simulate_output_return(
-            times, 11.0, OutputReturnPlan.PULL, pull_concurrency=3
-        )
-        assert report.peak_concurrent_streams <= 3
+        report = simulate_output_return(wave(100), 11.0, OutputReturnPlan.PULL)
+        assert report.peak_concurrent_streams <= PULL_CONCURRENCY
 
     def test_two_stage_batches_transfers(self):
-        times = wave(100)
-        report = simulate_output_return(
-            times, 11.0, OutputReturnPlan.TWO_STAGE, batch_size=25
-        )
+        times = wave(4 * TWO_STAGE_BATCH_SIZE)
+        report = simulate_output_return(times, 11.0, OutputReturnPlan.TWO_STAGE)
         assert report.transfers_started == 4
 
     def test_two_stage_flushes_partial_tail(self):
-        times = wave(37)
-        report = simulate_output_return(
-            times, 11.0, OutputReturnPlan.TWO_STAGE, batch_size=10
-        )
+        times = wave(3 * TWO_STAGE_BATCH_SIZE + 7)
+        report = simulate_output_return(times, 11.0, OutputReturnPlan.TWO_STAGE)
         assert report.transfers_started == 4  # 3 full + 1 tail of 7
 
     def test_spread_completions_make_push_fine(self):
@@ -89,8 +84,4 @@ class TestPlans:
             simulate_output_return([], 11.0, OutputReturnPlan.PUSH)
         with pytest.raises(ValueError, match="file_mb"):
             simulate_output_return([1.0], 0.0, OutputReturnPlan.PUSH)
-        with pytest.raises(ValueError, match="pull_concurrency"):
-            simulate_output_return(
-                [1.0], 1.0, OutputReturnPlan.PULL, pull_concurrency=0
-            )
 

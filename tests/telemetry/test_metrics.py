@@ -6,7 +6,6 @@ import pytest
 
 from repro.telemetry.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     _labels_key,
@@ -23,12 +22,6 @@ class TestInstruments:
     def test_counter_rejects_negative(self):
         with pytest.raises(ValueError, match=">= 0"):
             Counter("retries").inc(-1)
-
-    def test_gauge_set_and_inc(self):
-        g = Gauge("pool_size")
-        g.set(8)
-        g.inc(-3)
-        assert g.value == 5.0
 
     def test_histogram_stats(self):
         h = Histogram("latency")

@@ -8,7 +8,6 @@ import pytest
 from repro.telemetry.clock import FakeClock
 from repro.telemetry.spans import (
     NULL_RECORDER,
-    NullRecorder,
     TelemetryEvent,
     TraceRecorder,
     _NULL_SPAN,
@@ -86,7 +85,7 @@ class TestSpanLifecycle:
 
     def test_record_span_external_interval(self):
         rec = TraceRecorder(clock=FakeClock())
-        span = rec.record_span("job", 10.0, 25.0, index=1, status="ok")
+        span = rec.record_span("job", 10.0, 25.0, index=1)
         assert span.duration == 15.0
         assert rec.spans() == (span,)
 
@@ -118,7 +117,6 @@ class TestTelemetryEvent:
     def test_attr_lookup(self):
         event = TelemetryEvent(time=1.0, kind="x", attrs=(("a", 1),))
         assert event.attr("a") == 1
-        assert event.attr("b", "fallback") == "fallback"
 
 
 class TestThreadSafety:
@@ -191,12 +189,6 @@ class TestNullRecorder:
         with pytest.raises(KeyError):
             with NULL_RECORDER.span("x"):
                 raise KeyError("boom")
-
-    def test_carries_injectable_clock(self):
-        clk = FakeClock()
-        rec = NullRecorder(clock=clk)
-        clk.advance(3.0)
-        assert rec.clock() == 3.0
 
     def test_no_op_span_allocates_nothing_on_hot_path(self):
         """The no-attrs fast path must not retain allocations."""

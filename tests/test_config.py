@@ -1,6 +1,7 @@
 """Tests for the declarative experiment configuration."""
 
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -14,6 +15,33 @@ NAN_FOR_EVERY_FLOAT_KEY = [
     for section in fields(ExperimentConfig)
     for key in fields(section.default_factory)
     if key.type == "float"
+]
+
+VALID_KEYS = {
+    "domain": {"nx", "ny", "nz"},
+    "model": {"dt"},
+    "esse": {
+        "initial_ensemble_size", "max_ensemble_size", "growth_factor",
+        "convergence_tolerance", "max_subspace_rank", "root_seed",
+    },
+    "assimilation": {
+        "backend", "tile_ny", "tile_nx", "taper", "radius", "halo", "inflation",
+        "inflation_factor", "adaptive_inflation_max", "local_energy_floor",
+        "n_workers", "max_attempts",
+    },
+    "observations": {"seed"},
+    "timeline": {"period_hours", "n_periods"},
+}
+
+DELETED_KEYS = [
+    ("domain", "dx", 3000.0),
+    ("domain", "dy", 3000.0),
+    ("domain", "max_level_depth", 400.0),
+    ("model", "viscosity", 120.0),
+    ("model", "diffusivity", 60.0),
+    ("timeline", "forecast_horizon_periods", 1),
+    ("observations", "network", "aosn2"),
+    ("engine", "batch_size", 8),
 ]
 
 
@@ -39,6 +67,28 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown keys"):
             ExperimentConfig.from_dict({"domain": {"resolution": 9}})
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        DELETED_KEYS,
+        ids=[f"{section}-{key}" for section, key, _ in DELETED_KEYS],
+    )
+    def test_deleted_key_rejected(self, section, key, value):
+        """Keys that no example, bench or workload set were deleted; a
+        document that still carries one is refused with the valid keys."""
+        if section in VALID_KEYS:
+            valid = sorted(VALID_KEYS[section])
+            match = rf"section '{section}': unknown keys \['{key}'\]; valid: {re.escape(str(valid))}"
+        else:
+            match = rf"unknown sections \['{section}'\]"
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict({section: {key: value}})
+
+    def test_valid_keys_are_the_census_set(self):
+        assert {s.name for s in fields(ExperimentConfig)} == set(VALID_KEYS)
+        for section in fields(ExperimentConfig):
+            keys = {key.name for key in fields(section.default_factory)}
+            assert keys == VALID_KEYS[section.name], section.name
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError, match="domain"):
             ExperimentConfig.from_dict({"domain": {"nx": 1}})
@@ -48,8 +98,6 @@ class TestValidation:
             ExperimentConfig.from_dict({"model": {"dt": -1.0}})
         with pytest.raises(ConfigError, match="timeline"):
             ExperimentConfig.from_dict({"timeline": {"n_periods": 0}})
-        with pytest.raises(ConfigError, match="network"):
-            ExperimentConfig.from_dict({"observations": {"network": "argo"}})
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -59,9 +107,9 @@ class TestValidation:
             ("esse", "convergence_tolerance", -1),
             ("assimilation", "radius", float("inf")),
             ("timeline", "n_periods", 2.5),
-            ("engine", "batch_size", True),
             ("domain", "nx", "20"),
-            ("observations", "network", 1),
+            ("esse", "root_seed", -1),
+            ("observations", "seed", -3),
         ],
     )
     def test_wrong_type_or_range_rejected(self, section, key, value):
@@ -152,55 +200,11 @@ class TestBuilders:
 
 
 class TestEngineSection:
-    def test_defaults(self):
-        cfg = ExperimentConfig.from_dict({})
-        assert cfg.engine.batch_size == 8
-
     def test_unknown_backend_rejected(self):
-        """There is one engine: a backend key is an unknown key."""
-        for key in ("backend", "n_workers"):
-            with pytest.raises(ConfigError, match=r"unknown keys .*valid: \['batch_size'\]"):
+        """There is no engine section: each of its old keys is refused."""
+        for key in ("batch_size", "backend", "n_workers"):
+            with pytest.raises(ConfigError, match=r"unknown sections \['engine'\]"):
                 ExperimentConfig.from_dict({"engine": {key: "batched"}})
-
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigError, match="batch_size"):
-            ExperimentConfig.from_dict({"engine": {"batch_size": 0}})
-
-    def test_round_trips(self):
-        cfg = ExperimentConfig.from_dict({"engine": {"batch_size": 3}})
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_build_engine_runs(self, tmp_path):
-        """The document drives one working engine run end to end."""
-        from repro.core import PerturbationGenerator, synthetic_initial_subspace
-        from repro.core.ensemble import EnsembleRunner
-
-        cfg = ExperimentConfig.from_dict(
-            {
-                "domain": {"nx": 16, "ny": 14, "nz": 3},
-                "esse": {"initial_ensemble_size": 4, "max_ensemble_size": 4,
-                         "max_subspace_rank": 4, "root_seed": 5},
-                "engine": {"batch_size": 2},
-            }
-        )
-        model = cfg.build_model()
-        background = model.run(model.rest_state(), 6 * model.config.dt)
-        subspace = synthetic_initial_subspace(
-            model.layout, model.grid.shape2d, model.grid.nz, rank=4, seed=0
-        )
-        runner = EnsembleRunner(
-            model,
-            PerturbationGenerator(model.layout, subspace, root_seed=5),
-            duration=2 * model.config.dt,
-            root_seed=5,
-        )
-        engine = cfg.build_engine(runner, tmp_path / "engine")
-        assert engine.batch_size == 2
-        assert engine.config.max_ensemble_size == 4
-        result = engine.run(background)
-        assert result.ensemble_size == 4
-        # two batches of two, one record each
-        assert len(list(engine.status.root.glob("pemodel.*.status"))) == 2
 
 
 class TestAssimilationSection:

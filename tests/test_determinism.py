@@ -19,6 +19,7 @@ import pytest
 
 from repro.config import ExperimentConfig
 from repro.core import (
+    ESSEDriver,
     EnsembleRunner,
     PerturbationGenerator,
     similarity_coefficient,
@@ -64,8 +65,8 @@ class TestDefaultStreamRepeatability:
 BOMB = 13  # the member index whose initial state is made to blow up
 
 
-def replay_config(batch_size=None) -> ExperimentConfig:
-    """A 2-period, N = 10 -> 20 experiment; None keeps the default batch size."""
+def replay_config() -> ExperimentConfig:
+    """A 2-period, N = 10 -> 20 experiment."""
     document = {
         "domain": {"nx": 16, "ny": 14, "nz": 3},
         "esse": {
@@ -78,8 +79,6 @@ def replay_config(batch_size=None) -> ExperimentConfig:
         "observations": {"seed": 3},
         "timeline": {"period_hours": 3.0, "n_periods": 2},
     }
-    if batch_size is not None:
-        document["engine"] = {"batch_size": batch_size}
     return ExperimentConfig.from_dict(document)
 
 
@@ -106,9 +105,21 @@ def replay_case():
 
 
 def run_cycle(case, workdir, batch_size, bomb=None):
-    """One fixed-seed published cycle; everything a replay must reproduce."""
+    """One fixed-seed published cycle; everything a replay must reproduce.
+
+    ``batch_size`` None keeps the driver's default.
+    """
     model, background, subspace, truth = case
-    config = replay_config(batch_size)
+    config = replay_config()
+    driver = config.build_driver(model)
+    if batch_size is not None:
+        driver = ESSEDriver(
+            model,
+            driver.config,
+            root_seed=driver.root_seed,
+            analysis=driver.analysis,
+            batch_size=batch_size,
+        )
     store = ProductStore(workdir, tile_size=4, levels=2)
     publisher = CycleProductPublisher(store, model)
     forecasts = []
@@ -126,7 +137,7 @@ def run_cycle(case, workdir, batch_size, bomb=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(PerturbationGenerator, "member_state", planted)
         records, _, final_subspace = RealTimeForecastCycle(
-            config.build_driver(model),
+            driver,
             model.with_noise(
                 StochasticForcing(model.grid, rng=np.random.default_rng(55))
             ),

@@ -43,28 +43,9 @@ class TestRandomizedSVD:
         u, s, _ = randomized_svd(a, rank=20, rng=np.random.default_rng(4))
         assert s.size <= 8
 
-    def test_power_iterations_improve_accuracy(self):
-        """On slowly decaying spectra, power iterations sharpen the tail."""
-        rng = np.random.default_rng(5)
-        n, m = 3000, 300
-        u0, _ = np.linalg.qr(rng.standard_normal((n, 100)))
-        s0 = np.linspace(1.0, 0.8, 100)  # nearly flat: hard case
-        a = (u0 * s0) @ rng.standard_normal((100, m)) / np.sqrt(m)
-        _, s_exact, _ = thin_svd(a)
-
-        def err(n_iter):
-            _, s, _ = randomized_svd(
-                a, rank=10, n_iter=n_iter, rng=np.random.default_rng(6)
-            )
-            return np.abs(s - s_exact[:10]).max()
-
-        assert err(3) <= err(0) + 1e-12
-
     def test_validation(self):
         a = decaying_matrix(n=50, m=10)
         with pytest.raises(ValueError, match="rank"):
             randomized_svd(a, rank=0)
         with pytest.raises(ValueError, match="2-D"):
             randomized_svd(np.zeros(5), rank=1)
-        with pytest.raises(ValueError, match="oversample"):
-            randomized_svd(a, rank=2, oversample=-1)

@@ -49,8 +49,6 @@ class TestPlainRuns:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError, match="n_workers"):
             TileTaskPool(n_workers=0)
-        with pytest.raises(ValueError, match="poll_interval"):
-            TileTaskPool(poll_interval=0.0)
 
     def test_task_exception_without_retry_is_terminal(self):
         def boom():
@@ -63,10 +61,6 @@ class TestPlainRuns:
     def test_none_result_fails_default_validation(self):
         results = TileTaskPool().run([lambda: None])
         assert results == [None]
-
-    def test_custom_validate(self):
-        pool = TileTaskPool(validate=lambda r: r == "good")
-        assert pool.run([lambda: "good", lambda: "bad"]) == ["good", None]
 
 
 class TestRetries:

@@ -52,6 +52,17 @@ sys.exit(pytest.main([
 EOF
 echo "one-CPU driver and replay tests: ok"
 
+# Tier-1 runs the asserting examples; the other four are only imported
+# there, so run each end to end here, in a scratch working directory
+# (aosn2_monterey writes its .npz into the cwd).
+repo="$(pwd)"
+examples_tmp="$(mktemp -d)"
+for name in aosn2_monterey cloud_campaign mtc_workflows realtime_cycle; do
+    (cd "$examples_tmp" && PYTHONPATH="$repo/src" python "$repo/examples/$name.py" > /dev/null)
+    echo "example $name: ok"
+done
+rm -rf "$examples_tmp"
+
 python -m tools.lint src/repro tests benchmarks tools
 echo "repro-lint: clean"
 
