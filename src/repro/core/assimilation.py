@@ -60,7 +60,7 @@ from repro.core.subspace import ANOMALY_RTOL, ErrorSubspace
 from repro.core.taskmodel import DegradedEnsembleWarning
 from repro.core.tiling import TileDecomposition
 from repro.telemetry.spans import NULL_RECORDER
-from repro.util.linalg import _orient, lapack_svd, truncated_svd
+from repro.util.linalg import lapack_svd, oriented_product, truncated_svd
 
 if TYPE_CHECKING:  # avoid a core <-> obs import cycle; used as hints only
     from repro.obs.operators import ObservationOperator
@@ -176,8 +176,7 @@ def _refactorize_factor(
     the ``n x p`` product is formed once, as the posterior modes.
     """
     u, sigmas, vt = lapack_svd(factor, rtol=ANOMALY_RTOL)
-    u = modes @ u
-    _orient(u, vt)  # by the largest entry of the state-space mode
+    u = oriented_product(modes, u, vt)  # by the state-space mode's largest entry
     return ErrorSubspace(modes=u, sigmas=sigmas, n_samples=n_samples)
 
 

@@ -21,8 +21,6 @@ column sink.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -38,46 +36,11 @@ from repro.core.subspace import (
     IncrementalSubspaceEstimator,
 )
 from repro.telemetry.spans import NULL_RECORDER
+from repro.util.threads import _map_on_usable_cpus
 
 if TYPE_CHECKING:  # avoid core <-> obs/ocean import cycles; hints only
     from repro.obs.operators import ObservationOperator
     from repro.ocean.model import ModelState, PEModel
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where there is one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_on_usable_cpus(fn, batches):
-    """``map(fn, batches)`` with the batches stepped on every usable CPU.
-
-    ``min(usable CPUs, len(batches))`` threads, the calling thread
-    included: the caller steps batches ``0, w, 2w, ...`` and a pool of
-    ``w - 1`` threads the rest, in order.  Results are yielded in batch
-    order on the calling thread.  A batch is whole ``batch_size`` members
-    because one vectorized batch releases the interpreter lock inside its
-    numpy passes, where one member per thread did not.  With one usable
-    CPU this is ``map`` and no thread starts.
-    """
-    width = min(_usable_cpus(), len(batches))
-    if width < 2:
-        yield from map(fn, batches)
-        return
-    with ThreadPoolExecutor(max_workers=width - 1) as pool:
-        pending = {
-            k: pool.submit(fn, batch)
-            for k, batch in enumerate(batches)
-            if k % width
-        }
-        try:
-            for k, batch in enumerate(batches):
-                yield fn(batch) if k % width == 0 else pending.pop(k).result()
-        finally:
-            for future in pending.values():
-                future.cancel()
 
 
 @dataclass(frozen=True)

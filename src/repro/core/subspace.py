@@ -23,7 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.util.linalg import gram_svd, lapack_svd, randomized_svd, truncated_svd
+from repro.util.linalg import (
+    gram_columns, gram_svd, lapack_svd, randomized_svd, truncated_svd,
+)
 
 #: Relative singular-value floor of every anomaly factorization: modes
 #: below it are numerical rank deficiency, not uncertainty.
@@ -330,7 +332,7 @@ class IncrementalSubspaceEstimator:
             self.last_path = "exact"
         else:
             if count > folded:
-                block = raw.T @ raw[:, folded:]  # (count, k_new)
+                block = gram_columns(raw, folded)  # (count, k_new)
                 gram = np.empty((count, count))
                 gram[:folded, :folded] = self._gram
                 gram[:, folded:] = block

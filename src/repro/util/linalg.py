@@ -41,6 +41,11 @@ the eigensolve just returned, at the deepest kept mode:
 - below it the raw modes are returned: they are orthonormal, and their
   singular values right, to the bound itself (<= 1e-10).
 
+The cost that grows with ``n`` is the tall products: the kept modes here,
+the analysis's posterior modes, the carried Gram matrix's new columns.
+:func:`oriented_product` (which also orients) and :func:`gram_columns`
+form them in row blocks fixed by the shape, on every usable CPU.
+
 Both routes orient every mode so that its largest-magnitude entry is
 positive (and flip the matching row of ``vt``).  A singular vector's sign
 is the solver's whim and flips with the last bit of the input, while
@@ -55,6 +60,7 @@ import numpy as np
 import scipy.linalg
 
 from repro.util.rng import SeedSequenceStream
+from repro.util.threads import _map_on_usable_cpus
 
 #: Rows per column from which input counts as tall and takes the Gram
 #: route.  Every factorization the program issues has 100 or more; the
@@ -72,6 +78,18 @@ GRAM_TRUST = 1e-6
 #: Largest ``N eps kappa^2`` at which the raw modes ``a V_k / s_k`` are
 #: returned without the re-orthonormalization pass.
 GRAM_POLISH = 1e-10
+
+#: Rows per block of :func:`oriented_product`'s and :func:`gram_columns`'s
+#: output; the last block also takes the remainder.  Fixed by the shape
+#: alone, so no bit of a result depends on how many CPUs run the blocks.
+PRODUCT_BLOCK_ROWS = 2048
+GRAM_BLOCK_ROWS = 128
+
+#: Fewest multiply-adds per block for a product to be split; below it the
+#: product is one block on the calling thread.  A smaller block is not
+#: worth a thread, and BLAS may sum it in another order than the whole
+#: product (OpenBLAS's small-matrix kernel, up to 1e6).
+PRODUCT_BLOCK_FLOOR = 2**23
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -117,6 +135,50 @@ def _orient(u: np.ndarray, vt: np.ndarray) -> None:
     vt *= sign[:, None]
 
 
+def _row_blocks(n: int, rows: int, work_per_row: int) -> list[slice]:
+    """Blocks of ``rows`` rows covering ``n``, or one when a block is under the floor."""
+    if n < 2 * rows or rows * work_per_row < PRODUCT_BLOCK_FLOOR:
+        return [slice(0, n)]
+    bounds = [k * rows for k in range(n // rows)] + [n]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def oriented_product(a: np.ndarray, w: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """``u = a @ w``, with ``u`` and ``vt`` oriented exactly as :func:`_orient` does.
+
+    Row blocks of ``u`` run on every usable CPU, each noting its columns'
+    extremes while in cache; one more blocked pass applies any flip.
+    """
+    u = np.empty((a.shape[0], w.shape[1]))
+    blocks = _row_blocks(a.shape[0], PRODUCT_BLOCK_ROWS, w.size)
+
+    def product(rows):
+        block = np.matmul(a[rows], w, out=u[rows])
+        return block.max(axis=0), block.min(axis=0)
+
+    def flip(rows):
+        u[rows] *= sign
+
+    top, bottom = zip(*_map_on_usable_cpus(product, blocks))
+    sign = np.where(np.max(top, axis=0) >= -np.min(bottom, axis=0), 1.0, -1.0)
+    if np.any(sign < 0.0):
+        list(_map_on_usable_cpus(flip, blocks))
+    vt *= sign[:, None]
+    return u
+
+
+def gram_columns(a: np.ndarray, start: int) -> np.ndarray:
+    """``a.T @ a[:, start:]`` in fixed blocks of output rows, on every usable CPU."""
+    new = a[:, start:]
+    gram = np.empty((a.shape[1], new.shape[1]))
+
+    def product(rows):
+        np.matmul(a[:, rows].T, new, out=gram[rows])
+
+    list(_map_on_usable_cpus(product, _row_blocks(a.shape[1], GRAM_BLOCK_ROWS, new.size)))
+    return gram
+
+
 def gram_svd(
     a: np.ndarray,
     rank: int | None = None,
@@ -158,15 +220,14 @@ def gram_svd(
         return None
     s = s[:keep]
     v = eigvecs[:, ::-1][:, :keep]
-    u = a @ (v / s)
     vt = v.T.copy()
-    if bound > GRAM_POLISH:
-        r = scipy.linalg.cholesky(u.T @ u)  # u = q r
-        p, s, qt = scipy.linalg.svd(r * s)  # a v = q (r diag(s))
-        u = u @ scipy.linalg.solve_triangular(r, p)
-        vt = qt @ vt
-    _orient(u, vt)
-    return u, s, vt
+    if bound <= GRAM_POLISH:
+        return oriented_product(a, v / s, vt), s, vt
+    u = a @ (v / s)
+    r = scipy.linalg.cholesky(u.T @ u)  # u = q r
+    p, s, qt = scipy.linalg.svd(r * s)  # a v = q (r diag(s))
+    vt = qt @ vt
+    return oriented_product(u, scipy.linalg.solve_triangular(r, p), vt), s, vt
 
 
 def lapack_svd(

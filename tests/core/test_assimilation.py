@@ -1,6 +1,7 @@
 """Unit tests for the ESSE analysis update."""
 
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,11 +14,15 @@ from repro.core.assimilation import (
     run_tiles_serial,
     subspace_gain,
 )
-from repro.core.localization import AdaptiveInflation, MultiplicativeInflation
+from repro.core.localization import (
+    AdaptiveInflation,
+    GaspariCohnTaper,
+    MultiplicativeInflation,
+)
 from repro.core.state import FieldLayout, FieldSpec
-from repro.core.subspace import ErrorSubspace
+from repro.core.subspace import ErrorSubspace, IncrementalSubspaceEstimator
 from repro.obs.operators import Observation, ObservationOperator
-from repro.util import linalg
+from repro.util import linalg, threads
 
 
 @pytest.fixture()
@@ -605,3 +610,68 @@ def test_global_update_forms_no_state_by_rank_intermediate():
         tracemalloc.stop()
     assert result.subspace.rank == p
     assert peak <= 3 * layout.size * p * 8, f"peak {peak / 1e6:.2f} MB"
+
+
+class TestTallProductThreads:
+    """A dense batch shaped like ``analysis_dense`` (smaller n): same bits on 1 and 2 CPUs.
+
+    Every product the update and the SVDs form is split into row blocks
+    here, so width 2 runs blocks on a second thread; width 1 runs them in
+    order on the caller.
+    """
+
+    GRID = (48, 48)
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        ny, nx = self.GRID
+        layout = FieldLayout([FieldSpec("ssh", self.GRID, scale=0.5), FieldSpec("sst", self.GRID, scale=2.0)])
+        rng = np.random.default_rng(40)
+        q, _ = np.linalg.qr(rng.standard_normal((layout.size, 64)))
+        prior = ErrorSubspace(modes=q, sigmas=np.geomspace(1.0, 0.25, 64), n_samples=200)
+        cells = [(field, j, i) for field in ("ssh", "sst") for j in range(ny) for i in range(nx)]
+        values = rng.standard_normal(len(cells))
+        operator = ObservationOperator(
+            layout,
+            [
+                Observation(field=field, level=0, j=j, i=i, value=float(v), noise_std=0.3)
+                for (field, j, i), v in zip(cells, values)
+            ],
+        )
+        anomalies = rng.standard_normal((layout.size, 256)) * np.geomspace(1.0, 0.05, 256)
+        return layout, prior, operator, anomalies
+
+    def run(self, case, width, monkeypatch):
+        """Every output of one body, and how many thread pools it built."""
+        layout, prior, operator, anomalies = case
+        pools = []
+
+        def counting(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return ThreadPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(threads, "_usable_cpus", lambda: width)
+        monkeypatch.setattr(threads, "ThreadPoolExecutor", counting)
+        mean = np.zeros(layout.size)
+        tiled = TiledESSEAnalysis(
+            layout, self.GRID, (16, 16), taper=GaspariCohnTaper(8.0), local_energy_floor=0.02
+        )
+        estimator = IncrementalSubspaceEstimator(rank=60, energy=0.999)
+        estimator.update(anomalies, 192, 1.0 / np.sqrt(191))
+        warm = estimator.update(anomalies, 256, 1.0 / np.sqrt(255))
+        assert estimator.last_path == "update"
+        subspaces = [
+            ESSEAnalysis(layout).update(mean, prior, operator).subspace,
+            tiled.update(mean, prior, operator).subspace,
+            ErrorSubspace.from_anomalies(anomalies, rank=60, energy=0.999),
+            warm,
+        ]
+        arrays = [a for sub in subspaces for a in (sub.modes, sub.sigmas)]
+        return arrays, pools
+
+    def test_one_and_two_cpus_give_the_same_bits(self, case, monkeypatch):
+        serial, no_pools = self.run(case, 1, monkeypatch)
+        threaded, pools = self.run(case, 2, monkeypatch)
+        assert no_pools == [] and len(pools) >= 4 and set(pools) == {1}
+        for got, expected in zip(threaded, serial):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()

@@ -14,9 +14,9 @@ from repro.core import (
     PerturbationGenerator,
     synthetic_initial_subspace,
 )
-from repro.core import driver as driver_module
 from repro.ocean import PEModel
 from repro.ocean.bathymetry import monterey_grid
+from repro.util import threads as threads_module
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +267,7 @@ class TestBatchThreads:
         reference = driver.forecast(background, subspace, 2 * 400.0, mapper=map)
         assert {t for t, _ in traced_batches} == {threading.main_thread()}
         traced_batches.clear()
-        monkeypatch.setattr(driver_module, "_usable_cpus", lambda: width)
+        monkeypatch.setattr(threads_module, "_usable_cpus", lambda: width)
         threaded = driver.forecast(background, subspace, 2 * 400.0)
         self.assert_same_forecast(threaded, reference)
         assert threaded.member_ids == tuple(range(10))
@@ -280,7 +280,7 @@ class TestBatchThreads:
         model, background, subspace = tiny_setup
         driver = ragged_driver(model, 1)
         reference = driver.forecast(background, subspace, 2 * 400.0, mapper=map)
-        monkeypatch.setattr(driver_module, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -298,7 +298,7 @@ class TestBatchThreads:
         reference = driver.forecast(background, subspace, 8 * 400.0, mapper=map)
         errors = {r.member_index: r.error for _, rs in traced_batches for r in rs}
         traced_batches.clear()
-        monkeypatch.setattr(driver_module, "_usable_cpus", lambda: width)
+        monkeypatch.setattr(threads_module, "_usable_cpus", lambda: width)
         threaded = driver.forecast(background, subspace, 8 * 400.0)
         self.assert_same_forecast(threaded, reference)
         assert threaded.failed_members == (BOMB,)
@@ -320,7 +320,7 @@ class TestBatchThreads:
             return batched(self, mean_state, indices)
 
         monkeypatch.setattr(EnsembleRunner, "run_members_batched", failing)
-        monkeypatch.setattr(driver_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 2)
         with pytest.raises(RuntimeError, match="worker broke"):
             ragged_driver(model, 3).forecast(background, subspace, 2 * 400.0)
 
@@ -330,8 +330,8 @@ class TestBatchThreads:
         def no_threads(*args, **kwargs):
             raise AssertionError("a thread pool was built on one CPU")
 
-        monkeypatch.setattr(driver_module, "ThreadPoolExecutor", no_threads)
-        monkeypatch.setattr(driver_module, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(threads_module, "ThreadPoolExecutor", no_threads)
+        monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 1)
         reference = ragged_driver(model, 3).forecast(
             background, subspace, 2 * 400.0, mapper=map
         )
@@ -342,13 +342,13 @@ class TestBatchThreads:
         """Unpatched, a pool is built exactly when the mask has two CPUs."""
         model, background, subspace = tiny_setup
         pools = []
-        executor = driver_module.ThreadPoolExecutor
+        executor = threads_module.ThreadPoolExecutor
 
         def counting(*args, **kwargs):
             pools.append(kwargs["max_workers"])
             return executor(*args, **kwargs)
 
-        monkeypatch.setattr(driver_module, "ThreadPoolExecutor", counting)
+        monkeypatch.setattr(threads_module, "ThreadPoolExecutor", counting)
         ragged_driver(model, 3).forecast(background, subspace, 2 * 400.0)
         cpus = len(os.sched_getaffinity(0))
         assert pools == ([1, 1] if cpus > 1 else [])  # two batches per stage

@@ -1,14 +1,22 @@
 """Unit tests for SVD helpers."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from repro.util import linalg
+from repro.core import ESSEAnalysis, FieldLayout, FieldSpec
+from repro.core.subspace import IncrementalSubspaceEstimator
+from repro.obs import Observation, ObservationOperator
+from repro.util import linalg, threads
 from repro.util.linalg import (
+    gram_columns,
     gram_svd,
     lapack_svd,
+    oriented_product,
     orthonormal_columns,
     thin_svd,
     truncated_svd,
@@ -239,3 +247,143 @@ class TestGramRoute:
             np.testing.assert_array_equal(got, same)
         scaled = gram_svd(a, rank=3, gram=4.0 * (a.T @ a))  # it is trusted
         np.testing.assert_allclose(scaled[1], 2.0 * expected[1], rtol=1e-12)
+
+
+def assert_same_bits(got, expected):
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestTallProducts:
+    """Row blocks on 1, 2 or 3 threads give the bits of one product.
+
+    The reference is ``a @ w`` followed by ``_orient``.  Block counts are
+    asserted so that a case meant to split really does.
+    """
+
+    B = linalg.PRODUCT_BLOCK_ROWS
+
+    @pytest.fixture(params=[1, 2, 3])
+    def width(self, request, monkeypatch):
+        monkeypatch.setattr(threads, "_usable_cpus", lambda: request.param)
+        return request.param
+
+    @staticmethod
+    def reference(a, w, vt):
+        u = a @ w
+        vt = vt.copy()
+        linalg._orient(u, vt)
+        return u, vt
+
+    def assert_oriented_product(self, a, w, blocks):
+        vt = np.random.default_rng(1).standard_normal((w.shape[1], 7))
+        assert len(linalg._row_blocks(a.shape[0], self.B, w.size)) == blocks
+        u_ref, vt_ref = self.reference(a, w, vt)
+        u = oriented_product(a, w, vt)
+        assert_same_bits(u, u_ref)
+        assert_same_bits(vt, vt_ref)
+        return u
+
+    @pytest.mark.parametrize(
+        "n, blocks", [(2 * B + 517, 2), (4 * B, 4), (B - 300, 1)]
+    )
+    def test_block_counts_and_bits(self, width, n, blocks):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, 64))
+        self.assert_oriented_product(a, rng.standard_normal((64, 64)), blocks)
+
+    def test_one_column(self, width):
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((3 * self.B + 5, 40))
+        self.assert_oriented_product(a, rng.standard_normal((40, 1)), 1)
+
+    def test_negative_and_tied_columns(self, width):
+        """Exact integer products: extremes land in different blocks.
+
+        Column 0 is all negative (flips), column 1 ties ``max == -min``
+        (keeps +1) with the max in the first block and the min in the
+        last, column 2 has its largest magnitude negative in the middle.
+        """
+        n, m = 3 * self.B + 100, 64
+        rng = np.random.default_rng(3)
+        a = rng.integers(-4, 5, size=(n, m)).astype(float)
+        a[:, 0] = -rng.integers(1, 5, size=n)
+        a[:, 1] = np.clip(a[:, 1], -3, 3)
+        a[5, 1], a[-5, 1] = 9.0, -9.0
+        a[self.B + 7, 2] = -20.0
+        w = np.zeros((m, m))
+        w[np.arange(m), np.arange(m)] = 1.0
+        u = self.assert_oriented_product(a, w, 3)
+        assert np.all(u[:, 0] > 0) and u[5, 1] == 9.0 and u[self.B + 7, 2] == 20.0
+
+    def test_fortran_transpose_and_read_only_map(self, width, tmp_path):
+        """What ``AnomalyAccumulator.view().columns`` is, and a covariance map."""
+        rng = np.random.default_rng(4)
+        rows = rng.standard_normal((64, 2 * self.B + 33))
+        w = rng.standard_normal((64, 64))
+        transpose = rows.T
+        assert transpose.flags.f_contiguous
+        self.assert_oriented_product(transpose, w, 2)
+        path = tmp_path / "columns.npy"
+        np.save(path, rows.T)
+        mapped = np.load(path, mmap_mode="r")
+        assert not mapped.flags.writeable
+        self.assert_oriented_product(mapped, w, 2)
+
+    def test_gram_columns(self, width):
+        """The estimator's Gram extension at the ``analysis_dense`` column counts."""
+        rng = np.random.default_rng(5)
+        raw = rng.standard_normal((3000, 300))[:, :256]
+        assert len(linalg._row_blocks(256, linalg.GRAM_BLOCK_ROWS, 3000 * 64)) == 2
+        assert_same_bits(gram_columns(raw, 192), raw.T @ raw[:, 192:])
+        assert_same_bits(gram_columns(raw[:, :40], 24), raw[:, :40].T @ raw[:, 24:40])
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        """Eight blocks on 3 threads, the interpreter switching every 10 us."""
+        monkeypatch.setattr(threads, "_usable_cpus", lambda: 3)
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((8 * self.B + 3, 64))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            self.assert_oriented_product(a, rng.standard_normal((64, 64)), 8)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_exception_in_a_worker_block_reaches_the_caller(self, monkeypatch):
+        class Brittle(np.ndarray):
+            def __getitem__(self, key):
+                if threading.current_thread() is not threading.main_thread():
+                    raise RuntimeError("block broke")
+                return super().__getitem__(key)
+
+        monkeypatch.setattr(threads, "_usable_cpus", lambda: 2)
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((2 * self.B, 64)).view(Brittle)
+        with pytest.raises(RuntimeError, match="block broke"):
+            oriented_product(a, rng.standard_normal((64, 64)), np.zeros((64, 3)))
+
+    def test_no_thread_below_the_floor(self, monkeypatch):
+        """A ``cycle_ref``-sized analysis and SVD (n = 9856, p <= 32) stay serial."""
+
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a thread pool was built below the floor")
+
+        monkeypatch.setattr(threads, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(threads, "ThreadPoolExecutor", no_threads)
+        ny, nx = 88, 112
+        layout = FieldLayout([FieldSpec("ssh", (ny, nx))])
+        rng = np.random.default_rng(7)
+        columns = rng.standard_normal((layout.size, 32)) * np.geomspace(1.0, 0.1, 32)
+        estimator = IncrementalSubspaceEstimator(rank=24)
+        estimator.update(columns, 16)
+        prior = estimator.update(columns, 32)
+        assert estimator.last_path == "update" and prior.rank == 24
+        observations = [
+            Observation(field="ssh", level=0, j=int(j), i=int(i), value=1.0, noise_std=0.5)
+            for j, i in zip(rng.integers(0, ny, 200), rng.integers(0, nx, 200))
+        ]
+        result = ESSEAnalysis(layout).update(
+            np.zeros(layout.size), prior, ObservationOperator(layout, observations)
+        )
+        assert result.subspace.rank == 24

@@ -34,10 +34,12 @@ fi
 # max_examples, deadlines patched to tens of milliseconds).
 python -m pytest -q
 
-# ESSEDriver.forecast steps a stage's member batches on every usable CPU,
-# and on one CPU it is plain map with no thread: re-run the driver and
-# replay tests once in a process pinned to one CPU, so the serial path
-# meets a real affinity mask and not only the patched helper.
+# ESSEDriver.forecast steps a stage's member batches, and the analysis and
+# the SVD the row blocks of their tall products, on every usable CPU; on
+# one CPU each is plain map with no thread: re-run the driver, replay,
+# tall-product and analysis tests once in a process pinned to one CPU, so
+# the serial path meets a real affinity mask and not only the patched
+# helper.
 python - <<'EOF'
 import os
 import sys
@@ -48,9 +50,11 @@ os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 sys.exit(pytest.main([
     "-q", "-p", "no:cacheprovider",
     "tests/core/test_ensemble_driver.py", "tests/test_determinism.py",
+    "tests/util/test_linalg.py", "tests/core/test_incremental_svd.py",
+    "tests/core/test_assimilation.py",
 ]))
 EOF
-echo "one-CPU driver and replay tests: ok"
+echo "one-CPU driver, replay, SVD and analysis tests: ok"
 
 # Tier-1 runs the asserting examples; the other four are only imported
 # there, so run each end to end here, in a scratch working directory
