@@ -10,7 +10,7 @@ takes them the rest of the way to many concurrent readers:
   reads are ``O(tiles)``, not ``O(cells)``;
 - :mod:`~repro.products.store` -- immutable versioned snapshots on disk
   behind the covfile commit-after-replace publish protocol: one writer,
-  unlimited non-blocking readers, checksum-verified manifests;
+  unlimited non-blocking readers, one checksum-verified file per version;
 - :mod:`~repro.products.cache` -- the instrumented LRU for rendered
   responses and decoded snapshots;
 - :mod:`~repro.products.service` -- the transport-agnostic read path

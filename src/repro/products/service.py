@@ -6,7 +6,7 @@ This is the transport-agnostic core the asyncio front end
 records, with
 
 - a per-version **snapshot cache** (verified snapshots are immutable: one
-  npz decode + checksum pass serves every later request of a version) and
+  file read + checksum pass serves every later request of a version) and
   a **response cache** of finished ``200``s keyed by ``(version, resource)``;
 - **two entries, one code path**: :meth:`ProductService.cached` answers
   from memory -- cached bodies, ``304``, and renders from a warm snapshot
@@ -16,7 +16,7 @@ records, with
   ``ETag: "v<version>-<checksum16>"``; a request presenting it back via
   ``If-None-Match`` gets ``304 Not Modified`` with an empty body;
 - **graceful 503 degradation**: a cycle still publishing (requested
-  version newer than HEAD, or HEAD/manifest momentarily unreadable
+  version newer than HEAD, or HEAD/snapshot momentarily unreadable
   mid-replace) answers ``503`` with ``Retry-After`` instead of an error
   page or a blocked reader;
 - **telemetry**: one ``product_request`` span per request plus

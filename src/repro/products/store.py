@@ -9,19 +9,20 @@ pointer, so commit ordering, restart recovery and the bounded
 :class:`ProductReadError`) are the pointer's.  Written here, the payload:
 
 - Each published version lives in its own **immutable directory**
-  ``v<k>`` (payload arrays, product bulletin, manifest with checksums
-  and the tile statistics as columns).  The payload is built in memory
-  and hashed from the bytes written, never read back.  The directory is
-  staged under a dot-prefixed temp name, its files and then the
-  directory itself fsynced, and atomically renamed into place, so a
-  version directory either exists completely or not at all; only then
-  is HEAD, which names the version, its directory and its manifest
-  checksum, committed.  A reader sees either
-  version ``k`` or ``k+1``, never a mixture, and never blocks on the
-  writer.
-- Readers read each payload file once, verify those bytes against the
-  manifest (and the manifest against HEAD) and parse the same bytes; a
-  mismatch -- torn copy, NFS lag -- is one more unreadable read.
+  ``v<k>`` holding one file, ``snapshot``: an 8-byte little-endian
+  header length, a sorted-key JSON header (version, cycle, the product
+  bulletin, each field's metadata, the array table and the SHA-256 of
+  the array bytes), then the raw little-endian arrays -- every level of
+  every field and its five tile-statistic arrays.  The file is built in
+  memory, hashed from the bytes written (never read back) and published
+  with :func:`~repro.util.fsio.durable_write`; only then is HEAD, which
+  names the version, its directory and the SHA-256 of the header,
+  committed.  A reader sees either version ``k`` or ``k+1``, never a
+  mixture, and never blocks on the writer.
+- Readers read the file once, verify the header against HEAD (for
+  ``latest``) and the array bytes against the header (always), and view
+  the arrays in the bytes they hashed; a mismatch -- torn copy, NFS lag
+  -- is one more unreadable read.
 - A retain window drops version directories HEAD has moved past.
 
 Single-writer, many-reader: nothing serializes concurrent writers -- the
@@ -31,9 +32,8 @@ realtime cycle is the one publisher (``docs/PRODUCT_SERVICE.md``).
 from __future__ import annotations
 
 import hashlib
-import io
 import json
-import os
+import math
 import shutil
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,6 +67,57 @@ def _dirname(version: int) -> str:
     return f"v{version:08d}"
 
 
+#: The one file of a version directory.
+SNAPSHOT = "snapshot"
+
+
+def _pack(header: dict, arrays: dict[str, np.ndarray]) -> tuple[list, str]:
+    """A snapshot file's buffers, in order, and the SHA-256 of its header.
+
+    The header gains the array table and the arrays' digest; it is padded
+    with blanks to a multiple of 8 bytes, so every array starts aligned.
+    """
+    data = [
+        np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")) for a in arrays.values()
+    ]
+    digest = hashlib.sha256()
+    for array in data:
+        digest.update(array)
+    header["arrays"] = [[key, a.dtype.str, a.shape] for key, a in zip(arrays, data)]
+    header["sha256"] = digest.hexdigest()
+    text = json.dumps(header, sort_keys=True).encode()
+    text += b" " * (-len(text) % 8)
+    return [len(text).to_bytes(8, "little"), text, *data], hashlib.sha256(text).hexdigest()
+
+
+def _unpack(raw: bytes, expected_checksum: str | None) -> tuple[dict, str, dict]:
+    """Header, header checksum and array views of one snapshot file's bytes.
+
+    Raises ``ValueError`` when the header differs from
+    ``expected_checksum`` (when given) or the arrays from the header.
+    """
+    start = 8 + int.from_bytes(raw[:8], "little")
+    text = raw[8:start]
+    checksum = hashlib.sha256(text).hexdigest()
+    if expected_checksum is not None and checksum != expected_checksum:
+        raise ValueError(
+            f"header checksum {checksum[:12]}... does not match HEAD "
+            f"{expected_checksum[:12]}..."
+        )
+    header = json.loads(text)
+    actual = hashlib.sha256(memoryview(raw)[start:]).hexdigest()
+    if actual != header["sha256"]:
+        raise ValueError(
+            f"array checksum mismatch ({actual[:12]}... != {header['sha256'][:12]}...)"
+        )
+    arrays = {}
+    for key, dtype, shape in header["arrays"]:
+        array = np.frombuffer(raw, dtype, math.prod(shape), start)
+        arrays[key] = array.reshape(shape)
+        start += array.nbytes
+    return header, checksum, arrays
+
+
 @dataclass(frozen=True)
 class ProductSnapshot:
     """One fully-verified published version, loaded into memory.
@@ -78,20 +129,20 @@ class ProductSnapshot:
     product:
         The cycle's :class:`~repro.realtime.products.ForecastProduct`.
     fields:
-        Tiled/LOD field payloads keyed by field name.
+        Tiled/LOD field payloads keyed by field name; their arrays are
+        read-only views of the snapshot file's bytes.
     manifest:
-        The raw manifest dict (checksums, field inventory, tile meta).
+        The parsed snapshot header (field inventory, tile meta, array
+        table and digest).
+    checksum:
+        The SHA-256 of the header bytes, which HEAD names.
     """
 
     version: int
     product: ForecastProduct
     fields: dict[str, TiledField]
     manifest: dict
-
-    @property
-    def checksum(self) -> str:
-        """The manifest-level checksum binding the whole payload."""
-        return self.manifest["checksum"]
+    checksum: str
 
     @property
     def cycle_index(self) -> int:
@@ -142,67 +193,40 @@ class ProductStore:
         """Version of the last successful publish (0 before the first)."""
         return self._head.version
 
-    def publish(
-        self,
-        product: ForecastProduct,
-        fields: dict[str, np.ndarray],
-    ) -> int:
+    def publish(self, product: ForecastProduct, fields: dict[str, np.ndarray]) -> int:
         """Publish one product snapshot; returns the new version number.
 
         ``fields`` maps field names to full-resolution 2-D arrays with
         NaN over masked cells; each is tiled and downsampled here, once,
-        at publish time.  The staged directory is fully written, fsynced
-        and renamed into place before HEAD is committed.
+        at publish time.  The version's one file is written durably into
+        ``v<k>/`` before HEAD is committed.
         """
         if not fields:
             raise ProductStoreError("a product snapshot needs at least one field")
         version = self.version + 1
-        final_dir = self.workdir / _dirname(version)
-        stage_dir = self.workdir / f".stage-{_dirname(version)}"
-        if stage_dir.exists():
-            shutil.rmtree(stage_dir)
-        if final_dir.exists():
-            # A previous attempt renamed the directory but died before
-            # HEAD committed; the directory was never visible, rebuild it.
-            shutil.rmtree(final_dir)
-        stage_dir.mkdir()
-
+        vdir = self.workdir / _dirname(version)
+        try:
+            vdir.mkdir()
+        except FileExistsError:
+            # A previous attempt died before HEAD committed; the directory
+            # was never visible, rebuild it.
+            shutil.rmtree(vdir)
+            vdir.mkdir()
         tiled = {
-            name: TiledField(
-                name, array, tile_size=self.tile_size, levels=self.levels
-            )
+            name: TiledField(name, array, tile_size=self.tile_size, levels=self.levels)
             for name, array in sorted(fields.items())
         }
         arrays: dict[str, np.ndarray] = {}
         for field in tiled.values():
             arrays.update(field.arrays())
-        buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
-        payload = {
-            "fields.npz": buffer.getbuffer(),
-            "product.json": json.dumps(product.to_dict(), sort_keys=True).encode(),
-        }
-        payload_sums = {}
-        for name, data in payload.items():  # hash the bytes written, no re-read
-            (stage_dir / name).write_bytes(data)
-            payload_sums[name] = hashlib.sha256(data).hexdigest()
-        checksum = hashlib.sha256(
-            "".join(f"{k}:{payload_sums[k]};" for k in sorted(payload_sums)).encode()
-        ).hexdigest()
-        manifest = {
+        header = {
             "version": version,
             "cycle_index": product.cycle_index,
-            "checksum": checksum,
-            "payload": payload_sums,
+            "product": product.to_dict(),
             "fields": {name: field.meta() for name, field in tiled.items()},
         }
-        (stage_dir / "manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True)
-        )
-        for path in stage_dir.iterdir():
-            fsio.fsync_path(path)
-        fsio.fsync_dir(stage_dir)  # the names inside v<k>/ are durable too
-        os.replace(stage_dir, final_dir)
+        buffers, checksum = _pack(header, arrays)
+        fsio.durable_write(vdir / SNAPSHOT, lambda fh: fh.writelines(buffers))
         self._head.commit(dir=_dirname(version), checksum=checksum)
         self._retire_old_versions()
         return version
@@ -213,11 +237,7 @@ class ProductStore:
             return
         floor = self.version - self.retain
         for path in self.workdir.glob("v*"):
-            try:
-                old = int(path.name[1:])
-            except ValueError:
-                continue
-            if old <= floor:
+            if path.name[1:].isdigit() and int(path.name[1:]) <= floor:
                 shutil.rmtree(path, ignore_errors=True)
 
     def cleanup(self) -> None:
@@ -226,7 +246,7 @@ class ProductStore:
 
 
 def _check_head(head: dict) -> dict:
-    """A HEAD record must name its directory and manifest checksum."""
+    """A HEAD record must name its directory and header checksum."""
     if "dir" not in head or "checksum" not in head:
         raise ValueError(f"implausible HEAD {head!r}")
     return head
@@ -271,10 +291,11 @@ class ProductReader(fsio.PointerReader):
         first publish.  Raises :class:`ProductPending` for a version
         newer than HEAD (the cycle is still publishing it) and
         :class:`ProductNotFound` for one older than the retain window.
-        Every payload file is verified against the manifest's SHA-256
-        entries and the manifest against HEAD's checksum, so a torn or
-        partially-published snapshot can never be returned -- it reads
-        as unreadable and the caller retries against the old HEAD.
+        The version's file is read once; its array bytes are verified
+        against the header's SHA-256 and, for the latest version, the
+        header against HEAD's checksum, so a torn or partially-published
+        snapshot can never be returned -- it reads as unreadable and the
+        caller retries against the old HEAD.
         """
         found = self.read(lambda head: self._resolve(head, version))
         if found is None and version is not None:
@@ -299,55 +320,32 @@ class ProductReader(fsio.PointerReader):
                 f"version {version} still publishing (latest is {head_version})"
             )
         else:
-            expected_checksum = None  # pinned to the immutable manifest
-        vdir = self.workdir / _dirname(version)
+            expected_checksum = None  # pinned to the immutable file
         try:
-            manifest = json.loads((vdir / "manifest.json").read_text())
+            raw = (self.workdir / _dirname(version) / SNAPSHOT).read_bytes()
         except FileNotFoundError:
             if version < head_version:
                 return ProductNotFound(
                     f"version {version} retired (oldest retained is newer)"
                 )
-            # HEAD says this version exists but the rename has not become
+            # HEAD says this version exists but its file has not become
             # visible to us yet (lagged filesystem): unreadable, retry.
             raise
-        return self._load_verified(version, vdir, manifest, expected_checksum)
-
-    def _load_verified(
-        self,
-        version: int,
-        vdir: Path,
-        manifest: dict,
-        expected_checksum: str | None,
-    ) -> ProductSnapshot:
-        """Load and checksum-verify one version directory."""
-        if int(manifest["version"]) != version:
+        header, checksum, arrays = _unpack(raw, expected_checksum)
+        if int(header["version"]) != version:
             raise ValueError(
-                f"manifest version {manifest['version']} != directory {version}"
+                f"header version {header['version']} != directory {version}"
             )
-        if expected_checksum is not None and manifest["checksum"] != expected_checksum:
-            raise ValueError(
-                f"manifest checksum {manifest['checksum'][:12]}... does not "
-                f"match HEAD {expected_checksum[:12]}..."
-            )
-        payload = {}
-        for name, expected in manifest["payload"].items():
-            payload[name] = data = (vdir / name).read_bytes()  # parsed below
-            actual = hashlib.sha256(data).hexdigest()
-            if actual != expected:
-                raise ValueError(
-                    f"payload {name} checksum mismatch "
-                    f"({actual[:12]}... != {expected[:12]}...)"
-                )
-        product = ForecastProduct.from_dict(json.loads(payload["product.json"]))
-        with np.load(io.BytesIO(payload["fields.npz"])) as data:
-            arrays = {key: np.asarray(data[key]) for key in data.files}
         fields = {
             name: TiledField.from_payload(meta, arrays)
-            for name, meta in manifest["fields"].items()
+            for name, meta in header["fields"].items()
         }
         return ProductSnapshot(
-            version=version, product=product, fields=fields, manifest=manifest
+            version=version,
+            product=ForecastProduct.from_dict(header["product"]),
+            fields=fields,
+            manifest=header,
+            checksum=checksum,
         )
 
 

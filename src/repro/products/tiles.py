@@ -17,8 +17,8 @@ two structures that make the read path cheap:
 
 Land/masked cells are stored as NaN and excluded from every statistic --
 the per-tile ``count`` says how many wet cells contributed, and all-land
-tiles summarise as NaN with ``count == 0``.  The manifest stores the
-five arrays as row-major columns, NaN as ``null``.
+tiles summarise as NaN with ``count == 0``.  A published snapshot stores
+the five arrays raw beside the levels (:meth:`TiledField.arrays`).
 
 The layout mirrors what downstream *localized* assimilation wants: the
 LETKF line of work (Ott et al., PAPERS.md) performs per-tile local
@@ -104,7 +104,7 @@ def downsample(array: np.ndarray) -> np.ndarray:
     return out
 
 
-#: The per-tile statistics, in the order the manifest stores their columns.
+#: The per-tile statistics, in the order a snapshot stores their arrays.
 STATISTICS = ("count", "min", "max", "mean", "std")
 
 
@@ -271,43 +271,36 @@ class TiledField:
             "tile_size": self.tile_size,
             "tile_grid": list(self.tile_grid),
             "n_levels": self.n_levels,
-            "summaries": {
-                key: [None if v != v else v for v in self.statistics[key].ravel().tolist()]
-                for key in STATISTICS
-            },
             "domain": self.domain_summary(),
         }
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """The payload arrays, keyed the way the store files them."""
-        return {
-            f"{self.name}__L{lod}": self._levels[lod]
-            for lod in range(len(self._levels))
-        }
+        """The payload arrays, keyed the way the store files them: every
+        level, then the tile statistics."""
+        arrays = {f"{self.name}__L{lod}": level for lod, level in enumerate(self._levels)}
+        arrays.update((f"{self.name}__{key}", self.statistics[key]) for key in STATISTICS)
+        return arrays
 
     @classmethod
     def from_payload(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "TiledField":
-        """Rebuild a field from a manifest entry plus its stored arrays.
+        """Rebuild a field from its :meth:`meta` plus its stored arrays.
 
-        Levels come from the payload and tile statistics from the
-        manifest's columns (``null`` back to NaN) rather than being
-        recomputed, so what is served matches what was published exactly.
+        Levels and tile statistics come from the payload, as stored (views
+        stay views), rather than being recomputed, so what is served
+        matches what was published exactly.
         """
         name = meta["name"]
-        n_levels = int(meta["n_levels"])
-        keys = [f"{name}__L{lod}" for lod in range(n_levels)]
-        missing = [k for k in keys if k not in arrays]
+        levels = [f"{name}__L{lod}" for lod in range(int(meta["n_levels"]))]
+        statistics = [f"{name}__{key}" for key in STATISTICS]
+        missing = [k for k in levels + statistics if k not in arrays]
         if missing:
             raise KeyError(f"payload missing arrays {missing} for field {name!r}")
         field = cls.__new__(cls)
         field.name = name
         field.tile_size = int(meta["tile_size"])
-        field._levels = [np.asarray(arrays[k], dtype=np.float64) for k in keys]
+        field._levels = [np.asarray(arrays[k], dtype=np.float64) for k in levels]
         grid = tuple(meta["tile_grid"])
-        columns = meta["summaries"]
         field.statistics = {
-            key: np.array(columns[key], dtype=np.int64 if key == "count" else np.float64)
-            .reshape(grid)
-            for key in STATISTICS
+            key: arrays[k].reshape(grid) for key, k in zip(STATISTICS, statistics)
         }
         return field

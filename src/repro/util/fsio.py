@@ -8,8 +8,8 @@ respect to *naming* but not *contents*, so after a crash the published
 name can point at a truncated or empty artifact -- then **replace** and
 fsync the directory.  :func:`durable_write` is that sequence for one file.
 
-A store whose payload is larger than one file (column data, a version
-directory) publishes through a **versioned pointer**: a small JSON record
+A store whose payload is not the pointer itself (column data, a product
+snapshot) publishes through a **versioned pointer**: a small JSON record
 written with :func:`durable_write` *after* the payload it vouches for is
 durable.  :class:`PointerWriter` owns the commit ordering and restart
 recovery; :class:`PointerReader` owns the bounded "unreadable reads as
@@ -116,6 +116,12 @@ class PointerWriter:
     readers have already seen; an absent or unparsable file starts at
     version 0.
 
+    Every committed pointer file gets a strictly later ``mtime_ns`` than
+    the one before it (seeded from the file found on opening), so two
+    pointers that share an inode number, a size and a clock tick still
+    differ in an ``os.stat`` signature -- what a reader may use to skip
+    re-reading an unchanged pointer.
+
     Attributes
     ----------
     version:
@@ -132,6 +138,9 @@ class PointerWriter:
         except (OSError, ValueError, KeyError, TypeError):
             self.record = {}
         self.version = self.record.get("version", 0)
+        self._mtime_ns = 0
+        with contextlib.suppress(OSError):
+            self._mtime_ns = os.stat(self.path).st_mtime_ns
 
     def commit(
         self, payload_paths: Iterable[str | os.PathLike[str]] = (), **record
@@ -148,9 +157,17 @@ class PointerWriter:
         for payload in payload_paths:
             fsync_path(payload)
         published = {"version": self.version + 1, **record}
-        durable_write(
-            self.path, lambda fh: fh.write(json.dumps(published).encode())
-        )
+
+        def fill(fh):
+            fh.write(json.dumps(published).encode())
+            fh.flush()  # no write may follow the stamp
+            mtime = os.fstat(fh.fileno()).st_mtime_ns
+            if mtime <= self._mtime_ns:  # the same clock tick as the last one
+                mtime = self._mtime_ns + 1
+                os.utime(fh.fileno(), ns=(mtime, mtime))
+            self._mtime_ns = mtime
+
+        durable_write(self.path, fill)
         self.record = published
         self.version = published["version"]
         return self.version

@@ -91,6 +91,10 @@ GRAM_BLOCK_ROWS = 128
 #: product (OpenBLAS's small-matrix kernel, up to 1e6).
 PRODUCT_BLOCK_FLOOR = 2**23
 
+#: Rows :func:`_column_extremes` reduces side by side (max and min are exact,
+#: so any grouping gives the same bits).
+EXTREMES_FOLD = 16
+
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -128,9 +132,30 @@ def _kept(
     return keep
 
 
+def _column_extremes(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``u.max(axis=0), u.min(axis=0)``, with the same bits and fewer passes.
+
+    A reduction down a C-ordered column pays per row, so :data:`EXTREMES_FOLD`
+    rows are reduced side by side as one wide row first, then folded;
+    the rows past the last whole fold join at the end.
+    """
+    n, k = u.shape
+    whole = n - n % EXTREMES_FOLD
+    if whole == 0 or not u.flags.c_contiguous:
+        return u.max(axis=0), u.min(axis=0)
+    wide = u[:whole].reshape(-1, EXTREMES_FOLD * k)
+    top = wide.max(axis=0).reshape(EXTREMES_FOLD, k).max(axis=0)
+    bottom = wide.min(axis=0).reshape(EXTREMES_FOLD, k).min(axis=0)
+    if whole < n:
+        top = np.maximum(top, u[whole:].max(axis=0))
+        bottom = np.minimum(bottom, u[whole:].min(axis=0))
+    return top, bottom
+
+
 def _orient(u: np.ndarray, vt: np.ndarray) -> None:
     """Make each mode's largest-magnitude entry positive, in place."""
-    sign = np.where(u.max(axis=0) >= -u.min(axis=0), 1.0, -1.0)
+    top, bottom = _column_extremes(u)
+    sign = np.where(top >= -bottom, 1.0, -1.0)
     u *= sign
     vt *= sign[:, None]
 
@@ -153,8 +178,7 @@ def oriented_product(a: np.ndarray, w: np.ndarray, vt: np.ndarray) -> np.ndarray
     blocks = _row_blocks(a.shape[0], PRODUCT_BLOCK_ROWS, w.size)
 
     def product(rows):
-        block = np.matmul(a[rows], w, out=u[rows])
-        return block.max(axis=0), block.min(axis=0)
+        return _column_extremes(np.matmul(a[rows], w, out=u[rows]))
 
     def flip(rows):
         u[rows] *= sign

@@ -7,7 +7,8 @@ import pytest
 
 import repro.products.service as service_module
 from repro.products.service import ProductService, ServiceResponse
-from repro.products.store import ProductStore
+from repro.products.store import ProductSnapshot, ProductStore
+from repro.products.tiles import TiledField
 from repro.telemetry.clock import FakeClock
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import TraceRecorder
@@ -125,6 +126,40 @@ class TestResources:
             assert response.status == 200, target
             assert (response.head, response.body) == (want.head, want.body), target
         assert b"-0.0, Infinity, -Infinity, 5e-324, -5e-324, 0.1, 1e+16, 1e+22" in got[2].body
+
+    def test_loaded_snapshot_renders_what_in_memory_tiling_renders(self, store):
+        """A snapshot read from its file against the same fields tiled in
+        memory: every array's dtype and bits, and every product, field and
+        tile response, head and body."""
+        fields = {"sst_nowcast": make_field(0), "ragged": make_field(1, (37, 29))}
+        fields["ragged"][:, :9] = np.nan  # whole all-land tiles
+        product = make_product(4)
+        store.publish(product, fields)
+        service = ProductService(store.workdir)
+        loaded = service.reader.fetch()
+        tiled = {
+            name: TiledField(name, data, tile_size=store.tile_size, levels=store.levels)
+            for name, data in sorted(fields.items())
+        }
+        header = {"cycle_index": 4, "fields": {n: f.meta() for n, f in tiled.items()}}
+        memory = ProductSnapshot(1, product, tiled, header, loaded.checksum)
+        targets = [LATEST]
+        for name, field in tiled.items():
+            for key, array in field.arrays().items():
+                stored = loaded.fields[name].arrays()[key]
+                assert (stored.dtype, stored.shape) == (array.dtype, array.shape), key
+                assert stored.tobytes() == array.tobytes(), key
+            targets += [f"{LATEST}/fields/{name}?level={lod}" for lod in range(3)]
+            n_tj, n_ti = field.tile_grid
+            targets += [
+                f"{LATEST}/tiles/{name}/{tj}/{ti}" for tj in range(n_tj) for ti in range(n_ti)
+            ]
+        for target in targets:
+            route = service_module._parse_target(target)
+            want = service._render(route, memory)
+            got = service._render(route, loaded)
+            assert want.status == 200, target
+            assert (got.status, got.head, got.body) == (200, want.head, want.body), target
 
     def test_unknown_field_and_bad_level_404(self, published):
         service = ProductService(published.workdir)

@@ -22,8 +22,10 @@ from repro.products.store import (
 )
 from tests.products.conftest import make_field, make_product
 
-#: The files the HEAD checksum covers, next to each version's manifest.
-PAYLOAD_FILES = ("fields.npz", "product.json")
+
+def header_bytes(raw: bytes) -> bytes:
+    """The JSON header of one snapshot file's bytes (after its 8-byte length)."""
+    return raw[8 : 8 + int.from_bytes(raw[:8], "little")]
 
 
 @pytest.fixture()
@@ -47,29 +49,42 @@ class TestPublish:
     def test_on_disk_layout(self, store):
         publish_one(store)
         vdir = store.workdir / "v00000001"
-        assert (vdir / "manifest.json").exists()
-        assert (vdir / "fields.npz").exists()
-        assert (vdir / "product.json").exists()
+        assert [p.name for p in vdir.iterdir()] == ["snapshot"]
+        raw = (vdir / "snapshot").read_bytes()
         head = json.loads((store.workdir / "HEAD.json").read_text())
-        manifest = json.loads((vdir / "manifest.json").read_text())
         assert head == {
-            "version": 1, "dir": "v00000001", "checksum": manifest["checksum"],
+            "version": 1,
+            "dir": "v00000001",
+            "checksum": hashlib.sha256(header_bytes(raw)).hexdigest(),
         }
+        header = json.loads(header_bytes(raw))
+        assert (header["version"], header["cycle_index"]) == (1, 0)
+        assert header["product"] == make_product(0).to_dict()
+        start = 8 + len(header_bytes(raw))
+        assert start % 8 == 0  # every array starts aligned
+        table = {key: (dtype, shape) for key, dtype, shape in header["arrays"]}
+        assert table["sst_nowcast__L0"] == ("<f8", [20, 24])
+        assert table["sst_nowcast__count"] == ("<i8", [3, 3])
+        nbytes = sum(8 * np.prod(shape) for _, shape in table.values())
+        assert len(raw) == start + nbytes
 
     def test_empty_fields_rejected(self, store):
         with pytest.raises(ProductStoreError, match="at least one field"):
             store.publish(make_product(), {})
 
-    def test_stale_stage_dir_is_replaced(self, store):
-        stale = store.workdir / ".stage-v00000001"
+    def test_stale_version_dir_is_rebuilt(self, store):
+        # a dead attempt left v00000001/ behind, never named by HEAD
+        stale = store.workdir / "v00000001"
         stale.mkdir(parents=True)
+        (stale / "snapshot.tmp").write_bytes(b"half a snapshot")
         (stale / "junk").write_text("leftover from a crashed publish")
         assert publish_one(store) == 1
-        assert not stale.exists()
+        assert [p.name for p in stale.iterdir()] == ["snapshot"]
+        assert ProductReader(store.workdir).fetch().version == 1
 
-    def test_staged_directory_is_fsynced_before_its_rename(self, store, monkeypatch):
-        # fsync(2): the names inside v<k>/ are durable only once the
-        # directory itself is fsynced, and HEAD must not name them before
+    def test_snapshot_is_durable_before_head_names_it(self, store, monkeypatch):
+        # fsync(2): the snapshot's name inside v<k>/ is durable only once
+        # the directory is fsynced, and HEAD must not name it before
         events = []
         real_path, real_dir, real_replace = fsio.fsync_path, fsio.fsync_dir, os.replace
 
@@ -89,14 +104,18 @@ class TestPublish:
         monkeypatch.setattr(fsio, "fsync_dir", fsync_dir)
         monkeypatch.setattr(os, "replace", replace)
         publish_one(store)
-        stage = store.workdir / ".stage-v00000001"
-        rename = events.index(("replace", stage, store.workdir / "v00000001"))
-        dir_sync = events.index(("fsync_dir", stage))
-        assert dir_sync < rename
-        for name in PAYLOAD_FILES + ("manifest.json",):
-            assert events.index(("fsync", stage / name)) < dir_sync
-        head = [i for i, e in enumerate(events) if e[0] == "replace" and e[2] == store.head_path]
-        assert head and head[0] > rename
+        workdir, head = store.workdir.resolve(), store.head_path
+        vdir = store.workdir / "v00000001"
+        # fsync_dir fsyncs through fsync_path: keep the directory's one event
+        events = [e for e in events if not (e[0] == "fsync" and e[1].is_dir())]
+        assert events == [
+            ("fsync", vdir / "snapshot.tmp"),
+            ("replace", vdir / "snapshot.tmp", vdir / "snapshot"),
+            ("fsync_dir", vdir.resolve()),
+            ("fsync", fsio.staging_path(head)),
+            ("replace", fsio.staging_path(head), head),
+            ("fsync_dir", workdir),
+        ]
 
     def test_retain_window_retires_old_versions(self, tmp_path):
         store = ProductStore(tmp_path / "s", retain=2)
@@ -168,11 +187,16 @@ class TestOnePassIO:
     def test_manifest_sums_are_the_files_on_disk(self, store):
         publish_one(store)
         publish_one(store, 1, seed=1)
-        for vdir in sorted(store.workdir.glob("v*")):
-            manifest = json.loads((vdir / "manifest.json").read_text())
-            assert sorted(manifest["payload"]) == sorted(PAYLOAD_FILES)
-            for name, digest in manifest["payload"].items():
-                assert digest == hashlib.sha256((vdir / name).read_bytes()).hexdigest()
+        reader = ProductReader(store.workdir)
+        for version, vdir in enumerate(sorted(store.workdir.glob("v*")), 1):
+            raw = (vdir / "snapshot").read_bytes()
+            header = header_bytes(raw)
+            snapshot = reader.fetch(version)
+            assert snapshot.checksum == hashlib.sha256(header).hexdigest()
+            assert snapshot.manifest["sha256"] == (
+                hashlib.sha256(raw[8 + len(header) :]).hexdigest()
+            )
+        assert reader.read_head()["checksum"] == snapshot.checksum
 
     def test_fetch_opens_each_payload_file_once(self, store, monkeypatch):
         publish_one(store)
@@ -189,19 +213,22 @@ class TestOnePassIO:
         snapshot = ProductReader(store.workdir).fetch()
         monkeypatch.undo()
         assert snapshot is not None and snapshot.version == 1
-        assert {name: opened[name] for name in PAYLOAD_FILES} == dict.fromkeys(
-            PAYLOAD_FILES, 1
-        )
+        assert opened == {"HEAD.json": 1, "snapshot": 1}
 
     def test_head_checksum_is_pinned(self, store):
-        # Digest of the same fields and product as published by the
-        # per-tile implementation: the payload bytes (np.savez output and
-        # the product JSON) and thus every ETag must not move.
+        # Digest of the header of the same fields and product: the
+        # header's bytes (and with them every ETag) must not move.
         publish_one(store)
         head = json.loads(store.head_path.read_text())
         assert head["checksum"] == (
-            "df05d878b3d8542efbb4f4d224bd684bc01165678c6d37ad270d20d8bfb0aa7f"
+            "d126b32daf7763d0fb7fa3f2893bc2faa63a051a60f609f65f0a4dad6a4540df"
         )
+
+    def test_loaded_arrays_are_read_only(self, store):
+        publish_one(store)
+        field = ProductReader(store.workdir).fetch().fields["sst_nowcast"]
+        assert not field.level(0).flags.writeable
+        assert not field.statistics["mean"].flags.writeable
 
 
 class TestUnreadableStates:
@@ -215,11 +242,27 @@ class TestUnreadableStates:
 
     def test_corrupt_payload_never_returned(self, store):
         publish_one(store)
-        npz = store.workdir / "v00000001" / "fields.npz"
-        npz.write_bytes(npz.read_bytes()[:-8])  # truncated mid-copy
+        path = store.workdir / "v00000001" / "snapshot"
+        path.write_bytes(path.read_bytes()[:-8])  # truncated mid-copy
         reader = ProductReader(store.workdir)
         assert reader.fetch() is None  # checksum mismatch, not torn data
         assert reader.consecutive_unreadable == 1
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [(b'"sst_max": 15.25', b'"sst_max": 15.26'), (b'"tile_size": 8', b'"tile_size": 9')],
+        ids=["bulletin", "field-meta"],
+    )
+    def test_flipped_header_byte_is_unreadable_for_latest(self, store, old, new):
+        """HEAD's checksum covers the bulletin and the field metadata too."""
+        publish_one(store)
+        path = store.workdir / "v00000001" / "snapshot"
+        raw = path.read_bytes()
+        assert raw.count(old) == 1
+        path.write_bytes(raw.replace(old, new))
+        reader = ProductReader(store.workdir)
+        assert reader.fetch() is None
+        assert "does not match HEAD" in str(reader.last_read_error)
 
     def test_unreadable_bound_raises(self, store):
         publish_one(store)

@@ -148,7 +148,7 @@ class TestAgainstPerTileReference:
     def test_payload_round_trip_is_exact(self, case):
         make, ts = REFERENCE_FIELDS[case]
         tf = TiledField(case, make(), tile_size=ts, levels=3)
-        meta = json.loads(json.dumps(tf.meta(), allow_nan=False))  # as the manifest
+        meta = json.loads(json.dumps(tf.meta(), allow_nan=False))  # as the header
         back = TiledField.from_payload(meta, tf.arrays())
         for key in STATISTICS:
             assert back.statistics[key].dtype == tf.statistics[key].dtype
@@ -160,7 +160,7 @@ class TestAgainstPerTileReference:
 
 class TestTileSummary:
     def test_round_trip(self, field):
-        # a tile's record survives the manifest's columns unchanged
+        # a tile's record survives the stored statistics unchanged
         tf = TiledField("sst", field, tile_size=8)
         back = TiledField.from_payload(json.loads(json.dumps(tf.meta())), tf.arrays())
         assert back.summary(1, 2) == tf.summary(1, 2)
@@ -172,9 +172,13 @@ class TestTileSummary:
         d = s.to_dict()
         assert d["min"] is None and d["std"] is None
         tf = TiledField("land", np.full((4, 4), nan), tile_size=4)
-        assert tf.meta()["summaries"] == {
-            "count": [0], "min": [None], "max": [None], "mean": [None], "std": [None],
+        assert tf.summary(0, 0).to_dict() == {
+            "tj": 0, "ti": 0, "count": 0, "min": None, "max": None, "mean": None,
+            "std": None,
         }
+        stored = tf.arrays()  # as a snapshot stores them: count 0, NaN elsewhere
+        assert stored["land__count"].tolist() == [[0]]
+        assert all(np.isnan(stored[f"land__{key}"]).all() for key in STATISTICS[1:])
 
 
 class TestDownsample:

@@ -146,9 +146,8 @@ def run_cycle(case, workdir, batch_size, bomb=None):
             product_hook=hook,
         ).run(background, truth, subspace)
     payloads = [
-        hashlib.sha256((path / name).read_bytes()).hexdigest()
+        hashlib.sha256((path / "snapshot").read_bytes()).hexdigest()
         for path in sorted(workdir.glob("v*"))
-        for name in ("fields.npz", "product.json", "manifest.json")
     ]
     return records, forecasts, final_subspace, payloads
 
@@ -182,7 +181,7 @@ class TestCycleReplayAcrossBatchSizes:
             assert np.array_equal(fc.subspace.modes, ref.subspace.modes)
         assert np.array_equal(subspace.modes, ref_subspace.modes)
         assert np.array_equal(subspace.sigmas, ref_subspace.sigmas)
-        assert payloads == ref_payloads and len(payloads) == 6
+        assert payloads == ref_payloads and len(payloads) == 2
 
     @pytest.mark.parametrize("size", [1, 3, None])
     def test_blown_up_member_is_isolated(self, runs, size):

@@ -9,6 +9,7 @@ dies at each step is ``test_fsio_killpoints.py``.
 
 import ast
 import json
+import os
 import textwrap
 from pathlib import Path
 
@@ -121,6 +122,22 @@ class TestPointerWriter:
         assert PointerReader(writer.path, StoreGone).read()["count"] == 1
         assert writer.commit(count=2) == 2  # the retry reuses the number
 
+    def test_commits_within_one_clock_tick_get_distinct_signatures(self, tmp_path):
+        """Two pointers sharing inode number, size and clock tick must still
+        differ in ``os.stat``: every commit stamps a later ``mtime_ns`` than
+        the last, seeded from the file found on opening (here one whose
+        stamp lies past the clock, so the clock alone cannot order them)."""
+        path = tmp_path / "HEAD.json"
+        PointerWriter(path).commit(dir="v00000001")
+        ahead = os.stat(path).st_mtime_ns + 10**12
+        os.utime(path, ns=(ahead, ahead))
+        writer = PointerWriter(path)
+        stamps = []
+        for _ in range(3):
+            writer.commit(dir="v00000001")  # the same size every time
+            stamps.append(os.stat(path).st_mtime_ns)
+        assert ahead < stamps[0] < stamps[1] < stamps[2]
+
 
 class TestPointerReader:
     """The bounded-retry contract every reader shares."""
@@ -210,15 +227,11 @@ def rename_sites(tree, scope=""):
 
 class TestRenameSiteAllowlist:
     """A rename is a publish, and ``durable_replace`` is where publishes are
-    made durable (stage fsynced before, directory after).  PR 8 found six
-    bare ``os.replace`` publishes; since PR 15 the tree has two rename sites."""
+    made durable (stage fsynced before, directory after).  Six bare
+    ``os.replace`` publishes were once found in the tree; a product version
+    is one file published through the primitive, so it is the one site."""
 
-    ALLOWED = {
-        ("util/fsio.py", "durable_replace"),
-        # A directory rename: its files are fsynced one by one before it,
-        # and the pointer commit that makes it visible follows it.
-        ("products/store.py", "ProductStore.publish"),
-    }
+    ALLOWED = {("util/fsio.py", "durable_replace")}
 
     def test_files_are_renamed_only_through_the_durable_primitive(self):
         sites = {

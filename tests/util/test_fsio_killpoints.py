@@ -4,14 +4,16 @@ The primitive (``repro.util.fsio``) publishes in five steps: write the
 staged file, fsync the payload the pointer vouches for, fsync the staged
 file, replace, fsync the directory.  Each step is made to raise for each
 client of the primitive -- the covariance column store, the product
-store and the status directory; the product store adds one step of its
-own before the primitive runs, the fsync of its staged version directory
-(``stage_dir_fsync``).  After the kill a *fresh* reader must see
-version ``k`` or ``k + 1`` in full (never a mixture, never an exception)
-and a *fresh* writer on the same directory must recover and publish the
-next version up.
+store and the status directory.  The product store adds no step of its
+own: it writes a version's one file with the primitive, then its
+pointer, so each step is killed once in the file's write
+(``ProductStore``) and once in the pointer's (``ProductHead``).  After
+the kill a *fresh* reader must see version ``k`` or ``k + 1`` in full
+(never a mixture, never an exception) and a *fresh* writer on the same
+directory must recover and publish the next version up.
 """
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -44,28 +46,32 @@ class DyingFile:
         Path(self.path).write_bytes(data[: len(data) // 2])
         raise Killed("stage_write")
 
+    def writelines(self, chunks):
+        self.write(b"".join(chunks))
+
 
 def is_staged(path):
     """Whether ``path`` is a staged file, by the primitive's own naming rule."""
     return Path(path).suffix == fsio.staging_path("x").suffix
 
 
-def is_stage_dir(path):
-    """Whether ``path`` is a product version directory still being staged."""
-    return Path(path).name.startswith(".stage-")
-
-
-def kill_at(step, monkeypatch):
-    """Make one step of the primitive raise :class:`Killed` from now on."""
-
-    def die(*args):
-        raise Killed(step)
+def kill_at(step, monkeypatch, nth=1):
+    """Make the ``nth`` call of one step of the primitive raise :class:`Killed`."""
+    calls = itertools.count(1)
 
     def die_if(condition, real):
-        return lambda path, *rest: die() if condition(path) else real(path, *rest)
+        def run_or_die(path, *rest):
+            if condition(path) and next(calls) == nth:
+                raise Killed(step)
+            return real(path, *rest)
+
+        return run_or_die
+
+    def open_or_die(path, mode):
+        return DyingFile(path, mode) if next(calls) == nth else open(path, mode)
 
     if step == "stage_write":
-        monkeypatch.setattr(fsio, "open", DyingFile, raising=False)
+        monkeypatch.setattr(fsio, "open", open_or_die, raising=False)
     elif step == "payload_fsync":
         real = fsio.fsync_path
         monkeypatch.setattr(
@@ -74,22 +80,24 @@ def kill_at(step, monkeypatch):
     elif step == "file_fsync":
         monkeypatch.setattr(fsio, "fsync_path", die_if(is_staged, fsio.fsync_path))
     elif step == "replace":
-        # only the primitive's replace: the product store's own rename of
-        # its staged *directory* is not a step of the primitive
         monkeypatch.setattr(fsio.os, "replace", die_if(is_staged, fsio.os.replace))
     elif step == "dir_fsync":
-        # the pointer's directory, after its replace: not a staged directory
-        real = fsio.fsync_dir
-        monkeypatch.setattr(
-            fsio, "fsync_dir", die_if(lambda p: not is_stage_dir(p), real)
-        )
-    elif step == "stage_dir_fsync":
-        monkeypatch.setattr(fsio, "fsync_dir", die_if(is_stage_dir, fsio.fsync_dir))
+        monkeypatch.setattr(fsio, "fsync_dir", die_if(lambda p: True, fsio.fsync_dir))
     else:
         raise AssertionError(step)
 
 
-class ColumnStoreClient:
+class Client:
+    """Which call of a step a case kills, and which kills land ``k + 1``."""
+
+    #: The call of the step to kill: the first, the pointer's, unless the
+    #: client writes a file of its own before its pointer.
+    nth = 1
+    #: The steps whose kill leaves ``k + 1`` visible: the replace decides.
+    landed = ("dir_fsync",)
+
+
+class ColumnStoreClient(Client):
     """Version ``v`` holds ``v`` columns; column ``j`` is filled with ``j``."""
 
     steps = ("stage_write", "payload_fsync", "file_fsync", "replace", "dir_fsync")
@@ -116,10 +124,14 @@ class ColumnStoreClient:
         return snap.version
 
 
-class ProductStoreClient:
-    """Version ``v`` carries cycle ``v`` and a field filled with ``v``."""
+class ProductStoreClient(Client):
+    """Version ``v`` carries cycle ``v`` and a field filled with ``v``.
 
-    steps = ColumnStoreClient.steps + ("stage_dir_fsync",)
+    Killed in the write of the version's file: HEAD never names it.
+    """
+
+    steps = ("stage_write", "file_fsync", "replace", "dir_fsync")  # no payload
+    landed = ()
 
     def __init__(self, root):
         self.root = root
@@ -138,10 +150,17 @@ class ProductStoreClient:
         return snap.version
 
 
-class StatusDirClient:
+class ProductHeadClient(ProductStoreClient):
+    """The same store killed in the second write, HEAD's."""
+
+    nth = 2
+    landed = Client.landed
+
+
+class StatusDirClient(Client):
     """"Version" ``v`` is the status code ``v`` of one task, attempt ``v``."""
 
-    steps = ("stage_write", "file_fsync", "replace", "dir_fsync")  # no payload
+    steps = ProductStoreClient.steps
 
     def __init__(self, root):
         self.root = root
@@ -163,7 +182,7 @@ class StatusDirClient:
 
 CASES = [
     pytest.param(client, step, id=f"{client.__name__[:-6]}-{step}")
-    for client in (ColumnStoreClient, ProductStoreClient, StatusDirClient)
+    for client in (ColumnStoreClient, ProductStoreClient, ProductHeadClient, StatusDirClient)
     for step in client.steps
 ]
 
@@ -174,13 +193,13 @@ def test_kill_then_fresh_reader_and_writer(make_client, step, tmp_path, monkeypa
     k = client.publish()
     assert client.read() == k == 1
 
-    kill_at(step, monkeypatch)
+    kill_at(step, monkeypatch, client.nth)
     with pytest.raises(Killed, match=step):
         client.publish()
     monkeypatch.undo()
 
     seen = client.read()  # a fresh reader: k or k + 1, whole
-    assert seen == (k + 1 if step == "dir_fsync" else k)  # the replace decides
+    assert seen == (k + 1 if step in client.landed else k)
 
     reborn = make_client(client.root)  # a fresh writer recovers...
     assert reborn.publish() == seen + 1  # ...and versions only go up

@@ -257,8 +257,8 @@ def assert_same_bits(got, expected):
 class TestTallProducts:
     """Row blocks on 1, 2 or 3 threads give the bits of one product.
 
-    The reference is ``a @ w`` followed by ``_orient``.  Block counts are
-    asserted so that a case meant to split really does.
+    The reference is ``a @ w`` oriented by its plain column extremes.
+    Block counts are asserted so that a case meant to split really does.
     """
 
     B = linalg.PRODUCT_BLOCK_ROWS
@@ -271,9 +271,8 @@ class TestTallProducts:
     @staticmethod
     def reference(a, w, vt):
         u = a @ w
-        vt = vt.copy()
-        linalg._orient(u, vt)
-        return u, vt
+        sign = np.where(u.max(axis=0) >= -u.min(axis=0), 1.0, -1.0)
+        return u * sign, vt * sign[:, None]
 
     def assert_oriented_product(self, a, w, blocks):
         vt = np.random.default_rng(1).standard_normal((w.shape[1], 7))
@@ -291,6 +290,24 @@ class TestTallProducts:
         rng = np.random.default_rng(n)
         a = rng.standard_normal((n, 64))
         self.assert_oriented_product(a, rng.standard_normal((64, 64)), blocks)
+
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 16 * 37 + 9, 2 * B + 517])
+    def test_extremes_off_the_fold(self, n):
+        """Fewer rows than one fold, and rows past the last whole fold
+        holding a column's extremes, in C and Fortran order."""
+        assert n % linalg.EXTREMES_FOLD or n == 16
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal((n, 24))
+        u[-1, 3], u[-1, 5] = 50.0, -50.0
+        for layout in (u, np.asfortranarray(u)):
+            top, bottom = linalg._column_extremes(layout)
+            assert_same_bits(top, u.max(axis=0))
+            assert_same_bits(bottom, u.min(axis=0))
+        vt = rng.standard_normal((24, 7))
+        u_ref, vt_ref = self.reference(u, np.eye(24), vt)
+        linalg._orient(u, vt)
+        assert_same_bits(u, u_ref)
+        assert_same_bits(vt, vt_ref)
 
     def test_one_column(self, width):
         rng = np.random.default_rng(2)
