@@ -44,15 +44,19 @@ def full_domain():
 
 
 def test_kernel_model_step(benchmark, full_domain, kernel_results):
-    """One pemodel time step on the full domain."""
+    """One pemodel time step on the full domain, as a run steps it.
+
+    A run builds its step workspace once, so a run of ``steps`` steps is
+    timed and divided; a lone ``model.step`` call also builds one.
+    """
     model, background, _ = full_domain
-    state = background
+    steps = 10
 
-    def step():
-        return model.step(state)
+    def run():
+        return model.run(background, steps * model.config.dt)
 
-    benchmark(step)
-    per_step = benchmark.stats.stats.mean
+    benchmark(run)
+    per_step = benchmark.stats.stats.mean / steps
     kernel_results["model_step_s"] = per_step
     steps_per_day = int(86400 / model.config.dt)
     print_table(

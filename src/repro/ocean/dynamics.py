@@ -13,21 +13,26 @@ with an exact rotation for the Coriolis terms (see
 :meth:`ShallowWaterDynamics.step_dynamics`).  Every stencil reads one
 edge-replicated halo copy of its field, and each field group (u and v
 here, T and S in :mod:`repro.ocean.tracers`) is one five-point coefficient
-stencil, so a step is a short sequence of whole-array NumPy passes.  On
-one core of a 2-vCPU VM (one BLAS thread) the dynamics of one state on
-the default 42x36 AOSN-II grid take about 0.13 ms and the whole step with
-the ten-level tracer stack about 0.5 ms; on the benchmark's 32x28x4 grid
-a noisy member costs 0.50 ms per step alone and 0.32 ms in a batch of four,
-its perturbation included (``ocean.member_step_us`` and
-``ocean.batched_member_step_us`` of the suite record quoted in
-EXPERIMENTS.md, "The ocean step as five-point coefficient stencils").
-That is what makes O(1000)-member ensembles tractable on one machine.
+stencil, so a step is a short sequence of whole-array NumPy passes, each
+into a buffer of the run's step workspace.  On one core of a 2-vCPU VM (one BLAS thread, process time,
+best of seven) the dynamics of one state on the default 42x36 AOSN-II
+grid take 0.14-0.20 ms and a step of a run with the ten-level tracer stack
+0.56-0.83 ms, over three runs in a slow phase of the shared host in which
+the code before the workspace read 0.22 ms and 1.0-1.5 ms.  On the
+benchmark's 32x28x4 grid a noisy member costs 0.51 ms per step alone and
+0.41 ms in a batch of four, its perturbation included
+(``ocean.member_step_us`` and ``ocean.batched_member_step_us`` of the
+suite record quoted in EXPERIMENTS.md, "One step workspace per ocean
+run").  That is what makes O(1000)-member ensembles tractable on one
+machine.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -55,12 +60,49 @@ def halo_buffer(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return halo, halo[..., 1:-1, 1:-1]
 
 
-def replicate_rim(halo: np.ndarray) -> None:
-    """Copy the outermost interior rows, then columns, of ``halo`` into its rim."""
-    halo[..., 0, 1:-1] = halo[..., 1, 1:-1]
-    halo[..., -1, 1:-1] = halo[..., -2, 1:-1]
-    halo[..., :, 0] = halo[..., :, 1]
-    halo[..., :, -1] = halo[..., :, -2]
+def rim_pairs(halo: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(rim, source) views: the outermost interior rows, then columns, of ``halo``."""
+    return (
+        (halo[..., 0, 1:-1], halo[..., 1, 1:-1]),
+        (halo[..., -1, 1:-1], halo[..., -2, 1:-1]),
+        (halo[..., :, 0], halo[..., :, 1]),
+        (halo[..., :, -1], halo[..., :, -2]),
+    )
+
+
+def replicate_rim(pairs: tuple[tuple[np.ndarray, np.ndarray], ...]) -> None:
+    """Copy each source of :func:`rim_pairs` into its rim, in order."""
+    for rim, source in pairs:
+        np.copyto(rim, source)
+
+
+def neighbours(halo: np.ndarray) -> tuple[np.ndarray, ...]:
+    """East, west, north and south neighbours of a halo array's interior cells."""
+    rows, cols = halo[..., 1:-1, :], halo[..., :, 1:-1]
+    return rows[..., 2:], rows[..., :-2], cols[..., 2:, :], cols[..., :-2, :]
+
+
+class SharedBlock:
+    """One float64 block that the step's operators take turns on.
+
+    Each :meth:`take` lays its views out from the start of the block: one
+    run never has two operators in flight, so the buffers that live only
+    inside one call share memory.  A larger request gets a block of its own.
+    """
+
+    def __init__(self):
+        self._block = np.empty(0)
+
+    def take(self, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+        """Disjoint views of the given shapes, laid out one after another."""
+        sizes = [math.prod(shape) for shape in shapes]
+        if sum(sizes) > self._block.size:
+            self._block = np.empty(sum(sizes))
+        ends = itertools.accumulate(sizes)
+        return [
+            self._block[end - size : end].reshape(shape)
+            for shape, size, end in zip(shapes, sizes, ends)
+        ]
 
 
 def with_halo(fld: np.ndarray, fill: LandFiller | None = None) -> np.ndarray:
@@ -69,7 +111,7 @@ def with_halo(fld: np.ndarray, fill: LandFiller | None = None) -> np.ndarray:
     interior[...] = fld
     if fill is not None:
         fill.fill(interior)
-    replicate_rim(halo)
+    replicate_rim(rim_pairs(halo))
     return halo
 
 
@@ -238,8 +280,8 @@ class ShallowWaterDynamics:
         object.__setattr__(self, "_diff_y", face_y * (kappa / grid.dy**2))
 
     def _continuity_tendency(
-        self, h: np.ndarray, u: np.ndarray, v: np.ndarray, eta_filled: np.ndarray
-    ) -> np.ndarray:
+        self, h: np.ndarray, u: np.ndarray, v: np.ndarray, w: SimpleNamespace
+    ) -> None:
         """deta/dt from finite-volume mass fluxes plus conservative diffusion.
 
         Face transports use the mean of the two adjacent cells and vanish on
@@ -247,32 +289,29 @@ class ShallowWaterDynamics:
         ``deta/dt`` over wet cells is exactly zero: total layer volume is
         conserved to round-off (the paper's PE model shares this property;
         it matters for multi-week ESSE runs).  Land cells have no open face,
-        so they come out exactly zero.
+        so they come out exactly zero.  The land-filled ``eta`` is in
+        ``w.eta_filled``; the result is ``w.deta_dt``.
         """
-        lead, nx = h.shape[:-2], h.shape[-1]
-        hu, hv = h * u, h * v
-        hu, hv = hu.reshape(*lead, -1), hv.reshape(*lead, -1)
-        eta_filled = eta_filled.reshape(*lead, -1)
+        np.multiply(h, u, out=w.hu)
+        np.multiply(h, v, out=w.hv)
         # Transports through the faces over the cell width, less the
         # interface-height diffusion through the same faces.
-        flux_x = hu[..., :-1] + hu[..., 1:]
-        flux_x *= self._face_x
-        slope = eta_filled[..., 1:] - eta_filled[..., :-1]
-        slope *= self._diff_x
-        flux_x -= slope
-        flux_y = hv[..., :-nx] + hv[..., nx:]
-        flux_y *= self._face_y
-        slope = eta_filled[..., nx:] - eta_filled[..., :-nx]
-        slope *= self._diff_y
-        flux_y -= slope
+        for flux, slope, hu, eta, face, diff in (
+            (w.flux_x, w.slope_x, w.hu_x, w.eta_x, self._face_x, self._diff_x),
+            (w.flux_y, w.slope_y, w.hv_y, w.eta_y, self._face_y, self._diff_y),
+        ):
+            np.add(*hu, out=flux)
+            flux *= face
+            np.subtract(eta[1], eta[0], out=slope)
+            slope *= diff
+            flux -= slope
         # deta = inflow - outflow; the closed array ends carry no flux.
-        deta = np.empty(hu.shape)
-        deta[..., 0] = 0.0
-        deta[..., 1:] = flux_x
-        deta[..., :-1] -= flux_x
-        deta[..., :-nx] -= flux_y
-        deta[..., nx:] += flux_y
-        return deta.reshape(h.shape)
+        (west, east), (south, north) = w.deta_x, w.deta_y
+        w.deta_0[...] = 0.0
+        np.copyto(east, w.flux_x)
+        west -= w.flux_x
+        south -= w.flux_y
+        north += w.flux_y
 
     @property
     def gravity_wave_speed(self) -> float:
@@ -292,11 +331,13 @@ class ShallowWaterDynamics:
         tau_x: np.ndarray,
         tau_y: np.ndarray,
         step: StepConstants,
+        work: SimpleNamespace | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Advance (u, v, eta) one step of ``step.dt`` seconds.
 
         ``step`` is :meth:`step_constants` of the step length, which a model
-        builds once rather than on every step.
+        builds once rather than on every step.  ``work`` is a
+        :meth:`workspace` for the fields' leading shape (None builds one).
 
         All fields may carry arbitrary leading batch dimensions ahead of
         the trailing ``(ny, nx)`` axes -- a whole ``(N, ny, nx)`` ensemble
@@ -319,61 +360,122 @@ class ShallowWaterDynamics:
         -------
         u, v, eta, deta_dt:
             Updated fields plus the interface tendency actually applied
-            (m/s), which drives thermocline heave in the tracers.
+            (m/s), which drives thermocline heave in the tracers: views of
+            ``work``, overwritten by its next step.
         """
-        h = np.maximum(self.h0 + eta, 0.1 * self.h0)  # guard against outcrop
-        halo, uv = halo_buffer((*u.shape[:-2], 2, *u.shape[-2:]))
-        uv[..., 0, :, :] = u
-        uv[..., 1, :, :] = v
-        replicate_rim(halo)
+        w = self.workspace(u.shape[:-2]) if work is None else work
+        h = np.add(eta, self.h0, out=w.h)
+        np.maximum(h, 0.1 * self.h0, out=h)  # guard against outcrop
+        np.copyto(w.u, u)
+        np.copyto(w.v, v)
+        replicate_rim(w.uv_rim)
 
         # 1. continuity, forward step: exact finite-volume fluxes
-        deta_dt = self._continuity_tendency(h, u, v, self.fill_land(eta))
-        eta_new = deta_dt * step.dt
+        np.copyto(w.eta_filled, eta)
+        self.fill_land.fill(w.eta_filled, w.fill)
+        self._continuity_tendency(h, u, v, w)
+        eta_new = np.multiply(w.deta_dt, step.dt, out=w.eta_new)
         eta_new += eta
 
         # 2. momentum: one five-point stencil for u and v -- advection by
         #    (u, v), viscosity and drag -- whose coefficients both share:
         #    a_E/W = cx -/+ u wx, a_N/S = cy -/+ v wy, a_C = 2 (cx + cy) + r
-        lead = u.shape[:-2]
-        rows = np.empty((*lead, 3, *u.shape[-2:]))
-        rows[..., 0, :, :] = 1.0
-        np.multiply(u, self._wx, out=rows[..., 1, :, :])
-        np.multiply(v, self._wy, out=rows[..., 2, :, :])
-        coef = np.matmul(self._coef, rows.reshape(*lead, 3, -1))
-        coef = coef.reshape(*lead, 4, 1, *u.shape[-2:])
-        duv = halo[..., 1:-1, 2:] * coef[..., 0, :, :, :]
-        term = halo[..., 1:-1, :-2] * coef[..., 1, :, :, :]
+        np.multiply(u, self._wx, out=w.u_wx)
+        np.multiply(v, self._wy, out=w.v_wy)
+        np.matmul(self._coef, w.rows, out=w.coef)
+        duv, term = w.duv, w.term
+        (east, a_e), (west, a_w), (north, a_n), (south, a_s) = w.stencil
+        np.multiply(east, a_e, out=duv)
+        np.multiply(west, a_w, out=term)
         duv += term
-        np.multiply(halo[..., 2:, 1:-1], coef[..., 2, :, :, :], out=term)
+        np.multiply(north, a_n, out=term)
         duv += term
-        np.multiply(halo[..., :-2, 1:-1], coef[..., 3, :, :, :], out=term)
+        np.multiply(south, a_s, out=term)
         duv += term
-        np.multiply(uv, self._a_centre, out=term)
+        np.multiply(w.uv, self._a_centre, out=term)
         duv -= term
         #    backward pressure gradient from the (land-filled) new interface
         #    height, and the wind, per component
-        eta_halo = with_halo(eta_new, fill=self.fill_land)
-        grad = term[..., 0, :, :]
-        np.subtract(eta_halo[..., 1:-1, 2:], eta_halo[..., 1:-1, :-2], out=grad)
-        grad *= self._gwx
-        grad = term[..., 1, :, :]
-        np.subtract(eta_halo[..., 2:, 1:-1], eta_halo[..., :-2, 1:-1], out=grad)
-        grad *= self._gwy
+        np.copyto(w.eta_halo, eta_new)
+        self.fill_land.fill(w.eta_halo, w.fill)
+        replicate_rim(w.eta_rim)
+        east, west, north, south = w.eta_near
+        grad_x, grad_y = w.term_uv
+        np.subtract(east, west, out=grad_x)
+        grad_x *= self._gwx
+        np.subtract(north, south, out=grad_y)
+        grad_y *= self._gwy
         duv -= term
-        rho_h = RHO0 * h
-        np.divide(tau_x, rho_h, out=term[..., 0, :, :])
-        np.divide(tau_y, rho_h, out=term[..., 1, :, :])
+        rho_h = np.multiply(h, RHO0, out=h)
+        np.divide(tau_x, rho_h, out=grad_x)
+        np.divide(tau_y, rho_h, out=grad_y)
         duv += term
         duv *= step.wet_dt
-        duv += uv  # (u*, v*)
+        duv += w.uv  # (u*, v*)
 
         # 3. Coriolis: exact inertial rotation of (u*, v*)
-        uv_new = duv * step.cos
+        np.multiply(duv, step.cos, out=w.uv_new)
         duv *= step.sin
-        uv_new[..., 0, :, :] += duv[..., 1, :, :]
-        uv_new[..., 1, :, :] -= duv[..., 0, :, :]
-        return uv_new[..., 0, :, :], uv_new[..., 1, :, :], eta_new, deta_dt
+        (u_new, v_new), (du, dv) = w.uv_new_parts, w.duv_parts
+        u_new += dv
+        v_new -= du
+        return u_new, v_new, eta_new, w.deta_dt
+
+    def workspace(
+        self, lead: tuple[int, ...] = (), shared: SharedBlock | None = None
+    ) -> SimpleNamespace:
+        """The buffers and views of :meth:`step_dynamics` for ``lead``-led fields.
+
+        A run builds one and hands it to every step; the operator is shared
+        by pool threads, so it never keeps one.  What a step returns are
+        views of it, overwritten by the next step.  The buffers that live
+        only inside a step come from ``shared`` (see :class:`SharedBlock`).
+        """
+        ny, nx = self.grid.shape2d
+        cells, field, pair = ny * nx, (*lead, ny, nx), (*lead, 2, ny, nx)
+        halo, pair_halo = (*lead, ny + 2, nx + 2), (*lead, 2, ny + 2, nx + 2)
+        faces_x, faces_y = (*lead, cells - 1), (*lead, cells - nx)
+        shared = SharedBlock() if shared is None else shared
+        w = SimpleNamespace(fill=self.fill_land.buffer(lead))
+        (
+            w.h, w.eta_filled, w.hu, w.hv, w.flux_x, w.slope_x, w.flux_y, w.slope_y,
+            uv_halo, coef, w.duv, w.term, eta_halo,
+        ) = shared.take(
+            field, field, field, field, faces_x, faces_x, faces_y, faces_y,
+            pair_halo, (*lead, 4, 1, ny, nx), pair, pair, halo,
+        )
+        w.eta_new, w.deta_dt = np.empty(field), np.empty(field)
+        w.uv_new = np.empty(pair)
+        # The continuity on the flattened grid: x faces pair cells 1 apart,
+        # y faces cells nx apart.
+        hu, hv, eta, deta = (
+            a.reshape(*lead, cells) for a in (w.hu, w.hv, w.eta_filled, w.deta_dt)
+        )
+        w.hu_x, w.eta_x, w.deta_x = ((a[..., :-1], a[..., 1:]) for a in (hu, eta, deta))
+        w.hv_y, w.eta_y, w.deta_y = (
+            (a[..., :-nx], a[..., nx:]) for a in (hv, eta, deta)
+        )
+        w.deta_0 = deta[..., 0]
+        w.uv = uv_halo[..., 1:-1, 1:-1]
+        w.u, w.v = w.uv[..., 0, :, :], w.uv[..., 1, :, :]
+        w.uv_rim = rim_pairs(uv_halo)
+        # The momentum rows (1, u wx, v wy), whose first row never changes,
+        # and the coefficients (a_E, a_W, a_N, a_S) they make, each beside
+        # the neighbour it weighs.
+        rows = np.empty((*lead, 3, ny, nx))
+        rows[..., 0, :, :] = 1.0
+        w.u_wx, w.v_wy = rows[..., 1, :, :], rows[..., 2, :, :]
+        w.rows = rows.reshape(*lead, 3, cells)
+        w.coef = coef.reshape(*lead, 4, cells)
+        w.stencil = tuple(
+            (near, coef[..., k, :, :, :]) for k, near in enumerate(neighbours(uv_halo))
+        )
+        w.duv_parts, w.term_uv, w.uv_new_parts = (
+            (a[..., 0, :, :], a[..., 1, :, :]) for a in (w.duv, w.term, w.uv_new)
+        )
+        w.eta_halo = eta_halo[..., 1:-1, 1:-1]
+        w.eta_rim, w.eta_near = rim_pairs(eta_halo), neighbours(eta_halo)
+        return w
 
     def step_constants(
         self, dt: float, sponge: np.ndarray | None = None

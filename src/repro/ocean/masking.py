@@ -51,12 +51,19 @@ class LandFiller:
         self._fill_j, self._fill_i = jj[coastal], ii[coastal]
         self._fill_count = count[self._fill_j, self._fill_i]
 
-    def fill(self, fld: np.ndarray) -> None:
-        """Fill the coastal land cells of ``fld`` in place (views welcome)."""
+    def fill(self, fld: np.ndarray, out: np.ndarray | None = None) -> None:
+        """Fill the coastal land cells of ``fld`` in place (views welcome).
+
+        ``out``, if given, is a :meth:`buffer` for ``fld``'s leading shape.
+        """
         near = fld[..., self._near_j, self._near_i]
-        total = np.add.reduceat(near, self._starts, axis=-1)
+        total = np.add.reduceat(near, self._starts, axis=-1, out=out)
         total /= self._fill_count
         fld[..., self._fill_j, self._fill_i] = total
+
+    def buffer(self, lead: tuple[int, ...] = ()) -> np.ndarray:
+        """The coastal-cell means of :meth:`fill` for fields led by ``lead``."""
+        return np.empty((*lead, len(self._fill_j)))
 
     def __call__(self, fld: np.ndarray) -> np.ndarray:
         """Return a copy of ``fld`` with coastal land cells filled.

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.state import FieldLayout, FieldSpec
 from repro.ocean.bathymetry import monterey_grid
-from repro.ocean.dynamics import ShallowWaterDynamics
+from repro.ocean.dynamics import SharedBlock, ShallowWaterDynamics
 from repro.ocean.forcing import AtmosphericForcing
 from repro.ocean.grid import OceanGrid
 from repro.ocean.stochastic import StochasticForcing
@@ -217,7 +217,8 @@ class PEModel:
         )
         self.tracers = TracerDynamics(self.grid, diffusivity=self.config.diffusivity)
         self._sponge = self.dynamics.sponge_factors(self.config.dt)
-        # Built once: pool threads share the model, so no step caches them.
+        # Constants only, built once: pool threads share the model.  A
+        # run's buffers live in its own workspace (_workspace), never here.
         self._constants = self.dynamics.step_constants(self.config.dt, self._sponge)
         max_dt = self.dynamics.max_stable_dt(safety=0.9)
         if self.config.dt > max_dt:
@@ -294,23 +295,37 @@ class PEModel:
 
     # -- time stepping -----------------------------------------------------
 
-    def _advance(self, state, noise):
+    def _workspace(self, state) -> tuple:
+        """The step buffers and views for states shaped like ``state``.
+
+        Owned by the run that builds it (pool and batch threads share the
+        model); nothing a step returns is a view of it.
+        """
+        lead = state.u.shape[:-2]
+        shared = SharedBlock()  # the tracers' step-local buffers are the larger
+        tracer_work = self.tracers.workspace(lead, shared)
+        return self.dynamics.workspace(lead, shared), tracer_work
+
+    def _advance(self, state, noise, work):
         """The one step body: a :class:`ModelState` or a whole batch.
 
         Every operator works on the trailing grid axes and broadcasts over
         whatever leads them, so member ``i`` of a batch is bit-identical
         to stepping it alone.  ``noise`` supplies one increment block per
-        step with rows ``u, v, eta, T[0..nz), S[0..nz)``.
+        step with rows ``u, v, eta, T[0..nz), S[0..nz)``.  ``work`` is
+        :meth:`_workspace` of the state; the fields of the returned state
+        are fresh arrays (the Euler update and ``enforce_boundaries``).
         """
+        dynamics_work, tracer_work = work
         dt = self.config.dt
         tau_x, tau_y = self.forcing.wind_stress(state.time)
         heat = self.forcing.heat_flux(state.time)
 
         u, v, eta, deta_dt = self.dynamics.step_dynamics(
-            state.u, state.v, state.eta, tau_x, tau_y, self._constants
+            state.u, state.v, state.eta, tau_x, tau_y, self._constants, dynamics_work
         )
         temp, salt = self.tracers.tendencies(
-            state.temp, state.salt, state.u, state.v, deta_dt, heat
+            state.temp, state.salt, state.u, state.v, deta_dt, heat, tracer_work
         )
         temp = np.multiply(temp, dt)
         temp += state.temp
@@ -337,7 +352,7 @@ class PEModel:
         Euler, whose explicit advection is stabilized by the lateral
         diffusivity at the advective Courant numbers this model runs at.
         """
-        return self._advance(state, self.noise)
+        return self._advance(state, self.noise, self._workspace(state))
 
     def run(
         self,
@@ -374,8 +389,9 @@ class PEModel:
             return self._run_steps(current, n_steps, callback)
 
     def _run_steps(self, current: ModelState, n_steps: int, callback) -> ModelState:
+        work = self._workspace(current)
         for k in range(n_steps):
-            current = self.step(current)
+            current = self._advance(current, self.noise, work)
             if (k + 1) % self.config.check_interval == 0 or k == n_steps - 1:
                 wet = self.grid.mask
                 if not (
@@ -409,11 +425,15 @@ class PEModel:
             ``self.noise`` is *not* used here -- batched runs always pass
             their forcing explicitly).
         """
+        self._check_forcing(ensemble, noise)
+        return self._advance(ensemble, noise, self._workspace(ensemble))
+
+    @staticmethod
+    def _check_forcing(ensemble: EnsembleState, noise) -> None:
         if noise is not None and noise.is_active() and noise.count != ensemble.count:
             raise ValueError(
                 f"forcing batch size {noise.count} != ensemble {ensemble.count}"
             )
-        return self._advance(ensemble, noise)
 
     def run_ensemble(
         self,
@@ -448,15 +468,17 @@ class PEModel:
         """
         if duration < 0:
             raise ValueError("duration must be >= 0")
+        self._check_forcing(ensemble, noise)
         n_steps = int(np.ceil(duration / self.config.dt))
         current = ensemble.copy()
+        work = self._workspace(current)
         failed: dict[int, str] = {}
         wet = self.grid.mask
         # As in run(): transient inf/nan arithmetic on the way to a
         # detected blow-up is expected, not a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_steps):
-                current = self.step_ensemble(current, noise=noise)
+                current = self._advance(current, noise, work)
                 if (k + 1) % self.config.check_interval == 0 or k == n_steps - 1:
                     finite = np.isfinite(current.u[:, wet]).all(axis=1) & np.isfinite(
                         current.temp[:, :, wet]

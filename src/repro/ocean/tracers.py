@@ -12,6 +12,7 @@ Figs 5-6).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,7 +20,9 @@ from repro.ocean.dynamics import (
     halo_buffer,
     halo_run,
     halo_runs,
+    SharedBlock,
     replicate_rim,
+    rim_pairs,
     rim_weights,
     zero_rim,
 )
@@ -132,6 +135,7 @@ class TracerDynamics:
         v: np.ndarray,
         deta_dt: np.ndarray,
         heat_flux: np.ndarray,
+        work: SimpleNamespace | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Right-hand sides (dT/dt, dS/dt) over ``(nz, ny, nx)``.
 
@@ -151,51 +155,85 @@ class TracerDynamics:
         heat_flux:
             Net surface heat flux (W/m^2), applied to the top level; zero
             on land, as :class:`AtmosphericForcing` returns it.
+        work:
+            A :meth:`workspace` for the stacks' leading shape (None builds
+            one).
 
         The stencil carries the land mask in its coefficients, so with
         these two zero on land both tendencies are zero there.  They are
-        views of one halo-layout buffer.
+        views of one halo-layout buffer of ``work``, overwritten by its
+        next step.
         """
-        lead, shape = temp.shape[:-3], temp.shape[-3:]
-        halo, both = halo_buffer((*lead, 2, *shape))
-        both[..., 0, :, :, :] = temp
-        both[..., 1, :, :, :] = salt
+        w = self.workspace(temp.shape[:-3]) if work is None else work
+        np.copyto(w.temp, temp)
+        np.copyto(w.salt, salt)
         # Land-filled tracer: zero-gradient at the coast, so diffusion
         # and advection see a no-flux wall, not a 0-valued one.
-        self._fill_land.fill(both)
-        replicate_rim(halo)
+        self._fill_land.fill(w.both, w.fill)
+        replicate_rim(w.rim)
         # Advection by the level's velocity and diffusion as one stencil
         # over the halo runs: a_E/W = cx -/+ u s_k wx, a_N/S = cy -/+ v s_k wy,
         # and the centre a_C = 2 (cx + cy) + 1/tau carries the relaxation.
-        rows, inner = halo_buffer((*lead, 5, *shape[-2:]))
-        rows[...] = 0.0
-        np.multiply(v, self._wy_wet, out=inner[..., 0, :, :])
-        np.multiply(u, self._wx_wet, out=inner[..., 2, :, :])
-        inner[..., 3, :, :] = deta_dt
-        inner[..., 4, :, :] = heat_flux
-        rows = rows.reshape(*lead, 5, -1)
-        rows[..., 1, :] = self._wet_row
-        # (a_E, a_W), then (a_N, a_S): each pair one product into the layout
-        # (pair, 1, nz, ny + 2, nx + 2) of the halo runs.
-        coef = np.empty((*lead, 2, 1, *halo.shape[-3:]))
-        per_row = (*lead, 2 * shape[0], rows.shape[-1])
-        pair = halo_run(coef, 3)
-        stencil, scratch = np.empty(halo.shape), np.empty(halo.shape)
-        out, term = halo_run(stencil, 3), halo_run(scratch, 3)
-        centre, east, west, north, south = halo_runs(halo, 3)
-        np.matmul(self._coef_x, rows[..., 1:3, :], out=coef.reshape(per_row))
-        np.multiply(east, pair[..., 0, :, :], out=out)
-        np.multiply(west, pair[..., 1, :, :], out=term)
+        np.multiply(v, self._wy_wet, out=w.v_wy)
+        np.multiply(u, self._wx_wet, out=w.u_wx)
+        np.copyto(w.deta_dt, deta_dt)
+        np.copyto(w.heat, heat_flux)
+        centre, east, west, north, south = w.runs
+        (a_en, a_ws), out, term = w.pair, w.out, w.term
+        np.matmul(self._coef_x, w.rows_x, out=w.coef)
+        np.multiply(east, a_en, out=out)
+        np.multiply(west, a_ws, out=term)
         out += term
-        np.matmul(self._coef_y, rows[..., 0:2, :], out=coef.reshape(per_row))
-        np.multiply(north, pair[..., 0, :, :], out=term)
+        np.matmul(self._coef_y, w.rows_y, out=w.coef)
+        np.multiply(north, a_en, out=term)
         out += term
-        np.multiply(south, pair[..., 1, :, :], out=term)
+        np.multiply(south, a_ws, out=term)
         out += term
         np.multiply(centre, self._a_centre, out=term)  # the fill is land only
         out -= term
         # Relaxation source, thermocline heave and surface heating.
-        np.matmul(self._source, rows[..., 1:5, :], out=scratch.reshape(per_row))
+        np.matmul(self._source, w.rows_source, out=w.source)
         out += term
+        return w.tend
+
+    def workspace(
+        self, lead: tuple[int, ...] = (), shared: SharedBlock | None = None
+    ) -> SimpleNamespace:
+        """The buffers and views of :meth:`tendencies` for ``lead``-led stacks.
+
+        A run builds one and hands it to every step; the operator is shared
+        by pool threads, so it never keeps one.  The halo, coefficient,
+        stencil and scratch buffers come from ``shared``: each call rewrites
+        them, and the returned tendencies are read before the next step.
+        """
+        nz, ny, nx = self.grid.shape3d
+        shape = (*lead, 2, nz, ny + 2, nx + 2)
+        shared = SharedBlock() if shared is None else shared
+        halo, coef, stencil, scratch = shared.take(
+            shape, (*lead, 2, 1, *shape[-3:]), shape, shape
+        )
+        w = SimpleNamespace(fill=self._fill_land.buffer((*lead, 2, nz)))
+        w.both = halo[..., 1:-1, 1:-1]
+        w.temp, w.salt = w.both[..., 0, :, :, :], w.both[..., 1, :, :, :]
+        w.rim, w.runs = rim_pairs(halo), halo_runs(halo, 3)
+        # The rows (v wy, 1, u wx, deta/dt, heat flux) in the halo layout:
+        # the rims stay zero and the wet row is constant, so both are set
+        # here once.
+        rows, inner = halo_buffer((*lead, 5, ny, nx))
+        rows[...] = 0.0
+        w.v_wy, w.u_wx, w.deta_dt, w.heat = (inner[..., k, :, :] for k in (0, 2, 3, 4))
+        rows = rows.reshape(*lead, 5, -1)
+        rows[..., 1, :] = self._wet_row
+        w.rows_y, w.rows_x = rows[..., 0:2, :], rows[..., 1:3, :]
+        w.rows_source = rows[..., 1:5, :]
+        # (a_E, a_W), then (a_N, a_S): each pair one product into the layout
+        # (pair, 1, nz, ny + 2, nx + 2) of the halo runs, read as (a_en, a_ws).
+        per_row = (*lead, 2 * nz, rows.shape[-1])
+        w.coef = coef.reshape(per_row)
+        pair = halo_run(coef, 3)
+        w.pair = pair[..., 0, :, :], pair[..., 1, :, :]
+        w.out, w.term = halo_run(stencil, 3), halo_run(scratch, 3)
+        w.source = scratch.reshape(per_row)
         tend = stencil[..., 1:-1, 1:-1]
-        return tend[..., 0, :, :, :], tend[..., 1, :, :, :]
+        w.tend = tend[..., 0, :, :, :], tend[..., 1, :, :, :]
+        return w

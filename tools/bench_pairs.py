@@ -4,7 +4,9 @@ Runs ``benchmarks/suite/run.py`` in two checkouts -- the parent commit and
 the change -- on the same box and writes one JSON file holding
 
 - ``suite``: every workload's record, untraced and traced (what
-  ``run.py --all --trace 1`` prints as tables), for both checkouts;
+  ``run.py --all --trace 1`` prints as tables), for both checkouts --
+  about 5 minutes on a 2-core box; ``--no-suite`` skips it, and the record
+  then has ``"suite_skipped": true`` and no ``suite`` block;
 - ``pairs``: N alternating parent/change runs of one workload per seed,
   whichever side ran first swapping every pair, with medians, quartiles
   and the number of pairs the change won on each end-to-end metric;
@@ -164,6 +166,18 @@ def quartiles(values: list[float]) -> dict:
     return {"values": values, "q1": q1, "median": median, "q3": q3}
 
 
+def suite(parent: Path, change: Path, seconds: float) -> dict:
+    """Every workload once untraced and once traced, per side, at seed 0."""
+    out = {}
+    for side, checkout in (("parent", parent), ("change", change)):
+        out[side] = {}
+        for name in WORKLOADS:
+            print(f"suite {side} {name}", flush=True)
+            out[side][name] = run_record(checkout, name, 0, seconds, 0)
+            out[side][f"{name}/traced"] = run_record(checkout, name, 0, seconds, 1)
+    return out
+
+
 def paired(
     parent: Path, change: Path, workload: str, seed: int, pairs: int, seconds: float
 ) -> dict:
@@ -288,6 +302,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--traced-repeats", type=int, default=0)
     parser.add_argument(
+        "--no-suite", action="store_true",
+        help="skip the suite block (every workload, both sides) before the pairs",
+    )
+    parser.add_argument(
         "--other-pairs", type=int, default=0, help="pairs of every other workload, seed 0"
     )
     parser.add_argument(
@@ -304,15 +322,12 @@ def main(argv=None) -> int:
         return 0
     if None in (args.parent, args.change, args.out):
         parser.error("--parent, --change and --out are required to run")
-    record = {"schema": 1, "workload": args.workload, "suite": {}, "pairs": {}}
-    for side, checkout in (("parent", args.parent), ("change", args.change)):
-        record["suite"][side] = {}
-        for name in WORKLOADS:
-            print(f"suite {side} {name}", flush=True)
-            record["suite"][side][name] = run_record(checkout, name, 0, args.seconds, 0)
-            record["suite"][side][f"{name}/traced"] = run_record(
-                checkout, name, 0, args.seconds, 1
-            )
+    record = {"schema": 1, "workload": args.workload}
+    if args.no_suite:
+        record["suite_skipped"] = True
+    else:
+        record["suite"] = suite(args.parent, args.change, args.seconds)
+    record["pairs"] = {}
     for seed in args.seeds:
         print(f"pairs seed {seed}", flush=True)
         record["pairs"][f"seed_{seed}"] = paired(

@@ -39,7 +39,8 @@ python -m pytest -q
 # one CPU each is plain map with no thread: re-run the driver, replay,
 # tall-product and analysis tests once in a process pinned to one CPU, so
 # the serial path meets a real affinity mask and not only the patched
-# helper.
+# helper.  The step-workspace tests (a run's buffers are its own, two
+# threads on one shared model) run there too, on the serial schedule.
 python - <<'EOF'
 import os
 import sys
@@ -50,11 +51,12 @@ os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 sys.exit(pytest.main([
     "-q", "-p", "no:cacheprovider",
     "tests/core/test_ensemble_driver.py", "tests/test_determinism.py",
+    "tests/ocean/test_step_workspace.py",
     "tests/util/test_linalg.py", "tests/core/test_incremental_svd.py",
     "tests/core/test_assimilation.py",
 ]))
 EOF
-echo "one-CPU driver, replay, SVD and analysis tests: ok"
+echo "one-CPU driver, replay, step-workspace, SVD and analysis tests: ok"
 
 # Tier-1 runs the asserting examples; the other four are only imported
 # there, so run each end to end here, in a scratch working directory
