@@ -71,8 +71,7 @@ def test_ablation_growth_schedule(benchmark, small_esse_setup):
     # finer growth never uses more members than the coarsest
     assert sizes[1.25] <= sizes[4.0]
     # (note: finer growth may also *converge sooner by count* because the
-    # sequential test compares largely-overlapping ensembles -- the reason
-    # ConvergenceCriterion supports min_checks > 1)
+    # sequential test compares largely-overlapping ensembles)
     # every schedule reaches a usable subspace and ran >= 1 check
     for fc in results.values():
         assert fc.subspace.rank >= 1

@@ -11,11 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import print_table
-from repro.sched.transfer import (
-    OutputReturnPlan,
-    WANModel,
-    simulate_output_return,
-)
+from repro.sched.transfer import OutputReturnPlan, simulate_output_return
 
 
 def run_all_plans():
@@ -23,9 +19,8 @@ def run_all_plans():
     # 600 members finishing in a synchronized wave (job arrays started
     # together finish together) -- the paper's problematic regime
     times = np.sort(rng.uniform(3000.0, 3060.0, 600))
-    wan = WANModel()
     return times, {
-        plan: simulate_output_return(times, file_mb=11.0, plan=plan, wan=wan)
+        plan: simulate_output_return(times, file_mb=11.0, plan=plan)
         for plan in OutputReturnPlan
     }
 

@@ -50,9 +50,6 @@ class ConvergenceCriterion:
     ----------
     tolerance:
         Declare convergence when rho(previous, current) >= tolerance.
-    min_checks:
-        Require at least this many successive comparisons before
-        convergence can be declared (guards against a lucky first pair).
 
     Notes
     -----
@@ -63,24 +60,17 @@ class ConvergenceCriterion:
     """
 
     tolerance: float = 0.97
-    min_checks: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.tolerance <= 1.0:
             raise ValueError(f"tolerance must be in (0, 1], got {self.tolerance}")
-        if self.min_checks < 1:
-            raise ValueError("min_checks must be >= 1")
         self._previous: ErrorSubspace | None = None
         self.history: list[tuple[int, float]] = []
 
     @property
     def converged(self) -> bool:
-        """Whether the last :meth:`update` declared convergence."""
-        if len(self.history) < self.min_checks:
-            return False
-        return all(
-            rho >= self.tolerance for _, rho in self.history[-self.min_checks :]
-        )
+        """Whether the last comparison reached the tolerance."""
+        return bool(self.history) and self.history[-1][1] >= self.tolerance
 
     def update(
         self, subspace: ErrorSubspace, count: int | None = None

@@ -30,11 +30,7 @@ from repro.core.assimilation import AnalysisResult, ESSEAnalysis
 from repro.core.covariance import AnomalyAccumulator
 from repro.core.ensemble import EnsembleGrowth, EnsembleRunner, grow_ensemble
 from repro.core.perturbation import PerturbationGenerator
-from repro.core.subspace import (
-    ColdSubspaceEstimator,
-    ErrorSubspace,
-    IncrementalSubspaceEstimator,
-)
+from repro.core.subspace import ErrorSubspace, IncrementalSubspaceEstimator
 from repro.telemetry.spans import NULL_RECORDER
 from repro.util.threads import _map_on_usable_cpus
 
@@ -65,18 +61,6 @@ class ESSEConfig:
     deadline_seconds:
         Tmax: wall-clock budget for the ensemble stage (None = unlimited);
         "until the time Tmax available for the forecast expires" (Sec 4).
-    inflation:
-        Sigma inflation of the default analysis of a directly constructed
-        :class:`ESSEDriver` (a configured one takes its inflation from
-        the ``assimilation`` section of ``config.py``).
-    svd_method:
-        ``"lapack"`` -- the exact factorization, carried between
-        checkpoints by
-        :class:`~repro.core.subspace.IncrementalSubspaceEstimator` (the
-        raw columns' Gram matrix is extended by the new members only, so
-        a checkpoint costs ``O(n N k_new)`` for that step and equals the
-        from-scratch SVD to round-off) -- or ``"randomized"`` (a cold
-        sketch per checkpoint; the paper's Sec 4.1 ablation).
     """
 
     initial_ensemble_size: int = 16
@@ -86,8 +70,6 @@ class ESSEConfig:
     max_subspace_rank: int = 60
     svd_energy: float = 0.999
     deadline_seconds: float | None = None
-    inflation: float = 1.0
-    svd_method: str = "lapack"
 
     def __post_init__(self):
         if self.initial_ensemble_size < 2:
@@ -104,25 +86,15 @@ class ESSEConfig:
             raise ValueError("svd_energy must be in (0, 1]")
         if self.deadline_seconds is not None and not self.deadline_seconds >= 0:
             raise ValueError("deadline_seconds must be None or >= 0")
-        if self.svd_method not in ("lapack", "randomized"):
-            raise ValueError(f"unknown svd_method {self.svd_method!r}")
 
-    def subspace_estimator(self, rng: np.random.Generator | None = None):
-        """Build the subspace estimator this config describes.
+    def subspace_estimator(self) -> IncrementalSubspaceEstimator:
+        """The stage loop's subspace estimator: the exact factorization.
 
-        Always an object with ``update(columns, count, scale)`` and
-        ``last_path``: the exact estimator that carries the Gram matrix
-        between checkpoints, or the from-scratch one when
-        ``svd_method="randomized"`` was asked for (``rng`` seeds its
-        sketches).
+        :class:`~repro.core.subspace.IncrementalSubspaceEstimator` carries
+        the raw columns' Gram matrix between checkpoints and extends it by
+        the new members only, so a checkpoint costs ``O(n N k_new)`` for
+        that step and equals the from-scratch SVD to round-off.
         """
-        if self.svd_method == "randomized":
-            return ColdSubspaceEstimator(
-                rank=self.max_subspace_rank,
-                energy=self.svd_energy,
-                method=self.svd_method,
-                rng=rng,
-            )
         return IncrementalSubspaceEstimator(
             rank=self.max_subspace_rank, energy=self.svd_energy
         )
@@ -175,11 +147,11 @@ class ESSEDriver:
         :meth:`repro.config.ExperimentConfig.build_driver` always passes
         the one its ``assimilation`` section describes; the default, for
         direct construction only, is the global :class:`ESSEAnalysis`
-        with ``config.inflation``.
+        without inflation.
     batch_size:
-        Members per vectorized integration (``engine.batch_size`` of the
-        experiment config), and the unit :meth:`forecast` hands to each
-        of its threads; results are bit-identical at every value.
+        Members per vectorized integration, and the unit :meth:`forecast`
+        hands to each of its threads; results are bit-identical at every
+        value (the experiment config builds the driver at the default).
     """
 
     def __init__(
@@ -201,7 +173,7 @@ class ESSEDriver:
         self.analysis = (
             analysis
             if analysis is not None
-            else ESSEAnalysis(model.layout, inflation=self.config.inflation)
+            else ESSEAnalysis(model.layout)
         )
 
     # -- forecast stage -----------------------------------------------------
@@ -267,7 +239,6 @@ class ESSEDriver:
                 ),
                 telemetry=self.telemetry,
                 started=started,
-                rng=np.random.default_rng(self.root_seed),
             )
             forecast_span.set(
                 ensemble_size=growth.ensemble_size, converged=growth.converged

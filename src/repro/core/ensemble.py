@@ -160,7 +160,6 @@ def grow_ensemble(
     sink,
     telemetry,
     started: float,
-    rng: np.random.Generator | None = None,
     on_check: Callable | None = None,
 ) -> EnsembleGrowth:
     """The Fig 2 stage loop: grow, propagate, fold, SVD, test, stop.
@@ -173,7 +172,7 @@ def grow_ensemble(
     Parameters
     ----------
     config:
-        Stage sizes, convergence tolerance, SVD settings, Tmax.
+        Stage sizes, convergence tolerance, SVD rank and energy, Tmax.
     propagate:
         ``propagate(indices, deliver)`` runs one stage's member indices
         and calls ``deliver(result)`` once per :class:`MemberResult`,
@@ -187,16 +186,12 @@ def grow_ensemble(
         that publishes to a column store and reads the snapshot back.
     telemetry:
         Span recorder; its clock times the Tmax check against ``started``.
-    rng:
-        Sketch generator of the subspace estimator.  The driver keys it
-        on its root seed; the engine passes none (the estimators' fixed
-        keyed-stream fallback) -- the one difference between the two.
     on_check:
         Called after every check as ``on_check(count, subspace, rho,
         converged)``; the Fig 4 workflow logs its events from it.
     """
     criterion = ConvergenceCriterion(tolerance=config.convergence_tolerance)
-    estimator = config.subspace_estimator(rng=rng)
+    estimator = config.subspace_estimator()
     failed: list[int] = []
     subspace = None
     checked = 0  # sink count at the last check

@@ -28,6 +28,9 @@ from repro.util.rng import member_rng
 FIELD_AMPLITUDES = {"u": 0.05, "v": 0.05, "eta": 0.5, "temp": 0.4, "salt": 0.04}
 #: Horizontal correlation length of the cold-start perturbations (cells).
 LENGTH_SCALE_CELLS = 5.0
+#: Amplitude of a member's truncated-error white noise, as a fraction of the
+#: subspace's own pointwise error std-dev.
+RESIDUAL_FRACTION = 0.3
 
 
 @dataclass(frozen=True)
@@ -42,15 +45,14 @@ class PerturbationGenerator:
         Error subspace supplying the dominant perturbation directions.
     root_seed:
         Experiment seed; members derive their streams from it.
-    residual_fraction:
-        Amplitude of the truncated-error white noise, as a fraction of the
-        smallest retained mode's sigma (0 disables the residual).
+
+    Each member also gets truncated-error white noise of
+    ``RESIDUAL_FRACTION`` times the subspace's pointwise error std-dev.
     """
 
     layout: FieldLayout
     subspace: ErrorSubspace
     root_seed: int
-    residual_fraction: float = 0.3
 
     def __post_init__(self):
         if self.subspace.state_dim != self.layout.size:
@@ -58,15 +60,13 @@ class PerturbationGenerator:
                 f"subspace dimension {self.subspace.state_dim} != layout size "
                 f"{self.layout.size}"
             )
-        if self.residual_fraction < 0:
-            raise ValueError("residual_fraction must be >= 0")
         # Paper Sec 6: the truncated-error white noise has "an amplitude
         # proportional to the estimated ... errors" -- i.e. pointwise: the
         # residual std at each state entry is a fraction of the subspace's
         # own pointwise error std there.
         pointwise = np.sqrt(np.clip(self.subspace.variance_field(), 0.0, None))
         object.__setattr__(
-            self, "_residual_std", self.residual_fraction * pointwise
+            self, "_residual_std", RESIDUAL_FRACTION * pointwise
         )
 
     def perturbation(self, member_index: int) -> np.ndarray:
@@ -74,7 +74,7 @@ class PerturbationGenerator:
         rng = member_rng(self.root_seed, member_index, purpose="pert")
         coeffs = rng.standard_normal(self.subspace.rank) * self.subspace.sigmas
         normalized = self.subspace.modes @ coeffs
-        if self.residual_fraction > 0 and self.subspace.rank > 0:
+        if self.subspace.rank > 0:
             normalized = normalized + self._residual_std * rng.standard_normal(
                 self.layout.size
             )

@@ -188,51 +188,6 @@ class ErrorSubspace:
         return cls(modes=u, sigmas=s, n_samples=np.shape(anomalies)[1])
 
 
-class ColdSubspaceEstimator:
-    """The from-scratch form of :class:`IncrementalSubspaceEstimator`.
-
-    Same one operation, nothing carried between calls: every
-    :meth:`update` factors the columns it is handed.  It is what
-    :meth:`repro.core.driver.ESSEConfig.subspace_estimator` builds when
-    the randomized method was asked for (a cold sketch per checkpoint is
-    its own documented trade-off), and the one-shot way to factor raw
-    columns with a scale, so callers never branch on which kind they
-    hold.
-
-    Parameters
-    ----------
-    rank / energy / method / rng:
-        As in :meth:`ErrorSubspace.from_anomalies`.
-    """
-
-    #: Every update recomputes from scratch.
-    last_path = "cold"
-
-    def __init__(
-        self,
-        rank: int | None = None,
-        energy: float | None = None,
-        method: str = "lapack",
-        rng: np.random.Generator | None = None,
-    ):
-        self.rank = rank
-        self.energy = energy
-        self.method = method
-        self.rng = rng
-
-    def update(
-        self, columns: np.ndarray, count: int | None = None, scale: float = 1.0
-    ) -> ErrorSubspace:
-        """Factor the first ``count`` raw columns; ``scale`` the singular values."""
-        columns = np.asarray(columns)
-        if count is None:
-            count = columns.shape[1]
-        u, s = _factor(
-            columns[:, :count], self.rank, self.energy, ANOMALY_RTOL, self.method, self.rng
-        )
-        return ErrorSubspace(modes=u, sigmas=s * scale, n_samples=count)
-
-
 class IncrementalSubspaceEstimator:
     """Exact subspace estimation over a growing column stream.
 

@@ -11,13 +11,22 @@ reproducible.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.obs.operators import Observation
 from repro.ocean.grid import OceanGrid
 from repro.ocean.model import ModelState
+
+#: Running depth (m) of an AUV, and the along-track spacing (m) of its
+#: temperature samples.
+AUV_DEPTH = 30.0
+AUV_SAMPLE_SPACING = 3000.0
+#: Equally spaced surfacing points of a glider transect, and the depth (m)
+#: its profiles reach.
+GLIDER_PROFILES = 5
+GLIDER_MAX_DEPTH = 200.0
 
 
 class Instrument(ABC):
@@ -74,7 +83,7 @@ class CTDStation(Instrument):
 
     x: float
     y: float
-    name: str = "ctd"
+    name = "ctd"
 
     def sample_points(self, grid: OceanGrid) -> list[tuple[str, int, int, int]]:
         """Full-depth (T, S) sample points at the station's grid cell."""
@@ -92,26 +101,25 @@ class CTDStation(Instrument):
 
 @dataclass
 class AUVTrack(Instrument):
-    """An AUV running at constant depth through a list of waypoints.
+    """An AUV running at ``AUV_DEPTH`` through a list of waypoints.
 
-    Temperature is sampled every ``sample_spacing`` metres along the legs.
+    Temperature is sampled every ``AUV_SAMPLE_SPACING`` metres along the
+    legs.
     """
 
     waypoints: list[tuple[float, float]]
-    depth: float = 30.0
-    sample_spacing: float = 3000.0
-    name: str = "auv"
+    name = "auv"
 
     def sample_points(self, grid: OceanGrid) -> list[tuple[str, int, int, int]]:
         """Temperature points along the legs at the AUV's running depth."""
         if len(self.waypoints) < 2:
             raise ValueError("AUV track needs at least two waypoints")
-        level = grid.level_index(self.depth)
+        level = grid.level_index(AUV_DEPTH)
         pts: list[tuple[str, int, int, int]] = []
         seen: set[tuple[int, int]] = set()
         for (x0, y0), (x1, y1) in zip(self.waypoints[:-1], self.waypoints[1:]):
             leg = float(np.hypot(x1 - x0, y1 - y0))
-            n = max(int(leg / self.sample_spacing), 1)
+            n = max(int(leg / AUV_SAMPLE_SPACING), 1)
             for s in np.linspace(0.0, 1.0, n + 1):
                 j, i = grid.nearest_point(x0 + s * (x1 - x0), y0 + s * (y1 - y0))
                 if (j, i) not in seen:
@@ -128,23 +136,19 @@ class AUVTrack(Instrument):
 class GliderTransect(Instrument):
     """A glider sawtooth: profiles at stations along a straight transect.
 
-    At each of ``n_profiles`` equally spaced surfacing points the glider
-    yields a (T, S) profile down to ``max_depth``.
+    At each of ``GLIDER_PROFILES`` equally spaced surfacing points the
+    glider yields a (T, S) profile down to ``GLIDER_MAX_DEPTH``.
     """
 
     start: tuple[float, float]
     end: tuple[float, float]
-    n_profiles: int = 5
-    max_depth: float = 200.0
-    name: str = "glider"
+    name = "glider"
 
     def sample_points(self, grid: OceanGrid) -> list[tuple[str, int, int, int]]:
         """(T, S) profile points at the transect's surfacing stations."""
-        if self.n_profiles < 1:
-            raise ValueError("glider needs at least one profile")
-        levels = [k for k, z in enumerate(grid.z_levels) if z <= self.max_depth]
+        levels = [k for k, z in enumerate(grid.z_levels) if z <= GLIDER_MAX_DEPTH]
         pts: list[tuple[str, int, int, int]] = []
-        for s in np.linspace(0.0, 1.0, self.n_profiles):
+        for s in np.linspace(0.0, 1.0, GLIDER_PROFILES):
             x = self.start[0] + s * (self.end[0] - self.start[0])
             y = self.start[1] + s * (self.end[1] - self.start[1])
             j, i = grid.nearest_point(x, y)
@@ -174,7 +178,7 @@ class SSTSwath(Instrument):
 
     decimation: int = 2
     coverage: float = 0.8
-    name: str = "sst"
+    name = "sst"
 
     def __post_init__(self):
         if self.decimation < 1:

@@ -123,7 +123,6 @@ def aosn2_network(
                 (0.65 * lx, 0.60 * ly),
                 (0.55 * lx, 0.60 * ly),
             ],
-            depth=30.0,
         ),
         GliderTransect(start=(0.15 * lx, 0.30 * ly), end=(0.60 * lx, 0.45 * ly)),
         GliderTransect(start=(0.15 * lx, 0.70 * ly), end=(0.60 * lx, 0.60 * ly)),

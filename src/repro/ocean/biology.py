@@ -16,8 +16,6 @@ classic Monterey pattern of coastal-upwelling-fed blooms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.ocean.dynamics import ddx, ddy, laplacian
@@ -26,40 +24,18 @@ from repro.ocean.masking import LandFiller
 from repro.ocean.model import ModelState, PEModel
 
 
-@dataclass(frozen=True)
-class BioParameters:
-    """Phytoplankton model parameters.
-
-    Parameters
-    ----------
-    max_growth_per_day:
-        Light/nutrient-saturated growth rate (1/day).
-    mortality_per_day:
-        Quadratic loss coefficient (1/day per mg chl m^-3).
-    light_efolding_depth:
-        Euphotic-depth scale (m).
-    nutrient_upwelling_gain:
-        Nutrient-limitation relief per metre of interface uplift.
-    diffusivity:
-        Lateral eddy diffusivity (m^2/s).
-    background:
-        Seed concentration (mg chl / m^3).
-    """
-
-    max_growth_per_day: float = 0.8
-    mortality_per_day: float = 0.15
-    light_efolding_depth: float = 25.0
-    nutrient_upwelling_gain: float = 0.8
-    diffusivity: float = 60.0
-    background: float = 0.2
-
-    def __post_init__(self):
-        if self.max_growth_per_day <= 0 or self.mortality_per_day <= 0:
-            raise ValueError("growth and mortality rates must be positive")
-        if self.light_efolding_depth <= 0:
-            raise ValueError("light_efolding_depth must be positive")
-        if self.background <= 0:
-            raise ValueError("background concentration must be positive")
+#: Light/nutrient-saturated growth rate (1/day).
+MAX_GROWTH_PER_DAY = 0.8
+#: Quadratic loss coefficient (1/day per mg chl m^-3).
+MORTALITY_PER_DAY = 0.15
+#: Euphotic-depth scale (m).
+LIGHT_EFOLDING_DEPTH = 25.0
+#: Nutrient-limitation relief per metre of interface uplift.
+NUTRIENT_UPWELLING_GAIN = 0.8
+#: Lateral eddy diffusivity (m^2/s).
+DIFFUSIVITY = 60.0
+#: Seed concentration (mg chl / m^3).
+BACKGROUND = 0.2
 
 
 class PhytoplanktonModel:
@@ -73,22 +49,22 @@ class PhytoplanktonModel:
     ----------
     physics:
         The physical model supplying grid, velocity structure and dt.
-    params:
-        Biological parameters.
+
+    The biology is the module constants (growth, mortality, light depth,
+    nutrient gain, diffusivity, seed concentration).
     """
 
-    def __init__(self, physics: PEModel, params: BioParameters | None = None):
+    def __init__(self, physics: PEModel):
         self.physics = physics
         self.grid: OceanGrid = physics.grid
-        self.params = params if params is not None else BioParameters()
         z = np.asarray(self.grid.z_levels)
-        self._light = np.exp(-z / self.params.light_efolding_depth)[:, None, None]
+        self._light = np.exp(-z / LIGHT_EFOLDING_DEPTH)[:, None, None]
         self._vel_structure = physics.tracers._vel_structure
         self._fill = LandFiller(self.grid.mask)
 
     def initial_field(self) -> np.ndarray:
         """Uniform background concentration over the euphotic zone."""
-        field = self.params.background * np.broadcast_to(
+        field = BACKGROUND * np.broadcast_to(
             self._light, self.grid.shape3d
         ).copy()
         return self.grid.apply_mask(field)
@@ -104,7 +80,6 @@ class PhytoplanktonModel:
             Physical state at the same instant (velocity and eta); the
             nutrient proxy uses its standing displacement ``-eta``.
         """
-        p = self.params
         grid = self.grid
         dt = self.physics.config.dt
         dx, dy = grid.dx, grid.dy
@@ -113,17 +88,17 @@ class PhytoplanktonModel:
         u3 = state.u[None, :, :] * self._vel_structure
         v3 = state.v[None, :, :] * self._vel_structure
         adv = -u3 * ddx(filled, dx) - v3 * ddy(filled, dy)
-        diff = p.diffusivity * laplacian(filled, dx, dy)
+        diff = DIFFUSIVITY * laplacian(filled, dx, dy)
 
         # nutrient proxy: standing uplift
         uplift = np.clip(-state.eta, 0.0, None)
         nutrient = np.clip(
-            0.2 + p.nutrient_upwelling_gain * uplift, 0.0, 1.0
+            0.2 + NUTRIENT_UPWELLING_GAIN * uplift, 0.0, 1.0
         )[None, :, :]
         growth_rate = (
-            p.max_growth_per_day / 86400.0 * self._light * nutrient
+            MAX_GROWTH_PER_DAY / 86400.0 * self._light * nutrient
         )
-        mortality = p.mortality_per_day / 86400.0 * phyto
+        mortality = MORTALITY_PER_DAY / 86400.0 * phyto
         reaction = (growth_rate - mortality) * phyto
 
         out = phyto + dt * (adv + diff + reaction)

@@ -46,6 +46,19 @@ SPONGE_TAU_EDGE = 10800.0
 
 RHO0 = 1025.0  # reference sea-water density, kg/m^3
 
+#: The active layer: rest thickness (m) and reduced gravity g' = g
+#: (delta rho / rho) (m/s^2).
+H0 = 150.0
+G_REDUCED = 0.03
+#: Laplacian eddy viscosity (m^2/s) and linear (Rayleigh) bottom drag (1/s).
+VISCOSITY = 120.0
+BOTTOM_DRAG = 2.0e-6
+#: Interface-height diffusivity (m^2/s).  A collocated (A-) grid supports a
+#: 2-grid-point checkerboard mode in ``eta`` that the pressure gradient
+#: cannot see; this scale-selective smoothing damps it (the standard A-grid
+#: remedy) without affecting the mesoscale.
+ETA_DIFFUSIVITY = 150.0
+
 
 # -- halo stencils -------------------------------------------------------------
 # A halo array is a field with one extra cell all round that repeats the
@@ -105,12 +118,10 @@ class SharedBlock:
         ]
 
 
-def with_halo(fld: np.ndarray, fill: LandFiller | None = None) -> np.ndarray:
-    """Halo copy of ``fld`` (any leading axes), land-filled first if asked."""
+def with_halo(fld: np.ndarray) -> np.ndarray:
+    """Halo copy of ``fld`` (any leading axes)."""
     halo, interior = halo_buffer(np.shape(fld))
     interior[...] = fld
-    if fill is not None:
-        fill.fill(interior)
     replicate_rim(rim_pairs(halo))
     return halo
 
@@ -210,45 +221,22 @@ class ShallowWaterDynamics:
     ----------
     grid:
         Ocean grid (mask defines the coastline; velocity is zero on land).
-    h0:
-        Rest thickness of the active layer (m).
-    g_reduced:
-        Reduced gravity g' = g * (delta rho / rho) (m/s^2).
-    viscosity:
-        Laplacian eddy viscosity (m^2/s).
-    bottom_drag:
-        Linear (Rayleigh) drag coefficient (1/s).
-    eta_diffusivity:
-        Interface-height diffusivity (m^2/s).  A collocated (A-) grid
-        supports a 2-grid-point checkerboard mode in ``eta`` that the
-        pressure gradient cannot see; this scale-selective smoothing damps
-        it (the standard A-grid remedy) without affecting the mesoscale.
 
-    Everything precomputed below is an immutable constant: one instance is
+    The layer's physics are the module constants ``H0``, ``G_REDUCED``,
+    ``VISCOSITY``, ``BOTTOM_DRAG`` and ``ETA_DIFFUSIVITY``.  Everything precomputed below is an immutable constant: one instance is
     shared by pool threads, so no step may keep scratch arrays on it.
     """
 
     grid: OceanGrid
-    h0: float = 150.0
-    g_reduced: float = 0.03
-    viscosity: float = 120.0
-    bottom_drag: float = 2.0e-6
-    eta_diffusivity: float = 150.0
 
     def __post_init__(self):
-        if self.h0 <= 0:
-            raise ValueError("layer thickness h0 must be positive")
-        if self.g_reduced <= 0:
-            raise ValueError("reduced gravity must be positive")
-        if self.viscosity < 0 or self.bottom_drag < 0:
-            raise ValueError("viscosity and drag must be non-negative")
         grid, mask = self.grid, self.grid.mask
         # Coastal land-fill: eta gets a zero-gradient (free-slip wall)
         # condition before gradient/diffusion stencils (see masking.py).
         object.__setattr__(self, "fill_land", LandFiller(mask))
         object.__setattr__(self, "_wet", mask.astype(float))
         wx, wy = rim_weights(grid.nx, grid.dx), rim_weights(grid.ny, grid.dy)[:, None]
-        cx, cy = self.viscosity / grid.dx**2, self.viscosity / grid.dy**2
+        cx, cy = VISCOSITY / grid.dx**2, VISCOSITY / grid.dy**2
         # The momentum stencil: (a_E, a_W, a_N, a_S) = (cx -/+ u wx, cy -/+ v wy)
         # as one product with the rows (1, u wx, v wy); the viscosity's
         # 2 (cx + cy) plus the bottom drag on the centre.  Then the
@@ -257,9 +245,9 @@ class ShallowWaterDynamics:
         object.__setattr__(self, "_wy", np.broadcast_to(wy, grid.shape2d))
         coef = [[cx, -1.0, 0.0], [cx, 1.0, 0.0], [cy, 0.0, -1.0], [cy, 0.0, 1.0]]
         object.__setattr__(self, "_coef", np.array(coef))
-        object.__setattr__(self, "_a_centre", 2.0 * (cx + cy) + self.bottom_drag)
-        object.__setattr__(self, "_gwx", self.g_reduced * wx)
-        object.__setattr__(self, "_gwy", self.g_reduced * wy)
+        object.__setattr__(self, "_a_centre", 2.0 * (cx + cy) + BOTTOM_DRAG)
+        object.__setattr__(self, "_gwx", G_REDUCED * wx)
+        object.__setattr__(self, "_gwy", G_REDUCED * wy)
         shape = grid.shape2d
         # Open (wet-wet) cell faces, used by the finite-volume continuity
         # fluxes: a face is open only when both adjacent cells are ocean,
@@ -273,7 +261,7 @@ class ShallowWaterDynamics:
         face_x[:, :-1] = mask[:, :-1] & mask[:, 1:]
         face_x = face_x.reshape(-1)[:-1]
         face_y = (mask[:-1, :] & mask[1:, :]).reshape(-1)
-        kappa = self.eta_diffusivity
+        kappa = ETA_DIFFUSIVITY
         object.__setattr__(self, "_face_x", face_x * (0.5 / grid.dx))
         object.__setattr__(self, "_face_y", face_y * (0.5 / grid.dy))
         object.__setattr__(self, "_diff_x", face_x * (kappa / grid.dx**2))
@@ -316,7 +304,7 @@ class ShallowWaterDynamics:
     @property
     def gravity_wave_speed(self) -> float:
         """Internal gravity-wave speed sqrt(g' h0), m/s."""
-        return float(np.sqrt(self.g_reduced * self.h0))
+        return float(np.sqrt(G_REDUCED * H0))
 
     def max_stable_dt(self, safety: float = 0.5) -> float:
         """CFL-limited time step (s) for the gravity-wave speed."""
@@ -331,13 +319,13 @@ class ShallowWaterDynamics:
         tau_x: np.ndarray,
         tau_y: np.ndarray,
         step: StepConstants,
-        work: SimpleNamespace | None = None,
+        work: SimpleNamespace,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Advance (u, v, eta) one step of ``step.dt`` seconds.
 
         ``step`` is :meth:`step_constants` of the step length, which a model
         builds once rather than on every step.  ``work`` is a
-        :meth:`workspace` for the fields' leading shape (None builds one).
+        :meth:`workspace` for the fields' leading shape.
 
         All fields may carry arbitrary leading batch dimensions ahead of
         the trailing ``(ny, nx)`` axes -- a whole ``(N, ny, nx)`` ensemble
@@ -363,9 +351,9 @@ class ShallowWaterDynamics:
             (m/s), which drives thermocline heave in the tracers: views of
             ``work``, overwritten by its next step.
         """
-        w = self.workspace(u.shape[:-2]) if work is None else work
-        h = np.add(eta, self.h0, out=w.h)
-        np.maximum(h, 0.1 * self.h0, out=h)  # guard against outcrop
+        w = work
+        h = np.add(eta, H0, out=w.h)
+        np.maximum(h, 0.1 * H0, out=h)  # guard against outcrop
         np.copyto(w.u, u)
         np.copyto(w.v, v)
         replicate_rim(w.uv_rim)
@@ -421,9 +409,7 @@ class ShallowWaterDynamics:
         v_new -= du
         return u_new, v_new, eta_new, w.deta_dt
 
-    def workspace(
-        self, lead: tuple[int, ...] = (), shared: SharedBlock | None = None
-    ) -> SimpleNamespace:
+    def workspace(self, lead: tuple[int, ...], shared: SharedBlock) -> SimpleNamespace:
         """The buffers and views of :meth:`step_dynamics` for ``lead``-led fields.
 
         A run builds one and hands it to every step; the operator is shared
@@ -435,7 +421,6 @@ class ShallowWaterDynamics:
         cells, field, pair = ny * nx, (*lead, ny, nx), (*lead, 2, ny, nx)
         halo, pair_halo = (*lead, ny + 2, nx + 2), (*lead, 2, ny + 2, nx + 2)
         faces_x, faces_y = (*lead, cells - 1), (*lead, cells - nx)
-        shared = SharedBlock() if shared is None else shared
         w = SimpleNamespace(fill=self.fill_land.buffer(lead))
         (
             w.h, w.eta_filled, w.hu, w.hv, w.flux_x, w.slope_x, w.flux_y, w.slope_y,

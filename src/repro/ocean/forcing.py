@@ -21,11 +21,18 @@ from repro.ocean.grid import OceanGrid
 #: e-folding distance of the along-shore stress offshore, as a fraction of
 #: the x-extent.
 OFFSHORE_DECAY_FRACTION = 0.5
+#: Mean wind-stress magnitude (N/m^2).
+MEAN_TAU = 0.08
+#: Period (s) of the wind relaxation/strengthening cycle; AOSN-II saw ~5-8
+#: day upwelling/relaxation cycles.
+SYNOPTIC_PERIOD = 6.0 * 86400.0
+#: Fractional modulation of the mean wind over that cycle (0 = steady).
+SYNOPTIC_AMPLITUDE = 0.6
+#: Surface heat-flux amplitude (W/m^2) of the daily cycle.
+HEAT_FLUX_AMPLITUDE = 80.0
 
 
-def upwelling_wind_stress(
-    grid: OceanGrid, amplitude: float = 0.08
-) -> tuple[np.ndarray, np.ndarray]:
+def upwelling_wind_stress(grid: OceanGrid) -> tuple[np.ndarray, np.ndarray]:
     """Mean wind-stress pattern (tau_x, tau_y) in N/m^2.
 
     Equatorward (southward, tau_y < 0) along-shore stress, strongest at
@@ -36,8 +43,8 @@ def upwelling_wind_stress(
     xf = np.linspace(0.0, 1.0, grid.nx)[None, :]
     dist_offshore = 1.0 - xf  # 0 at the (eastern) coast
     profile = np.exp(-dist_offshore / OFFSHORE_DECAY_FRACTION)
-    tau_y = -amplitude * (0.4 + 0.6 * profile) * np.ones((grid.ny, 1))
-    tau_x = 0.15 * amplitude * np.sin(np.pi * xf) * np.ones((grid.ny, 1))
+    tau_y = -MEAN_TAU * (0.4 + 0.6 * profile) * np.ones((grid.ny, 1))
+    tau_x = 0.15 * MEAN_TAU * np.sin(np.pi * xf) * np.ones((grid.ny, 1))
     return grid.apply_mask(tau_x * np.ones(grid.shape2d)), grid.apply_mask(
         tau_y * np.ones(grid.shape2d)
     )
@@ -45,47 +52,28 @@ def upwelling_wind_stress(
 
 @dataclass(frozen=True)
 class AtmosphericForcing:
-    """Time-dependent surface forcing.
+    """Time-dependent surface forcing over ``grid``.
 
-    Parameters
-    ----------
-    grid:
-        Ocean grid.
-    mean_tau:
-        Mean wind-stress magnitude (N/m^2).
-    synoptic_period:
-        Period (s) of the wind relaxation/strengthening cycle; AOSN-II saw
-        ~5-8 day upwelling/relaxation cycles.
-    synoptic_amplitude:
-        Fractional modulation of the mean wind (0 = steady).
-    heat_flux_amplitude:
-        Surface heat-flux amplitude (W/m^2) for the daily cycle.
+    The wind is :func:`upwelling_wind_stress` modulated by the synoptic
+    cycle; the module constants set its amplitudes and period.
     """
 
     grid: OceanGrid
-    mean_tau: float = 0.08
-    synoptic_period: float = 6.0 * 86400.0
-    synoptic_amplitude: float = 0.6
-    heat_flux_amplitude: float = 80.0
 
     def __post_init__(self):
-        if self.synoptic_period <= 0:
-            raise ValueError("synoptic_period must be positive")
-        if not 0.0 <= self.synoptic_amplitude <= 1.0:
-            raise ValueError("synoptic_amplitude must be in [0, 1]")
-        tau_x, tau_y = upwelling_wind_stress(self.grid, amplitude=self.mean_tau)
+        tau_x, tau_y = upwelling_wind_stress(self.grid)
         object.__setattr__(self, "_tau_x0", tau_x)
         object.__setattr__(self, "_tau_y0", tau_y)
         object.__setattr__(self, "_wet", self.grid.mask.astype(float))
 
     def wind_stress(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Wind stress fields (tau_x, tau_y) at model time ``t`` seconds."""
-        phase = 2.0 * np.pi * t / self.synoptic_period
-        factor = 1.0 + self.synoptic_amplitude * np.sin(phase)
+        phase = 2.0 * np.pi * t / SYNOPTIC_PERIOD
+        factor = 1.0 + SYNOPTIC_AMPLITUDE * np.sin(phase)
         return self._tau_x0 * factor, self._tau_y0 * factor
 
     def heat_flux(self, t: float) -> np.ndarray:
         """Net surface heat flux (W/m^2, positive warms) at time ``t``."""
         daily = np.cos(2.0 * np.pi * (t % 86400.0) / 86400.0 - np.pi)
-        synoptic = 0.3 * np.sin(2.0 * np.pi * t / self.synoptic_period)
-        return self._wet * (self.heat_flux_amplitude * (daily + synoptic))
+        synoptic = 0.3 * np.sin(2.0 * np.pi * t / SYNOPTIC_PERIOD)
+        return self._wet * (HEAT_FLUX_AMPLITUDE * (daily + synoptic))

@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+#: Reference latitude (degrees north) of the Coriolis parameter: Monterey Bay.
+LAT0 = 36.7
+
 
 @dataclass(frozen=True)
 class OceanGrid:
@@ -28,8 +31,6 @@ class OceanGrid:
         (e.g. ``[5, 15, 30, ...]``).
     mask:
         Boolean ``(ny, nx)``; True over ocean.  Defaults to all-ocean.
-    lat0:
-        Reference latitude (degrees) for the Coriolis parameter.
     """
 
     nx: int
@@ -38,7 +39,6 @@ class OceanGrid:
     dy: float
     z_levels: tuple[float, ...]
     mask: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    lat0: float = 36.7  # Monterey Bay
 
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
@@ -85,9 +85,9 @@ class OceanGrid:
 
     @property
     def coriolis(self) -> float:
-        """Coriolis parameter f = 2 Omega sin(lat0), in 1/s."""
+        """Coriolis parameter f = 2 Omega sin(LAT0), in 1/s."""
         omega = 7.2921159e-5
-        return 2.0 * omega * np.sin(np.deg2rad(self.lat0))
+        return 2.0 * omega * np.sin(np.deg2rad(LAT0))
 
     # -- indexing helpers ----------------------------------------------
 

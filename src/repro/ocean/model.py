@@ -21,6 +21,9 @@ from repro.ocean.grid import OceanGrid
 from repro.ocean.stochastic import StochasticForcing
 from repro.ocean.tracers import TracerDynamics, climatological_profile
 
+#: Steps between a run's finite-value (blow-up) checks; the last step is
+#: always checked.
+CHECK_INTERVAL = 50
 
 @dataclass
 class ModelState:
@@ -164,20 +167,17 @@ def state_layout(grid: OceanGrid) -> FieldLayout:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Numerical configuration of a :class:`PEModel` run."""
+    """Numerical configuration of a :class:`PEModel` run.
+
+    The time step is the one setting; the physics constants are module
+    constants of :mod:`repro.ocean.dynamics` and :mod:`repro.ocean.tracers`.
+    """
 
     dt: float = 400.0
-    viscosity: float = 120.0
-    diffusivity: float = 60.0
-    h0: float = 150.0
-    g_reduced: float = 0.03
-    check_interval: int = 50  # steps between finite-value checks
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.check_interval < 1:
-            raise ValueError("check_interval must be >= 1")
 
 
 class PEModel:
@@ -209,13 +209,8 @@ class PEModel:
             forcing if forcing is not None else AtmosphericForcing(self.grid)
         )
         self.noise = noise if noise is not None else StochasticForcing.quiet(self.grid)
-        self.dynamics = ShallowWaterDynamics(
-            self.grid,
-            h0=self.config.h0,
-            g_reduced=self.config.g_reduced,
-            viscosity=self.config.viscosity,
-        )
-        self.tracers = TracerDynamics(self.grid, diffusivity=self.config.diffusivity)
+        self.dynamics = ShallowWaterDynamics(self.grid)
+        self.tracers = TracerDynamics(self.grid)
         self._sponge = self.dynamics.sponge_factors(self.config.dt)
         # Constants only, built once: pool threads share the model.  A
         # run's buffers live in its own workspace (_workspace), never here.
@@ -392,7 +387,7 @@ class PEModel:
         work = self._workspace(current)
         for k in range(n_steps):
             current = self._advance(current, self.noise, work)
-            if (k + 1) % self.config.check_interval == 0 or k == n_steps - 1:
+            if (k + 1) % CHECK_INTERVAL == 0 or k == n_steps - 1:
                 wet = self.grid.mask
                 if not (
                     np.all(np.isfinite(current.u[wet]))
@@ -444,7 +439,7 @@ class PEModel:
         """Integrate a whole batch for ``duration`` seconds.
 
         The batched twin of :meth:`run` with per-member failure
-        isolation: at every ``check_interval`` a per-member finiteness
+        isolation: every ``CHECK_INTERVAL`` steps a per-member finiteness
         check runs over the wet points, and a member that blows up is
         recorded (with the same error string :meth:`run` would raise for
         it) and zeroed out -- the surviving members continue unperturbed,
@@ -479,7 +474,7 @@ class PEModel:
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_steps):
                 current = self._advance(current, noise, work)
-                if (k + 1) % self.config.check_interval == 0 or k == n_steps - 1:
+                if (k + 1) % CHECK_INTERVAL == 0 or k == n_steps - 1:
                     finite = np.isfinite(current.u[:, wet]).all(axis=1) & np.isfinite(
                         current.temp[:, :, wet]
                     ).all(axis=(1, 2))

@@ -22,6 +22,10 @@ from repro.util.randomfields import GaussianRandomField2D
 from repro.util.rng import SeedSequenceStream
 
 
+#: Spatial correlation length of the model-error noise (grid cells).
+LENGTH_SCALE_CELLS = 4.0
+
+
 def _default_forcing_rng() -> np.random.Generator:
     """Deterministic fallback stream for forcing built without an rng."""
     return SeedSequenceStream(0).rng("ocean", "stochastic-forcing")
@@ -58,8 +62,8 @@ class BatchedStochasticForcing:
         Std-dev of temperature noise (deg C / sqrt(s)).  Tracer noise
         decays with depth (mixed-layer/thermocline errors dominate) and
         salinity noise is 0.1x in psu, a typical hydrographic error ratio.
-    length_scale_cells:
-        Spatial correlation length of the noise in grid cells.
+
+    The noise is correlated over ``LENGTH_SCALE_CELLS`` grid cells.
     """
 
     grid: OceanGrid
@@ -67,7 +71,6 @@ class BatchedStochasticForcing:
     momentum_amplitude: float = 2.0e-7
     eta_amplitude: float = 2.0e-5
     tracer_amplitude: float = 2.0e-6
-    length_scale_cells: float = 4.0
 
     def __post_init__(self):
         if not self.rngs:
@@ -76,9 +79,7 @@ class BatchedStochasticForcing:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         # Used for its synthesis only; its generator is never drawn from.
-        self._field = GaussianRandomField2D(
-            self.grid.shape2d, self.length_scale_cells
-        )
+        self._field = GaussianRandomField2D(self.grid.shape2d, LENGTH_SCALE_CELLS)
         z = np.asarray(self.grid.z_levels)
         tracer = self.tracer_amplitude * np.exp(-z / max(z[-1] * 0.5, 1.0))
         rows = np.concatenate(
@@ -124,7 +125,7 @@ class StochasticForcing:
 
     Parameters
     ----------
-    grid, momentum_amplitude, eta_amplitude, tracer_amplitude, length_scale_cells:
+    grid, momentum_amplitude, eta_amplitude, tracer_amplitude:
         As for :class:`BatchedStochasticForcing` (same defaults).
     rng:
         Member-specific generator (key it by perturbation index via
@@ -135,7 +136,6 @@ class StochasticForcing:
     momentum_amplitude: float = 2.0e-7
     eta_amplitude: float = 2.0e-5
     tracer_amplitude: float = 2.0e-6
-    length_scale_cells: float = 4.0
     rng: np.random.Generator = field(default_factory=_default_forcing_rng)
 
     def __post_init__(self):
@@ -145,7 +145,6 @@ class StochasticForcing:
             self.momentum_amplitude,
             self.eta_amplitude,
             self.tracer_amplitude,
-            self.length_scale_cells,
         )
 
     def is_active(self) -> bool:

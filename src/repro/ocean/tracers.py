@@ -41,6 +41,20 @@ THERMOCLINE_WIDTH = 45.0
 SURFACE_SALT = 33.4
 DEEP_SALT = 34.2
 
+#: Lateral eddy diffusivity of T and S (m^2/s).
+DIFFUSIVITY = 60.0
+#: e-folding time (s) of the relaxation toward climatology; weak, it keeps
+#: the twin-experiment fields bounded over weeks.
+RELAXATION_TIME = 30.0 * 86400.0
+#: e-folding depth (m) of the velocity structure function.
+VELOCITY_DECAY_DEPTH = 120.0
+#: deg C of temperature change per metre of interface displacement per unit
+#: of the vertical structure function (thermocline-heave coupling).
+HEAVE_GAIN = 0.02
+#: Effective mixed-layer depth (m) converting surface heat flux to a
+#: surface-level temperature tendency.
+HEAT_CAPACITY_DEPTH = 25.0
+
 
 def climatological_profile(
     z_levels: np.ndarray | tuple[float, ...],
@@ -61,43 +75,25 @@ class TracerDynamics:
     ----------
     grid:
         Ocean grid.
-    diffusivity:
-        Lateral eddy diffusivity (m^2/s).
-    relaxation_time:
-        e-folding time (s) of the relaxation toward climatology; weak, it
-        keeps the twin-experiment fields bounded over weeks.
-    velocity_decay_depth:
-        e-folding depth (m) of the velocity structure function.
-    heave_gain:
-        deg C of temperature change per metre of interface displacement per
-        unit of the vertical structure function (thermocline-heave coupling).
-    heat_capacity_depth:
-        Effective mixed-layer depth (m) converting surface heat flux to a
-        surface-level temperature tendency.
+
+    The physics are the module constants ``DIFFUSIVITY``,
+    ``RELAXATION_TIME``, ``VELOCITY_DECAY_DEPTH``, ``HEAVE_GAIN`` and
+    ``HEAT_CAPACITY_DEPTH``.
     """
 
     grid: OceanGrid
-    diffusivity: float = 60.0
-    relaxation_time: float = 30.0 * 86400.0
-    velocity_decay_depth: float = 120.0
-    heave_gain: float = 0.02
-    heat_capacity_depth: float = 25.0
 
     def __post_init__(self):
-        if self.diffusivity < 0:
-            raise ValueError("diffusivity must be non-negative")
-        if self.relaxation_time <= 0:
-            raise ValueError("relaxation_time must be positive")
         z = np.asarray(self.grid.z_levels)
         t_prof, s_prof = climatological_profile(z)
-        self._vel_structure = np.exp(-z / self.velocity_decay_depth)[:, None, None]
+        self._vel_structure = np.exp(-z / VELOCITY_DECAY_DEPTH)[:, None, None]
         # Thermocline heave is strongest where dT/dz is largest.  Uplift
         # (deta/dt < 0) cools, depression warms: 3.5 deg C per unit of
         # gain x structure x displacement rate; upwelled water is saltier.
         dtdz = np.gradient(t_prof, z)
         norm = np.max(np.abs(dtdz))
         structure = (np.abs(dtdz) / norm) if norm > 0 else np.zeros_like(z)
-        heave = np.array([3.5, -0.3])[:, None] * (self.heave_gain * structure)
+        heave = np.array([3.5, -0.3])[:, None] * (HEAVE_GAIN * structure)
         # T and S step as one (2, nz, ny, nx) stack through one five-point
         # stencil whose per-level coefficients both share.  Every
         # coefficient carries the land mask, so the stencil is zero on land.
@@ -113,17 +109,17 @@ class TracerDynamics:
         self._wx_wet = rim_weights(grid.nx, grid.dx) * wet
         self._wy_wet = rim_weights(grid.ny, grid.dy)[:, None] * wet
         self._wet_row = zero_rim(wet).reshape(-1)
-        cx = self.diffusivity / grid.dx**2
-        cy = self.diffusivity / grid.dy**2
+        cx = DIFFUSIVITY / grid.dx**2
+        cy = DIFFUSIVITY / grid.dy**2
         s = self._vel_structure[:, 0, 0]
         self._coef_y = np.stack([np.concatenate([-s, s]), np.full(2 * grid.nz, cy)], 1)
         self._coef_x = np.stack([np.full(2 * grid.nz, cx), np.concatenate([-s, s])], 1)
-        clim = np.concatenate([t_prof, s_prof]) / self.relaxation_time
+        clim = np.concatenate([t_prof, s_prof]) / RELAXATION_TIME
         heat = np.zeros(2 * grid.nz)
-        heat[0] = 1.0 / (1025.0 * 3990.0 * self.heat_capacity_depth)
+        heat[0] = 1.0 / (1025.0 * 3990.0 * HEAT_CAPACITY_DEPTH)
         self._source = np.stack([clim, np.zeros_like(clim), heave.ravel(), heat], 1)
         # The relaxation's -C/tau folded into the centre coefficient.
-        centre = (2.0 * (cx + cy) + 1.0 / self.relaxation_time) * wet
+        centre = (2.0 * (cx + cy) + 1.0 / RELAXATION_TIME) * wet
         centre = zero_rim(np.broadcast_to(centre, grid.shape3d))
         self._a_centre = halo_run(centre, 3).copy()
 
@@ -135,7 +131,7 @@ class TracerDynamics:
         v: np.ndarray,
         deta_dt: np.ndarray,
         heat_flux: np.ndarray,
-        work: SimpleNamespace | None = None,
+        work: SimpleNamespace,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Right-hand sides (dT/dt, dS/dt) over ``(nz, ny, nx)``.
 
@@ -156,15 +152,14 @@ class TracerDynamics:
             Net surface heat flux (W/m^2), applied to the top level; zero
             on land, as :class:`AtmosphericForcing` returns it.
         work:
-            A :meth:`workspace` for the stacks' leading shape (None builds
-            one).
+            A :meth:`workspace` for the stacks' leading shape.
 
         The stencil carries the land mask in its coefficients, so with
         these two zero on land both tendencies are zero there.  They are
         views of one halo-layout buffer of ``work``, overwritten by its
         next step.
         """
-        w = self.workspace(temp.shape[:-3]) if work is None else work
+        w = work
         np.copyto(w.temp, temp)
         np.copyto(w.salt, salt)
         # Land-filled tracer: zero-gradient at the coast, so diffusion
@@ -196,9 +191,7 @@ class TracerDynamics:
         out += term
         return w.tend
 
-    def workspace(
-        self, lead: tuple[int, ...] = (), shared: SharedBlock | None = None
-    ) -> SimpleNamespace:
+    def workspace(self, lead: tuple[int, ...], shared: SharedBlock) -> SimpleNamespace:
         """The buffers and views of :meth:`tendencies` for ``lead``-led stacks.
 
         A run builds one and hands it to every step; the operator is shared
@@ -208,7 +201,6 @@ class TracerDynamics:
         """
         nz, ny, nx = self.grid.shape3d
         shape = (*lead, 2, nz, ny + 2, nx + 2)
-        shared = SharedBlock() if shared is None else shared
         halo, coef, stencil, scratch = shared.take(
             shape, (*lead, 2, 1, *shape[-3:]), shape, shape
         )

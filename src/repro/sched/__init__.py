@@ -32,13 +32,11 @@ from repro.sched.gridsites import GridSite, TERAGRID_SITES, run_site_benchmark
 from repro.sched.transfer import (
     OutputReturnPlan,
     TransferReport,
-    WANModel,
     simulate_output_return,
 )
 from repro.sched.ec2 import (
     EC2InstanceType,
     EC2_INSTANCE_TYPES,
-    EC2PriceBook,
     EC2CostModel,
     ec2_virtual_cluster,
 )
@@ -66,11 +64,9 @@ __all__ = [
     "run_site_benchmark",
     "OutputReturnPlan",
     "TransferReport",
-    "WANModel",
     "simulate_output_return",
     "EC2InstanceType",
     "EC2_INSTANCE_TYPES",
-    "EC2PriceBook",
     "EC2CostModel",
     "ec2_virtual_cluster",
 ]

@@ -91,24 +91,15 @@ EC2_INSTANCE_TYPES: dict[str, EC2InstanceType] = {
 }
 
 
-@dataclass(frozen=True)
-class EC2PriceBook:
-    """2009 EC2 data-movement prices and reserved-instance discount."""
-
-    transfer_in_usd_per_gb: float = 0.10
-    transfer_out_usd_per_gb: float = 0.17
-    reserved_discount_factor: float = 3.2  # "more than a factor of 3"
-
-    def __post_init__(self):
-        if self.reserved_discount_factor < 1.0:
-            raise ValueError("discount factor must be >= 1")
+#: 2009 EC2 data-movement prices (USD per GB in and out).
+TRANSFER_IN_USD_PER_GB = 0.10
+TRANSFER_OUT_USD_PER_GB = 0.17
+#: Reserved-instance CPU price cut: "more than a factor of 3".
+RESERVED_DISCOUNT_FACTOR = 3.2
 
 
 class EC2CostModel:
     """Dollar cost of an ESSE campaign on EC2 (Sec 5.4.2)."""
-
-    def __init__(self):
-        self.prices = EC2PriceBook()
 
     def compute_cost(
         self,
@@ -125,7 +116,7 @@ class EC2CostModel:
         billed_hours = math.ceil(wall_hours - 1e-12)
         rate = instance.hourly_usd
         if reserved:
-            rate /= self.prices.reserved_discount_factor
+            rate /= RESERVED_DISCOUNT_FACTOR
         return billed_hours * n_instances * rate
 
     def transfer_cost(self, in_gb: float, out_gb: float) -> float:
@@ -133,8 +124,8 @@ class EC2CostModel:
         if in_gb < 0 or out_gb < 0:
             raise ValueError("transfer volumes must be >= 0")
         return (
-            in_gb * self.prices.transfer_in_usd_per_gb
-            + out_gb * self.prices.transfer_out_usd_per_gb
+            in_gb * TRANSFER_IN_USD_PER_GB
+            + out_gb * TRANSFER_OUT_USD_PER_GB
         )
 
     def campaign_cost(

@@ -12,7 +12,6 @@ mechanism behind that observation.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from repro.sched.engine import Simulator
 from repro.sched.iomodel import IOConfiguration, IOMode, SharedBandwidth
@@ -20,38 +19,25 @@ from repro.sched.jobs import Job, JobSpec, JobState
 from repro.sched.resources import ClusterModel, Node
 
 
-@dataclass(frozen=True)
 class SGEPolicy:
     """Sun Grid Engine: immediate reassignment."""
 
-    name: str = "sge"
-    dispatch_latency_s: float = 0.5  # scheduler reaction time
-    submit_overhead_s: float = 0.02  # per-job submission cost (no arrays)
-    array_overhead_s: float = 0.002  # per-job cost inside a job array
-
-    def __post_init__(self):
-        if self.dispatch_latency_s < 0 or self.submit_overhead_s < 0:
-            raise ValueError("latencies must be >= 0")
+    dispatch_latency_s = 0.5  # scheduler reaction time
+    submit_overhead_s = 0.02  # per-job submission cost (no arrays)
+    array_overhead_s = 0.002  # per-job cost inside a job array
 
 
-@dataclass(frozen=True)
 class CondorPolicy:
     """Condor: dispatch happens at periodic negotiation cycles.
 
-    ``negotiation_interval_s`` defaults to a tuned 180 s cycle (Condor's
-    classic default is 300 s; the paper "tweaked the configuration files
-    to diminish this difference", which corresponds to lowering this
-    value).
+    ``negotiation_interval_s`` is a tuned 180 s cycle (Condor's classic
+    default is 300 s; the paper "tweaked the configuration files to
+    diminish this difference", which corresponds to lowering this value).
     """
 
-    name: str = "condor"
-    negotiation_interval_s: float = 180.0
-    submit_overhead_s: float = 0.05
-    array_overhead_s: float = 0.005
-
-    def __post_init__(self):
-        if self.negotiation_interval_s <= 0:
-            raise ValueError("negotiation interval must be positive")
+    negotiation_interval_s = 180.0
+    submit_overhead_s = 0.05
+    array_overhead_s = 0.005
 
 
 class ClusterScheduler:

@@ -37,51 +37,26 @@ class OutputReturnPlan(Enum):
     TWO_STAGE = "two_stage"
 
 
-@dataclass(frozen=True)
-class WANModel:
-    """The link between the remote resource and the home cluster.
+#: The link between the remote resource and the home cluster: aggregate WAN
+#: bandwidth (MB/s), shared by concurrent transfers, and the per-connection
+#: establishment cost (s; authentication, TCP ramp-up) -- what makes many
+#: tiny concurrent transfers expensive and batched transfers cheap.
+WAN_BANDWIDTH_MBPS = 40.0
+WAN_SETUP_SECONDS = 2.0
+#: Beyond this many simultaneous streams the home gateway degrades: each
+#: extra stream adds ``GATEWAY_PENALTY_S`` to every stream's setup, and the
+#: aggregate throughput falls by ``CONGESTION_ALPHA`` per extra stream (the
+#: paper's "very large number of concurrent remote transfer attempts ... can
+#: seriously slow down the gateway nodes").
+GATEWAY_CONCURRENCY_LIMIT = 16
+GATEWAY_PENALTY_S = 1.0
+CONGESTION_ALPHA = 0.05
 
-    Parameters
-    ----------
-    bandwidth_mbps:
-        Aggregate WAN bandwidth, shared by concurrent transfers.
-    setup_seconds:
-        Per-connection establishment cost (authentication, TCP ramp-up);
-        this is what makes many tiny concurrent transfers expensive and
-        batched transfers cheap.
-    gateway_concurrency_limit:
-        Beyond this many simultaneous streams the home gateway degrades:
-        per-stream setup grows by ``gateway_penalty_s`` per extra stream
-        and the aggregate throughput collapses (the paper's "very large
-        number of concurrent remote transfer attempts ... can seriously
-        slow down the gateway nodes").
-    gateway_penalty_s:
-        Extra per-stream setup cost applied beyond the concurrency limit.
-    congestion_alpha:
-        Aggregate-throughput degradation per excess stream:
-        ``capacity_factor = 1 / (1 + alpha * max(0, n - limit))``.
-    """
 
-    bandwidth_mbps: float = 40.0
-    setup_seconds: float = 2.0
-    gateway_concurrency_limit: int = 16
-    gateway_penalty_s: float = 1.0
-    congestion_alpha: float = 0.05
-
-    def __post_init__(self):
-        if self.bandwidth_mbps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.setup_seconds < 0 or self.gateway_penalty_s < 0:
-            raise ValueError("setup costs must be >= 0")
-        if self.gateway_concurrency_limit < 1:
-            raise ValueError("gateway concurrency limit must be >= 1")
-        if self.congestion_alpha < 0:
-            raise ValueError("congestion_alpha must be >= 0")
-
-    def congestion_factor(self, n_streams: int) -> float:
-        """Aggregate-capacity factor at ``n_streams`` concurrent transfers."""
-        excess = max(n_streams - self.gateway_concurrency_limit, 0)
-        return 1.0 / (1.0 + self.congestion_alpha * excess)
+def congestion_factor(n_streams: int) -> float:
+    """Aggregate-capacity factor ``1 / (1 + alpha * excess)`` at ``n_streams``."""
+    excess = max(n_streams - GATEWAY_CONCURRENCY_LIMIT, 0)
+    return 1.0 / (1.0 + CONGESTION_ALPHA * excess)
 
 
 @dataclass(frozen=True)
@@ -107,7 +82,6 @@ def simulate_output_return(
     completion_times: list[float] | np.ndarray,
     file_mb: float,
     plan: OutputReturnPlan,
-    wan: WANModel | None = None,
 ) -> TransferReport:
     """Simulate returning one output file per completion time.
 
@@ -119,26 +93,24 @@ def simulate_output_return(
         Size of each output file.
     plan:
         PUSH, PULL or TWO_STAGE.
-    wan:
-        WAN/gateway model.
+
+    The WAN and its gateway are the module constants.
     """
     times = np.sort(np.asarray(completion_times, dtype=float))
     if times.size == 0:
         raise ValueError("need at least one completion time")
     if file_mb <= 0:
         raise ValueError("file_mb must be positive")
-    wan = wan if wan is not None else WANModel()
-
     sim = Simulator()
-    link = SharedBandwidth(sim, wan.bandwidth_mbps, congestion=wan.congestion_factor)
+    link = SharedBandwidth(sim, WAN_BANDWIDTH_MBPS, congestion=congestion_factor)
     arrivals: list[float] = []
     produced: list[float] = []
     peak = {"value": 0}
     started = {"value": 0}
 
     def effective_setup() -> float:
-        extra = max(link.active_count - wan.gateway_concurrency_limit, 0)
-        return wan.setup_seconds + extra * wan.gateway_penalty_s
+        extra = max(link.active_count - GATEWAY_CONCURRENCY_LIMIT, 0)
+        return WAN_SETUP_SECONDS + extra * GATEWAY_PENALTY_S
 
     def start_transfer(size_mb: float, produce_time: float, count: int = 1):
         started["value"] += 1

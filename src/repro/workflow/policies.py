@@ -23,6 +23,11 @@ from enum import Enum
 
 from repro.util.rng import SeedSequenceStream
 
+#: Backoff growth per additional attempt (exponential backoff).
+BACKOFF_FACTOR = 2.0
+#: Fractional jitter: each delay is scaled by a factor drawn uniformly from
+#: ``[1, 1 + JITTER]``, deterministic in ``(seed, index, attempt)``.
+JITTER = 0.1
 
 class CancellationPolicy(Enum):
     """What to do with in-flight members when convergence is declared."""
@@ -42,12 +47,9 @@ class RetryPolicy:
         retries, recovering the seed behaviour where every failure is
         terminal.
     backoff_base_s:
-        Delay before the first resubmission.
-    backoff_factor:
-        Multiplier applied per additional attempt (exponential backoff).
-    jitter:
-        Fractional jitter: attempt delays are scaled by a factor drawn
-        uniformly from ``[1, 1 + jitter]``.  The draw depends only on
+        Delay before the first resubmission; each later one is
+        ``BACKOFF_FACTOR`` times longer, scaled by a jitter factor drawn
+        uniformly from ``[1, 1 + JITTER]``.  The draw depends only on
         ``(seed, index, attempt)``, so a fixed seed reproduces the exact
         backoff schedule regardless of thread timing.
     timeout_seconds:
@@ -62,8 +64,6 @@ class RetryPolicy:
 
     max_attempts: int = 3
     backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    jitter: float = 0.1
     timeout_seconds: float | None = None
     seed: int = 0
 
@@ -72,10 +72,6 @@ class RetryPolicy:
             raise ValueError("max_attempts must be >= 1")
         if self.backoff_base_s < 0:
             raise ValueError("backoff_base_s must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.jitter < 0:
-            raise ValueError("jitter must be >= 0")
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise ValueError("timeout_seconds must be positive")
 
@@ -91,12 +87,6 @@ class RetryPolicy:
         """
         if attempt < 1:
             raise ValueError("attempt is 1-based")
-        base = self.backoff_base_s * self.backoff_factor ** (attempt - 1)
-        if self.jitter == 0:
-            return base
+        base = self.backoff_base_s * BACKOFF_FACTOR ** (attempt - 1)
         u = SeedSequenceStream(self.seed).rng("backoff", index, attempt).random()
-        return base * (1.0 + self.jitter * u)
-
-    def schedule(self, index: int) -> list[float]:
-        """The full backoff schedule for one member (for tests/docs)."""
-        return [self.backoff_seconds(index, a) for a in range(1, self.max_attempts)]
+        return base * (1.0 + JITTER * u)

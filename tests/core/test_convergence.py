@@ -74,8 +74,6 @@ class TestCriterion:
     def test_validation(self):
         with pytest.raises(ValueError, match="tolerance"):
             ConvergenceCriterion(tolerance=0.0)
-        with pytest.raises(ValueError, match="min_checks"):
-            ConvergenceCriterion(min_checks=0)
 
     def test_first_update_returns_none(self):
         crit = ConvergenceCriterion()
@@ -98,14 +96,15 @@ class TestCriterion:
         crit.update(subspace_from(q[:, 3:], [1.0] * 3))
         assert not crit.converged
 
-    def test_min_checks_delays_convergence(self):
-        crit = ConvergenceCriterion(tolerance=0.9, min_checks=2)
-        s = subspace_from(orthonormal(30, 3, 2), [3.0, 2.0, 1.0])
-        crit.update(s)
-        crit.update(s)
-        assert not crit.converged  # only one comparison so far
-        crit.update(s)
+    def test_the_last_comparison_decides(self):
+        crit = ConvergenceCriterion(tolerance=0.9)
+        q = orthonormal(40, 6, 2)
+        same = subspace_from(q[:, :3], [3.0, 2.0, 1.0])
+        crit.update(same)
+        crit.update(same)
         assert crit.converged
+        crit.update(subspace_from(q[:, 3:], [3.0, 2.0, 1.0]))
+        assert not crit.converged
 
     def test_history_records_sample_counts(self):
         crit = ConvergenceCriterion()

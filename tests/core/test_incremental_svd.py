@@ -16,11 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ESSEConfig
-from repro.core.subspace import (
-    ColdSubspaceEstimator,
-    ErrorSubspace,
-    IncrementalSubspaceEstimator,
-)
+from repro.core.subspace import ErrorSubspace, IncrementalSubspaceEstimator
 from repro.util import linalg
 from repro.util.linalg import orthonormal_columns, truncated_svd
 
@@ -288,44 +284,12 @@ class TestConfigWiring:
         assert isinstance(est, IncrementalSubspaceEstimator)
         assert est.rank == ESSEConfig().max_subspace_rank
 
-    def test_cold_estimator_factors_raw_columns_and_scales(self):
-        """Nothing carried, and no scaled copy: the raw columns are factored
-        and the scale lands on the singular values."""
-        rng = np.random.default_rng(0)
-        columns = rng.standard_normal((60, 12))
-        columns.flags.writeable = False
-        est = ColdSubspaceEstimator(rank=5, energy=0.999)
-        for count in (6, 12):  # each call stands alone
-            scale = 1.0 / np.sqrt(count - 1)
-            sub = est.update(columns, count, scale)
-            ref = ErrorSubspace.from_anomalies(
-                columns[:, :count] * scale, rank=5, energy=0.999
-            )
-            assert est.last_path == "cold"
-            assert sub.n_samples == count
-            np.testing.assert_allclose(sub.sigmas, ref.sigmas, rtol=TOL)
-            np.testing.assert_allclose(sub.modes, ref.modes, rtol=0, atol=TOL)
-
-    def test_randomized_method_keeps_cold_sketch_path(self):
-        columns = np.random.default_rng(1).standard_normal((40, 16))
-        cfg = ESSEConfig(svd_method="randomized", max_subspace_rank=4)
-        est = cfg.subspace_estimator(rng=np.random.default_rng(3))
-        sub = est.update(columns, 16, 0.5)
-        ref = ErrorSubspace.from_anomalies(
-            columns * 0.5,
-            rank=4,
-            energy=cfg.svd_energy,
-            method="randomized",
-            rng=np.random.default_rng(3),
-        )
-        assert est.last_path == "cold"
-        np.testing.assert_allclose(sub.sigmas, ref.sigmas, rtol=TOL)
-
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="svd_method"):
-            ESSEConfig(svd_method="brand")
-        # the warm-start knobs went with the truncated carry they tuned
-        for gone in ("svd_warm_start", "svd_rank_buffer", "svd_guard_tol"):
+        # the warm-start knobs went with the truncated carry they tuned; the
+        # sketch route and the driver-only inflation went unset, so they went
+        for gone in (
+            "svd_warm_start", "svd_rank_buffer", "svd_guard_tol", "svd_method", "inflation"
+        ):
             with pytest.raises(TypeError, match=gone):
                 ESSEConfig(**{gone: 1})
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import perturbation
 from repro.core.perturbation import (
     PerturbationGenerator,
     synthetic_initial_subspace,
@@ -77,27 +78,23 @@ class TestPerturbationGenerator:
         state = gen.member_state(mean, 2)
         assert np.allclose(state - mean, gen.perturbation(2))
 
-    def test_zero_residual_stays_in_subspace(self, layout, subspace):
-        gen = PerturbationGenerator(
-            layout, subspace, root_seed=7, residual_fraction=0.0
-        )
+    def test_zero_residual_stays_in_subspace(self, layout, subspace, monkeypatch):
+        monkeypatch.setattr(perturbation, "RESIDUAL_FRACTION", 0.0)
+        gen = PerturbationGenerator(layout, subspace, root_seed=7)
         p = layout.normalize(gen.perturbation(1))
         residual = p - subspace.modes @ (subspace.modes.T @ p)
         assert np.linalg.norm(residual) < 1e-10 * np.linalg.norm(p)
 
     def test_residual_adds_outside_subspace(self, layout, subspace):
-        gen = PerturbationGenerator(
-            layout, subspace, root_seed=7, residual_fraction=1.0
-        )
+        gen = PerturbationGenerator(layout, subspace, root_seed=7)
         p = layout.normalize(gen.perturbation(1))
         residual = p - subspace.modes @ (subspace.modes.T @ p)
         assert np.linalg.norm(residual) > 0.01 * np.linalg.norm(p)
 
-    def test_ensemble_statistics_match_subspace(self, layout, subspace):
+    def test_ensemble_statistics_match_subspace(self, layout, subspace, monkeypatch):
         """The sample covariance of many perturbations ~ E S^2 E^T."""
-        gen = PerturbationGenerator(
-            layout, subspace, root_seed=11, residual_fraction=0.0
-        )
+        monkeypatch.setattr(perturbation, "RESIDUAL_FRACTION", 0.0)
+        gen = PerturbationGenerator(layout, subspace, root_seed=11)
         n = 600
         perts = np.stack(
             [layout.normalize(gen.perturbation(j)) for j in range(n)]
@@ -107,8 +104,6 @@ class TestPerturbationGenerator:
         assert np.allclose(coeffs.std(axis=0), subspace.sigmas, rtol=0.2)
 
     def test_validation(self, layout, subspace):
-        with pytest.raises(ValueError, match="residual_fraction"):
-            PerturbationGenerator(layout, subspace, 0, residual_fraction=-1.0)
         small = ErrorSubspace(modes=np.zeros((4, 1)), sigmas=np.ones(1))
         with pytest.raises(ValueError, match="dimension"):
             PerturbationGenerator(layout, small, 0)

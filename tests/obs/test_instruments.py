@@ -11,6 +11,7 @@ from repro.obs import (
     SSTSwath,
     aosn2_network,
 )
+from repro.obs.instruments import AUV_DEPTH, GLIDER_MAX_DEPTH, GLIDER_PROFILES
 from repro.ocean.model import state_layout
 
 
@@ -58,18 +59,13 @@ class TestAUV:
             AUVTrack(waypoints=[(0.0, 0.0)]).sample_points(grid)
 
     def test_constant_depth(self, grid):
-        auv = AUVTrack(
-            waypoints=[(5000.0, 5000.0), (30000.0, 5000.0)], depth=30.0
-        )
+        auv = AUVTrack(waypoints=[(5000.0, 5000.0), (30000.0, 5000.0)])
         pts = auv.sample_points(grid)
         levels = {p[1] for p in pts}
-        assert levels == {grid.level_index(30.0)}
+        assert levels == {grid.level_index(AUV_DEPTH)}
 
     def test_samples_along_track(self, grid):
-        auv = AUVTrack(
-            waypoints=[(5000.0, 5000.0), (40000.0, 5000.0)],
-            sample_spacing=5000.0,
-        )
+        auv = AUVTrack(waypoints=[(5000.0, 5000.0), (40000.0, 5000.0)])
         pts = auv.sample_points(grid)
         assert len(pts) >= 5
 
@@ -83,25 +79,16 @@ class TestAUV:
 
 class TestGlider:
     def test_profile_count(self, grid):
-        gl = GliderTransect(
-            start=(5000.0, 5000.0), end=(40000.0, 30000.0), n_profiles=4
-        )
+        gl = GliderTransect(start=(5000.0, 5000.0), end=(40000.0, 30000.0))
         pts = gl.sample_points(grid)
         stations = {(j, i) for _, _, j, i in pts}
-        assert 1 <= len(stations) <= 4
+        assert 1 <= len(stations) <= GLIDER_PROFILES
 
     def test_depth_limited(self, grid):
-        gl = GliderTransect(
-            start=(5000.0, 5000.0), end=(40000.0, 30000.0), max_depth=50.0
-        )
-        for _, level, _, _ in gl.sample_points(grid):
-            assert grid.z_levels[level] <= 50.0
-
-    def test_invalid_profile_count(self, grid):
-        with pytest.raises(ValueError, match="profile"):
-            GliderTransect(
-                start=(0.0, 0.0), end=(1.0, 1.0), n_profiles=0
-            ).sample_points(grid)
+        gl = GliderTransect(start=(5000.0, 5000.0), end=(40000.0, 30000.0))
+        levels = {level for _, level, _, _ in gl.sample_points(grid)}
+        shallow = {k for k, z in enumerate(grid.z_levels) if z <= GLIDER_MAX_DEPTH}
+        assert levels == shallow
 
 
 class TestSSTSwath:

@@ -1,0 +1,16 @@
+"""Shared test doubles of the ocean tests."""
+
+import numpy as np
+
+
+class CalmForcing:
+    """No wind and no heat flux: a stand-in for ``PEModel(forcing=)``."""
+
+    def __init__(self, grid):
+        self._zero = np.zeros(grid.shape2d)
+
+    def wind_stress(self, t):
+        return self._zero, self._zero
+
+    def heat_flux(self, t):
+        return self._zero

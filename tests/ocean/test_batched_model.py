@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ocean import PEModel, StochasticForcing
-from repro.ocean.model import EnsembleState
+from repro.ocean.model import CHECK_INTERVAL, EnsembleState
 from repro.ocean.stochastic import BatchedStochasticForcing
 
 N = 3
@@ -138,7 +138,7 @@ class TestBlowupIsolation:
     def test_exploding_member_does_not_poison_siblings(
         self, small_model, spun_up_state
     ):
-        duration = small_model.config.check_interval * small_model.config.dt
+        duration = CHECK_INTERVAL * small_model.config.dt
         states = perturbed_states(small_model, spun_up_state)
         bomb = spun_up_state.copy()
         bomb.u = bomb.u + 1e6 * small_model.grid.mask  # CFL catastrophe

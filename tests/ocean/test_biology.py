@@ -3,22 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.ocean.biology import BioParameters, PhytoplanktonModel
+from repro.ocean.biology import PhytoplanktonModel
 
 
 @pytest.fixture()
 def bio(small_model):
     return PhytoplanktonModel(small_model)
-
-
-class TestParameters:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BioParameters(max_growth_per_day=0.0)
-        with pytest.raises(ValueError):
-            BioParameters(light_efolding_depth=-1.0)
-        with pytest.raises(ValueError):
-            BioParameters(background=0.0)
 
 
 class TestInitialField:
@@ -68,12 +58,9 @@ class TestStepping:
         wet = small_model.grid.mask
         assert p_up[0][wet].mean() > p_down[0][wet].mean()
 
-    def test_mortality_caps_the_bloom(self, small_model, spun_up_state):
-        """With strong mortality, concentrations reach a bounded steady
-        state instead of growing without limit."""
-        bio = PhytoplanktonModel(
-            small_model, BioParameters(mortality_per_day=2.0)
-        )
+    def test_mortality_caps_the_bloom(self, bio, spun_up_state):
+        """Quadratic mortality bounds the concentrations instead of
+        letting them grow without limit."""
         phyto = bio.initial_field()
         for _ in range(200):
             phyto = bio.step(phyto, spun_up_state)

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.ocean.forcing import AtmosphericForcing, upwelling_wind_stress
+from repro.ocean import forcing
+from repro.ocean.forcing import (
+    HEAT_FLUX_AMPLITUDE,
+    SYNOPTIC_PERIOD,
+    AtmosphericForcing,
+    upwelling_wind_stress,
+)
 from repro.ocean.grid import demo_grid
 from repro.ocean.stochastic import StochasticForcing
 
@@ -23,40 +29,30 @@ class TestWindStress:
         assert np.all(tau_x[~grid.mask] == 0)
         assert np.all(tau_y[~grid.mask] == 0)
 
-    def test_amplitude_scales(self, grid):
-        _, t1 = upwelling_wind_stress(grid, amplitude=0.05)
-        _, t2 = upwelling_wind_stress(grid, amplitude=0.10)
-        assert np.allclose(t2, 2.0 * t1)
-
 
 class TestAtmosphericForcing:
     def test_synoptic_modulation(self, grid):
-        f = AtmosphericForcing(grid, synoptic_amplitude=0.5)
+        f = AtmosphericForcing(grid)
         _, ty0 = f.wind_stress(0.0)
-        _, ty1 = f.wind_stress(f.synoptic_period / 4.0)  # sin peak
+        _, ty1 = f.wind_stress(SYNOPTIC_PERIOD / 4.0)  # sin peak
         wet = grid.mask
         assert np.abs(ty1[wet]).max() > np.abs(ty0[wet]).max()
 
-    def test_steady_when_amplitude_zero(self, grid):
-        f = AtmosphericForcing(grid, synoptic_amplitude=0.0)
+    def test_steady_when_amplitude_zero(self, grid, monkeypatch):
+        monkeypatch.setattr(forcing, "SYNOPTIC_AMPLITUDE", 0.0)
+        f = AtmosphericForcing(grid)
         _, a = f.wind_stress(0.0)
         _, b = f.wind_stress(1e5)
         assert np.allclose(a, b)
 
     def test_heat_flux_daily_cycle_has_zero_mean(self, grid):
-        f = AtmosphericForcing(grid, synoptic_amplitude=0.0)
+        f = AtmosphericForcing(grid)
         times = np.arange(0, 86400, 400.0)
         wet_j, wet_i = np.nonzero(grid.mask)
         j, i = wet_j[0], wet_i[0]
         series = [f.heat_flux(t)[j, i] for t in times]
         # daily cosine + slow synoptic; mean over one day is near zero
-        assert abs(np.mean(series)) < 0.35 * f.heat_flux_amplitude
-
-    def test_validation(self, grid):
-        with pytest.raises(ValueError, match="synoptic_period"):
-            AtmosphericForcing(grid, synoptic_period=0.0)
-        with pytest.raises(ValueError, match="synoptic_amplitude"):
-            AtmosphericForcing(grid, synoptic_amplitude=2.0)
+        assert abs(np.mean(series)) < 0.35 * HEAT_FLUX_AMPLITUDE
 
 
 class TestStochasticForcing:

@@ -41,7 +41,7 @@ class TestConstruction:
             make_grid(mask=np.ones((3, 3), dtype=bool))
 
     def test_coriolis_positive_in_northern_hemisphere(self):
-        g = make_grid(lat0=36.7)
+        g = make_grid()
         assert 8.0e-5 < g.coriolis < 9.5e-5
 
 

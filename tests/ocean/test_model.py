@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.ocean import (
-    AtmosphericForcing,
-    ModelConfig,
-    PEModel,
-    StochasticForcing,
-)
+from repro.ocean import ModelConfig, PEModel, StochasticForcing
 from repro.ocean.diagnostics import kinetic_energy, max_current_speed
+from tests.ocean.conftest import CalmForcing
 
 
 class TestConstruction:
@@ -24,8 +20,6 @@ class TestConstruction:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="dt"):
             ModelConfig(dt=-1.0)
-        with pytest.raises(ValueError, match="check_interval"):
-            ModelConfig(check_interval=0)
 
 
 class TestRestState:
@@ -106,10 +100,7 @@ class TestStepping:
         assert 0.0 < s.temp[0][wet].min() < s.temp[0][wet].max() < 25.0
 
     def test_quiet_model_preserves_climatology(self, small_monterey_grid):
-        forcing = AtmosphericForcing(
-            small_monterey_grid, mean_tau=0.0, heat_flux_amplitude=0.0
-        )
-        m = PEModel(grid=small_monterey_grid, forcing=forcing)
+        m = PEModel(grid=small_monterey_grid, forcing=CalmForcing(small_monterey_grid))
         s0 = m.rest_state()
         s1 = m.run(s0, 2 * 86400.0)
         wet = small_monterey_grid.mask

@@ -8,16 +8,17 @@ solver show up as physics, not just numbers.
 import numpy as np
 import pytest
 
-from repro.ocean import AtmosphericForcing, PEModel
+from repro.ocean import PEModel
+from repro.ocean.dynamics import G_REDUCED
 from repro.ocean.grid import OceanGrid, demo_grid
+from tests.ocean.conftest import CalmForcing
 
 
-def closed_basin(nx=30, ny=30, lat0=36.7):
+def closed_basin(nx=30, ny=30):
     mask = np.ones((ny, nx), dtype=bool)
     mask[0, :] = mask[-1, :] = mask[:, 0] = mask[:, -1] = False
     return OceanGrid(
-        nx=nx, ny=ny, dx=3000.0, dy=3000.0, z_levels=(5.0, 50.0), mask=mask,
-        lat0=lat0,
+        nx=nx, ny=ny, dx=3000.0, dy=3000.0, z_levels=(5.0, 50.0), mask=mask
     )
 
 
@@ -26,10 +27,7 @@ class TestGeostrophicAdjustment:
         """A pressure bump under rotation adjusts toward a geostrophic
         vortex: flow along, not across, the eta contours."""
         grid = closed_basin()
-        model = PEModel(
-            grid=grid,
-            forcing=AtmosphericForcing(grid, mean_tau=0.0, heat_flux_amplitude=0.0),
-        )
+        model = PEModel(grid=grid, forcing=CalmForcing(grid))
         state = model.rest_state()
         y, x = np.mgrid[0:grid.ny, 0:grid.nx]
         bump = 0.5 * np.exp(-(((x - 15) / 4.0) ** 2 + ((y - 15) / 4.0) ** 2))
@@ -43,7 +41,7 @@ class TestGeostrophicAdjustment:
         # geostrophic balance: u ~ -(g'/f) d(eta)/dy at the bump flanks
         from repro.ocean.dynamics import ddy
 
-        g_over_f = model.dynamics.g_reduced / grid.coriolis
+        g_over_f = G_REDUCED / grid.coriolis
         u_geo = -g_over_f * ddy(out.eta, grid.dy)
         interior = np.zeros_like(wet)
         interior[8:22, 8:22] = True
@@ -54,10 +52,7 @@ class TestGeostrophicAdjustment:
     def test_anticyclone_around_high(self):
         """Northern hemisphere: clockwise flow around high pressure."""
         grid = closed_basin()
-        model = PEModel(
-            grid=grid,
-            forcing=AtmosphericForcing(grid, mean_tau=0.0, heat_flux_amplitude=0.0),
-        )
+        model = PEModel(grid=grid, forcing=CalmForcing(grid))
         state = model.rest_state()
         y, x = np.mgrid[0:grid.ny, 0:grid.nx]
         state.eta = grid.apply_mask(

@@ -19,7 +19,8 @@ import pytest
 
 from repro.ocean import PEModel, StochasticForcing
 from repro.ocean.bathymetry import monterey_grid
-from repro.ocean.dynamics import RHO0
+from repro.ocean import dynamics, stochastic, tracers as tracer_constants
+from repro.ocean.dynamics import RHO0, SharedBlock
 from repro.ocean.grid import demo_grid
 from repro.ocean.model import EnsembleState, ModelState
 from repro.ocean.stochastic import BatchedStochasticForcing
@@ -88,13 +89,13 @@ def ref_step_dynamics(dyn, u, v, eta, tau_x, tau_y, dt):
     face_x = mask[:, :-1] & mask[:, 1:]
     face_y = mask[:-1, :] & mask[1:, :]
     eta_filled = ref_fill_land(mask, eta)
-    h = np.maximum(dyn.h0 + eta, 0.1 * dyn.h0)
+    h = np.maximum(dynamics.H0 + eta, 0.1 * dynamics.H0)
 
     flux_x = 0.5 * (h[..., :, :-1] * u[..., :, :-1] + h[..., :, 1:] * u[..., :, 1:])
     flux_x = np.where(face_x, flux_x, 0.0)
     flux_y = 0.5 * (h[..., :-1, :] * v[..., :-1, :] + h[..., 1:, :] * v[..., 1:, :])
     flux_y = np.where(face_y, flux_y, 0.0)
-    kappa = dyn.eta_diffusivity
+    kappa = dynamics.ETA_DIFFUSIVITY
     flux_x = flux_x - np.where(
         face_x, kappa * (eta_filled[..., :, 1:] - eta_filled[..., :, :-1]) / dx, 0.0
     )
@@ -113,17 +114,17 @@ def ref_step_dynamics(dyn, u, v, eta, tau_x, tau_y, dt):
     du = (
         -u * ref_ddx(u, dx)
         - v * ref_ddy(u, dy)
-        - dyn.g_reduced * ref_ddx(eta_new_filled, dx)
-        - dyn.bottom_drag * u
-        + dyn.viscosity * ref_laplacian(u, dx, dy)
+        - dynamics.G_REDUCED * ref_ddx(eta_new_filled, dx)
+        - dynamics.BOTTOM_DRAG * u
+        + dynamics.VISCOSITY * ref_laplacian(u, dx, dy)
         + tau_x / (RHO0 * h)
     )
     dv = (
         -u * ref_ddx(v, dx)
         - v * ref_ddy(v, dy)
-        - dyn.g_reduced * ref_ddy(eta_new_filled, dy)
-        - dyn.bottom_drag * v
-        + dyn.viscosity * ref_laplacian(v, dx, dy)
+        - dynamics.G_REDUCED * ref_ddy(eta_new_filled, dy)
+        - dynamics.BOTTOM_DRAG * v
+        + dynamics.VISCOSITY * ref_laplacian(v, dx, dy)
         + tau_y / (RHO0 * h)
     )
     u_star = u + dt * np.where(mask, du, 0.0)
@@ -145,7 +146,7 @@ def ref_tendencies(tracers, temp, salt, u, v, deta_dt, heat_flux):
     dx, dy, mask = grid.dx, grid.dy, grid.mask
     z = np.asarray(grid.z_levels)
     t_prof, s_prof = climatological_profile(z)
-    vel_structure = np.exp(-z / tracers.velocity_decay_depth)[:, None, None]
+    vel_structure = np.exp(-z / tracer_constants.VELOCITY_DECAY_DEPTH)[:, None, None]
     dtdz = np.gradient(t_prof, z)
     heave_structure = (np.abs(dtdz) / np.max(np.abs(dtdz)))[:, None, None]
     u3 = u[..., None, :, :] * vel_structure
@@ -154,17 +155,17 @@ def ref_tendencies(tracers, temp, salt, u, v, deta_dt, heat_flux):
     def advect_diffuse(c, clim):
         c_filled = ref_fill_land(mask, c)
         adv = -u3 * ref_ddx(c_filled, dx) - v3 * ref_ddy(c_filled, dy)
-        diff = tracers.diffusivity * ref_laplacian(c_filled, dx, dy)
-        relax = (clim[:, None, None] - c) / tracers.relaxation_time
+        diff = tracer_constants.DIFFUSIVITY * ref_laplacian(c_filled, dx, dy)
+        relax = (clim[:, None, None] - c) / tracer_constants.RELAXATION_TIME
         return adv + diff + relax
 
     d_temp = advect_diffuse(temp, t_prof)
     d_salt = advect_diffuse(salt, s_prof)
-    heave = tracers.heave_gain * deta_dt[..., None, :, :] * heave_structure
+    heave = tracer_constants.HEAVE_GAIN * deta_dt[..., None, :, :] * heave_structure
     d_temp = d_temp + heave * 3.5
     d_salt = d_salt - heave * 0.3
     rho_cp = 1025.0 * 3990.0
-    d_temp[..., 0, :, :] += heat_flux / (rho_cp * tracers.heat_capacity_depth)
+    d_temp[..., 0, :, :] += heat_flux / (rho_cp * tracer_constants.HEAT_CAPACITY_DEPTH)
     return np.where(mask, d_temp, 0.0), np.where(mask, d_salt, 0.0)
 
 
@@ -299,8 +300,9 @@ class TestStepEqualsOldFormulas:
         state = states[0]
         tau_x, tau_y = model.forcing.wind_stress(state.time)
         step = model.dynamics.step_constants(model.config.dt)
+        work = model.dynamics.workspace((), SharedBlock())
         *_, deta_dt = model.dynamics.step_dynamics(
-            state.u, state.v, state.eta, tau_x, tau_y, step
+            state.u, state.v, state.eta, tau_x, tau_y, step, work
         )
         wet = deta_dt[model.grid.mask]
         assert np.abs(wet).max() > 0
@@ -417,7 +419,7 @@ class TestIncrements:
         grid, dt, rows = model.grid, model.config.dt, 3 + 2 * model.grid.nz
         serial = StochasticForcing(grid, rng=np.random.default_rng(40))
         twin = np.random.default_rng(40)
-        field = GaussianRandomField2D(grid.shape2d, serial.length_scale_cells)
+        field = GaussianRandomField2D(grid.shape2d, stochastic.LENGTH_SCALE_CELLS)
         for _ in range(2):
             block = serial.increments(dt)
             # one draw per step, rows in the order u, v, eta, T, S

@@ -11,7 +11,6 @@ from repro.sched.ec2 import (
     EC2_INSTANCE_TYPES,
     EC2CostModel,
     EC2InstanceType,
-    EC2PriceBook,
     ec2_virtual_cluster,
 )
 from repro.sched.gridsites import TERAGRID_SITES, GridSite, run_site_benchmark
@@ -132,8 +131,6 @@ class TestCostModel:
             cm.compute_cost(itype, 1, 0.0)
         with pytest.raises(ValueError):
             cm.transfer_cost(-1.0, 0.0)
-        with pytest.raises(ValueError):
-            EC2PriceBook(reserved_discount_factor=0.5)
 
 
 class TestVirtualCluster:

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.sched import transfer
 from repro.sched.transfer import (
     PULL_CONCURRENCY,
     TWO_STAGE_BATCH_SIZE,
     OutputReturnPlan,
-    WANModel,
+    congestion_factor,
     simulate_output_return,
 )
 
@@ -19,21 +20,11 @@ def wave(n=200, start=1000.0, width=30.0, seed=0):
 
 class TestWANModel:
     def test_congestion_factor_bounds(self):
-        wan = WANModel(gateway_concurrency_limit=8, congestion_alpha=0.1)
-        assert wan.congestion_factor(1) == 1.0
-        assert wan.congestion_factor(8) == 1.0
-        assert 0.0 < wan.congestion_factor(100) < 1.0
-        assert wan.congestion_factor(100) < wan.congestion_factor(20)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WANModel(bandwidth_mbps=0.0)
-        with pytest.raises(ValueError):
-            WANModel(setup_seconds=-1.0)
-        with pytest.raises(ValueError):
-            WANModel(gateway_concurrency_limit=0)
-        with pytest.raises(ValueError):
-            WANModel(congestion_alpha=-0.1)
+        limit = transfer.GATEWAY_CONCURRENCY_LIMIT
+        assert congestion_factor(1) == 1.0
+        assert congestion_factor(limit) == 1.0
+        assert 0.0 < congestion_factor(100) < 1.0
+        assert congestion_factor(100) < congestion_factor(limit + 4)
 
 
 class TestPlans:

@@ -59,7 +59,7 @@ class TestDeterminism:
         faults = FaultInjector(
             crash_rate=0.3, corrupt_rate=0.2, submit_failure_rate=0.2, seed=seed
         )
-        retry = RetryPolicy(max_attempts=6, backoff_base_s=0.001, jitter=0.5, seed=seed)
+        retry = RetryPolicy(max_attempts=6, backoff_base_s=0.001, seed=seed)
         pool = TaskPool(kind, echo, 4, retry=retry, faults=faults, poll_interval=0.001)
         return list(pool.run(range(10))), faults, retry
 
@@ -189,7 +189,7 @@ class TestLoss:
             kind,
             echo,
             1,
-            retry=RetryPolicy(backoff_base_s=0.0, jitter=0.0),
+            retry=RetryPolicy(backoff_base_s=0.0),
             faults=faults,
             poll_interval=0.0005,
         )

@@ -24,7 +24,7 @@ from repro.core import ESSEConfig, PerturbationGenerator, synthetic_initial_subs
 from repro.core.covariance import AnomalyAccumulator
 from repro.core.ensemble import EnsembleRunner, MemberResult, grow_ensemble
 from repro.core.state import FieldLayout, FieldSpec
-from repro.core.subspace import ColdSubspaceEstimator
+from repro.core.subspace import ErrorSubspace
 from repro.ocean import PEModel
 from repro.ocean.bathymetry import monterey_grid
 from repro.telemetry import TraceRecorder
@@ -113,8 +113,8 @@ class TestNoCheckWithoutGrowth:
         assert [count for count, *_ in checks] == [16]
         assert [s.attr("count") for s in recorder.spans() if s.name == "stage.svd"] == [16]
         assert growth.ensemble_size == 16 and growth.convergence_history == ()
-        expected = ColdSubspaceEstimator(rank=8, energy=0.999).update(
-            sink.view().columns, 16, 1 / np.sqrt(15)
+        expected = ErrorSubspace.from_anomalies(
+            sink.view().columns[:, :16] / np.sqrt(15), rank=8, energy=0.999
         )
         np.testing.assert_allclose(growth.subspace.sigmas, expected.sigmas, rtol=1e-12)
 
@@ -170,8 +170,8 @@ class TestFig4Drain:
         assert result.ensemble_size == result.subspace.n_samples == 24
         snap = workflow.covset.read_safe()
         assert snap.count == 24
-        expected = ColdSubspaceEstimator(rank=8, energy=0.999).update(
-            snap.columns, snap.count, snap.scale
+        expected = ErrorSubspace.from_anomalies(
+            snap.columns[:, : snap.count] * snap.scale, rank=8, energy=0.999
         )
         np.testing.assert_allclose(result.subspace.sigmas, expected.sigmas, rtol=1e-10)
         np.testing.assert_allclose(
