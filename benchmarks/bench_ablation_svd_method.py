@@ -9,7 +9,7 @@ The ablation times three routes to the ESSE truncation at the paper's
 projected ensemble sizes (Sec 7 targets 1000-10000 members), on the full
 AOSN-II state dimension: the dense LAPACK driver the paper worried about
 (``lapack_svd``), the exact factorization in ensemble space that
-``truncated_svd`` / ``thin_svd`` run on tall input (an ``N x N`` Gram
+``truncated_svd`` runs on tall input (an ``N x N`` Gram
 eigensolve, then only the kept modes), and the randomized range-finder.
 """
 

@@ -21,7 +21,7 @@ from repro.core import (
 )
 from repro.obs.network import aosn2_network
 from repro.ocean import PEModel
-from repro.util.linalg import thin_svd
+from repro.util.linalg import truncated_svd
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +47,7 @@ def test_kernel_model_step(benchmark, full_domain, kernel_results):
     """One pemodel time step on the full domain, as a run steps it.
 
     A run builds its step workspace once, so a run of ``steps`` steps is
-    timed and divided; a lone ``model.step`` call also builds one.
+    timed and divided.
     """
     model, background, _ = full_domain
     steps = 10
@@ -85,7 +85,7 @@ def test_kernel_esse_svd(benchmark, full_domain, kernel_results):
     anomalies = rng.standard_normal((model.layout.size, 600)) / np.sqrt(599)
 
     result = benchmark.pedantic(
-        lambda: thin_svd(anomalies), rounds=2, iterations=1
+        lambda: truncated_svd(anomalies), rounds=2, iterations=1
     )
     u, s, _ = result
     kernel_results["esse_svd_600_s"] = benchmark.stats.stats.mean

@@ -48,11 +48,6 @@ class ModeSet:
     depths: np.ndarray
     frequency: float
 
-    @property
-    def n_modes(self) -> int:
-        """Number of propagating modes."""
-        return self.kr.size
-
     def at_depth(self, depth: float) -> np.ndarray:
         """Mode amplitudes psi_m(depth) by linear interpolation."""
         # Fractional node index of ``depth`` (clamped to the grid ends),

@@ -19,10 +19,8 @@ Example
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass, field, fields
 
 from repro.core.driver import ESSEConfig, ESSEDriver
 from repro.obs.network import ObservationNetwork, aosn2_network
@@ -280,20 +278,6 @@ class ExperimentConfig:
                     )
             kwargs[name] = section_cls(**raw)
         return cls(**kwargs)
-
-    def to_dict(self) -> dict:
-        """The full document (all defaults made explicit)."""
-        return asdict(self)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ExperimentConfig":
-        """Load and validate a JSON document."""
-        with open(path) as handle:
-            return cls.from_dict(json.load(handle))
-
-    def save(self, path: str | Path) -> None:
-        """Write the validated document as JSON."""
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
     # -- builders --------------------------------------------------------------
 

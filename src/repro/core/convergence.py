@@ -97,7 +97,3 @@ class ConvergenceCriterion:
         self._previous = subspace
         return rho
 
-    def reset(self) -> None:
-        """Forget all history (new forecast cycle)."""
-        self._previous = None
-        self.history.clear()

@@ -61,10 +61,6 @@ class AnomalyView:
             raise RuntimeError(f"need >= 2 members for a scale, have {self.count}")
         return 1.0 / np.sqrt(self.count - 1)
 
-    def matrix(self) -> np.ndarray:
-        """The scaled anomaly matrix (materializes a copy)."""
-        return self.columns * self.scale
-
 
 class AnomalyAccumulator:
     """Collects normalized member-minus-central anomaly columns.
@@ -170,14 +166,3 @@ class AnomalyAccumulator:
             version=self._version,
         )
 
-    def matrix(self) -> np.ndarray:
-        """The scaled anomaly matrix ``M`` with ``M M^T ≈ P`` (copy).
-
-        Columns are ``(x_j - x_central) / sqrt(N - 1)`` in normalized
-        coordinates, so ``thin_svd(M)`` yields error modes and std-devs
-        directly.
-        """
-        n = self.count
-        if n < 2:
-            raise RuntimeError(f"need >= 2 members for an anomaly matrix, have {n}")
-        return self._rows[:n].T / np.sqrt(n - 1)

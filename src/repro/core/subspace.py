@@ -19,7 +19,6 @@ SVD treats velocity, interface and tracer errors on a common footing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -137,22 +136,6 @@ class ErrorSubspace:
         return np.einsum("ij,j,ij->i", self.modes, self.variances, self.modes)
 
     # -- persistence ---------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Write the subspace to an ``.npz`` file."""
-        np.savez_compressed(
-            path, modes=self.modes, sigmas=self.sigmas, n_samples=self.n_samples
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ErrorSubspace":
-        """Read a subspace written by :meth:`save`."""
-        with np.load(path) as data:
-            return cls(
-                modes=data["modes"],
-                sigmas=data["sigmas"],
-                n_samples=int(data["n_samples"]),
-            )
 
     # -- constructors ----------------------------------------------------------
 
@@ -302,7 +285,3 @@ class IncrementalSubspaceEstimator:
         u, s, _ = factors
         return ErrorSubspace(modes=u, sigmas=s * scale, n_samples=count)
 
-    def reset(self) -> None:
-        """Forget the carried Gram matrix (new forecast cycle)."""
-        self._gram = None
-        self.last_path = None

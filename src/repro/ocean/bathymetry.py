@@ -44,11 +44,6 @@ class SyntheticBathymetry:
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "mask", mask)
 
-    @property
-    def max_depth(self) -> float:
-        """Deepest point (m)."""
-        return float(self.depth.max())
-
 
 #: Fraction of the x-extent that is ocean; the coastline sits near
 #: ``x = COAST_FRACTION * Lx`` with a bay carved eastward of it.

@@ -462,16 +462,13 @@ class ShallowWaterDynamics:
         w.eta_rim, w.eta_near = rim_pairs(eta_halo), neighbours(eta_halo)
         return w
 
-    def step_constants(
-        self, dt: float, sponge: np.ndarray | None = None
-    ) -> StepConstants:
+    def step_constants(self, dt: float, sponge: np.ndarray) -> StepConstants:
         """The constants of a step of ``dt`` seconds (see :class:`StepConstants`).
 
-        ``sponge`` is the factor field of :meth:`sponge_factors`; None
-        zeroes land only.
+        ``sponge`` is the factor field of :meth:`sponge_factors`.
         """
         angle = self.grid.coriolis * dt
-        damp = self._wet if sponge is None else self._wet * sponge
+        damp = self._wet * sponge
         return StepConstants(dt, self._wet * dt, math.cos(angle), math.sin(angle), damp)
 
     def sponge_factors(self, dt: float) -> np.ndarray:
@@ -500,13 +497,11 @@ class ShallowWaterDynamics:
         u: np.ndarray,
         v: np.ndarray,
         eta: np.ndarray,
-        step: StepConstants | None = None,
+        step: StepConstants,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Zero fields on land and apply the open-boundary sponge.
 
         ``step`` is :meth:`step_constants`, whose ``damp`` holds the land
-        mask times the sponge factors; None zeroes land only (used by
-        process-level tests).
+        mask times the sponge factors.
         """
-        damp = self._wet if step is None else step.damp
-        return u * damp, v * damp, eta * damp
+        return u * step.damp, v * step.damp, eta * step.damp

@@ -59,22 +59,6 @@ class ModelState:
             time=self.time,
         )
 
-    def validate(self, grid: OceanGrid) -> None:
-        """Raise ValueError when any field has the wrong shape or NaNs."""
-        expected = {
-            "u": grid.shape2d,
-            "v": grid.shape2d,
-            "eta": grid.shape2d,
-            "temp": grid.shape3d,
-            "salt": grid.shape3d,
-        }
-        for name, shape in expected.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr[..., grid.mask])):
-                raise ValueError(f"{name}: non-finite values over ocean points")
-
 
 @dataclass
 class EnsembleState:
@@ -122,17 +106,6 @@ class EnsembleState:
             temp=np.stack([s.temp for s in states]),
             salt=np.stack([s.salt for s in states]),
             time=states[0].time,
-        )
-
-    def member(self, position: int) -> ModelState:
-        """Extract one member as a standalone :class:`ModelState` (copies)."""
-        return ModelState(
-            u=self.u[position].copy(),
-            v=self.v[position].copy(),
-            eta=self.eta[position].copy(),
-            temp=self.temp[position].copy(),
-            salt=self.salt[position].copy(),
-            time=self.time,
         )
 
     def copy(self) -> "EnsembleState":
@@ -211,10 +184,11 @@ class PEModel:
         self.noise = noise if noise is not None else StochasticForcing.quiet(self.grid)
         self.dynamics = ShallowWaterDynamics(self.grid)
         self.tracers = TracerDynamics(self.grid)
-        self._sponge = self.dynamics.sponge_factors(self.config.dt)
         # Constants only, built once: pool threads share the model.  A
         # run's buffers live in its own workspace (_workspace), never here.
-        self._constants = self.dynamics.step_constants(self.config.dt, self._sponge)
+        self._constants = self.dynamics.step_constants(
+            self.config.dt, self.dynamics.sponge_factors(self.config.dt)
+        )
         max_dt = self.dynamics.max_stable_dt(safety=0.9)
         if self.config.dt > max_dt:
             raise ValueError(
@@ -267,7 +241,7 @@ class PEModel:
     def ensemble_to_matrix(self, ensemble: EnsembleState) -> np.ndarray:
         """Pack a batch into an ``(state_dim, N)`` ESSE column matrix.
 
-        Column ``j`` is bit-identical to ``to_vector(ensemble.member(j))``.
+        Column ``j`` is bit-identical to :meth:`to_vector` of member ``j``.
         """
         return self.layout.pack_many(  # shape: (state_dim, n_members) # dtype: float64
             {
@@ -339,16 +313,6 @@ class PEModel:
         u, v, eta = self.dynamics.enforce_boundaries(u, v, eta, self._constants)
         return type(state)(u, v, eta, temp, salt, state.time + dt)
 
-    def step(self, state: ModelState) -> ModelState:
-        """One forward-backward step of length ``config.dt`` + Wiener forcing.
-
-        Dynamics use the stable forward-backward/semi-implicit scheme (see
-        :meth:`ShallowWaterDynamics.step_dynamics`); tracers use forward
-        Euler, whose explicit advection is stabilized by the lateral
-        diffusivity at the advective Courant numbers this model runs at.
-        """
-        return self._advance(state, self.noise, self._workspace(state))
-
     def run(
         self,
         state: ModelState,
@@ -356,6 +320,12 @@ class PEModel:
         callback=None,
     ) -> ModelState:
         """Integrate for ``duration`` seconds (rounded up to whole steps).
+
+        Dynamics use the stable forward-backward/semi-implicit scheme (see
+        :meth:`ShallowWaterDynamics.step_dynamics`); tracers use forward
+        Euler, whose explicit advection is stabilized by the lateral
+        diffusivity at the advective Courant numbers this model runs at.
+        Each step adds the model's own Wiener forcing (``self.noise``).
 
         Parameters
         ----------
@@ -373,62 +343,7 @@ class PEModel:
             If the integration blows up (non-finite fields); ESSE treats
             this as a failed ensemble member, which the workflow tolerates.
         """
-        if duration < 0:
-            raise ValueError("duration must be >= 0")
-        n_steps = int(np.ceil(duration / self.config.dt))
-        current = state.copy()
-        # Blow-ups are detected below and reported as FloatingPointError
-        # (a tolerated member failure in ESSE); the transient inf/nan
-        # arithmetic on the way there is expected, not a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._run_steps(current, n_steps, callback)
-
-    def _run_steps(self, current: ModelState, n_steps: int, callback) -> ModelState:
-        work = self._workspace(current)
-        for k in range(n_steps):
-            current = self._advance(current, self.noise, work)
-            if (k + 1) % CHECK_INTERVAL == 0 or k == n_steps - 1:
-                wet = self.grid.mask
-                if not (
-                    np.all(np.isfinite(current.u[wet]))
-                    and np.all(np.isfinite(current.temp[..., wet]))
-                ):
-                    raise FloatingPointError(
-                        f"model blow-up at t={current.time:.0f} s (step {k + 1})"
-                    )
-            if callback is not None:
-                callback(k, current)
-        return current
-
-    # -- batched (vectorized) time stepping --------------------------------
-
-    def step_ensemble(self, ensemble: EnsembleState, noise=None) -> EnsembleState:
-        """One forward-backward step of a whole ensemble batch.
-
-        The body of :meth:`step` on batched ``(N, ...)`` fields; member
-        ``i`` of the result is bit-identical to stepping
-        ``ensemble.member(i)`` serially with the matching forcing.
-
-        Parameters
-        ----------
-        ensemble:
-            The batch to advance (not modified).
-        noise:
-            Optional :class:`~repro.ocean.stochastic.BatchedStochasticForcing`
-            whose member count matches the batch; None steps the
-            deterministic dynamics only (the model's own per-member
-            ``self.noise`` is *not* used here -- batched runs always pass
-            their forcing explicitly).
-        """
-        self._check_forcing(ensemble, noise)
-        return self._advance(ensemble, noise, self._workspace(ensemble))
-
-    @staticmethod
-    def _check_forcing(ensemble: EnsembleState, noise) -> None:
-        if noise is not None and noise.is_active() and noise.count != ensemble.count:
-            raise ValueError(
-                f"forcing batch size {noise.count} != ensemble {ensemble.count}"
-            )
+        return self._integrate(state, duration, self.noise, callback)[0]
 
     def run_ensemble(
         self,
@@ -438,12 +353,12 @@ class PEModel:
     ) -> tuple[EnsembleState, dict[int, str]]:
         """Integrate a whole batch for ``duration`` seconds.
 
-        The batched twin of :meth:`run` with per-member failure
-        isolation: every ``CHECK_INTERVAL`` steps a per-member finiteness
-        check runs over the wet points, and a member that blows up is
-        recorded (with the same error string :meth:`run` would raise for
-        it) and zeroed out -- the surviving members continue unperturbed,
-        because no operator mixes members across the batch axis.
+        The batched twin of :meth:`run`, through the same step loop: member
+        ``i`` of the result is bit-identical to running it alone with the
+        matching forcing.  A member that blows up is recorded (with the
+        error :meth:`run` would raise for it) and zeroed out -- the
+        surviving members continue unperturbed, because no operator mixes
+        members across the batch axis.
 
         Parameters
         ----------
@@ -452,7 +367,11 @@ class PEModel:
         duration:
             Integration length in seconds; must be >= 0.
         noise:
-            Optional batched stochastic forcing (see :meth:`step_ensemble`).
+            Optional :class:`~repro.ocean.stochastic.BatchedStochasticForcing`
+            whose member count matches the batch; None steps the
+            deterministic dynamics only (the model's own per-member
+            ``self.noise`` is *not* used here -- batched runs always pass
+            their forcing explicitly).
 
         Returns
         -------
@@ -461,36 +380,47 @@ class PEModel:
             message for members that blew up (their slices in ``final``
             are zeroed and meaningless).
         """
+        if noise is not None and noise.is_active() and noise.count != ensemble.count:
+            raise ValueError(
+                f"forcing batch size {noise.count} != ensemble {ensemble.count}"
+            )
+        return self._integrate(ensemble, duration, noise)
+
+    def _integrate(self, state, duration: float, noise, callback=None):
+        """The one step loop of :meth:`run` and :meth:`run_ensemble`.
+
+        Every ``CHECK_INTERVAL`` steps, and after the last, the wet points
+        are checked for non-finite values.  A :class:`ModelState` that blew
+        up raises FloatingPointError; a batch member that blew up is
+        recorded and zeroed, so its garbage cannot slow the remaining
+        arithmetic.  Returns ``(final, failed)`` as :meth:`run_ensemble`.
+        """
         if duration < 0:
             raise ValueError("duration must be >= 0")
-        self._check_forcing(ensemble, noise)
         n_steps = int(np.ceil(duration / self.config.dt))
-        current = ensemble.copy()
+        current = state.copy()
         work = self._workspace(current)
         failed: dict[int, str] = {}
         wet = self.grid.mask
-        # As in run(): transient inf/nan arithmetic on the way to a
-        # detected blow-up is expected, not a warning.
+        # Blow-ups are detected below; the transient inf/nan arithmetic on
+        # the way there is expected, not a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_steps):
                 current = self._advance(current, noise, work)
                 if (k + 1) % CHECK_INTERVAL == 0 or k == n_steps - 1:
-                    finite = np.isfinite(current.u[:, wet]).all(axis=1) & np.isfinite(
-                        current.temp[:, :, wet]
-                    ).all(axis=(1, 2))
-                    for pos in np.flatnonzero(~finite):
-                        pos = int(pos)
-                        if pos in failed:
-                            continue
-                        failed[pos] = (
-                            "FloatingPointError: model blow-up at "
-                            f"t={current.time:.0f} s (step {k + 1})"
-                        )
-                        # Zero the lost member so its garbage cannot slow
-                        # the remaining arithmetic; survivors are
-                        # untouched (no cross-member operator exists).
-                        for name in self.layout.names:
-                            getattr(current, name)[pos] = 0.0
+                    finite = np.isfinite(current.u[..., wet]).all(axis=-1) & np.isfinite(
+                        current.temp[..., wet]
+                    ).all(axis=(-2, -1))
+                    for pos in map(int, np.flatnonzero(~finite)):
+                        error = f"model blow-up at t={current.time:.0f} s (step {k + 1})"
+                        if isinstance(current, ModelState):
+                            raise FloatingPointError(error)
+                        if pos not in failed:
+                            failed[pos] = f"FloatingPointError: {error}"
+                            for name in self.layout.names:
+                                getattr(current, name)[pos] = 0.0
+                if callback is not None:
+                    callback(k, current)
         return current, failed
 
     def with_noise(self, noise: StochasticForcing) -> "PEModel":

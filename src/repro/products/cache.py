@@ -2,10 +2,12 @@
 
 A miss costs its render, not its load: a ``serve_publish`` body (800
 requests, 4 publishes; one Xeon core) renders 347 bodies in 99 ms, three
-quarters of it ``json.dumps`` float text, and loads 4 snapshots (npz
-decode + SHA-256) in 11 ms.  Both are pure functions of ``(version,
-resource)``, and versions are immutable once published -- so an LRU keyed
-by that pair never needs invalidation: retired versions age out.
+quarters of it ``json.dumps`` float text, and loads 4 snapshots in
+11 ms (measured when a snapshot was an npz archive to decode; it is now
+one file, read once and viewed with ``np.frombuffer``).  Both are pure
+functions of ``(version, resource)``, and versions are immutable once
+published -- so an LRU keyed by that pair never needs invalidation:
+retired versions age out.
 
 Instrumented: hit/miss/eviction counters land in an optional
 :class:`~repro.telemetry.metrics.MetricsRegistry` so the load benchmark
@@ -102,9 +104,3 @@ class LRUCache:
         with self._lock:
             return len(self._entries)
 
-    def clear(self) -> None:
-        """Drop every entry (capacity unchanged)."""
-        with self._lock:
-            self._entries.clear()
-        if self._size is not None:
-            self._size.set(0)

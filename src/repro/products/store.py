@@ -240,10 +240,6 @@ class ProductStore:
             if path.name[1:].isdigit() and int(path.name[1:]) <= floor:
                 shutil.rmtree(path, ignore_errors=True)
 
-    def cleanup(self) -> None:
-        """Remove the whole store (end-of-run cleanup)."""
-        shutil.rmtree(self.workdir, ignore_errors=True)
-
 
 def _check_head(head: dict) -> dict:
     """A HEAD record must name its directory and header checksum."""

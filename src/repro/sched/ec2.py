@@ -14,10 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.sched.cluster import (
-    REFERENCE_PEMODEL_SECONDS,
-    REFERENCE_PERT_SECONDS,
-)
+from repro.sched.cluster import REFERENCE_PEMODEL_SECONDS
 from repro.sched.resources import ClusterModel, Node, NodeSpec
 
 
@@ -57,13 +54,6 @@ class EC2InstanceType:
     def speed_factor(self) -> float:
         """Per-core compute speed relative to the local Opteron 250."""
         return REFERENCE_PEMODEL_SECONDS / self.pemodel_seconds
-
-    @property
-    def pert_io_penalty_s(self) -> float:
-        """Residual pert slowdown attributed to virtualized I/O."""
-        return max(
-            self.pert_seconds - REFERENCE_PERT_SECONDS / self.speed_factor, 0.0
-        )
 
     @property
     def schedulable_cores(self) -> int:

@@ -64,7 +64,3 @@ class Simulator:
             self.events_processed += 1
             callback()
 
-    @property
-    def pending(self) -> int:
-        """Number of scheduled (non-cancelled) events."""
-        return len(self._queue) - len(self._cancelled)

@@ -64,13 +64,6 @@ class TelemetryEvent:
     kind: str
     attrs: tuple[tuple[str, object], ...] = ()
 
-    def attr(self, key: str):
-        """Look up one attribute value by key (None when absent)."""
-        for k, v in self.attrs:
-            if k == key:
-                return v
-        return None
-
 
 class _NullSpan:
     """The do-nothing span handle (a process-wide singleton)."""
@@ -125,14 +118,6 @@ class NullRecorder:
 
     def event(self, kind: str, **attrs) -> None:
         """Discard an instantaneous event."""
-
-    def spans(self) -> tuple[Span, ...]:
-        """A null recorder holds no spans."""
-        return ()
-
-    def events(self) -> tuple:
-        """A null recorder holds no events."""
-        return ()
 
 
 #: Shared default recorder -- safe because it keeps no state.
@@ -303,8 +288,3 @@ class TraceRecorder:
         with self._lock:
             return tuple(sorted(self._events, key=lambda e: e.time))
 
-    def clear(self) -> None:
-        """Drop all recorded spans and events (id sequence keeps going)."""
-        with self._lock:
-            self._spans.clear()
-            self._events.clear()

@@ -313,23 +313,6 @@ def truncated_svd(
     return factors
 
 
-def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Economy-size SVD ``a = u @ diag(s) @ vt``: :func:`truncated_svd`, uncut.
-
-    Parameters
-    ----------
-    a:
-        Matrix of shape ``(n, m)``; typically ``n >> m`` (state-by-ensemble).
-
-    Returns
-    -------
-    u, s, vt:
-        ``u`` is ``(n, k)``, ``s`` is ``(k,)`` descending, ``vt`` is
-        ``(k, m)`` with ``k = min(n, m)``.
-    """
-    return truncated_svd(a)
-
-
 def randomized_svd(
     a: np.ndarray,
     rank: int,

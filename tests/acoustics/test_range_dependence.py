@@ -36,7 +36,7 @@ class TestShelfBathymetry:
         assert np.mean(wet_depths < 300.0) > 0.05
 
     def test_canyon_still_deep(self, bathy):
-        assert bathy.max_depth > 2000.0
+        assert bathy.depth.max() > 2000.0
 
 
 class TestRangeDependentSections:

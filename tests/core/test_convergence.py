@@ -114,14 +114,16 @@ class TestCriterion:
         crit.update(b)
         assert crit.history[0][0] == 16
 
-    def test_reset(self):
-        crit = ConvergenceCriterion()
+    def test_criteria_keep_separate_histories(self):
+        """Each cycle's criterion starts from nothing, whatever ran before."""
         s = subspace_from(orthonormal(30, 3, 4), [3.0, 2.0, 1.0])
-        crit.update(s)
-        crit.update(s)
-        crit.reset()
-        assert crit.history == []
-        assert crit.update(s) is None
+        used = ConvergenceCriterion()
+        used.update(s)
+        used.update(s)
+        fresh = ConvergenceCriterion()
+        assert fresh.history == []
+        assert fresh.update(s) is None
+        assert len(used.history) == 1
 
 
 class TestStatisticalConvergence:

@@ -53,11 +53,17 @@ class TestAccumulation:
             AnomalyAccumulator(layout, np.zeros(6), capacity=0)
 
 
+def scaled(acc):
+    """The scaled anomaly matrix ``M`` with ``M M^T ~ P``: the view's columns times its scale."""
+    view = acc.view()
+    return view.columns * view.scale
+
+
 class TestMatrix:
     def test_normalized_and_scaled(self, acc, layout):
         acc.add_member(0, np.full(6, 4.0))  # anomaly 4 -> normalized 2
         acc.add_member(1, np.full(6, -4.0))
-        m = acc.matrix()
+        m = scaled(acc)
         assert m.shape == (6, 2)
         assert np.allclose(m[:, 0], 2.0 / np.sqrt(1))  # / sqrt(N-1), N=2
         assert np.allclose(m[:, 1], -2.0)
@@ -65,7 +71,7 @@ class TestMatrix:
     def test_matrix_requires_two(self, acc):
         acc.add_member(0, np.ones(6))
         with pytest.raises(RuntimeError, match=">= 2"):
-            acc.matrix()
+            acc.view().scale
 
     def test_order_independent_covariance(self, layout):
         rng = np.random.default_rng(0)
@@ -76,7 +82,7 @@ class TestMatrix:
             a.add_member(k, members[k])
         for k in reversed(range(5)):
             b.add_member(k, members[k])
-        ma, mb = a.matrix(), b.matrix()
+        ma, mb = scaled(a), scaled(b)
         assert np.allclose(ma @ ma.T, mb @ mb.T)  # same covariance
 
 

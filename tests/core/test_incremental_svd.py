@@ -248,14 +248,6 @@ class TestIncrementalSubspaceEstimator:
         assert sub.rank == s_ref.size
         assert np.allclose(sub.sigmas, s_ref, rtol=TOL)
 
-    def test_reset_forgets_carry(self):
-        est = IncrementalSubspaceEstimator(rank=4)
-        est.update(esse_like_columns(60, 8, seed=18))
-        est.reset()
-        assert est.last_path is None
-        est.update(esse_like_columns(60, 8, seed=18))
-        assert est.last_path == "exact"
-
     def test_returns_error_subspace(self):
         sub = IncrementalSubspaceEstimator(rank=3).update(
             esse_like_columns(30, 8, seed=19)

@@ -61,17 +61,6 @@ class TestCovariance:
         assert np.all(sub.variance_field() >= -1e-15)
 
 
-class TestPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        sub = random_subspace(seed=9, n_samples=33)
-        path = tmp_path / "subspace.npz"
-        sub.save(path)
-        back = ErrorSubspace.load(path)
-        assert np.allclose(back.modes, sub.modes)
-        assert np.allclose(back.sigmas, sub.sigmas)
-        assert back.n_samples == 33
-
-
 class TestFromAnomalies:
     def test_modes_orthonormal(self):
         rng = np.random.default_rng(2)

@@ -117,7 +117,11 @@ class TestAnalysisStage:
     def test_analysis_state_is_valid_model_state(self, twin):
         model = twin["model"]
         state = model.from_vector(twin["analysis"].mean)
-        state.validate(model.grid)
+        grid = model.grid
+        for name, shape in [("u", grid.shape2d), ("eta", grid.shape2d), ("temp", grid.shape3d)]:
+            field = getattr(state, name)
+            assert field.shape == shape
+            assert np.all(np.isfinite(field[..., grid.mask]))
 
 
 class TestUncertaintyFields:

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from repro.ocean.model import ModelState
+
 
 class CalmForcing:
     """No wind and no heat flux: a stand-in for ``PEModel(forcing=)``."""
@@ -14,3 +16,10 @@ class CalmForcing:
 
     def heat_flux(self, t):
         return self._zero
+
+
+def member(batch, i):
+    """Member ``i`` of an ``EnsembleState`` as a ``ModelState`` (views)."""
+    return ModelState(
+        batch.u[i], batch.v[i], batch.eta[i], batch.temp[i], batch.salt[i], batch.time
+    )

@@ -6,6 +6,7 @@ import pytest
 from repro.ocean import PEModel, StochasticForcing
 from repro.ocean.model import CHECK_INTERVAL, EnsembleState
 from repro.ocean.stochastic import BatchedStochasticForcing
+from tests.ocean.conftest import member as batch_member
 
 N = 3
 
@@ -27,7 +28,7 @@ class TestEnsembleState:
         assert batch.count == N
         assert batch.time == spun_up_state.time
         for i, state in enumerate(states):
-            member = batch.member(i)
+            member = batch_member(batch, i)
             assert np.array_equal(member.u, state.u)
             assert np.array_equal(member.temp, state.temp)
 
@@ -68,11 +69,13 @@ class TestMatrixRoundTrip:
 
 class TestDeterministicBatchEquality:
     def test_step_matches_serial(self, small_model, spun_up_state):
+        dt = small_model.config.dt
         states = perturbed_states(small_model, spun_up_state)
-        batch = small_model.step_ensemble(EnsembleState.from_states(states))
+        batch, failed = small_model.run_ensemble(EnsembleState.from_states(states), dt)
+        assert failed == {}
         for i, state in enumerate(states):
-            serial = small_model.step(state)
-            member = batch.member(i)
+            serial = small_model.run(state, dt)
+            member = batch_member(batch, i)
             assert np.array_equal(member.u, serial.u)
             assert np.array_equal(member.v, serial.v)
             assert np.array_equal(member.eta, serial.eta)
@@ -88,7 +91,7 @@ class TestDeterministicBatchEquality:
         assert failed == {}
         for i, state in enumerate(states):
             serial = small_model.run(state, duration)
-            member = batch.member(i)
+            member = batch_member(batch, i)
             assert member.time == serial.time
             assert np.array_equal(member.u, serial.u)
             assert np.array_equal(member.temp, serial.temp)
@@ -117,7 +120,7 @@ class TestNoisyBatchEquality:
                 )
             )
             serial = serial_model.run(state, duration)
-            member = batch.member(i)
+            member = batch_member(batch, i)
             assert np.array_equal(member.u, serial.u)
             assert np.array_equal(member.eta, serial.eta)
             assert np.array_equal(member.temp, serial.temp)
@@ -129,8 +132,8 @@ class TestNoisyBatchEquality:
             small_model.grid, rngs=[np.random.default_rng(0)]
         )
         with pytest.raises(ValueError, match="batch size"):
-            small_model.step_ensemble(
-                EnsembleState.from_states(states), noise=noise
+            small_model.run_ensemble(
+                EnsembleState.from_states(states), small_model.config.dt, noise=noise
             )
 
 

@@ -42,7 +42,7 @@ class TestMontereyBathymetry:
 
     def test_canyon_is_deep(self):
         b = monterey_bathymetry()
-        assert b.max_depth > 2000.0
+        assert b.depth.max() > 2000.0
 
     def test_land_has_zero_depth(self):
         b = monterey_bathymetry()

@@ -75,10 +75,15 @@ def workspace(dyn):
     return dyn.workspace((), SharedBlock())
 
 
+def constants(dyn, dt):
+    """The step constants a model of step ``dt`` builds (sponge included)."""
+    return dyn.step_constants(dt, dyn.sponge_factors(dt))
+
+
 class TestStepDynamics:
     def test_rest_stays_at_rest(self, grid, dyn):
         zeros = np.zeros(grid.shape2d)
-        step = dyn.step_constants(400.0)
+        step = constants(dyn, 400.0)
         u, v, eta, deta = dyn.step_dynamics(
             zeros, zeros, zeros, zeros, zeros, step, workspace(dyn)
         )
@@ -92,7 +97,7 @@ class TestStepDynamics:
         u = np.zeros(grid.shape2d)
         v = np.zeros(grid.shape2d)
         tau = np.zeros(grid.shape2d)
-        step = dyn.step_constants(400.0, dyn.sponge_factors(400.0))
+        step = constants(dyn, 400.0)
         work = workspace(dyn)
         amp0 = np.abs(eta).max()
         for _ in range(600):
@@ -104,7 +109,7 @@ class TestStepDynamics:
     def test_wind_accelerates_flow(self, grid, dyn):
         zeros = np.zeros(grid.shape2d)
         tau_x = grid.apply_mask(np.full(grid.shape2d, 0.05))
-        step = dyn.step_constants(400.0)
+        step = constants(dyn, 400.0)
         u, v, eta, _ = dyn.step_dynamics(
             zeros, zeros, zeros, tau_x, zeros, step, workspace(dyn)
         )
@@ -112,7 +117,7 @@ class TestStepDynamics:
 
     def test_land_velocity_zeroed_by_boundaries(self, grid, dyn):
         ones = grid.apply_mask(np.ones(grid.shape2d)) + 1.0  # nonzero on land
-        u, v, eta = dyn.enforce_boundaries(ones, ones, ones)
+        u, v, eta = dyn.enforce_boundaries(ones, ones, ones, constants(dyn, 400.0))
         assert np.all(u[~grid.mask] == 0)
         assert np.all(eta[~grid.mask] == 0)
 
@@ -126,11 +131,11 @@ class TestStepDynamics:
         v = grid.apply_mask(rng.standard_normal(grid.shape2d) * 0.01)
         tau = np.zeros(grid.shape2d)
         vol0 = eta[grid.mask].sum()
-        step = dyn.step_constants(200.0)
+        step = dyn.step_constants(200.0, np.ones(grid.shape2d))  # no sponge
         work = workspace(dyn)
         for _ in range(50):
             u, v, eta, _ = dyn.step_dynamics(u, v, eta, tau, tau, step, work)
-            u, v, eta = dyn.enforce_boundaries(u, v, eta)
+            u, v, eta = dyn.enforce_boundaries(u, v, eta, step)
         # interior divergence rearranges mass; edge one-sided stencils leak
         # only marginally
         assert eta[grid.mask].sum() == pytest.approx(vol0, abs=0.05 * max(abs(vol0), 1.0))

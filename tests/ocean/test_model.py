@@ -34,27 +34,11 @@ class TestRestState:
         deep = s.temp[-1][wet].mean()
         assert surface > deep  # warm on top
 
-    def test_validate_accepts_rest(self, small_model):
-        small_model.rest_state().validate(small_model.grid)
-
-    def test_validate_rejects_nan(self, small_model):
-        s = small_model.rest_state()
-        jj, ii = np.nonzero(small_model.grid.mask)
-        s.u[jj[0], ii[0]] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            s.validate(small_model.grid)
-
-    def test_validate_rejects_wrong_shape(self, small_model):
-        s = small_model.rest_state()
-        s.u = np.zeros((2, 2))
-        with pytest.raises(ValueError, match="expected shape"):
-            s.validate(small_model.grid)
-
 
 class TestStepping:
     def test_time_advances(self, small_model):
         s = small_model.rest_state()
-        s2 = small_model.step(s)
+        s2 = small_model.run(s, small_model.config.dt)
         assert s2.time == pytest.approx(small_model.config.dt)
 
     def test_run_duration_rounds_up(self, small_model):

@@ -25,6 +25,7 @@ from repro.ocean.grid import demo_grid
 from repro.ocean.model import EnsembleState, ModelState
 from repro.ocean.stochastic import BatchedStochasticForcing
 from repro.util.randomfields import GaussianRandomField2D
+from tests.ocean.conftest import member as batch_member
 
 FIELDS = ("u", "v", "eta", "temp", "salt")
 TOLERANCE = 1e-12  # relative, set beforehand: ~50 steps x a few ulp of float64
@@ -215,7 +216,7 @@ def ref_step(model, state, noise=None):
         block, nz = noise.increments(dt), model.grid.nz
         u, v, eta = u + block[0], v + block[1], eta + block[2]
         temp, salt = temp + block[3 : 3 + nz], salt + block[3 + nz :]
-    mask, sponge = model.grid.mask, model._sponge
+    mask, sponge = model.grid.mask, model.dynamics.sponge_factors(dt)
     u, v, eta = (np.where(mask, f, 0.0) * sponge for f in (u, v, eta))
     return ModelState(u=u, v=v, eta=eta, temp=temp, salt=salt, time=state.time + dt)
 
@@ -286,11 +287,11 @@ class TestStepEqualsOldFormulas:
         )
         assert failed == {}
         for i, reference in enumerate(references):
-            assert worst_relative_gap(batch.member(i), reference) <= TOLERANCE
+            assert worst_relative_gap(batch_member(batch, i), reference) <= TOLERANCE
 
     def test_land_is_exactly_zero_after_a_step(self, case):
         model, states = case
-        stepped = model.step(states[0])
+        stepped = model.run(states[0], model.config.dt)
         land = ~model.grid.mask
         for name in ("u", "v", "eta"):
             assert np.all(getattr(stepped, name)[land] == 0.0)
@@ -299,7 +300,9 @@ class TestStepEqualsOldFormulas:
         model, states = case
         state = states[0]
         tau_x, tau_y = model.forcing.wind_stress(state.time)
-        step = model.dynamics.step_constants(model.config.dt)
+        step = model.dynamics.step_constants(
+            model.config.dt, model.dynamics.sponge_factors(model.config.dt)
+        )
         work = model.dynamics.workspace((), SharedBlock())
         *_, deta_dt = model.dynamics.step_dynamics(
             state.u, state.v, state.eta, tau_x, tau_y, step, work

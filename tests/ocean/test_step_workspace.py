@@ -1,15 +1,14 @@
 """A run's step workspace: what a run returns is its own, and it is the steps.
 
 ``PEModel.run`` and ``run_ensemble`` build one workspace of halo buffers and
-stencil views and hand it to every step; ``step`` and ``step_ensemble``
-build one per call.  The workspace belongs to the run, never to the shared
-model, and no returned array is a view of it:
+stencil views and hand it to every step.  The workspace belongs to the run,
+never to the shared model, and no returned array is a view of it:
 
 - a callback that keeps every state it is handed still holds, after the
   run, exactly what it was handed;
 - two threads running one shared model at once get the bits of the same
   runs done one after the other;
-- a run is, bit for bit, as many single steps.
+- a run is, bit for bit, as many one-step runs.
 """
 
 import copy
@@ -83,12 +82,12 @@ class TestKeptStatesStayPut:
             assert_same_bits(state, twin)
         assert_disjoint(kept)
 
-    def test_step_ensemble_states(self, model):
+    def test_one_step_ensemble_runs(self, model):
         state = EnsembleState.from_states(start_states(model, count=3))
         noise = batched_forcing(model, 3)
         kept, copies = [], []
         for _ in range(6):
-            state = model.step_ensemble(state, noise=noise)
+            state, _ = model.run_ensemble(state, model.config.dt, noise)
             kept.append(state)
             copies.append(copy.deepcopy(state))
         for state, twin in zip(kept, copies):
@@ -154,7 +153,8 @@ class TestRunIsItsSteps:
     def test_run_equals_single_steps(self, grid, noisy, count):
         model = PEModel(grid=GRIDS[grid]())
         states = start_states(model, count=count)
-        duration = N_STEPS * model.config.dt
+        dt = model.config.dt
+        duration = N_STEPS * dt
         if count == 1:
             def member():
                 rng = np.random.default_rng(9)
@@ -164,7 +164,7 @@ class TestRunIsItsSteps:
             final = runner.run(states[0], duration)
             stepped = states[0]
             for _ in range(N_STEPS):
-                stepped = stepper.step(stepped)
+                stepped = stepper.run(stepped, dt)
         else:
             start = EnsembleState.from_states(states)
             noise = batched_forcing(model, count) if noisy else None
@@ -173,5 +173,6 @@ class TestRunIsItsSteps:
             noise = batched_forcing(model, count) if noisy else None
             stepped = start
             for _ in range(N_STEPS):
-                stepped = model.step_ensemble(stepped, noise=noise)
+                stepped, failed = model.run_ensemble(stepped, dt, noise)
+                assert failed == {}
         assert_same_bits(final, stepped)

@@ -47,13 +47,6 @@ class TestLRUCache:
         with pytest.raises(ValueError, match=">= 0"):
             LRUCache(-1)
 
-    def test_clear(self):
-        cache = LRUCache(4)
-        cache.put("a", 1)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get("a") is None
-
     def test_metrics_instrumentation(self):
         reg = MetricsRegistry()
         cache = LRUCache(2, registry=reg, name="t")
@@ -67,3 +60,13 @@ class TestLRUCache:
         assert counters["product_cache_misses{cache=t}"] == 1.0
         assert counters["product_cache_evictions{cache=t}"] == 1.0
         assert reg.snapshot()["gauges"]["product_cache_entries{cache=t}"] == 2.0
+
+    def test_refreshing_a_key_evicts_nothing(self):
+        reg = MetricsRegistry()
+        cache = LRUCache(2, registry=reg, name="t")
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("a", 10)
+        snapshot = reg.snapshot()
+        assert snapshot["counters"].get("product_cache_evictions{cache=t}", 0.0) == 0.0
+        assert snapshot["gauges"]["product_cache_entries{cache=t}"] == 2.0

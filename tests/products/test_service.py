@@ -27,6 +27,11 @@ def published(store):
     return store
 
 
+def header(response, name):
+    """One response header by case-insensitive name (None when absent)."""
+    return next((v for k, v in response.headers if k.lower() == name.lower()), None)
+
+
 def get(service, target, **headers):
     return service.handle("GET", target, headers)
 
@@ -64,8 +69,8 @@ class TestResources:
         service = ProductService(published.workdir)
         response = get(service, "/v1/products/latest")
         assert response.status == 200
-        assert response.header("Content-Type") == "application/json"
-        assert response.header("X-Product-Version") == "1"
+        assert header(response, "Content-Type") == "application/json"
+        assert header(response, "X-Product-Version") == "1"
         body = json.loads(response.body)
         assert body["version"] == 1
         assert set(body["fields"]) == {"sst_nowcast", "sst_sigma"}
@@ -174,20 +179,20 @@ class TestValidationAndDegradation:
     def test_etag_revalidation_304(self, published):
         service = ProductService(published.workdir)
         first = get(service, "/v1/products/latest")
-        etag = first.header("ETag")
+        etag = header(first, "ETag")
         assert etag.startswith('"v1-')
         revalidated = get(service, "/v1/products/latest", **{"If-None-Match": etag})
         assert revalidated.status == 304
         assert revalidated.body == b""
-        assert revalidated.header("ETag") == etag
+        assert header(revalidated, "ETag") == etag
 
     def test_etag_changes_across_versions(self, published):
         service = ProductService(published.workdir)
-        old = get(service, "/v1/products/latest").header("ETag")
+        old = header(get(service, "/v1/products/latest"), "ETag")
         published.publish(make_product(1), {"sst_nowcast": make_field(2)})
         fresh = get(service, "/v1/products/latest")
         assert fresh.status == 200
-        assert fresh.header("ETag") != old
+        assert header(fresh, "ETag") != old
         # stale ETag no longer revalidates
         assert get(service, "/v1/products/latest", **{"If-None-Match": old}).status == 200
 
@@ -195,7 +200,7 @@ class TestValidationAndDegradation:
         service = ProductService(store.workdir)
         response = get(service, "/v1/products/latest")
         assert response.status == 503
-        assert response.header("Retry-After") == "1"
+        assert header(response, "Retry-After") == "1"
 
     def test_503_while_future_version_publishes(self, published):
         service = ProductService(published.workdir)
@@ -246,7 +251,7 @@ class TestCachingAndTelemetry:
     def test_response_dataclass_helpers(self):
         response = ServiceResponse(status=503, headers=(("Retry-After", "1"),))
         assert response.reason == "Service Unavailable"
-        assert response.header("retry-after") == "1"
+        assert header(response, "retry-after") == "1"
 
 
 LATEST = "/v1/products/latest"
@@ -289,7 +294,7 @@ class TestHitPath:
         self, published, monkeypatch
     ):
         service = self.warm(published)
-        etag = {"if-none-match": service.handle("GET", LATEST).header("ETag")}
+        etag = {"if-none-match": header(service.handle("GET", LATEST), "ETag")}
         requests = [
             ("GET", LATEST, None, 200),
             ("GET", TILE, None, 200),
@@ -388,7 +393,7 @@ class TestHitPath:
         reg = MetricsRegistry()
         recorder = TraceRecorder()
         service = ProductService(published.workdir, registry=reg, telemetry=recorder)
-        etag = {"if-none-match": service.handle("GET", LATEST).header("ETag")}
+        etag = {"if-none-match": header(service.handle("GET", LATEST), "ETag")}
         field = make_field(1)
         sequence = [
             ("GET", LATEST, None),
@@ -464,7 +469,7 @@ class TestHitPath:
                 last = published.publish(make_product(last), {"sst_nowcast": field})
             assert service.cached("GET", LATEST) is None
             response = service.handle("GET", LATEST)
-            assert response.header("X-Product-Version") == str(last)
+            assert header(response, "X-Product-Version") == str(last)
             assert service.cached("GET", LATEST) == response
 
     def test_torn_or_missing_head_answers_as_before(self, published):

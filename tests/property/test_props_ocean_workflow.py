@@ -77,7 +77,8 @@ class TestAccumulatorProperties:
         for k in order:
             acc2.add_member(int(k), members[int(k)])
 
-        m1, m2 = acc1.matrix(), acc2.matrix()
+        v1, v2 = acc1.view(), acc2.view()
+        m1, m2 = v1.columns * v1.scale, v2.columns * v2.scale
         assert np.allclose(m1 @ m1.T, m2 @ m2.T, atol=1e-10)
 
 

@@ -147,7 +147,7 @@ class TestSchedulerProperties:
         def watch():
             if node.busy_cores > node.spec.cores or node.busy_cores < 0:
                 violations.append(sim.now)
-            if sim.pending:
+            if any(j.state is not JobState.DONE for j in sched.jobs.values()):
                 sim.schedule(0.5, watch)
 
         sim.schedule(0.0, watch)

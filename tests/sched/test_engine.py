@@ -65,10 +65,21 @@ class TestCancelAndUntil:
         sim.run()
         assert fired == []
 
-    def test_pending_counts_cancellations(self):
+    def test_cancelled_events_are_not_counted(self):
         sim = Simulator()
-        h = sim.schedule(1.0, lambda: None)
+        sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        assert sim.pending == 2
-        sim.cancel(h)
-        assert sim.pending == 1
+        sim.cancel(sim.schedule(3.0, lambda: None))
+        sim.run()
+        assert sim.events_processed == 2
+        assert sim.now == 2.0  # a cancelled event does not move the clock
+
+    def test_cancelling_one_of_tied_events_keeps_the_other(self):
+        sim = Simulator()
+        fired = []
+        first = sim.schedule(1.0, lambda: fired.append("first"))
+        sim.schedule(1.0, lambda: fired.append("second"))
+        sim.cancel(first)
+        sim.run()
+        assert fired == ["second"]
+

@@ -13,6 +13,7 @@ from repro.core.ensemble import EnsembleRunner
 from repro.ocean import PEModel
 from repro.ocean.bathymetry import monterey_grid
 from repro.telemetry import (
+    NULL_RECORDER,
     FakeClock,
     MetricsRegistry,
     TraceRecorder,
@@ -102,7 +103,7 @@ class TestParallelWorkflowTracing:
         workflow, background = small_workflow(tmp_path)
         result = workflow.run(background)
         assert workflow.telemetry.enabled is False
-        assert workflow.telemetry.spans() == ()
+        assert workflow.telemetry is NULL_RECORDER
         assert result.n_completed >= 4
 
     def test_fake_clock_threads_through_whole_workflow(self, tmp_path):

@@ -17,11 +17,8 @@ keys).
 from __future__ import annotations
 
 import ast
-import re
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-SCANNED = ("src", "benchmarks", "examples", "tools")
+from tests.census import PACKAGE, ROOT, SCANNED, roadmap_table, trees
 
 #: Dataclasses whose defaulted fields are not settings: records the program
 #: fills itself (counters, timings, states), and the experiment document,
@@ -94,13 +91,13 @@ def _init_fields(node: ast.ClassDef) -> list[tuple[str, bool, object]]:
     return out
 
 
-def dataclass_fields(src: Path) -> dict[str, tuple[str, list[tuple[str, bool]]]]:
-    """``class -> (file, init fields)`` for every dataclass under ``src``."""
+def dataclass_fields() -> dict[str, tuple[str, list[tuple[str, bool]]]]:
+    """``class -> (file, init fields)`` for every dataclass under ``src/repro``."""
     found = {}
-    for path in sorted(src.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for path, tree in trees(["src/repro"]):
+        for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                found[node.name] = (str(path.relative_to(src.parent)), _init_fields(node))
+                found[node.name] = (str(path.relative_to(PACKAGE.parent)), _init_fields(node))
     return found
 
 
@@ -147,37 +144,34 @@ def setters(roots, classes) -> dict[str, list[str]]:
                 if isinstance(key, ast.Constant):
                     hit(sections[section], key.value, where, item)
 
-    for root in roots:
-        for path in sorted(root.rglob("*.py")):
-            rel = str(path.relative_to(ROOT))
-            tree = ast.parse(path.read_text())
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Dict):
-                    for key, value in zip(node.keys, node.values):
-                        if isinstance(key, ast.Constant):
-                            document(key.value, value, f"{rel}:{node.lineno}")
-            for call, cls in _calls(tree):
-                where = f"{rel}:{call.lineno}"
-                for kw in call.keywords:
-                    if kw.arg is not None:
-                        document(kw.arg, kw.value, where)
-                if cls not in classes:
-                    continue
-                names = [name for name, _, _ in classes[cls][1]]
-                positional = [a for a in call.args if not isinstance(a, ast.Starred)]
-                for name, value in zip(names, positional):
-                    hit(cls, name, where, value)
-                for kw in call.keywords:
-                    if kw.arg in names:
-                        hit(cls, kw.arg, where, kw.value)
+    for path, tree in trees(roots):
+        rel = str(path.relative_to(ROOT))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                for key, value in zip(node.keys, node.values):
+                    if isinstance(key, ast.Constant):
+                        document(key.value, value, f"{rel}:{node.lineno}")
+        for call, cls in _calls(tree):
+            where = f"{rel}:{call.lineno}"
+            for kw in call.keywords:
+                if kw.arg is not None:
+                    document(kw.arg, kw.value, where)
+            if cls not in classes:
+                continue
+            names = [name for name, _, _ in classes[cls][1]]
+            positional = [a for a in call.args if not isinstance(a, ast.Starred)]
+            for name, value in zip(names, positional):
+                hit(cls, name, where, value)
+            for kw in call.keywords:
+                if kw.arg in names:
+                    hit(cls, kw.arg, where, kw.value)
     return found
 
 
 def census(roots=None):
     """``[(class, field, file, call sites)]`` for every defaulted field."""
-    classes = dataclass_fields(ROOT / "src" / "repro")
-    roots = [ROOT / r for r in (roots or SCANNED)]
-    sites = setters(roots, classes)
+    classes = dataclass_fields()
+    sites = setters(roots or SCANNED, classes)
     return [
         (cls, name, path, sites.get(f"{cls}.{name}", []))
         for cls, (path, fields) in sorted(classes.items())
@@ -212,18 +206,10 @@ def test_kept_seams_are_still_unset_fields():
 
 
 def test_excluded_classes_are_dataclasses_with_defaults():
-    classes = dataclass_fields(ROOT / "src" / "repro")
+    classes = dataclass_fields()
     for name in NOT_SETTINGS:
         assert any(has_default for _, has_default, _ in classes[name][1]), name
 
 
 def test_seams_match_the_roadmap_table():
-    header = "| Kept without a non-test setter | Why |"
-    text = (ROOT / "ROADMAP.md").read_text()
-    assert header in text, "ROADMAP.md has no kept-seam table"
-    table = text.split(header, 1)[1].split("\n\n", 1)[0]
-    listed = set()
-    for line in table.splitlines()[2:]:
-        first_cell = line.split("|")[1]
-        listed.update(re.findall(r"`(\w+\.[\w*]+)`", first_cell))
-    assert listed == KEPT_SEAMS
+    assert roadmap_table("| Kept without a non-test setter | Why |") == KEPT_SEAMS

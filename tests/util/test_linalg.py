@@ -18,7 +18,6 @@ from repro.util.linalg import (
     lapack_svd,
     oriented_product,
     orthonormal_columns,
-    thin_svd,
     truncated_svd,
 )
 
@@ -27,18 +26,18 @@ class TestThinSVD:
     def test_reconstruction(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((40, 7))
-        u, s, vt = thin_svd(a)
+        u, s, vt = truncated_svd(a)
         assert np.allclose(u @ np.diag(s) @ vt, a)
         assert u.shape == (40, 7)
 
     def test_descending_singular_values(self):
         rng = np.random.default_rng(1)
-        _, s, _ = thin_svd(rng.standard_normal((20, 6)))
+        _, s, _ = truncated_svd(rng.standard_normal((20, 6)))
         assert np.all(np.diff(s) <= 0)
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError, match="2-D"):
-            thin_svd(np.zeros(5))
+            truncated_svd(np.zeros(5))
 
 
 class TestTruncatedSVD:
@@ -215,13 +214,13 @@ class TestGramRoute:
         u, s, _ = truncated_svd(a, rtol=1e-10)
         assert s.size == 3
         assert np.abs(u.T @ u - np.eye(3)).max() <= 1e-12
-        u, s, _ = thin_svd(a)
+        u, s, _ = truncated_svd(a)
         assert s.size == 8 and np.all(s[3:] <= 1e-12 * s[0])
         assert np.abs(u.T @ u - np.eye(8)).max() <= 1e-12
 
     def test_all_zero_input(self):
         a = np.zeros((100, 5))
-        u, s, vt = thin_svd(a)
+        u, s, vt = truncated_svd(a)
         assert u.shape == (100, 5) and vt.shape == (5, 5)
         np.testing.assert_array_equal(s, 0.0)
         u, s, _ = truncated_svd(a, energy=0.99, rtol=1e-10)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.linalg import orthonormal_columns, randomized_svd, thin_svd
+from repro.util.linalg import orthonormal_columns, randomized_svd, truncated_svd
 
 
 def decaying_matrix(n=2000, m=200, rank=40, seed=0):
@@ -16,14 +16,14 @@ def decaying_matrix(n=2000, m=200, rank=40, seed=0):
 class TestRandomizedSVD:
     def test_matches_lapack_on_dominant_modes(self):
         a = decaying_matrix()
-        _, s_exact, _ = thin_svd(a)
+        _, s_exact, _ = truncated_svd(a)
         rng = np.random.default_rng(1)
         u, s, vt = randomized_svd(a, rank=20, rng=rng)
         assert np.allclose(s, s_exact[:20], rtol=1e-3)
 
     def test_subspace_agrees(self):
         a = decaying_matrix()
-        u_exact, _, _ = thin_svd(a)
+        u_exact, _, _ = truncated_svd(a)
         u, _, _ = randomized_svd(a, rank=10, rng=np.random.default_rng(2))
         # principal angles between dominant subspaces ~ 0
         overlap = np.linalg.svd(u_exact[:, :10].T @ u, compute_uv=False)
