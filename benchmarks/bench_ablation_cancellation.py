@@ -21,8 +21,6 @@ workers) cancelled nothing in three of four runs: by the time it
 converged, each batch it had submitted had been picked up by a worker.
 """
 
-import pytest
-
 from conftest import print_table
 from repro.core import ESSEConfig
 from repro.workflow import CancellationPolicy, ParallelESSEWorkflow

@@ -7,8 +7,6 @@ factors overshoot, wasting members.  Measured on the real ESSE loop
 (members used, checks run) and costed on the DES cluster.
 """
 
-import pytest
-
 from conftest import print_table
 from repro.core import ESSEConfig, ESSEDriver
 from repro.sched import EnsembleCampaign, mseas_cluster

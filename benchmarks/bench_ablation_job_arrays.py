@@ -9,7 +9,6 @@ task per batch of members).
 """
 
 import numpy as np
-import pytest
 
 from conftest import print_table
 from repro.sched import EnsembleCampaign, mseas_cluster

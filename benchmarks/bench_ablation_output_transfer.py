@@ -8,7 +8,6 @@ and WAN/gateway model.
 """
 
 import numpy as np
-import pytest
 
 from conftest import print_table
 from repro.sched.transfer import OutputReturnPlan, simulate_output_return

@@ -9,8 +9,6 @@
   forecasting (Sec 4 point 1).
 """
 
-import pytest
-
 from conftest import print_table
 from repro.core import ESSEConfig, ESSEDriver
 

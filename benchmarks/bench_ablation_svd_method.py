@@ -14,7 +14,6 @@ eigensolve, then only the kept modes), and the randomized range-finder.
 """
 
 import numpy as np
-import pytest
 
 from conftest import print_table
 from repro.telemetry.clock import MONOTONIC

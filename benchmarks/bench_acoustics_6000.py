@@ -10,14 +10,10 @@ Two parts: (a) the scheduler-scale campaign through the calibrated DES,
 solver, timing actual singleton cost.
 """
 
-import time
-
 import pytest
 
 from conftest import print_table
 from repro.acoustics import AcousticClimate, acoustic_climate_tasks
-from repro.ocean import PEModel
-from repro.ocean.bathymetry import monterey_grid
 from repro.sched import EnsembleCampaign, mseas_cluster
 from repro.sched.schedulers import SGEPolicy
 

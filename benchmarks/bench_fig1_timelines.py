@@ -6,8 +6,6 @@ simulation-time coverage t^i of each prediction (bottom row), then renders
 them as text.
 """
 
-import pytest
-
 from conftest import print_table
 from repro.realtime import ExperimentTimeline
 

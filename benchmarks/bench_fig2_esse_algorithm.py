@@ -6,8 +6,6 @@ as the ensemble grows: the quantity the Fig 2 convergence loop monitors.
 Shape: rho increases with N and crosses a practical tolerance.
 """
 
-import pytest
-
 from conftest import print_table
 from repro.core import ESSEConfig, ESSEDriver
 

@@ -11,8 +11,6 @@ Reproduces the paper's transformation claims:
 - the resulting subspace is statistically equivalent to the serial one.
 """
 
-import pytest
-
 from conftest import print_table
 from record import output_dir, record_bench
 from repro.core import ESSEConfig, similarity_coefficient

@@ -10,7 +10,6 @@ forcing acts at the surface).
 """
 
 import numpy as np
-import pytest
 
 from conftest import print_table
 from repro.core import ESSEConfig, ESSEDriver, synthetic_initial_subspace

@@ -8,8 +8,6 @@ handle such a workload in a short time interval."
 The DES answers this for the calibrated home cluster.
 """
 
-import pytest
-
 from conftest import print_table
 from repro.sched import EnsembleCampaign, mseas_cluster
 from repro.sched.schedulers import SGEPolicy

@@ -8,8 +8,6 @@ Paper observations reproduced here:
 - "Timings under Condor were between 10-20% slower" than SGE.
 """
 
-import pytest
-
 from conftest import print_table
 from repro.sched import EnsembleCampaign, mseas_cluster
 from repro.sched.iomodel import IOConfiguration, IOMode

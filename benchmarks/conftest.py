@@ -7,7 +7,6 @@ substrate is a simulator, not the authors' testbed); the *shape* -- who
 wins, by what factor, where crossovers fall -- is asserted.
 """
 
-import numpy as np
 import pytest
 
 

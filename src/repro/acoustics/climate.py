@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.acoustics.environment import AcousticSection, extract_section
+from repro.acoustics.environment import extract_section
 from repro.acoustics.tl import TLField, transmission_loss
 from repro.ocean.grid import OceanGrid
 from repro.ocean.model import ModelState

@@ -9,7 +9,7 @@ twin-experiment truth state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -23,8 +23,11 @@ benchmark's 32x28x4 grid a noisy member costs 0.51 ms per step alone and
 0.41 ms in a batch of four, its perturbation included
 (``ocean.member_step_us`` and ``ocean.batched_member_step_us`` of the
 suite record quoted in EXPERIMENTS.md, "One step workspace per ocean
-run").  That is what makes O(1000)-member ensembles tractable on one
-machine.
+run").  With the coastal fill as flat gathers (two fills per step, not
+three) and the rims as two strided copies, a quiet single-state step
+there takes 183 us against 204 us before (best of 40 runs of 216 steps,
+the two versions alternating in one process on one core).  That is what
+makes O(1000)-member ensembles tractable on one machine.
 """
 
 from __future__ import annotations
@@ -74,12 +77,15 @@ def halo_buffer(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rim_pairs(halo: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(rim, source) views: the outermost interior rows, then columns, of ``halo``."""
+    """(rim, source) views: both rim rows, then both whole rim columns, of ``halo``.
+
+    Each is one strided copy from the outermost interior rows / columns;
+    a grid of at least 4 x 4 cells keeps the sources' stride at 3 or more.
+    """
+    rows, cols = halo.shape[-2] - 1, halo.shape[-1] - 1
     return (
-        (halo[..., 0, 1:-1], halo[..., 1, 1:-1]),
-        (halo[..., -1, 1:-1], halo[..., -2, 1:-1]),
-        (halo[..., :, 0], halo[..., :, 1]),
-        (halo[..., :, -1], halo[..., :, -2]),
+        (halo[..., ::rows, 1:-1], halo[..., 1 :: rows - 2, 1:-1]),
+        (halo[..., ::cols], halo[..., 1 :: cols - 2]),
     )
 
 
@@ -277,8 +283,10 @@ class ShallowWaterDynamics:
         ``deta/dt`` over wet cells is exactly zero: total layer volume is
         conserved to round-off (the paper's PE model shares this property;
         it matters for multi-week ESSE runs).  Land cells have no open face,
-        so they come out exactly zero.  The land-filled ``eta`` is in
-        ``w.eta_filled``; the result is ``w.deta_dt``.
+        so they come out exactly zero.  ``eta`` is in ``w.eta`` unfilled:
+        the diffusion factors ``_diff_x`` / ``_diff_y`` are zero on every
+        face that touches land, so no finite land value reaches the
+        result, ``w.deta_dt``.
         """
         np.multiply(h, u, out=w.hu)
         np.multiply(h, v, out=w.hv)
@@ -359,8 +367,7 @@ class ShallowWaterDynamics:
         replicate_rim(w.uv_rim)
 
         # 1. continuity, forward step: exact finite-volume fluxes
-        np.copyto(w.eta_filled, eta)
-        self.fill_land.fill(w.eta_filled, w.fill)
+        np.copyto(w.eta, eta)
         self._continuity_tendency(h, u, v, w)
         eta_new = np.multiply(w.deta_dt, step.dt, out=w.eta_new)
         eta_new += eta
@@ -385,7 +392,7 @@ class ShallowWaterDynamics:
         #    backward pressure gradient from the (land-filled) new interface
         #    height, and the wind, per component
         np.copyto(w.eta_halo, eta_new)
-        self.fill_land.fill(w.eta_halo, w.fill)
+        w.fill_eta()
         replicate_rim(w.eta_rim)
         east, west, north, south = w.eta_near
         grad_x, grad_y = w.term_uv
@@ -421,9 +428,9 @@ class ShallowWaterDynamics:
         cells, field, pair = ny * nx, (*lead, ny, nx), (*lead, 2, ny, nx)
         halo, pair_halo = (*lead, ny + 2, nx + 2), (*lead, 2, ny + 2, nx + 2)
         faces_x, faces_y = (*lead, cells - 1), (*lead, cells - nx)
-        w = SimpleNamespace(fill=self.fill_land.buffer(lead))
+        w = SimpleNamespace()
         (
-            w.h, w.eta_filled, w.hu, w.hv, w.flux_x, w.slope_x, w.flux_y, w.slope_y,
+            w.h, w.eta, w.hu, w.hv, w.flux_x, w.slope_x, w.flux_y, w.slope_y,
             uv_halo, coef, w.duv, w.term, eta_halo,
         ) = shared.take(
             field, field, field, field, faces_x, faces_x, faces_y, faces_y,
@@ -433,13 +440,10 @@ class ShallowWaterDynamics:
         w.uv_new = np.empty(pair)
         # The continuity on the flattened grid: x faces pair cells 1 apart,
         # y faces cells nx apart.
-        hu, hv, eta, deta = (
-            a.reshape(*lead, cells) for a in (w.hu, w.hv, w.eta_filled, w.deta_dt)
-        )
-        w.hu_x, w.eta_x, w.deta_x = ((a[..., :-1], a[..., 1:]) for a in (hu, eta, deta))
-        w.hv_y, w.eta_y, w.deta_y = (
-            (a[..., :-nx], a[..., nx:]) for a in (hv, eta, deta)
-        )
+        hu, hv = w.hu.reshape(*lead, cells), w.hv.reshape(*lead, cells)
+        eta, deta = w.eta.reshape(*lead, cells), w.deta_dt.reshape(*lead, cells)
+        w.hu_x, w.eta_x, w.deta_x = [(a[..., :-1], a[..., 1:]) for a in (hu, eta, deta)]
+        w.hv_y, w.eta_y, w.deta_y = [(a[..., :-nx], a[..., nx:]) for a in (hv, eta, deta)]
         w.deta_0 = deta[..., 0]
         w.uv = uv_halo[..., 1:-1, 1:-1]
         w.u, w.v = w.uv[..., 0, :, :], w.uv[..., 1, :, :]
@@ -459,6 +463,7 @@ class ShallowWaterDynamics:
             (a[..., 0, :, :], a[..., 1, :, :]) for a in (w.duv, w.term, w.uv_new)
         )
         w.eta_halo = eta_halo[..., 1:-1, 1:-1]
+        w.fill_eta = self.fill_land.bind(eta_halo)
         w.eta_rim, w.eta_near = rim_pairs(eta_halo), neighbours(eta_halo)
         return w
 

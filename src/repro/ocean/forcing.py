@@ -66,14 +66,17 @@ class AtmosphericForcing:
         object.__setattr__(self, "_tau_y0", tau_y)
         object.__setattr__(self, "_wet", self.grid.mask.astype(float))
 
-    def wind_stress(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Wind stress fields (tau_x, tau_y) at model time ``t`` seconds."""
+    def wind_stress(self, t: float, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+        """Wind stress fields (tau_x, tau_y) at model time ``t`` seconds, into ``out``."""
         phase = 2.0 * np.pi * t / SYNOPTIC_PERIOD
         factor = 1.0 + SYNOPTIC_AMPLITUDE * np.sin(phase)
-        return self._tau_x0 * factor, self._tau_y0 * factor
+        return (
+            np.multiply(self._tau_x0, factor, out=out[0]),
+            np.multiply(self._tau_y0, factor, out=out[1]),
+        )
 
-    def heat_flux(self, t: float) -> np.ndarray:
-        """Net surface heat flux (W/m^2, positive warms) at time ``t``."""
+    def heat_flux(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """Net surface heat flux (W/m^2, positive warms) at time ``t``, into ``out``."""
         daily = np.cos(2.0 * np.pi * (t % 86400.0) / 86400.0 - np.pi)
         synoptic = 0.3 * np.sin(2.0 * np.pi * t / SYNOPTIC_PERIOD)
-        return self._wet * (HEAT_FLUX_AMPLITUDE * (daily + synoptic))
+        return np.multiply(self._wet, HEAT_FLUX_AMPLITUDE * (daily + synoptic), out=out)

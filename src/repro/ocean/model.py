@@ -164,6 +164,8 @@ class PEModel:
         Numerical parameters.
     forcing:
         Atmospheric forcing; defaults to the AOSN-II-like wind/heat product.
+        A step reads the wind stress that ``wind_stress(t, out)`` returns
+        and the heat flux that ``heat_flux(t, out)`` writes into ``out``.
     noise:
         Stochastic model-error forcing; defaults to quiet (deterministic).
         Each ensemble member passes its own seeded forcing.
@@ -268,12 +270,15 @@ class PEModel:
         """The step buffers and views for states shaped like ``state``.
 
         Owned by the run that builds it (pool and batch threads share the
-        model); nothing a step returns is a view of it.
+        model); nothing a step returns is a view of it.  The last entry
+        holds the wind stress ``(tau_x, tau_y)`` that every member shares;
+        the heat flux goes straight into the tracers' ``heat`` row.
         """
         lead = state.u.shape[:-2]
         shared = SharedBlock()  # the tracers' step-local buffers are the larger
         tracer_work = self.tracers.workspace(lead, shared)
-        return self.dynamics.workspace(lead, shared), tracer_work
+        tau = np.empty(self.grid.shape2d), np.empty(self.grid.shape2d)
+        return self.dynamics.workspace(lead, shared), tracer_work, tau
 
     def _advance(self, state, noise, work):
         """The one step body: a :class:`ModelState` or a whole batch.
@@ -285,16 +290,16 @@ class PEModel:
         :meth:`_workspace` of the state; the fields of the returned state
         are fresh arrays (the Euler update and ``enforce_boundaries``).
         """
-        dynamics_work, tracer_work = work
+        dynamics_work, tracer_work, tau = work
         dt = self.config.dt
-        tau_x, tau_y = self.forcing.wind_stress(state.time)
-        heat = self.forcing.heat_flux(state.time)
+        tau_x, tau_y = self.forcing.wind_stress(state.time, tau)
+        self.forcing.heat_flux(state.time, tracer_work.heat)
 
         u, v, eta, deta_dt = self.dynamics.step_dynamics(
             state.u, state.v, state.eta, tau_x, tau_y, self._constants, dynamics_work
         )
         temp, salt = self.tracers.tendencies(
-            state.temp, state.salt, state.u, state.v, deta_dt, heat, tracer_work
+            state.temp, state.salt, state.u, state.v, deta_dt, tracer_work
         )
         temp = np.multiply(temp, dt)
         temp += state.temp

@@ -17,7 +17,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.ocean.dynamics import (
-    halo_buffer,
     halo_run,
     halo_runs,
     SharedBlock,
@@ -100,7 +99,7 @@ class TracerDynamics:
         # All of these are constants (shared across threads).
         grid = self.grid
         wet = grid.mask.astype(float)
-        self._fill_land = LandFiller(grid.mask)
+        self._fill_land = LandFiller(np.broadcast_to(grid.mask, (2, *grid.shape3d)))
         # The per-level coefficients and the source terms are small matrix
         # products over the rows ``(v wy, 1, u wx, deta/dt, heat flux)`` of
         # one per-step buffer in the halo layout (land zero in every row):
@@ -130,7 +129,6 @@ class TracerDynamics:
         u: np.ndarray,
         v: np.ndarray,
         deta_dt: np.ndarray,
-        heat_flux: np.ndarray,
         work: SimpleNamespace,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Right-hand sides (dT/dt, dS/dt) over ``(nz, ny, nx)``.
@@ -148,11 +146,11 @@ class TracerDynamics:
             Interface-height tendency (m/s); drives thermocline heave.
             Zero on land, as :meth:`ShallowWaterDynamics.step_dynamics`
             returns it.
-        heat_flux:
-            Net surface heat flux (W/m^2), applied to the top level; zero
-            on land, as :class:`AtmosphericForcing` returns it.
         work:
-            A :meth:`workspace` for the stacks' leading shape.
+            A :meth:`workspace` for the stacks' leading shape, whose
+            ``heat`` the caller has set to the net surface heat flux
+            (W/m^2, applied to the top level; zero on land, as
+            :meth:`AtmosphericForcing.heat_flux` writes it there).
 
         The stencil carries the land mask in its coefficients, so with
         these two zero on land both tendencies are zero there.  They are
@@ -164,7 +162,7 @@ class TracerDynamics:
         np.copyto(w.salt, salt)
         # Land-filled tracer: zero-gradient at the coast, so diffusion
         # and advection see a no-flux wall, not a 0-valued one.
-        self._fill_land.fill(w.both, w.fill)
+        w.fill()
         replicate_rim(w.rim)
         # Advection by the level's velocity and diffusion as one stencil
         # over the halo runs: a_E/W = cx -/+ u s_k wx, a_N/S = cy -/+ v s_k wy,
@@ -172,7 +170,6 @@ class TracerDynamics:
         np.multiply(v, self._wy_wet, out=w.v_wy)
         np.multiply(u, self._wx_wet, out=w.u_wx)
         np.copyto(w.deta_dt, deta_dt)
-        np.copyto(w.heat, heat_flux)
         centre, east, west, north, south = w.runs
         (a_en, a_ws), out, term = w.pair, w.out, w.term
         np.matmul(self._coef_x, w.rows_x, out=w.coef)
@@ -204,15 +201,15 @@ class TracerDynamics:
         halo, coef, stencil, scratch = shared.take(
             shape, (*lead, 2, 1, *shape[-3:]), shape, shape
         )
-        w = SimpleNamespace(fill=self._fill_land.buffer((*lead, 2, nz)))
+        w = SimpleNamespace(fill=self._fill_land.bind(halo))
         w.both = halo[..., 1:-1, 1:-1]
         w.temp, w.salt = w.both[..., 0, :, :, :], w.both[..., 1, :, :, :]
         w.rim, w.runs = rim_pairs(halo), halo_runs(halo, 3)
         # The rows (v wy, 1, u wx, deta/dt, heat flux) in the halo layout:
         # the rims stay zero and the wet row is constant, so both are set
         # here once.
-        rows, inner = halo_buffer((*lead, 5, ny, nx))
-        rows[...] = 0.0
+        rows = np.zeros((*lead, 5, ny + 2, nx + 2))
+        inner = rows[..., 1:-1, 1:-1]
         w.v_wy, w.u_wx, w.deta_dt, w.heat = (inner[..., k, :, :] for k in (0, 2, 3, 4))
         rows = rows.reshape(*lead, 5, -1)
         rows[..., 1, :] = self._wet_row

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.driver import ESSEDriver, ForecastResult
+from repro.core.driver import ESSEDriver
 from repro.core.subspace import ErrorSubspace
 from repro.obs.network import ObservationNetwork
 from repro.ocean.model import ModelState, PEModel

@@ -26,7 +26,8 @@ from repro.sched.iomodel import SharedBandwidth, IOConfiguration, IOMode
 from repro.sched.resources import NodeSpec, Node, ClusterModel
 from repro.sched.jobs import JobSpec, Job, JobState
 from repro.sched.schedulers import ClusterScheduler, CondorPolicy, SGEPolicy
-from repro.sched.cluster import mseas_cluster, reference_task_times
+from repro.core.taskmodel import reference_task_times
+from repro.sched.cluster import mseas_cluster
 from repro.sched.campaign import EnsembleCampaign, CampaignStats
 from repro.sched.gridsites import GridSite, TERAGRID_SITES, run_site_benchmark
 from repro.sched.transfer import (

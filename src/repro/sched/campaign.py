@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sched.cluster import reference_task_times
+from repro.core.taskmodel import reference_task_times
 from repro.sched.engine import Simulator
 from repro.sched.iomodel import IOConfiguration
 from repro.sched.jobs import JobSpec, JobState

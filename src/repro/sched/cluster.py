@@ -10,16 +10,6 @@ were available."
 
 from __future__ import annotations
 
-# The Table 1 reference times live in repro.core.taskmodel (shared with
-# the workflow DAG analysis without a workflow -> sched edge); they are
-# re-exported here because this is where sched code historically found
-# them.
-from repro.core.taskmodel import (  # noqa: F401  -- re-exported
-    REFERENCE_ACOUSTIC_SECONDS,
-    REFERENCE_PEMODEL_SECONDS,
-    REFERENCE_PERT_SECONDS,
-    reference_task_times,
-)
 from repro.sched.resources import ClusterModel, Node, NodeSpec
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.sched.cluster import REFERENCE_PEMODEL_SECONDS
+from repro.core.taskmodel import REFERENCE_PEMODEL_SECONDS
 from repro.sched.resources import ClusterModel, Node, NodeSpec
 
 

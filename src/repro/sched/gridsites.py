@@ -14,10 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sched.cluster import (
-    REFERENCE_PEMODEL_SECONDS,
-    REFERENCE_PERT_SECONDS,
-)
+from repro.core.taskmodel import REFERENCE_PEMODEL_SECONDS, REFERENCE_PERT_SECONDS
 from repro.sched.resources import ClusterModel, Node, NodeSpec
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.telemetry.clock import MONOTONIC
 

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ocean import (
-    AtmosphericForcing,
-    ModelConfig,
-    PEModel,
-    StochasticForcing,
-)
+from repro.ocean import PEModel, StochasticForcing
 from repro.ocean.bathymetry import monterey_grid
 from repro.ocean.grid import demo_grid
 

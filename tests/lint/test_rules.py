@@ -319,6 +319,84 @@ class TestREP005Layering:
         assert report.findings == []
 
 
+class TestREP014UnusedImport:
+    def test_unread_imports_fire(self, tmp_path):
+        report = lint(
+            tmp_path,
+            "tests/test_example.py",
+            """\
+            import json
+            import os.path
+            import numpy as np
+            from repro.ocean import PEModel, StochasticForcing
+
+            def test_noise():
+                assert StochasticForcing is not None
+            """,
+            select=["REP014"],
+        )
+        assert [f.symbol for f in report.findings] == [
+            "import json",
+            "import os",
+            "import np",
+            "import PEModel",
+        ]
+
+    def test_every_kind_of_read_counts(self, tmp_path):
+        report = lint(
+            tmp_path,
+            "src/repro/ocean/example.py",
+            """\
+            from __future__ import annotations
+
+            import os.path
+            from typing import TYPE_CHECKING
+
+            import numpy as np
+            from repro.ocean.grid import OceanGrid, demo_grid
+
+            if TYPE_CHECKING:
+                from repro.ocean.model import PEModel
+
+            __all__ = ["demo_grid"]
+
+            def build(model: "PEModel", grid: OceanGrid) -> str:
+                import json  # a function's own import is not the rule's
+                return os.path.join(str(np.pi), str(grid))
+            """,
+            select=["REP014"],
+        )
+        assert report.findings == []
+
+    def test_guarded_import_counts_and_package_init_is_exempt(self, tmp_path):
+        source = """\
+            try:
+                import scipy
+            except ImportError:
+                import numpy
+            """
+        report = lint(tmp_path, "src/repro/util/example.py", source, select=["REP014"])
+        assert [f.symbol for f in report.findings] == ["import scipy", "import numpy"]
+        report = lint(tmp_path, "src/repro/util/__init__.py", source, select=["REP014"])
+        assert report.findings == []
+
+    def test_replanted_import_in_real_climate_module_fails_lint(self, tmp_path):
+        """The import this rule first found, put back into the real file."""
+        original = (REPO_ROOT / "src/repro/acoustics/climate.py").read_text()
+        mutated = original.replace(
+            "from repro.acoustics.environment import extract_section",
+            "from repro.acoustics.environment import AcousticSection, extract_section",
+        )
+        assert mutated != original, "expected import not found in climate.py"
+        target = tmp_path / "src/repro/acoustics/climate.py"
+        target.parent.mkdir(parents=True)
+        target.write_text(original)
+        assert run_lint([target], root=tmp_path, select=["REP014"]).findings == []
+        target.write_text(mutated)
+        dirty = run_lint([target], root=tmp_path, select=["REP014"])
+        assert [f.symbol for f in dirty.findings] == ["import AcousticSection"]
+
+
 class TestSuppressions:
     def test_inline_disable_suppresses_one_line(self, tmp_path):
         report = lint(

@@ -10,7 +10,6 @@ from repro.obs.adaptive import (
     suggest_sampling_locations,
 )
 from repro.obs.network import ObservationNetwork
-from repro.ocean.model import state_layout
 
 
 @pytest.fixture(scope="module")

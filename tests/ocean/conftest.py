@@ -11,11 +11,11 @@ class CalmForcing:
     def __init__(self, grid):
         self._zero = np.zeros(grid.shape2d)
 
-    def wind_stress(self, t):
+    def wind_stress(self, t, out=None):
         return self._zero, self._zero
 
-    def heat_flux(self, t):
-        return self._zero
+    def heat_flux(self, t, out=None):
+        return np.multiply(self._zero, 1.0, out=out)
 
 
 def member(batch, i):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ocean import PEModel, StochasticForcing
+from repro.ocean import StochasticForcing
 from repro.ocean.model import CHECK_INTERVAL, EnsembleState
 from repro.ocean.stochastic import BatchedStochasticForcing
 from tests.ocean.conftest import member as batch_member

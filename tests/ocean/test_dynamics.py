@@ -1,9 +1,13 @@
 """Unit tests for the shallow-water dynamics and its operators."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.ocean import dynamics
+from repro.ocean import PEModel, dynamics
+from repro.ocean.bathymetry import monterey_grid
 from repro.ocean.dynamics import (
     G_REDUCED,
     H0,
@@ -12,6 +16,8 @@ from repro.ocean.dynamics import (
     ddx,
     ddy,
     laplacian,
+    replicate_rim,
+    rim_pairs,
 )
 from repro.ocean.grid import OceanGrid, demo_grid
 
@@ -139,6 +145,72 @@ class TestStepDynamics:
         # interior divergence rearranges mass; edge one-sided stencils leak
         # only marginally
         assert eta[grid.mask].sum() == pytest.approx(vol0, abs=0.05 * max(abs(vol0), 1.0))
+
+
+@functools.cache
+def stirred_state():
+    """A model on ``cycle_ref``'s grid and a state one day from rest."""
+    model = PEModel(grid=monterey_grid(nx=32, ny=28, nz=4))
+    return model, model.run(model.rest_state(), 86400.0)
+
+
+def step_with_land_eta(land_eta):
+    """One ``step_dynamics`` of the stirred state with ``land_eta`` on land."""
+    model, state = stirred_state()
+    eta = state.eta.copy()
+    eta[~model.grid.mask] = land_eta
+    tau_x, tau_y = model.forcing.wind_stress(state.time)
+    work = workspace(model.dynamics)
+    out = model.dynamics.step_dynamics(
+        state.u, state.v, eta, tau_x, tau_y, model._constants, work
+    )
+    return eta, [a.copy() for a in out]
+
+
+class TestLandEtaNeverReachesTheStep:
+    """Why the continuity needs no land fill: every face that touches land
+    has a zero diffusion factor, so no finite land value of ``eta`` reaches
+    ``deta_dt``, and the pressure gradient reads the filled new ``eta``."""
+
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([-0.0, 1e-3, 1.0, 1e3, 1e100]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_land_eta_leaves_every_output_bit_unchanged(self, seed, scale):
+        model, _ = stirred_state()
+        wet = model.grid.mask
+        rng = np.random.default_rng(seed)
+        _, reference = step_with_land_eta(0.0)
+        eta, out = step_with_land_eta(scale * rng.standard_normal((~wet).sum()))
+        for name, a, b in zip(("u", "v", "eta", "deta_dt"), out, reference):
+            if name == "eta":  # the land value passes through deta_dt = 0
+                assert np.array_equal(a[~wet], eta[~wet])
+                a, b = a[wet], b[wet]
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
+
+def four_copy_rim(halo):
+    """The rim replication before it became two strided copies."""
+    for rim, source in (
+        (halo[..., 0, 1:-1], halo[..., 1, 1:-1]),
+        (halo[..., -1, 1:-1], halo[..., -2, 1:-1]),
+        (halo[..., :, 0], halo[..., :, 1]),
+        (halo[..., :, -1], halo[..., :, -2]),
+    ):
+        np.copyto(rim, source)
+
+
+class TestRimPairs:
+    @pytest.mark.parametrize("shape", [(6, 6), (2, 3, 6, 6), (7, 10)])
+    def test_two_copies_equal_the_four_copy_order(self, shape):
+        """Rows first, so the corners take the source row's end cells."""
+        halo = np.random.default_rng(0).standard_normal(shape)
+        expected = halo.copy()
+        four_copy_rim(expected)
+        replicate_rim(rim_pairs(halo))
+        assert len(rim_pairs(halo)) == 2
+        assert np.array_equal(halo, expected)
 
 
 class TestSponge:

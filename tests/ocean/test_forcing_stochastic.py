@@ -45,6 +45,25 @@ class TestAtmosphericForcing:
         _, b = f.wind_stress(1e5)
         assert np.allclose(a, b)
 
+    def test_written_into_buffers_with_the_same_bits(self, grid):
+        """A run's workspace takes the fields: same products, no new arrays."""
+        f = AtmosphericForcing(grid)
+        tau_x0, tau_y0 = upwelling_wind_stress(grid)
+        wet = grid.mask.astype(float)
+        tau_x, tau_y, heat = np.full((3, *grid.shape2d), np.nan)
+        for t in (0.0, 12345.0, 3.1e5):
+            factor = 1.0 + forcing.SYNOPTIC_AMPLITUDE * np.sin(2.0 * np.pi * t / SYNOPTIC_PERIOD)
+            daily = np.cos(2.0 * np.pi * (t % 86400.0) / 86400.0 - np.pi)
+            synoptic = 0.3 * np.sin(2.0 * np.pi * t / SYNOPTIC_PERIOD)
+            written = (*f.wind_stress(t, (tau_x, tau_y)), f.heat_flux(t, heat))
+            fresh = (*f.wind_stress(t), f.heat_flux(t))
+            heat_ref = wet * (HEAT_FLUX_AMPLITUDE * (daily + synoptic))
+            expected = (tau_x0 * factor, tau_y0 * factor, heat_ref)
+            for out, buffer, new, ref in zip(written, (tau_x, tau_y, heat), fresh, expected):
+                assert out is buffer
+                assert np.array_equal(buffer.view(np.int64), ref.view(np.int64))
+                assert np.array_equal(new.view(np.int64), ref.view(np.int64))
+
     def test_heat_flux_daily_cycle_has_zero_mean(self, grid):
         f = AtmosphericForcing(grid)
         times = np.arange(0, 86400, 400.0)

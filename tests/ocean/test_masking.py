@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.ocean.dynamics import halo_buffer
 from repro.ocean.masking import LandFiller
+from tests.ocean.test_step_kernel import ref_fill_land
+
+NZ, BATCH = 3, 4
 
 
 def cross_mask():
@@ -11,6 +15,79 @@ def cross_mask():
     mask = np.ones((5, 5), dtype=bool)
     mask[2, 2] = False
     return mask
+
+
+def wet_neighbours(mask):
+    """Each cell's number of wet 4-neighbours (the array edge is dry)."""
+    wet = np.pad(mask, 1).astype(int)
+    return wet[:-2, 1:-1] + wet[2:, 1:-1] + wet[1:-1, :-2] + wet[1:-1, 2:]
+
+
+def coast_mask():
+    """Land cells with none and with one to four wet neighbours."""
+    mask = np.ones((7, 9), dtype=bool)
+    mask[3, 2] = False  # an island cell: four
+    mask[0, 5] = False  # on the rim: three
+    mask[5:, 6:] = False  # a corner block: two, one, and none at (6, 7)
+    return mask
+
+
+class TestBoundFillMatchesReference:
+    """The bound fill is byte-equal to the dense reference sums.
+
+    A filler with a 2-D mask treats every axis ahead of ``(ny, nx)`` as a
+    batch; one with the ``(2, nz)`` stack mask gathers over the stack at
+    once and treats only the axes ahead of it as a batch.
+    """
+
+    def test_mask_has_every_neighbour_count(self):
+        mask = coast_mask()
+        assert set(wet_neighbours(mask)[~mask].tolist()) == {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("layout", ["plain", "halo"])
+    @pytest.mark.parametrize(
+        "levels, lead",
+        [
+            ((), ()),
+            ((), (2, NZ)),
+            ((), (BATCH,)),
+            ((), (BATCH, 2, NZ)),
+            ((2, NZ), (2, NZ)),
+            ((2, NZ), (BATCH, 2, NZ)),
+        ],
+    )
+    def test_bound_fill_is_byte_equal(self, layout, levels, lead):
+        mask = coast_mask()
+        filler = LandFiller(np.broadcast_to(mask, (*levels, *mask.shape)))
+        rng = np.random.default_rng(len(lead) + 10 * len(levels))
+        fld = rng.standard_normal((*lead, *mask.shape))
+        if layout == "plain":
+            buffer = fld.copy()
+            interior = buffer
+        else:
+            buffer, interior = halo_buffer(fld.shape)
+            buffer[...] = rng.standard_normal(buffer.shape)
+            interior[...] = fld
+            rim = buffer.copy()
+        filler.bind(buffer)()
+        expected = ref_fill_land(mask, fld)
+        assert np.array_equal(interior.view(np.int64), expected.view(np.int64))
+        if layout == "halo":
+            inner = np.zeros(buffer.shape, dtype=bool)
+            inner[..., 1:-1, 1:-1] = True
+            assert np.array_equal(buffer[~inner], rim[~inner])
+
+    def test_call_is_the_bound_fill(self):
+        mask = coast_mask()
+        fld = np.random.default_rng(3).standard_normal((2, *mask.shape))
+        out = LandFiller(mask)(fld)
+        assert np.array_equal(out.view(np.int64), ref_fill_land(mask, fld).view(np.int64))
+
+    def test_rejects_a_strided_buffer(self):
+        mask = coast_mask()
+        buffer = np.zeros((*mask.shape[:-1], 2 * mask.shape[-1]))[..., ::2]
+        with pytest.raises(ValueError, match="contiguous"):
+            LandFiller(mask).bind(buffer)
 
 
 class TestLandFiller:

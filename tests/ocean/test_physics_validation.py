@@ -6,11 +6,10 @@ solver show up as physics, not just numbers.
 """
 
 import numpy as np
-import pytest
 
 from repro.ocean import PEModel
 from repro.ocean.dynamics import G_REDUCED
-from repro.ocean.grid import OceanGrid, demo_grid
+from repro.ocean.grid import OceanGrid
 from tests.ocean.conftest import CalmForcing
 
 

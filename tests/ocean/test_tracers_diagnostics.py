@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.ocean import PEModel
 from repro.ocean.diagnostics import ensemble_std, kinetic_energy, max_current_speed
 from repro.ocean.dynamics import SharedBlock
 from repro.ocean.grid import demo_grid
@@ -34,9 +33,11 @@ class TestClimatology:
         assert temp[1] == pytest.approx(7.0, abs=0.5)
 
 
-def tendencies(tracers, *fields):
+def tendencies(tracers, temp, salt, u, v, deta_dt, heat):
     """One state's tendencies through a workspace of its own."""
-    return tracers.tendencies(*fields, tracers.workspace((), SharedBlock()))
+    work = tracers.workspace((), SharedBlock())
+    np.copyto(work.heat, heat)
+    return tracers.tendencies(temp, salt, u, v, deta_dt, work)
 
 
 class TestTracerTendencies:

@@ -1,7 +1,6 @@
 """Property-based tests for the acoustics chain."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.acoustics.modes import solve_modes

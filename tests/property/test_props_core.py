@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 from repro.core.assimilation import ESSEAnalysis
 from repro.core.convergence import similarity_coefficient

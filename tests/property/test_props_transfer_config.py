@@ -3,7 +3,6 @@
 import re
 from dataclasses import asdict
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 

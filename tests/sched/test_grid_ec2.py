@@ -3,10 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.sched.cluster import (
-    REFERENCE_PEMODEL_SECONDS,
-    REFERENCE_PERT_SECONDS,
-)
 from repro.sched.ec2 import (
     EC2_INSTANCE_TYPES,
     EC2CostModel,

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.core import (
     ESSEConfig,
     PerturbationGenerator,

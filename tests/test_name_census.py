@@ -63,7 +63,6 @@ KEPT = frozenset({
 SHARED_NAMES = {
     "add_member": ("AnomalyAccumulator _CovarianceFile", "AnomalyAccumulator _CovarianceFile"),
     "analysis_rms": ("AnalysisResult CycleRecord", "AnalysisResult"),
-    "buffer": ("LandFiller _Connection", "LandFiller"),
     "cancel": ("Simulator _Launched", "Simulator"),
     "cluster": ("ClusterScheduler EnsembleCampaign GridSite", "GridSite"),
     "converged": (

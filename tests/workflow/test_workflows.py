@@ -1,6 +1,5 @@
 """Tests for the serial (Fig 3) and parallel (Fig 4) ESSE workflows."""
 
-import numpy as np
 import pytest
 
 from repro.core import (

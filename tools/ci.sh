@@ -6,8 +6,8 @@
 #     sh tools/ci.sh          # the tier-1 suite once + the rest below
 #     sh tools/ci.sh --quick  # pre-commit: changed-only lint + tier-1 tests
 #
-# Static analysis is one repro-lint run (determinism, clock, layering and
-# resource-lifecycle rules; docs/STATIC_ANALYSIS.md) over the same four
+# Static analysis is one repro-lint run (determinism, clock, layering,
+# resource-lifecycle and unused-import rules; docs/STATIC_ANALYSIS.md) over the same four
 # trees tier-1's tests/lint/test_cli.py::TestRealTree lints; there is no
 # baseline, a finding fails.  The docs lint checks the docs/ pages
 # (docstring coverage is tier-1's tests/test_docstrings.py).  The smoke

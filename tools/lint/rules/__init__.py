@@ -8,6 +8,7 @@ Add a new rule by creating a module here with a ``@register``-decorated
 from tools.lint.rules import (  # noqa: F401  -- imported for registration
     clocks,
     determinism,
+    imports,
     layering,
     resources,
 )
